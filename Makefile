@@ -1,6 +1,6 @@
 # Developer entry points. `make ci` is the gate PRs must keep green.
 
-.PHONY: build test race bench bench-serve ci
+.PHONY: build test race bench bench-selfcheck ci
 
 build:
 	go build ./...
@@ -18,18 +18,17 @@ race:
 # B/op and allocs/op (the allocation-regression budget lives in
 # internal/core/alloc_test.go and runs under `make ci`). The stream is piped
 # through scripts/benchjson, which echoes it and records the results with
-# run metadata in BENCH_epoch.json (same convention as BENCH_serve.json).
+# run metadata in BENCH_epoch.json.
 bench:
 	go test -run xxx -benchtime 20x -benchmem \
 		-bench 'BenchmarkEpoch|BenchmarkForestEpoch|BenchmarkMatMul|BenchmarkCSRAggregate' . \
 		| go run ./scripts/benchjson -out BENCH_epoch.json
 
-# Serving benchmark: train, publish a snapshot, replay zipf query traffic
-# against a live replica, hot-swap to a republished model under load, and
-# record p50/p99 latency + QPS in BENCH_serve.json.
-bench-serve:
-	go run ./cmd/lumos-bench -serve -fbscale 0.02 -epochs 8 -mcmc 30 \
-		-serve-queries 4000 -serve-conc 8 -serve-out BENCH_serve.json
+# The end-to-end benchmark's self-check (bench/README.md): every workload
+# twice, failing if an end-to-end metric moves by more than its bound.
+# Minutes long, so not part of `ci`.
+bench-selfcheck:
+	go run ./bench -selfcheck
 
 ci:
 	./scripts/ci.sh

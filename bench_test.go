@@ -441,56 +441,41 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulInto compares the register-blocked and scalar-reference
-// matmul kernels at square sizes spanning L1-resident to cache-busting.
-// Both paths produce bit-identical output (see internal/tensor/kernels_test.go);
-// the delta here is pure kernel speed.
+// BenchmarkMatMulInto sweeps the register-blocked matmul kernel over square
+// sizes spanning L1-resident to cache-busting.
 func BenchmarkMatMulInto(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		rng := rand.New(rand.NewSource(7))
 		x := tensor.Uniform(n, n, -1, 1, rng)
 		w := tensor.Uniform(n, n, -1, 1, rng)
 		out := tensor.New(n, n)
-		for _, path := range []lumos.KernelPath{lumos.KernelsBlocked, lumos.KernelsReference} {
-			b.Run(fmt.Sprintf("%dx%d/%v", n, n, path), func(b *testing.B) {
-				lumos.SetKernelPath(path)
-				defer lumos.SetKernelPath(lumos.KernelsBlocked)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tensor.MatMulInto(out, x, w)
-				}
-				flops := 2 * float64(n) * float64(n) * float64(n)
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
-		}
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulInto(out, x, w)
+			}
+			flops := 2 * float64(n) * float64(n) * float64(n)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 
 // BenchmarkMatMulTNAddInto isolates the Aᵀ·B gradient kernel (the weight-
-// gradient accumulation of every dense layer), comparing the blocked 4-row
-// rank-1 update with its hoisted sparsity check against the scalar reference
-// with a per-element skip.
+// gradient accumulation of every dense layer): a blocked 4-row rank-1 update
+// with a hoisted sparsity check.
 func BenchmarkMatMulTNAddInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	a := tensor.Uniform(4096, 128, -1, 1, rng)
 	g := tensor.Uniform(4096, 16, -1, 1, rng)
 	dst := tensor.New(128, 16)
-	for _, path := range []lumos.KernelPath{lumos.KernelsBlocked, lumos.KernelsReference} {
-		b.Run(path.String(), func(b *testing.B) {
-			lumos.SetKernelPath(path)
-			defer lumos.SetKernelPath(lumos.KernelsBlocked)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulTNAddInto(dst, a, g)
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMulTNAddInto(dst, a, g)
 	}
 }
 
-// BenchmarkCSRAggregate compares the fused CSR neighborhood aggregation
-// (one op: forward + backward) against the unfused Gather→ScaleRows→
-// SegmentSum chain it replaced, on a power-law graph shaped like the
-// training workload.
+// BenchmarkCSRAggregate measures the fused CSR neighborhood aggregation (one
+// op: forward + backward) on a power-law graph shaped like the training
+// workload.
 func BenchmarkCSRAggregate(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	g, err := graph.FacebookLike(0.03, 1)
@@ -511,20 +496,12 @@ func BenchmarkCSRAggregate(b *testing.B) {
 	h := tensor.Uniform(g.N, 64, -1, 1, rng)
 	seed := tensor.Uniform(g.N, 64, -1, 1, rng)
 
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			x := autodiff.Var(h.Clone())
-			out := autodiff.CSRAggregate(x, csr, coef)
-			out.BackwardWithGradient(seed)
-		}
-	})
-	b.Run("unfused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			x := autodiff.Var(h.Clone())
-			out := autodiff.SegmentSum(autodiff.ScaleRows(autodiff.Gather(x, src), coef), dst, g.N)
-			out.BackwardWithGradient(seed)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := autodiff.Var(h.Clone())
+		out := autodiff.CSRAggregate(x, csr, coef)
+		out.BackwardWithGradient(seed)
+	}
 }
 
 // BenchmarkBackwardGCNLayer measures autodiff through one graph conv.

@@ -7,7 +7,6 @@
 //	lumos-bench -exp fig3                 # one experiment
 //	lumos-bench -exp all -epochs 100      # the full suite, longer training
 //	lumos-bench -exp fig7 -csv            # CSV output (full CDF curves)
-//	lumos-bench -serve                    # serving latency/QPS -> BENCH_serve.json
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"lumos/internal/core"
 	"lumos/internal/eval"
 	"lumos/internal/nn"
-	"lumos/internal/tensor"
 )
 
 func main() {
@@ -39,38 +37,14 @@ func main() {
 		workers = flag.Int("workers", 0, "training worker pool size (0 = one per CPU; results identical)")
 		sched   = flag.String("sched", "sync", "round scheduling: sync|async (staleness-bounded)")
 		stale   = flag.Int("staleness", 0, "async gradient staleness bound in epochs (0 = default)")
-		noTape  = flag.Bool("notapereuse", false, "rebuild the autodiff tape every epoch instead of recycling it (debugging; identical results)")
-		kernels = flag.String("kernels", "", "tensor kernel path: blocked (default) | reference (scalar cross-check loops; identical results)")
-
-		serveBench   = flag.Bool("serve", false, "benchmark the serving path (train, publish, replay zipf queries, hot-swap) instead of the paper experiments")
-		serveQueries = flag.Int("serve-queries", 4000, "total queries in the -serve headline phase")
-		serveConc    = flag.Int("serve-conc", 8, "concurrent load-generator workers for -serve")
-		serveOut     = flag.String("serve-out", "BENCH_serve.json", "where -serve writes its latency/QPS report")
 	)
 	flag.Parse()
-
-	// Applied process-wide up front so both the paper experiments and the
-	// -serve path honor it.
-	kp, err := tensor.ParseKernelPath(*kernels)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	tensor.SetKernelPath(kp)
-
-	if *serveBench {
-		check(runServeBench(serveBenchConfig{
-			fbScale: *fbScale, epochs: *epochs, mcmc: *mcmc,
-			queries: *serveQueries, conc: *serveConc, out: *serveOut, seed: *seed,
-		}))
-		return
-	}
 
 	schedMode, err := core.ParseSched(*sched)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	opts := eval.Options{
-		Kernels:        *kernels,
 		FacebookScale:  *fbScale,
 		LastFMScale:    *lfScale,
 		Epochs:         *epochs,
@@ -80,7 +54,6 @@ func main() {
 		Workers:        *workers,
 		Sched:          schedMode,
 		Staleness:      *stale,
-		NoTapeReuse:    *noTape,
 		Seed:           *seed,
 	}
 	for _, b := range strings.Split(*bbs, ",") {

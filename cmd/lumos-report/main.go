@@ -135,9 +135,6 @@ func cmdRun(args []string) int {
 	if m.Topology != "" {
 		sum.AddRow("topology", m.Topology)
 	}
-	if m.Kernels != "" {
-		sum.AddRow("kernels", m.Kernels)
-	}
 	sum.AddRow("rounds", m.Rounds)
 	sum.AddRow("go", fmt.Sprintf("%s GOMAXPROCS=%d NumCPU=%d", m.GoVersion, m.GOMAXPROCS, m.NumCPU))
 	if m.MetricName != "" {

@@ -44,8 +44,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "training worker pool size (0 = one per CPU; results identical)")
 		sched      = flag.String("sched", "sync", "round scheduling: sync|async (staleness-bounded)")
 		stale      = flag.Int("staleness", 0, "async gradient staleness bound in epochs (0 = default)")
-		noTape     = flag.Bool("notapereuse", false, "rebuild the autodiff tape every epoch instead of recycling it (debugging; identical results)")
-		kernels    = flag.String("kernels", "", "tensor kernel path: blocked (default) | reference (scalar cross-check loops; identical results)")
 		tracePth   = flag.String("trace", "", "write per-epoch spans and publish events as Chrome trace-event JSON (viewable in Perfetto)")
 		metricsOn  = flag.Bool("metrics", false, "print the run's metrics in Prometheus text format at the end")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics in Prometheus text format to this file")
@@ -88,8 +86,7 @@ func main() {
 		Task:    taskKind,
 		Epsilon: *eps, Epochs: *epochs, MCMCIterations: *mcmc,
 		SecureCompare: *secure, DisableVirtualNodes: *noVN, DisableTreeTrimming: *noTT,
-		Workers: *workers, Sched: schedMode, Staleness: *stale, NoTapeReuse: *noTape,
-		Kernels: *kernels,
+		Workers: *workers, Sched: schedMode, Staleness: *stale,
 		Metrics: reg, Tracer: tr,
 		Seed: *seed,
 	}
@@ -153,7 +150,7 @@ func main() {
 	if *runOut != "" {
 		m := report.NewManifest("lumos-train", os.Args[1:], *seed, time.Now().Unix())
 		m.Dataset, m.Task, m.Backbone = g.Name, taskKind.String(), strings.ToLower(*backbone)
-		m.Sched, m.Kernels, m.Rounds = schedMode.String(), *kernels, *epochs
+		m.Sched, m.Rounds = schedMode.String(), *epochs
 		rw, err := report.NewWriter(*runOut, m)
 		check(err)
 		rows := report.RowsFromTrainStats(runStats)

@@ -109,7 +109,7 @@ func TestGradGatherSegmentSum(t *testing.T) {
 	idx := []int{0, 2, 2, 4, 1, 0}
 	seg := []int{0, 1, 0, 2, 2, 1}
 	gradCheck(t, "gather/segmentsum", []*Value{a}, func() *Value {
-		return SumSquares(SegmentSum(Gather(a, idx), seg, 3))
+		return SumSquares(segmentSum(Gather(a, idx), seg, 3))
 	})
 }
 
@@ -118,7 +118,7 @@ func TestGradScaleRows(t *testing.T) {
 	a := randVar(4, 2, rng)
 	coef := []float64{0.5, -1, 2, 0.25}
 	gradCheck(t, "scalerows", []*Value{a}, func() *Value {
-		return SumSquares(ScaleRows(a, coef))
+		return SumSquares(scaleRows(a, coef))
 	})
 }
 
@@ -126,7 +126,7 @@ func TestGradMulRowsByCol(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a, s := randVar(4, 3, rng), randVar(4, 1, rng)
 	gradCheck(t, "mulrowsbycol", []*Value{a, s}, func() *Value {
-		return SumSquares(MulRowsByCol(a, s))
+		return SumSquares(mulRowsByCol(a, s))
 	})
 }
 

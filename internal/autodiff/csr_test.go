@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,9 +10,111 @@ import (
 )
 
 // These tests pin the fused CSRAggregate / CSRAggregateMul ops to the unfused
-// Gather→ScaleRows/MulRowsByCol→SegmentSum chains they replace: forward data
+// Gather→scaleRows/mulRowsByCol→segmentSum chains they replaced: forward data
 // AND backward gradients must match bit for bit on random graphs, including
 // empty segments, isolated nodes, duplicate edges, m=0 and n=1.
+//
+// The three unfused ops below are those chains' original implementations.
+// Nothing in production calls them any more; they live here as the oracle
+// (and keep their own finite-difference checks in autodiff_test.go).
+
+// segmentSum returns the nseg×c matrix whose row s is the sum of the rows i
+// of a with seg[i] == s.
+func segmentSum(a *Value, seg []int, nseg int) *Value {
+	if len(seg) != a.Data.Rows() {
+		panic(fmt.Sprintf("autodiff: segmentSum %d segments for %d rows", len(seg), a.Data.Rows()))
+	}
+	t := tapeFor(a)
+	data := newZeroMatrix(t, nseg, a.Data.Cols())
+	tensor.ScatterAddRows(data, a.Data, seg)
+	out := newNode(t, data, backSegmentSum, a)
+	out.ints = seg
+	return out
+}
+
+func backSegmentSum(v *Value) {
+	g := v.parents[0].EnsureGrad()
+	for i, s := range v.ints {
+		grow, orow := g.Row(i), v.Grad.Row(s)
+		for j := range grow {
+			grow[j] += orow[j]
+		}
+	}
+}
+
+// scaleRows multiplies row i of a by the constant coef[i].
+func scaleRows(a *Value, coef []float64) *Value {
+	if len(coef) != a.Data.Rows() {
+		panic(fmt.Sprintf("autodiff: scaleRows %d coefs for %d rows", len(coef), a.Data.Rows()))
+	}
+	t := tapeFor(a)
+	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	for i := 0; i < a.Data.Rows(); i++ {
+		row, orow := a.Data.Row(i), data.Row(i)
+		for j := range row {
+			orow[j] = coef[i] * row[j]
+		}
+	}
+	out := newNode(t, data, backScaleRows, a)
+	out.fs = coef
+	return out
+}
+
+func backScaleRows(v *Value) {
+	g := v.parents[0].EnsureGrad()
+	for i := 0; i < g.Rows(); i++ {
+		grow, orow := g.Row(i), v.Grad.Row(i)
+		ci := v.fs[i]
+		for j := range grow {
+			grow[j] += ci * orow[j]
+		}
+	}
+}
+
+// mulRowsByCol multiplies row i of a (n×c) by s.At(i,0), where s is an n×1
+// differentiable column; used for attention-weighted messages.
+func mulRowsByCol(a, s *Value) *Value {
+	n, c := a.Data.Dims()
+	if s.Data.Rows() != n || s.Data.Cols() != 1 {
+		panic(fmt.Sprintf("autodiff: mulRowsByCol a %dx%d s %dx%d", n, c, s.Data.Rows(), s.Data.Cols()))
+	}
+	t := tapeFor(a, s)
+	data := newMatrix(t, n, c)
+	for i := 0; i < n; i++ {
+		si := s.Data.At(i, 0)
+		row, orow := a.Data.Row(i), data.Row(i)
+		for j := range row {
+			orow[j] = si * row[j]
+		}
+	}
+	return newNode(t, data, backMulRowsByCol, a, s)
+}
+
+func backMulRowsByCol(v *Value) {
+	a, s := v.parents[0], v.parents[1]
+	n := a.Data.Rows()
+	if a.requiresGrad {
+		g := a.EnsureGrad()
+		for i := 0; i < n; i++ {
+			si := s.Data.At(i, 0)
+			grow, orow := g.Row(i), v.Grad.Row(i)
+			for j := range grow {
+				grow[j] += si * orow[j]
+			}
+		}
+	}
+	if s.requiresGrad {
+		g := s.EnsureGrad()
+		for i := 0; i < n; i++ {
+			arow, orow := a.Data.Row(i), v.Grad.Row(i)
+			d := 0.0
+			for j := range arow {
+				d += arow[j] * orow[j]
+			}
+			g.Set(i, 0, g.At(i, 0)+d)
+		}
+	}
+}
 
 type csrCase struct {
 	nsrc, nseg, m, c int
@@ -70,7 +173,7 @@ func requireBits(t *testing.T, name string, want, got *tensor.Matrix) {
 }
 
 // TestCSRAggregateMatchesUnfused compares the fused GCN-style aggregation
-// (scalar edge coefficients) against ScaleRows(Gather(a))→SegmentSum.
+// (scalar edge coefficients) against scaleRows(Gather(a))→segmentSum.
 func TestCSRAggregateMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, taped := range []bool{false, true} {
@@ -88,7 +191,7 @@ func TestCSRAggregateMatchesUnfused(t *testing.T) {
 			}
 
 			aRef := mk(aData.Clone())
-			ref := SegmentSum(ScaleRows(Gather(aRef, src), coef), dst, tc.nseg)
+			ref := segmentSum(scaleRows(Gather(aRef, src), coef), dst, tc.nseg)
 			ref.BackwardWithGradient(seed.Clone())
 
 			aFus := mk(aData.Clone())
@@ -98,9 +201,9 @@ func TestCSRAggregateMatchesUnfused(t *testing.T) {
 			requireBits(t, "CSRAggregate forward", ref.Data, fus.Data)
 			requireBits(t, "CSRAggregate dL/da", aRef.Grad, aFus.Grad)
 
-			// Unweighted (coef nil) against a bare Gather→SegmentSum chain.
+			// Unweighted (coef nil) against a bare Gather→segmentSum chain.
 			aRefU := mk(aData.Clone())
-			refU := SegmentSum(Gather(aRefU, src), dst, tc.nseg)
+			refU := segmentSum(Gather(aRefU, src), dst, tc.nseg)
 			refU.BackwardWithGradient(seed.Clone())
 			aFusU := mk(aData.Clone())
 			fusU := CSRAggregate(aFusU, csr, nil)
@@ -112,8 +215,8 @@ func TestCSRAggregateMatchesUnfused(t *testing.T) {
 }
 
 // TestCSRAggregateMulMatchesUnfused compares the fused GAT-style aggregation
-// (learned per-edge weight column) against MulRowsByCol(Gather(a), w)→
-// SegmentSum, checking both the feature gradient and the edge-weight
+// (learned per-edge weight column) against mulRowsByCol(Gather(a), w)→
+// segmentSum, checking both the feature gradient and the edge-weight
 // gradient.
 func TestCSRAggregateMulMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
@@ -134,7 +237,7 @@ func TestCSRAggregateMulMatchesUnfused(t *testing.T) {
 
 			aRef := mk(aData.Clone())
 			wRef := mk(wData.Clone())
-			ref := SegmentSum(MulRowsByCol(Gather(aRef, src), wRef), dst, tc.nseg)
+			ref := segmentSum(mulRowsByCol(Gather(aRef, src), wRef), dst, tc.nseg)
 			ref.BackwardWithGradient(seed.Clone())
 
 			aFus := mk(aData.Clone())
@@ -163,7 +266,7 @@ func TestCSRAggregateConstInput(t *testing.T) {
 	seed := randMatrix(tc.nseg, tc.c, rng)
 
 	aRef := Const(aData.Clone())
-	ref := SegmentSum(ScaleRows(Gather(aRef, src), coef), dst, tc.nseg)
+	ref := segmentSum(scaleRows(Gather(aRef, src), coef), dst, tc.nseg)
 	aFus := Const(aData.Clone())
 	fus := CSRAggregate(aFus, csr, coef)
 	requireBits(t, "const forward", ref.Data, fus.Data)
@@ -174,7 +277,7 @@ func TestCSRAggregateConstInput(t *testing.T) {
 	// Mixed case: const features, learned edge weights.
 	wData := randMatrix(tc.m, 1, rng)
 	wRef := Var(wData.Clone())
-	refM := SegmentSum(MulRowsByCol(Gather(Const(aData.Clone()), src), wRef), dst, tc.nseg)
+	refM := segmentSum(mulRowsByCol(Gather(Const(aData.Clone()), src), wRef), dst, tc.nseg)
 	refM.BackwardWithGradient(seed.Clone())
 	wFus := Var(wData.Clone())
 	fusM := CSRAggregateMul(Const(aData.Clone()), wFus, csr)

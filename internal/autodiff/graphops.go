@@ -9,8 +9,8 @@ import (
 
 // Graph-structured operations: gather/scatter over rows and per-segment
 // reductions. These are the primitives message passing compiles to: an edge
-// list (src, dst) turns "aggregate neighbor embeddings" into
-// SegmentSum(ScaleRows(Gather(H, src), coef), dst, n).
+// list (src, dst), grouped by destination into a tensor.CSR, turns
+// "aggregate neighbor embeddings" into CSRAggregate(H, csr, coef).
 //
 // Index and coefficient slices passed to these ops are retained by
 // reference until the owning tape is reset (or the node is collected); they
@@ -31,106 +31,14 @@ func backGather(v *Value) {
 	tensor.ScatterAddRows(v.parents[0].EnsureGrad(), v.Grad, v.ints)
 }
 
-// SegmentSum returns the nseg×c matrix whose row s is the sum of the rows i
-// of a with seg[i] == s.
-func SegmentSum(a *Value, seg []int, nseg int) *Value {
-	if len(seg) != a.Data.Rows() {
-		panic(fmt.Sprintf("autodiff: SegmentSum %d segments for %d rows", len(seg), a.Data.Rows()))
-	}
-	t := tapeFor(a)
-	data := newZeroMatrix(t, nseg, a.Data.Cols())
-	tensor.ScatterAddRows(data, a.Data, seg)
-	out := newNode(t, data, backSegmentSum, a)
-	out.ints = seg
-	return out
-}
-
-func backSegmentSum(v *Value) {
-	tensor.GatherAddInto(v.parents[0].EnsureGrad(), v.Grad, v.ints)
-}
-
-// ScaleRows multiplies row i of a by the constant coef[i].
-func ScaleRows(a *Value, coef []float64) *Value {
-	if len(coef) != a.Data.Rows() {
-		panic(fmt.Sprintf("autodiff: ScaleRows %d coefs for %d rows", len(coef), a.Data.Rows()))
-	}
-	t := tapeFor(a)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
-	for i := 0; i < a.Data.Rows(); i++ {
-		row, orow := a.Data.Row(i), data.Row(i)
-		for j := range row {
-			orow[j] = coef[i] * row[j]
-		}
-	}
-	out := newNode(t, data, backScaleRows, a)
-	out.fs = coef
-	return out
-}
-
-func backScaleRows(v *Value) {
-	g := v.parents[0].EnsureGrad()
-	for i := 0; i < g.Rows(); i++ {
-		grow, orow := g.Row(i), v.Grad.Row(i)
-		ci := v.fs[i]
-		for j := range grow {
-			grow[j] += ci * orow[j]
-		}
-	}
-}
-
-// MulRowsByCol multiplies row i of a (n×c) by s.At(i,0), where s is an n×1
-// differentiable column; used for attention-weighted messages.
-func MulRowsByCol(a, s *Value) *Value {
-	n, c := a.Data.Dims()
-	if s.Data.Rows() != n || s.Data.Cols() != 1 {
-		panic(fmt.Sprintf("autodiff: MulRowsByCol a %dx%d s %dx%d", n, c, s.Data.Rows(), s.Data.Cols()))
-	}
-	t := tapeFor(a, s)
-	data := newMatrix(t, n, c)
-	for i := 0; i < n; i++ {
-		si := s.Data.At(i, 0)
-		row, orow := a.Data.Row(i), data.Row(i)
-		for j := range row {
-			orow[j] = si * row[j]
-		}
-	}
-	return newNode(t, data, backMulRowsByCol, a, s)
-}
-
-func backMulRowsByCol(v *Value) {
-	a, s := v.parents[0], v.parents[1]
-	n := a.Data.Rows()
-	if a.requiresGrad {
-		g := a.EnsureGrad()
-		for i := 0; i < n; i++ {
-			si := s.Data.At(i, 0)
-			grow, orow := g.Row(i), v.Grad.Row(i)
-			for j := range grow {
-				grow[j] += si * orow[j]
-			}
-		}
-	}
-	if s.requiresGrad {
-		g := s.EnsureGrad()
-		for i := 0; i < n; i++ {
-			arow, orow := a.Data.Row(i), v.Grad.Row(i)
-			d := 0.0
-			for j := range arow {
-				d += arow[j] * orow[j]
-			}
-			g.Set(i, 0, g.At(i, 0)+d)
-		}
-	}
-}
-
-// CSRAggregate fuses the Gather→ScaleRows→SegmentSum neighborhood
-// aggregation into one op: out.Row(s) = Σ_{edges e with dst[e]=s}
-// coef[e]·a.Row(src[e]), where the edge grouping (and the per-segment
-// summation order) comes from csr. coef may be nil for an unweighted sum.
-// Forward and backward are bit-identical to the unfused chain — csr stores
-// slots in original edge order, the exact order SegmentSum's scatter runs
-// in — but no per-edge message matrix is ever materialized, in either pass.
-// Like the unfused ops, csr and coef are retained by reference.
+// CSRAggregate is neighborhood aggregation as one op: out.Row(s) =
+// Σ_{edges e with dst[e]=s} coef[e]·a.Row(src[e]), where the edge grouping
+// (and the per-segment summation order) comes from csr. coef may be nil for
+// an unweighted sum. No per-edge message matrix is ever materialized, in
+// either pass. Forward and backward are bit-identical to the three-op
+// gather→scale-rows→segment-sum chain it replaced — csr stores slots in
+// original edge order, the exact order that chain's scatter runs in — which
+// csr_test.go keeps as the oracle. csr and coef are retained by reference.
 func CSRAggregate(a *Value, csr *tensor.CSR, coef []float64) *Value {
 	t := tapeFor(a)
 	// The fused kernel overwrites every row, so a recycled (unzeroed) tape
@@ -148,10 +56,9 @@ func backCSRAggregate(v *Value) {
 	tensor.CSRAggregateBackward(v.parents[0].EnsureGrad(), nil, nil, v.Grad, v.ints, v.ints2, v.fs)
 }
 
-// CSRAggregateMul is CSRAggregate with a differentiable per-edge weight: it
-// fuses Gather→MulRowsByCol→SegmentSum, with w an NumEdges×1 column
-// (attention coefficients). Both gradients flow; each is bit-identical to
-// its unfused counterpart.
+// CSRAggregateMul is CSRAggregate with a differentiable per-edge weight: w
+// is an NumEdges×1 column (attention coefficients). Both gradients flow;
+// each is bit-identical to its counterpart in the unfused oracle chain.
 func CSRAggregateMul(a, w *Value, csr *tensor.CSR) *Value {
 	if w.Data.Rows() != csr.NumEdges() || w.Data.Cols() != 1 {
 		panic(fmt.Sprintf("autodiff: CSRAggregateMul w %dx%d for %d edges",

@@ -22,7 +22,8 @@ func tapeGraph(t *Tape, w, b *Value, x *tensor.Matrix) (float64, *tensor.Matrix,
 	h = ReLU(h)
 	idx := []int{0, 1, 2, 2, 1}
 	seg := []int{0, 0, 1, 1, 2}
-	g := SegmentSum(ScaleRows(Gather(h, idx), []float64{1, 0.5, 0.5, 1, 2}), seg, 3)
+	pool := tensor.NewCSR(3, []int{0, 1, 2, 3, 4}, seg)
+	g := CSRAggregate(Gather(h, idx), pool, []float64{1, 0.5, 0.5, 1, 2})
 	loss := MeanAll(SumSquares(g))
 	loss.Backward()
 	return loss.Scalar(), w.Grad, b.Grad

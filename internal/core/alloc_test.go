@@ -128,22 +128,44 @@ func TestUnsupervisedSessionAllocBudget(t *testing.T) {
 	}
 }
 
+// freshTapeLosses is the fresh-tape reference: it drives obj's session through
+// Cfg.Epochs steps exactly like TrainSupervised/TrainUnsupervised, but throws
+// the engine's tapes away before every step, so each epoch records on
+// brand-new tapes instead of recycled ones.
+func freshTapeLosses(t *testing.T, sys *System, obj Objective) []float64 {
+	t.Helper()
+	sess, err := sys.NewSession(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 0; epoch < sys.Cfg.Epochs; epoch++ {
+		for i := range sys.eng.tapes {
+			sys.eng.tapes[i] = nil
+		}
+		sys.eng.serial = nil
+		if _, err := sess.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.FinishRounds()
+	return sess.Stats().Losses
+}
+
 // TestTapeReuseMatchesFreshTapes is the tape-lifecycle golden at system
-// level: recycling the per-shard tapes across epochs (the default) must
-// produce bit-identical loss traces to rebuilding every tape from scratch
-// each epoch (Config.NoTapeReuse), for several epochs, both backbones, and
-// both tasks.
+// level: recycling the per-shard tapes across epochs must produce
+// bit-identical loss traces to rebuilding every tape from scratch each epoch
+// (freshTapeLosses), for several epochs, both backbones, and both tasks.
 func TestTapeReuseMatchesFreshTapes(t *testing.T) {
 	g := engineGraph(t, 22)
 	for _, bb := range []nn.Backbone{nn.GCN, nn.GAT} {
-		base := Config{Backbone: bb, Epochs: 5, MCMCIterations: 20, Workers: 2, Seed: 22}
-		fresh := base
-		fresh.NoTapeReuse = true
+		cfg := Config{Backbone: bb, Epochs: 5, MCMCIterations: 20, Workers: 2, Seed: 22}
 
+		sup, split := supervisedSystem(t, g, cfg)
 		requireIdentical(t, bb.String()+"/supervised reuse vs fresh",
-			supervisedLosses(t, g, base), supervisedLosses(t, g, fresh))
+			supervisedLosses(t, g, cfg), freshTapeLosses(t, sup, NewSupervisedObjective(split)))
+		uns, es := unsupervisedSystem(t, g, cfg)
 		requireIdentical(t, bb.String()+"/unsupervised reuse vs fresh",
-			unsupervisedLosses(t, g, base), unsupervisedLosses(t, g, fresh))
+			unsupervisedLosses(t, g, cfg), freshTapeLosses(t, uns, NewUnsupervisedObjective(es)))
 	}
 }
 
@@ -152,11 +174,10 @@ func TestTapeReuseMatchesFreshTapes(t *testing.T) {
 // parameters — the one place tape-era buffers outlive an epoch.
 func TestTapeReuseMatchesFreshTapesAsync(t *testing.T) {
 	g := engineGraph(t, 23)
-	base := Config{Epochs: 5, MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Workers: 2, Seed: 23}
-	fresh := base
-	fresh.NoTapeReuse = true
+	cfg := Config{Epochs: 5, MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Workers: 2, Seed: 23}
+	sys, split := supervisedSystem(t, g, cfg)
 	requireIdentical(t, "async reuse vs fresh",
-		supervisedLosses(t, g, base), supervisedLosses(t, g, fresh))
+		supervisedLosses(t, g, cfg), freshTapeLosses(t, sys, NewSupervisedObjective(split)))
 }
 
 // TestEvaluationDoesNotPerturbTraining guards the tape-reset discipline

@@ -17,7 +17,6 @@ import (
 
 	"lumos/internal/nn"
 	"lumos/internal/obs"
-	"lumos/internal/tensor"
 )
 
 // Sched selects how device updates are scheduled within a training round.
@@ -180,22 +179,6 @@ type Config struct {
 	// be applied under SchedAsync (default 1 when async; ignored when sync).
 	Staleness int
 
-	// Kernels selects the tensor kernel path: "" or "blocked" (the default —
-	// register-blocked matmuls and fused CSR neighborhood aggregation) or
-	// "reference" (the original scalar loops, kept for cross-checking). The
-	// two paths are bit-identical on finite data, so this only changes
-	// wall-clock time. The setting is process-global (tensor.SetKernelPath),
-	// applied by NewSystem; like GOMAXPROCS it is not meant to differ
-	// between concurrently-running systems.
-	Kernels string
-
-	// NoTapeReuse forces the training engine to record each epoch on a fresh
-	// autodiff tape instead of recycling the per-shard tapes (the
-	// steady-state allocation-free path). The math is identical either way —
-	// this is a debugging escape hatch for suspected buffer-reuse issues,
-	// exposed as -notapereuse on the CLIs.
-	NoTapeReuse bool
-
 	// Metrics, when non-nil, receives runtime counters/gauges/histograms
 	// from the training session (steps, losses, step durations, gradient
 	// queue depth, model-selection events). Nil — the default — disables
@@ -292,9 +275,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: negative shard count %d", c.Shards)
-	}
-	if _, err := tensor.ParseKernelPath(c.Kernels); err != nil {
-		return err
 	}
 	switch c.Sched {
 	case SchedSync:

@@ -53,8 +53,7 @@ type shard struct {
 	leafVertex []int
 	poolCoef   []float64
 	// pool groups the leaf→vertex pooling edges by vertex (stable leaf
-	// order) so the fused kernel path can run Gather→ScaleRows→SegmentSum
-	// as one CSR aggregation.
+	// order), so Eq. 31's gather-scale-sum runs as one CSR aggregation.
 	pool *tensor.CSR
 	// work is the shard's node count — its compute weight, used both to
 	// balance the partition and to rank stragglers for async scheduling.
@@ -78,7 +77,6 @@ type engine struct {
 	rngs    []*rand.Rand     // per-shard dropout streams split from the root seed
 	tapes   []*autodiff.Tape // per-shard autodiff tapes, reset-and-reused every epoch
 	serial  *autodiff.Tape   // tape of the serial combine-and-loss phase
-	noReuse bool             // Config.NoTapeReuse: fresh tapes every epoch
 	workers int
 	delays  []int // per-shard staleness delay in epochs (all zero when sync)
 	queue   []delayedGrads
@@ -106,7 +104,7 @@ func newEngine(s *System) *engine {
 	if target > s.G.N {
 		target = s.G.N
 	}
-	e := &engine{sys: s, workers: s.Cfg.Workers, noReuse: s.Cfg.NoTapeReuse}
+	e := &engine{sys: s, workers: s.Cfg.Workers}
 	e.shards = buildShards(s.Forest, s.Trees, target)
 	for _, sh := range e.shards {
 		sh.pool = tensor.NewCSR(s.G.N, sh.leafLocal, sh.leafVertex)
@@ -128,10 +126,10 @@ func newEngine(s *System) *engine {
 }
 
 // shardTape returns shard i's tape ready for a fresh recording: reset for
-// reuse in the steady state, or brand new under Config.NoTapeReuse (and on
-// first use). Only shard i's worker may call this for i.
+// reuse in the steady state, brand new on first use. Only shard i's worker
+// may call this for i.
 func (e *engine) shardTape(i int) *autodiff.Tape {
-	if e.noReuse || e.tapes[i] == nil {
+	if e.tapes[i] == nil {
 		e.tapes[i] = autodiff.NewTape()
 	} else {
 		e.tapes[i].Reset()
@@ -141,7 +139,7 @@ func (e *engine) shardTape(i int) *autodiff.Tape {
 
 // serialTape returns the combine-phase tape ready for a fresh recording.
 func (e *engine) serialTape() *autodiff.Tape {
-	if e.noReuse || e.serial == nil {
+	if e.serial == nil {
 		e.serial = autodiff.NewTape()
 	} else {
 		e.serial.Reset()
@@ -304,15 +302,7 @@ func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 		sh := e.shards[i]
 		x := e.shardTape(i).Const(sh.x)
 		h := e.encs[i].Forward(sh.conv, x, training, e.rngs[i])
-		if tensor.ActiveKernelPath() == tensor.PathReference {
-			leaves := autodiff.Gather(h, sh.leafLocal)
-			scaled := autodiff.ScaleRows(leaves, sh.poolCoef)
-			parts[i] = autodiff.SegmentSum(scaled, sh.leafVertex, e.sys.G.N)
-		} else {
-			// Same pooling, fused: one CSR aggregation instead of three ops
-			// materializing per-leaf rows (bit-identical either way).
-			parts[i] = autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)
-		}
+		parts[i] = autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)
 	})
 	return parts
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"lumos/internal/graph"
@@ -21,8 +22,9 @@ func engineGraph(t testing.TB, seed int64) *graph.Graph {
 	return g
 }
 
-// supervisedLosses trains a fresh supervised system and returns its losses.
-func supervisedLosses(t testing.TB, g *graph.Graph, cfg Config) []float64 {
+// supervisedSystem builds a fresh supervised system over g and the node split
+// the loss-trace helpers train it on.
+func supervisedSystem(t testing.TB, g *graph.Graph, cfg Config) (*System, *graph.NodeSplit) {
 	t.Helper()
 	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(9)))
 	if err != nil {
@@ -33,6 +35,13 @@ func supervisedLosses(t testing.TB, g *graph.Graph, cfg Config) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys, split
+}
+
+// supervisedLosses trains a fresh supervised system and returns its losses.
+func supervisedLosses(t testing.TB, g *graph.Graph, cfg Config) []float64 {
+	t.Helper()
+	sys, split := supervisedSystem(t, g, cfg)
 	stats, err := sys.TrainSupervised(split)
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +49,9 @@ func supervisedLosses(t testing.TB, g *graph.Graph, cfg Config) []float64 {
 	return stats.Losses
 }
 
-// unsupervisedLosses trains a fresh link-prediction system and returns its
-// losses.
-func unsupervisedLosses(t testing.TB, g *graph.Graph, cfg Config) []float64 {
+// unsupervisedSystem builds a fresh link-prediction system over g's training
+// subgraph and the edge split the loss-trace helpers train it on.
+func unsupervisedSystem(t testing.TB, g *graph.Graph, cfg Config) (*System, *graph.EdgeSplit) {
 	t.Helper()
 	es, err := graph.SplitEdges(g, 0.8, 0.05, rand.New(rand.NewSource(9)))
 	if err != nil {
@@ -53,6 +62,14 @@ func unsupervisedLosses(t testing.TB, g *graph.Graph, cfg Config) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys, es
+}
+
+// unsupervisedLosses trains a fresh link-prediction system and returns its
+// losses.
+func unsupervisedLosses(t testing.TB, g *graph.Graph, cfg Config) []float64 {
+	t.Helper()
+	sys, es := unsupervisedSystem(t, g, cfg)
 	stats, err := sys.TrainUnsupervised(es)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +116,58 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if sup1[len(sup1)-1] >= sup1[0] {
 			t.Fatalf("%s: supervised loss did not improve: %v -> %v", bb, sup1[0], sup1[len(sup1)-1])
 		}
+	}
+}
+
+// TestConcurrentSystemsTrainIndependently: a GCN and a GAT system built and
+// trained at the same time on two goroutines produce exactly the loss traces
+// each produces alone. Systems share no mutable state — there is no
+// process-wide compute setting one could flip under the other — and
+// scripts/ci.sh runs this under -race -count=10.
+func TestConcurrentSystemsTrainIndependently(t *testing.T) {
+	g := engineGraph(t, 9)
+	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{
+		{Task: Supervised, Backbone: nn.GCN, Epochs: 4, MCMCIterations: 20, Workers: 2, Seed: 9},
+		{Task: Supervised, Backbone: nn.GAT, Epochs: 4, MCMCIterations: 20, Workers: 2, Seed: 9},
+	}
+	train := func(cfg Config) ([]float64, error) {
+		sys, err := NewSystem(g, g, cfg)
+		if err != nil {
+			return nil, err
+		}
+		stats, err := sys.TrainSupervised(split)
+		if err != nil {
+			return nil, err
+		}
+		return stats.Losses, nil
+	}
+
+	alone := make([][]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		if alone[i], err = train(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	together := make([][]float64, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = train(cfg)
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		requireIdentical(t, cfg.Backbone.String()+" alone vs concurrent", alone[i], together[i])
 	}
 }
 

@@ -22,8 +22,8 @@ type Forest struct {
 	// leaves, zeros on virtual nodes (paper Eq. 25).
 	X *tensor.Matrix
 	// LeafRows[i] is the forest row of the i-th leaf; LeafVertex[i] its
-	// global vertex; PoolCoef[i] = 1/#leaves(vertex) so that
-	// SegmentSum(ScaleRows(gather)) realizes average pooling.
+	// global vertex; PoolCoef[i] = 1/#leaves(vertex) so that the
+	// coefficient-weighted per-vertex sum of leaf rows is average pooling.
 	LeafRows   []int
 	LeafVertex []int
 	PoolCoef   []float64

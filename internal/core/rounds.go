@@ -1,11 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"lumos/internal/graph"
-)
-
 // This file holds the round-level outcome type and the task-agnostic
 // round helpers consumed by Session.StepRound — the driving surface
 // internal/sim uses: a discrete-event simulator samples participants each
@@ -36,39 +30,6 @@ type RoundOutcome struct {
 	// selection: the best-validation snapshot is restored by FinishRounds.
 	ValMetric    float64
 	ValEvaluated bool
-}
-
-// StepRoundSupervised runs one supervised training round restricted to the
-// given participants: active[v] marks device v as present this round.
-//
-// Deprecated: build a Session over NewSupervisedObjective and call
-// Session.StepRound — the session API serves every task, not just node
-// classification. This wrapper drives a lazily-created session keyed by the
-// split and remains only for callers of the pre-session API.
-func (s *System) StepRoundSupervised(split *graph.NodeSplit, active []bool, delays []int, partTTL int) (RoundOutcome, error) {
-	if s.Cfg.Task != Supervised {
-		return RoundOutcome{}, fmt.Errorf("core: StepRoundSupervised on %v system", s.Cfg.Task)
-	}
-	if len(active) != s.G.N {
-		return RoundOutcome{}, fmt.Errorf("core: %d participation flags for %d devices", len(active), s.G.N)
-	}
-	if s.legacySess == nil || s.legacySplit != split {
-		sess, err := s.NewSession(NewSupervisedObjective(split))
-		if err != nil {
-			return RoundOutcome{}, err
-		}
-		s.legacySess, s.legacySplit = sess, split
-	}
-	return s.legacySess.StepRound(RoundPlan{Active: active, Delays: delays, TTL: partTTL})
-}
-
-// FinishRounds applies every still-queued stale gradient in one terminal
-// synchronous step, mirroring the final barrier of a bounded-staleness
-// deployment.
-//
-// Deprecated: use Session.FinishRounds.
-func (s *System) FinishRounds() {
-	s.eng.drain()
 }
 
 // ShardCount reports how many shards the engine partitioned the forest into.

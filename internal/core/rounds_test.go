@@ -26,15 +26,27 @@ func roundSystem(t testing.TB, seed int64) (*System, *graph.NodeSplit) {
 	return sys, split
 }
 
+// roundSession builds roundSystem's system and opens the supervised session
+// the round tests step.
+func roundSession(t testing.TB, seed int64) (*System, *graph.NodeSplit, *Session) {
+	t.Helper()
+	sys, split := roundSystem(t, seed)
+	sess, err := sys.NewSession(NewSupervisedObjective(split))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, split, sess
+}
+
 // TestStepRoundFullParticipation: with everyone present, a round activates
 // every shard and applies no stale gradients.
 func TestStepRoundFullParticipation(t *testing.T) {
-	sys, split := roundSystem(t, 31)
+	sys, _, sess := roundSession(t, 31)
 	active := make([]bool, sys.G.N)
 	for i := range active {
 		active[i] = true
 	}
-	out, err := sys.StepRoundSupervised(split, active, nil, 2)
+	out, err := sess.StepRound(RoundPlan{Active: active, TTL: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +67,13 @@ func TestStepRoundFullParticipation(t *testing.T) {
 // TestStepRoundPartialAndExpiry: an absent device's cached contribution
 // serves for PartialTTL rounds, then expires.
 func TestStepRoundPartialAndExpiry(t *testing.T) {
-	sys, split := roundSystem(t, 32)
+	sys, _, sess := roundSession(t, 32)
 	n := sys.G.N
 	all := make([]bool, n)
 	for i := range all {
 		all[i] = true
 	}
-	if _, err := sys.StepRoundSupervised(split, all, nil, 2); err != nil {
+	if _, err := sess.StepRound(RoundPlan{Active: all, TTL: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Take the second half of the fleet offline for three rounds with TTL 2:
@@ -72,7 +84,7 @@ func TestStepRoundPartialAndExpiry(t *testing.T) {
 	}
 	var expired int
 	for r := 0; r < 3; r++ {
-		out, err := sys.StepRoundSupervised(split, half, nil, 2)
+		out, err := sess.StepRound(RoundPlan{Active: half, TTL: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,13 +99,13 @@ func TestStepRoundPartialAndExpiry(t *testing.T) {
 	if expired == 0 {
 		t.Fatal("caches never expired past the TTL")
 	}
-	sys.FinishRounds()
+	sess.FinishRounds()
 }
 
 // TestStepRoundDelayedGradients: a delayed device's gradient surfaces as a
 // stale application in a later round.
 func TestStepRoundDelayedGradients(t *testing.T) {
-	sys, split := roundSystem(t, 33)
+	sys, _, sess := roundSession(t, 33)
 	n := sys.G.N
 	all := make([]bool, n)
 	for i := range all {
@@ -101,26 +113,26 @@ func TestStepRoundDelayedGradients(t *testing.T) {
 	}
 	delays := make([]int, n)
 	delays[0] = 2
-	if out, err := sys.StepRoundSupervised(split, all, delays, 2); err != nil || out.StaleApplied != 0 {
+	if out, err := sess.StepRound(RoundPlan{Active: all, Delays: delays, TTL: 2}); err != nil || out.StaleApplied != 0 {
 		t.Fatalf("round 0: out=%+v err=%v", out, err)
 	}
-	if out, err := sys.StepRoundSupervised(split, all, nil, 2); err != nil || out.StaleApplied != 0 {
+	if out, err := sess.StepRound(RoundPlan{Active: all, TTL: 2}); err != nil || out.StaleApplied != 0 {
 		t.Fatalf("round 1: out=%+v err=%v", out, err)
 	}
-	out, err := sys.StepRoundSupervised(split, all, nil, 2)
+	out, err := sess.StepRound(RoundPlan{Active: all, TTL: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.StaleApplied != 1 {
 		t.Fatalf("round 2: stale applied %d, want 1", out.StaleApplied)
 	}
-	sys.FinishRounds()
+	sess.FinishRounds()
 }
 
 // TestStepRoundSkips: a round whose participants hold no training vertex is
 // skipped rather than producing a degenerate loss.
 func TestStepRoundSkips(t *testing.T) {
-	sys, split := roundSystem(t, 34)
+	sys, split, sess := roundSession(t, 34)
 	active := make([]bool, sys.G.N)
 	// Activate exactly one non-training device.
 	inTrain := make(map[int]bool, len(split.Train))
@@ -133,7 +145,7 @@ func TestStepRoundSkips(t *testing.T) {
 			break
 		}
 	}
-	out, err := sys.StepRoundSupervised(split, active, nil, 2)
+	out, err := sess.StepRound(RoundPlan{Active: active, TTL: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +156,14 @@ func TestStepRoundSkips(t *testing.T) {
 
 // TestStepRoundValidation covers the argument guards.
 func TestStepRoundValidation(t *testing.T) {
-	sys, split := roundSystem(t, 35)
-	if _, err := sys.StepRoundSupervised(split, make([]bool, 3), nil, 2); err == nil {
+	sys, _, sess := roundSession(t, 35)
+	if _, err := sess.StepRound(RoundPlan{Active: make([]bool, 3), TTL: 2}); err == nil {
 		t.Fatal("wrong active length accepted")
 	}
-	if _, err := sys.StepRoundSupervised(split, make([]bool, sys.G.N), make([]int, 3), 2); err == nil {
+	if _, err := sess.StepRound(RoundPlan{Active: make([]bool, sys.G.N), Delays: make([]int, 3), TTL: 2}); err == nil {
 		t.Fatal("wrong delays length accepted")
 	}
-	if _, err := sys.StepRoundSupervised(nil, make([]bool, sys.G.N), nil, 2); err == nil {
+	if _, err := sys.NewSession(NewSupervisedObjective(nil)); err == nil {
 		t.Fatal("nil split accepted")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"lumos/internal/fed"
 	"lumos/internal/graph"
 	"lumos/internal/nn"
-	"lumos/internal/tensor"
 	"lumos/internal/tree"
 )
 
@@ -35,11 +34,6 @@ type System struct {
 	Head    *nn.Linear // supervised head; nil for unsupervised
 	opt     *nn.Adam
 	eng     *engine
-
-	// legacySess/legacySplit back the deprecated StepRoundSupervised
-	// wrapper: one cached session per node split.
-	legacySess  *Session
-	legacySplit *graph.NodeSplit
 }
 
 // NewSystem builds a Lumos system: devices are instantiated, the tree
@@ -52,13 +46,6 @@ type System struct {
 func NewSystem(g, full *graph.Graph, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Kernels != "" {
-		// Validated just above; the path is process-global, so only an
-		// explicit setting touches it (leaving "" preserves whatever the
-		// process selected, usually the blocked default).
-		p, _ := tensor.ParseKernelPath(cfg.Kernels)
-		tensor.SetKernelPath(p)
 	}
 	if g == nil || full == nil {
 		return nil, fmt.Errorf("core: nil graph")

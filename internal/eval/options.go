@@ -13,7 +13,6 @@ import (
 	"lumos/internal/core"
 	"lumos/internal/graph"
 	"lumos/internal/nn"
-	"lumos/internal/tensor"
 )
 
 // Options scales the experiment suite. The defaults are laptop-sized; the
@@ -56,15 +55,7 @@ type Options struct {
 	// ("ring:4", "ba:2", "complete", "file:<path>") built over each
 	// dataset's device count with the run seed.
 	Topology string
-	// NoTapeReuse disables the per-shard autodiff tape recycling in every
-	// trainer (fresh tape per epoch — the debugging escape hatch; results
-	// are identical either way).
-	NoTapeReuse bool
-	// Kernels selects the tensor kernel path for every trainer ("" or
-	// "blocked" = the register-blocked default, "reference" = the scalar
-	// loops; bit-identical results, different wall-clock).
-	Kernels string
-	Seed    int64
+	Seed     int64
 }
 
 // Dataset names used throughout the harness.
@@ -107,9 +98,6 @@ func (o *Options) Validate() error {
 			return fmt.Errorf("eval: unknown dataset %q", d)
 		}
 	}
-	if _, err := tensor.ParseKernelPath(o.Kernels); err != nil {
-		return err
-	}
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
@@ -141,7 +129,5 @@ func (o *Options) engineCfg(cfg core.Config) core.Config {
 	cfg.Workers = o.Workers
 	cfg.Sched = o.Sched
 	cfg.Staleness = o.Staleness
-	cfg.NoTapeReuse = o.NoTapeReuse
-	cfg.Kernels = o.Kernels
 	return cfg
 }

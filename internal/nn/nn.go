@@ -130,8 +130,7 @@ type ConvGraph struct {
 	Norm     []float64
 
 	// csr caches the destination-grouped view of the edge list for the
-	// fused aggregation kernels; built lazily because the reference kernel
-	// path and some auxiliary graphs never need it.
+	// fused aggregation kernels, built on first use (see CSR).
 	csr     *tensor.CSR
 	csrOnce sync.Once
 }
@@ -214,19 +213,11 @@ func NewGCNConv(name string, in, out int, rng *rand.Rand) *GCNConv {
 	}
 }
 
-// Forward aggregates normalized neighbor messages over g. On the default
-// kernel path the Gather→ScaleRows→SegmentSum chain runs as one fused
-// CSR op (bit-identical, no per-edge message matrix); the reference path
-// keeps the unfused chain for cross-checking.
+// Forward aggregates normalized neighbor messages over g as one fused CSR
+// op (no per-edge message matrix).
 func (l *GCNConv) Forward(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
 	h := autodiff.MatMul(x, l.W.V)
-	var agg *autodiff.Value
-	if tensor.ActiveKernelPath() == tensor.PathReference {
-		msg := autodiff.ScaleRows(autodiff.Gather(h, g.Src), g.Norm)
-		agg = autodiff.SegmentSum(msg, g.Dst, g.N)
-	} else {
-		agg = autodiff.CSRAggregate(h, g.CSR(), g.Norm)
-	}
+	agg := autodiff.CSRAggregate(h, g.CSR(), g.Norm)
 	return autodiff.AddRow(agg, l.B.V)
 }
 
@@ -299,13 +290,7 @@ func (l *GATConv) Forward(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
 			autodiff.Add(autodiff.Gather(sl, g.Src), autodiff.Gather(sr, g.Dst)),
 			l.NegativeSlope)
 		alpha := autodiff.SegmentSoftmax(e, g.Dst, g.N)
-		if tensor.ActiveKernelPath() == tensor.PathReference {
-			msg := autodiff.MulRowsByCol(autodiff.Gather(wh, g.Src), alpha)
-			headOuts[h] = autodiff.SegmentSum(msg, g.Dst, g.N)
-		} else {
-			// Fused Gather→MulRowsByCol→SegmentSum (bit-identical).
-			headOuts[h] = autodiff.CSRAggregateMul(wh, alpha, g.CSR())
-		}
+		headOuts[h] = autodiff.CSRAggregateMul(wh, alpha, g.CSR())
 	}
 	var out *autodiff.Value
 	if l.Concat {

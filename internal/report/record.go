@@ -6,7 +6,7 @@
 // answerable. A run record is a directory holding three files:
 //
 //   - manifest.json — the full reproduction context (CLI args, seed, fleet,
-//     topology, kernel path, go version, GOMAXPROCS) plus the run's summary
+//     topology, go version, GOMAXPROCS) plus the run's summary
 //     (final metric, wall-clock, bytes, energy), rewritten when the run
 //     finishes;
 //   - rounds.jsonl — one JSON row per committed round, streamed as rounds
@@ -63,8 +63,6 @@ type Manifest struct {
 	// Fleet and Topology describe the simulated deployment (sim runs only).
 	Fleet    string `json:"fleet,omitempty"`
 	Topology string `json:"topology,omitempty"`
-	// Kernels is the tensor kernel path the run used ("" = blocked default).
-	Kernels string `json:"kernels,omitempty"`
 	// Rounds is the configured round (or epoch) count.
 	Rounds int `json:"rounds,omitempty"`
 

@@ -50,6 +50,36 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadLegacyKernelsKey: run records written while runs still had a
+// selectable kernel path carry a "kernels" key in their manifest; they must
+// stay readable now that the field is gone.
+func TestLoadLegacyKernelsKey(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "rec")
+	want := sampleRecord()
+	if err := WriteRunRecord(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestFile)
+	mb, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(mb), "{", `{"kernels":"reference",`, 1)
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, warnings, err := LoadRunRecord(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 0 {
+		t.Fatalf("legacy manifest produced warnings: %v", warnings)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy manifest mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestWriterStreamsRecord: the incremental Writer produces the same record
 // as the one-shot WriteRunRecord path (minus metrics, which Finish takes
 // from a registry instead).

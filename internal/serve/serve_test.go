@@ -387,31 +387,3 @@ func TestServeWatchHotSwap(t *testing.T) {
 		t.Fatalf("corrupt publish disturbed the served bundle: %+v", b)
 	}
 }
-
-func TestServeRunLoad(t *testing.T) {
-	s := New(Options{BatchWait: 100 * time.Microsecond})
-	defer s.Close()
-	s.Swap(fakeBundle(1, 32, 4))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	rep, err := RunLoad(LoadConfig{
-		BaseURL: ts.URL, Queries: 200, Concurrency: 4, Nodes: 32,
-		ClassifyFrac: 0.5, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 || rep.Regressions != 0 {
-		t.Fatalf("load run: %+v", rep)
-	}
-	if rep.MinVersion != 1 || rep.MaxVersion != 1 {
-		t.Fatalf("versions: %+v", rep)
-	}
-	if rep.QPS <= 0 || rep.P99ms < rep.P50ms {
-		t.Fatalf("latency stats: %+v", rep)
-	}
-	if _, err := RunLoad(LoadConfig{}); err == nil {
-		t.Fatal("empty load config accepted")
-	}
-}

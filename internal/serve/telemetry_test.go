@@ -134,73 +134,3 @@ func TestAccessLog(t *testing.T) {
 		t.Fatalf("healthz record: %+v", health)
 	}
 }
-
-// TestRunLoadSwapSplit checks the pre/post-swap latency split: when a swap
-// lands mid-run, the report partitions samples by the version that answered
-// and the two phases together account for every successful query.
-func TestRunLoadSwapSplit(t *testing.T) {
-	s := New(Options{BatchWait: 100 * time.Microsecond})
-	defer s.Close()
-	s.Swap(fakeBundle(1, 32, 4))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	done := make(chan *LoadReport, 1)
-	go func() {
-		rep, err := RunLoad(LoadConfig{
-			BaseURL: ts.URL, Queries: 400, Concurrency: 4, Nodes: 32,
-			ClassifyFrac: 0.5, Seed: 2,
-		})
-		if err != nil {
-			t.Error(err)
-			done <- nil
-			return
-		}
-		done <- rep
-	}()
-	time.Sleep(5 * time.Millisecond)
-	s.Swap(fakeBundle(2, 32, 4))
-	rep := <-done
-	if rep == nil {
-		return
-	}
-	if rep.P90ms < rep.P50ms || rep.MaxMs < rep.P99ms {
-		t.Fatalf("percentile ordering broken: %+v", rep)
-	}
-	if rep.PreSwap == nil {
-		t.Fatalf("no pre-swap phase: %+v", rep)
-	}
-	total := rep.PreSwap.Queries
-	if rep.PostSwap != nil {
-		total += rep.PostSwap.Queries
-	}
-	if total != rep.Queries-rep.Errors {
-		t.Fatalf("phases cover %d queries, want %d", total, rep.Queries-rep.Errors)
-	}
-	if rep.MaxVersion > rep.MinVersion && rep.PostSwap == nil {
-		t.Fatalf("swap observed (v%d..v%d) but no post-swap phase", rep.MinVersion, rep.MaxVersion)
-	}
-}
-
-// TestRunLoadNoSwapHasNoPostPhase: a single-version run reports its whole
-// sample set as pre-swap and leaves PostSwap nil.
-func TestRunLoadNoSwapHasNoPostPhase(t *testing.T) {
-	s := New(Options{BatchWait: 100 * time.Microsecond})
-	defer s.Close()
-	s.Swap(fakeBundle(1, 32, 4))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	rep, err := RunLoad(LoadConfig{
-		BaseURL: ts.URL, Queries: 100, Concurrency: 2, Nodes: 32,
-		ClassifyFrac: 0.5, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PostSwap != nil {
-		t.Fatalf("no swap happened but PostSwap = %+v", rep.PostSwap)
-	}
-	if rep.PreSwap == nil || rep.PreSwap.Queries != rep.Queries-rep.Errors {
-		t.Fatalf("pre-swap phase: %+v of %+v", rep.PreSwap, rep)
-	}
-}

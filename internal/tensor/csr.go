@@ -5,9 +5,9 @@ import "fmt"
 // CSR is a compressed, destination-grouped view of an edge list: the slots
 // of each segment (destination row) are stored contiguously, in the original
 // edge order — exactly the order ScatterAddRows applies per-edge
-// contributions when SegmentSum reduces an edge-major message matrix. That
-// ordering is what makes the fused aggregation kernels below bit-identical
-// to the unfused Gather→ScaleRows/MulRowsByCol→SegmentSum chains.
+// contributions when it reduces an edge-major message matrix. That ordering
+// is what makes the fused aggregation kernels below bit-identical to the
+// unfused gather→scale→scatter-add chains they are tested against.
 //
 // A CSR is immutable after NewCSR and safe for concurrent readers.
 type CSR struct {

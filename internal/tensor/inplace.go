@@ -110,21 +110,6 @@ func GatherInto(dst, a *Matrix, idx []int) {
 	}
 }
 
-// GatherAddInto accumulates src.Row(idx[i]) into dst.Row(i) — the backward
-// of a segment sum, fused with its accumulation.
-func GatherAddInto(dst, src *Matrix, idx []int) {
-	if dst.rows != len(idx) || dst.cols != src.cols {
-		panic(fmt.Sprintf("tensor: GatherAddInto dst %dx%d for %d rows of %dx%d",
-			dst.rows, dst.cols, len(idx), src.rows, src.cols))
-	}
-	for i, r := range idx {
-		drow, srow := dst.Row(i), src.Row(r)
-		for j := range drow {
-			drow[j] += srow[j]
-		}
-	}
-}
-
 // SoftmaxRowsInto stores the row-wise softmax of a into dst, numerically
 // stabilized like SoftmaxRows.
 func SoftmaxRowsInto(dst, a *Matrix) {
@@ -149,9 +134,9 @@ func SoftmaxRowsInto(dst, a *Matrix) {
 	}
 }
 
-// MatMulInto stores a·b into dst (dst is m×n for a m×k, b k×n). The kernel,
-// loop order, and parallel fan-out threshold match MatMul exactly, so the
-// two produce bit-identical results.
+// MatMulInto stores a·b into dst (dst is m×n for a m×k, b k×n); dst's prior
+// contents are ignored. The kernel, loop order, and parallel fan-out
+// threshold match MatMul exactly, so the two produce bit-identical results.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("tensor: MatMulInto inner dims %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -159,18 +144,13 @@ func MatMulInto(dst, a, b *Matrix) {
 	if dst.rows != a.rows || dst.cols != b.cols {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d for %dx%d product", dst.rows, dst.cols, a.rows, b.cols))
 	}
-	// The blocked kernel overwrites its rows, so only the accumulating
-	// reference kernel needs dst cleared first.
-	if ActiveKernelPath() == PathReference {
-		dst.Zero()
-	}
 	workers := matMulWorkers(a.rows, a.cols, b.cols)
 	if workers <= 1 {
-		matMulKernel(a, b, dst, 0, a.rows)
+		matMulRowsBlocked(a, b, dst, 0, a.rows)
 		return
 	}
 	parallelRowBlocks(a.rows, workers, func(lo, hi int) {
-		matMulKernel(a, b, dst, lo, hi)
+		matMulRowsBlocked(a, b, dst, lo, hi)
 	})
 }
 
@@ -187,29 +167,12 @@ func MatMulNTAddInto(dst, a, b *Matrix) {
 	}
 	workers := matMulWorkers(a.rows, a.cols, b.rows)
 	if workers <= 1 {
-		matMulNTKernel(a, b, dst, 0, a.rows)
+		matMulNTRowsBlocked(a, b, dst, 0, a.rows)
 		return
 	}
 	parallelRowBlocks(a.rows, workers, func(lo, hi int) {
-		matMulNTKernel(a, b, dst, lo, hi)
+		matMulNTRowsBlocked(a, b, dst, lo, hi)
 	})
-}
-
-// matMulNTRows is the scalar reference kernel for rows [lo, hi) of
-// dst += a·bᵀ: one dot product at a time, j ascending.
-func matMulNTRows(a, b, dst *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < b.rows; k++ {
-			brow := b.Row(k)
-			s := 0.0
-			for j, av := range arow {
-				s += av * brow[j]
-			}
-			drow[k] += s
-		}
-	}
 }
 
 // MatMulTNAddInto accumulates aᵀ·b into dst (dst k×n for a m×k, b m×n) —
@@ -225,31 +188,12 @@ func MatMulTNAddInto(dst, a, b *Matrix) {
 	}
 	workers := matMulWorkers(a.cols, a.rows, b.cols)
 	if workers <= 1 {
-		matMulTNKernel(a, b, dst, 0, dst.rows)
+		matMulTNRowsBlocked(a, b, dst, 0, dst.rows)
 		return
 	}
 	parallelRowBlocks(dst.rows, workers, func(lo, hi int) {
-		matMulTNKernel(a, b, dst, lo, hi)
+		matMulTNRowsBlocked(a, b, dst, lo, hi)
 	})
-}
-
-// matMulTNRows is the scalar reference kernel for dst rows [lo, hi) of
-// dst += aᵀ·b: rank-1 updates with a per-element sparsity branch, i ascending
-// for every entry.
-func matMulTNRows(a, b, dst *Matrix, lo, hi int) {
-	for i := 0; i < a.rows; i++ {
-		arow, brow := a.Row(i), b.Row(i)
-		for k := lo; k < hi; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(k)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
 }
 
 // matMulWorkers sizes the worker fan-out for an m×k·k×n-shaped kernel,

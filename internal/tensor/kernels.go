@@ -1,56 +1,5 @@
 package tensor
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// KernelPath selects between the register-blocked production kernels and the
-// scalar reference kernels. The two paths are bit-identical on finite inputs
-// (see the "Kernel design" section of the package documentation); the
-// reference path exists so equivalence tests and debugging sessions can
-// cross-check the blocked kernels against the original straight-line loops.
-type KernelPath int32
-
-const (
-	// PathBlocked is the default: register-blocked matmuls with packed
-	// B-panels and 4–8-wide independent accumulator chains.
-	PathBlocked KernelPath = iota
-	// PathReference runs the original scalar loops unchanged.
-	PathReference
-)
-
-// activeKernelPath is process-global, like GOMAXPROCS: kernels read it once
-// per call, so it can be flipped between training runs but is not meant to
-// change mid-epoch.
-var activeKernelPath atomic.Int32
-
-// SetKernelPath selects the kernel implementation for subsequent calls.
-func SetKernelPath(p KernelPath) { activeKernelPath.Store(int32(p)) }
-
-// ActiveKernelPath returns the currently selected kernel path.
-func ActiveKernelPath() KernelPath { return KernelPath(activeKernelPath.Load()) }
-
-// ParseKernelPath maps the CLI/config spelling of a kernel path ("blocked"
-// or "reference"; "" means blocked) to its KernelPath value.
-func ParseKernelPath(s string) (KernelPath, error) {
-	switch s {
-	case "", "blocked":
-		return PathBlocked, nil
-	case "reference":
-		return PathReference, nil
-	default:
-		return PathBlocked, fmt.Errorf("tensor: unknown kernel path %q (want blocked or reference)", s)
-	}
-}
-
-func (p KernelPath) String() string {
-	if p == PathReference {
-		return "reference"
-	}
-	return "blocked"
-}
-
 // Register-blocking parameters. One packed B-panel is mmKBlock×mmColBlock
 // float64s = 16 KB, comfortably L1-resident alongside the A-row and C-row
 // traffic streaming past it.
@@ -64,11 +13,11 @@ const (
 	mmSmallB = 2048
 )
 
-// matMulRowsBlocked OVERWRITES rows [lo, hi) of out with a·b — unlike the
-// accumulate-into-zeroed-out reference kernel, it ignores out's prior
-// contents, which lets MatMulInto skip the dst.Zero() pass (and the kernel
-// the read-back of those zeros) on the blocked path. The result is still
-// bit-identical to the reference on finite inputs: each out entry sums k in
+// matMulRowsBlocked OVERWRITES rows [lo, hi) of out with a·b: it ignores
+// out's prior contents, so MatMulInto needs no dst.Zero() pass (and the
+// kernel no read-back of those zeros). The result is bit-identical on finite
+// inputs to the scalar ikj loop kept as the oracle in kernels_test.go
+// (matMulRows, which accumulates into a zeroed out): each out entry sums k in
 // ascending order from a +0 accumulator (the accumulators round-trip
 // through out between K-panels), and the av == 0 skips only ever omit
 // ±0-valued terms, which cannot change an accumulator that is never −0.
@@ -128,10 +77,9 @@ func matMulRowsBlocked(a, b, out *Matrix, lo, hi int) {
 						c4, c5, c6, c7 = orow[4], orow[5], orow[6], orow[7]
 					}
 					for k, av := range arow {
-						// Same ±0 skip as the reference kernel: ReLU
-						// activations make A ~half zeros in the hidden
-						// layers, and omitted ±0 terms cannot change the
-						// (never −0) accumulators.
+						// ReLU activations make A ~half zeros in the
+						// hidden layers, and omitted ±0 terms cannot
+						// change the (never −0) accumulators.
 						if av == 0 {
 							continue
 						}
@@ -232,7 +180,7 @@ func matMulRowsSmallB(a, b, out *Matrix, lo, hi int) {
 // matMulNTRowsBlocked accumulates rows [lo, hi) of dst += a·bᵀ. Four rows of
 // b are dotted against each a-row concurrently — four independent
 // accumulator chains, each summing j in ascending order exactly like the
-// reference kernel's one-at-a-time dot products.
+// one-at-a-time dot products of its test oracle (matMulNTRows).
 func matMulNTRowsBlocked(a, b, dst *Matrix, lo, hi int) {
 	w := a.cols
 	kn := b.rows
@@ -271,10 +219,10 @@ func matMulNTRowsBlocked(a, b, dst *Matrix, lo, hi int) {
 // matMulTNRowsBlocked accumulates dst rows [lo, hi) of dst += aᵀ·b. The
 // outer loop stays over m (every dst entry must sum i in ascending order);
 // four dst rows are updated per pass so each loaded b-row is reused four
-// times from registers. The reference kernel's per-element av == 0 test — a
-// data-dependent branch in the second-innermost loop — is hoisted to one
-// all-four-zero test per block; the adds it stops skipping are all ±0-valued
-// and leave the (never −0) accumulators unchanged.
+// times from registers. The per-element av == 0 test of its test oracle
+// (matMulTNRows) — a data-dependent branch in the second-innermost loop — is
+// hoisted to one all-four-zero test per block; the adds it stops skipping are
+// all ±0-valued and leave the (never −0) accumulators unchanged.
 func matMulTNRowsBlocked(a, b, dst *Matrix, lo, hi int) {
 	n := b.cols
 	kk := a.cols
@@ -325,35 +273,4 @@ func matMulTNRowsBlocked(a, b, dst *Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-// matMulKernel dispatches one row block of the a·b product to the active
-// path. Contract asymmetry: the reference kernel accumulates and requires
-// out rows [lo, hi) to be pre-zeroed; the blocked kernel overwrites them.
-// Callers (MatMul, MatMulInto) therefore only pay the zeroing pass on the
-// reference path.
-func matMulKernel(a, b, out *Matrix, lo, hi int) {
-	if ActiveKernelPath() == PathReference {
-		matMulRows(a, b, out, lo, hi)
-		return
-	}
-	matMulRowsBlocked(a, b, out, lo, hi)
-}
-
-// matMulNTKernel dispatches one row block of dst += a·bᵀ to the active path.
-func matMulNTKernel(a, b, dst *Matrix, lo, hi int) {
-	if ActiveKernelPath() == PathReference {
-		matMulNTRows(a, b, dst, lo, hi)
-		return
-	}
-	matMulNTRowsBlocked(a, b, dst, lo, hi)
-}
-
-// matMulTNKernel dispatches dst rows [lo, hi) of dst += aᵀ·b to the active path.
-func matMulTNKernel(a, b, dst *Matrix, lo, hi int) {
-	if ActiveKernelPath() == PathReference {
-		matMulTNRows(a, b, dst, lo, hi)
-		return
-	}
-	matMulTNRowsBlocked(a, b, dst, lo, hi)
 }

@@ -9,12 +9,71 @@ import (
 // The kernel-equivalence property tests: the blocked kernels must match the
 // scalar reference kernels bit for bit (==, not ApproxEqual) over randomized
 // shapes, including degenerate 1×N / N×1 / empty dimensions and inputs
-// salted with exact ±0 entries (the only values where the two paths take
+// salted with exact ±0 entries (the only values where the two take
 // different instruction sequences).
+//
+// The reference kernels below are the original straight-line loops the
+// blocked kernels replaced. They live here, as test oracles only; the golden
+// loss traces in internal/core and internal/sim were recorded on them.
+
+// matMulRows is the scalar reference kernel for rows [lo, hi) of
+// out += a·b: an ikj loop order for cache-friendly access to b and out rows,
+// with a per-element sparsity skip on a.
+func matMulRows(a, b, out *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := a.data[i*a.cols : (i+1)*a.cols]
+		orow := out.data[i*out.cols : (i+1)*out.cols]
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.data[k*b.cols : (k+1)*b.cols]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+// matMulNTRows is the scalar reference kernel for rows [lo, hi) of
+// dst += a·bᵀ: one dot product at a time, j ascending.
+func matMulNTRows(a, b, dst *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for k := 0; k < b.rows; k++ {
+			brow := b.Row(k)
+			s := 0.0
+			for j, av := range arow {
+				s += av * brow[j]
+			}
+			drow[k] += s
+		}
+	}
+}
+
+// matMulTNRows is the scalar reference kernel for dst rows [lo, hi) of
+// dst += aᵀ·b: rank-1 updates with a per-element sparsity branch, i ascending
+// for every entry.
+func matMulTNRows(a, b, dst *Matrix, lo, hi int) {
+	for i := 0; i < a.rows; i++ {
+		arow, brow := a.Row(i), b.Row(i)
+		for k := lo; k < hi; k++ {
+			av := arow[k]
+			if av == 0 {
+				continue
+			}
+			drow := dst.Row(k)
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
 
 // saltedMatrix fills a rows×cols matrix with random values, forcing ~30% of
-// entries to exact zero (half of those −0) to exercise the reference path's
-// sparsity branches.
+// entries to exact zero (half of those −0) to exercise the sparsity
+// branches.
 func saltedMatrix(rows, cols int, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
 	d := m.Data()
@@ -62,13 +121,17 @@ func requireBitIdentical(t *testing.T, name string, want, got *Matrix) {
 
 // kernelShapes yields the randomized (m, k, n) triples shared by the matmul
 // equivalence tests: every combination of edge sizes around the block
-// boundaries plus random rectangles.
+// boundaries, the model shapes the bench/ workloads run, plus random
+// rectangles.
 func kernelShapes(rng *rand.Rand) [][3]int {
 	edge := []int{1, 2, 3, 5, 8, 9, 16, 17, 31, 64}
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 300, 1}, {1, 7, 40}, {40, 7, 1}, // 1×N and N×1 extremes
 		{3, 0, 4}, {0, 5, 3}, {4, 5, 0}, // empty dimensions
 		{33, 257, 9}, {5, 512, 8}, {2, 259, 17}, // K-panel boundary crossers
+		// rows × in-width × hidden of the benchmark's models: GCN and GAT
+		// input layers, one Shards=N shard, the 16×16 hidden layer.
+		{600, 118, 16}, {600, 128, 16}, {28, 96, 16}, {600, 16, 16},
 	}
 	for i := 0; i < 24; i++ {
 		shapes = append(shapes, [3]int{
@@ -78,14 +141,6 @@ func kernelShapes(rng *rand.Rand) [][3]int {
 		})
 	}
 	return shapes
-}
-
-func withPath(t *testing.T, p KernelPath, fn func()) {
-	t.Helper()
-	old := ActiveKernelPath()
-	SetKernelPath(p)
-	defer SetKernelPath(old)
-	fn()
 }
 
 func TestKernelEquivalenceMatMul(t *testing.T) {
@@ -101,21 +156,13 @@ func TestKernelEquivalenceMatMul(t *testing.T) {
 		matMulRowsBlocked(a, b, blk, 0, m)
 		requireBitIdentical(t, "matMulRowsBlocked", ref, blk)
 
-		// The public entry points under both paths, including the parallel
-		// fan-out for large shapes.
-		var viaRef, viaBlk *Matrix
-		withPath(t, PathReference, func() { viaRef = MatMul(a, b) })
-		withPath(t, PathBlocked, func() { viaBlk = MatMul(a, b) })
-		requireBitIdentical(t, "MatMul paths", viaRef, viaBlk)
+		requireBitIdentical(t, "MatMul", ref, MatMul(a, b))
 
 		// MatMulInto must yield the product regardless of dst's prior
-		// contents on both paths (blocked overwrites, reference re-zeroes).
-		intoB := saltedMatrix(m, n, rng)
-		withPath(t, PathBlocked, func() { MatMulInto(intoB, a, b) })
-		requireBitIdentical(t, "MatMulInto blocked", viaRef, intoB)
-		intoR := saltedMatrix(m, n, rng)
-		withPath(t, PathReference, func() { MatMulInto(intoR, a, b) })
-		requireBitIdentical(t, "MatMulInto reference", viaRef, intoR)
+		// contents (the kernel overwrites).
+		into := saltedMatrix(m, n, rng)
+		MatMulInto(into, a, b)
+		requireBitIdentical(t, "MatMulInto", ref, into)
 	}
 }
 
@@ -133,10 +180,9 @@ func TestKernelEquivalenceMatMulNT(t *testing.T) {
 		matMulNTRowsBlocked(a, b, blk, 0, m)
 		requireBitIdentical(t, "matMulNTRowsBlocked", ref, blk)
 
-		viaRef, viaBlk := seed.Clone(), seed.Clone()
-		withPath(t, PathReference, func() { MatMulNTAddInto(viaRef, a, b) })
-		withPath(t, PathBlocked, func() { MatMulNTAddInto(viaBlk, a, b) })
-		requireBitIdentical(t, "MatMulNTAddInto paths", viaRef, viaBlk)
+		via := seed.Clone()
+		MatMulNTAddInto(via, a, b)
+		requireBitIdentical(t, "MatMulNTAddInto", ref, via)
 	}
 }
 
@@ -154,10 +200,9 @@ func TestKernelEquivalenceMatMulTN(t *testing.T) {
 		matMulTNRowsBlocked(a, b, blk, 0, k)
 		requireBitIdentical(t, "matMulTNRowsBlocked", ref, blk)
 
-		viaRef, viaBlk := seed.Clone(), seed.Clone()
-		withPath(t, PathReference, func() { MatMulTNAddInto(viaRef, a, b) })
-		withPath(t, PathBlocked, func() { MatMulTNAddInto(viaBlk, a, b) })
-		requireBitIdentical(t, "MatMulTNAddInto paths", viaRef, viaBlk)
+		via := seed.Clone()
+		MatMulTNAddInto(via, a, b)
+		requireBitIdentical(t, "MatMulTNAddInto", ref, via)
 	}
 }
 

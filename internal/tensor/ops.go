@@ -85,32 +85,13 @@ func MatMul(a, b *Matrix) *Matrix {
 	out := New(a.rows, b.cols)
 	workers := matMulWorkers(a.rows, a.cols, b.cols)
 	if workers <= 1 {
-		matMulKernel(a, b, out, 0, a.rows)
+		matMulRowsBlocked(a, b, out, 0, a.rows)
 		return out
 	}
 	parallelRowBlocks(a.rows, workers, func(lo, hi int) {
-		matMulKernel(a, b, out, lo, hi)
+		matMulRowsBlocked(a, b, out, lo, hi)
 	})
 	return out
-}
-
-// matMulRows is the scalar reference kernel for rows [lo, hi) of
-// out += a·b: an ikj loop order for cache-friendly access to b and out rows,
-// with a per-element sparsity skip on a.
-func matMulRows(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
 }
 
 // Transpose returns aᵀ.

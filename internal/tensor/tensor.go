@@ -8,54 +8,49 @@
 //
 // # Kernel design
 //
-// The matmul kernels come in two selectable implementations (SetKernelPath):
-// the default register-blocked path and a scalar reference path that
-// preserves the original straight-line loops. Blocking scheme:
+// Each matmul has one implementation, register-blocked (kernels.go):
 //
-//   - MatMul/MatMulInto (kernels.go: matMulRowsBlocked) packs B into
-//     256×8 L1-resident panels and streams each A-row against a panel with
-//     8 independent accumulator chains, one per output column; when B
-//     itself fits in half of L1 (≤2048 float64s — every 16-wide model
-//     layer) a no-packing variant streams B in its natural layout. The
-//     blocked kernel overwrites its output rows, so MatMulInto skips the
-//     dst-zeroing pass the accumulating reference kernel needs. Per-element
-//     a==0 skips exploit ReLU-activation sparsity (~half zeros in hidden
-//     layers).
+//   - MatMul/MatMulInto (matMulRowsBlocked) packs B into 256×8 L1-resident
+//     panels and streams each A-row against a panel with 8 independent
+//     accumulator chains, one per output column; when B itself fits in half
+//     of L1 (≤2048 float64s — every 16-wide model layer) a no-packing
+//     variant streams B in its natural layout. The kernel overwrites its
+//     output rows, so MatMulInto needs no dst-zeroing pass. Per-element a==0
+//     skips exploit ReLU-activation sparsity (~half zeros in hidden layers).
 //   - MatMulNTAddInto (matMulNTRowsBlocked) dots each A-row against 4 rows
 //     of B concurrently — 4 independent dot-product chains.
 //   - MatMulTNAddInto (matMulTNRowsBlocked) performs rank-1 updates into 4
 //     destination rows per pass. Blocks whose 4 A-values are all nonzero
 //     reuse each loaded B-row 4× from registers; blocks with any zero fall
-//     back to per-row conditional axpys, keeping the reference path's
-//     sparsity win on activation matrices.
+//     back to per-row conditional axpys, keeping the sparsity win on
+//     activation matrices.
 //
 // The summation order is frozen: every output entry sums its reduction
-// index in ascending order on both paths, because training determinism is a
-// repo-wide contract — golden loss traces are stored as exact hex floats,
-// and Workers=1 vs Workers=N must be bit-identical. Blocked and reference
-// paths therefore differ only in (a) instruction scheduling across
-// *independent* accumulator chains and (b) whether ±0-valued terms are
-// skipped or added; neither changes any finite result bit (x + ±0 == x for
-// x ≠ 0, (+0) + (−0) == +0 in round-to-nearest, and an accumulator that
-// starts at +0 and only ever receives += can never become −0). On
-// non-finite inputs the paths may differ (the reference path's sparsity
-// skip drops 0·±Inf = NaN terms); training data is finite by construction
-// (see HasNaN guards upstream).
-//
-// To add a kernel path: add the constant in kernels.go, accept its spelling
-// in ParseKernelPath, dispatch to it in matMulKernel/matMulNTKernel/
-// matMulTNKernel, and extend the equivalence property tests
-// (kernels_test.go) — they assert bit-identity against the reference path
-// over randomized shapes, so a path that reorders summation fails loudly.
+// index in ascending order, because training determinism is a repo-wide
+// contract — golden loss traces are stored as exact hex floats, and
+// Workers=1 vs Workers=N must be bit-identical. The scalar loops the blocked
+// kernels replaced survive as test oracles in kernels_test.go (matMulRows,
+// matMulNTRows, matMulTNRows); the equivalence property tests there assert
+// bit-identity against them over randomized shapes, so a kernel change that
+// reorders summation fails loudly. Kernel and oracle differ only in (a)
+// instruction scheduling across *independent* accumulator chains and (b)
+// whether ±0-valued terms are skipped or added; neither changes any finite
+// result bit (x + ±0 == x for x ≠ 0, (+0) + (−0) == +0 in round-to-nearest,
+// and an accumulator that starts at +0 and only ever receives += can never
+// become −0). On non-finite inputs they may differ (a sparsity skip drops
+// 0·±Inf = NaN terms); training data is finite by construction (see HasNaN
+// guards upstream).
 //
 // CSR (csr.go) is the sparse counterpart: destination-grouped edges in
-// stable original edge order let CSRAggregateInto fuse the
-// Gather→ScaleRows/MulRowsByCol→SegmentSum neighborhood-aggregation chain
-// into one pass with no per-edge message materialization, bit-identical to
-// the unfused chain by construction. It overwrites its output (empty
-// segments zeroed, each segment's first term stored through one +0 add so
-// a −0 first product canonicalizes exactly like the unfused chain's
-// +0-starting accumulator), so callers can hand it recycled buffers.
+// stable original edge order let CSRAggregateInto run neighborhood
+// aggregation — gather source rows, scale each by its edge coefficient, sum
+// per destination — in one pass with no per-edge message materialization,
+// bit-identical by construction to the three-op Gather→scale→ScatterAddRows
+// chain (the oracle in kernels_test.go and internal/autodiff/csr_test.go).
+// It overwrites its output (empty segments zeroed, each segment's first term
+// stored through one +0 add so a −0 first product canonicalizes exactly like
+// the chain's +0-starting accumulator), so callers can hand it recycled
+// buffers.
 package tensor
 
 import (

@@ -127,10 +127,7 @@ func FromEdges(name string, n int, edges [][2]int) (*Topology, error) {
 		if u == v {
 			return nil, fmt.Errorf("topo: edge %d is a self-loop on device %d", i, u)
 		}
-		key := [2]int{u, v}
-		if u > v {
-			key = [2]int{v, u}
-		}
+		key := pairKey(u, v)
 		if seen[key] {
 			return nil, fmt.Errorf("topo: duplicate edge %d (%d,%d)", i, u, v)
 		}
@@ -160,11 +157,7 @@ func Ring(n, k int) (*Topology, error) {
 		for off := 1; off <= k/2; off++ {
 			v := (d + off) % n
 			// n even and off == n/2 would emit each chord twice; u<v dedups.
-			if d < v {
-				edges = append(edges, [2]int{d, v})
-			} else {
-				edges = append(edges, [2]int{v, d})
-			}
+			edges = append(edges, pairKey(d, v))
 		}
 	}
 	t, err := FromEdges(fmt.Sprintf("ring:%d", k), n, dedupe(edges))
@@ -204,9 +197,12 @@ func Complete(n int) (*Topology, error) {
 }
 
 // KRegular builds a random k-regular contact graph by seeded stub matching
-// (the configuration model): each device exposes k stubs, a seeded shuffle
-// pairs them, and the draw is retried until the pairing is simple. n·k must
-// be even and k < n. The result is deterministic in (n, k, seed).
+// (the configuration model): each device exposes k stubs and a seeded shuffle
+// pairs them. A whole shuffle comes out simple with probability about
+// e^{−(k²−1)/4}, so the draw is retried while that is likely to work, and the
+// last draw's few self-loops and repeated edges are then repaired in place
+// (repairMatching). n·k must be even and k < n. The result is deterministic
+// in (n, k, seed).
 func KRegular(n, k int, seed int64) (*Topology, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("topo: k-regular degree %d must be positive", k)
@@ -222,39 +218,91 @@ func KRegular(n, k int, seed int64) (*Topology, error) {
 	for i := range stubs {
 		stubs[i] = i / k
 	}
+	// The retry loop runs first and unchanged, so every (n, k, seed) it ever
+	// built keeps its edge list.
 	const maxTries = 1000
 	for try := 0; try < maxTries; try++ {
 		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		edges := make([][2]int, 0, len(stubs)/2)
-		seen := make(map[[2]int]bool, len(stubs)/2)
-		ok := true
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v {
-				ok = false
-				break
-			}
-			key := [2]int{u, v}
-			if u > v {
-				key = [2]int{v, u}
-			}
-			if seen[key] {
-				ok = false
-				break
-			}
-			seen[key] = true
-			edges = append(edges, key)
+		if matchingSimple(stubs) {
+			return kRegularFromStubs(n, k, stubs)
 		}
-		if !ok {
-			continue
-		}
-		t, err := FromEdges(fmt.Sprintf("k-regular:%d", k), n, edges)
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
 	}
-	return nil, fmt.Errorf("topo: no simple %d-regular matching over %d devices after %d tries", k, n, maxTries)
+	if !repairMatching(stubs, rng) {
+		return nil, fmt.Errorf("topo: no simple %d-regular matching over %d devices after %d tries and repair", k, n, maxTries)
+	}
+	return kRegularFromStubs(n, k, stubs)
+}
+
+// pairKey is the canonical (smaller id first) form of the edge {u, v}.
+func pairKey(u, v int) [2]int {
+	if u > v {
+		return [2]int{v, u}
+	}
+	return [2]int{u, v}
+}
+
+// matchingSimple reports whether pairing stubs[2i] with stubs[2i+1] yields
+// no self-loop and no repeated edge.
+func matchingSimple(stubs []int) bool {
+	seen := make(map[[2]int]bool, len(stubs)/2)
+	for i := 0; i < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		key := pairKey(u, v)
+		if u == v || seen[key] {
+			return false
+		}
+		seen[key] = true
+	}
+	return true
+}
+
+// kRegularFromStubs builds the topology of a simple stub pairing, edges in
+// pair order.
+func kRegularFromStubs(n, k int, stubs []int) (*Topology, error) {
+	edges := make([][2]int, 0, len(stubs)/2)
+	for i := 0; i < len(stubs); i += 2 {
+		edges = append(edges, pairKey(stubs[i], stubs[i+1]))
+	}
+	return FromEdges(fmt.Sprintf("k-regular:%d", k), n, edges)
+}
+
+// repairMatching makes a stub pairing simple with seeded double-edge swaps:
+// a pair that is a self-loop or repeats another pair trades endpoints with a
+// random other pair, (a,b),(c,d) → (a,c),(b,d), which keeps every device's
+// degree. A swap is taken only when both edges it creates are new, so each
+// one removes a defect and adds none, and one pass over the pairs suffices.
+// It gives up (false) when the attempt budget runs out — near-complete
+// graphs, where almost no swap lands on two free edges.
+func repairMatching(stubs []int, rng *rand.Rand) bool {
+	pairs := len(stubs) / 2
+	count := make(map[[2]int]int, pairs)
+	for i := 0; i < pairs; i++ {
+		count[pairKey(stubs[2*i], stubs[2*i+1])]++
+	}
+	budget := 100 * pairs
+	for i := 0; i < pairs; i++ {
+		for stubs[2*i] == stubs[2*i+1] || count[pairKey(stubs[2*i], stubs[2*i+1])] > 1 {
+			if budget == 0 {
+				return false
+			}
+			budget--
+			j := rng.Intn(pairs)
+			a, b, c, d := stubs[2*i], stubs[2*i+1], stubs[2*j], stubs[2*j+1]
+			if rng.Intn(2) == 1 {
+				c, d = d, c
+			}
+			ac, bd := pairKey(a, c), pairKey(b, d)
+			if j == i || a == c || b == d || ac == bd || count[ac] > 0 || count[bd] > 0 {
+				continue
+			}
+			count[pairKey(a, b)]--
+			count[pairKey(c, d)]--
+			count[ac]++
+			count[bd]++
+			stubs[2*i], stubs[2*i+1], stubs[2*j], stubs[2*j+1] = a, c, b, d
+		}
+	}
+	return true
 }
 
 // BarabasiAlbert builds a scale-free contact graph by preferential

@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -49,6 +52,84 @@ func TestKRegularExactDegree(t *testing.T) {
 	}
 	if _, err := KRegular(5, 3, 1); err == nil {
 		t.Fatal("odd n·k accepted")
+	}
+}
+
+// TestKRegularRepairsDenseDraws: at k=8 a whole shuffle is simple with
+// probability ~e^{−16}, so the retry loop alone never built these (N=180,
+// seeds 1–5 all failed). The repaired pairing must be simple, exactly
+// 8-regular, and the same graph every time for a seed.
+func TestKRegularRepairsDenseDraws(t *testing.T) {
+	sp, err := ParseSpec("k-regular:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		tp, err := sp.Build(180, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for d := 0; d < tp.N(); d++ {
+			if tp.Degree(d) != 8 {
+				t.Fatalf("seed %d: device %d has degree %d, want 8", seed, d, tp.Degree(d))
+			}
+		}
+		edges := tp.Edges()
+		if len(edges) != 180*8/2 {
+			t.Fatalf("seed %d: %d edges, want %d", seed, len(edges), 180*8/2)
+		}
+		seen := make(map[[2]int]bool, len(edges))
+		for _, e := range edges {
+			if e[0] == e[1] || seen[e] {
+				t.Fatalf("seed %d: edge %v is a self-loop or a repeat", seed, e)
+			}
+			seen[e] = true
+		}
+		again, err := sp.Build(180, seed)
+		if err != nil {
+			t.Fatalf("seed %d, second build: %v", seed, err)
+		}
+		if !reflect.DeepEqual(edges, again.Edges()) {
+			t.Fatalf("seed %d: two builds produced different edge lists", seed)
+		}
+	}
+}
+
+// TestRepairMatchingGivesUp: when no swap can help (two devices with two
+// stubs each admit no simple pairing) the repair spends its budget and
+// reports failure instead of looping.
+func TestRepairMatchingGivesUp(t *testing.T) {
+	stubs := []int{0, 0, 1, 1}
+	if repairMatching(stubs, rand.New(rand.NewSource(1))) {
+		t.Fatalf("repair claimed success on an unrepairable pairing: %v", stubs)
+	}
+}
+
+// TestKRegularPinnedEdgeLists: graphs the retry loop already built must not
+// move when the repair step is added behind it. The hashes were taken before
+// the repair existed; 24 devices at seed 7 is examples/topologystudy's
+// k-regular:4 contact graph.
+func TestKRegularPinnedEdgeLists(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want string
+	}{
+		{24, 7, "d4186adf2c9fd81b"},
+		{180, 1, "bfa448a87f610175"},
+		{180, 5, "6bc6c54935dff6f1"},
+	} {
+		tp, err := KRegular(tc.n, 4, tc.seed)
+		if err != nil {
+			t.Fatalf("KRegular(%d,4,%d): %v", tc.n, tc.seed, err)
+		}
+		h := fnv.New64a()
+		for _, e := range tp.Edges() {
+			fmt.Fprintf(h, "%d-%d,", e[0], e[1])
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.want {
+			t.Fatalf("KRegular(%d,4,%d) edge list moved: hash %s, want %s", tc.n, tc.seed, got, tc.want)
+		}
 	}
 }
 

@@ -66,10 +66,11 @@
 // ~5.8k allocations and ~200 MB allocated per epoch to ~114 allocations and
 // ~29 KB, and per-epoch wall time fell ~1.6×. Parameter gradients recycle
 // their buffers in place across ZeroGrad/backward cycles on every path,
-// taped or not. Config.NoTapeReuse (CLI -notapereuse) rebuilds the tapes
-// from scratch each epoch — bit-identical results, useful when debugging
-// suspected buffer-reuse issues — and an allocation-budget test in CI keeps
-// the steady state honest.
+// taped or not. Recycled tapes are the only training path; the fresh-tape
+// behaviour they replaced survives as a test reference
+// (internal/core TestTapeReuseMatchesFreshTapes drops the engine's tapes
+// before every epoch and requires bit-identical loss traces), and an
+// allocation-budget test in CI keeps the steady state honest.
 //
 // # Hardware-fast kernels
 //
@@ -77,22 +78,22 @@
 // under the tape are register-blocked for cache locality and
 // instruction-level parallelism: matmuls pack 256×8 B-panels and run 8
 // independent accumulator chains per output row, the backward (NT/TN)
-// kernels unroll across 4 rows, and the GCN/GAT
-// Gather→ScaleRows/MulRowsByCol→SegmentSum neighborhood-aggregation chains
-// (plus the engine's leaf pooling) fuse into single CSR-driven ops that
-// never materialize per-edge message matrices — forward or backward. None
-// of this changes any floating-point summation order: every output entry
-// still sums its reduction index ascending, so golden loss traces are
-// bit-identical to the scalar loops. On the 1-CPU CI box the fused+blocked
-// path cut the serial GCN epoch ~70.6 → ~44 ms (≈1.6×, see
-// BENCH_epoch.json for the committed numbers) and the fused aggregation
-// runs ~5× faster than the unfused chain with ~16× less garbage, with
-// the ≤250 allocs/epoch budget unchanged.
-// Config.Kernels (CLI -kernels on lumos-train/lumos-bench) selects
-// "blocked" (default) or "reference" — the original scalar loops, kept as
-// a cross-check target for the kernel-equivalence property tests; both
-// paths produce identical bits, so the flag is purely a wall-clock /
-// debugging knob. SetKernelPath applies the choice process-wide.
+// kernels unroll across 4 rows, and the GCN/GAT neighborhood aggregation
+// (gather source rows, scale by edge coefficient or attention weight, sum
+// per destination — plus the engine's leaf pooling) runs as single
+// CSR-driven ops that never materialize per-edge message matrices —
+// forward or backward. None of this changes any floating-point summation
+// order: every output entry still sums its reduction index ascending, so
+// golden loss traces are bit-identical to the scalar loops they were
+// recorded on. On the 1-CPU CI box this cut the serial GCN epoch ~70.6 →
+// ~44 ms (≈1.6×, see BENCH_epoch.json for the committed numbers) and the
+// fused aggregation runs ~5× faster than the unfused chain with ~16× less
+// garbage, with the ≤250 allocs/epoch budget unchanged. There is one
+// implementation of each kernel and nothing selects between them. What
+// they replaced lives on only as test oracles: the scalar matmul loops in
+// internal/tensor/kernels_test.go and the unfused three-op aggregation
+// chain in internal/autodiff/csr_test.go, each compared bit for bit against
+// the production kernel over randomized shapes and graphs.
 //
 // Config.Sched selects the round schedule. SchedSync (default) is the
 // paper's lockstep protocol: every epoch aggregates all gradients and waits
@@ -233,8 +234,8 @@
 // atomic pointer; hot swaps are lock-free, reject stale versions, and each
 // answer names the snapshot version it came from. Entry points: the
 // lumos-serve CLI (HTTP: /healthz, /v1/info, /v1/classify, /v1/score),
-// lumos-train -publish, lumos-bench -serve (zipf load replay →
-// BENCH_serve.json), and the examples/servequickstart walkthrough.
+// lumos-train -publish, and the examples/servequickstart walkthrough; the
+// bench/ harness measures the whole train→publish→serve loop.
 //
 // # Observability (internal/obs)
 //
@@ -264,8 +265,7 @@
 // simulator traces on its virtual clock (NewVirtualEventTracer via
 // SimScenario.Tracer), and the two never mix in one file. Surfaces:
 // lumos-serve GET /metrics (plus -log request logging and -pprof),
-// lumos-sim/lumos-train -trace, -metrics, and -metrics-out, and
-// lumos-bench -serve embeds the replica's final scrape in BENCH_serve.json.
+// and lumos-sim/lumos-train -trace, -metrics, and -metrics-out.
 //
 // # Run records and reports (internal/report)
 //
@@ -273,7 +273,7 @@
 // recorded, diffable run artifacts plus trace analytics. Passing
 // -run-out <dir> to lumos-sim or lumos-train records the run as a
 // directory — manifest.json (the full CLI args, seed, fleet, topology,
-// kernel path, go version, and GOMAXPROCS needed to reproduce it, plus the
+// go version, and GOMAXPROCS needed to reproduce it, plus the
 // final metric/wall-clock/bytes/energy summary), rounds.jsonl (one row per
 // committed round, streamed as rounds commit via SimScenario.RoundObserver
 // so a killed run keeps its prefix), and metrics.prom (the final Prometheus
@@ -310,7 +310,6 @@ import (
 	"lumos/internal/serve"
 	"lumos/internal/sim"
 	"lumos/internal/snapshot"
-	"lumos/internal/tensor"
 	"lumos/internal/topo"
 )
 
@@ -401,27 +400,6 @@ const (
 	SchedAsync  = core.SchedAsync
 	SchedGossip = core.SchedGossip
 )
-
-// KernelPath selects between the register-blocked tensor kernels and the
-// scalar reference loops (bit-identical results; see "Hardware-fast
-// kernels" above).
-type KernelPath = tensor.KernelPath
-
-// Kernel paths.
-const (
-	// KernelsBlocked is the default register-blocked + fused-CSR path.
-	KernelsBlocked = tensor.PathBlocked
-	// KernelsReference runs the original scalar loops.
-	KernelsReference = tensor.PathReference
-)
-
-// SetKernelPath selects the tensor kernel implementation process-wide;
-// Config.Kernels does the same per training run.
-func SetKernelPath(p KernelPath) { tensor.SetKernelPath(p) }
-
-// ParseKernelPath parses a kernel-path name ("blocked" or "reference"; ""
-// means blocked).
-func ParseKernelPath(s string) (KernelPath, error) { return tensor.ParseKernelPath(s) }
 
 // ParseSched parses a scheduling-mode name ("sync", "async", or "gossip").
 func ParseSched(name string) (Sched, error) { return core.ParseSched(name) }
@@ -589,12 +567,6 @@ type (
 	ServeOptions = serve.Options
 	// ServeBundle is one immutable snapshot prepared for serving.
 	ServeBundle = serve.Bundle
-	// ServeLoadConfig drives RunServeLoad, the zipf query-replay load
-	// generator behind lumos-bench -serve.
-	ServeLoadConfig = serve.LoadConfig
-	// ServeLoadReport summarizes one load run (p50/p99 latency, QPS,
-	// versions observed).
-	ServeLoadReport = serve.LoadReport
 )
 
 // CaptureSnapshot freezes a trained system into a snapshot; training may
@@ -627,10 +599,6 @@ func NewServer(opt ServeOptions) *Server { return serve.New(opt) }
 // inference system and materializes the embedding cache and predictions,
 // bit-identical to the training process's own evaluation.
 func NewServeBundle(s *Snapshot) (*ServeBundle, error) { return serve.NewBundle(s) }
-
-// RunServeLoad replays zipf-distributed queries against a serving replica
-// and reports latency percentiles, throughput, and versions observed.
-func RunServeLoad(cfg ServeLoadConfig) (*ServeLoadReport, error) { return serve.RunLoad(cfg) }
 
 // Observability (see the package documentation).
 type (

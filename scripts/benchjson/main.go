@@ -2,9 +2,9 @@
 // artifact. It reads the benchmark stream on stdin, echoes it unchanged to
 // stdout (so `make bench` still shows the live table), and writes a report
 // with one entry per benchmark — ns/op, B/op, allocs/op, and any custom
-// metrics (speedup×, workers, GFLOP/s, …) — plus the same run metadata
-// BENCH_serve.json carries (go version, GOMAXPROCS, NumCPU), so perf
-// trajectories stay interpretable across boxes and toolchains.
+// metrics (speedup×, workers, GFLOP/s, …) — plus run metadata (go version,
+// GOMAXPROCS, NumCPU), so perf trajectories stay interpretable across boxes
+// and toolchains.
 //
 // Usage:
 //

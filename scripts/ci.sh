@@ -5,8 +5,8 @@
 #
 # The full (non-short) test pass includes the allocation-regression guard
 # (internal/core/alloc_test.go): steady-state tape-engine epochs must stay
-# under a fixed allocation budget. It is re-run by name below so a renamed
-# or accidentally-skipped guard fails CI loudly.
+# under a fixed allocation budget. It is re-run by name below (gate), like
+# every other guard a subsystem depends on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,158 +21,119 @@ go vet ./...
 go build ./...
 go test ./...
 
-alloc_out=$(go test -run 'Test(Supervised|Unsupervised)EpochAllocBudget|TestUnsupervisedSessionAllocBudget|TestDisabledTelemetryAllocBudget' -count=1 -v ./internal/core)
-for guard in TestSupervisedEpochAllocBudget TestUnsupervisedEpochAllocBudget TestUnsupervisedSessionAllocBudget TestDisabledTelemetryAllocBudget; do
-	if ! grep -q -- "--- PASS: $guard" <<<"$alloc_out"; then
-		echo "allocation-regression guard $guard did not pass:" >&2
-		echo "$alloc_out" >&2
-		exit 1
+# gate <race|plain> <pkg> <TestName>...: re-run the named tests (subtests as
+# Top/sub) and require a "--- PASS" line for every one of them, so a renamed
+# or accidentally-skipped guard fails CI loudly instead of matching nothing.
+# GATE_COUNT=<n> repeats the run (-count), for tests that hunt interleavings.
+gate() {
+	local mode=$1 pkg=$2
+	shift 2
+	local flags=(-count="${GATE_COUNT:-1}" -v)
+	if [ "$mode" = race ]; then
+		flags+=(-race)
 	fi
-done
-
-# Observability gates, re-run by name so a renamed or skipped guard fails
-# loudly: the metrics hammer under the race detector (concurrent counters,
-# gauges, histograms, and scrapers), the sim trace-determinism golden, and
-# the replica /metrics scrape-and-parse suite. The /metrics smoke at CLI
-# level rides inside TestServePublishServeQueryE2E below.
-obs_out=$(go test -race -run 'TestMetricsHammerConcurrent' -count=1 -v ./internal/obs)
-trace_out=$(go test -run 'TestSimTraceDeterministic|TestSimTraceChromeStructure' -count=1 -v ./internal/sim)
-scrape_out=$(go test -run 'TestMetricsEndpointScrape|TestAccessLog' -count=1 -v ./internal/serve)
-for gate in \
-	"TestMetricsHammerConcurrent:$obs_out" \
-	"TestSimTraceDeterministic:$trace_out" \
-	"TestSimTraceChromeStructure:$trace_out" \
-	"TestMetricsEndpointScrape:$scrape_out" \
-	"TestAccessLog:$scrape_out"; do
-	name=${gate%%:*}
-	out=${gate#*:}
-	if ! grep -q -- "--- PASS: $name" <<<"$out"; then
-		echo "observability gate $name did not pass:" >&2
+	# -run matches "/"-separated levels one pattern element each: element k
+	# is the alternation of every name's k-th level.
+	local pattern="" level name alts out levels
+	for level in 0 1 2; do
+		alts=""
+		for name in "$@"; do
+			IFS=/ read -ra levels <<<"$name"
+			if [ -n "${levels[$level]:-}" ]; then
+				alts="${alts:+$alts|}${levels[$level]}"
+			fi
+		done
+		if [ -n "$alts" ]; then
+			pattern="${pattern:+$pattern/}^($alts)\$"
+		fi
+	done
+	if ! out=$(go test "${flags[@]}" -run "$pattern" "$pkg" 2>&1); then
+		echo "gate $pkg failed:" >&2
 		echo "$out" >&2
 		exit 1
 	fi
-done
+	for name in "$@"; do
+		if ! grep -qF -- "--- PASS: $name (" <<<"$out"; then
+			echo "gate $name ($pkg) did not pass:" >&2
+			echo "$out" >&2
+			exit 1
+		fi
+	done
+}
 
-# Fleet-subsystem gates, re-run by name so a renamed or skipped guard fails
-# loudly: the trace-driven lumos-sim smoke row (datagen-written trace file →
-# fleet.LoadTrace → contended simulation) and the energystudy example (exits
-# non-zero unless fleet energy grows monotonically with participation).
-smoke_out=$(go test -run 'TestEntryPointsBuildAndRun/(lumos-sim-trace|lumos-sim-telemetry|examples)/energystudy' -count=1 -v .)
-for row in lumos-sim-trace lumos-sim-telemetry examples/energystudy; do
-	if ! grep -q -- "--- PASS: TestEntryPointsBuildAndRun/$row" <<<"$smoke_out"; then
-		echo "fleet smoke row $row did not pass:" >&2
-		echo "$smoke_out" >&2
-		exit 1
-	fi
-done
+# Allocation-regression guards (see the header).
+gate plain ./internal/core \
+	TestSupervisedEpochAllocBudget TestUnsupervisedEpochAllocBudget \
+	TestUnsupervisedSessionAllocBudget TestDisabledTelemetryAllocBudget
 
-# Kernel gates, re-run by name so a renamed or skipped guard fails loudly:
-# the blocked-vs-reference equivalence property tests under the race
-# detector (both matmul paths and the fused CSR aggregation, bit-for-bit),
-# the end-to-end both-paths trainer comparison, the golden-trace re-check on
-# the blocked+fused default, and a lumos-train smoke row forced onto the
-# reference path.
-kern_out=$(go test -race -run 'TestKernelEquivalence|TestCSRAggregate' -count=1 -v ./internal/tensor ./internal/autodiff)
-kpath_out=$(go test -run 'TestKernelPathsBitIdentical' -count=1 -v ./internal/core)
-golden_out=$(go test -run 'TestTrainersMatchPreSessionGoldens' -count=1 -v ./internal/core)
-ksmoke_out=$(go test -run 'TestEntryPointsBuildAndRun/lumos-train-kernels-reference' -count=1 -v .)
-for gate in \
-	"TestKernelEquivalenceMatMul:$kern_out" \
-	"TestKernelEquivalenceMatMulNT:$kern_out" \
-	"TestKernelEquivalenceMatMulTN:$kern_out" \
-	"TestCSRAggregateKernelMatchesScatter:$kern_out" \
-	"TestCSRAggregateMatchesUnfused:$kern_out" \
-	"TestCSRAggregateMulMatchesUnfused:$kern_out" \
-	"TestKernelPathsBitIdentical:$kpath_out" \
-	"TestTrainersMatchPreSessionGoldens:$golden_out" \
-	"TestEntryPointsBuildAndRun/lumos-train-kernels-reference:$ksmoke_out"; do
-	name=${gate%%:*}
-	out=${gate#*:}
-	if ! grep -q -- "--- PASS: $name" <<<"$out"; then
-		echo "kernel gate $name did not pass:" >&2
-		echo "$out" >&2
-		exit 1
-	fi
-done
+# Observability gates: the metrics hammer under the race detector
+# (concurrent counters, gauges, histograms, and scrapers), the sim
+# trace-determinism golden, and the replica /metrics scrape-and-parse suite.
+# The /metrics smoke at CLI level rides inside TestServePublishServeQueryE2E
+# below.
+gate race ./internal/obs TestMetricsHammerConcurrent
+gate plain ./internal/sim TestSimTraceDeterministic TestSimTraceChromeStructure
+gate plain ./internal/serve TestMetricsEndpointScrape TestAccessLog
 
-# Gossip/topology gates, re-run by name so a renamed or skipped guard fails
-# loudly: decentralized-timeline determinism across worker counts under the
-# race detector, the gossip-complete ≈ star-sync equivalence check, the
-# star-timeline golden re-check (gossip wiring must not perturb the frozen
-# hex-float timelines), and the smoke rows for the gossip CLI surface and
-# the topologystudy example (which exits non-zero unless every topology
-# lands within 5% of the star final at equal rounds).
-gossip_out=$(go test -race -run 'TestGossipDeterminismAcrossWorkers|TestGossipCompleteMatchesStarSync' -count=1 -v ./internal/sim)
-star_out=$(go test -run 'TestPreFleetTimelineGolden' -count=1 -v ./internal/sim)
-gsmoke_out=$(go test -run 'TestEntryPointsBuildAndRun/(lumos-sim-gossip|examples)/topologystudy' -count=1 -v .)
-for gate in \
-	"TestGossipDeterminismAcrossWorkers:$gossip_out" \
-	"TestGossipCompleteMatchesStarSync:$gossip_out" \
-	"TestPreFleetTimelineGolden:$star_out" \
-	"TestEntryPointsBuildAndRun/lumos-sim-gossip:$gsmoke_out" \
-	"TestEntryPointsBuildAndRun/examples/topologystudy:$gsmoke_out"; do
-	name=${gate%%:*}
-	out=${gate#*:}
-	if ! grep -q -- "--- PASS: $name" <<<"$out"; then
-		echo "gossip gate $name did not pass:" >&2
-		echo "$out" >&2
-		exit 1
-	fi
-done
+# Fleet-subsystem gates: the trace-driven lumos-sim smoke row (datagen-written
+# trace file → fleet.LoadTrace → contended simulation) and the energystudy
+# example (exits non-zero unless fleet energy grows monotonically with
+# participation).
+gate plain . \
+	TestEntryPointsBuildAndRun/lumos-sim-trace \
+	TestEntryPointsBuildAndRun/lumos-sim-telemetry \
+	TestEntryPointsBuildAndRun/examples/energystudy
 
-# Serving-loop gates, re-run by name so a renamed or skipped guard fails
-# loudly: the checkpoint/snapshot corruption tables (corrupt files must fail
-# with bounded allocation), the hot-swap race suite, and the CLI-level
-# train → publish → serve → query → republish round trip.
-codec_out=$(go test -run 'TestLoadParamsCorruptLengthFields|TestLoadParamsTruncation' -count=1 -v ./internal/nn)
-snap_out=$(go test -run 'TestSnapshotCorruption|TestSnapshotTruncation' -count=1 -v ./internal/snapshot)
-swap_out=$(go test -race -run 'TestServeHotSwapRace' -count=1 -v ./internal/serve)
-e2e_out=$(go test -run 'TestServePublishServeQueryE2E' -count=1 -v .)
-for gate in \
-	"TestLoadParamsCorruptLengthFields:$codec_out" \
-	"TestLoadParamsTruncation:$codec_out" \
-	"TestSnapshotCorruption:$snap_out" \
-	"TestSnapshotTruncation:$snap_out" \
-	"TestServeHotSwapRace:$swap_out" \
-	"TestServePublishServeQueryE2E:$e2e_out"; do
-	name=${gate%%:*}
-	out=${gate#*:}
-	if ! grep -q -- "--- PASS: $name" <<<"$out"; then
-		echo "serving-loop gate $name did not pass:" >&2
-		echo "$out" >&2
-		exit 1
-	fi
-done
+# Compute-path gates. There is one production path (blocked matmuls, fused
+# CSR aggregation, recycled tapes); what it replaced survives as test
+# oracles. The kernel and fused-op equivalence property tests compare against
+# those oracles bit for bit, under the race detector; the golden loss traces
+# (recorded on the scalar, unfused path) and the fresh-tape comparison pin
+# the whole engine; and two systems training at once must not see each other.
+gate race ./internal/tensor \
+	TestKernelEquivalenceMatMul TestKernelEquivalenceMatMulNT \
+	TestKernelEquivalenceMatMulTN TestCSRAggregateKernelMatchesScatter
+gate race ./internal/autodiff \
+	TestCSRAggregateMatchesUnfused TestCSRAggregateMulMatchesUnfused
+gate plain ./internal/core \
+	TestTrainersMatchPreSessionGoldens TestTapeReuseMatchesFreshTapes
+GATE_COUNT=10 gate race ./internal/core TestConcurrentSystemsTrainIndependently
 
-# Report gates: the analyzer/diff/record unit suites by name (critical-path
+# Gossip/topology gates: decentralized-timeline determinism across worker
+# counts under the race detector, the gossip-complete ≈ star-sync
+# equivalence check, the star-timeline golden re-check (gossip wiring must
+# not perturb the frozen hex-float timelines), and the smoke rows for the
+# gossip CLI surface and the topologystudy example (which exits non-zero
+# unless every topology lands within 5% of the star final at equal rounds).
+gate race ./internal/sim TestGossipDeterminismAcrossWorkers TestGossipCompleteMatchesStarSync
+gate plain ./internal/sim TestPreFleetTimelineGolden
+gate plain . \
+	TestEntryPointsBuildAndRun/lumos-sim-gossip \
+	TestEntryPointsBuildAndRun/examples/topologystudy
+
+# Serving-loop gates: the checkpoint/snapshot corruption tables (corrupt
+# files must fail with bounded allocation), the hot-swap race suite, and the
+# CLI-level train → publish → serve → query → republish round trip.
+gate plain ./internal/nn TestLoadParamsCorruptLengthFields TestLoadParamsTruncation
+gate plain ./internal/snapshot TestSnapshotCorruption TestSnapshotTruncation
+gate race ./internal/serve TestServeHotSwapRace
+gate plain . TestServePublishServeQueryE2E
+
+# Report gates: the analyzer/diff/record unit suites (critical-path
 # attribution under the race detector, the e2e straggler-blame acceptance
-# check, the diff identity and doctored-regression tests, and the
-# record round trip), plus the lumos-report smoke rows, plus a live CLI
-# round trip — record a tiny run, render it, self-diff (must exit 0), then
-# doctor the copy's final metric and wall-clock and require a nonzero exit.
-report_out=$(go test -race -run 'TestCriticalPath|TestAnalyze|TestE2EStragglerBlameMatchesSlowestDevice|TestDiffSelfIsClean|TestDiffCatchesRegression|TestRunRecordRoundTrip|TestLoadTruncatedTail' -count=1 -v ./internal/report)
-rsmoke_out=$(go test -run 'TestEntryPointsBuildAndRun/lumos-report-(run|diff|trace)' -count=1 -v .)
-for gate in \
-	"TestCriticalPathSyncContended:$report_out" \
-	"TestCriticalPathAsyncQuorum:$report_out" \
-	"TestCriticalPathGossipDelta:$report_out" \
-	"TestAnalyzeUtilization:$report_out" \
-	"TestE2EStragglerBlameMatchesSlowestDevice:$report_out" \
-	"TestDiffSelfIsClean:$report_out" \
-	"TestDiffCatchesRegression:$report_out" \
-	"TestRunRecordRoundTrip:$report_out" \
-	"TestLoadTruncatedTail:$report_out" \
-	"TestEntryPointsBuildAndRun/lumos-report-run:$rsmoke_out" \
-	"TestEntryPointsBuildAndRun/lumos-report-diff:$rsmoke_out" \
-	"TestEntryPointsBuildAndRun/lumos-report-trace:$rsmoke_out"; do
-	name=${gate%%:*}
-	out=${gate#*:}
-	if ! grep -q -- "--- PASS: $name" <<<"$out"; then
-		echo "report gate $name did not pass:" >&2
-		echo "$out" >&2
-		exit 1
-	fi
-done
+# check, the diff identity and doctored-regression tests, and the record
+# round trip), plus the lumos-report smoke rows, plus a live CLI round trip —
+# record a tiny run, render it, self-diff (must exit 0), then doctor the
+# copy's final metric and wall-clock and require a nonzero exit.
+gate race ./internal/report \
+	TestCriticalPathSyncContended TestCriticalPathAsyncQuorum TestCriticalPathGossipDelta \
+	TestAnalyzeUtilization TestE2EStragglerBlameMatchesSlowestDevice \
+	TestDiffSelfIsClean TestDiffCatchesRegression \
+	TestRunRecordRoundTrip TestLoadTruncatedTail
+gate plain . \
+	TestEntryPointsBuildAndRun/lumos-report-run \
+	TestEntryPointsBuildAndRun/lumos-report-diff \
+	TestEntryPointsBuildAndRun/lumos-report-trace
 
 recdir=$(mktemp -d)
 trap 'rm -rf "$recdir"' EXIT

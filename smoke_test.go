@@ -20,12 +20,11 @@ var entryPoints = []struct {
 	run  bool
 	args []string
 }{
-	// lumos-bench exercises the -notapereuse escape hatch over the (cheap)
-	// workload-balance figure plus one short training run via fig3's
-	// centralized-vs-lumos comparison at minimal scale.
+	// lumos-bench runs one short training comparison: fig3's
+	// centralized-vs-lumos figure at minimal scale.
 	{pkg: "./cmd/lumos-bench", run: true, args: []string{
 		"-exp", "fig3", "-fbscale", "0.004", "-epochs", "2", "-mcmc", "5",
-		"-backbones", "gcn", "-datasets", "facebook", "-notapereuse"}},
+		"-backbones", "gcn", "-datasets", "facebook"}},
 	{pkg: "./cmd/lumos-datagen", run: true, args: []string{"-dataset", "facebook", "-scale", "0.005"}},
 	// -traces emits a sample fleet trace (stdout CSV here; the file-writing
 	// path seeds the lumos-sim-trace row below).
@@ -77,16 +76,8 @@ var entryPoints = []struct {
 		"diff", "{TMP}/seedrec", "{TMP}/seedrec"}},
 	{pkg: "./cmd/lumos-report", name: "lumos-report-trace", run: true, args: []string{
 		"trace", "{TMP}/seedrec.trace.json", "-critical-path", "-top", "5"}},
-	// lumos-train runs at tiny scale with the fresh-tape-per-epoch escape
-	// hatch so the -notapereuse path cannot rot.
 	{pkg: "./cmd/lumos-train", run: true, args: []string{
-		"-dataset", "facebook", "-scale", "0.005", "-epochs", "2", "-mcmc", "10", "-notapereuse"}},
-	// The scalar-reference kernel path stays runnable from the CLI: same
-	// tiny run forced onto -kernels reference (results identical to the
-	// blocked default; the equivalence gates in scripts/ci.sh prove it).
-	{pkg: "./cmd/lumos-train", name: "lumos-train-kernels-reference", run: true, args: []string{
-		"-dataset", "facebook", "-scale", "0.005", "-epochs", "2", "-mcmc", "10",
-		"-kernels", "reference"}},
+		"-dataset", "facebook", "-scale", "0.005", "-epochs", "2", "-mcmc", "10"}},
 	{pkg: "./examples/churnstudy", run: true, args: []string{
 		"-n", "60", "-m", "240", "-rounds", "6", "-mcmc", "10"}},
 	// energystudy enforces its energy-monotone-in-participation invariant
