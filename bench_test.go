@@ -430,6 +430,60 @@ func newEpochBenchSystem(b *testing.B, workers int) (*lumos.System, *graph.NodeS
 	return sys, split
 }
 
+// BenchmarkRoundShardsN is the core round rung of the ladder: one
+// partial-participation Session.StepRound on the sim-async-churn system
+// (facebook×0.02, one device per shard) — the call the simulator makes once
+// per committed round, measured without the simulator around it. The seeded
+// schedule has half the fleet present each round and 30 % of the
+// participants' gradients delayed by 1–2 rounds, under the simulator's
+// default cache TTL of 2.
+func BenchmarkRoundShardsN(b *testing.B) {
+	g, err := graph.LoadDataset("facebook", 0.02, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := lumos.NewSystem(g, g, lumos.Config{
+		Task: lumos.Supervised, Backbone: lumos.GCN, MCMCIterations: 150,
+		Sched: lumos.SchedAsync, Staleness: 2, Shards: g.N, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := sys.NewSession(lumos.NewSupervisedObjective(split))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	plans := make([]lumos.RoundPlan, 16)
+	for r := range plans {
+		active, delays := make([]bool, g.N), make([]int, g.N)
+		for v := range active {
+			active[v] = rng.Float64() < 0.5
+			if active[v] && rng.Float64() < 0.3 {
+				delays[v] = 1 + rng.Intn(2)
+			}
+		}
+		plans[r] = lumos.RoundPlan{Active: active, Delays: delays, TTL: 2}
+	}
+	// One untimed lap of the schedule warms the tapes and caches.
+	for _, plan := range plans {
+		if _, err := sess.StepRound(plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.StepRound(plans[i%len(plans)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMatMul measures the dense kernel at a typical layer size.
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

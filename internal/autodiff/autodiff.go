@@ -49,12 +49,13 @@ type Value struct {
 	// inline (instead of closed over) is what makes recording allocation-free
 	// once the tape's slab is warm. Cold ops (NoisyLabelCE) use a closure
 	// instead.
-	s     float64
-	n     int
-	ints  []int
-	ints2 []int
-	fs    []float64
-	mat   *tensor.Matrix
+	s      float64
+	n      int
+	ints   []int
+	ints2  []int
+	rowIdx [][]int
+	fs     []float64
+	mat    *tensor.Matrix
 }
 
 // Var wraps a matrix as a trainable leaf (gradients are accumulated).
@@ -106,6 +107,16 @@ func (v *Value) DetachGrad() *tensor.Matrix {
 	g := v.Grad
 	v.Grad, v.gradBuf = nil, nil
 	return g
+}
+
+// RecycleGrad gives an untaped value that holds no gradient a spare buffer
+// for its next EnsureGrad (which zeroes it) — the way back for a buffer
+// DetachGrad handed out once its holder is done with it.
+func (v *Value) RecycleGrad(buf *tensor.Matrix) {
+	if v.Grad != nil {
+		panic("autodiff: RecycleGrad on a value holding a gradient")
+	}
+	v.gradBuf = buf
 }
 
 // Rows returns the row count of the underlying matrix.

@@ -31,6 +31,44 @@ func backGather(v *Value) {
 	tensor.ScatterAddRows(v.parents[0].EnsureGrad(), v.Grad, v.ints)
 }
 
+// ScatterAddN sums row-sparse parts into one dense rows×cols matrix: starting
+// from zero, out.Row(idx[k][i]) += parts[k].Row(i), for k ascending and then
+// i ascending — per output row, the order AddN would add the same parts in
+// had each first been padded to rows×cols with zero rows. Adding those zeros
+// is exact, so the result is bit-identical to that dense sum with one
+// exception: every entry is accumulated onto +0, so an entry whose terms are
+// all −0.0 comes out +0.0 (the canonicalization CSRAggregateInto documents),
+// where AddN, which copies its first term, would have kept −0.0. Rows no
+// index names stay zero; an index may repeat across parts and within one.
+//
+// Backward gathers: parts[k].Grad.Row(i) += out.Grad.Row(idx[k][i]) for the
+// parts that require a gradient. parts and idx are parallel; both the outer
+// idx slice and the index lists are retained by reference.
+func ScatterAddN(rows int, parts []*Value, idx [][]int) *Value {
+	if len(parts) != len(idx) {
+		panic(fmt.Sprintf("autodiff: ScatterAddN %d parts for %d index lists", len(parts), len(idx)))
+	}
+	if len(parts) == 0 {
+		panic("autodiff: ScatterAddN of nothing")
+	}
+	t := tapeFor(parts...)
+	data := newZeroMatrix(t, rows, parts[0].Data.Cols())
+	for k, p := range parts {
+		tensor.ScatterAddRows(data, p.Data, idx[k])
+	}
+	out := newNode(t, data, backScatterAddN, parts...)
+	out.rowIdx = idx
+	return out
+}
+
+func backScatterAddN(v *Value) {
+	for k, p := range v.parents {
+		if p.requiresGrad {
+			tensor.GatherAddRows(p.EnsureGrad(), v.Grad, v.rowIdx[k])
+		}
+	}
+}
+
 // CSRAggregate is neighborhood aggregation as one op: out.Row(s) =
 // Σ_{edges e with dst[e]=s} coef[e]·a.Row(src[e]), where the edge grouping
 // (and the per-segment summation order) comes from csr. coef may be nil for

@@ -215,3 +215,54 @@ func TestEvaluationDoesNotPerturbTraining(t *testing.T) {
 	}
 	requireIdentical(t, "interleaved eval must not change training", run(false), run(true))
 }
+
+// roundAllocBudgetShardsN is the per-round allocation ceiling for a
+// steady-state Session.StepRound at one device per shard (120 shards,
+// Workers=1) with everyone present and 30 % of the gradients delayed by 1–2
+// rounds: measured 6, +25 %. Those six are the two worker-pool closures and
+// the traffic accounting's parameter count (nn.CountParams builds a
+// parameter list); partials, cut gradients, the combine's scratch and the
+// delayed gradients' buffers are all recycled. Before the delayed-gradient
+// sets were recycled this schedule measured 351: every delayed shard
+// reallocated its four view-gradient buffers the next round.
+const roundAllocBudgetShardsN = 8
+
+func TestRoundAllocBudgetShardsN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is unreliable under -short (race) runs")
+	}
+	sys, _, sess := roundSession(t, 25)
+	sys.eng.workers = 1
+	n := sys.G.N
+	rng := rand.New(rand.NewSource(25))
+	all := make([]bool, n)
+	for v := range all {
+		all[v] = true
+	}
+	plans := make([]RoundPlan, 8)
+	for r := range plans {
+		delays := make([]int, n)
+		for v := range delays {
+			if rng.Float64() < 0.3 {
+				delays[v] = 1 + rng.Intn(2)
+			}
+		}
+		plans[r] = RoundPlan{Active: all, Delays: delays, TTL: 2}
+	}
+	round := 0
+	step := func() {
+		if _, err := sess.StepRound(plans[round%len(plans)]); err != nil {
+			t.Fatal(err)
+		}
+		round++
+	}
+	// Warm the tapes, the stale-partial cache, and the delayed-gradient
+	// sets through two laps of the schedule.
+	for i := 0; i < 2*len(plans); i++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(2*len(plans), step)
+	if allocs > roundAllocBudgetShardsN {
+		t.Fatalf("steady-state Shards=N round allocates %.0f times, budget %d", allocs, roundAllocBudgetShardsN)
+	}
+}

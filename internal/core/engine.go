@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,9 +20,11 @@ import (
 //
 //  1. parallel: each shard (a contiguous run of device trees) runs the
 //     shared encoder over its sub-forest and pools its leaves into a partial
-//     per-vertex embedding P_s (paper Eq. 31 restricted to the shard's
-//     leaves);
-//  2. serial: pooled = Σ_s P_s in shard order, then the task loss;
+//     embedding P_s (paper Eq. 31 restricted to the shard's leaves) with one
+//     row per distinct vertex those leaves stand for — K_s×OutDim, what the
+//     shard's devices actually push, never N×OutDim;
+//  2. serial: pooled (N×OutDim) = the P_s scatter-added onto their vertices'
+//     rows in shard order (autodiff.ScatterAddN), then the task loss;
 //  3. parallel: each shard replays the loss gradient of its partial through
 //     its own subgraph, accumulating into shard-private views of the shared
 //     weights (nn.CloneShared);
@@ -52,8 +55,13 @@ type shard struct {
 	leafLocal  []int
 	leafVertex []int
 	poolCoef   []float64
-	// pool groups the leaf→vertex pooling edges by vertex (stable leaf
-	// order), so Eq. 31's gather-scale-sum runs as one CSR aggregation.
+	// verts lists the distinct vertices the shard's leaves stand for,
+	// ascending: row k of the shard's pooled partial belongs to vertex
+	// verts[k].
+	verts []int
+	// pool groups the leaf→partial-row pooling edges by row (stable leaf
+	// order), so Eq. 31's gather-scale-sum runs as one CSR aggregation over
+	// len(verts) segments.
 	pool *tensor.CSR
 	// work is the shard's node count — its compute weight, used both to
 	// balance the partition and to rank stragglers for async scheduling.
@@ -86,13 +94,29 @@ type engine struct {
 	viewParams [][]*nn.Param // per-shard view parameters, aligned with encParams
 	encParams  []*nn.Param   // the real encoder parameters
 	allParams  []*nn.Param   // encoder + head, the optimizer's param set
-	// lastParts/partAge cache each shard's most recent pooled partial for
-	// partial-participation rounds: an absent shard's vertices keep serving
-	// the embeddings its leaves last pushed, until the cache ages out. The
-	// cache owns its matrices (copied out of the shard tapes, which recycle
-	// theirs every epoch).
+	// lastParts/partAge cache each shard's most recent pooled partial
+	// (len(verts) rows, like the partial itself) for partial-participation
+	// rounds: an absent shard's vertices keep serving the embeddings its
+	// leaves last pushed, until the cache ages out. The cache owns its
+	// matrices (copied out of the shard tapes, which recycle theirs every
+	// epoch) and keeps them for the shard's next copy when they expire:
+	// partAge[i] < 0 marks shard i as having no live cache (never computed,
+	// or expired).
 	lastParts []*tensor.Matrix
 	partAge   []int
+	// allVerts[i] is shards[i].verts — the row lists of a full combine.
+	allVerts [][]int
+	// freeGrads holds applied delayedGrads.grads sets for the next delayed
+	// shard to refill: their buffers go back to that shard's view parameters
+	// as it detaches its own.
+	freeGrads [][]*tensor.Matrix
+	// Per-round scratch, one entry per shard (terms and termVerts: capacity
+	// for one), so rounds do not allocate it; nothing here is read after
+	// the round (or eval forward) that filled it.
+	parts, cuts, terms []*autodiff.Value
+	termVerts          [][]int
+	shardActive        []bool
+	shardDelay         []int
 }
 
 // newEngine shards the system's forest and prepares per-shard model views.
@@ -106,15 +130,17 @@ func newEngine(s *System) *engine {
 	}
 	e := &engine{sys: s, workers: s.Cfg.Workers}
 	e.shards = buildShards(s.Forest, s.Trees, target)
-	for _, sh := range e.shards {
-		sh.pool = tensor.NewCSR(s.G.N, sh.leafLocal, sh.leafVertex)
-	}
-	for i := range e.shards {
+	for i, sh := range e.shards {
+		e.allVerts = append(e.allVerts, sh.verts)
 		e.encs = append(e.encs, s.Encoder.CloneShared())
 		e.rngs = append(e.rngs, rand.New(rand.NewSource(s.Cfg.Seed^(int64(i+1)*0x1f3d5b79a7c6e42d))))
 		e.viewParams = append(e.viewParams, e.encs[i].Params())
 	}
 	e.tapes = make([]*autodiff.Tape, len(e.shards))
+	n := len(e.shards)
+	e.parts, e.cuts = make([]*autodiff.Value, n), make([]*autodiff.Value, n)
+	e.terms, e.termVerts = make([]*autodiff.Value, 0, n), make([][]int, 0, n)
+	e.shardActive, e.shardDelay = make([]bool, n), make([]int, n)
 	e.encParams = s.Encoder.Params()
 	e.allParams = s.Params()
 	staleness := 0
@@ -156,8 +182,9 @@ func (e *engine) zeroGrads() {
 }
 
 // buildShards partitions the trees into at most target contiguous shards,
-// balanced by node count, and flattens each into a shard-local graph. The
-// partition is a pure function of the forest shape — never of Workers.
+// balanced by node count, and flattens each into a shard-local graph plus
+// the pooling of its leaves into its partial's rows. The partition is a pure
+// function of the forest shape — never of Workers.
 func buildShards(f *Forest, trees []*tree.Tree, target int) []*shard {
 	n := len(trees)
 	if target > n {
@@ -209,6 +236,16 @@ func buildShards(f *Forest, trees []*tree.Tree, target int) []*shard {
 			sh.poolCoef = append(sh.poolCoef, f.PoolCoef[leafIdx])
 			leafIdx++
 		}
+		// Each leaf pools into the partial row of its vertex: its vertex's
+		// rank among the shard's distinct leaf vertices.
+		sh.verts = slices.Clone(sh.leafVertex)
+		slices.Sort(sh.verts)
+		sh.verts = slices.Compact(sh.verts)
+		leafRow := make([]int, len(sh.leafVertex))
+		for i, v := range sh.leafVertex {
+			leafRow[i], _ = slices.BinarySearch(sh.verts, v)
+		}
+		sh.pool = tensor.NewCSR(len(sh.verts), sh.leafLocal, leafRow)
 		shards = append(shards, sh)
 		nodesUsed += work
 		lo = hi
@@ -280,23 +317,19 @@ func (e *engine) parallel(fn func(i int)) {
 	wg.Wait()
 }
 
-// forwardShards runs the shared encoder over every shard and pools each
-// shard's leaves into its partial per-vertex embedding P_s (N×OutDim). The
-// returned Values carry live autodiff graphs rooted in the shard's weight
-// views.
-func (e *engine) forwardShards(training bool) []*autodiff.Value {
-	return e.forwardActive(training, nil)
-}
-
-// forwardActive is forwardShards restricted to the active shards (nil means
-// all); inactive shards get a nil partial. Each shard records onto its own
-// tape (taken fresh here, invalidating the previous epoch's Values and
-// buffers), so the partials' graphs are tape-backed: Backward on them is a
-// linear sweep, and their memory is recycled next epoch.
+// forwardActive runs the shared encoder over the active shards (nil means
+// all) and pools each one's leaves into its partial embedding P_s
+// (len(verts)×OutDim, row k for vertex verts[k]); inactive shards get a nil
+// partial. Each shard records onto its own tape (taken fresh here,
+// invalidating the previous epoch's Values and buffers), so the partials'
+// graphs are tape-backed and rooted in the shard's weight views: Backward on
+// them is a linear sweep, and their memory is recycled next epoch. The
+// returned slice is the engine's scratch, good until the next call.
 func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
-	parts := make([]*autodiff.Value, len(e.shards))
+	parts := e.parts
 	e.parallel(func(i int) {
 		if active != nil && !active[i] {
+			parts[i] = nil
 			return
 		}
 		sh := e.shards[i]
@@ -307,10 +340,10 @@ func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 	return parts
 }
 
-// forward returns the pooled per-vertex embeddings, combining shard partials
-// in fixed shard order.
+// forward returns the pooled per-vertex embeddings (N×OutDim), combining
+// every shard's partial in fixed shard order.
 func (e *engine) forward(training bool) *autodiff.Value {
-	return autodiff.AddN(e.forwardShards(training)...)
+	return autodiff.ScatterAddN(e.sys.G.N, e.forwardActive(training, nil), e.allVerts)
 }
 
 // step runs one full-participation training epoch under the engine's
@@ -355,6 +388,9 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 	if active != nil && e.lastParts == nil {
 		e.lastParts = make([]*tensor.Matrix, len(e.shards))
 		e.partAge = make([]int, len(e.shards))
+		for i := range e.partAge {
+			e.partAge[i] = -1
+		}
 	}
 	var rep roundReport
 
@@ -365,16 +401,18 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 	// Cutting the graph at each fresh partial (a new leaf sharing the
 	// partial's data) keeps the expensive shard subgraphs out of this
 	// Backward; it stops at the cut leaves. Absent shards contribute their
-	// cached partial as a constant.
+	// cached partial as a constant. Every term lands on the rows of its
+	// shard's vertices.
 	st := e.serialTape()
-	cuts := make([]*autodiff.Value, len(parts))
-	terms := make([]*autodiff.Value, 0, len(parts))
+	cuts, terms, termVerts := e.cuts, e.terms[:0], e.termVerts[:0]
 	for i, p := range parts {
+		cuts[i] = nil
 		switch {
 		case p != nil:
 			rep.activeShards++
 			cuts[i] = st.Var(p.Data)
 			terms = append(terms, cuts[i])
+			termVerts = append(termVerts, e.shards[i].verts)
 			if e.lastParts != nil {
 				// Copy the partial out of the shard tape: the cache must
 				// outlive the tape's next Reset.
@@ -385,19 +423,23 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 				}
 				e.partAge[i] = 0
 			}
-		case e.lastParts[i] != nil && e.partAge[i] < partTTL:
+		case e.partAge[i] < 0:
+			// No live cache: the shard contributes nothing until it
+			// computes again.
+		case e.partAge[i] < partTTL:
 			e.partAge[i]++
 			terms = append(terms, st.Const(e.lastParts[i]))
-		case e.lastParts[i] != nil:
-			// Expired: count the dropped contribution once and release the
-			// matrix; the shard contributes nothing until it computes again.
-			e.lastParts[i] = nil
+			termVerts = append(termVerts, e.shards[i].verts)
+		default:
+			// Expired: count the dropped contribution once. The matrix stays
+			// for the shard's next copy.
+			e.partAge[i] = -1
 			rep.expiredParts++
 		}
 	}
 	var pooled *autodiff.Value
 	if len(terms) > 0 {
-		pooled = autodiff.AddN(terms...)
+		pooled = autodiff.ScatterAddN(s.G.N, terms, termVerts)
 	} else {
 		pooled = autodiff.Const(tensor.New(s.G.N, s.Encoder.EmbeddingDim()))
 	}
@@ -422,7 +464,8 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 	// gradients fold straight into the real parameters and their view
 	// buffers are zeroed in place for next epoch's accumulation — only
 	// delayed gradients detach their buffers into the queue (the buffer
-	// must outlive the view's next backward).
+	// must outlive the view's next backward), taking in exchange the
+	// buffers of a set the queue has already applied.
 	rep.staleApplied = e.applyDue(e.epoch)
 	for i := range e.shards {
 		if parts[i] == nil {
@@ -442,9 +485,16 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 			}
 			continue
 		}
-		grads := make([]*tensor.Matrix, len(views))
+		var grads []*tensor.Matrix
+		if k := len(e.freeGrads) - 1; k >= 0 {
+			grads, e.freeGrads = e.freeGrads[k], e.freeGrads[:k]
+		} else {
+			grads = make([]*tensor.Matrix, len(views))
+		}
 		for j, vp := range views {
-			grads[j] = vp.V.DetachGrad()
+			g := vp.V.DetachGrad()
+			vp.V.RecycleGrad(grads[j])
+			grads[j] = g
 		}
 		e.queue = append(e.queue, delayedGrads{computed: e.epoch, release: e.epoch + d, shard: i, grads: grads})
 	}
@@ -460,8 +510,8 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 // and aging the stale-partial caches so their TTL counts real rounds.
 func (e *engine) skipRound() int {
 	e.zeroGrads()
-	for i := range e.lastParts {
-		if e.lastParts[i] != nil {
+	for i, age := range e.partAge {
+		if age >= 0 {
 			e.partAge[i]++
 		}
 	}
@@ -491,6 +541,7 @@ func (e *engine) applyDue(epoch int) (stale int) {
 			}
 			tensor.AddInPlace(e.encParams[j].V.EnsureGrad(), g)
 		}
+		e.freeGrads = append(e.freeGrads, dg.grads)
 	}
 	e.queue = kept
 	return stale

@@ -238,8 +238,10 @@ func TestAsyncReducesSimEpochTime(t *testing.T) {
 
 // TestShardPartitionInvariants checks the structural contract of
 // buildShards: shards are contiguous, cover every device exactly once, own
-// every forest leaf exactly once, and the partition never depends on the
-// worker count.
+// every forest leaf exactly once, the partition never depends on the
+// worker count, and each shard's partial rows (verts, strictly ascending)
+// are exactly the vertices its leaves stand for, with every pooling edge
+// landing on its own vertex's row.
 func TestShardPartitionInvariants(t *testing.T) {
 	g := engineGraph(t, 14)
 	for _, shardsCfg := range []int{0, 1, 5, 1000} {
@@ -283,6 +285,29 @@ func TestShardPartitionInvariants(t *testing.T) {
 						t.Fatalf("shard %d leaf vertex %d out of range", i, v)
 					}
 				}
+			}
+			for k := 1; k < len(sh.verts); k++ {
+				if sh.verts[k] <= sh.verts[k-1] {
+					t.Fatalf("shard %d verts not strictly ascending at %d: %v", i, k, sh.verts)
+				}
+			}
+			if sh.pool.NSeg != len(sh.verts) || sh.pool.NumEdges() != len(sh.leafVertex) {
+				t.Fatalf("shard %d pool has %d segments over %d edges, want %d over %d",
+					i, sh.pool.NSeg, sh.pool.NumEdges(), len(sh.verts), len(sh.leafVertex))
+			}
+			named := make(map[int]bool)
+			for j, v := range sh.leafVertex {
+				slot := sh.pool.Dst[j]
+				if slot < 0 || slot >= len(sh.verts) {
+					t.Fatalf("shard %d leaf %d pools into slot %d outside [0,%d)", i, j, slot, len(sh.verts))
+				}
+				if sh.verts[slot] != v {
+					t.Fatalf("shard %d leaf %d of vertex %d pools into the row of vertex %d", i, j, v, sh.verts[slot])
+				}
+				named[v] = true
+			}
+			if len(named) != len(sh.verts) {
+				t.Fatalf("shard %d has %d partial rows for %d distinct leaf vertices", i, len(sh.verts), len(named))
 			}
 			dev = sh.hi
 			leaves += len(sh.leafLocal)

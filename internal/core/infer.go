@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"lumos/internal/autodiff"
 	"lumos/internal/graph"
 	"lumos/internal/nn"
 	"lumos/internal/tensor"
@@ -205,13 +206,28 @@ func (s *System) Predictions() ([]int, error) {
 	if s.Head == nil {
 		return nil, fmt.Errorf("core: class predictions need a supervised system")
 	}
-	pooled := s.forward(false)
+	return s.classes(s.forward(false)), nil
+}
+
+// classes returns the argmax class the head assigns each pooled embedding.
+func (s *System) classes(pooled *autodiff.Value) []int {
 	logits := s.Head.Forward(pooled)
 	pred := make([]int, s.G.N)
 	for v := 0; v < s.G.N; v++ {
 		pred[v] = tensor.ArgMaxRow(logits.Data, v)
 	}
-	return pred, nil
+	return pred
+}
+
+// ServingTables runs one evaluation-mode forward and returns the two tables
+// a serving replica answers from: what Embeddings returns and, when the
+// system has a head, what Predictions returns (nil otherwise).
+func (s *System) ServingTables() (emb *tensor.Matrix, preds []int) {
+	pooled := s.forward(false)
+	if s.Head != nil {
+		preds = s.classes(pooled)
+	}
+	return pooled.Data.Clone(), preds
 }
 
 // PairScores returns the embedding dot product of each vertex pair in

@@ -68,14 +68,15 @@ func (s *System) ModelBytes() int64 {
 // present, and an active shard's delay is the largest delay among its
 // present devices. With one device per shard the mapping is exact. A nil
 // active mask means full participation; with nil delays too, the engine's
-// own all-active fast path (nil, nil) is selected.
+// own all-active fast path (nil, nil) is selected. The returned slices are
+// the engine's scratch, good until the next call.
 func (e *engine) mapDevices(active []bool, delays []int) ([]bool, []int) {
 	if active == nil && delays == nil {
 		return nil, nil
 	}
-	sa := make([]bool, len(e.shards))
-	sd := make([]int, len(e.shards))
+	sa, sd := e.shardActive, e.shardDelay
 	for i, sh := range e.shards {
+		sd[i] = 0
 		on := 0
 		for v := sh.lo; v < sh.hi; v++ {
 			if active == nil || active[v] {

@@ -28,11 +28,14 @@ type Bundle struct {
 	preds []int          // per-vertex argmax class; nil when Classes == 0
 }
 
-// NewBundle runs the snapshot's inference system once and caches its
-// outputs. The forward pass reuses the training shard partition, so every
-// answer the bundle gives is bit-identical to the training process's own
-// evaluation of the same model.
+// NewBundle runs the snapshot's inference system once — a single forward
+// pass — and caches its outputs. The forward pass reuses the training shard
+// partition, so every answer the bundle gives is bit-identical to the
+// training process's own evaluation of the same model.
 func NewBundle(s *snapshot.Snapshot) (*Bundle, error) {
+	if (s.Classes == 0) != (s.Head == nil) {
+		return nil, fmt.Errorf("serve: snapshot has Classes=%d with head=%v", s.Classes, s.Head != nil)
+	}
 	sys, err := s.System()
 	if err != nil {
 		return nil, fmt.Errorf("serve: rebuilding system: %w", err)
@@ -42,13 +45,8 @@ func NewBundle(s *snapshot.Snapshot) (*Bundle, error) {
 		Meta:    s.Meta,
 		N:       s.State.N,
 		Classes: s.Classes,
-		emb:     sys.Embeddings(),
 	}
-	if s.Classes > 0 {
-		if b.preds, err = sys.Predictions(); err != nil {
-			return nil, fmt.Errorf("serve: precomputing predictions: %w", err)
-		}
-	}
+	b.emb, b.preds = sys.ServingTables()
 	return b, nil
 }
 

@@ -70,6 +70,9 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 	// Each gossip round drives up to n single-device engine rounds, so the
 	// cache TTL is rescaled to keep "rounds of real time" semantics.
 	ttl := s.sc.PartialTTL * n
+	// solo is the one-device participation mask of a local step: a single
+	// entry is set around each StepRound, which does not retain it.
+	solo := make([]bool, n)
 
 	bestVal := math.Inf(-1)
 	var best *core.Replica
@@ -223,9 +226,9 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 			if err := s.sys.LoadReplica(reps[d]); err != nil {
 				return nil, fmt.Errorf("sim: round %d device %d: %w", r, d, err)
 			}
-			active := make([]bool, n)
-			active[d] = true
-			out, err := sess.StepRound(core.RoundPlan{Active: active, TTL: ttl})
+			solo[d] = true
+			out, err := sess.StepRound(core.RoundPlan{Active: solo, TTL: ttl})
+			solo[d] = false
 			if err != nil {
 				return nil, fmt.Errorf("sim: round %d device %d: %w", r, d, err)
 			}

@@ -167,6 +167,22 @@ func ScatterAddRows(dst, src *Matrix, idx []int) {
 	}
 }
 
+// GatherAddRows adds src.Row(idx[i]) into each row i of dst — the transpose
+// of ScatterAddRows, and its backward.
+func GatherAddRows(dst, src *Matrix, idx []int) {
+	if dst.rows != len(idx) || src.cols != dst.cols {
+		panic(fmt.Sprintf("tensor: GatherAddRows dst %dx%d idx %d src %dx%d",
+			dst.rows, dst.cols, len(idx), src.rows, src.cols))
+	}
+	for i, r := range idx {
+		drow := dst.Row(i)
+		srow := src.Row(r)
+		for j := range drow {
+			drow[j] += srow[j]
+		}
+	}
+}
+
 // RowDot returns the dot product of rows i of a and j of b.
 func RowDot(a *Matrix, i int, b *Matrix, j int) float64 {
 	if a.cols != b.cols {

@@ -143,6 +143,17 @@ func TestGatherScatter(t *testing.T) {
 	}
 }
 
+func TestGatherAddRows(t *testing.T) {
+	src := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	dst := Full(3, 2, 10)
+	GatherAddRows(dst, src, []int{2, 0, 2})
+	if want := FromRows([][]float64{{13, 13}, {11, 11}, {13, 13}}); !ApproxEqual(dst, want, 0) {
+		t.Fatalf("GatherAddRows = %v", dst)
+	}
+	defer expectPanic(t, "GatherAddRows index list of the wrong length")
+	GatherAddRows(dst, src, []int{0})
+}
+
 func TestGatherOutOfRange(t *testing.T) {
 	defer expectPanic(t, "Gather out of range")
 	Gather(New(2, 2), []int{5})

@@ -53,6 +53,18 @@
 // trained weights are bit-identical for every Workers value. Workers is
 // purely a wall-clock knob.
 //
+// What a shard hands the serial combine is what its devices push in the
+// protocol (POOL, Eq. 31): one pooled embedding row per distinct vertex its
+// leaves stand for, not a vertex-count-sized matrix. The combine scatter-adds
+// those rows onto their vertices in fixed shard order
+// (autodiff.ScatterAddN), its backward gathers each shard's rows of the
+// loss gradient, and the stale-partial cache that serves absent devices in
+// partial-participation rounds holds the same rows — so at one device per
+// shard (the simulator's setting) a round's combine, cut gradients and cache
+// cost Σ leaves·OutDim, not shards·N·OutDim. The sums run in the order the
+// dense combine used, so results are bit-identical to it (internal/core
+// TestSparsePartialsMatchDenseOracle keeps it as the oracle).
+//
 // # Tape-based autodiff
 //
 // The differentiation substrate underneath the engine is a tape

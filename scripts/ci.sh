@@ -64,7 +64,8 @@ gate() {
 # Allocation-regression guards (see the header).
 gate plain ./internal/core \
 	TestSupervisedEpochAllocBudget TestUnsupervisedEpochAllocBudget \
-	TestUnsupervisedSessionAllocBudget TestDisabledTelemetryAllocBudget
+	TestUnsupervisedSessionAllocBudget TestDisabledTelemetryAllocBudget \
+	TestRoundAllocBudgetShardsN
 
 # Observability gates: the metrics hammer under the race detector
 # (concurrent counters, gauges, histograms, and scrapers), the sim
@@ -97,6 +98,16 @@ gate race ./internal/autodiff \
 	TestCSRAggregateMatchesUnfused TestCSRAggregateMulMatchesUnfused
 gate plain ./internal/core \
 	TestTrainersMatchPreSessionGoldens TestTapeReuseMatchesFreshTapes
+
+# Leaf-row shard partials: the scatter-add combine against the dense
+# pad-and-AddN combine it replaced (kept as the oracle in the test files) —
+# the op's gradient check, bit-identity and −0 contract under the race
+# detector, then the engine's forward and a partial-participation round
+# sequence bit for bit, and the K_s-rows-per-shard memory shape.
+gate race ./internal/autodiff \
+	TestGradScatterAddN TestScatterAddNMatchesDenseOracle TestScatterAddNNegativeZero
+gate plain ./internal/autodiff TestScatterAddNTapedSteadyState
+gate plain ./internal/core TestSparsePartialsMatchDenseOracle TestRoundMemoryIsLeafSized
 GATE_COUNT=10 gate race ./internal/core TestConcurrentSystemsTrainIndependently
 
 # Gossip/topology gates: decentralized-timeline determinism across worker
