@@ -16,13 +16,14 @@ race:
 # Epoch, round + kernel benchmarks: BenchmarkEpochParallel reports its speedup
 # over the serial baseline as a custom metric; BenchmarkRoundShardsN is one
 # partial-participation round at one device per shard (what the simulator
-# steps); -benchmem tracks the tape engine's B/op and allocs/op (the
+# steps); BenchmarkGossipRounds is a 10-round decentralized simulation (local
+# steps, replica load/store/mix, link queues); -benchmem tracks the tape engine's B/op and allocs/op (the
 # allocation-regression budget lives in internal/core/alloc_test.go and runs
 # under `make ci`). The stream is piped through scripts/benchjson, which
 # echoes it and records the results with run metadata in BENCH_epoch.json.
 bench:
 	go test -run xxx -benchtime 20x -benchmem \
-		-bench 'BenchmarkEpoch|BenchmarkForestEpoch|BenchmarkRoundShardsN|BenchmarkMatMul|BenchmarkCSRAggregate' . \
+		-bench 'BenchmarkEpoch|BenchmarkForestEpoch|BenchmarkRoundShardsN|BenchmarkGossipRounds|BenchmarkMatMul|BenchmarkCSRAggregate' . \
 		| go run ./scripts/benchjson -out BENCH_epoch.json
 
 # The end-to-end benchmark's self-check (bench/README.md): every workload

@@ -484,6 +484,58 @@ func BenchmarkRoundShardsN(b *testing.B) {
 	}
 }
 
+// BenchmarkGossipRounds is the gossip rung of the ladder: one op is a
+// 10-round Simulator.Run on the gossip-ba-swap system (facebook×0.008, one
+// device per shard, a Barabási–Albert contact graph with m = 3, lr 0.1,
+// churn 0.05, everyone online participating) — per round, every
+// participant's replica load, one-device StepRound and store, the per-link
+// delta queues, and the Metropolis–Hastings mixes, plus one run's replica
+// setup and final consensus evaluation.
+func BenchmarkGossipRounds(b *testing.B) {
+	g, err := graph.LoadDataset("facebook", 0.008, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := lumos.NewSystem(g, g, lumos.Config{
+		Task: lumos.Supervised, Backbone: lumos.GCN, MCMCIterations: 150, LearningRate: 0.1,
+		Sched: lumos.SchedGossip, Shards: g.N, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := lumos.ParseTopologySpec("ba:3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tp, err := spec.Build(g.N, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	obj := lumos.NewSupervisedObjective(split)
+	run := func() {
+		s, err := lumos.NewSimulator(sys, lumos.SimScenario{
+			Fleet: lumos.FleetZipf, Churn: 0.05, Participation: 1,
+			Rounds: 10, EvalEvery: -1, Seed: 7, Topology: tp,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(obj); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warms the shard tapes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkMatMul measures the dense kernel at a typical layer size.
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

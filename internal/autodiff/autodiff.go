@@ -53,7 +53,8 @@ type Value struct {
 	n      int
 	ints   []int
 	ints2  []int
-	rowIdx [][]int
+	rowSrc [][]int
+	rowDst [][]int
 	fs     []float64
 	mat    *tensor.Matrix
 }

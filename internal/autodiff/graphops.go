@@ -32,21 +32,27 @@ func backGather(v *Value) {
 }
 
 // ScatterAddN sums row-sparse parts into one dense rows×cols matrix: starting
-// from zero, out.Row(idx[k][i]) += parts[k].Row(i), for k ascending and then
-// i ascending — per output row, the order AddN would add the same parts in
-// had each first been padded to rows×cols with zero rows. Adding those zeros
-// is exact, so the result is bit-identical to that dense sum with one
-// exception: every entry is accumulated onto +0, so an entry whose terms are
-// all −0.0 comes out +0.0 (the canonicalization CSRAggregateInto documents),
-// where AddN, which copies its first term, would have kept −0.0. Rows no
-// index names stay zero; an index may repeat across parts and within one.
+// from zero, out.Row(dst[k][i]) += parts[k].Row(src[k][i]), for k ascending
+// and then i ascending. A nil src, or a nil src[k], reads every row of the
+// part in order (src[k][i] = i), so dst[k] then names one output row per
+// part row; a non-nil src[k] reads only the rows it lists, which is how a
+// caller combines just the output rows it will use. Per output row the
+// terms land in the order AddN would add the same parts in had each first
+// been padded to rows×cols with zero rows. Adding those zeros is exact, so
+// the result is bit-identical to that dense sum with one exception: every
+// entry is accumulated onto +0, so an entry whose terms are all −0.0 comes
+// out +0.0 (the canonicalization CSRAggregateInto documents), where AddN,
+// which copies its first term, would have kept −0.0. Rows no list names
+// stay zero; a destination may repeat across parts and within one.
 //
-// Backward gathers: parts[k].Grad.Row(i) += out.Grad.Row(idx[k][i]) for the
-// parts that require a gradient. parts and idx are parallel; both the outer
-// idx slice and the index lists are retained by reference.
-func ScatterAddN(rows int, parts []*Value, idx [][]int) *Value {
-	if len(parts) != len(idx) {
-		panic(fmt.Sprintf("autodiff: ScatterAddN %d parts for %d index lists", len(parts), len(idx)))
+// Backward gathers: parts[k].Grad.Row(src[k][i]) += out.Grad.Row(dst[k][i])
+// for the parts that require a gradient — every such part receives a
+// gradient, all zeros when its lists are empty. parts, src and dst are
+// parallel; the outer slices and the row lists are retained by reference.
+func ScatterAddN(rows int, parts []*Value, src, dst [][]int) *Value {
+	if len(parts) != len(dst) || (src != nil && len(src) != len(dst)) {
+		panic(fmt.Sprintf("autodiff: ScatterAddN %d parts for %d source and %d destination lists",
+			len(parts), len(src), len(dst)))
 	}
 	if len(parts) == 0 {
 		panic("autodiff: ScatterAddN of nothing")
@@ -54,17 +60,26 @@ func ScatterAddN(rows int, parts []*Value, idx [][]int) *Value {
 	t := tapeFor(parts...)
 	data := newZeroMatrix(t, rows, parts[0].Data.Cols())
 	for k, p := range parts {
-		tensor.ScatterAddRows(data, p.Data, idx[k])
+		if src == nil || src[k] == nil {
+			tensor.ScatterAddRows(data, p.Data, dst[k])
+		} else {
+			tensor.AddRowPairs(data, dst[k], p.Data, src[k])
+		}
 	}
 	out := newNode(t, data, backScatterAddN, parts...)
-	out.rowIdx = idx
+	out.rowSrc, out.rowDst = src, dst
 	return out
 }
 
 func backScatterAddN(v *Value) {
 	for k, p := range v.parents {
-		if p.requiresGrad {
-			tensor.GatherAddRows(p.EnsureGrad(), v.Grad, v.rowIdx[k])
+		if !p.requiresGrad {
+			continue
+		}
+		if v.rowSrc == nil || v.rowSrc[k] == nil {
+			tensor.GatherAddRows(p.EnsureGrad(), v.Grad, v.rowDst[k])
+		} else {
+			tensor.AddRowPairs(p.EnsureGrad(), v.rowSrc[k], v.Grad, v.rowDst[k])
 		}
 	}
 }

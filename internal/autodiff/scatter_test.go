@@ -11,13 +11,17 @@ import (
 )
 
 // ScatterAddN against the dense combine it replaced in the training engine,
-// kept here as the oracle: pad every part to rows×cols (segmentSum, the
-// scatter-onto-zeros op of csr_test.go) and sum the padded parts with AddN.
+// kept here as the oracle: gather the rows each part contributes, pad them
+// to rows×cols (segmentSum, the scatter-onto-zeros op of csr_test.go) and
+// sum the padded parts with AddN.
 
-func denseScatterOracle(rows int, parts []*Value, idx [][]int) *Value {
+func denseScatterOracle(rows int, parts []*Value, src, dst [][]int) *Value {
 	padded := make([]*Value, len(parts))
 	for k, p := range parts {
-		padded[k] = segmentSum(p, idx[k], rows)
+		if src != nil && src[k] != nil {
+			p = Gather(p, src[k])
+		}
+		padded[k] = segmentSum(p, dst[k], rows)
 	}
 	return AddN(padded...)
 }
@@ -31,6 +35,10 @@ type scatterCase struct {
 	cnst []bool
 	idx  [][]int
 	w    *tensor.Matrix // weights of the scalar the gradients are taken of
+	// src/dst restrict the case to a subset of each part's rows: part 0
+	// reads every row (src[0] nil), every other part a random strict subset
+	// (possibly empty), each row landing where idx sends it.
+	src, dst [][]int
 }
 
 func randScatterCase(rng *rand.Rand, nparts int) scatterCase {
@@ -51,6 +59,23 @@ func randScatterCase(rng *rand.Rand, nparts int) scatterCase {
 		c.cnst = append(c.cnst, k == 2)
 	}
 	c.w = tensor.Uniform(c.rows, cols, -1, 1, rng)
+	c.src, c.dst = [][]int{nil}, [][]int{c.idx[0]}
+	for k := 1; k < nparts; k++ {
+		rowsOf := []int{}
+		for i := range c.idx[k] {
+			if rng.Intn(2) == 0 {
+				rowsOf = append(rowsOf, i)
+			}
+		}
+		if len(rowsOf) == len(c.idx[k]) {
+			rowsOf = rowsOf[1:]
+		}
+		to := make([]int, len(rowsOf))
+		for i, r := range rowsOf {
+			to[i] = c.idx[k][r]
+		}
+		c.src, c.dst = append(c.src, rowsOf), append(c.dst, to)
+	}
 	return c
 }
 
@@ -77,27 +102,38 @@ func TestGradScatterAddN(t *testing.T) {
 	a, b, c := randVar(3, 2, rng), randVar(1, 2, rng), randVar(2, 2, rng)
 	idx := [][]int{{0, 2, 4}, {2}, {2, 3}}
 	gradCheck(t, "scatteraddn", []*Value{a, b, c}, func() *Value {
-		return SumSquares(ScatterAddN(6, []*Value{a, b, c}, idx))
+		return SumSquares(ScatterAddN(6, []*Value{a, b, c}, nil, idx))
 	})
 	// A row list may also name a row twice.
 	gradCheck(t, "scatteraddn/repeat", []*Value{a}, func() *Value {
-		return SumSquares(ScatterAddN(3, []*Value{a}, [][]int{{1, 1, 0}}))
+		return SumSquares(ScatterAddN(3, []*Value{a}, nil, [][]int{{1, 1, 0}}))
+	})
+	// Source-row lists: a and c contribute strict subsets of their rows,
+	// b all of its; row 3 receives two of a's rows and b's.
+	gradCheck(t, "scatteraddn/rows", []*Value{a, b, c}, func() *Value {
+		return SumSquares(ScatterAddN(4, []*Value{a, b, c},
+			[][]int{{0, 2}, nil, {1}}, [][]int{{3, 3}, {3}, {0}}))
 	})
 }
 
 // TestScatterAddNMatchesDenseOracle: forward data and every part's gradient
 // equal the dense oracle's bit for bit, over random row partitions (shared
-// row, one-row part, constant part, single-part call), untaped and on a tape
-// that is reset and re-recorded (so a recycled output buffer must come back
-// zeroed).
+// row, one-row part, constant part, single-part call), reading every part
+// row and reading random strict subsets of them (some empty), untaped and on
+// a tape that is reset and re-recorded (so a recycled output buffer must
+// come back zeroed).
 func TestScatterAddNMatchesDenseOracle(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
+	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := randScatterCase(rng, 1+int(seed%6))
-		name := fmt.Sprintf("seed %d (%d parts)", seed, len(c.data))
+		src, dst := [][]int(nil), c.idx
+		if seed%2 == 1 {
+			src, dst = c.src, c.dst
+		}
+		name := fmt.Sprintf("seed %d (%d parts, source rows %v)", seed, len(c.data), src != nil)
 
 		want := c.leaves(nil)
-		wantOut := denseScatterOracle(c.rows, want, c.idx)
+		wantOut := denseScatterOracle(c.rows, want, src, dst)
 		SumAll(MulElem(wantOut, Const(c.w))).Backward()
 
 		check := func(mode string, got []*Value, out *Value) {
@@ -115,13 +151,13 @@ func TestScatterAddNMatchesDenseOracle(t *testing.T) {
 			}
 		}
 		got := c.leaves(nil)
-		check("untaped", got, ScatterAddN(c.rows, got, c.idx))
+		check("untaped", got, ScatterAddN(c.rows, got, src, dst))
 
 		tp := NewTape()
 		for pass := 0; pass < 2; pass++ {
 			tp.Reset()
 			got = c.leaves(tp)
-			out := ScatterAddN(c.rows, got, c.idx)
+			out := ScatterAddN(c.rows, got, src, dst)
 			if out.tape != tp {
 				t.Fatalf("%s: op over one tape's leaves did not record on it", name)
 			}
@@ -137,15 +173,31 @@ func TestScatterAddNMatchesDenseOracle(t *testing.T) {
 func TestScatterAddNNegativeZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	p := Var(tensor.FromRows([][]float64{{negZero, 1}}))
-	out := ScatterAddN(2, []*Value{p}, [][]int{{1}})
+	out := ScatterAddN(2, []*Value{p}, nil, [][]int{{1}})
 	requireBits(t, "forward", tensor.FromRows([][]float64{{0, 0}, {0, 1}}), out.Data)
 	out.Grad = tensor.FromRows([][]float64{{7, 7}, {negZero, 2}})
 	out.back(out)
 	requireBits(t, "gradient", tensor.FromRows([][]float64{{0, 2}}), p.Grad)
 }
 
+// TestScatterAddNEmptyRowsGetZeroGradient: a part that requires a gradient
+// gets one even when its source-row list is empty — all zeros, not nil — so
+// whatever it was computed from still sees a (zero) gradient.
+func TestScatterAddNEmptyRowsGetZeroGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a, b := randVar(2, 3, rng), randVar(2, 3, rng)
+	out := ScatterAddN(2, []*Value{a, b}, [][]int{{1}, {}}, [][]int{{0}, {}})
+	SumAll(out).Backward()
+	if b.Grad == nil {
+		t.Fatal("part with an empty row list received no gradient")
+	}
+	requireBits(t, "empty part gradient", tensor.New(2, 3), b.Grad)
+	requireBits(t, "subset part gradient", tensor.FromRows([][]float64{{0, 0, 0}, {1, 1, 1}}), a.Grad)
+}
+
 // TestScatterAddNTapedSteadyState: on a warm tape the op and its backward
-// allocate nothing, however many parts it sums.
+// allocate nothing, however many parts it sums, reading every part row or
+// only listed ones.
 func TestScatterAddNTapedSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is unreliable under -short (race) runs")
@@ -153,15 +205,17 @@ func TestScatterAddNTapedSteadyState(t *testing.T) {
 	c := randScatterCase(rand.New(rand.NewSource(1)), 12)
 	tp := NewTape()
 	parts := make([]*Value, len(c.data))
-	run := func() {
-		tp.Reset()
-		for k, m := range c.data {
-			parts[k] = tp.Var(m)
+	for _, lists := range [][2][][]int{{nil, c.idx}, {c.src, c.dst}} {
+		run := func() {
+			tp.Reset()
+			for k, m := range c.data {
+				parts[k] = tp.Var(m)
+			}
+			ScatterAddN(c.rows, parts, lists[0], lists[1]).BackwardWithGradient(c.w)
 		}
-		ScatterAddN(c.rows, parts, c.idx).BackwardWithGradient(c.w)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("steady-state taped ScatterAddN allocates %.0f times, want 0", allocs)
+		run()
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Fatalf("steady-state taped ScatterAddN (source rows %v) allocates %.0f times, want 0", lists[0] != nil, allocs)
+		}
 	}
 }

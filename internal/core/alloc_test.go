@@ -56,10 +56,10 @@ func TestSupervisedEpochAllocBudget(t *testing.T) {
 	}
 	// Warm the tapes, slabs, and gradient buffers.
 	for i := 0; i < 3; i++ {
-		sys.eng.step(lossFn)
+		sys.eng.step(nil, lossFn)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		sys.eng.step(lossFn)
+		sys.eng.step(nil, lossFn)
 	})
 	if allocs > epochAllocBudget {
 		t.Fatalf("steady-state supervised epoch allocates %.0f times, budget %d", allocs, epochAllocBudget)
@@ -83,10 +83,10 @@ func TestUnsupervisedEpochAllocBudget(t *testing.T) {
 		return autodiff.LogisticLoss(scores, ys)
 	}
 	for i := 0; i < 3; i++ {
-		sys.eng.step(lossFn)
+		sys.eng.step(nil, lossFn)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		sys.eng.step(lossFn)
+		sys.eng.step(nil, lossFn)
 	})
 	if allocs > epochAllocBudget {
 		t.Fatalf("steady-state unsupervised epoch allocates %.0f times, budget %d", allocs, epochAllocBudget)
@@ -204,7 +204,7 @@ func TestEvaluationDoesNotPerturbTraining(t *testing.T) {
 		}
 		var losses []float64
 		for epoch := 0; epoch < 6; epoch++ {
-			losses = append(losses, sys.eng.step(lossFn))
+			losses = append(losses, sys.eng.step(nil, lossFn))
 			if evalBetween {
 				if _, err := sys.EvaluateAccuracy(split.IsTest); err != nil {
 					t.Fatal(err)
@@ -264,5 +264,48 @@ func TestRoundAllocBudgetShardsN(t *testing.T) {
 	allocs := testing.AllocsPerRun(2*len(plans), step)
 	if allocs > roundAllocBudgetShardsN {
 		t.Fatalf("steady-state Shards=N round allocates %.0f times, budget %d", allocs, roundAllocBudgetShardsN)
+	}
+}
+
+// soloRoundAllocBudget is the per-round allocation ceiling for a
+// steady-state supervised one-device Session.StepRound at one device per
+// shard (120 shards, Workers=1) — a gossip participant's local step, which
+// combines and scores only the device's own pooled row. Measured 6, +25 %:
+// the same worker-pool closures and traffic-accounting parameter list as
+// roundAllocBudgetShardsN.
+const soloRoundAllocBudget = 7
+
+func TestSoloRoundAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is unreliable under -short (race) runs")
+	}
+	sys, split, sess := roundSession(t, 26)
+	sys.eng.workers = 1
+	n := sys.G.N
+	all, solo := make([]bool, n), make([]bool, n)
+	for v := range all {
+		all[v] = true
+	}
+	// Fill every device's stale-partial cache; a TTL of 2n keeps them live.
+	if _, err := sess.StepRound(RoundPlan{Active: all, TTL: 2 * n}); err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	step := func() {
+		d := split.Train[round%len(split.Train)]
+		solo[d] = true
+		out, err := sess.StepRound(RoundPlan{Active: solo, TTL: 2 * n})
+		solo[d] = false
+		if err != nil || out.Skipped {
+			t.Fatalf("solo round for device %d: skipped=%v err=%v", d, out.Skipped, err)
+		}
+		round++
+	}
+	for range split.Train {
+		step()
+	}
+	allocs := testing.AllocsPerRun(len(split.Train), step)
+	if allocs > soloRoundAllocBudget {
+		t.Fatalf("steady-state solo round allocates %.0f times, budget %d", allocs, soloRoundAllocBudget)
 	}
 }

@@ -23,8 +23,11 @@ import (
 //     embedding P_s (paper Eq. 31 restricted to the shard's leaves) with one
 //     row per distinct vertex those leaves stand for — K_s×OutDim, what the
 //     shard's devices actually push, never N×OutDim;
-//  2. serial: pooled (N×OutDim) = the P_s scatter-added onto their vertices'
-//     rows in shard order (autodiff.ScatterAddN), then the task loss;
+//  2. serial: the pooled rows the loss reads (Objective.lossRows — all N
+//     for link prediction, the present training vertices for node
+//     classification, one row for a gossip device's local step) = the P_s
+//     rows holding those vertices, scatter-added in shard order
+//     (autodiff.ScatterAddN), then the task loss over just those rows;
 //  3. parallel: each shard replays the loss gradient of its partial through
 //     its own subgraph, accumulating into shard-private views of the shared
 //     weights (nn.CloneShared);
@@ -106,18 +109,35 @@ type engine struct {
 	partAge   []int
 	// allVerts[i] is shards[i].verts — the row lists of a full combine.
 	allVerts [][]int
+	// holders[v] lists every (shard, partial row) pair holding vertex v —
+	// one per shard with a leaf standing for v — in shard order: the terms
+	// of v's pooled row, in the order ScatterAddN sums them. A round that
+	// reads v combines only the holders whose shard computed fresh or still
+	// serves a live cache. For a gossip device's one-device step that is its
+	// own fresh partial plus the cached partials of the graph neighbours that
+	// retained it — the embeddings they last pushed, made under their own
+	// replicas.
+	holders [][]holder
 	// freeGrads holds applied delayedGrads.grads sets for the next delayed
 	// shard to refill: their buffers go back to that shard's view parameters
 	// as it detaches its own.
 	freeGrads [][]*tensor.Matrix
-	// Per-round scratch, one entry per shard (terms and termVerts: capacity
-	// for one), so rounds do not allocate it; nothing here is read after
-	// the round (or eval forward) that filled it.
+	// Per-round scratch, one entry per shard (terms, termSrc and termDst:
+	// capacity for one), so rounds do not allocate it; each round (or eval
+	// forward) overwrites what the last one left. serving marks the shards
+	// whose partial the round's combine may read (fresh, or a live cache);
+	// srcRows[i] and dstSlots[i] are shard i's (partial row, pooled slot)
+	// pairs in a row-restricted combine, with room for all of its vertices.
 	parts, cuts, terms []*autodiff.Value
-	termVerts          [][]int
+	termSrc, termDst   [][]int
+	srcRows, dstSlots  [][]int
+	serving            []bool
 	shardActive        []bool
 	shardDelay         []int
 }
+
+// holder is one shard's partial row standing for a vertex.
+type holder struct{ shard, row int }
 
 // newEngine shards the system's forest and prepares per-shard model views.
 func newEngine(s *System) *engine {
@@ -139,8 +159,10 @@ func newEngine(s *System) *engine {
 	e.tapes = make([]*autodiff.Tape, len(e.shards))
 	n := len(e.shards)
 	e.parts, e.cuts = make([]*autodiff.Value, n), make([]*autodiff.Value, n)
-	e.terms, e.termVerts = make([]*autodiff.Value, 0, n), make([][]int, 0, n)
-	e.shardActive, e.shardDelay = make([]bool, n), make([]int, n)
+	e.terms = make([]*autodiff.Value, 0, n)
+	e.termSrc, e.termDst = make([][]int, 0, n), make([][]int, 0, n)
+	e.serving, e.shardActive, e.shardDelay = make([]bool, n), make([]bool, n), make([]int, n)
+	e.buildHolders()
 	e.encParams = s.Encoder.Params()
 	e.allParams = s.Params()
 	staleness := 0
@@ -149,6 +171,40 @@ func newEngine(s *System) *engine {
 	}
 	e.delays = shardDelays(e.shards, staleness)
 	return e
+}
+
+// buildHolders builds the vertex → (shard, partial row) index and the
+// per-shard pair lists of a row-restricted combine, each carved out of one
+// backing array.
+func (e *engine) buildHolders() {
+	count := make([]int, e.sys.G.N)
+	total := 0
+	for _, sh := range e.shards {
+		for _, v := range sh.verts {
+			count[v]++
+		}
+		total += len(sh.verts)
+	}
+	flat := make([]holder, total)
+	e.holders = make([][]holder, len(count))
+	off := 0
+	for v, c := range count {
+		e.holders[v] = flat[off : off : off+c]
+		off += c
+	}
+	for i, sh := range e.shards {
+		for k, v := range sh.verts {
+			e.holders[v] = append(e.holders[v], holder{shard: i, row: k})
+		}
+	}
+	src, dst := make([]int, total), make([]int, total)
+	e.srcRows, e.dstSlots = make([][]int, len(e.shards)), make([][]int, len(e.shards))
+	off = 0
+	for i, sh := range e.shards {
+		k := len(sh.verts)
+		e.srcRows[i], e.dstSlots[i] = src[off:off:off+k], dst[off:off:off+k]
+		off += k
+	}
 }
 
 // shardTape returns shard i's tape ready for a fresh recording: reset for
@@ -343,13 +399,15 @@ func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 // forward returns the pooled per-vertex embeddings (N×OutDim), combining
 // every shard's partial in fixed shard order.
 func (e *engine) forward(training bool) *autodiff.Value {
-	return autodiff.ScatterAddN(e.sys.G.N, e.forwardActive(training, nil), e.allVerts)
+	return autodiff.ScatterAddN(e.sys.G.N, e.forwardActive(training, nil), nil, e.allVerts)
 }
 
 // step runs one full-participation training epoch under the engine's
-// built-in (workload-ranked) staleness schedule. Returns the epoch loss.
-func (e *engine) step(lossFn func(pooled *autodiff.Value) *autodiff.Value) float64 {
-	loss, _ := e.stepRound(nil, nil, 0, lossFn)
+// built-in (workload-ranked) staleness schedule, combining the pooled rows
+// of the vertices in rows (nil = all N; see stepRound). Returns the epoch
+// loss.
+func (e *engine) step(rows []int, lossFn func(pooled *autodiff.Value) *autodiff.Value) float64 {
+	loss, _ := e.stepRound(nil, nil, 0, rows, lossFn)
 	return loss
 }
 
@@ -367,9 +425,13 @@ type roundReport struct {
 // stepRound runs one training round: parallel shard forward over the active
 // shards (nil = all), serial loss over the combined pooling, parallel shard
 // backward, deterministic tree-ordered gradient reduction, optimizer step.
-// lossFn builds the scalar task loss from the pooled embeddings; any real
-// parameters it touches directly (e.g. the supervised head) get fresh
-// gradients via the serial phase.
+// lossFn builds the scalar task loss from the pooled embeddings of the
+// vertices in rows (ascending; row j of pooled is vertex rows[j]), or of all
+// N vertices when rows is nil; any real parameters it touches directly (e.g.
+// the supervised head) get fresh gradients via the serial phase. Restricting
+// the combine to rows is exact: per vertex the same terms are summed in the
+// same shard order, and a row the loss never reads only ever received, and
+// sent back, a +0 gradient.
 //
 // delays, when non-nil, gives each shard's gradient-application delay in
 // rounds (e.g. derived from simulated message arrivals); nil selects the
@@ -377,7 +439,7 @@ type roundReport struct {
 // pooled partial cached from its last active round — the embeddings its
 // leaves pushed before the devices went offline — until the cache is more
 // than partTTL rounds old, after which the contribution is dropped.
-func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func(pooled *autodiff.Value) *autodiff.Value) (float64, roundReport) {
+func (e *engine) stepRound(active []bool, delays []int, partTTL int, rows []int, lossFn func(pooled *autodiff.Value) *autodiff.Value) (float64, roundReport) {
 	s := e.sys
 	e.zeroGrads()
 	// The stale-partial cache only serves partial-participation rounds, so
@@ -400,19 +462,16 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 	// Phase 2: serial combine and loss, recorded on the combine tape.
 	// Cutting the graph at each fresh partial (a new leaf sharing the
 	// partial's data) keeps the expensive shard subgraphs out of this
-	// Backward; it stops at the cut leaves. Absent shards contribute their
-	// cached partial as a constant. Every term lands on the rows of its
-	// shard's vertices.
+	// Backward; it stops at the cut leaves. Absent shards serve their cached
+	// partial as a constant.
 	st := e.serialTape()
-	cuts, terms, termVerts := e.cuts, e.terms[:0], e.termVerts[:0]
+	cuts, serving := e.cuts, e.serving
 	for i, p := range parts {
-		cuts[i] = nil
+		cuts[i], serving[i] = nil, false
 		switch {
 		case p != nil:
 			rep.activeShards++
-			cuts[i] = st.Var(p.Data)
-			terms = append(terms, cuts[i])
-			termVerts = append(termVerts, e.shards[i].verts)
+			cuts[i], serving[i] = st.Var(p.Data), true
 			if e.lastParts != nil {
 				// Copy the partial out of the shard tape: the cache must
 				// outlive the tape's next Reset.
@@ -428,8 +487,7 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 			// computes again.
 		case e.partAge[i] < partTTL:
 			e.partAge[i]++
-			terms = append(terms, st.Const(e.lastParts[i]))
-			termVerts = append(termVerts, e.shards[i].verts)
+			serving[i] = true
 		default:
 			// Expired: count the dropped contribution once. The matrix stays
 			// for the shard's next copy.
@@ -437,11 +495,42 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 			rep.expiredParts++
 		}
 	}
+	// Every term lands on the pooled rows of its shard's vertices — all of
+	// them, or only the pairs restrictTo found for the loss rows.
+	n := s.G.N
+	e.terms, e.termSrc, e.termDst = e.terms[:0], e.termSrc[:0], e.termDst[:0]
+	if rows != nil {
+		n = len(rows)
+		e.restrictTo(rows)
+	}
+	for i := range parts {
+		switch {
+		case cuts[i] != nil:
+			// A fresh shard stays a term even when the loss reads none of
+			// its rows: its cut then receives an all-zero gradient, so the
+			// encoder still gets one and the optimizer still steps it.
+			e.terms = append(e.terms, cuts[i])
+		case serving[i] && (rows == nil || len(e.dstSlots[i]) > 0):
+			e.terms = append(e.terms, st.Const(e.lastParts[i]))
+		default:
+			continue
+		}
+		if rows == nil {
+			e.termDst = append(e.termDst, e.shards[i].verts)
+		} else {
+			e.termSrc = append(e.termSrc, e.srcRows[i])
+			e.termDst = append(e.termDst, e.dstSlots[i])
+		}
+	}
 	var pooled *autodiff.Value
-	if len(terms) > 0 {
-		pooled = autodiff.ScatterAddN(s.G.N, terms, termVerts)
+	if len(e.terms) > 0 {
+		var src [][]int // nil: every partial row
+		if rows != nil {
+			src = e.termSrc
+		}
+		pooled = autodiff.ScatterAddN(n, e.terms, src, e.termDst)
 	} else {
-		pooled = autodiff.Const(tensor.New(s.G.N, s.Encoder.EmbeddingDim()))
+		pooled = autodiff.Const(tensor.New(n, s.Encoder.EmbeddingDim()))
 	}
 	loss := lossFn(pooled)
 	loss.Backward()
@@ -501,6 +590,24 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 	s.opt.Step(e.allParams)
 	e.epoch++
 	return loss.Scalar(), rep
+}
+
+// restrictTo fills srcRows/dstSlots with each serving shard's (partial row,
+// pooled slot) pairs for the vertices in rows: slot j is vertex rows[j], and
+// its holders contribute when their shard computed fresh or serves a live
+// cache this round. Slots ascend within every shard, and so do partial rows.
+func (e *engine) restrictTo(rows []int) {
+	for i := range e.srcRows {
+		e.srcRows[i], e.dstSlots[i] = e.srcRows[i][:0], e.dstSlots[i][:0]
+	}
+	for j, v := range rows {
+		for _, h := range e.holders[v] {
+			if e.serving[h.shard] {
+				e.srcRows[h.shard] = append(e.srcRows[h.shard], h.row)
+				e.dstSlots[h.shard] = append(e.dstSlots[h.shard], j)
+			}
+		}
+	}
 }
 
 // skipRound advances the round clock without fresh computation — used when a

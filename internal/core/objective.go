@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"lumos/internal/autodiff"
 	"lumos/internal/graph"
@@ -42,8 +43,13 @@ type Objective interface {
 	// samples. usable reports whether the step carries any training
 	// signal; an unusable step is skipped by the session.
 	begin(active []bool) (usable bool)
-	// loss builds the scalar task loss from the pooled per-vertex
-	// embeddings prepared by begin.
+	// lossRows names the vertices whose pooled rows the step prepared by
+	// begin reads, ascending; nil means all N. The engine combines only
+	// those rows, so a step costs what its loss reads, not N rows per step.
+	lossRows() []int
+	// loss builds the scalar task loss from the pooled embeddings of the
+	// lossRows vertices (row j is vertex lossRows()[j]; all N rows, in
+	// vertex order, when lossRows is nil).
 	loss(pooled *autodiff.Value) *autodiff.Value
 	// account records the step's wire traffic on the system's network
 	// fabric for the active devices (nil = everyone).
@@ -61,11 +67,14 @@ type Objective interface {
 
 // supervisedObjective is node classification (paper §VI-C a): every active
 // device with a training vertex contributes its local cross-entropy; labels
-// never leave the device.
+// never leave the device. A step reads only those devices' pooled rows.
 type supervisedObjective struct {
-	sys     *System
-	split   *graph.NodeSplit
-	weights []float64 // per-vertex CE weights, rebuilt each step
+	sys   *System
+	split *graph.NodeSplit
+	train []int // split.Train, ascending
+	// rows and labels are the step's active training vertices (ascending)
+	// and their labels, rebuilt each step.
+	rows, labels []int
 }
 
 // NewSupervisedObjective builds the node-classification objective over a
@@ -89,29 +98,29 @@ func (o *supervisedObjective) bind(s *System) error {
 		return fmt.Errorf("core: node split over %d vertices for %d devices", len(o.split.IsTrain), s.G.N)
 	}
 	o.sys = s
-	if o.weights == nil {
-		o.weights = make([]float64, s.G.N)
-	}
+	o.train = slices.Sorted(slices.Values(o.split.Train))
 	return nil
 }
 
 func (o *supervisedObjective) begin(active []bool) bool {
-	for i := range o.weights {
-		o.weights[i] = 0
-	}
-	usable := false
-	for _, v := range o.split.Train {
+	o.rows, o.labels = o.rows[:0], o.labels[:0]
+	for _, v := range o.train {
 		if active == nil || active[v] {
-			o.weights[v] = 1
-			usable = true
+			o.rows = append(o.rows, v)
+			o.labels = append(o.labels, o.sys.G.Labels[v])
 		}
 	}
-	return usable
+	return len(o.rows) > 0
 }
 
+func (o *supervisedObjective) lossRows() []int { return o.rows }
+
+// loss is the mean cross-entropy over the step's rows — the same value, bit
+// for bit, as the CE over all N rows weighted 1 on those vertices and 0
+// elsewhere, since CE skips zero-weight rows and sums the rest in order.
 func (o *supervisedObjective) loss(pooled *autodiff.Value) *autodiff.Value {
 	logits := o.sys.Head.Forward(pooled)
-	return autodiff.SoftmaxCrossEntropy(logits, o.sys.G.Labels, o.weights)
+	return autodiff.SoftmaxCrossEntropy(logits, o.labels, nil)
 }
 
 func (o *supervisedObjective) account(active []bool) {
@@ -135,7 +144,10 @@ func (o *supervisedObjective) testMetric() (float64, error) {
 // unsupervisedObjective is link prediction with negative sampling (paper
 // §VI-C b, Eq. 33): every active device contributes logistic terms for its
 // retained-neighbor pairs plus NegPerPos locally rejected negatives per
-// positive, drawn fresh each step from the device's private RNG.
+// positive, drawn fresh each step from the device's private RNG. Its steps
+// read all N pooled rows (lossRows is nil): at full participation the
+// sampled pairs touch most vertices, and scoring them against the full
+// matrix keeps PairDot's indices global.
 type unsupervisedObjective struct {
 	sys *System
 	val *graph.EdgeSplit // may be nil: no validation/test edges
@@ -182,6 +194,8 @@ func (o *unsupervisedObjective) begin(active []bool) bool {
 	o.idxU, o.idxV, o.ys, o.negCount = o.sys.samplePairs(o.idxU[:0], o.idxV[:0], o.ys[:0], active)
 	return len(o.idxU) > 0
 }
+
+func (o *unsupervisedObjective) lossRows() []int { return nil }
 
 func (o *unsupervisedObjective) loss(pooled *autodiff.Value) *autodiff.Value {
 	scores := autodiff.PairDot(pooled, o.idxU, o.idxV)

@@ -129,3 +129,38 @@ func TestReplicaCloneDeep(t *testing.T) {
 		t.Fatal("clone aliases the original's weights")
 	}
 }
+
+// TestReplicaRoundTripDoesNotAllocate: once a replica's moments exist,
+// storing into it, loading it and mixing into it reuse its own buffers —
+// the per-participant, per-round work of gossip allocates nothing.
+func TestReplicaRoundTripDoesNotAllocate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is unreliable under -short (race) runs")
+	}
+	sys, _, sess := roundSession(t, 74)
+	if _, err := sess.StepRound(RoundPlan{TTL: 2}); err != nil {
+		t.Fatal(err)
+	}
+	r, dst := sys.NewReplica(), sys.NewReplica()
+	srcs := []*Replica{sys.NewReplica(), sys.NewReplica(), sys.NewReplica()}
+	ws := []float64{0.5, 0.3, 0.2}
+	for name, op := range map[string]func() error{
+		"StoreReplica": func() error { return sys.StoreReplica(r) },
+		"LoadReplica":  func() error { return sys.LoadReplica(r) },
+		"MixReplicas":  func() error { return MixReplicas(dst, srcs, ws) },
+	} {
+		var err error
+		run := func() {
+			if e := op(); e != nil {
+				err = e
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("steady-state %s allocates %.0f times, want 0", name, allocs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

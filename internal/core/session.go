@@ -80,7 +80,7 @@ func (se *Session) Step() (float64, error) {
 	if !se.obj.begin(nil) {
 		return 0, fmt.Errorf("core: %v objective has no training signal (empty retained sets or training split)", se.obj.Task())
 	}
-	loss := s.eng.step(se.lossFn)
+	loss := s.eng.step(se.obj.lossRows(), se.lossFn)
 	se.obj.account(nil)
 	se.stats.Losses = append(se.stats.Losses, loss)
 	se.stats.EpochTraffic = append(se.stats.EpochTraffic, s.Net.Diff(before))
@@ -157,7 +157,7 @@ func (se *Session) StepRound(plan RoundPlan) (RoundOutcome, error) {
 	}
 	se.obj.account(plan.Active)
 	shardActive, shardDelay := s.eng.mapDevices(plan.Active, plan.Delays)
-	loss, rep := s.eng.stepRound(shardActive, shardDelay, plan.TTL, se.lossFn)
+	loss, rep := s.eng.stepRound(shardActive, shardDelay, plan.TTL, se.obj.lossRows(), se.lossFn)
 	out := RoundOutcome{
 		Loss:         loss,
 		ActiveShards: rep.activeShards,

@@ -86,19 +86,60 @@ type OptState struct {
 // StepCount returns the captured update count.
 func (st *OptState) StepCount() int { return st.t }
 
+// Moments returns the first and second moments captured for parameter i,
+// nil where that parameter had never been stepped. They are the state's own
+// matrices: read them, do not modify them.
+func (st *OptState) Moments(i int) (m, v *tensor.Matrix) { return st.m[i], st.v[i] }
+
+// Clone deep-copies the state.
+func (st *OptState) Clone() *OptState {
+	return &OptState{t: st.t, m: cloneMoments(st.m), v: cloneMoments(st.v)}
+}
+
+func cloneMoments(ms []*tensor.Matrix) []*tensor.Matrix {
+	out := make([]*tensor.Matrix, len(ms))
+	for i, m := range ms {
+		if m != nil {
+			out[i] = m.Clone()
+		}
+	}
+	return out
+}
+
 // CaptureState deep-copies the optimizer's state for the given parameters.
 // The copy is independent: later Steps do not mutate it.
 func (o *Adam) CaptureState(params []*Param) *OptState {
-	st := &OptState{t: o.t, m: make([]*tensor.Matrix, len(params)), v: make([]*tensor.Matrix, len(params))}
+	st := &OptState{}
+	o.CaptureStateInto(st, params)
+	return st
+}
+
+// CaptureStateInto is CaptureState into st's own buffers: a moment st
+// already holds is overwritten in place, a missing one is cloned, and one
+// the optimizer has not created becomes nil. Capturing into a state sized
+// for the same parameters allocates nothing once its moments exist.
+func (o *Adam) CaptureStateInto(st *OptState, params []*Param) {
+	st.t = o.t
+	st.m = captureMoments(st.m, o.m, params)
+	st.v = captureMoments(st.v, o.v, params)
+}
+
+func captureMoments(dst []*tensor.Matrix, live map[*autodiff.Value]*tensor.Matrix, params []*Param) []*tensor.Matrix {
+	if len(dst) != len(params) {
+		dst = make([]*tensor.Matrix, len(params))
+	}
 	for i, p := range params {
-		if m, ok := o.m[p.V]; ok {
-			st.m[i] = m.Clone()
-		}
-		if v, ok := o.v[p.V]; ok {
-			st.v[i] = v.Clone()
+		m, ok := live[p.V]
+		switch {
+		case !ok:
+			dst[i] = nil
+		case dst[i] == nil:
+			dst[i] = m.Clone()
+		default:
+			dst[i].CopyFrom(m)
 		}
 	}
-	return st
+	return dst
 }
 
 // RestoreState overwrites the optimizer's state for the given parameters
@@ -127,37 +168,61 @@ func (o *Adam) RestoreState(params []*Param, st *OptState) {
 // convention the device's own). A nil captured moment is a zero matrix; the
 // result's moment is nil only where every source's is.
 func MixOptStates(srcs []*OptState, ws []float64) (*OptState, error) {
+	st := &OptState{}
+	if err := MixOptStatesInto(st, srcs, ws); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// MixOptStatesInto is MixOptStates into dst's own moment buffers, which it
+// overwrites (allocating only moments dst lacks). The arithmetic is the
+// same: each moment starts from +0 and accumulates ws[j]·srcs[j] in source
+// slice order, skipping nil moments. dst must not be one of srcs.
+func MixOptStatesInto(dst *OptState, srcs []*OptState, ws []float64) error {
 	if len(srcs) == 0 || len(srcs) != len(ws) {
-		return nil, fmt.Errorf("nn: mixing %d optimizer states with %d weights", len(srcs), len(ws))
+		return fmt.Errorf("nn: mixing %d optimizer states with %d weights", len(srcs), len(ws))
 	}
 	k := len(srcs[0].m)
 	for _, s := range srcs {
+		if s == dst {
+			return fmt.Errorf("nn: mix destination aliases a source")
+		}
 		if len(s.m) != k || len(s.v) != k {
-			return nil, fmt.Errorf("nn: mixing optimizer states of different shapes")
+			return fmt.Errorf("nn: mixing optimizer states of different shapes")
 		}
 	}
-	return &OptState{
-		t: srcs[0].t,
-		m: mixMoments(srcs, ws, func(s *OptState) []*tensor.Matrix { return s.m }, k),
-		v: mixMoments(srcs, ws, func(s *OptState) []*tensor.Matrix { return s.v }, k),
-	}, nil
+	dst.t = srcs[0].t
+	dst.m = mixMoments(dst.m, srcs, ws, func(s *OptState) []*tensor.Matrix { return s.m }, k)
+	dst.v = mixMoments(dst.v, srcs, ws, func(s *OptState) []*tensor.Matrix { return s.v }, k)
+	return nil
 }
 
-// mixMoments accumulates one moment slice's weighted sum in source slice
-// order — the same frozen reduction order the weight mix uses.
-func mixMoments(srcs []*OptState, ws []float64, pick func(*OptState) []*tensor.Matrix, k int) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, k)
-	for i := 0; i < k; i++ {
-		var acc *tensor.Matrix
+// mixMoments accumulates one moment slice's weighted sum into out, in source
+// slice order — the same frozen reduction order the weight mix uses.
+func mixMoments(out []*tensor.Matrix, srcs []*OptState, ws []float64, pick func(*OptState) []*tensor.Matrix, k int) []*tensor.Matrix {
+	if len(out) != k {
+		out = make([]*tensor.Matrix, k)
+	}
+	for i := range out {
+		acc, started := out[i], false
 		for j, s := range srcs {
 			mj := pick(s)[i]
 			if mj == nil {
 				continue
 			}
-			if acc == nil {
-				acc = tensor.New(mj.Rows(), mj.Cols())
+			if !started {
+				if acc == nil {
+					acc = tensor.New(mj.Rows(), mj.Cols())
+				} else {
+					acc.Zero()
+				}
+				started = true
 			}
 			tensor.AddScaledInPlace(acc, ws[j], mj)
+		}
+		if !started {
+			acc = nil
 		}
 		out[i] = acc
 	}

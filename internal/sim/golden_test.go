@@ -134,3 +134,85 @@ func TestPreFleetTimelineGolden(t *testing.T) {
 		}
 	}
 }
+
+// gossipGolden freezes decentralized training bit for bit. The values were
+// recorded while every local step still combined all N pooled rows and
+// every replica store and mix still allocated fresh Adam moments; restricting
+// a step to the rows its loss reads, and mixing replicas in place, must not
+// move a bit of them. Each run pins every round's loss and the final metric
+// as hex floats, and the final consensus model — weights, Adam step count
+// and moments — as a core.Replica fingerprint.
+var gossipGolden = []struct {
+	name   string
+	losses []string // hex float64, one per round
+	final  string   // hex float64
+	print  uint64   // core.Replica.Fingerprint of the final consensus
+}{
+	{
+		name: "supervised/ba:2/churn",
+		losses: []string{
+			"0x1.5a12cee230dafp-01", "0x1.4cba8c72c53d6p-01", "0x1.312349678cb72p-01",
+			"0x1.354b17c93e3efp-01", "0x1.26c14d970c0edp-01", "0x1.1bdeb9b715e71p-01",
+		},
+		final: "0x1.6666666666666p-01",
+		print: 0xacfe639725917c68,
+	},
+	{
+		name: "unsupervised/ring:2",
+		losses: []string{
+			"0x1.62510067320f8p-01", "0x1.6208d08502fadp-01",
+			"0x1.61cd582e6f64ap-01", "0x1.61001bf9886f6p-01",
+		},
+		final: "0x1.3767c7c1906a5p-01",
+		print: 0x232ea93d243711ee,
+	},
+}
+
+// TestGossipTimelineGolden replays the frozen gossip runs: a supervised run
+// on a Barabási–Albert contact graph under churn and 70 % participation (so
+// replicas that never stepped reach the mix with nil Adam moments), and an
+// unsupervised run on a ring.
+func TestGossipTimelineGolden(t *testing.T) {
+	for _, want := range gossipGolden {
+		var (
+			sys *core.System
+			obj core.Objective
+			sc  Scenario
+		)
+		switch want.name {
+		case "supervised/ba:2/churn":
+			var split *graph.NodeSplit
+			sys, split = simSystem(t, core.SchedGossip, 0, 0, 41)
+			obj = core.NewSupervisedObjective(split)
+			sc = Scenario{Fleet: FleetZipf, Churn: 0.1, Rejoin: 0.5, Participation: 0.7,
+				Rounds: 6, EvalEvery: 3, Seed: 41, Topology: mustTopo(t, "ba:2", sys.G.N, 41)}
+		default:
+			var es *graph.EdgeSplit
+			sys, es = unsupSimSystem(t, core.SchedGossip, 0, 0, 43)
+			obj = core.NewUnsupervisedObjective(es)
+			sc = Scenario{Rounds: 4, EvalEvery: 2, Seed: 43, Topology: mustTopo(t, "ring:2", sys.G.N, 43)}
+		}
+		s, err := New(sys, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Timeline) != len(want.losses) {
+			t.Fatalf("%s: %d rounds, want %d", want.name, len(res.Timeline), len(want.losses))
+		}
+		for i, w := range want.losses {
+			if l := res.Timeline[i].Loss; l != hexFloat(t, w) {
+				t.Errorf("%s round %d: loss %x, want %s", want.name, i, l, w)
+			}
+		}
+		if res.FinalMetric != hexFloat(t, want.final) {
+			t.Errorf("%s: final metric %x, want %s", want.name, res.FinalMetric, want.final)
+		}
+		if got := sys.NewReplica().Fingerprint(); got != want.print {
+			t.Errorf("%s: consensus fingerprint %#x, want %#x", want.name, got, want.print)
+		}
+	}
+}

@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"lumos/internal/core"
 	"lumos/internal/fleet"
@@ -34,6 +35,18 @@ import (
 // participant (synchronous gossip). Energy charges each participant its
 // compute at the profile-scaled power draw plus O(degree) radio traffic:
 // one upload per present neighbor, plus every delta it receives.
+//
+// Local step: a participant's replica takes one single-device engine round
+// on the shared System. For node classification its loss reads one pooled
+// row, its own vertex's, and the engine combines only that row: the
+// device's own fresh partial plus the cached partials of every device whose
+// tree has a leaf for that vertex — its graph neighbours that retained it —
+// as they last pushed them, computed under their own replicas
+// (Session.StepRound's stale-partial cache, which a gossip round refreshes
+// once per participant). That is what a device in a decentralized
+// deployment would hold: its own embedding and the embeddings its
+// neighbours last sent it. Those neighbours come from the data graph, not
+// the contact graph the replicas mix over.
 //
 // Determinism: participants step, store, and mix in ascending device order,
 // links serve in ascending (u,v) order, and MixReplicas reduces in frozen
@@ -73,6 +86,8 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 	// solo is the one-device participation mask of a local step: a single
 	// entry is set around each StepRound, which does not retain it.
 	solo := make([]bool, n)
+	gs := &s.gossip
+	gs.init(n)
 
 	bestVal := math.Inf(-1)
 	var best *core.Replica
@@ -119,7 +134,8 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 			continue
 		}
 
-		present := make([]bool, n)
+		present := gs.present
+		clear(present)
 		for _, d := range participants {
 			present[d] = true
 		}
@@ -154,10 +170,11 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 		// 2. Delta exchange: drain compute-done events in clock order and
 		// queue one delta per live link direction; each link's batch is then
 		// served under the link discipline, in ascending (u,v) link order.
-		type deltaMeta struct{ sender, receiver int }
-		computeDone := make([]float64, n)
-		jobs := make(map[[2]int][]fleet.Job)
-		meta := make(map[[2]int][]deltaMeta)
+		computeDone, jobs, meta := gs.computeDone, gs.jobs, gs.meta
+		for _, k := range gs.keys {
+			jobs[k], meta[k] = jobs[k][:0], meta[k][:0]
+		}
+		keys := gs.keys[:0]
 		for s.q.Len() > 0 {
 			e := heap.Pop(&s.q).(*event)
 			if e.kind != evComputeDone {
@@ -171,20 +188,17 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 					continue
 				}
 				k := linkKey(d, j)
+				if len(jobs[k]) == 0 {
+					keys = append(keys, k)
+				}
 				jobs[k] = append(jobs[k], fleet.Job{At: arrive, Bytes: s.up[d]})
 				meta[k] = append(meta[k], deltaMeta{sender: d, receiver: j})
 			}
 		}
-		keys := make([][2]int, 0, len(jobs))
-		for k := range jobs {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a][0] != keys[b][0] {
-				return keys[a][0] < keys[b][0]
-			}
-			return keys[a][1] < keys[b][1]
+		slices.SortFunc(keys, func(a, b [2]int) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 		})
+		gs.keys = keys
 		for _, k := range keys {
 			departed := s.link(k).ServeBatch(jobs[k])
 			for i, m := range meta[k] {
@@ -200,7 +214,7 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 		}
 		// A device's round ends when its compute and every inbound delta
 		// are done; the commit barriers on the slowest participant.
-		end := make([]float64, n)
+		end := gs.end
 		for _, d := range participants {
 			end[d] = computeDone[d]
 		}
@@ -249,8 +263,8 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 		// 4. Mix: Metropolis–Hastings averaging over the halves, self first
 		// then present neighbors ascending — the frozen reduction order.
 		for _, d := range participants {
-			srcs := []*core.Replica{halves[d]}
-			ws := []float64{0}
+			srcs := append(gs.srcs[:0], halves[d])
+			ws := append(gs.ws[:0], 0)
 			for _, j := range tp.Neighbors(d) {
 				if !present[j] {
 					continue
@@ -258,6 +272,7 @@ func (s *Simulator) runGossip(obj core.Objective) (*Result, error) {
 				srcs = append(srcs, halves[j])
 				ws = append(ws, tp.MetropolisWeight(d, j))
 			}
+			gs.srcs, gs.ws = srcs, ws
 			self := 1.0
 			for _, w := range ws[1:] {
 				self -= w
@@ -344,14 +359,44 @@ func (s *Simulator) selectGossip(sess *core.Session, scratch *core.Replica, rs *
 // scratch and installs it in the system — the consensus model that gossip
 // timelines evaluate and report.
 func (s *Simulator) loadAverage(scratch *core.Replica, reps []*core.Replica) error {
-	ws := make([]float64, len(reps))
-	for i := range ws {
-		ws[i] = 1 / float64(len(reps))
-	}
-	if err := core.MixReplicas(scratch, reps, ws); err != nil {
+	if err := core.MixReplicas(scratch, reps, s.gossip.uniform); err != nil {
 		return err
 	}
 	return s.sys.LoadReplica(scratch)
+}
+
+// deltaMeta names the endpoints of one queued gossip delta.
+type deltaMeta struct{ sender, receiver int }
+
+// gossipScratch is runGossip's per-round working memory, allocated once per
+// run and overwritten every round, so a steady-state round allocates only
+// what the engine step, the link servers and the event queue do.
+type gossipScratch struct {
+	present          []bool    // this round's participants
+	computeDone, end []float64 // per device, valid for participants only
+	// jobs and meta queue each live link's deltas (keys: this round's live
+	// links, ascending); emptied slices stay in the maps for the next round.
+	jobs map[[2]int][]fleet.Job
+	meta map[[2]int][]deltaMeta
+	keys [][2]int
+	srcs []*core.Replica // one device's mix sources
+	ws   []float64       // and their weights
+	// uniform is the 1/n weight vector of the consensus average.
+	uniform []float64
+}
+
+func (gs *gossipScratch) init(n int) {
+	*gs = gossipScratch{
+		present:     make([]bool, n),
+		computeDone: make([]float64, n),
+		end:         make([]float64, n),
+		jobs:        make(map[[2]int][]fleet.Job),
+		meta:        make(map[[2]int][]deltaMeta),
+		uniform:     make([]float64, n),
+	}
+	for i := range gs.uniform {
+		gs.uniform[i] = 1 / float64(n)
+	}
 }
 
 // linkKey canonicalizes an undirected contact-graph edge.

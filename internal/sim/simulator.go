@@ -48,6 +48,7 @@ type Simulator struct {
 	topo     *topo.Topology
 	links    map[[2]int]*fleet.Server
 	linkDisc fleet.Discipline
+	gossip   gossipScratch
 
 	// projected is each device's projected per-round energy spend in joules
 	// and budget the PolicyEnergy cutoff — both fixed at construction, so

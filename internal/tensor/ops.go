@@ -183,6 +183,23 @@ func GatherAddRows(dst, src *Matrix, idx []int) {
 	}
 }
 
+// AddRowPairs adds src.Row(srcRows[i]) into dst.Row(dstRows[i]) for i
+// ascending — ScatterAddRows and GatherAddRows at once. Its transpose (and
+// backward) is AddRowPairs with the two (matrix, rows) pairs swapped.
+func AddRowPairs(dst *Matrix, dstRows []int, src *Matrix, srcRows []int) {
+	if len(dstRows) != len(srcRows) || src.cols != dst.cols {
+		panic(fmt.Sprintf("tensor: AddRowPairs %d rows of %dx%d into %d rows of %dx%d",
+			len(srcRows), src.rows, src.cols, len(dstRows), dst.rows, dst.cols))
+	}
+	for i, r := range dstRows {
+		drow := dst.Row(r)
+		srow := src.Row(srcRows[i])
+		for j := range drow {
+			drow[j] += srow[j]
+		}
+	}
+}
+
 // RowDot returns the dot product of rows i of a and j of b.
 func RowDot(a *Matrix, i int, b *Matrix, j int) float64 {
 	if a.cols != b.cols {

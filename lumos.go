@@ -65,6 +65,14 @@
 // dense combine used, so results are bit-identical to it (internal/core
 // TestSparsePartialsMatchDenseOracle keeps it as the oracle).
 //
+// A training step combines only the pooled rows its loss reads: the
+// objective names them (node classification reads the present training
+// vertices, link prediction all N), and the engine sums just the shard rows
+// holding those vertices, then runs the head and loss over those rows alone.
+// A gossip device's local step thus combines and scores one row — its own —
+// instead of N, with bit-identical results (TestLossRowsMatchDenseCombine
+// keeps the all-rows, zero-weighted combine as the oracle).
+//
 // # Tape-based autodiff
 //
 // The differentiation substrate underneath the engine is a tape
@@ -155,9 +163,13 @@
 // complete topology with full participation it degenerates to the uniform
 // 1/n average — the bridge back to the star aggregator that the
 // gossip-vs-star equivalence test pins. Replica mixing averages Adam's
-// moments alongside the weights (MixReplicas / nn.MixOptStates): without
+// moments alongside the weights (MixReplicas / nn.MixOptStatesInto): without
 // moment averaging, per-device sign-normalized Adam steps cancel in the
-// consensus mean and decentralized training stalls.
+// consensus mean and decentralized training stalls. Every replica owns its
+// weight and moment buffers; load, store and mix copy into them, so a
+// steady-state gossip round allocates nothing for replicas. A device's local
+// step reads its own pooled row: its own fresh partial plus the partials its
+// graph neighbours last pushed under their own replicas.
 //
 // Topologies come from deterministic seeded generators — TopologyRing,
 // TopologyKRegular, TopologyBarabasiAlbert, TopologyComplete — or from a

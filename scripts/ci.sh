@@ -110,6 +110,21 @@ gate plain ./internal/autodiff TestScatterAddNTapedSteadyState
 gate plain ./internal/core TestSparsePartialsMatchDenseOracle TestRoundMemoryIsLeafSized
 GATE_COUNT=10 gate race ./internal/core TestConcurrentSystemsTrainIndependently
 
+# Loss-row combine and in-place replicas: a step combines only the pooled
+# rows its loss reads (source-row lists in ScatterAddN — gradient check,
+# bit-identity against the dense oracle, an empty list's zero gradient —
+# under the race detector), bit for bit against the all-rows weighted-CE
+# oracle across shard and worker counts; a gossip step reads exactly its
+# vertex's live holders; replica store/load/mix allocate nothing and a
+# one-device round stays in budget; and the gossip timeline golden recorded
+# before either change.
+gate race ./internal/autodiff \
+	TestGradScatterAddN TestScatterAddNMatchesDenseOracle TestScatterAddNEmptyRowsGetZeroGradient
+gate plain ./internal/core \
+	TestLossRowsMatchDenseCombine TestGossipSoloStepReadsNeighbourPartials \
+	TestReplicaRoundTripDoesNotAllocate TestSoloRoundAllocBudget
+gate plain ./internal/sim TestGossipTimelineGolden
+
 # Gossip/topology gates: decentralized-timeline determinism across worker
 # counts under the race detector, the gossip-complete ≈ star-sync
 # equivalence check, the star-timeline golden re-check (gossip wiring must
