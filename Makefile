@@ -19,11 +19,13 @@ race:
 # steps); BenchmarkGossipRounds is a 10-round decentralized simulation (local
 # steps, replica load/store/mix, link queues); -benchmem tracks the tape engine's B/op and allocs/op (the
 # allocation-regression budget lives in internal/core/alloc_test.go and runs
-# under `make ci`). The stream is piped through scripts/benchjson, which
+# under `make ci`). BenchmarkSecureCompare is one 32-bit secure comparison
+# and BenchmarkMCMCBalanceSecure the secure tree constructor (greedy + 50
+# MCMC iterations). The stream is piped through scripts/benchjson, which
 # echoes it and records the results with run metadata in BENCH_epoch.json.
 bench:
 	go test -run xxx -benchtime 20x -benchmem \
-		-bench 'BenchmarkEpoch|BenchmarkForestEpoch|BenchmarkRoundShardsN|BenchmarkGossipRounds|BenchmarkMatMul|BenchmarkCSRAggregate' . \
+		-bench 'BenchmarkEpoch|BenchmarkForestEpoch|BenchmarkRoundShardsN|BenchmarkGossipRounds|BenchmarkMatMul|BenchmarkCSRAggregate|BenchmarkSecureCompare|BenchmarkMCMCBalanceSecure' . \
 		| go run ./scripts/benchjson -out BENCH_epoch.json
 
 # The end-to-end benchmark's self-check (bench/README.md): every workload

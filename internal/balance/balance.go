@@ -24,6 +24,7 @@ package balance
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -37,12 +38,14 @@ type Config struct {
 	// Iterations is the MCMC iteration count T (paper: 1000 for Facebook,
 	// 300 for LastFM).
 	Iterations int
-	// Bits is the secure comparator operand width L (default 32).
+	// Bits is the secure comparator operand width L (default 32). Balance
+	// rejects a width below smc.FracBits + bits.Len(max degree), the
+	// narrowest that holds a workload in the MH step's fixed point.
 	Bits int
 	// Secure selects the OT-based comparison protocol. When false,
 	// comparisons are evaluated in plaintext — results are identical and
-	// traffic is still estimated, but no OT work is done; intended for
-	// large-scale benchmarks.
+	// traffic is still charged, with the protocol's own formula, but no OT
+	// work is done; intended for large-scale benchmarks.
 	Secure bool
 	// Seed drives proposal sampling and server tie-breaks.
 	Seed int64
@@ -100,27 +103,18 @@ func (r *Result) TotalWorkload() int {
 	return s
 }
 
-// comparer wraps the secure protocol so the plaintext fast path still
-// accounts estimated traffic with the same formulas.
+// comparer wraps the secure protocol so the plaintext fast path charges
+// the same traffic (smc.Protocol.ChargeComparison) as the protocol itself.
 type comparer struct {
 	proto  *smc.Protocol
 	secure bool
-}
-
-// estimate accounts one comparison's traffic in plaintext mode: 2L AND
-// gates × 2 OTs each plus input sharing and output reveal.
-func (c *comparer) estimate() {
-	c.proto.Stats.Comparisons++
-	c.proto.Stats.OTs += 4 * c.proto.Bits
-	c.proto.Stats.Messages += 12*c.proto.Bits + 2*c.proto.Bits + 2
-	c.proto.Stats.Bytes += int64(4*c.proto.Bits*18) + 2*int64((c.proto.Bits+7)/8) + 2
 }
 
 func (c *comparer) less(alice *smc.Party, a uint64, bob *smc.Party, b uint64) bool {
 	if c.secure {
 		return c.proto.Less(alice, a, bob, b)
 	}
-	c.estimate()
+	c.proto.ChargeComparison()
 	return a < b
 }
 
@@ -128,7 +122,7 @@ func (c *comparer) lessOrEqual(alice *smc.Party, a uint64, bob *smc.Party, b uin
 	if c.secure {
 		return c.proto.LessOrEqual(alice, a, bob, b)
 	}
-	c.estimate()
+	c.proto.ChargeComparison()
 	return a <= b
 }
 
@@ -136,8 +130,16 @@ func (c *comparer) acceptMH(alice *smc.Party, fx float64, bob *smc.Party, fy flo
 	if c.secure {
 		return c.proto.AcceptMH(alice, fx, bob, fy, u)
 	}
-	c.estimate()
+	c.proto.ChargeComparison()
 	return math.Log(u) < fx-fy
+}
+
+// minBits is the narrowest comparator width that holds every operand of g's
+// balancing run: workloads never exceed the maximum degree, and the MH accept
+// step compares them in fixed point with smc.FracBits fractional bits. A
+// narrower width saturates both MH operands, so every proposal is rejected.
+func minBits(g *graph.Graph) int {
+	return smc.FracBits + bits.Len(uint(g.MaxDegree()))
 }
 
 // GreedyInit runs Alg. 1: device u keeps neighbor v iff
@@ -190,6 +192,12 @@ func Balance(g *graph.Graph, devices []*fed.Device, server *fed.Server, cfg Conf
 	}
 	if len(devices) != g.N {
 		return nil, fmt.Errorf("balance: %d devices for %d vertices", len(devices), g.N)
+	}
+	// Checked in both modes: the plaintext path promises the secure path's
+	// results.
+	if need := minBits(g); cfg.Bits < need {
+		return nil, fmt.Errorf("balance: comparator width %d cannot hold max degree %d with %d fractional bits; need at least %d bits",
+			cfg.Bits, g.MaxDegree(), smc.FracBits, need)
 	}
 	stats := &smc.Stats{}
 	cmp := &comparer{proto: smc.NewProtocol(cfg.Bits, stats), secure: cfg.Secure}

@@ -1,7 +1,12 @@
 package balance
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"lumos/internal/fed"
@@ -125,37 +130,85 @@ func TestBalanceMCMCImprovesOnGreedy(t *testing.T) {
 	}
 }
 
+// TestBalanceSecureMatchesPlaintext: comparison outcomes are identical, so
+// every Result field must agree — the assignment, the MCMC trace, and the
+// traffic, which both paths charge through the same smc formula — at the
+// narrowest accepted comparator width, the default, and the widest.
 func TestBalanceSecureMatchesPlaintext(t *testing.T) {
-	g, devices, server := testSetup(t, 100, 600, 5)
-	resSecure, err := Balance(g, devices, server, Config{Iterations: 40, Secure: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	devices2 := fed.NewDevices(g, 5)
-	server2 := fed.NewServer(5)
-	resPlain, err := Balance(g, devices2, server2, Config{Iterations: 40, Secure: false, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Comparison outcomes are identical, so the assignments must agree...
-	for v := range resSecure.Retained {
-		if len(resSecure.Retained[v]) != len(resPlain.Retained[v]) {
-			t.Fatalf("device %d: secure %v vs plaintext %v", v, resSecure.Retained[v], resPlain.Retained[v])
-		}
-		for i := range resSecure.Retained[v] {
-			if resSecure.Retained[v][i] != resPlain.Retained[v][i] {
-				t.Fatalf("device %d retained sets differ", v)
+	g, _, _ := testSetup(t, 100, 600, 5)
+	for _, width := range []int{minBits(g), 32, 64} {
+		run := func(secure bool) *Result {
+			res, err := Balance(g, fed.NewDevices(g, 5), fed.NewServer(5),
+				Config{Iterations: 40, Bits: width, Secure: secure, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
 			}
+			return res
+		}
+		resSecure, resPlain := run(true), run(false)
+		if !reflect.DeepEqual(resSecure, resPlain) {
+			t.Fatalf("width %d: secure and plaintext results differ:\nsecure    %+v\nplaintext %+v",
+				width, resSecure, resPlain)
+		}
+		if resSecure.Accepted == 0 {
+			t.Fatalf("width %d: no MH proposal accepted", width)
 		}
 	}
-	// ...and so must the comparison counts (the plaintext path estimates
-	// the same protocol).
-	if resSecure.SMC.Comparisons != resPlain.SMC.Comparisons {
-		t.Fatalf("comparison counts differ: %d vs %d",
-			resSecure.SMC.Comparisons, resPlain.SMC.Comparisons)
+}
+
+// resultHash is an FNV-64a digest of every assignment-shaped Result field:
+// Retained (length-prefixed per device), Workloads, MaxTrace, Accepted and
+// ControlMessages.
+func resultHash(r *Result) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
 	}
-	if resSecure.SMC.OTs != resPlain.SMC.OTs {
-		t.Fatalf("OT accounting differs: %d vs %d", resSecure.SMC.OTs, resPlain.SMC.OTs)
+	for _, ret := range r.Retained {
+		put(len(ret))
+		for _, u := range ret {
+			put(u)
+		}
+	}
+	for _, w := range r.Workloads {
+		put(w)
+	}
+	for _, m := range r.MaxTrace {
+		put(m)
+	}
+	put(r.Accepted)
+	put(r.ControlMessages)
+	return h.Sum64()
+}
+
+// TestBalanceSecureGolden pins the secure tree constructor on the end-to-end
+// benchmark's epoch-gcn-secure system (facebook-like ×0.025, seed 7; the
+// supervised split trains on the full graph; 100 MCMC iterations): the
+// assignment and its exact secure-comparison traffic. The values were
+// recorded with the bit-serial GMW evaluator; any evaluator must reproduce
+// them, because only the comparison bits steer the MCMC and the traffic is
+// charged per gate.
+func TestBalanceSecureGolden(t *testing.T) {
+	g, err := graph.FacebookLike(0.025, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Balance(g, fed.NewDevices(g, 7), fed.NewServer(7), Config{Iterations: 100, Secure: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantHash = 0x38520b844899273
+	wantSMC := smc.Stats{Messages: 30641850, Bytes: 157567202, OTs: 8715904, Comparisons: 68093}
+	if got := resultHash(res); got != wantHash {
+		t.Errorf("result hash = %#x, want %#x", got, uint64(wantHash))
+	}
+	if res.SMC != wantSMC {
+		t.Errorf("SMC = %+v, want %+v", res.SMC, wantSMC)
+	}
+	if res.MaxWorkload() != 16 {
+		t.Errorf("max workload = %d, want 16", res.MaxWorkload())
 	}
 }
 
@@ -183,6 +236,22 @@ func TestBalanceValidation(t *testing.T) {
 	}
 	if _, err := Balance(g, devices, server, Config{Bits: 4}); err == nil {
 		t.Fatal("tiny bit width must error")
+	}
+	// A width in [8,64] that cannot hold max degree × 2^FracBits would
+	// saturate both MH operands and reject every proposal: refused in both
+	// modes, naming the minimum.
+	need := minBits(g)
+	if need <= 8 {
+		t.Fatalf("minBits = %d: the too-narrow case would not be in [8,64]", need)
+	}
+	for _, secure := range []bool{true, false} {
+		_, err := Balance(g, devices, server, Config{Bits: need - 1, Secure: secure})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at least %d bits", need)) {
+			t.Fatalf("secure=%v width %d: err = %v, want one naming %d bits", secure, need-1, err, need)
+		}
+		if _, err := Balance(g, devices, server, Config{Bits: need, Secure: secure}); err != nil {
+			t.Fatalf("secure=%v width %d: %v", secure, need, err)
+		}
 	}
 }
 

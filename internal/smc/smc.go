@@ -15,6 +15,20 @@
 // public-key base OTs / OT extension a deployment would use. All traffic is
 // routed through Stats so experiments can account for every byte a real
 // deployment would move.
+//
+// Word-parallel evaluation. Less evaluates the comparator circuit on 64-bit
+// words: bit i of every share, mask and pad word belongs to gate i. The L
+// independent ¬x_i ∧ y_i gates are one word-wide AND (still two OTs per
+// bit); the LSB→MSB carry chain is still L sequential single-bit AND gates,
+// depth L, walked in registers. Traffic is accounted per gate, in bulk
+// (ChargeComparison), so every Stats counter is what a gate-by-gate
+// evaluation would record. Each party draws its randomness a word at a time
+// from its private stream: one word for its L input shares, then an output
+// mask and two OT pads for the word-wide gate and again for the carry chain
+// — seven draws per comparison where a bit-serial evaluation makes 14·L.
+// Which random bit masks which wire differs from a bit-serial evaluation;
+// the result bit and the traffic do not. The simulation caveat above is
+// unchanged.
 package smc
 
 import (
@@ -58,60 +72,31 @@ func NewParty(seed int64) *Party {
 	return &Party{rng: rand.New(rand.NewSource(seed))}
 }
 
-func (p *Party) bit() byte { return byte(p.rng.Intn(2)) }
-
-// obliviousTransferBit executes one simulated 1-out-of-2 OT of single-bit
-// secrets: the receiver learns m[choice]; the sender learns nothing about
-// choice. The sender's pad (drawn from its private randomness) models the
-// masking a real OT provides.
-func obliviousTransferBit(sender *Party, m0, m1 byte, choice byte, stats *Stats) byte {
-	pad0, pad1 := sender.bit(), sender.bit()
+// obliviousTransfer executes 64 simulated 1-out-of-2 OTs of single-bit
+// secrets at once, one per bit: bit i of the result is bit i of m1 where bit
+// i of choice is set and bit i of m0 elsewhere; the sender learns nothing
+// about choice. The sender's pads (drawn from its private randomness) model
+// the masking a real OT provides. Traffic is charged per comparison by
+// ChargeComparison, not here.
+func obliviousTransfer(m0, m1, choice, pad0, pad1 uint64) uint64 {
 	// Wire: sender transmits (m0⊕pad0, m1⊕pad1) plus the OT machinery that
-	// lets the receiver unmask exactly one of them.
+	// lets the receiver unmask exactly one of them, bit by bit.
 	c0, c1 := m0^pad0, m1^pad1
-	stats.OTs++
-	stats.Messages += 3 // receiver selection, sender payload, key transfer
-	stats.Bytes += otWireBytes
-	if choice == 0 {
-		return c0 ^ pad0
-	}
-	return c1 ^ pad1
+	return (c0^pad0)&^choice | (c1^pad1)&choice
 }
 
-// sharedBit is one GF(2) secret-shared bit: value = a ^ b, with a held by
-// Alice and b by Bob.
-type sharedBit struct{ a, b byte }
-
-// xor is the free local XOR gate.
-func (x sharedBit) xor(y sharedBit) sharedBit { return sharedBit{x.a ^ y.a, x.b ^ y.b} }
-
-// notBit flips the plaintext by flipping Alice's share only.
-func (x sharedBit) notBit() sharedBit { return sharedBit{x.a ^ 1, x.b} }
-
-// and evaluates a GMW AND gate using two OTs (one per cross term).
-func andGate(alice, bob *Party, x, y sharedBit, stats *Stats) sharedBit {
+// andWord evaluates 64 independent GMW AND gates, gate i on bit i of each
+// share word, using two OTs per gate (one per cross term): it returns the
+// shares (za, zb) of (xa⊕xb)∧(ya⊕yb), alice holding xa, ya, za.
+func andWord(alice, bob *Party, xa, xb, ya, yb uint64) (za, zb uint64) {
 	// x∧y = xA·yA ⊕ xA·yB ⊕ xB·yA ⊕ xB·yB.
 	// Cross term xA·yB: Alice is OT sender with (s, s⊕xA); Bob selects yB.
-	s1 := alice.bit()
-	t1 := obliviousTransferBit(alice, s1, s1^x.a, y.b, stats)
+	s1 := alice.rng.Uint64()
+	t1 := obliviousTransfer(s1, s1^xa, yb, alice.rng.Uint64(), alice.rng.Uint64())
 	// Cross term xB·yA: Bob is OT sender with (s2, s2⊕xB); Alice selects yA.
-	s2 := bob.bit()
-	t2 := obliviousTransferBit(bob, s2, s2^x.b, y.a, stats)
-	return sharedBit{
-		a: (x.a & y.a) ^ s1 ^ t2,
-		b: (x.b & y.b) ^ s2 ^ t1,
-	}
-}
-
-// shareInput secret-shares owner's bit with the counterpart: the owner
-// draws a random mask r (its share) and transmits value⊕r.
-func shareInput(owner *Party, value byte, ownerIsAlice bool, stats *Stats) sharedBit {
-	r := owner.bit()
-	stats.Messages++
-	if ownerIsAlice {
-		return sharedBit{a: r, b: value ^ r}
-	}
-	return sharedBit{a: value ^ r, b: r}
+	s2 := bob.rng.Uint64()
+	t2 := obliviousTransfer(s2, s2^xb, ya, bob.rng.Uint64(), bob.rng.Uint64())
+	return xa&ya ^ s1 ^ t2, xb&yb ^ s2 ^ t1
 }
 
 // Protocol is a configured secure comparator.
@@ -139,28 +124,52 @@ func NewProtocol(bits int, stats *Stats) *Protocol {
 func (p *Protocol) Less(alice *Party, a uint64, bob *Party, b uint64) bool {
 	p.checkRange(a)
 	p.checkRange(b)
-	// Input sharing: each party shares its L input bits (one packed message).
-	p.Stats.Bytes += 2 * shareWireBytes(p.Bits)
-	xs := make([]sharedBit, p.Bits)
-	ys := make([]sharedBit, p.Bits)
-	for i := 0; i < p.Bits; i++ {
-		xs[i] = shareInput(alice, byte(a>>uint(i))&1, true, p.Stats)
-		ys[i] = shareInput(bob, byte(b>>uint(i))&1, false, p.Stats)
-	}
-	// Bit-serial comparator, LSB → MSB:
+	mask := ^uint64(0) >> (64 - p.Bits)
+	// Input sharing: each party draws one word of private randomness r as
+	// its share of its L input bits and transmits input⊕r.
+	xa := alice.rng.Uint64() & mask
+	xb := a ^ xa
+	yb := bob.rng.Uint64() & mask
+	ya := b ^ yb
+	// Comparator, LSB → MSB:
 	//   lt_i = (¬x_i ∧ y_i) ⊕ ((x_i ≡ y_i) ∧ lt_{i-1})
-	lt := sharedBit{}
+	// The L gates ¬x_i ∧ y_i are independent: one word-wide gate (¬ flips
+	// Alice's share only).
+	dA, dB := andWord(alice, bob, xa^mask, xb, ya, yb)
+	eqA, eqB := ^(xa ^ ya), xb^yb
+	// The carry chain is L dependent AND gates. Their output masks and OT
+	// pads are drawn as words up front; gate i reads bit 0 of every register
+	// after i right shifts (obliviousTransfer is inlined: no call per gate).
+	s1, pa0, pa1 := alice.rng.Uint64(), alice.rng.Uint64(), alice.rng.Uint64()
+	s2, pb0, pb1 := bob.rng.Uint64(), bob.rng.Uint64(), bob.rng.Uint64()
+	var ltA, ltB uint64 // shares of lt_{i-1}, in bit 0
 	for i := 0; i < p.Bits; i++ {
-		diffLt := andGate(alice, bob, xs[i].notBit(), ys[i], p.Stats)
-		eq := xs[i].xor(ys[i]).notBit()
-		carry := andGate(alice, bob, eq, lt, p.Stats)
-		lt = diffLt.xor(carry)
+		// carry_i = eq_i ∧ lt_{i-1}, the cross terms' OTs as in andWord.
+		t1 := obliviousTransfer(s1, s1^eqA, ltB, pa0, pa1)
+		t2 := obliviousTransfer(s2, s2^eqB, ltA, pb0, pb1)
+		// lt_i = diffLt_i ⊕ carry_i.
+		ltA, ltB = (dA^eqA&ltA^s1^t2)&1, (dB^eqB&ltB^s2^t1)&1
+		dA, dB, eqA, eqB = dA>>1, dB>>1, eqA>>1, eqB>>1
+		s1, pa0, pa1 = s1>>1, pa0>>1, pa1>>1
+		s2, pb0, pb1 = s2>>1, pb0>>1, pb1>>1
 	}
 	// Output reveal: parties exchange final shares.
-	p.Stats.Messages += 2
-	p.Stats.Bytes += 2
+	p.ChargeComparison()
+	return ltA^ltB == 1
+}
+
+// ChargeComparison adds one L-bit comparison's traffic to p.Stats, gate by
+// gate: each party shares its L input bits (one message per bit, one packed
+// vector of ⌈L/8⌉ bytes each), each of the 2L AND gates runs two OTs, and the
+// output reveal is two one-byte messages. Less charges exactly this; a caller
+// that decides a comparison in plaintext charges it to price the protocol.
+func (p *Protocol) ChargeComparison() {
+	ots := 2 * 2 * p.Bits
+	p.Stats.OTs += ots
+	// Per OT: receiver selection, sender payload, key transfer.
+	p.Stats.Messages += 2*p.Bits + 3*ots + 2
+	p.Stats.Bytes += 2*shareWireBytes(p.Bits) + int64(ots)*otWireBytes + 2
 	p.Stats.Comparisons++
-	return lt.a^lt.b == 1
 }
 
 // LessOrEqual securely computes a ≤ b (¬(b < a)).

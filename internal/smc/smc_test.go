@@ -80,8 +80,10 @@ func TestStatsAccounting(t *testing.T) {
 	if want := 4 * 32; stats.OTs != want {
 		t.Fatalf("OTs = %d, want %d", stats.OTs, want)
 	}
-	if stats.Messages == 0 || stats.Bytes == 0 {
-		t.Fatal("no traffic recorded")
+	// 2L input-share messages, 3 per OT, 2 for the reveal; 18 bytes per OT,
+	// two packed ⌈L/8⌉-byte share vectors, 2 reveal bytes.
+	if stats.Messages != 14*32+2 || stats.Bytes != 4*32*18+2*4+2 {
+		t.Fatalf("traffic = %d messages, %d bytes", stats.Messages, stats.Bytes)
 	}
 	before := *stats
 	p.Less(alice, 1, bob, 2)
@@ -139,6 +141,121 @@ func TestObliviousTransferDeliversChoice(t *testing.T) {
 	}
 	if stats.OTs != 200 {
 		t.Fatalf("OT count = %d", stats.OTs)
+	}
+}
+
+// TestObliviousTransferWordDeliversChoice: the word-wide OT delivers
+// m_choice bit by bit, whatever the pads.
+func TestObliviousTransferWordDeliversChoice(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 200; i++ {
+		m0, m1, choice := rng.Uint64(), rng.Uint64(), rng.Uint64()
+		got := obliviousTransfer(m0, m1, choice, rng.Uint64(), rng.Uint64())
+		for j := 0; j < 64; j++ {
+			want := m0 >> j & 1
+			if choice>>j&1 == 1 {
+				want = m1 >> j & 1
+			}
+			if got>>j&1 != want {
+				t.Fatalf("bit %d: got %d, want m_%d = %d", j, got>>j&1, choice>>j&1, want)
+			}
+		}
+	}
+}
+
+// statsDelta is the traffic recorded between two snapshots of one Stats.
+func statsDelta(after, before Stats) Stats {
+	return Stats{
+		Messages:    after.Messages - before.Messages,
+		Bytes:       after.Bytes - before.Bytes,
+		OTs:         after.OTs - before.OTs,
+		Comparisons: after.Comparisons - before.Comparisons,
+	}
+}
+
+// TestLessMatchesBitSerialOracle: the word-parallel Less returns the
+// bit-serial evaluator's result and charges the same traffic, field by
+// field, on every call — exhaustively at L=8, and on random pairs plus edge
+// operands (0, 2^L−1, equal values, values differing only in the LSB or only
+// in the MSB) at the wider widths. The two run on independent party streams:
+// no result may depend on which random bits mask which wire.
+func TestLessMatchesBitSerialOracle(t *testing.T) {
+	for _, width := range []int{8, 16, 32, 48, 64} {
+		var got, want Stats
+		p, oracle := NewProtocol(width, &got), NewProtocol(width, &want)
+		alice, bob := NewParty(int64(width)), NewParty(int64(width)+1)
+		oAlice, oBob := NewParty(-int64(width)), NewParty(-int64(width)-1)
+		check := func(a, b uint64) {
+			g0, w0 := got, want
+			r, o := p.Less(alice, a, bob, b), oracle.lessOracle(oAlice, a, oBob, b)
+			if r != o || r != (a < b) {
+				t.Fatalf("L=%d: Less(%d,%d) = %v, oracle %v", width, a, b, r, o)
+			}
+			if gd, wd := statsDelta(got, g0), statsDelta(want, w0); gd != wd {
+				t.Fatalf("L=%d: Less(%d,%d) charged %+v, oracle %+v", width, a, b, gd, wd)
+			}
+		}
+		top := ^uint64(0) >> (64 - width)
+		if width == 8 {
+			for a := uint64(0); a <= top; a++ {
+				for b := uint64(0); b <= top; b++ {
+					check(a, b)
+				}
+			}
+			continue
+		}
+		rng := rand.New(rand.NewSource(int64(100 + width)))
+		for i := 0; i < 10000; i++ {
+			check(rng.Uint64()&top, rng.Uint64()&top)
+		}
+		msb := uint64(1) << (width - 1)
+		for _, v := range []uint64{0, 1, top, top - 1, msb, rng.Uint64() & top, rng.Uint64() & top} {
+			check(v, v)
+			check(v, v^1)
+			check(v^1, v)
+			check(v, v^msb)
+			check(v^msb, v)
+			check(v, 0)
+			check(0, v)
+			check(v, top)
+			check(top, v)
+		}
+	}
+}
+
+// TestAcceptMHGrid: over a grid of integral workloads and uniform draws
+// away from the accept boundary, AcceptMH decides exactly ln u < fx − fy.
+func TestAcceptMHGrid(t *testing.T) {
+	fxs := []float64{1, 2, 3, 5, 8, 16, 100, 1000}
+	fys := []float64{0, 1, 2, 3, 5, 8, 16, 100, 1000}
+	us := []float64{1, 0.9, 0.75, 0.5, 0.3, 0.1, 0.01, 1e-4, 1e-9, 0x1p-53}
+	for _, width := range []int{32, 48, 64} {
+		p := NewProtocol(width, &Stats{})
+		alice, bob := NewParty(23), NewParty(24)
+		for _, fx := range fxs {
+			for _, fy := range fys {
+				for _, u := range us {
+					if got, want := p.AcceptMH(alice, fx, bob, fy, u), math.Log(u) < fx-fy; got != want {
+						t.Fatalf("L=%d: AcceptMH(fx=%v, fy=%v, u=%v) = %v, want %v", width, fx, fy, u, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLessDoesNotAllocate: a secure comparison allocates nothing.
+func TestLessDoesNotAllocate(t *testing.T) {
+	p := NewProtocol(32, &Stats{})
+	alice, bob := NewParty(25), NewParty(26)
+	for name, fn := range map[string]func(){
+		"Less":        func() { p.Less(alice, 12345, bob, 54321) },
+		"LessOrEqual": func() { p.LessOrEqual(alice, 12345, bob, 54321) },
+		"AcceptMH":    func() { p.AcceptMH(alice, 10, bob, 11, 0.3) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
+		}
 	}
 }
 

@@ -125,6 +125,16 @@ gate plain ./internal/core \
 	TestReplicaRoundTripDoesNotAllocate TestSoloRoundAllocBudget
 gate plain ./internal/sim TestGossipTimelineGolden
 
+# Word-parallel secure comparison: Less against the bit-serial GMW evaluator
+# it replaced (kept as the oracle in the test files) — result bit and
+# per-call traffic, exhaustively at L=8 and on random and edge operands up to
+# L=64 — and zero allocations per comparison, under the race detector; then
+# the secure tree constructor's golden (assignment hash and exact SMC traffic,
+# recorded with the bit-serial evaluator), secure ≡ plaintext on every
+# Result field, and the comparator-width check.
+gate race ./internal/smc TestLessMatchesBitSerialOracle TestLessDoesNotAllocate
+gate plain ./internal/balance TestBalanceSecureGolden TestBalanceSecureMatchesPlaintext TestBalanceValidation
+
 # Gossip/topology gates: decentralized-timeline determinism across worker
 # counts under the race detector, the gossip-complete ≈ star-sync
 # equivalence check, the star-timeline golden re-check (gossip wiring must
