@@ -1,12 +1,20 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
 	"lumos/internal/core"
+	"lumos/internal/fed"
 	"lumos/internal/graph"
+	"lumos/internal/obs"
 )
 
 // These timelines were recorded at commit fa4bb06 — before the fleet
@@ -214,5 +222,233 @@ func TestGossipTimelineGolden(t *testing.T) {
 		if got := sys.NewReplica().Fingerprint(); got != want.print {
 			t.Errorf("%s: consensus fingerprint %#x, want %#x", want.name, got, want.print)
 		}
+	}
+}
+
+// runHashes pins one whole run as FNV-1a hashes: every RoundStats field
+// (floats by their bits), every Result field (DeviceEnergy included), the
+// virtual-clock tracer's Chrome bytes, the Prometheus scrape of a registry
+// attached only to Scenario.Metrics, and the final model's replica
+// fingerprint.
+type runHashes struct {
+	timeline, result, trace, metrics, replica uint64
+}
+
+// runGolden covers what the older goldens leave out: aggregator contention
+// with catch-ups, async with the energy policy and model selection, gossip
+// over FIFO links with model selection, drained fleets whose idle rounds
+// evaluate and select under both disciplines, and unsupervised gossip. Each
+// case's check asserts that its run exercises what the name says.
+var runGolden = []struct {
+	name  string
+	build func(t *testing.T) (*core.System, core.Objective, Scenario)
+	check func(t *testing.T, res *Result)
+	want  runHashes
+}{
+	{
+		name: "sync/zipf/contended/catch-ups",
+		build: func(t *testing.T) (*core.System, core.Objective, Scenario) {
+			sys, split := simSystem(t, core.SchedSync, 0, 0, 53)
+			cost := fed.DefaultCostModel()
+			cost.AggBytesPerSecond = 2e6
+			return sys, core.NewSupervisedObjective(split), Scenario{
+				Fleet: FleetZipf, Churn: 0.3, Rejoin: 0.5, Participation: 0.75,
+				Rounds: 6, EvalEvery: 3, Cost: cost, Seed: 53,
+			}
+		},
+		check: func(t *testing.T, res *Result) {
+			if sumRounds(res, func(rs RoundStats) int { return rs.CatchUps }) == 0 {
+				t.Error("no catch-ups")
+			}
+		},
+		want: runHashes{timeline: 0xd2595175656fa4c4, result: 0x6bb2e6bc52ae681b, trace: 0xd3479d18c1cbdbdd, metrics: 0x35cdf497cbe2b2, replica: 0x1f923afe1a1d41f1},
+	},
+	{
+		name: "async/periodic/energy/selection",
+		build: func(t *testing.T) (*core.System, core.Objective, Scenario) {
+			sys, split := simSystem(t, core.SchedAsync, 2, 0, 59)
+			return sys, core.NewSupervisedObjective(split), Scenario{
+				Fleet: FleetPeriodic, TracePeriod: 4, TraceDuty: 0.75,
+				Policy: PolicyEnergy, ModelSelection: true,
+				Rounds: 8, EvalEvery: 2, Seed: 59,
+			}
+		},
+		check: func(t *testing.T, res *Result) {
+			if sumRounds(res, func(rs RoundStats) int { return rs.Available - rs.Participants }) == 0 {
+				t.Error("the energy policy excluded nobody")
+			}
+			if sumRounds(res, func(rs RoundStats) int { return b2i(rs.ValEvaluated) }) == 0 {
+				t.Error("model selection never evaluated")
+			}
+		},
+		want: runHashes{timeline: 0x23740713347671c7, result: 0xd8dca53e3de3f396, trace: 0xbe7c4fdde388d315, metrics: 0xba8cff766ef21ad8, replica: 0xf4546ad0f80860bd},
+	},
+	{
+		name: "gossip/ba:2/fifo/churn/selection",
+		build: func(t *testing.T) (*core.System, core.Objective, Scenario) {
+			sys, split := simSystem(t, core.SchedGossip, 0, 0, 61)
+			return sys, core.NewSupervisedObjective(split), Scenario{
+				Fleet: FleetZipf, Churn: 0.2, Rejoin: 0.5, Participation: 0.8,
+				LinkDiscipline: "fifo", ModelSelection: true,
+				Rounds: 6, EvalEvery: 2, Seed: 61, Topology: mustTopo(t, "ba:2", sys.G.N, 61),
+			}
+		},
+		check: func(t *testing.T, res *Result) {
+			if sumRounds(res, func(rs RoundStats) int { return rs.Left }) == 0 {
+				t.Error("no churn")
+			}
+			if sumRounds(res, func(rs RoundStats) int { return b2i(rs.ValEvaluated) }) == 0 {
+				t.Error("model selection never evaluated")
+			}
+		},
+		want: runHashes{timeline: 0x9c97077beb497497, result: 0x9c4f8d9cf979eb6, trace: 0xc0e89dea57194f2e, metrics: 0x52320a83cafc8d5b, replica: 0xae2ff3d880930f1c},
+	},
+	{
+		name: "sync/drained/idle-selection",
+		build: func(t *testing.T) (*core.System, core.Objective, Scenario) {
+			sys, split := smallSystem(t, core.SchedSync, 0, 67)
+			return sys, core.NewSupervisedObjective(split), Scenario{
+				Churn: 0.6, Rejoin: -1, ModelSelection: true,
+				Rounds: 8, EvalEvery: 2, Seed: 67,
+			}
+		},
+		check: checkIdleSelection,
+		want:  runHashes{timeline: 0xb3c461f068993d43, result: 0xcae64cf6245bfab2, trace: 0xcc39a87c14467abb, metrics: 0x3bcc00cb90b3e9ed, replica: 0x500563b2e7bc83aa},
+	},
+	{
+		name: "gossip/drained/idle-selection",
+		build: func(t *testing.T) (*core.System, core.Objective, Scenario) {
+			sys, split := smallSystem(t, core.SchedGossip, 0, 67)
+			return sys, core.NewSupervisedObjective(split), Scenario{
+				Churn: 0.6, Rejoin: -1, ModelSelection: true,
+				Rounds: 8, EvalEvery: 2, Seed: 67, Topology: mustTopo(t, "ring:2", sys.G.N, 67),
+			}
+		},
+		check: checkIdleSelection,
+		want:  runHashes{timeline: 0x1fbae5d4f28a8f4f, result: 0xc755590ffcce795a, trace: 0xfe8453fcee628dfd, metrics: 0x99979a27b739d99f, replica: 0xa8610131ac43d7fe},
+	},
+	{
+		name: "gossip/unsupervised/ring:2",
+		build: func(t *testing.T) (*core.System, core.Objective, Scenario) {
+			sys, es := unsupSimSystem(t, core.SchedGossip, 0, 0, 71)
+			return sys, core.NewUnsupervisedObjective(es), Scenario{
+				Churn: 0.1, Participation: 0.8, Rounds: 4, EvalEvery: 2, Seed: 71,
+				Topology: mustTopo(t, "ring:2", sys.G.N, 71),
+			}
+		},
+		check: func(t *testing.T, res *Result) {
+			if res.Metric != "AUC" {
+				t.Errorf("metric %q, want AUC", res.Metric)
+			}
+		},
+		want: runHashes{timeline: 0x971e9762a86675ce, result: 0xe1253e75457d274e, trace: 0xe7078bb6c7ce918, metrics: 0x676eff9e5598c5a7, replica: 0xf1a7cdfcba321ee8},
+	},
+}
+
+// checkIdleSelection requires an idle round (nobody online) that still
+// evaluated the test and validation metrics.
+func checkIdleSelection(t *testing.T, res *Result) {
+	for _, rs := range res.Timeline {
+		if rs.Participants == 0 && rs.Evaluated && rs.ValEvaluated {
+			return
+		}
+	}
+	t.Error("no idle round evaluated and selected")
+}
+
+func sumRounds(res *Result, f func(RoundStats) int) int {
+	n := 0
+	for _, rs := range res.Timeline {
+		n += f(rs)
+	}
+	return n
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestRunGolden replays each whole-run golden with a tracer and a metrics
+// registry attached and compares every hash exactly.
+func TestRunGolden(t *testing.T) {
+	for _, c := range runGolden {
+		t.Run(c.name, func(t *testing.T) {
+			sys, obj, sc := c.build(t)
+			reg, tr := obs.New(), obs.NewVirtualTracer()
+			sc.Metrics, sc.Tracer = reg, tr
+			s, err := New(sys, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.check(t, res)
+			var trace, scrape bytes.Buffer
+			if err := tr.WriteChrome(&trace); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.WritePrometheus(&scrape); err != nil {
+				t.Fatal(err)
+			}
+			got := runHashes{
+				timeline: hashFields(res.Timeline),
+				result:   hashFields(*res),
+				trace:    hashBytes(trace.Bytes()),
+				metrics:  hashBytes(scrape.Bytes()),
+				replica:  sys.NewReplica().Fingerprint(),
+			}
+			if got != c.want {
+				t.Errorf("hashes %#v, want %#v", got, c.want)
+			}
+		})
+	}
+}
+
+func hashBytes(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// hashFields hashes every field of v, recursively, with floats by their
+// bits and slices and strings prefixed by their length.
+func hashFields(v any) uint64 {
+	h := fnv.New64a()
+	hashValue(h, reflect.ValueOf(v))
+	return h.Sum64()
+}
+
+func hashValue(h hash.Hash64, v reflect.Value) {
+	var b [8]byte
+	word := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			hashValue(h, v.Field(i))
+		}
+	case reflect.Slice:
+		word(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			hashValue(h, v.Index(i))
+		}
+	case reflect.String:
+		word(uint64(v.Len()))
+		h.Write([]byte(v.String()))
+	case reflect.Int, reflect.Int64:
+		word(uint64(v.Int()))
+	case reflect.Float64:
+		word(math.Float64bits(v.Float()))
+	case reflect.Bool:
+		word(uint64(b2i(v.Bool())))
+	default:
+		panic("hashValue: unhandled kind " + v.Kind().String())
 	}
 }
