@@ -1,50 +1,52 @@
 // Package sim is a deterministic discrete-event simulator for Lumos
-// deployments over heterogeneous, churning device fleets — the scenario lab
-// the ROADMAP asks for. It replaces the single-number fed.CostModel epoch
-// estimate with a per-round simulated timeline: a virtual clock orders
-// compute-done, message-arrival, and device join/leave events; per-device
-// Profiles built through internal/fleet — synthetic fleets (uniform, zipf,
-// periodic availability) or FedScale-style trace files (FleetTrace +
-// Scenario.Trace) — scale the analytic cost model's compute, bandwidth,
-// latency, and power terms, so the cost model remains the single per-event
-// cost source; and a Scenario layers churn, per-round partial participation
-// (sample K of the available devices), and staleness-bounded catch-up for
-// rejoining devices on top.
+// deployments over heterogeneous, churning device fleets. A virtual clock
+// orders compute-done, message-arrival, delta-delivery and device join/leave
+// events; per-device Profiles built through internal/fleet — synthetic
+// fleets (uniform, zipf, periodic availability) or FedScale-style trace
+// files (FleetTrace + Scenario.Trace) — scale the analytic fed.CostModel's
+// compute, bandwidth, latency and power terms, so the cost model stays the
+// single per-event cost source.
 //
-// Two deployment realities are modeled beyond independent links. With a
-// finite CostModel.AggBytesPerSecond, device uploads and post-commit model
-// broadcasts serialize through a deterministic M/G/1-style FIFO server at
-// the aggregator (fleet.Server), so large-fleet commit times reflect
-// queueing at the shared link; zero capacity reproduces the
-// independent-link timeline bit for bit (frozen in a golden test). Each
-// round also accounts the fleet's energy — per participant,
-// compute-seconds at the profile-scaled power draw plus radio bytes at the
-// cost model's energy-per-byte — into RoundStats.Energy and the Result
-// totals, enabling energy/metric trade-off studies of participation
-// policies (examples/energystudy).
+// Simulator.Run is one round loop for every scheduling discipline
+// (Config.Sched). Each round it
 //
-// Each committed round also drives the real training engine through
-// core.Session.StepRound — absent devices' shards are skipped (their
-// vertices keep serving cached embeddings until the cache ages out) and late
-// updates apply stale through the engine's delayed-gradient queue — so the
-// timeline carries true losses and evaluation metrics, not just timing. The
-// simulator is task-agnostic: Run takes a core.Objective, so the same
-// scenario machinery drives node classification (accuracy timeline) and
-// link prediction (negative-sampled logistic loss, AUC timeline) alike.
+//  1. applies churn at the round boundary and samples K of the available
+//     devices (Scenario.Churn, Participation, Policy);
+//  2. prices the round on the virtual clock: compute, uploads or gossip
+//     deltas, queueing at shared servers and the commit rule fix the commit
+//     time, wire bytes, energy, late and catch-up counts and every trace
+//     span — a round with nobody online idles one base interval;
+//  3. trains the model through core.Session.StepRound — absent devices'
+//     vertices keep serving cached embeddings until the cache ages out;
+//  4. evaluates scheduled rounds (EvalEvery and the last): the objective's
+//     test metric, plus its validation metric under Scenario.ModelSelection;
+//  5. records the round in the timeline, the Result totals, the metrics
+//     registry and the trace.
 //
-// Scheduling discipline comes from the system's Config.Sched: under
-// SchedSync every round is a barrier on the slowest participant; under
-// SchedAsync the aggregator commits once half the participants have
-// delivered, and a straggler may run up to Config.Staleness rounds behind
-// before it blocks a commit — amortizing its compute over staleness+1
-// rounds exactly as fed.CostModel.EpochTimeAsync models analytically.
+// Nothing training computes feeds back into the clock, so pricing never
+// touches the model; the disciplines differ only in pricing and in what
+// training does. SchedSync barriers each round on the slowest participant.
+// SchedAsync commits once half the participants have delivered, and a
+// straggler may run up to Config.Staleness rounds behind before it blocks a
+// commit — its update applies stale through the engine's delayed-gradient
+// queue, amortizing its compute exactly as fed.CostModel.EpochTimeAsync
+// models analytically. A device away longer than the bound re-downloads the
+// model first. With a finite CostModel.AggBytesPerSecond, uploads,
+// re-downloads and broadcasts serialize through a deterministic M/G/1-style
+// FIFO server at the aggregator (fleet.Server); zero capacity reproduces the
+// independent-link timeline bit for bit. SchedGossip has no aggregator:
+// device replicas step locally and mix with their Scenario.Topology
+// neighbours after exchanging deltas over per-link servers (gossip.go).
+// Every round charges each participant its compute at the profile-scaled
+// power draw plus its radio bytes (fed.CostModel.Energy). Run takes a
+// core.Objective, so node classification (accuracy) and link prediction
+// (AUC) share all of it.
 //
 // Determinism: the event queue breaks time ties by push order, every random
 // choice (fleet ranks, churn, participation sampling) draws from seeded
 // streams with a fixed consumption pattern, and the engine underneath is
 // bit-deterministic in the worker count — so the same seed and scenario
-// reproduce the identical timeline and final accuracy for every Workers
-// value.
+// reproduce the identical timeline and final metric for every Workers value.
 package sim
 
 import (

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -221,6 +223,38 @@ func TestSimDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSimulatorReuseFails: a Simulator runs once. A second Run would
+// continue from the first run's clock, availability, lag, energy, servers
+// and random streams, so it fails and says to build a new Simulator — under
+// star and gossip scheduling. An objective Run rejects up front does not
+// spend the simulator.
+func TestSimulatorReuseFails(t *testing.T) {
+	for _, tc := range []struct {
+		sched     core.Sched
+		staleness int
+	}{{core.SchedAsync, 2}, {core.SchedGossip, 0}} {
+		sys, split := simSystem(t, tc.sched, tc.staleness, 0, 19)
+		sc := churnScenario(6)
+		if tc.sched == core.SchedGossip {
+			sc.Topology = mustTopo(t, "ring:2", sys.G.N, 19)
+		}
+		s, err := New(sys, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(core.NewUnsupervisedObjective(nil)); err == nil {
+			t.Fatalf("%v: mismatched objective accepted", tc.sched)
+		}
+		if _, err := s.Run(core.NewSupervisedObjective(split)); err != nil {
+			t.Fatalf("%v: first run after a rejected objective: %v", tc.sched, err)
+		}
+		_, err = s.Run(core.NewSupervisedObjective(split))
+		if err == nil || !strings.Contains(err.Error(), "new Simulator") {
+			t.Fatalf("%v: second Run on one Simulator returned %v, want an error saying to build a new Simulator", tc.sched, err)
+		}
+	}
+}
+
 // unsupSimSystem assembles a link-prediction system (training-edge subgraph
 // + full graph) with one device per shard, plus the edge split whose
 // val/test edges drive model evaluation.
@@ -359,38 +393,78 @@ func TestAsyncBeatsSyncUnderChurn(t *testing.T) {
 	}
 }
 
-// TestTimelineInvariants checks the structural sanity of a churny run:
-// monotone commits, bounded participation, positive traffic on training
-// rounds, and a usable final model.
+// TestTimelineInvariants checks a churny run's structure and accounting as
+// conservation laws, over every discipline and 20 seeds: monotone commits
+// that chain round to round, bounded participation, per-round totals that
+// sum to the Result's, and counters that only their discipline can move.
 func TestTimelineInvariants(t *testing.T) {
-	sys, split := simSystem(t, core.SchedSync, 0, 0, 19)
-	s, err := New(sys, churnScenario(12))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		sched     core.Sched
+		staleness int
+	}{
+		{"sync", core.SchedSync, 0},
+		{"async", core.SchedAsync, 2},
+		{"gossip", core.SchedGossip, 0},
+	} {
+		for seed := int64(1); seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				sys, split := simSystem(t, tc.sched, tc.staleness, 0, seed)
+				sc := churnScenario(12)
+				sc.Participation, sc.Seed = 0.7, seed
+				if tc.sched == core.SchedGossip {
+					sc.Topology = mustTopo(t, "ba:2", sys.G.N, seed)
+				}
+				s, err := New(sys, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run(core.NewSupervisedObjective(split))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkTimeline(t, sys.G.N, tc.sched, res)
+			})
+		}
 	}
-	res, err := s.Run(core.NewSupervisedObjective(split))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkTimeline(t *testing.T, n int, sched core.Sched, res *Result) {
+	t.Helper()
 	if len(res.Timeline) != 12 {
 		t.Fatalf("timeline has %d rounds, want 12", len(res.Timeline))
 	}
 	prev := 0.0
 	churned := false
+	var bytes int64
+	stale, dropped, participants := 0, 0, 0
 	for _, rs := range res.Timeline {
-		if rs.Commit < rs.Start || rs.Start < prev {
-			t.Fatalf("round %d: non-monotone clock (start %v commit %v prev %v)", rs.Round, rs.Start, rs.Commit, prev)
+		if rs.Start != prev || rs.Commit < rs.Start {
+			t.Fatalf("round %d: clock (start %v commit %v) does not follow the previous commit %v", rs.Round, rs.Start, rs.Commit, prev)
 		}
 		prev = rs.Commit
-		if rs.Participants > rs.Available || rs.Available > sys.G.N {
-			t.Fatalf("round %d: %d participants of %d available of %d devices", rs.Round, rs.Participants, rs.Available, sys.G.N)
+		if rs.Participants > rs.Available || rs.Available > n {
+			t.Fatalf("round %d: %d participants of %d available of %d devices", rs.Round, rs.Participants, rs.Available, n)
 		}
-		if !rs.Skipped && (rs.Bytes <= 0 || rs.Participants == 0) {
-			t.Fatalf("round %d: trained with no traffic or participants: %+v", rs.Round, rs)
+		if rs.Late > rs.Participants || (rs.Late > 0 && sched != core.SchedAsync) {
+			t.Fatalf("round %d: %d late of %d participants under %v", rs.Round, rs.Late, rs.Participants, sched)
+		}
+		if rs.CatchUps > 0 && sched == core.SchedGossip {
+			t.Fatalf("round %d: %d catch-ups under gossip", rs.Round, rs.CatchUps)
+		}
+		if rs.Participants == 0 && !rs.Skipped {
+			t.Fatalf("round %d: trained with nobody online: %+v", rs.Round, rs)
+		}
+		if !rs.Skipped && sched != core.SchedGossip && rs.Bytes <= 0 {
+			t.Fatalf("round %d: trained with no traffic: %+v", rs.Round, rs)
 		}
 		if rs.Joined > 0 || rs.Left > 0 {
 			churned = true
 		}
+		bytes += rs.Bytes
+		stale += rs.StaleApplied
+		dropped += rs.Dropped
+		participants += rs.Participants
 	}
 	if !churned {
 		t.Fatal("25% churn over 12 rounds produced no join/leave events")
@@ -398,11 +472,23 @@ func TestTimelineInvariants(t *testing.T) {
 	if res.WallClock != prev {
 		t.Fatalf("wall clock %v != last commit %v", res.WallClock, prev)
 	}
-	if res.FinalMetric <= 0 {
-		t.Fatalf("final accuracy %v", res.FinalMetric)
+	if bytes != res.TotalBytes || stale != res.StaleApplied || dropped != res.Dropped {
+		t.Fatalf("rounds sum to (bytes %d, stale %d, dropped %d), result says (%d, %d, %d)",
+			bytes, stale, dropped, res.TotalBytes, res.StaleApplied, res.Dropped)
 	}
-	if res.TotalBytes <= 0 {
-		t.Fatal("no bytes on the wire")
+	if mean := float64(participants) / float64(len(res.Timeline)); res.MeanParticipants != mean {
+		t.Fatalf("mean participants %v, rounds average %v", res.MeanParticipants, mean)
+	}
+	// The per-device and per-round energy sums add in different orders.
+	perDev := 0.0
+	for _, e := range res.DeviceEnergy {
+		perDev += e
+	}
+	if math.Abs(perDev-res.TotalEnergy) > 1e-12*res.TotalEnergy {
+		t.Fatalf("device energies sum to %v, total %v", perDev, res.TotalEnergy)
+	}
+	if res.FinalMetric <= 0 || res.TotalBytes <= 0 {
+		t.Fatalf("final metric %v, total bytes %d", res.FinalMetric, res.TotalBytes)
 	}
 }
 
@@ -659,33 +745,63 @@ func TestTraceFleetDrivesSimulator(t *testing.T) {
 
 // TestSimModelSelection: with Scenario.ModelSelection on, evaluated rounds
 // carry the validation metric and the final model is the best-validation
-// snapshot rather than the last committed one.
+// one rather than the last committed one — under every discipline. The
+// restored model is the one the selected round's test metric was measured
+// on, so the final metric equals that round's exactly.
 func TestSimModelSelection(t *testing.T) {
-	sys, split := simSystem(t, core.SchedSync, 0, 0, 19)
-	sc := churnScenario(8)
-	sc.EvalEvery, sc.ModelSelection = 2, true
-	s, err := New(sys, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(core.NewSupervisedObjective(split))
-	if err != nil {
-		t.Fatal(err)
-	}
-	evaluated := 0
-	for _, rs := range res.Timeline {
-		if rs.Evaluated != rs.ValEvaluated {
-			t.Fatalf("round %d: test and validation evaluation cadences diverge: %+v", rs.Round, rs)
-		}
-		if rs.ValEvaluated {
-			evaluated++
-			if rs.ValMetric <= 0 {
-				t.Fatalf("round %d: validation metric %v", rs.Round, rs.ValMetric)
+	for _, tc := range []struct {
+		name      string
+		sched     core.Sched
+		staleness int
+	}{
+		{"sync", core.SchedSync, 0},
+		{"async", core.SchedAsync, 2},
+		{"gossip", core.SchedGossip, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, split := simSystem(t, tc.sched, tc.staleness, 0, 17)
+			sc := churnScenario(8)
+			sc.EvalEvery, sc.ModelSelection = 2, true
+			if tc.sched == core.SchedGossip {
+				sc.Topology = mustTopo(t, "ba:2", sys.G.N, 17)
 			}
-		}
-	}
-	if evaluated == 0 {
-		t.Fatal("model selection never evaluated")
+			s, err := New(sys, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(core.NewSupervisedObjective(split))
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := -1
+			for i, rs := range res.Timeline {
+				if rs.Evaluated != rs.ValEvaluated {
+					t.Fatalf("round %d: test and validation evaluation cadences diverge: %+v", rs.Round, rs)
+				}
+				if !rs.ValEvaluated {
+					continue
+				}
+				if rs.ValMetric <= 0 {
+					t.Fatalf("round %d: validation metric %v", rs.Round, rs.ValMetric)
+				}
+				if best < 0 || rs.ValMetric > res.Timeline[best].ValMetric {
+					best = i
+				}
+			}
+			if best < 0 {
+				t.Fatal("model selection never evaluated")
+			}
+			// The seed is chosen so that the selected round's test metric
+			// differs from the last round's: a run that skipped the restore
+			// fails below.
+			if want, last := res.Timeline[best].Metric, res.Timeline[len(res.Timeline)-1].Metric; want == last {
+				t.Fatalf("selected round %d scores the last round's %v: the scenario cannot tell a restore from none", best, last)
+			}
+			if want := res.Timeline[best].Metric; res.FinalMetric != want {
+				t.Fatalf("final metric %v, want round %d's %v (best validation %v)",
+					res.FinalMetric, best, want, res.Timeline[best].ValMetric)
+			}
+		})
 	}
 }
 

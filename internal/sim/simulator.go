@@ -48,7 +48,11 @@ type Simulator struct {
 	topo     *topo.Topology
 	links    map[[2]int]*fleet.Server
 	linkDisc fleet.Discipline
-	gossip   gossipScratch
+
+	scratch roundScratch
+	// ran is set once Run starts simulating: the clock, the fleet state, the
+	// servers and both random streams then belong to that run.
+	ran bool
 
 	// projected is each device's projected per-round energy spend in joules
 	// and budget the PolicyEnergy cutoff — both fixed at construction, so
@@ -239,10 +243,12 @@ func (s *Simulator) Profiles() []Profile {
 // session of the given objective round by round, and returns the timeline.
 // The objective supplies the task's training signal (only present devices
 // contribute), its wire traffic, and the evaluation metric the timeline's
-// Metric points carry (accuracy or AUC).
+// Metric points carry (accuracy or AUC). A Simulator runs once: a second
+// Run fails, because the first one spent its clock, fleet state and random
+// streams — build a new Simulator for every run.
 func (s *Simulator) Run(obj core.Objective) (*Result, error) {
-	if s.sys.Cfg.Sched == core.SchedGossip {
-		return s.runGossip(obj)
+	if s.ran {
+		return nil, fmt.Errorf("sim: Run called twice on one Simulator; build a new Simulator for each run")
 	}
 	sess, err := s.sys.NewSession(obj)
 	if err != nil {
@@ -253,11 +259,17 @@ func (s *Simulator) Run(obj core.Objective) (*Result, error) {
 		// failing after the rounds have been simulated.
 		return nil, fmt.Errorf("sim: objective carries no test data to evaluate the timeline with")
 	}
+	s.ran = true
 	n := s.sys.G.N
-	sched := s.sys.Cfg.Sched
-	bound := s.sys.Cfg.Staleness
+	gossip := s.sys.Cfg.Sched == core.SchedGossip
+	s.scratch.init(n)
+	var tm trainer = starTrainer{s: s, sess: sess}
+	track := "aggregator"
+	if gossip {
+		tm, track = newGossipTrainer(s, sess), "gossip"
+	}
 	if s.tr != nil {
-		s.tr.SetTrackName(roundTrack, "aggregator")
+		s.tr.SetTrackName(roundTrack, track)
 		for d := 0; d < n; d++ {
 			s.tr.SetTrackName(d+1, fmt.Sprintf("device %d", d))
 		}
@@ -267,8 +279,8 @@ func (s *Simulator) Run(obj core.Objective) (*Result, error) {
 	for r := 0; r < s.sc.Rounds; r++ {
 		rs := RoundStats{Round: r, Start: prev}
 
-		// 1. Churn: join/leave events land on the queue at the round
-		// boundary and are processed in deterministic order.
+		// Churn: join/leave events land on the queue at the round boundary
+		// and are processed in deterministic order.
 		s.scheduleChurn(r, prev)
 		s.drainBoundary(prev, &rs)
 		for _, a := range s.avail {
@@ -277,145 +289,41 @@ func (s *Simulator) Run(obj core.Objective) (*Result, error) {
 			}
 		}
 
-		// 2. Partial participation: sample K of the available devices.
+		// Partial participation: sample K of the available devices.
 		participants := s.sample()
 		rs.Participants = len(participants)
+		present := s.scratch.present
+		clear(present)
+		for _, d := range participants {
+			present[d] = true
+		}
 		evalRound := (s.sc.EvalEvery > 0 && (r+1)%s.sc.EvalEvery == 0) || r == s.sc.Rounds-1
-		if len(participants) == 0 {
-			// Nobody online: the fleet idles for one base interval, but the
-			// round still happens at the aggregator — queued stale gradients
-			// come due and the partial caches age (engine skip path). Those
-			// stale applies mutate the model, so a scheduled evaluation (and
-			// its model-selection snapshot) still runs here.
-			out, err := sess.StepRound(core.RoundPlan{
-				Active: make([]bool, n), TTL: s.sc.PartialTTL,
-				Evaluate: evalRound && s.sc.ModelSelection,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("sim: round %d: %w", r, err)
-			}
-			rs.StaleApplied = out.StaleApplied
-			res.StaleApplied += out.StaleApplied
-			rs.ValMetric, rs.ValEvaluated = out.ValMetric, out.ValEvaluated
-			if evalRound {
-				m, err := sess.TestMetric()
-				if err != nil {
-					return nil, fmt.Errorf("sim: round %d evaluation: %w", r, err)
-				}
-				rs.Metric, rs.Evaluated = m, true
-			}
-			prev += s.sc.Cost.BaseCompute.Seconds() + s.sc.Cost.MsgLatency.Seconds()
-			rs.Commit, rs.Skipped = prev, true
-			s.commits = append(s.commits, prev)
-			s.recordRound(&rs)
-			res.Timeline = append(res.Timeline, rs)
-			continue
-		}
 
-		// 3. Compute-done and message-arrival events on the virtual clock.
-		// Under sync every participant waits for the latest model (the
-		// previous commit); under bounded staleness a device may start from
-		// any model at most `bound` commits old, so fast devices pipeline.
-		modelReady := prev
-		if sched == core.SchedAsync {
-			if idx := r - 1 - bound; idx >= 0 {
-				modelReady = s.commits[idx]
-			} else {
-				modelReady = 0
-			}
+		// Price the round on the virtual clock. Nothing training computes
+		// feeds back into the clock, so the round is priced in full before
+		// the model moves.
+		var err error
+		switch {
+		case len(participants) == 0:
+			// Nobody online: the fleet idles for one base interval.
+			rs.Commit = prev + (s.sc.Cost.BaseCompute.Seconds() + s.sc.Cost.MsgLatency.Seconds())
+		case gossip:
+			rs.Commit, err = s.priceGossip(r, participants, prev, &rs)
+		default:
+			rs.Commit = s.priceStar(r, participants, prev, &rs)
 		}
-		for _, d := range participants {
-			start := s.freeAt[d]
-			if start < modelReady {
-				start = modelReady
-			}
-			// Staleness-bounded catch-up: a device away longer than the lag
-			// budget re-downloads the model before it can compute.
-			gap := r + 1
-			if s.lastPart[d] >= 0 {
-				gap = r - s.lastPart[d]
-			}
-			radioBytes := s.up[d] + s.model // upload + post-commit broadcast
-			if gap > bound+1 {
-				// The re-download's model bytes cross the shared aggregator
-				// link like any other traffic: the download is served (and
-				// occupies the server) before the device's own link time.
-				caught := s.agg.Serve(start, s.model) + s.downTime(d)
-				if s.tr != nil {
-					s.tr.Span(d+1, "device", "catch-up", start, caught,
-						map[string]any{"round": r})
-				}
-				start = caught
-				rs.CatchUps++
-				radioBytes += s.model // catch-up re-download
-			}
-			ct := s.computeTime(d)
-			if s.tr != nil {
-				s.tr.Span(d+1, "device", "compute", start, start+ct,
-					map[string]any{"round": r})
-			}
-			s.push(evComputeDone, start+ct, d, r)
-			// Energy: active compute at the profile-scaled power draw plus
-			// every byte this device moves over its radio this round.
-			e := s.sc.Cost.Energy(ct, s.profiles[d].Power, radioBytes)
-			s.energy[d] += e
-			rs.Energy += e
+		if err == nil {
+			err = tm.train(participants, evalRound, &rs)
 		}
-		arr := make([]float64, n)
-		s.drainRound(arr)
-
-		// 4. Commit: barrier (sync) or quorum-plus-blocked-stragglers
-		// (async), then fold the round into the model.
-		commit, devDelay := s.commitRound(sched, bound, r, participants, arr, prev, &rs)
-
-		// Downlink contention: the post-commit model broadcast to every
-		// participant serializes through the shared aggregator link, so the
-		// round is not over — and the next model not ready — until the last
-		// copy is out. The server is FIFO: under async it may still be
-		// serving straggler uploads past the quorum commit, and the
-		// broadcast queues behind them. With contention disabled Serve is a
-		// pass-through, matching the independent-link model.
-		preBroadcast := commit
-		commit = s.agg.Serve(commit, int64(len(participants))*s.model)
-		if s.tr != nil && commit > preBroadcast {
-			s.tr.Span(roundTrack, "agg", "broadcast", preBroadcast, commit,
-				map[string]any{"round": r, "participants": len(participants)})
+		if err == nil && evalRound {
+			err = tm.evaluate(&rs)
 		}
-
-		activeDev := make([]bool, n)
-		for _, d := range participants {
-			activeDev[d] = true
-		}
-		out, err := sess.StepRound(core.RoundPlan{
-			Active: activeDev, Delays: devDelay, TTL: s.sc.PartialTTL,
-			Evaluate: evalRound && s.sc.ModelSelection,
-		})
 		if err != nil {
 			return nil, fmt.Errorf("sim: round %d: %w", r, err)
 		}
-		rs.Loss = out.Loss
-		rs.Skipped = out.Skipped
-		rs.StaleApplied = out.StaleApplied
-		rs.Dropped = out.ExpiredParts
-		rs.ValMetric, rs.ValEvaluated = out.ValMetric, out.ValEvaluated
-		for _, d := range participants {
-			rs.Bytes += s.up[d]
-		}
-		// Downlink: the post-aggregation model broadcast to every
-		// participant, plus the catch-up re-downloads already charged to the
-		// timing model.
-		rs.Bytes += int64(len(participants)+rs.CatchUps) * s.model
-		rs.Commit = commit
-		s.commits = append(s.commits, commit)
-		prev = commit
+		s.commits = append(s.commits, rs.Commit)
+		prev = rs.Commit
 
-		if evalRound {
-			m, err := sess.TestMetric()
-			if err != nil {
-				return nil, fmt.Errorf("sim: round %d evaluation: %w", r, err)
-			}
-			rs.Metric, rs.Evaluated = m, true
-		}
 		s.recordRound(&rs)
 		res.Timeline = append(res.Timeline, rs)
 		res.TotalBytes += rs.Bytes
@@ -423,7 +331,9 @@ func (s *Simulator) Run(obj core.Objective) (*Result, error) {
 		res.Dropped += rs.Dropped
 		res.TotalEnergy += rs.Energy
 	}
-	sess.FinishRounds()
+	if err := tm.finish(); err != nil {
+		return nil, fmt.Errorf("sim: final model: %w", err)
+	}
 	final, err := sess.TestMetric()
 	if err != nil {
 		return nil, fmt.Errorf("sim: final evaluation: %w", err)
@@ -437,6 +347,90 @@ func (s *Simulator) Run(obj core.Objective) (*Result, error) {
 	res.MeanParticipants = float64(total) / float64(len(res.Timeline))
 	res.DeviceEnergy = append([]float64(nil), s.energy...)
 	return res, nil
+}
+
+// A trainer is what a scheduling discipline does to the model; the rest of
+// a round is Run's. Idle rounds train too: the star aggregator still applies
+// due stale gradients in them.
+type trainer interface {
+	train(participants []int, evalRound bool, rs *RoundStats) error
+	// evaluate records the round's test metric, and its validation metric
+	// under model selection.
+	evaluate(rs *RoundStats) error
+	// finish installs the model the final metric is measured on.
+	finish() error
+}
+
+// starTrainer trains the aggregator's one model: one Session.StepRound per
+// round under the participation mask and the priced gradient delays. With
+// nobody online the mask is all false and the engine takes its skip path —
+// queued stale gradients come due and the partial caches age. Model
+// selection happens inside StepRound (RoundPlan.Evaluate) and FinishRounds
+// restores the best snapshot.
+type starTrainer struct {
+	s    *Simulator
+	sess *core.Session
+}
+
+func (t starTrainer) train(_ []int, evalRound bool, rs *RoundStats) error {
+	out, err := t.sess.StepRound(core.RoundPlan{
+		Active: t.s.scratch.present, Delays: t.s.scratch.delay, TTL: t.s.sc.PartialTTL,
+		Evaluate: evalRound && t.s.sc.ModelSelection,
+	})
+	if err != nil {
+		return err
+	}
+	rs.Loss, rs.Skipped = out.Loss, out.Skipped
+	rs.StaleApplied, rs.Dropped = out.StaleApplied, out.ExpiredParts
+	rs.ValMetric, rs.ValEvaluated = out.ValMetric, out.ValEvaluated
+	return nil
+}
+
+func (t starTrainer) evaluate(rs *RoundStats) error {
+	m, err := t.sess.TestMetric()
+	if err != nil {
+		return fmt.Errorf("evaluation: %w", err)
+	}
+	rs.Metric, rs.Evaluated = m, true
+	return nil
+}
+
+func (t starTrainer) finish() error {
+	t.sess.FinishRounds()
+	return nil
+}
+
+// roundScratch is the round loop's working memory, allocated once per run
+// and overwritten every round, so a steady-state round allocates only what
+// the engine step, the link servers and the event queue do.
+type roundScratch struct {
+	present []bool // this round's participants
+	// end is when each participant's round work is done: its update served
+	// at the aggregator (star), or its compute and every inbound delta
+	// delivered (gossip). Valid for participants only.
+	end []float64
+	// delay is each device's gradient delay in rounds (star); sorted holds
+	// the participants' delivery times in ascending order (async).
+	delay  []int
+	sorted []float64
+	// Gossip: computeDone per participant; jobs and meta queue each live
+	// link's deltas (keys: this round's live links, ascending), and emptied
+	// slices stay in the maps for the next round.
+	computeDone []float64
+	jobs        map[[2]int][]fleet.Job
+	meta        map[[2]int][]deltaMeta
+	keys        [][2]int
+}
+
+func (sc *roundScratch) init(n int) {
+	*sc = roundScratch{
+		present:     make([]bool, n),
+		end:         make([]float64, n),
+		delay:       make([]int, n),
+		computeDone: make([]float64, n),
+		jobs:        make(map[[2]int][]fleet.Job),
+		meta:        make(map[[2]int][]deltaMeta),
+	}
 }
 
 // scheduleChurn pushes this round's join/leave events at the round boundary.
@@ -491,13 +485,93 @@ func (s *Simulator) drainBoundary(now float64, rs *RoundStats) {
 	}
 }
 
+// priceStar prices one star round on the virtual clock and returns its
+// commit time: compute-done and upload events per participant, delivery
+// through the aggregator's shared link, the commit rule, and the model
+// broadcast. It charges the round's bytes and energy and leaves the
+// participants' gradient delays in the scratch for the trainer.
+func (s *Simulator) priceStar(r int, participants []int, prev float64, rs *RoundStats) float64 {
+	// Under sync every participant waits for the latest model (the previous
+	// commit); under bounded staleness a device may start from any model at
+	// most `bound` commits old, so fast devices pipeline.
+	bound := s.sys.Cfg.Staleness
+	modelReady := prev
+	if s.sys.Cfg.Sched == core.SchedAsync {
+		modelReady = 0
+		if idx := r - 1 - bound; idx >= 0 {
+			modelReady = s.commits[idx]
+		}
+	}
+	for _, d := range participants {
+		start := s.freeAt[d]
+		if start < modelReady {
+			start = modelReady
+		}
+		// Staleness-bounded catch-up: a device away longer than the lag
+		// budget re-downloads the model before it can compute.
+		gap := r + 1
+		if s.lastPart[d] >= 0 {
+			gap = r - s.lastPart[d]
+		}
+		radioBytes := s.up[d] + s.model // upload + post-commit broadcast
+		if gap > bound+1 {
+			// The re-download's model bytes cross the shared aggregator
+			// link like any other traffic: the download is served (and
+			// occupies the server) before the device's own link time.
+			caught := s.agg.Serve(start, s.model) + s.downTime(d)
+			if s.tr != nil {
+				s.tr.Span(d+1, "device", "catch-up", start, caught,
+					map[string]any{"round": r})
+			}
+			start = caught
+			rs.CatchUps++
+			radioBytes += s.model // catch-up re-download
+		}
+		ct := s.computeTime(d)
+		if s.tr != nil {
+			s.tr.Span(d+1, "device", "compute", start, start+ct,
+				map[string]any{"round": r})
+		}
+		s.push(evComputeDone, start+ct, d, r)
+		// Energy: active compute at the profile-scaled power draw plus
+		// every byte this device moves over its radio this round.
+		e := s.sc.Cost.Energy(ct, s.profiles[d].Power, radioBytes)
+		s.energy[d] += e
+		rs.Energy += e
+	}
+	s.drainRound()
+	commit := s.commitRound(r, participants, prev, rs)
+
+	// Downlink contention: the post-commit model broadcast to every
+	// participant serializes through the shared aggregator link, so the
+	// round is not over — and the next model not ready — until the last
+	// copy is out. The server is FIFO: under async it may still be serving
+	// straggler uploads past the quorum commit, and the broadcast queues
+	// behind them. With contention disabled Serve is a pass-through,
+	// matching the independent-link model.
+	preBroadcast := commit
+	commit = s.agg.Serve(commit, int64(len(participants))*s.model)
+	if s.tr != nil && commit > preBroadcast {
+		s.tr.Span(roundTrack, "agg", "broadcast", preBroadcast, commit,
+			map[string]any{"round": r, "participants": len(participants)})
+	}
+
+	for _, d := range participants {
+		rs.Bytes += s.up[d]
+	}
+	// Downlink: the post-aggregation model broadcast to every participant,
+	// plus the catch-up re-downloads already charged to the timing model.
+	rs.Bytes += int64(len(participants)+rs.CatchUps) * s.model
+	return commit
+}
+
 // drainRound runs the virtual clock until every in-flight compute and
 // message event has fired, recording each participant's arrival time. An
 // arrival marks the update reaching the aggregator's ingress over the
 // device's own link; with contention enabled it must then be served by the
 // shared M/G/1-style server — updates queue behind each other (FIFO in
-// deterministic event order) — before it counts as delivered.
-func (s *Simulator) drainRound(arr []float64) {
+// deterministic event order) — before it counts as delivered (scratch.end).
+func (s *Simulator) drainRound() {
 	for s.q.Len() > 0 {
 		e := heap.Pop(&s.q).(*event)
 		switch e.kind {
@@ -516,7 +590,7 @@ func (s *Simulator) drainRound(arr []float64) {
 				s.tr.Span(e.device+1, "device", "agg-serve", e.at, served,
 					map[string]any{"round": e.round})
 			}
-			arr[e.device] = served
+			s.scratch.end[e.device] = served
 		}
 	}
 }
@@ -575,12 +649,13 @@ func (s *Simulator) sample() []int {
 // slowest participant; under async the aggregator commits once half the
 // participants have delivered, plus every straggler whose lag budget is
 // spent (lag == staleness bound) — bounding staleness exactly as the
-// engine's delayed-gradient queue assumes. Returns the commit time and the
-// per-device gradient delays (in rounds) to feed the engine.
-func (s *Simulator) commitRound(sched core.Sched, bound, r int, participants []int, arr []float64, prev float64, rs *RoundStats) (float64, []int) {
-	devDelay := make([]int, len(arr))
+// engine's delayed-gradient queue assumes. Returns the commit time and
+// leaves the per-device gradient delays (in rounds) in scratch.delay.
+func (s *Simulator) commitRound(r int, participants []int, prev float64, rs *RoundStats) float64 {
+	arr, delay := s.scratch.end, s.scratch.delay
+	clear(delay)
 	commit := prev
-	if sched == core.SchedSync {
+	if s.sys.Cfg.Sched == core.SchedSync {
 		for _, d := range participants {
 			if arr[d] > commit {
 				commit = arr[d]
@@ -588,11 +663,13 @@ func (s *Simulator) commitRound(sched core.Sched, bound, r int, participants []i
 			s.lag[d] = 0
 		}
 	} else {
-		sorted := make([]float64, 0, len(participants))
+		bound := s.sys.Cfg.Staleness
+		sorted := s.scratch.sorted[:0]
 		for _, d := range participants {
 			sorted = append(sorted, arr[d])
 		}
 		sort.Float64s(sorted)
+		s.scratch.sorted = sorted
 		if t := sorted[(len(sorted)+1)/2-1]; t > commit {
 			commit = t
 		}
@@ -610,7 +687,7 @@ func (s *Simulator) commitRound(sched core.Sched, bound, r int, participants []i
 			if s.lag[d] > bound {
 				s.lag[d] = bound
 			}
-			devDelay[d] = s.lag[d]
+			delay[d] = s.lag[d]
 			rs.Late++
 		}
 	}
@@ -618,7 +695,7 @@ func (s *Simulator) commitRound(sched core.Sched, bound, r int, participants []i
 		s.freeAt[d] = arr[d]
 		s.lastPart[d] = r
 	}
-	return commit, devDelay
+	return commit
 }
 
 // computeTime is device d's local forward/backward time in seconds: the

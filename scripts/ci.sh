@@ -143,6 +143,13 @@ gate plain ./internal/balance TestBalanceSecureGolden TestBalanceSecureMatchesPl
 # unless every topology lands within 5% of the star final at equal rounds).
 gate race ./internal/sim TestGossipDeterminismAcrossWorkers TestGossipCompleteMatchesStarSync
 gate plain ./internal/sim TestPreFleetTimelineGolden
+
+# One simulator round loop for star and gossip: the whole-run golden (every
+# timeline and result field, the virtual-clock trace, the metrics scrape and
+# the final model, recorded before the two loops were merged), the
+# conservation laws over disciplines and seeds, best-round model selection
+# under every discipline, and the refusal to run one Simulator twice.
+gate plain ./internal/sim TestRunGolden TestTimelineInvariants TestSimModelSelection TestSimulatorReuseFails
 gate plain . \
 	TestEntryPointsBuildAndRun/lumos-sim-gossip \
 	TestEntryPointsBuildAndRun/examples/topologystudy
