@@ -8,16 +8,6 @@ import (
 	"lumos/internal/tensor"
 )
 
-func TestGradSoftmaxCrossEntropy(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	logits := randVar(5, 3, rng)
-	labels := []int{0, 2, 1, 1, 0}
-	weights := []float64{1, 0, 2, 1, 0.5}
-	gradCheck(t, "softmaxCE", []*Value{logits}, func() *Value {
-		return SoftmaxCrossEntropy(logits, labels, weights)
-	})
-}
-
 func TestSoftmaxCrossEntropyValue(t *testing.T) {
 	// Uniform logits over C classes → loss = ln C.
 	logits := Const(tensor.New(4, 3))
@@ -59,15 +49,6 @@ func TestSoftmaxCrossEntropyBadLabelPanics(t *testing.T) {
 	SoftmaxCrossEntropy(Const(tensor.New(1, 2)), []int{5}, nil)
 }
 
-func TestGradLogisticLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	scores := randVar(6, 1, rng)
-	ys := []float64{1, -1, 1, -1, 1, -1}
-	gradCheck(t, "logistic", []*Value{scores}, func() *Value {
-		return LogisticLoss(scores, ys)
-	})
-}
-
 func TestLogisticLossValues(t *testing.T) {
 	// score 0 → loss ln2 regardless of label.
 	s := Const(tensor.New(2, 1))
@@ -89,21 +70,6 @@ func TestLogisticLossValues(t *testing.T) {
 	}
 }
 
-func TestGradNoisyLabelCE(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	logits := randVar(4, 3, rng)
-	noisy := []int{0, 1, 2, 1}
-	weights := []float64{1, 1, 0, 2}
-	T := [][]float64{
-		{0.8, 0.1, 0.1},
-		{0.1, 0.8, 0.1},
-		{0.1, 0.1, 0.8},
-	}
-	gradCheck(t, "noisyCE", []*Value{logits}, func() *Value {
-		return NoisyLabelCE(logits, noisy, T, weights)
-	})
-}
-
 func TestNoisyLabelCEIdentityMatchesPlainCE(t *testing.T) {
 	// With T = I the forward-corrected loss is ordinary cross-entropy.
 	rng := rand.New(rand.NewSource(23))
@@ -117,13 +83,6 @@ func TestNoisyLabelCEIdentityMatchesPlainCE(t *testing.T) {
 	if math.Abs(a-b) > 1e-9 {
 		t.Fatalf("identity-T loss %v != CE %v", a, b)
 	}
-}
-
-func TestGradSumMeanSquares(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	a := randVar(3, 4, rng)
-	gradCheck(t, "meanall", []*Value{a}, func() *Value { return MeanAll(a) })
-	gradCheck(t, "sumsquares", []*Value{a}, func() *Value { return SumSquares(a) })
 }
 
 func TestSoftplusStable(t *testing.T) {

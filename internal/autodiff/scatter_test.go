@@ -97,25 +97,6 @@ func (c scatterCase) leaves(tp *Tape) []*Value {
 	return out
 }
 
-func TestGradScatterAddN(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b, c := randVar(3, 2, rng), randVar(1, 2, rng), randVar(2, 2, rng)
-	idx := [][]int{{0, 2, 4}, {2}, {2, 3}}
-	gradCheck(t, "scatteraddn", []*Value{a, b, c}, func() *Value {
-		return SumSquares(ScatterAddN(6, []*Value{a, b, c}, nil, idx))
-	})
-	// A row list may also name a row twice.
-	gradCheck(t, "scatteraddn/repeat", []*Value{a}, func() *Value {
-		return SumSquares(ScatterAddN(3, []*Value{a}, nil, [][]int{{1, 1, 0}}))
-	})
-	// Source-row lists: a and c contribute strict subsets of their rows,
-	// b all of its; row 3 receives two of a's rows and b's.
-	gradCheck(t, "scatteraddn/rows", []*Value{a, b, c}, func() *Value {
-		return SumSquares(ScatterAddN(4, []*Value{a, b, c},
-			[][]int{{0, 2}, nil, {1}}, [][]int{{3, 3}, {3}, {0}}))
-	})
-}
-
 // TestScatterAddNMatchesDenseOracle: forward data and every part's gradient
 // equal the dense oracle's bit for bit, over random row partitions (shared
 // row, one-row part, constant part, single-part call), reading every part
