@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -152,6 +155,67 @@ func TestStepRoundSkips(t *testing.T) {
 	if !out.Skipped {
 		t.Fatal("round with no training vertex not skipped")
 	}
+}
+
+// noTermRoundGolden is TestNoTermRound's loss per round and parameter hash
+// after the second, recorded when the zero pooled value and the head above
+// it were built without a tape.
+var noTermRoundGolden = struct {
+	losses []float64
+	params uint64
+}{
+	losses: []float64{0x1.62e42fefa39efp-01, 0x1.61e498c492188p-01},
+	params: 0xeef644eeec12351d,
+}
+
+// TestNoTermRound pins the round whose combine has no term: at Shards=5 the
+// present devices leave every shard below half participation, and no shard
+// has a live cache, so the pooled embeddings are all zero and only the head
+// learns. Two such rounds run back to back (the second on a reused tape).
+func TestNoTermRound(t *testing.T) {
+	g := engineGraph(t, 36)
+	sys, split := supervisedSystem(t, g, Config{MCMCIterations: 10, Shards: 5, Workers: 2, Seed: 36})
+	sess, err := sys.NewSession(NewSupervisedObjective(split))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var losses []float64
+	for r := 0; r < 2; r++ {
+		// The r-th training vertex of every shard is its only present device.
+		active := make([]bool, g.N)
+		for _, sh := range sys.eng.shards {
+			seen := 0
+			for v := sh.lo; v < sh.hi; v++ {
+				if split.IsTrain[v] {
+					if seen == r {
+						active[v] = true
+						break
+					}
+					seen++
+				}
+			}
+		}
+		out, err := sess.StepRound(RoundPlan{Active: active, TTL: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Skipped || out.ActiveShards != 0 {
+			t.Fatalf("round %d: skipped=%v with %d active shards; want a trained round with none", r, out.Skipped, out.ActiveShards)
+		}
+		losses = append(losses, out.Loss)
+	}
+	h := fnv.New64a()
+	var word [8]byte
+	for _, p := range sys.Params() {
+		for _, x := range p.V.Data.Data() {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(x))
+			h.Write(word[:])
+		}
+	}
+	if got := h.Sum64(); got != noTermRoundGolden.params {
+		t.Errorf("parameter hash %#x, want %#x", got, noTermRoundGolden.params)
+	}
+	requireIdentical(t, "no-term round losses", losses, noTermRoundGolden.losses)
 }
 
 // TestStepRoundValidation covers the argument guards.
