@@ -601,11 +601,12 @@ func BenchmarkCSRAggregate(b *testing.B) {
 	csr := tensor.NewCSR(g.N, src, dst)
 	h := tensor.Uniform(g.N, 64, -1, 1, rng)
 	seed := tensor.Uniform(g.N, 64, -1, 1, rng)
+	tape := autodiff.NewTape()
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x := autodiff.Var(h.Clone())
-		out := autodiff.CSRAggregate(x, csr, coef)
+		tape.Reset()
+		out := autodiff.CSRAggregate(tape.Var(h), csr, coef)
 		out.BackwardWithGradient(seed)
 	}
 }
@@ -619,10 +620,12 @@ func BenchmarkBackwardGCNLayer(b *testing.B) {
 	}
 	conv := nn.NewConvGraph(g.N, g.Edges)
 	layer := nn.NewGCNConv("l", 64, 16, rng)
-	x := autodiff.Const(tensor.Uniform(g.N, 64, -1, 1, rng))
+	x := tensor.Uniform(g.N, 64, -1, 1, rng)
+	tape := autodiff.NewTape()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := layer.Forward(conv, x)
+		tape.Reset()
+		out := layer.Forward(conv, tape.Const(x))
 		loss := autodiff.SumSquares(out)
 		nn.ZeroGrad(layer)
 		loss.Backward()

@@ -19,9 +19,14 @@
 // (query latency and batch-size histograms, queue depth, swap count,
 // serving snapshot version/age). -log emits one structured JSON line per
 // request on stderr; -pprof mounts net/http/pprof under /debug/pprof/.
+//
+// SIGTERM or SIGINT drains the replica: it stops accepting connections,
+// lets in-flight requests finish (for at most drainTimeout), stops the
+// watcher and the batcher, and exits 0.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,12 +35,18 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"lumos/internal/obs"
 	"lumos/internal/serve"
 	"lumos/internal/snapshot"
 )
+
+// drainTimeout bounds how long a signalled replica waits for in-flight
+// requests before closing their connections.
+const drainTimeout = 3 * time.Second
 
 func main() {
 	var (
@@ -107,9 +118,23 @@ func main() {
 	// The resolved address goes to stdout so scripts serving on an
 	// ephemeral port (-addr 127.0.0.1:0) can find it.
 	fmt.Printf("serving %s on http://%s\n", *snapPath, ln.Addr())
-	if err := (&http.Server{Handler: handler}).Serve(ln); err != nil {
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
+	httpSrv := &http.Server{Handler: handler}
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-served:
 		fatalf("%v", err)
+	case sig := <-sigs:
+		logger.Printf("%v: draining", sig)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		logger.Printf("drain: %v", err)
+	}
+	// Returning runs the deferred watcher stop and srv.Close.
 }
 
 func fatalf(format string, args ...interface{}) {

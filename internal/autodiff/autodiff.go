@@ -3,16 +3,14 @@
 // (GCN, GAT, linear heads, the tree message passing, POOL) is expressed in
 // terms of the differentiable operations defined here.
 //
-// The engine is a tape: ops record their result nodes in construction order
-// onto the Tape carried by their inputs, so Backward on a tape-bound value
-// is a reverse linear sweep — no topological sort — and Tape.Reset recycles
-// every node and buffer for the next epoch (see Tape). Values created with
-// the package-level Var/Const constructors carry no tape; ops over them
-// allocate freshly and Backward falls back to a depth-first topological
-// sort, which is the right mode for long-lived parameters and one-off
-// graphs. The two modes mix freely: parameters are untaped leaves inside
-// taped epoch graphs, and a node whose parents disagree about their tape
-// simply drops to the untaped path.
+// Every graph records on a Tape: ops append their result nodes in
+// construction order onto the one tape their inputs carry, so Backward is a
+// reverse linear sweep of that tape, and Tape.Reset recycles every node and
+// buffer for the next epoch (see Tape). A graph enters its tape through
+// Tape.Var and Tape.Const leaves. Parameters are the one kind of value off
+// any tape: Var leaves that outlive every epoch, read by ops on any number of
+// tapes and accumulating their gradients in place. An op with no taped input,
+// or with inputs from two tapes, panics.
 package autodiff
 
 import (
@@ -37,12 +35,12 @@ type Value struct {
 	Grad *tensor.Matrix
 
 	requiresGrad bool
-	tape         *Tape // owning tape; nil for untaped values
+	tape         *Tape // owning tape; nil for parameters
 	ti           int   // index on the owning tape
 	parents      []*Value
 	back         backward
-	// gradBuf retains the last detached-by-ZeroGrad gradient buffer of an
-	// untaped value so EnsureGrad can recycle it instead of reallocating.
+	// gradBuf retains the last detached-by-ZeroGrad gradient buffer of a
+	// parameter so EnsureGrad can recycle it instead of reallocating.
 	gradBuf *tensor.Matrix
 
 	// Op payload. Which fields are live depends on the op; keeping them
@@ -59,14 +57,10 @@ type Value struct {
 	mat    *tensor.Matrix
 }
 
-// Var wraps a matrix as a trainable leaf (gradients are accumulated).
+// Var wraps a matrix as a parameter: a trainable leaf on no tape, whose
+// gradient accumulates across every graph that reads it until ZeroGrad.
 func Var(m *tensor.Matrix) *Value {
 	return &Value{Data: m, requiresGrad: true}
-}
-
-// Const wraps a matrix as a non-trainable leaf (no gradient is stored).
-func Const(m *tensor.Matrix) *Value {
-	return &Value{Data: m}
 }
 
 // RequiresGrad reports whether the value participates in differentiation.
@@ -84,7 +78,7 @@ func (v *Value) ZeroGrad() {
 
 // EnsureGrad returns the gradient buffer, allocating (or recycling) a zeroed
 // one if none is attached: tape-bound values draw from their tape's
-// free-list, untaped values reuse the buffer retained by ZeroGrad.
+// free-list, parameters reuse the buffer retained by ZeroGrad.
 func (v *Value) EnsureGrad() *tensor.Matrix {
 	if v.Grad == nil {
 		r, c := v.Data.Dims()
@@ -110,7 +104,7 @@ func (v *Value) DetachGrad() *tensor.Matrix {
 	return g
 }
 
-// RecycleGrad gives an untaped value that holds no gradient a spare buffer
+// RecycleGrad gives a parameter that holds no gradient a spare buffer
 // for its next EnsureGrad (which zeroes it) — the way back for a buffer
 // DetachGrad handed out once its holder is done with it.
 func (v *Value) RecycleGrad(buf *tensor.Matrix) {
@@ -142,75 +136,23 @@ func (v *Value) accum(g *tensor.Matrix) {
 	tensor.AddInPlace(v.EnsureGrad(), g)
 }
 
-// tapeFor returns the tape a new node should record onto: the unanimous
-// tape of its parents. It returns nil — selecting the untaped path, whose
-// depth-first backward can traverse anything — when no parent carries a
-// tape, when two parents carry different tapes, or when an untaped
-// non-leaf parent exists (its backward would be unreachable from a linear
-// sweep of the tape).
-func tapeFor(parents ...*Value) *Tape {
+// tapeFor returns the tape a new op node records onto: the one tape its
+// parents carry. Parameters carry none and do not count. It panics, naming
+// the op, when no parent is on a tape or two parents are on different ones.
+func tapeFor(op string, parents ...*Value) *Tape {
 	var t *Tape
 	for _, p := range parents {
-		switch {
-		case p.tape != nil:
-			if t == nil {
-				t = p.tape
-			} else if t != p.tape {
-				return nil
+		if p.tape != nil && p.tape != t {
+			if t != nil {
+				panic("autodiff: " + op + " over values from two tapes")
 			}
-		case p.back != nil:
-			return nil
+			t = p.tape
 		}
+	}
+	if t == nil {
+		panic("autodiff: " + op + " over values on no tape (record an input with Tape.Var or Tape.Const)")
 	}
 	return t
-}
-
-// newMatrix allocates a rows×cols output or scratch buffer: from the tape's
-// free-list when t is non-nil, freshly otherwise. A pooled buffer keeps its
-// previous contents — callers must fully overwrite it (accumulating
-// consumers use newZeroMatrix instead). The untaped path always returns a
-// zeroed matrix, so relying on stale contents is impossible to get right
-// accidentally: the reuse goldens compare the two paths bit for bit.
-func newMatrix(t *Tape, rows, cols int) *tensor.Matrix {
-	if t != nil {
-		m, _ := t.rawMatrix(rows, cols)
-		return m
-	}
-	return tensor.New(rows, cols)
-}
-
-// newZeroMatrix is newMatrix with guaranteed-zero contents, for outputs
-// that are accumulated into (scatter-adds, gradient buffers, dropout masks)
-// rather than fully written.
-func newZeroMatrix(t *Tape, rows, cols int) *tensor.Matrix {
-	if t != nil {
-		return t.Matrix(rows, cols)
-	}
-	return tensor.New(rows, cols)
-}
-
-// newNode builds an op result on tape t (or untaped when t is nil) whose
-// requiresGrad is inherited from parents. The backward function and parent
-// list are only retained when some parent needs a gradient.
-func newNode(t *Tape, data *tensor.Matrix, bk backward, parents ...*Value) *Value {
-	var out *Value
-	if t != nil {
-		out = t.newValue()
-	} else {
-		out = &Value{}
-	}
-	out.Data = data
-	for _, p := range parents {
-		if p.requiresGrad {
-			out.requiresGrad = true
-			break
-		}
-	}
-	if out.requiresGrad {
-		out.parents = append(out.parents[:0], parents...)
-		out.back = bk
-	}
-	return out
 }
 
 // Backward computes gradients of the receiver (a 1×1 scalar, typically a
@@ -252,51 +194,13 @@ func (v *Value) BackwardWithGradient(seed *tensor.Matrix) {
 }
 
 // propagate runs the backward functions of the receiver's reachable
-// subgraph in reverse topological order. The receiver's Grad must already
-// be seeded. Tape-bound receivers sweep the tape linearly; untaped
-// receivers fall back to a depth-first topological sort, which also covers
-// graphs spanning several tapes.
+// subgraph: a reverse sweep of its tape from the receiver down. The
+// receiver's Grad must already be seeded; a parameter is a leaf, so seeding
+// was all there was to do.
 func (v *Value) propagate() {
 	if v.tape != nil {
 		v.tape.sweep(v.ti)
-		return
 	}
-	order := topoSort(v)
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		if n.Grad != nil && n.back != nil {
-			n.back(n)
-		}
-	}
-}
-
-// topoSort returns the reachable gradient-requiring subgraph in topological
-// order (parents before children), iteratively to avoid deep recursion on
-// large graphs.
-func topoSort(root *Value) []*Value {
-	var order []*Value
-	visited := make(map[*Value]bool)
-	type frame struct {
-		v    *Value
-		next int
-	}
-	stack := []frame{{v: root}}
-	visited[root] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(f.v.parents) {
-			p := f.v.parents[f.next]
-			f.next++
-			if !visited[p] && p.requiresGrad {
-				visited[p] = true
-				stack = append(stack, frame{v: p})
-			}
-			continue
-		}
-		order = append(order, f.v)
-		stack = stack[:len(stack)-1]
-	}
-	return order
 }
 
 // ---------------------------------------------------------------------------
@@ -305,10 +209,10 @@ func topoSort(root *Value) []*Value {
 
 // MatMul returns a·b.
 func MatMul(a, b *Value) *Value {
-	t := tapeFor(a, b)
-	data := newMatrix(t, a.Data.Rows(), b.Data.Cols())
+	t := tapeFor("MatMul", a, b)
+	data := t.scratch(a.Data.Rows(), b.Data.Cols())
 	tensor.MatMulInto(data, a.Data, b.Data)
-	return newNode(t, data, backMatMul, a, b)
+	return t.node(data, backMatMul, a, b)
 }
 
 func backMatMul(v *Value) {
@@ -323,10 +227,10 @@ func backMatMul(v *Value) {
 
 // Add returns a + b (same shape).
 func Add(a, b *Value) *Value {
-	t := tapeFor(a, b)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	t := tapeFor("Add", a, b)
+	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	tensor.AddInto(data, a.Data, b.Data)
-	return newNode(t, data, backFanIn, a, b)
+	return t.node(data, backFanIn, a, b)
 }
 
 // backFanIn adds the output gradient to every parent — the backward of Add
@@ -339,10 +243,10 @@ func backFanIn(v *Value) {
 
 // Sub returns a − b (same shape).
 func Sub(a, b *Value) *Value {
-	t := tapeFor(a, b)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	t := tapeFor("Sub", a, b)
+	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	tensor.SubInto(data, a.Data, b.Data)
-	return newNode(t, data, backSub, a, b)
+	return t.node(data, backSub, a, b)
 }
 
 func backSub(v *Value) {
@@ -355,10 +259,10 @@ func backSub(v *Value) {
 
 // AddRow adds the 1×c row vector r to every row of a.
 func AddRow(a, r *Value) *Value {
-	t := tapeFor(a, r)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	t := tapeFor("AddRow", a, r)
+	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	tensor.AddRowVectorInto(data, a.Data, r.Data)
-	return newNode(t, data, backAddRow, a, r)
+	return t.node(data, backAddRow, a, r)
 }
 
 func backAddRow(v *Value) {
@@ -371,10 +275,10 @@ func backAddRow(v *Value) {
 
 // MulElem returns the elementwise product a ⊙ b.
 func MulElem(a, b *Value) *Value {
-	t := tapeFor(a, b)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	t := tapeFor("MulElem", a, b)
+	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	tensor.MulElemInto(data, a.Data, b.Data)
-	return newNode(t, data, backMulElem, a, b)
+	return t.node(data, backMulElem, a, b)
 }
 
 func backMulElem(v *Value) {
@@ -389,10 +293,10 @@ func backMulElem(v *Value) {
 
 // Scale returns s·a for a constant s.
 func Scale(a *Value, s float64) *Value {
-	t := tapeFor(a)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	t := tapeFor("Scale", a)
+	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	tensor.ScaleInto(data, a.Data, s)
-	out := newNode(t, data, backScale, a)
+	out := t.node(data, backScale, a)
 	out.s = s
 	return out
 }
@@ -406,13 +310,13 @@ func AddN(vs ...*Value) *Value {
 	if len(vs) == 0 {
 		panic("autodiff: AddN of nothing")
 	}
-	t := tapeFor(vs...)
-	data := newMatrix(t, vs[0].Data.Rows(), vs[0].Data.Cols())
+	t := tapeFor("AddN", vs...)
+	data := t.scratch(vs[0].Data.Rows(), vs[0].Data.Cols())
 	data.CopyFrom(vs[0].Data)
 	for _, v := range vs[1:] {
 		tensor.AddInPlace(data, v.Data)
 	}
-	return newNode(t, data, backFanIn, vs...)
+	return t.node(data, backFanIn, vs...)
 }
 
 // ---------------------------------------------------------------------------
@@ -421,15 +325,15 @@ func AddN(vs ...*Value) *Value {
 
 // ReLU returns max(0, a) elementwise.
 func ReLU(a *Value) *Value {
-	t := tapeFor(a)
-	data := newZeroMatrix(t, a.Data.Rows(), a.Data.Cols())
+	t := tapeFor("ReLU", a)
+	data := t.Matrix(a.Data.Rows(), a.Data.Cols())
 	ad, od := a.Data.Data(), data.Data()
 	for i, x := range ad {
 		if x > 0 {
 			od[i] = x
 		}
 	}
-	return newNode(t, data, backReLU, a)
+	return t.node(data, backReLU, a)
 }
 
 func backReLU(v *Value) {
@@ -445,8 +349,8 @@ func backReLU(v *Value) {
 
 // LeakyReLU returns x for x>0 and slope·x otherwise, elementwise.
 func LeakyReLU(a *Value, slope float64) *Value {
-	t := tapeFor(a)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	t := tapeFor("LeakyReLU", a)
+	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	ad, od := a.Data.Data(), data.Data()
 	for i, x := range ad {
 		if x > 0 {
@@ -455,7 +359,7 @@ func LeakyReLU(a *Value, slope float64) *Value {
 			od[i] = slope * x
 		}
 	}
-	out := newNode(t, data, backLeakyReLU, a)
+	out := t.node(data, backLeakyReLU, a)
 	out.s = slope
 	return out
 }
@@ -473,46 +377,6 @@ func backLeakyReLU(v *Value) {
 	}
 }
 
-// Sigmoid returns 1/(1+e^{−a}) elementwise.
-func Sigmoid(a *Value) *Value {
-	t := tapeFor(a)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
-	ad, od := a.Data.Data(), data.Data()
-	for i, x := range ad {
-		od[i] = sigmoid(x)
-	}
-	return newNode(t, data, backSigmoid, a)
-}
-
-func backSigmoid(v *Value) {
-	a := v.parents[0]
-	gd := a.EnsureGrad().Data()
-	sd, od := v.Data.Data(), v.Grad.Data()
-	for i := range sd {
-		gd[i] += od[i] * sd[i] * (1 - sd[i])
-	}
-}
-
-// Tanh returns tanh(a) elementwise.
-func Tanh(a *Value) *Value {
-	t := tapeFor(a)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
-	ad, od := a.Data.Data(), data.Data()
-	for i, x := range ad {
-		od[i] = math.Tanh(x)
-	}
-	return newNode(t, data, backTanh, a)
-}
-
-func backTanh(v *Value) {
-	a := v.parents[0]
-	gd := a.EnsureGrad().Data()
-	td, od := v.Data.Data(), v.Grad.Data()
-	for i := range td {
-		gd[i] += od[i] * (1 - td[i]*td[i])
-	}
-}
-
 // Dropout zeroes entries with probability p and rescales survivors by
 // 1/(1−p) when training is true; it is the identity otherwise.
 func Dropout(a *Value, p float64, rng *rand.Rand, training bool) *Value {
@@ -522,18 +386,18 @@ func Dropout(a *Value, p float64, rng *rand.Rand, training bool) *Value {
 	if p >= 1 {
 		panic("autodiff: Dropout probability must be < 1")
 	}
-	t := tapeFor(a)
+	t := tapeFor("Dropout", a)
 	keep := 1 / (1 - p)
-	mask := newZeroMatrix(t, a.Data.Rows(), a.Data.Cols())
+	mask := t.Matrix(a.Data.Rows(), a.Data.Cols())
 	md := mask.Data()
 	for i := range md {
 		if rng.Float64() >= p {
 			md[i] = keep
 		}
 	}
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	tensor.MulElemInto(data, a.Data, mask)
-	out := newNode(t, data, backDropout, a)
+	out := t.node(data, backDropout, a)
 	out.mat = mask
 	return out
 }

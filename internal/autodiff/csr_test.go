@@ -24,10 +24,10 @@ func segmentSum(a *Value, seg []int, nseg int) *Value {
 	if len(seg) != a.Data.Rows() {
 		panic(fmt.Sprintf("autodiff: segmentSum %d segments for %d rows", len(seg), a.Data.Rows()))
 	}
-	t := tapeFor(a)
-	data := newZeroMatrix(t, nseg, a.Data.Cols())
+	t := tapeFor("segmentSum", a)
+	data := t.Matrix(nseg, a.Data.Cols())
 	tensor.ScatterAddRows(data, a.Data, seg)
-	out := newNode(t, data, backSegmentSum, a)
+	out := t.node(data, backSegmentSum, a)
 	out.ints = seg
 	return out
 }
@@ -47,15 +47,15 @@ func scaleRows(a *Value, coef []float64) *Value {
 	if len(coef) != a.Data.Rows() {
 		panic(fmt.Sprintf("autodiff: scaleRows %d coefs for %d rows", len(coef), a.Data.Rows()))
 	}
-	t := tapeFor(a)
-	data := newMatrix(t, a.Data.Rows(), a.Data.Cols())
+	t := tapeFor("scaleRows", a)
+	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	for i := 0; i < a.Data.Rows(); i++ {
 		row, orow := a.Data.Row(i), data.Row(i)
 		for j := range row {
 			orow[j] = coef[i] * row[j]
 		}
 	}
-	out := newNode(t, data, backScaleRows, a)
+	out := t.node(data, backScaleRows, a)
 	out.fs = coef
 	return out
 }
@@ -78,8 +78,8 @@ func mulRowsByCol(a, s *Value) *Value {
 	if s.Data.Rows() != n || s.Data.Cols() != 1 {
 		panic(fmt.Sprintf("autodiff: mulRowsByCol a %dx%d s %dx%d", n, c, s.Data.Rows(), s.Data.Cols()))
 	}
-	t := tapeFor(a, s)
-	data := newMatrix(t, n, c)
+	t := tapeFor("mulRowsByCol", a, s)
+	data := t.scratch(n, c)
 	for i := 0; i < n; i++ {
 		si := s.Data.At(i, 0)
 		row, orow := a.Data.Row(i), data.Row(i)
@@ -87,7 +87,7 @@ func mulRowsByCol(a, s *Value) *Value {
 			orow[j] = si * row[j]
 		}
 	}
-	return newNode(t, data, backMulRowsByCol, a, s)
+	return t.node(data, backMulRowsByCol, a, s)
 }
 
 func backMulRowsByCol(v *Value) {
@@ -176,41 +176,32 @@ func requireBits(t *testing.T, name string, want, got *tensor.Matrix) {
 // (scalar edge coefficients) against scaleRows(Gather(a))→segmentSum.
 func TestCSRAggregateMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for _, taped := range []bool{false, true} {
-		for _, tc := range csrCases {
-			src, dst, coef := randGraph(tc, rng)
-			csr := tensor.NewCSR(tc.nseg, src, dst)
-			aData := randMatrix(tc.nsrc, tc.c, rng)
-			seed := randMatrix(tc.nseg, tc.c, rng)
+	for _, tc := range csrCases {
+		src, dst, coef := randGraph(tc, rng)
+		csr := tensor.NewCSR(tc.nseg, src, dst)
+		aData := randMatrix(tc.nsrc, tc.c, rng)
+		seed := randMatrix(tc.nseg, tc.c, rng)
 
-			mk := func(m *tensor.Matrix) *Value {
-				if taped {
-					return NewTape().Var(m)
-				}
-				return Var(m)
-			}
+		aRef := NewTape().Var(aData.Clone())
+		ref := segmentSum(scaleRows(Gather(aRef, src), coef), dst, tc.nseg)
+		ref.BackwardWithGradient(seed.Clone())
 
-			aRef := mk(aData.Clone())
-			ref := segmentSum(scaleRows(Gather(aRef, src), coef), dst, tc.nseg)
-			ref.BackwardWithGradient(seed.Clone())
+		aFus := NewTape().Var(aData.Clone())
+		fus := CSRAggregate(aFus, csr, coef)
+		fus.BackwardWithGradient(seed.Clone())
 
-			aFus := mk(aData.Clone())
-			fus := CSRAggregate(aFus, csr, coef)
-			fus.BackwardWithGradient(seed.Clone())
+		requireBits(t, "CSRAggregate forward", ref.Data, fus.Data)
+		requireBits(t, "CSRAggregate dL/da", aRef.Grad, aFus.Grad)
 
-			requireBits(t, "CSRAggregate forward", ref.Data, fus.Data)
-			requireBits(t, "CSRAggregate dL/da", aRef.Grad, aFus.Grad)
-
-			// Unweighted (coef nil) against a bare Gather→segmentSum chain.
-			aRefU := mk(aData.Clone())
-			refU := segmentSum(Gather(aRefU, src), dst, tc.nseg)
-			refU.BackwardWithGradient(seed.Clone())
-			aFusU := mk(aData.Clone())
-			fusU := CSRAggregate(aFusU, csr, nil)
-			fusU.BackwardWithGradient(seed.Clone())
-			requireBits(t, "CSRAggregate nil-coef forward", refU.Data, fusU.Data)
-			requireBits(t, "CSRAggregate nil-coef dL/da", aRefU.Grad, aFusU.Grad)
-		}
+		// Unweighted (coef nil) against a bare Gather→segmentSum chain.
+		aRefU := NewTape().Var(aData.Clone())
+		refU := segmentSum(Gather(aRefU, src), dst, tc.nseg)
+		refU.BackwardWithGradient(seed.Clone())
+		aFusU := NewTape().Var(aData.Clone())
+		fusU := CSRAggregate(aFusU, csr, nil)
+		fusU.BackwardWithGradient(seed.Clone())
+		requireBits(t, "CSRAggregate nil-coef forward", refU.Data, fusU.Data)
+		requireBits(t, "CSRAggregate nil-coef dL/da", aRefU.Grad, aFusU.Grad)
 	}
 }
 
@@ -220,36 +211,27 @@ func TestCSRAggregateMatchesUnfused(t *testing.T) {
 // gradient.
 func TestCSRAggregateMulMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for _, taped := range []bool{false, true} {
-		for _, tc := range csrCases {
-			src, dst, _ := randGraph(tc, rng)
-			csr := tensor.NewCSR(tc.nseg, src, dst)
-			aData := randMatrix(tc.nsrc, tc.c, rng)
-			wData := randMatrix(tc.m, 1, rng)
-			seed := randMatrix(tc.nseg, tc.c, rng)
+	for _, tc := range csrCases {
+		src, dst, _ := randGraph(tc, rng)
+		csr := tensor.NewCSR(tc.nseg, src, dst)
+		aData := randMatrix(tc.nsrc, tc.c, rng)
+		wData := randMatrix(tc.m, 1, rng)
+		seed := randMatrix(tc.nseg, tc.c, rng)
 
-			mk := func(m *tensor.Matrix) *Value {
-				if taped {
-					return NewTape().Var(m)
-				}
-				return Var(m)
-			}
+		refTape := NewTape()
+		aRef, wRef := refTape.Var(aData.Clone()), refTape.Var(wData.Clone())
+		ref := segmentSum(mulRowsByCol(Gather(aRef, src), wRef), dst, tc.nseg)
+		ref.BackwardWithGradient(seed.Clone())
 
-			aRef := mk(aData.Clone())
-			wRef := mk(wData.Clone())
-			ref := segmentSum(mulRowsByCol(Gather(aRef, src), wRef), dst, tc.nseg)
-			ref.BackwardWithGradient(seed.Clone())
+		fusTape := NewTape()
+		aFus, wFus := fusTape.Var(aData.Clone()), fusTape.Var(wData.Clone())
+		fus := CSRAggregateMul(aFus, wFus, csr)
+		fus.BackwardWithGradient(seed.Clone())
 
-			aFus := mk(aData.Clone())
-			wFus := mk(wData.Clone())
-			fus := CSRAggregateMul(aFus, wFus, csr)
-			fus.BackwardWithGradient(seed.Clone())
-
-			requireBits(t, "CSRAggregateMul forward", ref.Data, fus.Data)
-			requireBits(t, "CSRAggregateMul dL/da", aRef.Grad, aFus.Grad)
-			if tc.m > 0 {
-				requireBits(t, "CSRAggregateMul dL/dw", wRef.Grad, wFus.Grad)
-			}
+		requireBits(t, "CSRAggregateMul forward", ref.Data, fus.Data)
+		requireBits(t, "CSRAggregateMul dL/da", aRef.Grad, aFus.Grad)
+		if tc.m > 0 {
+			requireBits(t, "CSRAggregateMul dL/dw", wRef.Grad, wFus.Grad)
 		}
 	}
 }
@@ -265,22 +247,22 @@ func TestCSRAggregateConstInput(t *testing.T) {
 	aData := randMatrix(tc.nsrc, tc.c, rng)
 	seed := randMatrix(tc.nseg, tc.c, rng)
 
-	aRef := Const(aData.Clone())
+	aRef := NewTape().Const(aData.Clone())
 	ref := segmentSum(scaleRows(Gather(aRef, src), coef), dst, tc.nseg)
-	aFus := Const(aData.Clone())
+	aFus := NewTape().Const(aData.Clone())
 	fus := CSRAggregate(aFus, csr, coef)
 	requireBits(t, "const forward", ref.Data, fus.Data)
 	if fus.RequiresGrad() {
 		t.Fatal("aggregate of a const should not require grad")
 	}
 
-	// Mixed case: const features, learned edge weights.
+	// Mixed case: const features, learned edge weights (parameters).
 	wData := randMatrix(tc.m, 1, rng)
 	wRef := Var(wData.Clone())
-	refM := segmentSum(mulRowsByCol(Gather(Const(aData.Clone()), src), wRef), dst, tc.nseg)
+	refM := segmentSum(mulRowsByCol(Gather(NewTape().Const(aData.Clone()), src), wRef), dst, tc.nseg)
 	refM.BackwardWithGradient(seed.Clone())
 	wFus := Var(wData.Clone())
-	fusM := CSRAggregateMul(Const(aData.Clone()), wFus, csr)
+	fusM := CSRAggregateMul(aFus, wFus, csr)
 	fusM.BackwardWithGradient(seed.Clone())
 	requireBits(t, "mixed forward", refM.Data, fusM.Data)
 	requireBits(t, "mixed dL/dw", wRef.Grad, wFus.Grad)

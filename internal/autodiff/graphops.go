@@ -13,16 +13,16 @@ import (
 // "aggregate neighbor embeddings" into CSRAggregate(H, csr, coef).
 //
 // Index and coefficient slices passed to these ops are retained by
-// reference until the owning tape is reset (or the node is collected); they
-// must stay unmodified for that long. The engine's per-shard index arrays
+// reference until the owning tape is reset; they must stay unmodified for
+// that long. The engine's per-shard index arrays
 // are immutable after construction, so they are shared across all epochs.
 
 // Gather returns the matrix whose i-th row is a.Row(idx[i]).
 func Gather(a *Value, idx []int) *Value {
-	t := tapeFor(a)
-	data := newMatrix(t, len(idx), a.Data.Cols())
+	t := tapeFor("Gather", a)
+	data := t.scratch(len(idx), a.Data.Cols())
 	tensor.GatherInto(data, a.Data, idx)
-	out := newNode(t, data, backGather, a)
+	out := t.node(data, backGather, a)
 	out.ints = idx
 	return out
 }
@@ -57,8 +57,8 @@ func ScatterAddN(rows int, parts []*Value, src, dst [][]int) *Value {
 	if len(parts) == 0 {
 		panic("autodiff: ScatterAddN of nothing")
 	}
-	t := tapeFor(parts...)
-	data := newZeroMatrix(t, rows, parts[0].Data.Cols())
+	t := tapeFor("ScatterAddN", parts...)
+	data := t.Matrix(rows, parts[0].Data.Cols())
 	for k, p := range parts {
 		if src == nil || src[k] == nil {
 			tensor.ScatterAddRows(data, p.Data, dst[k])
@@ -66,7 +66,7 @@ func ScatterAddN(rows int, parts []*Value, src, dst [][]int) *Value {
 			tensor.AddRowPairs(data, dst[k], p.Data, src[k])
 		}
 	}
-	out := newNode(t, data, backScatterAddN, parts...)
+	out := t.node(data, backScatterAddN, parts...)
 	out.rowSrc, out.rowDst = src, dst
 	return out
 }
@@ -93,12 +93,12 @@ func backScatterAddN(v *Value) {
 // original edge order, the exact order that chain's scatter runs in — which
 // csr_test.go keeps as the oracle. csr and coef are retained by reference.
 func CSRAggregate(a *Value, csr *tensor.CSR, coef []float64) *Value {
-	t := tapeFor(a)
+	t := tapeFor("CSRAggregate", a)
 	// The fused kernel overwrites every row, so a recycled (unzeroed) tape
 	// buffer is fine here.
-	data := newMatrix(t, csr.NSeg, a.Data.Cols())
+	data := t.scratch(csr.NSeg, a.Data.Cols())
 	tensor.CSRAggregateInto(data, a.Data, csr, coef)
-	out := newNode(t, data, backCSRAggregate, a)
+	out := t.node(data, backCSRAggregate, a)
 	out.ints = csr.Src
 	out.ints2 = csr.Dst
 	out.fs = coef
@@ -117,10 +117,10 @@ func CSRAggregateMul(a, w *Value, csr *tensor.CSR) *Value {
 		panic(fmt.Sprintf("autodiff: CSRAggregateMul w %dx%d for %d edges",
 			w.Data.Rows(), w.Data.Cols(), csr.NumEdges()))
 	}
-	t := tapeFor(a, w)
-	data := newMatrix(t, csr.NSeg, a.Data.Cols())
+	t := tapeFor("CSRAggregateMul", a, w)
+	data := t.scratch(csr.NSeg, a.Data.Cols())
 	tensor.CSRAggregateInto(data, a.Data, csr, w.Data.Data())
-	out := newNode(t, data, backCSRAggregateMul, a, w)
+	out := t.node(data, backCSRAggregateMul, a, w)
 	out.ints = csr.Src
 	out.ints2 = csr.Dst
 	return out
@@ -149,8 +149,8 @@ func SegmentSoftmax(e *Value, seg []int, nseg int) *Value {
 	if len(seg) != n {
 		panic(fmt.Sprintf("autodiff: SegmentSoftmax %d segments for %d rows", len(seg), n))
 	}
-	t := tapeFor(e)
-	maxes := newMatrix(t, nseg, 1).Data()
+	t := tapeFor("SegmentSoftmax", e)
+	maxes := t.scratch(nseg, 1).Data()
 	for i := range maxes {
 		maxes[i] = math.Inf(-1)
 	}
@@ -159,8 +159,8 @@ func SegmentSoftmax(e *Value, seg []int, nseg int) *Value {
 			maxes[seg[i]] = v
 		}
 	}
-	sums := newZeroMatrix(t, nseg, 1).Data()
-	data := newMatrix(t, n, 1)
+	sums := t.Matrix(nseg, 1).Data()
+	data := t.scratch(n, 1)
 	for i := 0; i < n; i++ {
 		ex := math.Exp(e.Data.At(i, 0) - maxes[seg[i]])
 		data.Set(i, 0, ex)
@@ -169,7 +169,7 @@ func SegmentSoftmax(e *Value, seg []int, nseg int) *Value {
 	for i := 0; i < n; i++ {
 		data.Set(i, 0, data.At(i, 0)/sums[seg[i]])
 	}
-	out := newNode(t, data, backSegmentSoftmax, e)
+	out := t.node(data, backSegmentSoftmax, e)
 	out.ints = seg
 	out.n = nseg
 	return out
@@ -178,7 +178,7 @@ func SegmentSoftmax(e *Value, seg []int, nseg int) *Value {
 func backSegmentSoftmax(v *Value) {
 	// dL/de_i = α_i (g_i − Σ_{j∈seg(i)} α_j g_j)
 	e, seg, n := v.parents[0], v.ints, v.Data.Rows()
-	dot := newZeroMatrix(v.tape, v.n, 1).Data()
+	dot := v.tape.Matrix(v.n, 1).Data()
 	for i := 0; i < n; i++ {
 		dot[seg[i]] += v.Data.At(i, 0) * v.Grad.At(i, 0)
 	}
@@ -194,7 +194,7 @@ func ConcatCols(vs ...*Value) *Value {
 	if len(vs) == 0 {
 		panic("autodiff: ConcatCols of nothing")
 	}
-	t := tapeFor(vs...)
+	t := tapeFor("ConcatCols", vs...)
 	rows := vs[0].Data.Rows()
 	cols := 0
 	for _, v := range vs {
@@ -203,7 +203,7 @@ func ConcatCols(vs ...*Value) *Value {
 		}
 		cols += v.Data.Cols()
 	}
-	data := newMatrix(t, rows, cols)
+	data := t.scratch(rows, cols)
 	off := 0
 	for _, v := range vs {
 		c := v.Data.Cols()
@@ -212,7 +212,7 @@ func ConcatCols(vs ...*Value) *Value {
 		}
 		off += c
 	}
-	return newNode(t, data, backConcatCols, vs...)
+	return t.node(data, backConcatCols, vs...)
 }
 
 func backConcatCols(v *Value) {
@@ -232,48 +232,6 @@ func backConcatCols(v *Value) {
 	}
 }
 
-// ConcatRows concatenates values vertically (same column count).
-func ConcatRows(vs ...*Value) *Value {
-	if len(vs) == 0 {
-		panic("autodiff: ConcatRows of nothing")
-	}
-	t := tapeFor(vs...)
-	cols := vs[0].Data.Cols()
-	rows := 0
-	for _, v := range vs {
-		if v.Data.Cols() != cols {
-			panic(fmt.Sprintf("autodiff: ConcatRows cols %d vs %d", v.Data.Cols(), cols))
-		}
-		rows += v.Data.Rows()
-	}
-	data := newMatrix(t, rows, cols)
-	off := 0
-	for _, v := range vs {
-		for i := 0; i < v.Data.Rows(); i++ {
-			copy(data.Row(off+i), v.Data.Row(i))
-		}
-		off += v.Data.Rows()
-	}
-	return newNode(t, data, backConcatRows, vs...)
-}
-
-func backConcatRows(v *Value) {
-	off := 0
-	for _, p := range v.parents {
-		r := p.Data.Rows()
-		if p.requiresGrad {
-			g := p.EnsureGrad()
-			for i := 0; i < r; i++ {
-				grow, orow := g.Row(i), v.Grad.Row(off+i)
-				for j := range grow {
-					grow[j] += orow[j]
-				}
-			}
-		}
-		off += r
-	}
-}
-
 // PairDot returns the m×1 column whose k-th entry is the dot product of rows
 // idxU[k] and idxV[k] of a. It backs the link-prediction decoder
 // DEC(h_u, h_v) = h_u · h_v.
@@ -282,12 +240,12 @@ func PairDot(a *Value, idxU, idxV []int) *Value {
 		panic(fmt.Sprintf("autodiff: PairDot %d vs %d indices", len(idxU), len(idxV)))
 	}
 	m := len(idxU)
-	t := tapeFor(a)
-	data := newMatrix(t, m, 1)
+	t := tapeFor("PairDot", a)
+	data := t.scratch(m, 1)
 	for k := 0; k < m; k++ {
 		data.Set(k, 0, tensor.RowDot(a.Data, idxU[k], a.Data, idxV[k]))
 	}
-	out := newNode(t, data, backPairDot, a)
+	out := t.node(data, backPairDot, a)
 	out.ints = idxU
 	out.ints2 = idxV
 	return out

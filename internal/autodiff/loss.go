@@ -13,23 +13,14 @@ import (
 
 // SumAll returns the sum of all entries as a 1×1 value.
 func SumAll(a *Value) *Value {
-	t := tapeFor(a)
-	data := newMatrix(t, 1, 1)
+	t := tapeFor("SumAll", a)
+	data := t.scratch(1, 1)
 	data.Set(0, 0, tensor.Sum(a.Data))
-	return newNode(t, data, backSumAll, a)
+	return t.node(data, backSumAll, a)
 }
 
 func backSumAll(v *Value) {
 	tensor.AddConstInPlace(v.parents[0].EnsureGrad(), v.Grad.At(0, 0))
-}
-
-// MeanAll returns the mean of all entries as a 1×1 value.
-func MeanAll(a *Value) *Value {
-	n := a.Data.Size()
-	if n == 0 {
-		panic("autodiff: MeanAll of empty value")
-	}
-	return Scale(SumAll(a), 1/float64(n))
 }
 
 // SumSquares returns Σ aᵢⱼ² as a 1×1 value (for L2 regularization).
@@ -38,10 +29,10 @@ func SumSquares(a *Value) *Value {
 	for _, v := range a.Data.Data() {
 		s += v * v
 	}
-	t := tapeFor(a)
-	data := newMatrix(t, 1, 1)
+	t := tapeFor("SumSquares", a)
+	data := t.scratch(1, 1)
 	data.Set(0, 0, s)
-	return newNode(t, data, backSumSquares, a)
+	return t.node(data, backSumSquares, a)
 }
 
 func backSumSquares(v *Value) {
@@ -61,8 +52,8 @@ func SoftmaxCrossEntropy(logits *Value, labels []int, weights []float64) *Value 
 	if weights != nil && len(weights) != n {
 		panic(fmt.Sprintf("autodiff: SoftmaxCrossEntropy %d weights for %d rows", len(weights), n))
 	}
-	t := tapeFor(logits)
-	probs := newMatrix(t, n, c)
+	t := tapeFor("SoftmaxCrossEntropy", logits)
+	probs := t.scratch(n, c)
 	tensor.SoftmaxRowsInto(probs, logits.Data)
 	totalW := 0.0
 	loss := 0.0
@@ -86,9 +77,9 @@ func SoftmaxCrossEntropy(logits *Value, labels []int, weights []float64) *Value 
 		panic("autodiff: SoftmaxCrossEntropy with all-zero weights")
 	}
 	loss /= totalW
-	data := newMatrix(t, 1, 1)
+	data := t.scratch(1, 1)
 	data.Set(0, 0, loss)
-	out := newNode(t, data, backSoftmaxCE, logits)
+	out := t.node(data, backSoftmaxCE, logits)
 	out.ints = labels
 	out.fs = weights
 	out.mat = probs
@@ -139,8 +130,8 @@ func NoisyLabelCE(logits *Value, noisy []int, T [][]float64, weights []float64) 
 		}
 		return weights[i]
 	}
-	t := tapeFor(logits)
-	probs := newMatrix(t, n, c)
+	t := tapeFor("NoisyLabelCE", logits)
+	probs := t.scratch(n, c)
 	tensor.SoftmaxRowsInto(probs, logits.Data)
 	// q[i] = Σ_k p[i,k]·T[k][ỹ_i]
 	q := make([]float64, n)
@@ -165,9 +156,9 @@ func NoisyLabelCE(logits *Value, noisy []int, T [][]float64, weights []float64) 
 		panic("autodiff: NoisyLabelCE with all-zero weights")
 	}
 	loss /= totalW
-	data := newMatrix(t, 1, 1)
+	data := t.scratch(1, 1)
 	data.Set(0, 0, loss)
-	return newNode(t, data, func(out *Value) {
+	return t.node(data, func(out *Value) {
 		g := logits.EnsureGrad()
 		scale := out.Grad.At(0, 0) / totalW
 		for i := 0; i < n; i++ {
@@ -217,10 +208,10 @@ func LogisticLoss(scores *Value, ys []float64) *Value {
 		loss += softplus(z)
 	}
 	loss /= float64(n)
-	t := tapeFor(scores)
-	data := newMatrix(t, 1, 1)
+	t := tapeFor("LogisticLoss", scores)
+	data := t.scratch(1, 1)
 	data.Set(0, 0, loss)
-	out := newNode(t, data, backLogisticLoss, scores)
+	out := t.node(data, backLogisticLoss, scores)
 	out.fs = ys
 	return out
 }

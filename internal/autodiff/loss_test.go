@@ -10,7 +10,7 @@ import (
 
 func TestSoftmaxCrossEntropyValue(t *testing.T) {
 	// Uniform logits over C classes → loss = ln C.
-	logits := Const(tensor.New(4, 3))
+	logits := NewTape().Const(tensor.New(4, 3))
 	loss := SoftmaxCrossEntropy(logits, []int{0, 1, 2, 0}, nil)
 	if math.Abs(loss.Scalar()-math.Log(3)) > 1e-12 {
 		t.Fatalf("uniform CE = %v, want ln3", loss.Scalar())
@@ -18,7 +18,7 @@ func TestSoftmaxCrossEntropyValue(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyMasking(t *testing.T) {
-	logits := Var(tensor.FromRows([][]float64{{10, 0}, {0, 10}}))
+	logits := NewTape().Var(tensor.FromRows([][]float64{{10, 0}, {0, 10}}))
 	// Row 1 masked out: only row 0 (correct, confident) contributes.
 	loss := SoftmaxCrossEntropy(logits, []int{0, 0}, []float64{1, 0})
 	if loss.Scalar() > 1e-3 {
@@ -37,7 +37,7 @@ func TestSoftmaxCrossEntropyAllZeroWeightsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SoftmaxCrossEntropy(Const(tensor.New(2, 2)), []int{0, 1}, []float64{0, 0})
+	SoftmaxCrossEntropy(NewTape().Const(tensor.New(2, 2)), []int{0, 1}, []float64{0, 0})
 }
 
 func TestSoftmaxCrossEntropyBadLabelPanics(t *testing.T) {
@@ -46,24 +46,25 @@ func TestSoftmaxCrossEntropyBadLabelPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SoftmaxCrossEntropy(Const(tensor.New(1, 2)), []int{5}, nil)
+	SoftmaxCrossEntropy(NewTape().Const(tensor.New(1, 2)), []int{5}, nil)
 }
 
 func TestLogisticLossValues(t *testing.T) {
+	tp := NewTape()
 	// score 0 → loss ln2 regardless of label.
-	s := Const(tensor.New(2, 1))
+	s := tp.Const(tensor.New(2, 1))
 	loss := LogisticLoss(s, []float64{1, -1})
 	if math.Abs(loss.Scalar()-math.Log(2)) > 1e-12 {
 		t.Fatalf("logistic at 0 = %v, want ln2", loss.Scalar())
 	}
 	// Very confident correct predictions → loss ≈ 0.
-	s2 := Const(tensor.FromRows([][]float64{{50}, {-50}}))
+	s2 := tp.Const(tensor.FromRows([][]float64{{50}, {-50}}))
 	loss2 := LogisticLoss(s2, []float64{1, -1})
 	if loss2.Scalar() > 1e-9 {
 		t.Fatalf("confident logistic = %v", loss2.Scalar())
 	}
 	// Extreme scores must not overflow.
-	s3 := Const(tensor.FromRows([][]float64{{1e4}, {-1e4}}))
+	s3 := tp.Const(tensor.FromRows([][]float64{{1e4}, {-1e4}}))
 	loss3 := LogisticLoss(s3, []float64{-1, 1})
 	if math.IsInf(loss3.Scalar(), 0) || math.IsNaN(loss3.Scalar()) {
 		t.Fatalf("logistic overflow: %v", loss3.Scalar())
@@ -73,7 +74,7 @@ func TestLogisticLossValues(t *testing.T) {
 func TestNoisyLabelCEIdentityMatchesPlainCE(t *testing.T) {
 	// With T = I the forward-corrected loss is ordinary cross-entropy.
 	rng := rand.New(rand.NewSource(23))
-	logits := randVar(5, 4, rng)
+	logits := NewTape().Const(tensor.Uniform(5, 4, -1, 1, rng))
 	labels := []int{0, 3, 2, 1, 0}
 	T := [][]float64{
 		{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1},

@@ -79,19 +79,14 @@ func randScatterCase(rng *rand.Rand, nparts int) scatterCase {
 	return c
 }
 
-// leaves wraps the case's matrices as fresh leaves, on tape tp when non-nil.
+// leaves wraps the case's matrices as fresh leaves on tape tp.
 func (c scatterCase) leaves(tp *Tape) []*Value {
 	out := make([]*Value, len(c.data))
 	for k, m := range c.data {
-		switch {
-		case tp != nil && c.cnst[k]:
+		if c.cnst[k] {
 			out[k] = tp.Const(m)
-		case tp != nil:
+		} else {
 			out[k] = tp.Var(m)
-		case c.cnst[k]:
-			out[k] = Const(m)
-		default:
-			out[k] = Var(m)
 		}
 	}
 	return out
@@ -100,9 +95,9 @@ func (c scatterCase) leaves(tp *Tape) []*Value {
 // TestScatterAddNMatchesDenseOracle: forward data and every part's gradient
 // equal the dense oracle's bit for bit, over random row partitions (shared
 // row, one-row part, constant part, single-part call), reading every part
-// row and reading random strict subsets of them (some empty), untaped and on
-// a tape that is reset and re-recorded (so a recycled output buffer must
-// come back zeroed).
+// row and reading random strict subsets of them (some empty), on a fresh
+// tape and on a tape that is reset and re-recorded (so a recycled output
+// buffer must come back zeroed).
 func TestScatterAddNMatchesDenseOracle(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -113,14 +108,18 @@ func TestScatterAddNMatchesDenseOracle(t *testing.T) {
 		}
 		name := fmt.Sprintf("seed %d (%d parts, source rows %v)", seed, len(c.data), src != nil)
 
-		want := c.leaves(nil)
+		oracle := NewTape()
+		want := c.leaves(oracle)
 		wantOut := denseScatterOracle(c.rows, want, src, dst)
-		SumAll(MulElem(wantOut, Const(c.w))).Backward()
+		SumAll(MulElem(wantOut, oracle.Const(c.w))).Backward()
 
-		check := func(mode string, got []*Value, out *Value) {
+		check := func(mode string, tp *Tape, got []*Value, out *Value) {
 			t.Helper()
+			if out.tape != tp {
+				t.Fatalf("%s: op over one tape's leaves did not record on it", name)
+			}
 			requireBits(t, name+"/"+mode+"/forward", wantOut.Data, out.Data)
-			SumAll(MulElem(out, Const(c.w))).Backward()
+			SumAll(MulElem(out, tp.Const(c.w))).Backward()
 			for k := range got {
 				if c.cnst[k] {
 					if got[k].Grad != nil {
@@ -131,18 +130,11 @@ func TestScatterAddNMatchesDenseOracle(t *testing.T) {
 				requireBits(t, fmt.Sprintf("%s/%s/grad of part %d", name, mode, k), want[k].Grad, got[k].Grad)
 			}
 		}
-		got := c.leaves(nil)
-		check("untaped", got, ScatterAddN(c.rows, got, src, dst))
-
 		tp := NewTape()
 		for pass := 0; pass < 2; pass++ {
 			tp.Reset()
-			got = c.leaves(tp)
-			out := ScatterAddN(c.rows, got, src, dst)
-			if out.tape != tp {
-				t.Fatalf("%s: op over one tape's leaves did not record on it", name)
-			}
-			check(fmt.Sprintf("taped pass %d", pass), got, out)
+			got := c.leaves(tp)
+			check(fmt.Sprintf("pass %d", pass), tp, got, ScatterAddN(c.rows, got, src, dst))
 		}
 	}
 }
@@ -153,7 +145,7 @@ func TestScatterAddNMatchesDenseOracle(t *testing.T) {
 // have kept a −0.0 every part agreed on.)
 func TestScatterAddNNegativeZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	p := Var(tensor.FromRows([][]float64{{negZero, 1}}))
+	p := NewTape().Var(tensor.FromRows([][]float64{{negZero, 1}}))
 	out := ScatterAddN(2, []*Value{p}, nil, [][]int{{1}})
 	requireBits(t, "forward", tensor.FromRows([][]float64{{0, 0}, {0, 1}}), out.Data)
 	out.Grad = tensor.FromRows([][]float64{{7, 7}, {negZero, 2}})
@@ -166,7 +158,8 @@ func TestScatterAddNNegativeZero(t *testing.T) {
 // whatever it was computed from still sees a (zero) gradient.
 func TestScatterAddNEmptyRowsGetZeroGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a, b := randVar(2, 3, rng), randVar(2, 3, rng)
+	tp := NewTape()
+	a, b := tp.Var(tensor.Uniform(2, 3, -1, 1, rng)), tp.Var(tensor.Uniform(2, 3, -1, 1, rng))
 	out := ScatterAddN(2, []*Value{a, b}, [][]int{{1}, {}}, [][]int{{0}, {}})
 	SumAll(out).Backward()
 	if b.Grad == nil {

@@ -15,20 +15,20 @@ type bufPool struct {
 }
 
 // Tape owns the memory of a differentiation graph that is rebuilt with the
-// same structure over and over — the training engine's per-epoch forward
-// pass. Ops record their result nodes onto the tape in construction order,
-// so Backward on a tape-bound value is a reverse linear sweep with no
-// topological sort; Reset recycles every node and every buffer (outputs,
-// gradients, op scratch) for the next epoch instead of dropping them to the
-// garbage collector. After the first epoch warms the arenas, steady-state
-// epochs allocate almost nothing.
+// same structure over and over — an epoch's forward pass. Every op records
+// its result node onto the tape its inputs carry, in construction order, so
+// Backward is a reverse linear sweep with no topological sort; Reset
+// recycles every node and every buffer (outputs, gradients, op scratch) for
+// the next epoch instead of dropping them to the garbage collector. After the
+// first epoch warms the arenas, steady-state epochs allocate almost nothing.
 //
-// The tape enters a graph through its Var/Const leaves: any op whose inputs
-// carry a tape records onto that same tape and draws its buffers from the
-// tape's shape-keyed free-list. Ops over plain Var/Const leaves (no tape)
-// behave exactly as before — fresh allocations, depth-first backward — so
-// existing callers are untouched. Mixing values from two different tapes in
-// one op is allowed and falls back to the untaped path for that node.
+// A graph enters its tape through Var/Const leaves, and every op over them
+// draws its buffers from the tape's shape-keyed free-list. Parameters (the
+// package-level Var) are on no tape and may feed ops on any tape. An op with
+// no taped input, or with inputs from two tapes, panics: to combine values
+// from two tapes, cut one side into a leaf of the other (Tape.Const or
+// Tape.Var over its Data) and replay the cut's gradient with
+// BackwardWithGradient.
 //
 // A Tape is not safe for concurrent use; give each worker its own (the
 // engine keeps one per shard). Reset must not run while any Value or matrix
@@ -62,33 +62,25 @@ func (t *Tape) Reset() {
 // growing it on first use. The buffer is owned by the tape and is recycled
 // by the next Reset.
 func (t *Tape) Matrix(rows, cols int) *tensor.Matrix {
-	m, recycled := t.rawMatrix(rows, cols)
-	if recycled {
-		m.Zero()
-	}
+	m := t.scratch(rows, cols)
+	m.Zero()
 	return m
 }
 
-// rawMatrix is Matrix without the zeroing sweep: a recycled buffer comes
-// back with its previous contents (recycled == true), a freshly grown one
-// zeroed. For ops that fully overwrite their output this skips a redundant
-// whole-buffer pass per checkout.
-func (t *Tape) rawMatrix(rows, cols int) (m *tensor.Matrix, recycled bool) {
+// scratch is Matrix without the zeroing sweep, for ops that fully overwrite
+// their output: a recycled buffer comes back with its previous contents.
+func (t *Tape) scratch(rows, cols int) *tensor.Matrix {
 	key := int64(rows)<<32 | int64(uint32(cols))
 	p := t.pools[key]
 	if p == nil {
 		p = &bufPool{}
 		t.pools[key] = p
 	}
-	if p.next < len(p.bufs) {
-		m := p.bufs[p.next]
-		p.next++
-		return m, true
+	if p.next == len(p.bufs) {
+		p.bufs = append(p.bufs, tensor.New(rows, cols))
 	}
-	m = tensor.New(rows, cols)
-	p.bufs = append(p.bufs, m)
 	p.next++
-	return m, false
+	return p.bufs[p.next-1]
 }
 
 // newValue checks the next node out of the slab, growing it by one chunk
@@ -105,6 +97,25 @@ func (t *Tape) newValue() *Value {
 	*v = Value{tape: t, ti: t.used, parents: parents}
 	t.used++
 	return v
+}
+
+// node records an op result whose requiresGrad is inherited from parents.
+// The backward function and parent list are only retained when some parent
+// needs a gradient.
+func (t *Tape) node(data *tensor.Matrix, bk backward, parents ...*Value) *Value {
+	out := t.newValue()
+	out.Data = data
+	for _, p := range parents {
+		if p.requiresGrad {
+			out.requiresGrad = true
+			break
+		}
+	}
+	if out.requiresGrad {
+		out.parents = append(out.parents[:0], parents...)
+		out.back = bk
+	}
+	return out
 }
 
 // Var records a trainable leaf on the tape. The matrix is caller-owned (not

@@ -8,23 +8,17 @@ import (
 )
 
 // tapeGraph records a small but representative graph (matmul, broadcast
-// add, activation, gather/segment ops, loss) on the given tape (nil =
-// untaped) and runs backward. It returns the loss value and the two
+// add, activation, gather and aggregation, loss) on tape t, with w and b as
+// parameters, and runs backward. It returns the loss value and the two
 // parameter gradients.
 func tapeGraph(t *Tape, w, b *Value, x *tensor.Matrix) (float64, *tensor.Matrix, *tensor.Matrix) {
-	var xs *Value
-	if t != nil {
-		xs = t.Const(x)
-	} else {
-		xs = Const(x)
-	}
-	h := AddRow(MatMul(xs, w), b)
+	h := AddRow(MatMul(t.Const(x), w), b)
 	h = ReLU(h)
 	idx := []int{0, 1, 2, 2, 1}
 	seg := []int{0, 0, 1, 1, 2}
 	pool := tensor.NewCSR(3, []int{0, 1, 2, 3, 4}, seg)
 	g := CSRAggregate(Gather(h, idx), pool, []float64{1, 0.5, 0.5, 1, 2})
-	loss := MeanAll(SumSquares(g))
+	loss := SumSquares(g)
 	loss.Backward()
 	return loss.Scalar(), w.Grad, b.Grad
 }
@@ -37,29 +31,6 @@ func matIdentical(t *testing.T, name string, a, b *tensor.Matrix) {
 	if !tensor.ApproxEqual(a, b, 0) {
 		t.Fatalf("%s: matrices differ:\n%v\nvs\n%v", name, a, b)
 	}
-}
-
-// TestTapeMatchesUntaped locks in that recording on a tape changes nothing
-// numerically: loss and parameter gradients are bit-identical to the
-// classic untaped graph.
-func TestTapeMatchesUntaped(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.Uniform(3, 4, -1, 1, rng)
-	wm := tensor.Uniform(4, 2, -1, 1, rng)
-	bm := tensor.Uniform(1, 2, -1, 1, rng)
-
-	w0, b0 := Var(wm.Clone()), Var(bm.Clone())
-	l0, gw0, gb0 := tapeGraph(nil, w0, b0, x)
-
-	tp := NewTape()
-	w1, b1 := Var(wm.Clone()), Var(bm.Clone())
-	l1, gw1, gb1 := tapeGraph(tp, w1, b1, x)
-
-	if l0 != l1 {
-		t.Fatalf("taped loss %v != untaped loss %v", l1, l0)
-	}
-	matIdentical(t, "dW", gw0, gw1)
-	matIdentical(t, "dB", gb0, gb1)
 }
 
 // TestTapeResetReuse is the tape lifecycle golden: Reset-then-re-record
@@ -105,9 +76,9 @@ func TestTapeResetReuse(t *testing.T) {
 	}
 }
 
-// TestTapeGradBufferRecycling checks the untaped shim-path fix: ZeroGrad
-// retains the gradient buffer and EnsureGrad hands the same one back
-// zeroed, while DetachGrad severs it for callers that queue gradients.
+// TestTapeGradBufferRecycling checks how a parameter keeps its gradient
+// buffer: ZeroGrad retains it and EnsureGrad hands the same one back zeroed,
+// while DetachGrad severs it for callers that queue gradients.
 func TestTapeGradBufferRecycling(t *testing.T) {
 	v := Var(tensor.Full(2, 3, 1))
 	g1 := v.EnsureGrad()
@@ -130,40 +101,6 @@ func TestTapeGradBufferRecycling(t *testing.T) {
 	v.ZeroGrad()
 	if g3 := v.EnsureGrad(); g3 == g1 {
 		t.Fatal("EnsureGrad must not resurrect a detached buffer")
-	}
-}
-
-// TestTapeMixedTapesFallBack checks the safety valve: an op whose parents
-// live on two different tapes (or mix a tape with an untaped non-leaf)
-// produces an untaped node whose depth-first backward still reaches every
-// parameter.
-func TestTapeMixedTapesFallBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	t1, t2 := NewTape(), NewTape()
-	x1 := t1.Const(tensor.Uniform(2, 2, -1, 1, rng))
-	x2 := t2.Const(tensor.Uniform(2, 2, -1, 1, rng))
-	w := Var(tensor.Uniform(2, 2, -1, 1, rng))
-
-	a := MatMul(x1, w) // on t1
-	b := MatMul(x2, w) // on t2
-	sum := Add(a, b)   // mixed: must fall back to the untaped path
-	if sum.tape != nil {
-		t.Fatal("node mixing two tapes must be untaped")
-	}
-	loss := SumSquares(sum)
-	if loss.tape != nil {
-		t.Fatal("descendant of a mixed node must stay untaped")
-	}
-	loss.Backward()
-	if w.Grad == nil {
-		t.Fatal("depth-first fallback did not reach the shared parameter")
-	}
-
-	// Untaped non-leaf feeding a taped op: same fallback.
-	u := ReLU(Scale(Var(tensor.Uniform(2, 2, -1, 1, rng)), 2)) // untaped chain
-	mixed := Add(MatMul(x1, w), u)
-	if mixed.tape != nil {
-		t.Fatal("taped op over an untaped non-leaf must be untaped")
 	}
 }
 

@@ -92,6 +92,9 @@ type runner struct {
 	opt  *nn.Adam
 	rng  *rand.Rand
 	cfg  ModelConfig
+	// tape records every forward, training and evaluation alike; embed
+	// resets it, so an epoch reuses the previous one's nodes and buffers.
+	tape *autodiff.Tape
 }
 
 func newRunner(cfg ModelConfig, conv *nn.ConvGraph, x *tensor.Matrix, classes int) (*runner, error) {
@@ -118,6 +121,7 @@ func newRunner(cfg ModelConfig, conv *nn.ConvGraph, x *tensor.Matrix, classes in
 		opt:  nn.NewAdam(cfg.LearningRate),
 		rng:  rng,
 		cfg:  cfg,
+		tape: autodiff.NewTape(),
 	}
 	r.opt.WeightDecay = cfg.WeightDecay
 	if classes >= 2 {
@@ -137,8 +141,11 @@ func (r *runner) params() []*nn.Param {
 // Params implements nn.Module.
 func (r *runner) Params() []*nn.Param { return r.params() }
 
+// embed resets the tape and records the encoder's forward over the graph.
+// Everything recorded before it becomes invalid.
 func (r *runner) embed(training bool) *autodiff.Value {
-	return r.enc.Forward(r.conv, autodiff.Const(r.x), training, r.rng)
+	r.tape.Reset()
+	return r.enc.Forward(r.conv, r.tape.Const(r.x), training, r.rng)
 }
 
 // trainSupervised runs the full supervised loop against (possibly noised)

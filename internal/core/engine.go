@@ -396,10 +396,18 @@ func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 	return parts
 }
 
-// forward returns the pooled per-vertex embeddings (N×OutDim), combining
-// every shard's partial in fixed shard order.
-func (e *engine) forward(training bool) *autodiff.Value {
-	return autodiff.ScatterAddN(e.sys.G.N, e.forwardActive(training, nil), nil, e.allVerts)
+// forward runs the shared encoder over every shard in evaluation mode and
+// pools leaf embeddings into per-vertex embeddings (N×OutDim; paper Eq. 31,
+// average pooling). The partials are cut onto the serial tape and combined
+// there in fixed shard order, so the result does not depend on Workers. It
+// lives in the serial tape's buffers: good until the next round or forward.
+func (e *engine) forward() *autodiff.Value {
+	parts := e.forwardActive(false, nil)
+	st := e.serialTape()
+	for i, p := range parts {
+		e.cuts[i] = st.Const(p.Data)
+	}
+	return autodiff.ScatterAddN(e.sys.G.N, e.cuts, nil, e.allVerts)
 }
 
 // step runs one full-participation training epoch under the engine's
@@ -530,7 +538,7 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, rows []int,
 		}
 		pooled = autodiff.ScatterAddN(n, e.terms, src, e.termDst)
 	} else {
-		pooled = autodiff.Const(tensor.New(n, s.Encoder.EmbeddingDim()))
+		pooled = st.Const(st.Matrix(n, s.Encoder.EmbeddingDim()))
 	}
 	loss := lossFn(pooled)
 	loss.Backward()

@@ -206,7 +206,7 @@ func (s *System) Predictions() ([]int, error) {
 	if s.Head == nil {
 		return nil, fmt.Errorf("core: class predictions need a supervised system")
 	}
-	return s.classes(s.forward(false)), nil
+	return s.classes(s.eng.forward()), nil
 }
 
 // classes returns the argmax class the head assigns each pooled embedding.
@@ -223,7 +223,7 @@ func (s *System) classes(pooled *autodiff.Value) []int {
 // a serving replica answers from: what Embeddings returns and, when the
 // system has a head, what Predictions returns (nil otherwise).
 func (s *System) ServingTables() (emb *tensor.Matrix, preds []int) {
-	pooled := s.forward(false)
+	pooled := s.eng.forward()
 	if s.Head != nil {
 		preds = s.classes(pooled)
 	}
@@ -233,7 +233,7 @@ func (s *System) ServingTables() (emb *tensor.Matrix, preds []int) {
 // PairScores returns the embedding dot product of each vertex pair in
 // evaluation mode — exactly the scores EvaluateAUC ranks.
 func (s *System) PairScores(pairs [][2]int) ([]float64, error) {
-	emb := s.forward(false).Data
+	emb := s.eng.forward().Data
 	scores := make([]float64, len(pairs))
 	for i, p := range pairs {
 		if p[0] < 0 || p[0] >= s.G.N || p[1] < 0 || p[1] >= s.G.N {

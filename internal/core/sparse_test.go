@@ -14,11 +14,12 @@ import (
 // became leaf-sized, kept as the reference: every shard's partial padded to
 // N×OutDim (the pool CSR built over all N vertices straight from
 // leafVertex/poolCoef) and the partials summed with autodiff.AddN in shard
-// order.
+// order, all recorded on one tape of its own.
 func denseOracleForward(e *engine) *tensor.Matrix {
+	tp := autodiff.NewTape()
 	parts := make([]*autodiff.Value, len(e.shards))
 	for i, sh := range e.shards {
-		h := e.encs[i].Forward(sh.conv, autodiff.Const(sh.x), false, e.rngs[i])
+		h := e.encs[i].Forward(sh.conv, tp.Const(sh.x), false, e.rngs[i])
 		parts[i] = autodiff.CSRAggregate(h, tensor.NewCSR(e.sys.G.N, sh.leafLocal, sh.leafVertex), sh.poolCoef)
 	}
 	return autodiff.AddN(parts...).Data
@@ -99,11 +100,11 @@ func TestSparsePartialsMatchDenseOracle(t *testing.T) {
 			sys, split := supervisedSystem(t, g, Config{
 				Epochs: 2, MCMCIterations: 10, Shards: shards, Workers: workers, Seed: 41,
 			})
-			requireBitIdentical(t, name+"/fresh", sys.eng.forward(false).Data, denseOracleForward(sys.eng))
+			requireBitIdentical(t, name+"/fresh", sys.eng.forward().Data, denseOracleForward(sys.eng))
 			if _, err := sys.TrainSupervised(split); err != nil {
 				t.Fatal(err)
 			}
-			requireBitIdentical(t, name+"/trained", sys.eng.forward(false).Data, denseOracleForward(sys.eng))
+			requireBitIdentical(t, name+"/trained", sys.eng.forward().Data, denseOracleForward(sys.eng))
 		}
 	}
 

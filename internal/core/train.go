@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"lumos/internal/autodiff"
 	"lumos/internal/fed"
 	"lumos/internal/graph"
 	"lumos/internal/metrics"
@@ -26,14 +25,6 @@ type TrainStats struct {
 	SimEpochTime time.Duration
 	// MeasuredTime is the real CPU time the training loop took.
 	MeasuredTime time.Duration
-}
-
-// forward runs the shared encoder over the sharded forest and pools leaf
-// embeddings into per-vertex embeddings (paper Eq. 31, average pooling).
-// Shards execute on the engine's worker pool; their partial poolings are
-// combined in fixed shard order, so the result does not depend on Workers.
-func (s *System) forward(training bool) *autodiff.Value {
-	return s.eng.forward(training)
 }
 
 // TrainSupervised runs cfg.Epochs of supervised training: every device with
@@ -178,7 +169,7 @@ func (s *System) finishStats(stats *TrainStats) {
 
 // Embeddings returns the pooled per-vertex embeddings in evaluation mode.
 func (s *System) Embeddings() *tensor.Matrix {
-	return s.forward(false).Data.Clone()
+	return s.eng.forward().Data.Clone()
 }
 
 // EvaluateAccuracy computes classification accuracy over the masked

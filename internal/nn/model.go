@@ -122,12 +122,11 @@ func (m *GNN) EmbeddingDim() int { return m.Cfg.OutDim }
 
 // Forward encodes node features x over graph g. training enables dropout.
 //
-// The tape context enters through x: wrap the features with Tape.Const (or
-// Tape.Var) and the whole forward records onto that tape — every op output,
-// activation mask, and gradient buffer then comes from the tape's free-list
-// and is recycled by its next Reset. An untaped x (plain autodiff.Const)
-// selects the classic allocate-per-op mode. The parameters themselves stay
-// untaped leaves either way, so one model serves any number of tapes.
+// The tape enters through x: wrap the features with Tape.Const (or Tape.Var)
+// and the whole forward records onto that tape — every op output,
+// activation mask, and gradient buffer comes from the tape's free-list and
+// is recycled by its next Reset. The parameters themselves are on no tape,
+// so one model serves any number of tapes.
 func (m *GNN) Forward(g *ConvGraph, x *autodiff.Value, training bool, rng *rand.Rand) *autodiff.Value {
 	h := x
 	for i, l := range m.layers {

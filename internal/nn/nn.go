@@ -4,10 +4,10 @@
 // (GCN [15] and GAT [16] backbones, l = 2 layers, ReLU + dropout, linear
 // classification heads) but is written as a general, reusable library.
 //
-// Layer forwards are tape-transparent: the autodiff.Tape context (if any)
-// is carried by the input Value (see GNN.Forward), while parameters remain
-// long-lived untaped leaves whose gradient buffers are recycled in place
-// across ZeroGrad/backward cycles.
+// Layer forwards are tape-transparent: the autodiff.Tape is carried by the
+// input Value (see GNN.Forward), while parameters remain long-lived leaves
+// on no tape whose gradient buffers are recycled in place across
+// ZeroGrad/backward cycles.
 package nn
 
 import (

@@ -13,7 +13,7 @@ import (
 func TestLinearShapesAndParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear("fc", 4, 3, rng)
-	x := autodiff.Const(tensor.Uniform(5, 4, -1, 1, rng))
+	x := autodiff.NewTape().Const(tensor.Uniform(5, 4, -1, 1, rng))
 	y := l.Forward(x)
 	if y.Rows() != 5 || y.Cols() != 3 {
 		t.Fatalf("linear output %dx%d", y.Rows(), y.Cols())
@@ -31,7 +31,7 @@ func TestLinearComputesXWPlusB(t *testing.T) {
 	l := NewLinear("fc", 2, 2, rng)
 	l.W.V.Data.CopyFrom(tensor.FromRows([][]float64{{1, 2}, {3, 4}}))
 	l.B.V.Data.CopyFrom(tensor.FromRows([][]float64{{10, 20}}))
-	x := autodiff.Const(tensor.FromRows([][]float64{{1, 1}}))
+	x := autodiff.NewTape().Const(tensor.FromRows([][]float64{{1, 1}}))
 	y := l.Forward(x)
 	if y.Data.At(0, 0) != 14 || y.Data.At(0, 1) != 26 {
 		t.Fatalf("linear output %v", y.Data)
@@ -77,7 +77,7 @@ func TestGCNConvRowStochasticOnUniform(t *testing.T) {
 	// Cycle of 4 nodes: every node has degree 2.
 	g := NewConvGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	l := NewGCNConv("gcn", 3, 2, rng)
-	x := autodiff.Const(tensor.Full(4, 3, 1))
+	x := autodiff.NewTape().Const(tensor.Full(4, 3, 1))
 	y := l.Forward(g, x)
 	for i := 1; i < 4; i++ {
 		for j := 0; j < 2; j++ {
@@ -95,7 +95,7 @@ func TestGCNConvManualTwoNodes(t *testing.T) {
 	l := NewGCNConv("gcn", 2, 2, rng)
 	l.W.V.Data.CopyFrom(tensor.Eye(2))
 	l.B.V.Data.Zero()
-	x := autodiff.Const(tensor.FromRows([][]float64{{1, 0}, {0, 1}}))
+	x := autodiff.NewTape().Const(tensor.FromRows([][]float64{{1, 0}, {0, 1}}))
 	y := l.Forward(g, x)
 	// deg (with self-loop) both 2: out0 = x0/2 + x1/2 = (0.5, 0.5).
 	if math.Abs(y.Data.At(0, 0)-0.5) > 1e-12 || math.Abs(y.Data.At(0, 1)-0.5) > 1e-12 {
@@ -107,7 +107,7 @@ func TestGATConvShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := NewConvGraph(6, [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {0, 5}})
 	concat := NewGATConv("gat", 8, 4, 3, true, rng)
-	x := autodiff.Const(tensor.Uniform(6, 8, -1, 1, rng))
+	x := autodiff.NewTape().Const(tensor.Uniform(6, 8, -1, 1, rng))
 	y := concat.Forward(g, x)
 	if y.Cols() != 12 {
 		t.Fatalf("concat GAT output cols = %d, want 12", y.Cols())
@@ -136,7 +136,7 @@ func TestGATAttentionIsNormalized(t *testing.T) {
 	l.AL[0].V.Data.Zero()
 	l.AR[0].V.Data.Zero()
 	l.B.V.Data.Zero()
-	x := autodiff.Const(tensor.FromRows([][]float64{{3, 0}, {0, 3}, {3, 3}}))
+	x := autodiff.NewTape().Const(tensor.FromRows([][]float64{{3, 0}, {0, 3}, {3, 3}}))
 	y := l.Forward(g, x)
 	// Node 1 receives from {0, 2, itself}: mean = (3+0+3, 0+3+3)/3 = (2,2).
 	if math.Abs(y.Data.At(1, 0)-2) > 1e-9 || math.Abs(y.Data.At(1, 1)-2) > 1e-9 {
@@ -161,7 +161,7 @@ func TestGNNConfigValidate(t *testing.T) {
 func TestGNNForwardBothBackbones(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := NewConvGraph(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	x := autodiff.Const(tensor.Uniform(5, 6, -1, 1, rng))
+	x := autodiff.NewTape().Const(tensor.Uniform(5, 6, -1, 1, rng))
 	for _, bb := range []Backbone{GCN, GAT} {
 		m, err := NewGNN(GNNConfig{Backbone: bb, InDim: 6, Hidden: 8, OutDim: 4, Heads: 2, Dropout: 0.1}, rng)
 		if err != nil {
@@ -209,9 +209,11 @@ func TestClassifierEndToEndLearnsXORish(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := NewAdam(0.05)
+	tape := autodiff.NewTape()
 	var last float64
 	for epoch := 0; epoch < 120; epoch++ {
-		h := clf.Encoder.Forward(g, autodiff.Const(x), true, rng)
+		tape.Reset()
+		h := clf.Encoder.Forward(g, tape.Const(x), true, rng)
 		logits := clf.Head.Forward(h)
 		loss := autodiff.SoftmaxCrossEntropy(logits, labels, nil)
 		ZeroGrad(clf)
@@ -222,7 +224,8 @@ func TestClassifierEndToEndLearnsXORish(t *testing.T) {
 	if last > 0.1 {
 		t.Fatalf("classifier failed to fit: final loss %v", last)
 	}
-	h := clf.Encoder.Forward(g, autodiff.Const(x), false, rng)
+	tape.Reset()
+	h := clf.Encoder.Forward(g, tape.Const(x), false, rng)
 	logits := clf.Head.Forward(h)
 	for i, y := range labels {
 		if tensor.ArgMaxRow(logits.Data, i) != y {
@@ -321,7 +324,7 @@ func TestCloneSharedSharesWeightsSplitsGrads(t *testing.T) {
 
 	// A backward through the view must leave the original's grads untouched.
 	g := NewConvGraph(3, [][2]int{{0, 1}, {1, 2}})
-	x := autodiff.Const(tensor.Uniform(3, 6, -1, 1, rng))
+	x := autodiff.NewTape().Const(tensor.Uniform(3, 6, -1, 1, rng))
 	out := view.Forward(g, x, false, rng)
 	autodiff.SumAll(out).Backward()
 	for i := range ps {

@@ -8,9 +8,10 @@ import (
 	"lumos/internal/tensor"
 )
 
-// quadratic builds loss = Σ (w−target)² over a 1×n parameter.
+// quadratic records loss = Σ (w−target)² over a 1×n parameter on a fresh
+// tape.
 func quadratic(w *Param, target float64) *autodiff.Value {
-	diff := autodiff.Sub(w.V, autodiff.Const(tensor.Full(1, w.V.Cols(), target)))
+	diff := autodiff.Sub(w.V, autodiff.NewTape().Const(tensor.Full(1, w.V.Cols(), target)))
 	return autodiff.SumSquares(diff)
 }
 
@@ -55,7 +56,7 @@ func TestAdamWeightDecayShrinks(t *testing.T) {
 		// A loss independent of w would give no grad; instead use a tiny
 		// quadratic around the current point to trigger updates and let
 		// decay dominate.
-		loss := autodiff.Scale(autodiff.SumSquares(w.V), 1e-9)
+		loss := autodiff.Scale(quadratic(w, 0), 1e-9)
 		ZeroGrad(singleParam{w})
 		loss.Backward()
 		opt.Step([]*Param{w})
@@ -108,7 +109,7 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 	for _, scale := range []float64{1e-3, 1, 1e3} {
 		w := &Param{Name: "w", V: autodiff.Var(tensor.FromRows([][]float64{{scale}}))}
 		opt := NewAdam(0.1)
-		loss := autodiff.SumSquares(w.V)
+		loss := quadratic(w, 0)
 		loss.Backward()
 		opt.Step([]*Param{w})
 		step := scale - w.V.Data.At(0, 0)

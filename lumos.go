@@ -84,13 +84,16 @@
 // of structurally identical epochs over a fixed forest, steady-state epochs
 // are essentially allocation-free: the serial epoch benchmark dropped from
 // ~5.8k allocations and ~200 MB allocated per epoch to ~114 allocations and
-// ~29 KB, and per-epoch wall time fell ~1.6×. Parameter gradients recycle
-// their buffers in place across ZeroGrad/backward cycles on every path,
-// taped or not. Recycled tapes are the only training path; the fresh-tape
-// behaviour they replaced survives as a test reference
+// ~29 KB, and per-epoch wall time fell ~1.6×. The tape is the only way a
+// graph records: the engine's shard passes, its serial combine, its
+// evaluation forwards and the comparison baselines of Figs. 3–4 all run on
+// tapes, so every compared system differentiates through the same code.
+// Parameters are the only values off any tape; their gradients recycle
+// their buffers in place across ZeroGrad/backward cycles. The fresh-tape
+// behaviour recycled tapes replaced survives as a test reference
 // (internal/core TestTapeReuseMatchesFreshTapes drops the engine's tapes
-// before every epoch and requires bit-identical loss traces), and an
-// allocation-budget test in CI keeps the steady state honest.
+// before every epoch and requires bit-identical loss traces), and
+// allocation-budget tests in CI keep the steady state honest.
 //
 // # Hardware-fast kernels
 //

@@ -154,9 +154,27 @@ gate plain . \
 	TestEntryPointsBuildAndRun/lumos-sim-gossip \
 	TestEntryPointsBuildAndRun/examples/topologystudy
 
+# One backward: every graph records on a tape. The finite-difference table
+# over every exported op (each row recorded on a tape; the coverage test
+# fails when an op has no row) and the panics of an op over no tape or over
+# two tapes, under the race detector; then the comparison baselines' golden
+# loss traces and metrics (recorded before they moved onto a tape), their
+# per-epoch allocation budget, and the engine round whose combine has no
+# term (its zero pooled value now on the serial tape).
+gate race ./internal/autodiff \
+	TestGradMatMul TestGradAddSub TestGradAddRow TestGradScaleAddN \
+	TestGradActivations TestGradDropoutMask TestGradGatherSegmentSum \
+	TestGradScaleRows TestGradMulRowsByCol TestGradScatterAddN \
+	TestGradCSRAggregate TestGradSegmentSoftmax TestGradConcat TestGradPairDot \
+	TestGradSoftmaxCrossEntropy TestGradLogisticLoss TestGradNoisyLabelCE \
+	TestGradSumMeanSquares TestGradCutGraph TestGradTableCoversEveryOp \
+	TestOpOnNoTapePanics TestOpOverTwoTapesPanics
+gate plain ./internal/baselines TestBaselineGoldens TestBaselineEpochAllocBudget
+gate plain ./internal/core TestNoTermRound
+
 # Serving-loop gates: the checkpoint/snapshot corruption tables (corrupt
 # files must fail with bounded allocation), the hot-swap race suite, and the
-# CLI-level train → publish → serve → query → republish round trip.
+# CLI-level train → publish → serve → query → republish → SIGTERM round trip.
 gate plain ./internal/nn TestLoadParamsCorruptLengthFields TestLoadParamsTruncation
 gate plain ./internal/snapshot TestSnapshotCorruption TestSnapshotTruncation
 gate race ./internal/serve TestServeHotSwapRace

@@ -1,7 +1,7 @@
 // End-to-end test of the train→publish→serve loop through the real CLIs:
 // lumos-train publishes snapshot v1, lumos-serve serves it on an ephemeral
-// port with -watch, HTTP queries answer, and a republish hot-swaps the
-// replica to v2 without a restart.
+// port with -watch, HTTP queries answer, a republish hot-swaps the replica
+// to v2 without a restart, and SIGTERM drains it to a clean exit.
 package lumos_test
 
 import (
@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -60,9 +61,15 @@ func TestServePublishServeQueryE2E(t *testing.T) {
 	if err := serve.Start(); err != nil {
 		t.Fatal(err)
 	}
+	var waitErr error
+	exited := make(chan struct{})
+	go func() {
+		waitErr = serve.Wait()
+		close(exited)
+	}()
 	defer func() {
-		serve.Process.Kill()
-		serve.Wait()
+		serve.Process.Kill() // a no-op once the replica has exited
+		<-exited
 	}()
 
 	// The first stdout line names the resolved ephemeral address.
@@ -191,5 +198,18 @@ func TestServePublishServeQueryE2E(t *testing.T) {
 	}
 	if c := metrics[`lumos_serve_queries_total{endpoint="classify"}`]; c < 2 {
 		t.Fatalf(`lumos_serve_queries_total{endpoint="classify"} = %v, want >= 2`, c)
+	}
+
+	// SIGTERM drains the replica to exit status 0.
+	if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+		if waitErr != nil {
+			t.Fatalf("lumos-serve after SIGTERM: %v", waitErr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("lumos-serve did not exit within 5 s of SIGTERM")
 	}
 }
