@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -191,7 +192,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 // the client's 400.
 func writeQueryError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	if err == errNotReady || err == errClosed {
+	if errors.Is(err, errNotReady) || errors.Is(err, errClosed) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, errorResponse{err.Error()})
