@@ -16,8 +16,8 @@
 //	curl -d '{"pairs":[[0,1],[2,3]]}' localhost:8080/v1/score
 //
 // Observability: GET /metrics serves Prometheus-text runtime metrics
-// (per-endpoint query latency histograms and counts, error and swap
-// counts, serving snapshot version/age). -log emits one structured JSON line per
+// (per-endpoint query latency histograms and counts, error and swap counts,
+// serving snapshot version/age). -log emits one structured JSON line per
 // request on stderr; -pprof mounts net/http/pprof under /debug/pprof/.
 //
 // SIGTERM or SIGINT drains the replica: it stops accepting connections,
