@@ -1,7 +1,7 @@
 // Command lumos-serve answers node-classification and link-scoring queries
 // over HTTP from a published model snapshot. With -watch it polls the
 // snapshot file and hot-swaps atomically whenever the trainer republishes a
-// newer version — in-flight queries finish on the old model, the next query
+// newer version — in-flight queries finish on the old model, the next batch
 // sees the new one, and the served version never moves backwards.
 //
 // Usage:
@@ -16,13 +16,13 @@
 //	curl -d '{"pairs":[[0,1],[2,3]]}' localhost:8080/v1/score
 //
 // Observability: GET /metrics serves Prometheus-text runtime metrics
-// (per-endpoint query latency histograms and counts, error and swap counts,
+// (query latency and batch-size histograms, queue depth, swap count,
 // serving snapshot version/age). -log emits one structured JSON line per
 // request on stderr; -pprof mounts net/http/pprof under /debug/pprof/.
 //
 // SIGTERM or SIGINT drains the replica: it stops accepting connections,
 // lets in-flight requests finish (for at most drainTimeout), stops the
-// watcher, and exits 0.
+// watcher and the batcher, and exits 0.
 package main
 
 import (
@@ -54,6 +54,8 @@ func main() {
 		addr      = flag.String("addr", ":8080", "HTTP listen address (use 127.0.0.1:0 for an ephemeral port)")
 		watch     = flag.Bool("watch", false, "poll the snapshot file and hot-swap when a newer version is published")
 		interval  = flag.Duration("watch-interval", 500*time.Millisecond, "snapshot poll interval with -watch")
+		batch     = flag.Int("batch", 64, "max queries answered per bundle load")
+		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "how long a non-full batch waits for more queries")
 		accessLog = flag.Bool("log", false, "emit one structured JSON line per request on stderr")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
@@ -61,8 +63,10 @@ func main() {
 
 	logger := log.New(os.Stderr, "lumos-serve: ", log.LstdFlags)
 	opt := serve.Options{
-		Logf:    logger.Printf,
-		Metrics: obs.New(),
+		MaxBatch:  *batch,
+		BatchWait: *batchWait,
+		Logf:      logger.Printf,
+		Metrics:   obs.New(),
 	}
 	if *accessLog {
 		// One JSON object per request, on stderr so the stdout port banner

@@ -90,7 +90,7 @@ func main() {
 	}
 
 	// Keep training, republish: the replica hot-swaps to v2 atomically —
-	// queries in flight finish on v1, the next query answers from v2.
+	// queries in flight finish on v1, the next batch answers from v2.
 	_, err = sys.TrainSupervised(split)
 	fatal(err)
 	acc2, err := sys.EvaluateAccuracy(split.IsTest)

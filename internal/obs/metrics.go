@@ -10,7 +10,7 @@
 // and allocation-identical to uninstrumented code. Second, the enabled hot
 // path never allocates: counters, gauges, and histograms update through
 // atomics only, so they are safe under the race detector and cheap enough
-// to sit on the serving query path and inside the training epoch loop.
+// to sit inside the serving batch loop and the training epoch loop.
 package obs
 
 import (
@@ -220,6 +220,8 @@ var (
 		0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
 		0.5, 1, 2.5, 5, 10, 30, 60, 120,
 	}
+	// SizeBuckets is powers of two for batch sizes and queue depths.
+	SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 )
 
 // Registry holds named instruments and renders them as Prometheus text.

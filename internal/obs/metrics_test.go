@@ -31,7 +31,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
 	g := r.Gauge("y", "")
-	h := r.Histogram("z", "", LatencyBuckets)
+	h := r.Histogram("z", "", SizeBuckets)
 	r.GaugeFunc("f", "", func() float64 { return 1 })
 	c.Inc()
 	c.Add(3)

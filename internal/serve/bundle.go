@@ -1,14 +1,9 @@
 // Package serve answers node-classification and link-scoring queries from
 // published model snapshots. A Bundle is one immutable snapshot prepared
 // for serving (embedding cache plus precomputed predictions); a Server
-// answers each query from the bundle one atomic pointer load returns and
-// hot-swaps to a newer bundle atomically, so a query always sees one
-// consistent model version and versions only ever move forward.
-//
-// Every query names a vertex the model was trained over, so its answer is
-// a table lookup: there is no queue, no worker and no batching. A query
-// about an unseen vertex would need a forward pass; a batching path belongs
-// here only if such an inductive query is added.
+// batches incoming queries against the current bundle and hot-swaps to a
+// newer bundle atomically, so a query always sees one consistent model
+// version and versions only ever move forward.
 package serve
 
 import (

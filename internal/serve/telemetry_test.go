@@ -7,16 +7,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lumos/internal/obs"
 )
 
 // TestMetricsEndpointScrape is the /metrics acceptance test: a replica built
 // with a registry serves parseable Prometheus text carrying the promised
-// serving metrics — per-endpoint query latency, swap count, and the serving
-// snapshot version — and nothing of a query queue.
+// serving metrics — per-endpoint query latency, batch sizes, swap count, and
+// the serving snapshot version.
 func TestMetricsEndpointScrape(t *testing.T) {
-	s := New(Options{Metrics: obs.New()})
+	s := New(Options{BatchWait: 100 * time.Microsecond, Metrics: obs.New()})
 	defer s.Close()
 	s.Swap(fakeBundle(3, 16, 4))
 	s.Swap(fakeBundle(4, 16, 4))
@@ -61,22 +62,19 @@ func TestMetricsEndpointScrape(t *testing.T) {
 			t.Fatalf("%s = %v, want %v", name, got, want)
 		}
 	}
+	// The latency and batch-size histograms exist with one observation each.
 	if got := vals[`lumos_serve_query_seconds_count{endpoint="classify"}`]; got != 1 {
 		t.Fatalf("classify latency count = %v, want 1", got)
 	}
-	// Queries are answered on the caller's goroutine: there is no batch to
-	// size and no queue to measure.
-	for _, gone := range []string{"lumos_serve_batch_size_count", "lumos_serve_queue_depth"} {
-		if _, ok := vals[gone]; ok {
-			t.Fatalf("scrape still reports %s", gone)
-		}
+	if got := vals["lumos_serve_batch_size_count"]; got < 1 {
+		t.Fatalf("batch size count = %v, want >= 1", got)
 	}
 }
 
 // TestMetricsEndpointAbsentWithoutRegistry: no registry, no /metrics route —
 // embedders that never opted in keep today's surface.
 func TestMetricsEndpointAbsentWithoutRegistry(t *testing.T) {
-	s := New(Options{})
+	s := New(Options{BatchWait: 100 * time.Microsecond})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -97,6 +95,7 @@ func TestAccessLog(t *testing.T) {
 	var mu sync.Mutex
 	var recs []AccessRecord
 	s := New(Options{
+		BatchWait: 100 * time.Microsecond,
 		AccessLog: func(r AccessRecord) {
 			mu.Lock()
 			recs = append(recs, r)

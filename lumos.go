@@ -256,10 +256,9 @@
 // inference system reproduces the training system's floating-point
 // reduction order exactly: every served class and link score is
 // bit-identical to what EvaluateAccuracy / EvaluateAUC computed in the
-// training process. The serving replica answers each query on the caller's
-// goroutine from an immutable bundle (embedding cache + precomputed
-// predictions) behind an atomic pointer — one pointer load and a table
-// lookup, no queue; hot swaps are lock-free, reject stale versions, and each
+// training process. The serving replica batches queries against an
+// immutable bundle (embedding cache + precomputed predictions) behind an
+// atomic pointer; hot swaps are lock-free, reject stale versions, and each
 // answer names the snapshot version it came from. Entry points: the
 // lumos-serve CLI (HTTP: /healthz, /v1/info, /v1/classify, /v1/score),
 // lumos-train -publish, and the examples/servequickstart walkthrough; the
@@ -284,10 +283,10 @@
 // A MetricsRegistry exports Prometheus text (training: lumos_train_* step
 // counters, loss and queue-depth gauges, step-time histogram; simulation:
 // lumos_sim_* rounds, bytes, energy, aggregator queueing; serving:
-// lumos_serve_* per-endpoint latency histograms, swap count, serving
-// snapshot version). An EventTracer records spans and instants — epochs,
-// rounds, device compute/upload, aggregator serving, snapshot publishes,
-// hot swaps — and writes them as Chrome
+// lumos_serve_* per-endpoint latency and batch-size histograms, swap count,
+// serving snapshot version). An EventTracer records spans and instants —
+// epochs, rounds, device compute/upload, aggregator serving, snapshot
+// publishes, batch drains, hot swaps — and writes them as Chrome
 // trace-event JSON viewable in Perfetto (ui.perfetto.dev) or as JSONL.
 // Training and serving trace on the wall clock (NewEventTracer); the
 // simulator traces on its virtual clock (NewVirtualEventTracer via
@@ -591,7 +590,7 @@ type (
 	// Server answers classification and link-scoring queries from the
 	// currently-published bundle, hot-swapping atomically on republish.
 	Server = serve.Server
-	// ServeOptions configures a Server's logging and telemetry.
+	// ServeOptions tunes a Server's query batching.
 	ServeOptions = serve.Options
 	// ServeBundle is one immutable snapshot prepared for serving.
 	ServeBundle = serve.Bundle
@@ -620,7 +619,7 @@ func PublishSnapshot(path string, s *Snapshot) (uint64, error) {
 // the cheap staleness check watchers use before a full read.
 func PeekSnapshotVersion(path string) (uint64, error) { return snapshot.PeekVersion(path) }
 
-// NewServer builds a serving replica; it starts no goroutine.
+// NewServer builds a serving replica and starts its batching worker.
 func NewServer(opt ServeOptions) *Server { return serve.New(opt) }
 
 // NewServeBundle prepares a decoded snapshot for serving: it rebuilds the

@@ -180,13 +180,6 @@ gate plain ./internal/snapshot TestSnapshotCorruption TestSnapshotTruncation
 gate race ./internal/serve TestServeHotSwapRace
 gate plain . TestServePublishServeQueryE2E
 
-# Queries answered from the swapped bundle, with no batcher: the HTTP
-# transcript golden (every status and body across a replica's life, recorded
-# while a batching worker still answered), one goroutine-free lookup and one
-# allocation per query with telemetry off and on, and Close refusing later
-# queries with a 503.
-gate plain ./internal/serve TestServeHTTPGolden TestQueryIsALookup TestCloseRefusesQueries
-
 # Report gates: the analyzer/diff/record unit suites (critical-path
 # attribution under the race detector, the e2e straggler-blame acceptance
 # check, the diff identity and doctored-regression tests, and the record
