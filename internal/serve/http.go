@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -190,12 +191,11 @@ func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 // back off from; everything else (out-of-range node, headless model) is
 // the client's 400.
 func writeQueryError(w http.ResponseWriter, err error) {
-	b := errorResponse{err.Error()}
-	if cur := err.Error(); cur == "serve: no snapshot loaded yet" || cur == "serve: server closed" {
-		writeJSON(w, http.StatusServiceUnavailable, b)
-		return
+	status := http.StatusBadRequest
+	if errors.Is(err, errNotReady) || errors.Is(err, errClosed) {
+		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusBadRequest, b)
+	writeJSON(w, status, errorResponse{err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

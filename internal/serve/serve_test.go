@@ -387,3 +387,32 @@ func TestServeWatchHotSwap(t *testing.T) {
 		t.Fatalf("corrupt publish disturbed the served bundle: %+v", b)
 	}
 }
+
+// TestCloseRefusesQueries: after Close every query is refused as not ready
+// (HTTP 503), while Swap and Current keep working and a second Close is
+// harmless.
+func TestCloseRefusesQueries(t *testing.T) {
+	s := New(Options{BatchWait: 100 * time.Microsecond})
+	s.Swap(fakeBundle(1, 8, 2))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Close()
+	s.Close()
+	if _, _, err := s.Classify([]int{0}); err == nil {
+		t.Fatal("closed server answered a classify query")
+	}
+	if _, _, err := s.Score([][2]int{{0, 1}}); err == nil {
+		t.Fatal("closed server answered a score query")
+	}
+	resp, err := http.Post(ts.URL+"/v1/classify", "application/json", strings.NewReader(`{"nodes":[0]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("classify after Close: %s, want 503", resp.Status)
+	}
+	if !s.Swap(fakeBundle(2, 8, 2)) || s.Current().Version != 2 {
+		t.Fatal("Swap after Close did not take")
+	}
+}

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"fmt"
+	"errors"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -55,6 +55,7 @@ type Server struct {
 	cur  atomic.Pointer[Bundle]
 	reqs chan *request
 	quit chan struct{}
+	stop sync.Once
 	wg   sync.WaitGroup
 	tel  serveTelemetry
 }
@@ -64,6 +65,13 @@ type reqKind int
 const (
 	kindClassify reqKind = iota
 	kindScore
+)
+
+// The two query errors that mean "not now" rather than "bad query": the HTTP
+// layer answers them 503 so load balancers back off.
+var (
+	errNotReady = errors.New("serve: no snapshot loaded yet")
+	errClosed   = errors.New("serve: server closed")
 )
 
 type request struct {
@@ -102,10 +110,11 @@ func New(opt Options) *Server {
 	return s
 }
 
-// Close stops the batching worker. In-flight queries are answered with an
-// error; Swap and Current remain safe to call.
+// Close stops the batching worker. In-flight and later queries are answered
+// with an error (HTTP 503); Swap and Current remain safe to call, and so does
+// a second Close.
 func (s *Server) Close() {
-	close(s.quit)
+	s.stop.Do(func() { close(s.quit) })
 	s.wg.Wait()
 }
 
@@ -151,13 +160,13 @@ func (s *Server) submit(r *request) result {
 	select {
 	case s.reqs <- r:
 	case <-s.quit:
-		return result{err: fmt.Errorf("serve: server closed")}
+		return result{err: errClosed}
 	}
 	select {
 	case res := <-r.done:
 		return res
 	case <-s.quit:
-		return result{err: fmt.Errorf("serve: server closed")}
+		return result{err: errClosed}
 	}
 }
 
@@ -199,7 +208,7 @@ func (s *Server) worker() {
 
 func answer(b *Bundle, r *request) result {
 	if b == nil {
-		return result{err: fmt.Errorf("serve: no snapshot loaded yet")}
+		return result{err: errNotReady}
 	}
 	switch r.kind {
 	case kindClassify:

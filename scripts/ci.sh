@@ -180,6 +180,10 @@ gate plain ./internal/snapshot TestSnapshotCorruption TestSnapshotTruncation
 gate race ./internal/serve TestServeHotSwapRace
 gate plain . TestServePublishServeQueryE2E
 
+# The HTTP transcript golden (every status and body across a replica's life)
+# and Close refusing later queries with a 503, twice without a panic.
+gate plain ./internal/serve TestServeHTTPGolden TestCloseRefusesQueries
+
 # Report gates: the analyzer/diff/record unit suites (critical-path
 # attribution under the race detector, the e2e straggler-blame acceptance
 # check, the diff identity and doctored-regression tests, and the record
