@@ -5,8 +5,11 @@
 package lumos_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -20,11 +23,11 @@ var entryPoints = []struct {
 	run  bool
 	args []string
 }{
-	// lumos-bench runs one short training comparison: fig3's
-	// centralized-vs-lumos figure at minimal scale.
+	// lumos-bench runs every experiment runner (Figs. 3–8 and the
+	// headline) at minimal scale, so the transcript pins each runner.
 	{pkg: "./cmd/lumos-bench", run: true, args: []string{
-		"-exp", "fig3", "-fbscale", "0.004", "-epochs", "2", "-mcmc", "5",
-		"-backbones", "gcn", "-datasets", "facebook"}},
+		"-exp", "all", "-backbones", "gcn", "-datasets", "facebook",
+		"-fbscale", "0.004", "-epochs", "2", "-mcmc", "5"}},
 	{pkg: "./cmd/lumos-datagen", run: true, args: []string{"-dataset", "facebook", "-scale", "0.005"}},
 	// -traces emits a sample fleet trace (stdout CSV here; the file-writing
 	// path seeds the lumos-sim-trace row below).
@@ -169,6 +172,64 @@ func TestEntryPointsBuildAndRun(t *testing.T) {
 			if len(out) == 0 {
 				t.Fatalf("%s produced no output", ep.pkg)
 			}
+			norm := normalizeTranscript(string(out), binDir)
+			if got, want := fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))[:16], transcriptGolden[name]; got != want {
+				t.Errorf("transcript hash %q: %q, want %q; normalized output:\n%s", name, got, want, norm)
+			}
 		})
 	}
+}
+
+// transcriptGolden pins every run row's output: the first 16 hex digits of
+// the SHA-256 of normalizeTranscript's result.
+var transcriptGolden = map[string]string{
+	"cmd/lumos-bench":          "f7edcb8b6fdaf68c",
+	"cmd/lumos-datagen":        "1a578c8f9a80c91b",
+	"cmd/lumos-sim":            "dc3d65c5259b52cb",
+	"cmd/lumos-train":          "51edbe03b3382c8c",
+	"examples/churnstudy":      "a6ae0020b8cf2ac3",
+	"examples/energystudy":     "9216fc87cbbeb24f",
+	"examples/quickstart":      "a9222e1cbe7d7772",
+	"examples/securecompare":   "2a8ebe61c647ad45",
+	"examples/servequickstart": "ef5d29800c4d59d0",
+	"examples/topologystudy":   "c9f6357a2e734e7e",
+	"lumos-datagen-traces":     "8c640c6b562100ce",
+	"lumos-report-diff":        "8dade3c844f2e131",
+	"lumos-report-run":         "726ad4992e8d1869",
+	"lumos-report-trace":       "e06cf406ba4bd267",
+	"lumos-sim-gossip":         "6608a4d1f106c5bc",
+	"lumos-sim-runrecord":      "f40d9ae6d3eaaf80",
+	"lumos-sim-telemetry":      "0d43a732ab65566f",
+	"lumos-sim-trace":          "8980c7efcf707f34",
+	"lumos-sim-unsupervised":   "e2a774782bcb958c",
+	"lumos-train-runrecord":    "02710cfd1fe6dc07",
+}
+
+var (
+	spaceRun = regexp.MustCompile(` +`)
+	rulerRun = regexp.MustCompile(`-{2,}`)
+	port     = regexp.MustCompile(`127\.0\.0\.1:[0-9]+`)
+	// hostLine matches output that differs between two runs of the same
+	// command: wall-clock timings (printed, or in the training step-time
+	// histogram a -metrics dump holds) and lumos-report's host line.
+	hostLine = regexp.MustCompile(`measured training time|total wall time|^total: |^lumos_train_step_seconds|^go \S+ GOMAXPROCS=`)
+)
+
+// normalizeTranscript makes a row's output comparable across runs and
+// machines: the temp dir becomes {TMP} and a loopback port {PORT}, runs of
+// spaces and of table-ruler dashes collapse to one (lumos-report pads its
+// columns to the path length), and the timing and host lines are dropped.
+func normalizeTranscript(out, tmp string) string {
+	out = strings.ReplaceAll(out, tmp, "{TMP}")
+	out = port.ReplaceAllString(out, "127.0.0.1:{PORT}")
+	var b strings.Builder
+	for _, line := range strings.Split(out, "\n") {
+		line = rulerRun.ReplaceAllString(spaceRun.ReplaceAllString(line, " "), "-")
+		if hostLine.MatchString(line) {
+			continue
+		}
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
