@@ -6,7 +6,7 @@
 //
 //	lumos-datagen -dataset facebook -scale 0.1             # stats only
 //	lumos-datagen -dataset lastfm -out lastfm.bin          # save to disk
-//	lumos-datagen -in lastfm.bin                           # inspect a file
+//	lumos-datagen -dataset file:lastfm.bin                 # inspect a file
 //	lumos-datagen -traces -devices 48 -out fleet.csv       # fleet trace
 //	lumos-datagen -traces -devices 8                       # trace to stdout
 //
@@ -31,11 +31,10 @@ import (
 
 func main() {
 	var (
-		dataset = flag.String("dataset", "facebook", "facebook|lastfm")
+		dataset = flag.String("dataset", "facebook", "facebook|lastfm|file:<path>")
 		scale   = flag.Float64("scale", 0.1, "preset scale (0,1]")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		out     = flag.String("out", "", "write the dataset (or trace) to this file")
-		in      = flag.String("in", "", "inspect an existing dataset file instead of generating")
 		traces  = flag.Bool("traces", false, "emit a sample device-fleet trace instead of a dataset")
 		devices = flag.Int("devices", 48, "trace mode: number of devices to sample")
 	)
@@ -46,21 +45,7 @@ func main() {
 		return
 	}
 
-	var g *graph.Graph
-	var err error
-	switch {
-	case *in != "":
-		f, ferr := os.Open(*in)
-		check(ferr)
-		g, err = graph.Read(f)
-		f.Close()
-	case *dataset == "facebook" || *dataset == "fb":
-		g, err = graph.FacebookLike(*scale, *seed)
-	case *dataset == "lastfm" || *dataset == "lf":
-		g, err = graph.LastFMLike(*scale, *seed)
-	default:
-		fatalf("unknown dataset %q", *dataset)
-	}
+	g, err := graph.LoadDataset(*dataset, *scale, *seed)
 	check(err)
 
 	st := g.ComputeStats()

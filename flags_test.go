@@ -28,7 +28,6 @@ var flagSetGolden = map[string]string{
 -workers int`,
 	"lumos-datagen": `-dataset string "facebook"
 -devices int 48
--in string
 -out string
 -scale float 0.1
 -seed int 1
