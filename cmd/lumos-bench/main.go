@@ -16,56 +16,50 @@ import (
 	"strings"
 	"time"
 
-	"lumos/internal/core"
+	"lumos/internal/cli"
 	"lumos/internal/eval"
 	"lumos/internal/nn"
 )
 
 func main() {
+	data := cli.Data{Seed: 42}
+	model := cli.Model{Epsilon: 2, MCMC: 150}
+	engine := cli.Engine{Sched: "sync"}
+	data.Register(flag.CommandLine, "seed")
+	model.Register(flag.CommandLine, "eps", "mcmc", "secure")
+	engine.Register(flag.CommandLine)
 	var (
 		exp     = flag.String("exp", "all", "experiment: fig3|fig4|fig5|fig6|fig7|fig8|headline|all")
 		fbScale = flag.Float64("fbscale", 0.02, "Facebook preset scale (0,1]")
 		lfScale = flag.Float64("lfscale", 0.1, "LastFM preset scale (0,1]")
 		epochs  = flag.Int("epochs", 60, "training epochs per system (paper: 300)")
-		mcmc    = flag.Int("mcmc", 150, "MCMC tree-trimming iterations (paper: 1000 FB / 300 LastFM)")
-		eps     = flag.Float64("eps", 2, "privacy budget epsilon")
-		secure  = flag.Bool("secure", false, "run real OT-based secure comparisons (slower, same results)")
 		bbs     = flag.String("backbones", "gcn,gat", "comma-separated backbones: gcn,gat")
 		dss     = flag.String("datasets", "facebook,lastfm", "comma-separated datasets: facebook,lastfm")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		seed    = flag.Int64("seed", 42, "experiment seed")
-		workers = flag.Int("workers", 0, "training worker pool size (0 = one per CPU; results identical)")
-		sched   = flag.String("sched", "sync", "round scheduling: sync|async (staleness-bounded)")
-		stale   = flag.Int("staleness", 0, "async gradient staleness bound in epochs (0 = default)")
 	)
 	flag.Parse()
 
-	schedMode, err := core.ParseSched(*sched)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	sched, err := engine.EpochSched()
+	check(err)
 	opts := eval.Options{
 		FacebookScale:  *fbScale,
 		LastFMScale:    *lfScale,
 		Epochs:         *epochs,
-		Epsilon:        *eps,
-		MCMCIterations: *mcmc,
-		SecureCompare:  *secure,
-		Workers:        *workers,
-		Sched:          schedMode,
-		Staleness:      *stale,
-		Seed:           *seed,
+		Epsilon:        model.Epsilon,
+		MCMCIterations: model.MCMC,
+		SecureCompare:  model.Secure,
+		Workers:        engine.Workers,
+		Sched:          sched,
+		Staleness:      engine.Staleness,
+		Seed:           data.Seed,
 	}
 	for _, b := range strings.Split(*bbs, ",") {
-		switch strings.TrimSpace(strings.ToLower(b)) {
-		case "gcn":
-			opts.Backbones = append(opts.Backbones, nn.GCN)
-		case "gat":
-			opts.Backbones = append(opts.Backbones, nn.GAT)
-		case "":
-		default:
-			fatalf("unknown backbone %q", b)
+		if b = strings.TrimSpace(b); b == "" {
+			continue
 		}
+		bb, err := nn.ParseBackbone(b)
+		check(err)
+		opts.Backbones = append(opts.Backbones, bb)
 	}
 	for _, d := range strings.Split(*dss, ",") {
 		switch strings.TrimSpace(strings.ToLower(d)) {

@@ -24,16 +24,15 @@ import (
 	"fmt"
 	"os"
 
+	"lumos/internal/cli"
 	"lumos/internal/fleet"
-	"lumos/internal/graph"
 	"lumos/internal/metrics"
 )
 
 func main() {
+	data := cli.Data{Dataset: "facebook", Scale: 0.1, Seed: 1}
+	data.Register(flag.CommandLine)
 	var (
-		dataset = flag.String("dataset", "facebook", "facebook|lastfm|file:<path>")
-		scale   = flag.Float64("scale", 0.1, "preset scale (0,1]")
-		seed    = flag.Int64("seed", 1, "generator seed")
 		out     = flag.String("out", "", "write the dataset (or trace) to this file")
 		traces  = flag.Bool("traces", false, "emit a sample device-fleet trace instead of a dataset")
 		devices = flag.Int("devices", 48, "trace mode: number of devices to sample")
@@ -41,11 +40,11 @@ func main() {
 	flag.Parse()
 
 	if *traces {
-		emitTrace(*devices, *seed, *out)
+		emitTrace(*devices, data.Seed, *out)
 		return
 	}
 
-	g, err := graph.LoadDataset(*dataset, *scale, *seed)
+	g, err := data.Load()
 	check(err)
 
 	st := g.ComputeStats()

@@ -32,60 +32,51 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
+	"lumos/internal/cli"
 	"lumos/internal/core"
 	"lumos/internal/eval"
 	"lumos/internal/fed"
 	"lumos/internal/fleet"
-	"lumos/internal/graph"
-	"lumos/internal/nn"
-	"lumos/internal/obs"
 	"lumos/internal/report"
 	"lumos/internal/sim"
 	"lumos/internal/topo"
 )
 
 func main() {
+	data := cli.Data{Dataset: "facebook", Scale: 0.02, Seed: 7}
+	model := cli.Model{Task: "supervised", Backbone: "gcn", Epsilon: 2, MCMC: 150}
+	engine := cli.Engine{Sched: "sync", Staleness: 2}
+	var rec cli.Record
+	data.Register(flag.CommandLine)
+	model.Register(flag.CommandLine, "task", "backbone", "eps", "mcmc")
+	engine.Register(flag.CommandLine)
+	rec.Register(flag.CommandLine)
 	var (
-		dataset    = flag.String("dataset", "facebook", "facebook|lastfm|file:<path>")
-		scale      = flag.Float64("scale", 0.02, "dataset preset scale (0,1]")
-		task       = flag.String("task", "supervised", "training objective: supervised|unsupervised")
-		backbone   = flag.String("backbone", "gcn", "gcn|gat")
-		fleetSpec  = flag.String("fleet", "zipf", "device fleet: uniform|zipf|periodic|trace:<path> (CSV/JSON trace, see lumos-datagen -traces)")
-		zipfSkew   = flag.Float64("zipf", 1.2, "zipf fleet skew (slowest device ~2^skew x median)")
-		tracePer   = flag.Int("trace-period", 8, "periodic fleet availability period, rounds")
-		traceDuty  = flag.Float64("trace-duty", 0.75, "periodic fleet online fraction of each period")
-		aggCap     = flag.Float64("agg-capacity", 0, "aggregator shared uplink/downlink capacity, bytes/s (0 = unlimited: independent links)")
-		churn      = flag.Float64("churn", 0.2, "per-round probability an online device leaves")
-		rejoin     = flag.Float64("rejoin", 0.5, "per-round probability an offline device returns")
-		partic     = flag.Float64("participation", 0.8, "fraction of available devices sampled per round")
-		rounds     = flag.Int("rounds", 20, "training rounds to simulate")
-		sched      = flag.String("sched", "sync", "round scheduling: sync|async|gossip|both")
-		stale      = flag.Int("staleness", 2, "async gradient staleness bound in rounds")
-		topoSpec   = flag.String("topology", "", "gossip contact graph: ring[:k]|k-regular:<k>|ba:<m>|complete|file:<path> (required with -sched gossip)")
-		linkDisc   = flag.String("link-discipline", "", "gossip link queueing: ps (default)|fifo")
-		policy     = flag.String("participation-policy", "uniform", "participation policy: uniform|energy (skip devices over the per-round energy budget)")
-		budget     = flag.Float64("energy-budget", 0, "energy policy per-round per-device budget, joules (0 = fleet mean projected spend)")
-		ttl        = flag.Int("ttl", 2, "rounds an absent device's cached embeddings keep serving")
-		evalEvery  = flag.Int("eval-every", 5, "evaluate the test metric every k rounds")
-		selection  = flag.Bool("select", false, "round-driven model selection: keep the best validation-metric snapshot")
-		mcmc       = flag.Int("mcmc", 150, "MCMC tree-trimming iterations")
-		eps        = flag.Float64("eps", 2, "privacy budget epsilon")
-		workers    = flag.Int("workers", 0, "training worker pool size (0 = one per CPU; results identical)")
-		seed       = flag.Int64("seed", 7, "run seed (training and scenario)")
-		csv        = flag.Bool("csv", false, "also print the per-round timeline as CSV")
-		traceOut   = flag.String("trace", "", "write the simulated timeline as Chrome trace-event JSON, viewable in Perfetto (with -sched both the mode is inserted before the extension)")
-		metricsOn  = flag.Bool("metrics", false, "print the run's metrics in Prometheus text format after the timeline")
-		metricsOut = flag.String("metrics-out", "", "write the run's metrics in Prometheus text format to this file (with -sched both the mode is inserted before the extension)")
-		runOut     = flag.String("run-out", "", "record the run to this directory (manifest.json, rounds.jsonl, metrics.prom) for lumos-report; with -sched both the mode is appended to the directory name")
+		fleetSpec = flag.String("fleet", "zipf", "device fleet: uniform|zipf|periodic|trace:<path> (CSV/JSON trace, see lumos-datagen -traces)")
+		zipfSkew  = flag.Float64("zipf", 1.2, "zipf fleet skew (slowest device ~2^skew x median)")
+		tracePer  = flag.Int("trace-period", 8, "periodic fleet availability period, rounds")
+		traceDuty = flag.Float64("trace-duty", 0.75, "periodic fleet online fraction of each period")
+		aggCap    = flag.Float64("agg-capacity", 0, "aggregator shared uplink/downlink capacity, bytes/s (0 = unlimited: independent links)")
+		churn     = flag.Float64("churn", 0.2, "per-round probability an online device leaves")
+		rejoin    = flag.Float64("rejoin", 0.5, "per-round probability an offline device returns")
+		partic    = flag.Float64("participation", 0.8, "fraction of available devices sampled per round")
+		rounds    = flag.Int("rounds", 20, "training rounds to simulate")
+		topoSpec  = flag.String("topology", "", "gossip contact graph: ring[:k]|k-regular:<k>|ba:<m>|complete|file:<path> (required with -sched gossip)")
+		linkDisc  = flag.String("link-discipline", "", "gossip link queueing: ps (default)|fifo")
+		policy    = flag.String("participation-policy", "uniform", "participation policy: uniform|energy (skip devices over the per-round energy budget)")
+		budget    = flag.Float64("energy-budget", 0, "energy policy per-round per-device budget, joules (0 = fleet mean projected spend)")
+		ttl       = flag.Int("ttl", 2, "rounds an absent device's cached embeddings keep serving")
+		evalEvery = flag.Int("eval-every", 5, "evaluate the test metric every k rounds")
+		selection = flag.Bool("select", false, "round-driven model selection: keep the best validation-metric snapshot")
+		csv       = flag.Bool("csv", false, "also print the per-round timeline as CSV")
 	)
 	flag.Parse()
 
-	taskKind, err := core.ParseTask(strings.ToLower(*task))
+	base, err := model.Config()
 	check(err)
+	base.Workers, base.Seed = engine.Workers, data.Seed
 	fleetKind, tracePath, err := sim.ParseFleetSpec(*fleetSpec)
 	check(err)
 	var trace *fleet.Trace
@@ -93,38 +84,29 @@ func main() {
 		trace, err = fleet.LoadTrace(tracePath)
 		check(err)
 	}
-	var bb nn.Backbone
-	switch strings.ToLower(*backbone) {
-	case "gcn":
-		bb = nn.GCN
-	case "gat":
-		bb = nn.GAT
-	default:
-		fatalf("unknown backbone %q", *backbone)
-	}
 	var scheds []core.Sched
-	switch strings.ToLower(*sched) {
+	switch strings.ToLower(engine.Sched) {
 	case "both":
 		scheds = []core.Sched{core.SchedSync, core.SchedAsync}
 	default:
-		m, err := core.ParseSched(*sched)
+		m, err := core.ParseSched(engine.Sched)
 		check(err)
 		scheds = []core.Sched{m}
 	}
 
-	g, err := graph.LoadDataset(*dataset, *scale, *seed)
+	g, err := data.Load()
 	check(err)
 	// The task decides the split, the training graph, and the objective the
 	// session trains. Objectives bind to one system, so each discipline run
 	// below builds a fresh one from the factory.
-	trainGraph, newObjective, err := core.SplitForTask(g, taskKind, rand.New(rand.NewSource(*seed)))
+	trainGraph, newObjective, err := core.SplitForTask(g, base.Task, rand.New(rand.NewSource(data.Seed)))
 	check(err)
 	fleetLabel := string(fleetKind)
 	if trace != nil {
 		fleetLabel = fmt.Sprintf("trace(%s: %d records)", trace.Name, len(trace.Devices))
 	}
 	fmt.Printf("dataset %s: N=%d M=%d | task=%s fleet=%s churn=%.0f%% participation=%.0f%% rounds=%d\n",
-		g.Name, g.N, g.NumEdges(), taskKind, fleetLabel, 100**churn, 100**partic, *rounds)
+		g.Name, g.N, g.NumEdges(), base.Task, fleetLabel, 100**churn, 100**partic, *rounds)
 
 	scenario := sim.Scenario{
 		Fleet: fleetKind, Trace: trace, ZipfSkew: *zipfSkew,
@@ -135,7 +117,7 @@ func main() {
 		LinkDiscipline: *linkDisc,
 		Policy:         sim.Policy(strings.ToLower(*policy)),
 		EnergyBudget:   *budget,
-		Seed:           *seed,
+		Seed:           data.Seed,
 	}
 	gossipRun := false
 	for _, m := range scheds {
@@ -150,7 +132,7 @@ func main() {
 		}
 		spec, err := topo.ParseSpec(*topoSpec)
 		check(err)
-		tp, err := spec.Build(g.N, *seed)
+		tp, err := spec.Build(g.N, data.Seed)
 		check(err)
 		scenario.Topology = tp
 		fmt.Printf("topology %s: %d nodes, %d edges, connected=%v\n",
@@ -182,49 +164,29 @@ func main() {
 	}
 	var sums []summary
 	for _, mode := range scheds {
+		cfg := base
+		cfg.Shards = g.N // one device per shard: exact per-device participation
+		cfg.Sched = mode
+		if mode == core.SchedAsync {
+			cfg.Staleness = engine.Staleness
+		}
 		// Telemetry is per discipline run: a fresh virtual-clock tracer and
 		// metrics registry each time, so -sched both writes one trace file
 		// and one metrics dump per mode instead of mixing their streams. The
 		// registry is shared with the training session (Config.Metrics); the
 		// wall-clock Config.Tracer stays nil — the simulator runs on virtual
 		// time and the two clocks must not land in one trace.
-		var tr *obs.Tracer
-		var reg *obs.Registry
-		if *traceOut != "" {
-			tr = obs.NewVirtualTracer()
-		}
-		// A run record wants the final scrape too, so -run-out implies a
-		// registry; telemetry is bit-identical either way.
-		if *metricsOn || *metricsOut != "" || *runOut != "" {
-			reg = obs.New()
-		}
-		cfg := core.Config{
-			Task: taskKind, Backbone: bb,
-			Epsilon: *eps, MCMCIterations: *mcmc,
-			Workers: *workers,
-			Shards:  g.N, // one device per shard: exact per-device participation
-			Sched:   mode,
-			Seed:    *seed,
-			Metrics: reg,
-		}
-		if mode == core.SchedAsync {
-			cfg.Staleness = *stale
-		}
+		m := cli.Manifest("lumos-sim", g.Name, cfg, *rounds)
+		m.Fleet, m.Topology = fleetLabel, *topoSpec
+		run, err := rec.Start(m, true, len(scheds) > 1)
+		check(err)
+		cfg.Metrics = run.Metrics
 		sys, err := core.NewSystem(trainGraph, g, cfg)
 		check(err)
 		sc := scenario
-		sc.Tracer, sc.Metrics = tr, reg
-		var rw *report.Writer
-		if *runOut != "" {
-			m := report.NewManifest("lumos-sim", os.Args[1:], *seed, time.Now().Unix())
-			m.Dataset, m.Task, m.Backbone = g.Name, taskKind.String(), strings.ToLower(*backbone)
-			m.Sched, m.Fleet, m.Topology = mode.String(), fleetLabel, *topoSpec
-			m.Rounds = *rounds
-			rw, err = report.NewWriter(traceName(*runOut, mode.String(), len(scheds) > 1), m)
-			check(err)
-			sc.RoundObserver = func(rs sim.RoundStats) {
-				check(rw.Round(report.RowFromSim(rs)))
-			}
+		sc.Tracer, sc.Metrics = run.Tracer, run.Metrics
+		sc.RoundObserver = func(rs sim.RoundStats) {
+			check(run.Round(report.RowFromSim(rs)))
 		}
 		s, err := sim.New(sys, sc)
 		check(err)
@@ -233,31 +195,11 @@ func main() {
 		sums = append(sums, summary{mode.String(), res})
 
 		printTimeline(mode.String(), res, *csv)
-		if tr != nil {
-			out := traceName(*traceOut, mode.String(), len(scheds) > 1)
-			check(tr.WriteFile(out))
-			fmt.Printf("trace: wrote %d events to %s\n", tr.Len(), out)
-		}
-		if rw != nil {
-			check(rw.Finish(report.Summary{
-				MetricName: res.Metric, FinalMetric: res.FinalMetric,
-				WallClock: res.WallClock, TotalBytes: res.TotalBytes,
-				TotalEnergy: res.TotalEnergy,
-			}, reg))
-			fmt.Printf("run record: %s (%d rounds)\n", rw.Dir(), len(res.Timeline))
-		}
-		if *metricsOut != "" {
-			out := traceName(*metricsOut, mode.String(), len(scheds) > 1)
-			f, err := os.Create(out)
-			check(err)
-			check(reg.WritePrometheus(f))
-			check(f.Close())
-			fmt.Printf("metrics: wrote %s\n", out)
-		}
-		if *metricsOn {
-			fmt.Printf("metrics (%s scheduling):\n", mode)
-			check(reg.WritePrometheus(os.Stdout))
-		}
+		check(run.Finish(report.Summary{
+			MetricName: res.Metric, FinalMetric: res.FinalMetric,
+			WallClock: res.WallClock, TotalBytes: res.TotalBytes,
+			TotalEnergy: res.TotalEnergy,
+		}))
 	}
 	for _, s := range sums {
 		fmt.Printf("%-5s: wall-clock %8.3fs  bytes %12d  avg participants %5.1f  final %s %.4f  stale %d  dropped %d\n",
@@ -302,16 +244,6 @@ func printTimeline(sched string, res *sim.Result, csv bool) {
 	if csv {
 		check(t.RenderCSV(os.Stdout))
 	}
-}
-
-// traceName inserts the scheduling mode before the extension when more
-// than one discipline runs ("out.trace.json" -> "out.trace.sync.json").
-func traceName(path, sched string, multi bool) string {
-	if !multi {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return strings.TrimSuffix(path, ext) + "." + sched + ext
 }
 
 func check(err error) {

@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"time"
 
+	"lumos/internal/cli"
 	"lumos/internal/core"
 	"lumos/internal/graph"
 	"lumos/internal/nn"
@@ -27,40 +27,30 @@ import (
 )
 
 func main() {
+	data := cli.Data{Dataset: "facebook", Scale: 0.02, Seed: 7}
+	model := cli.Model{Task: "supervised", Backbone: "gcn", Epsilon: 2, MCMC: 150}
+	engine := cli.Engine{Sched: "sync"}
+	var rec cli.Record
+	data.Register(flag.CommandLine)
+	model.Register(flag.CommandLine)
+	engine.Register(flag.CommandLine)
+	rec.Register(flag.CommandLine)
 	var (
-		dataset    = flag.String("dataset", "facebook", "facebook|lastfm|file:<path>")
-		scale      = flag.Float64("scale", 0.02, "dataset preset scale (0,1]")
-		task       = flag.String("task", "supervised", "supervised|unsupervised")
-		backbone   = flag.String("backbone", "gcn", "gcn|gat")
-		epochs     = flag.Int("epochs", 60, "training epochs")
-		eps        = flag.Float64("eps", 2, "privacy budget epsilon")
-		mcmc       = flag.Int("mcmc", 150, "MCMC tree-trimming iterations")
-		secure     = flag.Bool("secure", false, "run real OT-based secure comparisons")
-		noVN       = flag.Bool("no-virtual-nodes", false, "ablation: disable virtual nodes")
-		noTT       = flag.Bool("no-tree-trimming", false, "ablation: disable tree trimming")
-		seed       = flag.Int64("seed", 7, "run seed")
-		save       = flag.String("save", "", "write trained model parameters to this file")
-		publish    = flag.String("publish", "", "publish a versioned serving snapshot to this file (atomic; version auto-increments)")
-		workers    = flag.Int("workers", 0, "training worker pool size (0 = one per CPU; results identical)")
-		sched      = flag.String("sched", "sync", "round scheduling: sync|async (staleness-bounded)")
-		stale      = flag.Int("staleness", 0, "async gradient staleness bound in epochs (0 = default)")
-		tracePth   = flag.String("trace", "", "write per-epoch spans and publish events as Chrome trace-event JSON (viewable in Perfetto)")
-		metricsOn  = flag.Bool("metrics", false, "print the run's metrics in Prometheus text format at the end")
-		metricsOut = flag.String("metrics-out", "", "write the run's metrics in Prometheus text format to this file")
-		runOut     = flag.String("run-out", "", "record the run to this directory (manifest.json, rounds.jsonl, metrics.prom) for lumos-report")
+		epochs  = flag.Int("epochs", 60, "training epochs")
+		noVN    = flag.Bool("no-virtual-nodes", false, "ablation: disable virtual nodes")
+		noTT    = flag.Bool("no-tree-trimming", false, "ablation: disable tree trimming")
+		save    = flag.String("save", "", "write trained model parameters to this file")
+		publish = flag.String("publish", "", "publish a versioned serving snapshot to this file (atomic; version auto-increments)")
 	)
 	flag.Parse()
 
-	schedMode, err := core.ParseSched(*sched)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	taskKind, err := core.ParseTask(strings.ToLower(*task))
-	if err != nil {
-		fatalf("%v", err)
-	}
+	cfg, err := model.Config()
+	check(err)
+	check(engine.Apply(&cfg))
+	cfg.Epochs, cfg.Seed = *epochs, data.Seed
+	cfg.DisableVirtualNodes, cfg.DisableTreeTrimming = *noVN, *noTT
 
-	g, err := graph.LoadDataset(*dataset, *scale, *seed)
+	g, err := data.Load()
 	check(err)
 	st := g.ComputeStats()
 	fmt.Printf("dataset %s: N=%d M=%d avgdeg=%.1f maxdeg=%d classes=%d features=%d\n",
@@ -68,45 +58,21 @@ func main() {
 
 	// Telemetry is opt-in: the default (no -trace, no -metrics) leaves both
 	// nil and training bit-identical to an uninstrumented run.
-	var tr *obs.Tracer
-	var reg *obs.Registry
-	if *tracePth != "" {
-		tr = obs.NewTracer()
-	}
-	// A run record wants the final scrape too, so -run-out implies a
-	// registry; telemetry is bit-identical either way.
-	if *metricsOn || *metricsOut != "" || *runOut != "" {
-		reg = obs.New()
-	}
-	if tr != nil || reg != nil {
-		hookPublishTelemetry(tr, reg)
+	run, err := rec.Start(cli.Manifest("lumos-train", g.Name, cfg, *epochs), false, false)
+	check(err)
+	cfg.Metrics, cfg.Tracer = run.Metrics, run.Tracer
+	if run.Tracer != nil || run.Metrics != nil {
+		hookPublishTelemetry(run.Tracer, run.Metrics)
 	}
 
-	cfg := core.Config{
-		Task:    taskKind,
-		Epsilon: *eps, Epochs: *epochs, MCMCIterations: *mcmc,
-		SecureCompare: *secure, DisableVirtualNodes: *noVN, DisableTreeTrimming: *noTT,
-		Workers: *workers, Sched: schedMode, Staleness: *stale,
-		Metrics: reg, Tracer: tr,
-		Seed: *seed,
-	}
-	switch strings.ToLower(*backbone) {
-	case "gcn":
-		cfg.Backbone = nn.GCN
-	case "gat":
-		cfg.Backbone = nn.GAT
-	default:
-		fatalf("unknown backbone %q", *backbone)
-	}
-
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(data.Seed))
 	start := time.Now()
 	var (
 		runStats    *core.TrainStats
 		finalMetric float64
 		metricName  string
 	)
-	switch taskKind {
+	switch cfg.Task {
 	case core.Supervised:
 		split, err := graph.SplitNodes(g, 0.5, 0.25, rng)
 		check(err)
@@ -121,7 +87,7 @@ func main() {
 		printStats(stats, *epochs)
 		fmt.Printf("test accuracy: %.4f\n", acc)
 		maybeSave(*save, sys)
-		maybePublish(*publish, sys, g.Name, *seed, *epochs, acc, "accuracy")
+		maybePublish(*publish, sys, g.Name, data.Seed, *epochs, acc, "accuracy")
 		runStats, finalMetric, metricName = stats, acc, "accuracy"
 	case core.Unsupervised:
 		es, err := graph.SplitEdges(g, 0.8, 0.05, rng)
@@ -137,46 +103,20 @@ func main() {
 		printStats(stats, *epochs)
 		fmt.Printf("test ROC-AUC: %.4f\n", auc)
 		maybeSave(*save, sys)
-		maybePublish(*publish, sys, g.Name, *seed, *epochs, auc, "roc-auc")
+		maybePublish(*publish, sys, g.Name, data.Seed, *epochs, auc, "roc-auc")
 		runStats, finalMetric, metricName = stats, auc, "roc-auc"
-	default:
-		fatalf("unknown task %q", *task)
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
-	if tr != nil {
-		check(tr.WriteFile(*tracePth))
-		fmt.Printf("trace: wrote %d events to %s\n", tr.Len(), *tracePth)
+	var totalBytes int64
+	for _, row := range report.RowsFromTrainStats(runStats) {
+		check(run.Round(row))
+		totalBytes += row.Bytes
 	}
-	if *runOut != "" {
-		m := report.NewManifest("lumos-train", os.Args[1:], *seed, time.Now().Unix())
-		m.Dataset, m.Task, m.Backbone = g.Name, taskKind.String(), strings.ToLower(*backbone)
-		m.Sched, m.Rounds = schedMode.String(), *epochs
-		rw, err := report.NewWriter(*runOut, m)
-		check(err)
-		rows := report.RowsFromTrainStats(runStats)
-		var totalBytes int64
-		for _, row := range rows {
-			check(rw.Round(row))
-			totalBytes += row.Bytes
-		}
-		check(rw.Finish(report.Summary{
-			MetricName: metricName, FinalMetric: finalMetric,
-			WallClock:  runStats.MeasuredTime.Seconds(),
-			TotalBytes: totalBytes,
-		}, reg))
-		fmt.Printf("run record: %s (%d epochs)\n", rw.Dir(), len(rows))
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		check(err)
-		check(reg.WritePrometheus(f))
-		check(f.Close())
-		fmt.Printf("metrics: wrote %s\n", *metricsOut)
-	}
-	if *metricsOn {
-		fmt.Println("metrics:")
-		check(reg.WritePrometheus(os.Stdout))
-	}
+	check(run.Finish(report.Summary{
+		MetricName: metricName, FinalMetric: finalMetric,
+		WallClock:  runStats.MeasuredTime.Seconds(),
+		TotalBytes: totalBytes,
+	}))
 }
 
 // hookPublishTelemetry routes snapshot publishes into the run's metrics

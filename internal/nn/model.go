@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"lumos/internal/autodiff"
 )
@@ -27,6 +28,19 @@ func (b Backbone) String() string {
 		return "GAT"
 	default:
 		return fmt.Sprintf("Backbone(%d)", int(b))
+	}
+}
+
+// ParseBackbone parses a backbone name as used in CLI flags, in any case
+// ("gcn" or "gat").
+func ParseBackbone(name string) (Backbone, error) {
+	switch strings.ToLower(name) {
+	case "gcn":
+		return GCN, nil
+	case "gat":
+		return GAT, nil
+	default:
+		return 0, fmt.Errorf("nn: unknown backbone %q (want gcn|gat)", name)
 	}
 }
 

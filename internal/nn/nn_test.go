@@ -356,3 +356,14 @@ func TestCloneSharedLinear(t *testing.T) {
 		t.Fatal("Linear view shares the W Value")
 	}
 }
+
+func TestParseBackbone(t *testing.T) {
+	for name, want := range map[string]Backbone{"gcn": GCN, "GAT": GAT, "Gcn": GCN} {
+		if got, err := ParseBackbone(name); err != nil || got != want {
+			t.Errorf("ParseBackbone(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ParseBackbone("mlp"); err == nil {
+		t.Error("ParseBackbone(mlp) accepted")
+	}
+}

@@ -233,3 +233,31 @@ func normalizeTranscript(out, tmp string) string {
 	}
 	return b.String()
 }
+
+// TestEpochTrainersRejectGossip: lumos-train and lumos-bench train by
+// epochs, so -sched gossip (which needs a contact graph and per-device
+// replicas) must fail and point at lumos-sim instead of silently training
+// synchronously.
+func TestEpochTrainersRejectGossip(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("go binary not available: %v", err)
+	}
+	binDir := t.TempDir()
+	for _, c := range []struct {
+		pkg  string
+		args []string
+	}{
+		{"./cmd/lumos-train", []string{"-scale", "0.005", "-epochs", "2", "-mcmc", "5", "-sched", "gossip"}},
+		{"./cmd/lumos-bench", []string{"-exp", "fig7", "-datasets", "facebook", "-fbscale", "0.004", "-mcmc", "5", "-sched", "gossip"}},
+	} {
+		bin := filepath.Join(binDir, filepath.Base(c.pkg))
+		if out, err := exec.Command(goBin, "build", "-o", bin, c.pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", c.pkg, err, out)
+		}
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "lumos-sim -sched gossip -topology") {
+			t.Errorf("%s -sched gossip: err %v, output:\n%s", c.pkg, err, out)
+		}
+	}
+}
