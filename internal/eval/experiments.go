@@ -2,14 +2,12 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"lumos/internal/balance"
 	"lumos/internal/baselines"
 	"lumos/internal/core"
 	"lumos/internal/fed"
-	"lumos/internal/graph"
 	"lumos/internal/metrics"
 )
 
@@ -30,76 +28,56 @@ type Fig3Result struct {
 // RunFig3 reproduces Fig. 3: Lumos vs Centralized GNN vs LPGNN vs Naive
 // FedGNN on label classification, for every configured dataset and backbone.
 func RunFig3(opts Options) ([]Fig3Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	var out []Fig3Result
-	for _, ds := range opts.Datasets {
-		g, err := opts.LoadDataset(ds)
+	err := opts.forEach(func(d *dataset) error {
+		split, err := d.nodeSplit()
 		if err != nil {
-			return nil, err
-		}
-		split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(opts.Seed^1)))
-		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, bb := range opts.Backbones {
-			r := Fig3Result{Dataset: ds, Backbone: bb.String()}
-
-			sys, err := core.NewSystem(g, g, opts.engineCfg(core.Config{
-				Task: core.Supervised, Backbone: bb,
-				Epsilon: opts.Epsilon, Epochs: opts.Epochs,
-				MCMCIterations: opts.mcmcItersFor(ds),
-				SecureCompare:  opts.SecureCompare,
-				Seed:           opts.Seed,
-			}))
-			if err != nil {
-				return nil, fmt.Errorf("eval: fig3 lumos %s/%s: %w", ds, bb, err)
-			}
-			if _, err := sys.TrainSupervised(split); err != nil {
-				return nil, err
-			}
-			if r.Lumos, err = sys.EvaluateAccuracy(split.IsTest); err != nil {
-				return nil, err
+			r := Fig3Result{Dataset: d.name, Backbone: bb.String()}
+			if r.Lumos, _, err = d.lumos(opts.config(core.Supervised, bb)); err != nil {
+				return err
 			}
 
 			mc := baselines.ModelConfig{Backbone: bb, Epochs: opts.Epochs, Seed: opts.Seed}
-			cen, err := baselines.NewCentralized(g, mc)
+			cen, err := baselines.NewCentralized(d.g, mc)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cen.TrainSupervised(split)
 			if r.Centralized, err = cen.EvaluateAccuracy(split.IsTest); err != nil {
-				return nil, err
+				return err
 			}
 
-			lp, err := baselines.NewLPGNN(g, baselines.LPGNNConfig{
+			lp, err := baselines.NewLPGNN(d.g, baselines.LPGNNConfig{
 				ModelConfig: mc, EpsX: opts.Epsilon, EpsY: 1,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			lp.TrainSupervised(split)
 			if r.LPGNN, err = lp.EvaluateAccuracy(split.IsTest); err != nil {
-				return nil, err
+				return err
 			}
 
-			nf, err := baselines.NewNaiveFed(g, baselines.NaiveFedConfig{
+			nf, err := baselines.NewNaiveFed(d.g, baselines.NaiveFedConfig{
 				ModelConfig: mc, EpsFeature: opts.Epsilon, EpsEdge: opts.Epsilon, EpsLabel: opts.Epsilon,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if _, err := nf.TrainSupervised(split); err != nil {
-				return nil, err
+				return err
 			}
 			if r.NaiveFed, err = nf.EvaluateAccuracy(split.IsTest); err != nil {
-				return nil, err
+				return err
 			}
 			out = append(out, r)
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // Fig3Table renders Fig. 3 results.
@@ -131,63 +109,43 @@ type Fig4Result struct {
 // centralized GNN, and Naive FedGNN (LPGNN is supervised-only, as in the
 // paper).
 func RunFig4(opts Options) ([]Fig4Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	var out []Fig4Result
-	for _, ds := range opts.Datasets {
-		g, err := opts.LoadDataset(ds)
+	err := opts.forEach(func(d *dataset) error {
+		es, err := d.edgeSplit()
 		if err != nil {
-			return nil, err
-		}
-		es, err := graph.SplitEdges(g, 0.8, 0.05, rand.New(rand.NewSource(opts.Seed^2)))
-		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, bb := range opts.Backbones {
-			r := Fig4Result{Dataset: ds, Backbone: bb.String()}
-
-			sys, err := core.NewSystem(es.TrainGraph, g, opts.engineCfg(core.Config{
-				Task: core.Unsupervised, Backbone: bb,
-				Epsilon: opts.Epsilon, Epochs: opts.Epochs,
-				MCMCIterations: opts.mcmcItersFor(ds),
-				SecureCompare:  opts.SecureCompare,
-				Seed:           opts.Seed,
-			}))
-			if err != nil {
-				return nil, fmt.Errorf("eval: fig4 lumos %s/%s: %w", ds, bb, err)
-			}
-			if _, err := sys.TrainUnsupervised(es); err != nil {
-				return nil, err
-			}
-			if r.Lumos, err = sys.EvaluateAUC(es.Test, es.TestNeg); err != nil {
-				return nil, err
+			r := Fig4Result{Dataset: d.name, Backbone: bb.String()}
+			if r.Lumos, _, err = d.lumos(opts.config(core.Unsupervised, bb)); err != nil {
+				return err
 			}
 
 			mc := baselines.ModelConfig{Backbone: bb, Epochs: opts.Epochs, Seed: opts.Seed}
-			cen, err := baselines.NewCentralizedLink(g, es, mc)
+			cen, err := baselines.NewCentralizedLink(d.g, es, mc)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cen.Train()
 			if r.Centralized, err = cen.EvaluateAUC(); err != nil {
-				return nil, err
+				return err
 			}
 
 			nf, err := baselines.NewNaiveFed(es.TrainGraph, baselines.NaiveFedConfig{
 				ModelConfig: mc, EpsFeature: opts.Epsilon, EpsEdge: opts.Epsilon, EpsLabel: opts.Epsilon,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			nf.TrainLink(es.Val, es.ValNeg)
 			if r.NaiveFed, err = nf.EvaluateAUC(es.Test, es.TestNeg); err != nil {
-				return nil, err
+				return err
 			}
 			out = append(out, r)
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // Fig4Table renders Fig. 4 results.
@@ -228,59 +186,22 @@ type Fig5Result struct {
 // RunFig5 reproduces Fig. 5: Lumos accuracy and AUC as ε varies, using the
 // first configured backbone (the paper sweeps with a single backbone).
 func RunFig5(opts Options) ([]Fig5Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	bb := opts.Backbones[0]
 	var out []Fig5Result
-	for _, ds := range opts.Datasets {
-		g, err := opts.LoadDataset(ds)
-		if err != nil {
-			return nil, err
-		}
-		split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(opts.Seed^1)))
-		if err != nil {
-			return nil, err
-		}
-		es, err := graph.SplitEdges(g, 0.8, 0.05, rand.New(rand.NewSource(opts.Seed^2)))
-		if err != nil {
-			return nil, err
-		}
+	err := opts.forEach(func(d *dataset) error {
 		for _, eps := range Fig5Epsilons {
-			r := Fig5Result{Dataset: ds, Epsilon: eps}
+			r := Fig5Result{Dataset: d.name, Epsilon: eps}
 			for _, raw := range []bool{false, true} {
-				sup, err := core.NewSystem(g, g, opts.engineCfg(core.Config{
-					Task: core.Supervised, Backbone: bb, Epsilon: eps,
-					Epochs: opts.Epochs, MCMCIterations: opts.mcmcItersFor(ds),
-					SecureCompare: opts.SecureCompare, DisableRowNorm: raw,
-					Seed: opts.Seed,
-				}))
+				sup := opts.config(core.Supervised, opts.Backbones[0])
+				sup.Epsilon, sup.DisableRowNorm = eps, raw
+				acc, _, err := d.lumos(sup)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				if _, err := sup.TrainSupervised(split); err != nil {
-					return nil, err
-				}
-				acc, err := sup.EvaluateAccuracy(split.IsTest)
+				uns := sup
+				uns.Task = core.Unsupervised
+				auc, _, err := d.lumos(uns)
 				if err != nil {
-					return nil, err
-				}
-
-				uns, err := core.NewSystem(es.TrainGraph, g, opts.engineCfg(core.Config{
-					Task: core.Unsupervised, Backbone: bb, Epsilon: eps,
-					Epochs: opts.Epochs, MCMCIterations: opts.mcmcItersFor(ds),
-					SecureCompare: opts.SecureCompare, DisableRowNorm: raw,
-					Seed: opts.Seed,
-				}))
-				if err != nil {
-					return nil, err
-				}
-				if _, err := uns.TrainUnsupervised(es); err != nil {
-					return nil, err
-				}
-				auc, err := uns.EvaluateAUC(es.Test, es.TestNeg)
-				if err != nil {
-					return nil, err
+					return err
 				}
 				if raw {
 					r.AccuracyRaw, r.AUCRaw = acc, auc
@@ -290,8 +211,9 @@ func RunFig5(opts Options) ([]Fig5Result, error) {
 			}
 			out = append(out, r)
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // Fig5Table renders Fig. 5 results.
@@ -323,76 +245,36 @@ type Fig6Result struct {
 // RunFig6 reproduces Fig. 6: Lumos vs Lumos w.o. virtual nodes vs Lumos
 // w.o. tree trimming, in both learning modes.
 func RunFig6(opts Options) ([]Fig6Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	type variant struct {
-		noVN, noTT bool
-	}
-	variants := []variant{{false, false}, {true, false}, {false, true}}
 	var out []Fig6Result
-	for _, ds := range opts.Datasets {
-		g, err := opts.LoadDataset(ds)
-		if err != nil {
-			return nil, err
-		}
-		split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(opts.Seed^1)))
-		if err != nil {
-			return nil, err
-		}
-		es, err := graph.SplitEdges(g, 0.8, 0.05, rand.New(rand.NewSource(opts.Seed^2)))
-		if err != nil {
-			return nil, err
-		}
+	err := opts.forEach(func(d *dataset) error {
 		for _, bb := range opts.Backbones {
-			r := Fig6Result{Dataset: ds, Backbone: bb.String()}
-			for vi, v := range variants {
-				cfgBase := opts.engineCfg(core.Config{
-					Backbone: bb, Epsilon: opts.Epsilon, Epochs: opts.Epochs,
-					MCMCIterations: opts.mcmcItersFor(ds), SecureCompare: opts.SecureCompare,
-					DisableVirtualNodes: v.noVN, DisableTreeTrimming: v.noTT,
-					Seed: opts.Seed,
-				})
-				supCfg := cfgBase
-				supCfg.Task = core.Supervised
-				sup, err := core.NewSystem(g, g, supCfg)
-				if err != nil {
-					return nil, err
+			r := Fig6Result{Dataset: d.name, Backbone: bb.String()}
+			// The full model, then without virtual nodes, then without tree
+			// trimming, each in both learning modes.
+			for _, v := range []struct {
+				noVN, noTT bool
+				acc, auc   *float64
+			}{
+				{false, false, &r.Acc, &r.AUC},
+				{true, false, &r.AccNoVN, &r.AUCNoVN},
+				{false, true, &r.AccNoTT, &r.AUCNoTT},
+			} {
+				cfg := opts.config(core.Supervised, bb)
+				cfg.DisableVirtualNodes, cfg.DisableTreeTrimming = v.noVN, v.noTT
+				var err error
+				if *v.acc, _, err = d.lumos(cfg); err != nil {
+					return err
 				}
-				if _, err := sup.TrainSupervised(split); err != nil {
-					return nil, err
-				}
-				acc, err := sup.EvaluateAccuracy(split.IsTest)
-				if err != nil {
-					return nil, err
-				}
-
-				unsCfg := cfgBase
-				unsCfg.Task = core.Unsupervised
-				uns, err := core.NewSystem(es.TrainGraph, g, unsCfg)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := uns.TrainUnsupervised(es); err != nil {
-					return nil, err
-				}
-				auc, err := uns.EvaluateAUC(es.Test, es.TestNeg)
-				if err != nil {
-					return nil, err
-				}
-				switch vi {
-				case 0:
-					r.Acc, r.AUC = acc, auc
-				case 1:
-					r.AccNoVN, r.AUCNoVN = acc, auc
-				case 2:
-					r.AccNoTT, r.AUCNoTT = acc, auc
+				cfg.Task = core.Unsupervised
+				if *v.auc, _, err = d.lumos(cfg); err != nil {
+					return err
 				}
 			}
 			out = append(out, r)
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // Fig6Table renders Fig. 6 results.
@@ -425,38 +307,32 @@ type Fig7Result struct {
 // RunFig7 reproduces Fig. 7: the per-device workload distribution with and
 // without tree trimming (without trimming the workload is the degree).
 func RunFig7(opts Options) ([]Fig7Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	var out []Fig7Result
-	for _, ds := range opts.Datasets {
-		g, err := opts.LoadDataset(ds)
-		if err != nil {
-			return nil, err
-		}
-		devices := fed.NewDevices(g, opts.Seed)
+	err := opts.forEach(func(d *dataset) error {
+		devices := fed.NewDevices(d.g, opts.Seed)
 		server := fed.NewServer(opts.Seed)
-		res, err := balance.Balance(g, devices, server, balance.Config{
-			Iterations: opts.mcmcItersFor(ds),
+		res, err := balance.Balance(d.g, devices, server, balance.Config{
+			Iterations: opts.MCMCIterations,
 			Secure:     opts.SecureCompare,
 			Seed:       opts.Seed,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		raw := balance.WithoutTrimming(g)
+		raw := balance.WithoutTrimming(d.g)
 		tc := metrics.NewCDF(res.Workloads)
 		rc := metrics.NewCDF(raw.Workloads)
 		out = append(out, Fig7Result{
-			Dataset:    ds,
+			Dataset:    d.name,
 			TrimmedP50: tc.Quantile(0.5), TrimmedP90: tc.Quantile(0.9),
 			TrimmedP99: tc.Quantile(0.99), TrimmedMax: tc.Max(),
 			RawP50: rc.Quantile(0.5), RawP90: rc.Quantile(0.9),
 			RawP99: rc.Quantile(0.99), RawMax: rc.Max(),
 			Trimmed: tc, Raw: rc,
 		})
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // Fig7Table renders Fig. 7 quantiles.
@@ -514,50 +390,16 @@ type Fig8Result struct {
 // (8a) and per-epoch training time (8b), with and without tree trimming,
 // for both learning modes, using the first configured backbone.
 func RunFig8(opts Options) ([]Fig8Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	bb := opts.Backbones[0]
 	var out []Fig8Result
-	for _, ds := range opts.Datasets {
-		g, err := opts.LoadDataset(ds)
-		if err != nil {
-			return nil, err
-		}
-		split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(opts.Seed^1)))
-		if err != nil {
-			return nil, err
-		}
-		es, err := graph.SplitEdges(g, 0.8, 0.05, rand.New(rand.NewSource(opts.Seed^2)))
-		if err != nil {
-			return nil, err
-		}
+	err := opts.forEach(func(d *dataset) error {
 		for _, task := range []core.Task{core.Supervised, core.Unsupervised} {
-			r := Fig8Result{Dataset: ds, Task: task.String()}
+			r := Fig8Result{Dataset: d.name, Task: task.String()}
 			for _, noTT := range []bool{false, true} {
-				cfg := opts.engineCfg(core.Config{
-					Task: task, Backbone: bb, Epsilon: opts.Epsilon,
-					Epochs: opts.Epochs, MCMCIterations: opts.mcmcItersFor(ds),
-					SecureCompare: opts.SecureCompare, DisableTreeTrimming: noTT,
-					Seed: opts.Seed,
-				})
-				var stats *core.TrainStats
-				if task == core.Supervised {
-					sys, err := core.NewSystem(g, g, cfg)
-					if err != nil {
-						return nil, err
-					}
-					if stats, err = sys.TrainSupervised(split); err != nil {
-						return nil, err
-					}
-				} else {
-					sys, err := core.NewSystem(es.TrainGraph, g, cfg)
-					if err != nil {
-						return nil, err
-					}
-					if stats, err = sys.TrainUnsupervised(es); err != nil {
-						return nil, err
-					}
+				cfg := opts.config(task, opts.Backbones[0])
+				cfg.DisableTreeTrimming = noTT
+				_, stats, err := d.lumos(cfg)
+				if err != nil {
+					return err
 				}
 				perEpoch := stats.MeasuredTime / time.Duration(opts.Epochs)
 				if noTT {
@@ -574,8 +416,9 @@ func RunFig8(opts Options) ([]Fig8Result, error) {
 			r.TimeSavings = 1 - float64(r.TimeTrimmed)/float64(r.TimeRaw)
 			out = append(out, r)
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // Fig8Table renders Fig. 8 results.

@@ -50,10 +50,6 @@ type SimTimelineResult struct {
 // decentralized gossip run over that contact graph joins the sync and async
 // rows.
 func RunSimTimeline(opts Options, sc sim.Scenario) ([]SimTimelineResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	bb := opts.Backbones[0]
 	staleness := opts.Staleness
 	if staleness == 0 {
 		staleness = 2
@@ -63,29 +59,18 @@ func RunSimTimeline(opts Options, sc sim.Scenario) ([]SimTimelineResult, error) 
 		scheds = append(scheds, core.SchedGossip)
 	}
 	var out []SimTimelineResult
-	for _, ds := range opts.Datasets {
-		g, err := opts.LoadDataset(ds)
-		if err != nil {
-			return nil, err
-		}
+	err := opts.forEach(func(d *dataset) error {
 		// The task decides the split, the training graph, and the objective
 		// the session trains. An objective binds to one system, so each
 		// discipline below gets a fresh one from newObjective.
-		trainGraph, newObjective, err := core.SplitForTask(g, opts.Task, rand.New(rand.NewSource(opts.Seed^1)))
+		trainGraph, newObjective, err := core.SplitForTask(d.g, opts.Task, rand.New(rand.NewSource(opts.Seed^1)))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, sched := range scheds {
-			cfg := core.Config{
-				Task: opts.Task, Backbone: bb,
-				Epsilon: opts.Epsilon, Epochs: opts.Epochs,
-				MCMCIterations: opts.mcmcItersFor(ds),
-				SecureCompare:  opts.SecureCompare,
-				Workers:        opts.Workers,
-				Shards:         g.N, // one device per shard: exact participation
-				Sched:          sched,
-				Seed:           opts.Seed,
-			}
+			cfg := opts.config(opts.Task, opts.Backbones[0])
+			cfg.Shards = d.g.N // one device per shard: exact participation
+			cfg.Sched, cfg.Staleness = sched, 0
 			if sched == core.SchedAsync {
 				cfg.Staleness = staleness
 			}
@@ -93,28 +78,28 @@ func RunSimTimeline(opts Options, sc sim.Scenario) ([]SimTimelineResult, error) 
 			if sched == core.SchedGossip {
 				spec, err := topo.ParseSpec(opts.Topology)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				tp, err := spec.Build(g.N, opts.Seed)
+				tp, err := spec.Build(d.g.N, opts.Seed)
 				if err != nil {
-					return nil, fmt.Errorf("eval: timeline %s/gossip: %w", ds, err)
+					return fmt.Errorf("eval: timeline %s/gossip: %w", d.name, err)
 				}
 				dsc.Topology = tp
 			}
-			sys, err := core.NewSystem(trainGraph, g, cfg)
+			sys, err := core.NewSystem(trainGraph, d.g, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("eval: timeline %s/%s: %w", ds, sched, err)
+				return fmt.Errorf("eval: timeline %s/%s: %w", d.name, sched, err)
 			}
 			simulator, err := sim.New(sys, dsc)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			r, err := simulator.Run(newObjective())
 			if err != nil {
-				return nil, fmt.Errorf("eval: timeline %s/%s: %w", ds, sched, err)
+				return fmt.Errorf("eval: timeline %s/%s: %w", d.name, sched, err)
 			}
 			out = append(out, SimTimelineResult{
-				Dataset: ds, Task: opts.Task.String(), Sched: sched.String(),
+				Dataset: d.name, Task: opts.Task.String(), Sched: sched.String(),
 				Metric: r.Metric, Rounds: len(r.Timeline),
 				WallClock: r.WallClock, TotalBytes: r.TotalBytes,
 				MeanParticipants: r.MeanParticipants,
@@ -123,8 +108,9 @@ func RunSimTimeline(opts Options, sc sim.Scenario) ([]SimTimelineResult, error) 
 				Timeline:         r.Timeline,
 			})
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // SimTimelineTable renders the per-discipline summaries.
