@@ -25,9 +25,7 @@ import (
 	"math/rand"
 	"os"
 
-	"lumos/internal/core"
-	"lumos/internal/graph"
-	"lumos/internal/sim"
+	"lumos"
 )
 
 func main() {
@@ -43,38 +41,38 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := graph.Generate(graph.GenConfig{
+	g, err := lumos.Generate(lumos.GenConfig{
 		Name: "churnstudy", N: *n, M: *m, Classes: 2, FeatureDim: 24, Seed: *seed,
 	})
 	fatal(err)
-	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(*seed)))
+	split, err := lumos.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(*seed)))
 	fatal(err)
 	fmt.Printf("graph: %d devices, %d edges | zipf fleet, %.0f%% churn, %.0f%% participation, %d rounds\n",
 		g.N, g.NumEdges(), 100**churn, 100**partic, *rounds)
 
-	scenario := sim.Scenario{
-		Fleet: sim.FleetZipf, ZipfSkew: 1.4,
+	scenario := lumos.SimScenario{
+		Fleet: lumos.FleetZipf, ZipfSkew: 1.4,
 		Churn: *churn, Participation: *partic,
 		Rounds: *rounds, EvalEvery: 4, Seed: *seed,
 	}
 
-	run := func(sched core.Sched, staleness int) *sim.Result {
-		sys, err := core.NewSystem(g, g, core.Config{
-			Task: core.Supervised, MCMCIterations: *mcmc,
+	run := func(sched lumos.Sched, staleness int) *lumos.SimResult {
+		sys, err := lumos.NewSystem(g, g, lumos.Config{
+			Task: lumos.Supervised, MCMCIterations: *mcmc,
 			Shards: g.N, // one device per shard: exact per-device participation
 			Sched:  sched, Staleness: staleness,
 			Seed: *seed,
 		})
 		fatal(err)
-		s, err := sim.New(sys, scenario)
+		s, err := lumos.NewSimulator(sys, scenario)
 		fatal(err)
-		res, err := s.Run(core.NewSupervisedObjective(split))
+		res, err := s.Run(lumos.NewSupervisedObjective(split))
 		fatal(err)
 		return res
 	}
 
-	syncRes := run(core.SchedSync, 0)
-	asyncRes := run(core.SchedAsync, *stale)
+	syncRes := run(lumos.SchedSync, 0)
+	asyncRes := run(lumos.SchedAsync, *stale)
 
 	fmt.Printf("\n%-28s %12s %12s\n", "", "sync", "async")
 	fmt.Printf("%-28s %11.3fs %11.3fs\n", "simulated wall-clock", syncRes.WallClock, asyncRes.WallClock)

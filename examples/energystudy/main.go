@@ -2,7 +2,7 @@
 // does it buy in model quality?
 //
 // The experiment samples a heterogeneous device-fleet trace
-// (fleet.SampleTrace — the same population lumos-datagen -traces writes:
+// (lumos.SampleTrace — the same population lumos-datagen -traces writes:
 // mid-range phones, fast-but-power-hungry flagships, and slow diurnal
 // devices that cycle offline), then plays the *same* scenario through the
 // discrete-event simulator once per participation policy (sample 25%, 50%,
@@ -26,11 +26,7 @@ import (
 	"math/rand"
 	"os"
 
-	"lumos/internal/core"
-	"lumos/internal/fed"
-	"lumos/internal/fleet"
-	"lumos/internal/graph"
-	"lumos/internal/sim"
+	"lumos"
 )
 
 func main() {
@@ -44,13 +40,13 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := graph.Generate(graph.GenConfig{
+	g, err := lumos.Generate(lumos.GenConfig{
 		Name: "energystudy", N: *n, M: *m, Classes: 2, FeatureDim: 24, Seed: *seed,
 	})
 	fatal(err)
-	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(*seed)))
+	split, err := lumos.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(*seed)))
 	fatal(err)
-	trace, err := fleet.SampleTrace(g.N, *seed)
+	trace, err := lumos.SampleTrace(g.N, *seed)
 	fatal(err)
 	cycled := 0
 	for _, p := range trace.Devices {
@@ -61,25 +57,25 @@ func main() {
 	fmt.Printf("graph: %d devices, %d edges | trace fleet (%d diurnal), agg capacity %.0f B/s, %d rounds/policy\n",
 		g.N, g.NumEdges(), cycled, *aggCap, *rounds)
 
-	cost := fed.DefaultCostModel()
+	cost := lumos.DefaultCostModel()
 	cost.AggBytesPerSecond = *aggCap
 
-	run := func(participation float64) *sim.Result {
-		sys, err := core.NewSystem(g, g, core.Config{
-			Task: core.Supervised, MCMCIterations: *mcmc,
+	run := func(participation float64) *lumos.SimResult {
+		sys, err := lumos.NewSystem(g, g, lumos.Config{
+			Task: lumos.Supervised, MCMCIterations: *mcmc,
 			Shards: g.N, // one device per shard: exact per-device participation
 			Seed:   *seed,
 		})
 		fatal(err)
-		sc := sim.Scenario{
-			Fleet: sim.FleetTrace, Trace: trace,
+		sc := lumos.SimScenario{
+			Fleet: lumos.FleetTrace, Trace: trace,
 			Participation: participation, Rounds: *rounds,
 			EvalEvery: 4, ModelSelection: true,
 			Cost: cost, Seed: *seed,
 		}
-		s, err := sim.New(sys, sc)
+		s, err := lumos.NewSimulator(sys, sc)
 		fatal(err)
-		res, err := s.Run(core.NewSupervisedObjective(split))
+		res, err := s.Run(lumos.NewSupervisedObjective(split))
 		fatal(err)
 		return res
 	}
@@ -87,7 +83,7 @@ func main() {
 	policies := []float64{0.25, 0.5, 1.0}
 	fmt.Printf("\n%-14s %12s %12s %12s %12s %10s %14s\n",
 		"participation", "wallclock(s)", "bytes", "energy(J)", "J/round", "final acc", "J/acc point")
-	var results []*sim.Result
+	var results []*lumos.SimResult
 	for _, p := range policies {
 		res := run(p)
 		results = append(results, res)

@@ -5,7 +5,7 @@
 // The experiment builds one zipf-heterogeneous fleet and plays the same
 // scenario (full participation, no churn, equal rounds, same seed) four
 // ways: once through the star-synchronous aggregator, then decentralized
-// (core.SchedGossip) over three contact graphs — a sparse ring, a 4-regular
+// (lumos.SchedGossip) over three contact graphs — a sparse ring, a 4-regular
 // graph, and a scale-free Barabási–Albert graph. Under gossip each device
 // trains a private model replica and averages with its topology neighbors
 // under Metropolis–Hastings weights; there is no aggregator, so a round's
@@ -28,10 +28,7 @@ import (
 	"math/rand"
 	"os"
 
-	"lumos/internal/core"
-	"lumos/internal/graph"
-	"lumos/internal/sim"
-	"lumos/internal/topo"
+	"lumos"
 )
 
 func main() {
@@ -44,37 +41,37 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := graph.Generate(graph.GenConfig{
+	g, err := lumos.Generate(lumos.GenConfig{
 		Name: "topologystudy", N: *n, M: *m, Classes: 2, FeatureDim: 16, Seed: *seed,
 	})
 	fatal(err)
-	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(*seed)))
+	split, err := lumos.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(*seed)))
 	fatal(err)
 	fmt.Printf("graph: %d devices, %d edges | zipf fleet, %d rounds per topology, seed %d\n",
 		g.N, g.NumEdges(), *rounds, *seed)
 
-	run := func(sched core.Sched, tp *topo.Topology) *sim.Result {
-		sys, err := core.NewSystem(g, g, core.Config{
-			Task: core.Supervised, MCMCIterations: *mcmc,
+	run := func(sched lumos.Sched, tp *lumos.Topology) *lumos.SimResult {
+		sys, err := lumos.NewSystem(g, g, lumos.Config{
+			Task: lumos.Supervised, MCMCIterations: *mcmc,
 			Shards: g.N, // one device per shard: exact per-device participation
 			Sched:  sched,
 			Seed:   *seed,
 		})
 		fatal(err)
-		sc := sim.Scenario{
-			Fleet: sim.FleetZipf, Rounds: *rounds,
+		sc := lumos.SimScenario{
+			Fleet: lumos.FleetZipf, Rounds: *rounds,
 			EvalEvery: -1, // final metric only: the consensus verdict
 			Topology:  tp,
 			Seed:      *seed,
 		}
-		s, err := sim.New(sys, sc)
+		s, err := lumos.NewSimulator(sys, sc)
 		fatal(err)
-		res, err := s.Run(core.NewSupervisedObjective(split))
+		res, err := s.Run(lumos.NewSupervisedObjective(split))
 		fatal(err)
 		return res
 	}
 
-	star := run(core.SchedSync, nil)
+	star := run(lumos.SchedSync, nil)
 	fmt.Printf("\n%-16s %8s %8s %12s %12s %12s %10s %9s\n",
 		"topology", "edges", "degree", "wallclock(s)", "bytes", "energy(J)", "final acc", "vs star")
 
@@ -85,11 +82,11 @@ func main() {
 	specs := []string{"ring:2", "k-regular:4", "ba:2"}
 	ok := true
 	for _, spec := range specs {
-		sp, err := topo.ParseSpec(spec)
+		sp, err := lumos.ParseTopologySpec(spec)
 		fatal(err)
 		tp, err := sp.Build(g.N, *seed)
 		fatal(err)
-		res := run(core.SchedGossip, tp)
+		res := run(lumos.SchedGossip, tp)
 		gap := math.Abs(res.FinalMetric-star.FinalMetric) / math.Max(star.FinalMetric, 1e-9)
 		within := gap <= 0.05
 		verdict := fmt.Sprintf("%.1f%%", 100*gap)
