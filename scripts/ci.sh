@@ -184,6 +184,16 @@ gate plain . TestServePublishServeQueryE2E
 # and Close refusing later queries with a 503, twice without a panic.
 gate plain ./internal/serve TestServeHTTPGolden TestCloseRefusesQueries
 
+# One flag set: every smoke row's transcript golden (checked inside
+# TestEntryPointsBuildAndRun) and every CLI's flag-set golden, both recorded
+# before the shared flag groups moved into internal/cli; the epoch trainers
+# refusing -sched gossip; and the internal/cli group tests.
+gate plain . TestEntryPointsBuildAndRun TestCLIFlagSets TestEpochTrainersRejectGossip
+gate plain ./internal/cli \
+	TestGroupsBindDefaultsAndParse TestRegisterOnly TestModelConfig \
+	TestEpochSchedRejectsGossip TestManifest TestRecordStartWithoutFlags \
+	TestRecordPerModePaths
+
 # Report gates: the analyzer/diff/record unit suites (critical-path
 # attribution under the race detector, the e2e straggler-blame acceptance
 # check, the diff identity and doctored-regression tests, and the record
