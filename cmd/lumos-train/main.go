@@ -46,7 +46,9 @@ func main() {
 
 	cfg, err := model.Config()
 	check(err)
-	check(engine.Apply(&cfg))
+	cfg.Sched, err = engine.EpochSched()
+	check(err)
+	cfg.Workers, cfg.Staleness = engine.Workers, engine.Staleness
 	cfg.Epochs, cfg.Seed = *epochs, data.Seed
 	cfg.DisableVirtualNodes, cfg.DisableTreeTrimming = *noVN, *noTT
 

@@ -124,32 +124,22 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.IntVar(&e.Staleness, "staleness", e.Staleness, "async gradient staleness bound in rounds, or epochs for the epoch trainers (0 = default)")
 }
 
-// ErrGossipNeedsSim rejects -sched gossip on a command that trains by
+// errGossipNeedsSim rejects -sched gossip on a command that trains by
 // epochs: gossip trains a replica per device over a contact graph, which
 // only the simulator runs.
-var ErrGossipNeedsSim = errors.New("-sched gossip trains per-device replicas over a contact graph, which only the simulator runs: use lumos-sim -sched gossip -topology <spec>")
+var errGossipNeedsSim = errors.New("-sched gossip trains per-device replicas over a contact graph, which only the simulator runs: use lumos-sim -sched gossip -topology <spec>")
 
 // EpochSched parses -sched for a command that trains by epochs: sync or
-// async. Gossip is rejected with ErrGossipNeedsSim.
+// async. Gossip is rejected with an error that points at lumos-sim.
 func (e *Engine) EpochSched() (core.Sched, error) {
 	s, err := core.ParseSched(e.Sched)
 	if err != nil {
 		return 0, err
 	}
 	if s == core.SchedGossip {
-		return 0, ErrGossipNeedsSim
+		return 0, errGossipNeedsSim
 	}
 	return s, nil
-}
-
-// Apply copies the engine flags into an epoch trainer's config.
-func (e *Engine) Apply(cfg *core.Config) error {
-	s, err := e.EpochSched()
-	if err != nil {
-		return err
-	}
-	cfg.Workers, cfg.Sched, cfg.Staleness = e.Workers, s, e.Staleness
-	return nil
 }
 
 // Record asks for a run's telemetry and run record: -trace, -metrics,

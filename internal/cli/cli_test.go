@@ -107,18 +107,13 @@ func TestModelConfig(t *testing.T) {
 // gossip and silently train synchronously.
 func TestEpochSchedRejectsGossip(t *testing.T) {
 	for name, want := range map[string]core.Sched{"sync": core.SchedSync, "async": core.SchedAsync} {
-		e := Engine{Workers: 3, Sched: name, Staleness: 0}
-		var cfg core.Config
-		if err := e.Apply(&cfg); err != nil || cfg.Sched != want || cfg.Workers != 3 {
-			t.Fatalf("-sched %s: %+v, %v", name, cfg, err)
+		if got, err := (&Engine{Sched: name}).EpochSched(); err != nil || got != want {
+			t.Fatalf("-sched %s: %v, %v", name, got, err)
 		}
 	}
 	_, err := (&Engine{Sched: "gossip"}).EpochSched()
-	if !errors.Is(err, ErrGossipNeedsSim) || !strings.Contains(err.Error(), "lumos-sim -sched gossip -topology") {
+	if !errors.Is(err, errGossipNeedsSim) || !strings.Contains(err.Error(), "lumos-sim -sched gossip -topology") {
 		t.Fatalf("gossip: %v", err)
-	}
-	if err := (&Engine{Sched: "gossip"}).Apply(new(core.Config)); !errors.Is(err, ErrGossipNeedsSim) {
-		t.Fatalf("Apply gossip: %v", err)
 	}
 	if _, err := (&Engine{Sched: "both"}).EpochSched(); err == nil {
 		t.Fatal("-sched both accepted by an epoch trainer")
