@@ -4,12 +4,16 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"lumos/internal/core"
+	"lumos/internal/nn"
+	"lumos/internal/snapshot"
 )
 
 // TestServeHTTPGolden pins the HTTP contract byte for byte: the status and a
@@ -108,5 +112,75 @@ func TestServeHTTPGolden(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("HTTP transcript differs from the golden; got:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// TestServedAnswersGolden pins what a replica answers after the whole
+// publish path — Capture → PublishNext → Read → NewBundle — for a GCN and a
+// GAT classifier and a GCN link predictor: a hash of every vertex's class
+// and of the bit patterns of a fixed pair list's scores. A change to what a
+// snapshot carries, or to how a replica prepares it, must leave every hash
+// unchanged.
+func TestServedAnswersGolden(t *testing.T) {
+	cases := []struct {
+		name     string
+		task     core.Task
+		backbone nn.Backbone
+		seed     int64
+		want     string
+	}{
+		{"supervised-gcn", core.Supervised, nn.GCN, 91, "5e5644bb8ead778d"},
+		{"supervised-gat", core.Supervised, nn.GAT, 93, "d225758a48842506"},
+		{"link-gcn", core.Unsupervised, nn.GCN, 95, "e7336d732bdd704c"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, _, es := trainedBackbone(t, tc.task, tc.backbone, tc.seed)
+			path := filepath.Join(t.TempDir(), "model.snap")
+			snap, err := snapshot.Capture(sys, snapshot.Meta{Dataset: "servetest", Seed: tc.seed, Round: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snapshot.PublishNext(path, snap); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := snapshot.Read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewBundle(loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			h := sha256.New()
+			fmt.Fprintf(h, "v%d n%d classes%d\n", b.Version, b.N, b.Classes)
+			all := make([]int, b.N)
+			pairs := make([][2]int, b.N)
+			for v := range all {
+				all[v] = v
+				pairs[v] = [2]int{v, (7*v + 3) % b.N}
+			}
+			if b.Classes > 0 {
+				classes, err := b.Classify(all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintln(h, classes)
+			}
+			if es != nil {
+				pairs = append(append(pairs, es.Test...), es.TestNeg...)
+			}
+			scores, err := b.Score(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range scores {
+				fmt.Fprintf(h, "%016x\n", math.Float64bits(s))
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != tc.want {
+				t.Fatalf("served answers hash %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

@@ -17,12 +17,20 @@ import (
 	"lumos/internal/core"
 	"lumos/internal/graph"
 	"lumos/internal/metrics"
+	"lumos/internal/nn"
 	"lumos/internal/snapshot"
 	"lumos/internal/tensor"
 )
 
-// trainedSystem briefly trains a small system through the public core API.
+// trainedSystem briefly trains a small GCN system through the public core
+// API.
 func trainedSystem(t *testing.T, task core.Task, seed int64) (*core.System, *graph.NodeSplit, *graph.EdgeSplit) {
+	t.Helper()
+	return trainedBackbone(t, task, nn.GCN, seed)
+}
+
+// trainedBackbone is trainedSystem with the encoder backbone chosen.
+func trainedBackbone(t *testing.T, task core.Task, backbone nn.Backbone, seed int64) (*core.System, *graph.NodeSplit, *graph.EdgeSplit) {
 	t.Helper()
 	g, err := graph.Generate(graph.GenConfig{
 		Name: "servetest", N: 40, M: 140, Classes: 3, FeatureDim: 12,
@@ -32,7 +40,7 @@ func trainedSystem(t *testing.T, task core.Task, seed int64) (*core.System, *gra
 		t.Fatal(err)
 	}
 	cfg := core.Config{
-		Task: task, Epochs: 2, MCMCIterations: 10, Shards: 5, Workers: 2, Seed: seed,
+		Task: task, Backbone: backbone, Epochs: 2, MCMCIterations: 10, Shards: 5, Workers: 2, Seed: seed,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	if task == core.Supervised {
