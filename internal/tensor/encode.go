@@ -32,14 +32,16 @@ func (m *Matrix) UnmarshalBinary(buf []byte) error {
 	if magic := binary.LittleEndian.Uint32(buf[0:4]); magic != matrixMagic {
 		return fmt.Errorf("tensor: bad matrix magic %#x", magic)
 	}
-	rows := int(binary.LittleEndian.Uint32(buf[4:8]))
-	cols := int(binary.LittleEndian.Uint32(buf[8:12]))
-	want := 12 + 8*rows*cols
-	if len(buf) != want {
-		return fmt.Errorf("tensor: matrix payload %d bytes, want %d for %dx%d", len(buf), want, rows, cols)
+	rows := binary.LittleEndian.Uint32(buf[4:8])
+	cols := binary.LittleEndian.Uint32(buf[8:12])
+	// The product of two u32s fits a u64; 8·rows·cols may not, so compare
+	// element counts, never byte counts, against the payload.
+	payload := uint64(len(buf) - 12)
+	if n := uint64(rows) * uint64(cols); payload%8 != 0 || payload/8 != n {
+		return fmt.Errorf("tensor: matrix payload %d bytes does not hold %dx%d float64s", payload, rows, cols)
 	}
-	m.rows, m.cols = rows, cols
-	m.data = make([]float64, rows*cols)
+	m.rows, m.cols = int(rows), int(cols)
+	m.data = make([]float64, m.rows*m.cols)
 	for i := range m.data {
 		m.data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[12+8*i:]))
 	}

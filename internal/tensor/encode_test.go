@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,5 +73,26 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnmarshalOverflowingHeader: 8·rows·cols wraps to 0 for 2³¹×2³⁰ (and
+// to small values for other u32 pairs), so a 12-byte buffer must still be
+// refused before anything is allocated.
+func TestUnmarshalOverflowingHeader(t *testing.T) {
+	for _, dims := range [][2]uint32{
+		{1 << 31, 1 << 30},
+		{1 << 30, 1 << 31},
+		{1 << 29, 1<<32 - 1},
+		{math.MaxUint32, math.MaxUint32},
+	} {
+		buf := make([]byte, 12)
+		binary.LittleEndian.PutUint32(buf[0:], matrixMagic)
+		binary.LittleEndian.PutUint32(buf[4:], dims[0])
+		binary.LittleEndian.PutUint32(buf[8:], dims[1])
+		var m Matrix
+		if err := m.UnmarshalBinary(buf); err == nil {
+			t.Fatalf("%dx%d header with no payload decoded", dims[0], dims[1])
+		}
 	}
 }
