@@ -3,20 +3,20 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"lumos/internal/graph"
 	"lumos/internal/nn"
+	"lumos/internal/tensor"
 )
 
 // trainTiny builds and briefly trains a small system for inference tests.
-func trainTiny(t *testing.T, task Task, backbone nn.Backbone, seed int64) (*System, *graph.NodeSplit, *graph.EdgeSplit) {
+func trainTiny(t *testing.T, task Task, backbone nn.Backbone, seed int64, workers int) (*System, *graph.NodeSplit, *graph.EdgeSplit) {
 	t.Helper()
 	g := testGraph(t, 48, 180, 3, seed)
 	cfg := Config{
 		Task: task, Backbone: backbone,
-		Epochs: 2, MCMCIterations: 10, Shards: 7, Workers: 2, Seed: seed,
+		Epochs: 2, MCMCIterations: 10, Shards: 7, Workers: workers, Seed: seed,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	switch task {
@@ -49,9 +49,11 @@ func trainTiny(t *testing.T, task Task, backbone nn.Backbone, seed int64) (*Syst
 	}
 }
 
-// TestInferenceSystemBitIdentical: a forest-state round trip plus the
-// training modules must reproduce embeddings, predictions, and pair scores
-// bit for bit, for both tasks and both backbones, at any worker count.
+// TestInferenceSystemBitIdentical: the inference tables a system publishes
+// (ServingTables, what a snapshot carries) must equal its evaluation surface
+// — Embeddings, Predictions, the predictions EvaluateAccuracy scores, and
+// PairScores — bit for bit, for both tasks and both backbones, and must not
+// depend on the worker count.
 func TestInferenceSystemBitIdentical(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -64,31 +66,25 @@ func TestInferenceSystemBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, split, es := trainTiny(t, tc.task, tc.backbone, 31)
-			fs := sys.ForestState()
-			if err := fs.Validate(); err != nil {
-				t.Fatalf("captured state invalid: %v", err)
-			}
+			var first *tensor.Matrix
 			for _, workers := range []int{1, 3} {
-				inf, err := NewInferenceSystem(fs, sys.Encoder, sys.Head, sys.ShardCount(), workers)
-				if err != nil {
-					t.Fatal(err)
+				sys, split, es := trainTiny(t, tc.task, tc.backbone, 31, workers)
+				emb, preds := sys.ServingTables()
+				if !reflect.DeepEqual(emb.Data(), sys.Embeddings().Data()) {
+					t.Fatalf("workers=%d: served embeddings differ from Embeddings", workers)
 				}
-				want, got := sys.Embeddings(), inf.Embeddings()
-				if !reflect.DeepEqual(want.Data(), got.Data()) {
-					t.Fatalf("workers=%d: inference embeddings differ from training system", workers)
+				if first == nil {
+					first = emb
+				} else if !reflect.DeepEqual(first.Data(), emb.Data()) {
+					t.Fatalf("workers=%d: served embeddings depend on the worker count", workers)
 				}
 				if tc.task == Supervised {
 					wp, err := sys.Predictions()
 					if err != nil {
 						t.Fatal(err)
 					}
-					gp, err := inf.Predictions()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(wp, gp) {
-						t.Fatalf("workers=%d: predictions differ", workers)
+					if !reflect.DeepEqual(wp, preds) {
+						t.Fatalf("workers=%d: served predictions differ from Predictions", workers)
 					}
 					acc, err := sys.EvaluateAccuracy(split.IsTest)
 					if err != nil {
@@ -100,25 +96,26 @@ func TestInferenceSystemBitIdentical(t *testing.T) {
 							continue
 						}
 						total++
-						if gp[v] == sys.G.Labels[v] {
+						if preds[v] == sys.G.Labels[v] {
 							correct++
 						}
 					}
 					if got := float64(correct) / float64(total); got != acc {
 						t.Fatalf("accuracy from served predictions %v != EvaluateAccuracy %v", got, acc)
 					}
-				} else {
-					pairs := append(append([][2]int(nil), es.Test...), es.TestNeg...)
-					ws, err := sys.PairScores(pairs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gs, err := inf.PairScores(pairs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ws, gs) {
-						t.Fatalf("workers=%d: pair scores differ", workers)
+					continue
+				}
+				if preds != nil {
+					t.Fatal("headless system served predictions")
+				}
+				pairs := append(append([][2]int(nil), es.Test...), es.TestNeg...)
+				ws, err := sys.PairScores(pairs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range pairs {
+					if got := tensor.RowDot(emb, p[0], emb, p[1]); got != ws[i] {
+						t.Fatalf("workers=%d: pair %v served score %v, PairScores %v", workers, p, got, ws[i])
 					}
 				}
 			}
@@ -127,86 +124,21 @@ func TestInferenceSystemBitIdentical(t *testing.T) {
 }
 
 // TestInferenceSystemRepeatedForwards: evaluation forwards must be
-// repeatable on the recycled tapes (the serving path recomputes the
-// embedding cache once per snapshot swap).
+// repeatable on the recycled tapes (Capture computes the serving tables
+// between training steps), and the tables returned must be the caller's
+// own: mutating them must not reach the live system.
 func TestInferenceSystemRepeatedForwards(t *testing.T) {
-	sys, _, _ := trainTiny(t, Supervised, nn.GCN, 33)
-	inf, err := NewInferenceSystem(sys.ForestState(), sys.Encoder, sys.Head, sys.ShardCount(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := inf.Embeddings()
+	sys, _, _ := trainTiny(t, Supervised, nn.GCN, 33, 2)
+	emb, preds := sys.ServingTables()
 	for i := 0; i < 3; i++ {
-		if !reflect.DeepEqual(first.Data(), inf.Embeddings().Data()) {
+		e, p := sys.ServingTables()
+		if !reflect.DeepEqual(emb.Data(), e.Data()) || !reflect.DeepEqual(preds, p) {
 			t.Fatalf("forward %d drifted", i+2)
 		}
+		e.Fill(0)
+		p[0] = -1
 	}
-}
-
-func TestForestStateValidation(t *testing.T) {
-	sys, _, _ := trainTiny(t, Supervised, nn.GCN, 35)
-	shards := sys.ShardCount()
-
-	corrupt := []struct {
-		name string
-		mut  func(fs *ForestState)
-		want string
-	}{
-		{"truncated node counts", func(fs *ForestState) { fs.TreeNodes = fs.TreeNodes[:1] }, "node counts"},
-		{"zero-node tree", func(fs *ForestState) { fs.TreeNodes[0] = 0 }, "nodes"},
-		{"edge out of range", func(fs *ForestState) {
-			fs.TreeEdges[0] = [][2]int{{0, 1 << 20}}
-		}, "out of range"},
-		{"row count mismatch", func(fs *ForestState) { fs.TreeNodes[0]++ }, "embedding rows"},
-		{"leaf arrays disagree", func(fs *ForestState) { fs.PoolCoef = fs.PoolCoef[:1] }, "leaf arrays"},
-		{"descending leaf rows", func(fs *ForestState) {
-			fs.LeafRows[1] = fs.LeafRows[0]
-		}, "ascending"},
-		{"leaf vertex out of range", func(fs *ForestState) { fs.LeafVertex[0] = fs.N }, "leaf vertex"},
-		{"bad pooling coefficient", func(fs *ForestState) { fs.PoolCoef[0] = -0.5 }, "coefficient"},
-	}
-	for _, tc := range corrupt {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := sys.ForestState()
-			tc.mut(fs)
-			err := fs.Validate()
-			if err == nil {
-				t.Fatal("corrupt state validated")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-
-	t.Run("constructor checks", func(t *testing.T) {
-		fs := sys.ForestState()
-		if _, err := NewInferenceSystem(fs, nil, nil, shards, 0); err == nil {
-			t.Fatal("nil encoder accepted")
-		}
-		if _, err := NewInferenceSystem(fs, sys.Encoder, sys.Head, 0, 0); err == nil {
-			t.Fatal("zero shard count accepted")
-		}
-		other := nn.NewLinear("head", sys.Encoder.Cfg.OutDim+1, 3, rand.New(rand.NewSource(1)))
-		if _, err := NewInferenceSystem(fs, sys.Encoder, other, shards, 0); err == nil {
-			t.Fatal("mismatched head accepted")
-		}
-	})
-}
-
-// TestForestStateIsDeepCopy: mutating the capture must not reach back into
-// the live system.
-func TestForestStateIsDeepCopy(t *testing.T) {
-	sys, _, _ := trainTiny(t, Supervised, nn.GCN, 37)
-	fs := sys.ForestState()
-	before := sys.Embeddings()
-	fs.X.Fill(0)
-	fs.LeafRows[0] = -1
-	if len(fs.TreeEdges[0]) > 0 {
-		fs.TreeEdges[0][0] = [2]int{-9, -9}
-	}
-	after := sys.Embeddings()
-	if !reflect.DeepEqual(before.Data(), after.Data()) {
-		t.Fatal("mutating the captured state changed the live system")
+	if !reflect.DeepEqual(emb.Data(), sys.Embeddings().Data()) {
+		t.Fatal("mutating served tables changed the live system")
 	}
 }

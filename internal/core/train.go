@@ -174,8 +174,8 @@ func (s *System) Embeddings() *tensor.Matrix {
 
 // EvaluateAccuracy computes classification accuracy over the masked
 // vertices (e.g. the test split) in evaluation mode. It scores exactly the
-// Predictions a serving replica answers with, so a snapshot-reconstructed
-// system reproduces this metric bit for bit.
+// Predictions a published snapshot carries, so the classes a serving
+// replica answers with reproduce this metric bit for bit.
 func (s *System) EvaluateAccuracy(mask []bool) (float64, error) {
 	pred, err := s.Predictions()
 	if err != nil {

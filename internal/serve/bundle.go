@@ -1,6 +1,6 @@
 // Package serve answers node-classification and link-scoring queries from
-// published model snapshots. A Bundle is one immutable snapshot prepared
-// for serving (embedding cache plus precomputed predictions); a Server
+// published model snapshots. A Bundle is one immutable snapshot's serving
+// tables (pooled embeddings plus precomputed predictions); a Server
 // batches incoming queries against the current bundle and hot-swaps to a
 // newer bundle atomically, so a query always sees one consistent model
 // version and versions only ever move forward.
@@ -28,26 +28,27 @@ type Bundle struct {
 	preds []int          // per-vertex argmax class; nil when Classes == 0
 }
 
-// NewBundle runs the snapshot's inference system once — a single forward
-// pass — and caches its outputs. The forward pass reuses the training shard
-// partition, so every answer the bundle gives is bit-identical to the
-// training process's own evaluation of the same model.
+// NewBundle wraps a snapshot's serving tables, which the bundle shares
+// rather than copies: the caller must not mutate them afterwards. The
+// tables are the training process's own evaluation outputs, so every answer
+// the bundle gives is bit-identical to that process's EvaluateAccuracy and
+// EvaluateAUC of the same model.
 func NewBundle(s *snapshot.Snapshot) (*Bundle, error) {
-	if (s.Classes == 0) != (s.Head == nil) {
-		return nil, fmt.Errorf("serve: snapshot has Classes=%d with head=%v", s.Classes, s.Head != nil)
+	if s.Emb == nil {
+		return nil, fmt.Errorf("serve: snapshot v%d has no embedding table", s.Meta.Version)
 	}
-	sys, err := s.System()
-	if err != nil {
-		return nil, fmt.Errorf("serve: rebuilding system: %w", err)
+	if (s.Classes == 0) != (s.Preds == nil) || (s.Preds != nil && len(s.Preds) != s.Emb.Rows()) {
+		return nil, fmt.Errorf("serve: snapshot v%d has %d classes and %d predictions for %d vertices",
+			s.Meta.Version, s.Classes, len(s.Preds), s.Emb.Rows())
 	}
-	b := &Bundle{
+	return &Bundle{
 		Version: s.Meta.Version,
 		Meta:    s.Meta,
-		N:       s.State.N,
+		N:       s.Emb.Rows(),
 		Classes: s.Classes,
-	}
-	b.emb, b.preds = sys.ServingTables()
-	return b, nil
+		emb:     s.Emb,
+		preds:   s.Preds,
+	}, nil
 }
 
 // Classify returns the predicted class of each queried vertex.

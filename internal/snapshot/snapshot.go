@@ -1,29 +1,35 @@
-// Package snapshot defines the versioned model-snapshot format that closes
-// the train→publish→serve loop: a training session captures its encoder
-// (and head) weights plus the per-device tree state, publishes them
-// atomically to a file, and a serving replica reconstructs a bit-identical
-// inference system from that file — repeatedly, as training republishes.
+// Package snapshot defines the versioned serving-table format that closes
+// the train→publish→serve loop: a training session captures the two tables
+// a replica answers every query from — each vertex's pooled embedding
+// (paper Eq. 31) and, when the model has a classification head, its argmax
+// class — publishes them atomically to a file, and a serving replica loads
+// them as they are, repeatedly, as training republishes. The tables are the
+// trainer's own evaluation outputs, so what a replica serves is what the
+// trainer evaluated, by construction.
 //
-// # Format (version 1)
+// A snapshot is not a checkpoint: it carries no weights, optimizer state or
+// forest, and training cannot resume from it. nn.SaveParams (lumos-train
+// -save) writes the weights.
 //
-// All integers are little-endian. Every length field is bounded before any
-// allocation, and the whole snapshot is covered by a CRC-32 trailer, so
-// truncation and bit flips fail loudly at decode time:
+// # Format (version 2)
+//
+// All integers are little-endian. Every length is bounded before anything
+// is allocated for it, and the whole snapshot is covered by a CRC-32
+// trailer, so truncation and bit flips fail loudly at decode time:
 //
 //	u32  magic "LSNP"
-//	u32  format version (1)
+//	u32  format version (2)
 //	u64  snapshot version (monotonically increasing across publishes;
 //	     serving replicas swap only when it moves forward)
-//	u32  metadata length + JSON Meta
-//	u8   backbone, u32 ×5 inDim/hidden/outDim/layers/heads, f64 dropout,
-//	     u32 classes (0 = no head), u32 shards (the training partition,
-//	     pinned so pooled-embedding reduction order — and therefore every
-//	     prediction — is bit-identical at serve time)
-//	u32  weights length + nn.SaveParams stream (encoder, then head)
-//	u32  N, then per device: u32 nodes, u32 edge count, edges as u32 pairs
-//	u32  leaf count, rows, vertices (u32 each), pooling coefficients (f64)
-//	u32  X length + tensor.Matrix binary encoding (forest embeddings)
+//	u32  metadata length + JSON Meta, exactly as Encode writes it
+//	u32  classes (0 = no classification head)
+//	u32  embedding length + tensor.Matrix binary encoding (N × OutDim)
+//	u32  ×N each vertex's predicted class, < classes (only when classes > 0)
 //	u32  CRC-32 (IEEE) of every preceding byte
+//
+// Format 1 carried the model weights and the training forest, from which a
+// replica rebuilt the training system; this build refuses it with an error
+// saying to republish.
 package snapshot
 
 import (
@@ -34,28 +40,21 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
 
 	"lumos/internal/core"
-	"lumos/internal/nn"
 	"lumos/internal/tensor"
 )
 
 const (
 	magic         = uint32(0x4c534e50) // "LSNP"
-	formatVersion = uint32(1)
+	formatVersion = uint32(2)
 
-	maxMetaLen    = 1 << 20
-	maxWeightsLen = 1 << 30
-	maxMatrixLen  = 1 << 30
-	maxDevices    = 1 << 24
-	maxTreeNodes  = 1 << 28
-	maxTreeEdges  = 1 << 28
-	maxDim        = 1 << 24
+	maxMetaLen   = 1 << 20
+	maxMatrixLen = 1 << 30
+	maxClasses   = 1 << 24
 )
 
 // Meta describes a snapshot for humans, dashboards, and swap ordering.
@@ -79,139 +78,94 @@ type Meta struct {
 	CreatedUnix int64 `json:"created_unix,omitempty"`
 }
 
-// Snapshot is a decoded (or captured) model snapshot: metadata, the model
-// architecture, trained modules, and the forest state serving needs.
+// Snapshot is a decoded (or captured) serving table.
 type Snapshot struct {
 	Meta    Meta
-	Model   nn.GNNConfig
-	Classes int // head width; 0 = no classification head
-	Shards  int // training shard partition (fixes reduction order)
-	Encoder *nn.GNN
-	Head    *nn.Linear // nil when Classes == 0
-	State   *core.ForestState
+	Classes int            // head width; 0 = no classification head
+	Emb     *tensor.Matrix // pooled per-vertex embeddings (N × OutDim)
+	Preds   []int          // per-vertex argmax class, each < Classes; nil when Classes == 0
 }
 
-// Capture freezes a trained system into a snapshot: weights and forest
-// state are deep-copied, so training may continue (and republish later)
-// without mutating the capture. meta.Task and meta.Backbone are filled from
-// the system.
+// Capture computes the system's serving tables (one evaluation-mode
+// forward, which leaves training state untouched) into a snapshot that owns
+// them, so training may continue, and republish later, without mutating
+// the capture. meta.Task and meta.Backbone are filled from the system.
 func Capture(sys *core.System, meta Meta) (*Snapshot, error) {
 	if sys == nil || sys.Encoder == nil {
 		return nil, fmt.Errorf("snapshot: nil system")
 	}
 	meta.Task = sys.Cfg.Task.String()
 	meta.Backbone = sys.Cfg.Backbone.String()
-	enc, err := nn.NewGNN(sys.Encoder.Cfg, rand.New(rand.NewSource(0)))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: rebuilding encoder: %w", err)
-	}
-	nn.Restore(enc, nn.Snapshot(sys.Encoder))
-	s := &Snapshot{
-		Meta:    meta,
-		Model:   sys.Encoder.Cfg,
-		Shards:  sys.ShardCount(),
-		Encoder: enc,
-		State:   sys.ForestState(),
-	}
+	s := &Snapshot{Meta: meta}
+	s.Emb, s.Preds = sys.ServingTables()
 	if sys.Head != nil {
-		head := nn.NewLinear("head", sys.Head.In, sys.Head.Out, rand.New(rand.NewSource(0)))
-		nn.Restore(head, nn.Snapshot(sys.Head))
-		s.Head = head
-		s.Classes = head.Out
+		s.Classes = sys.Head.Out
 	}
 	return s, nil
 }
 
-// System reconstructs an evaluation-only system answering queries
-// bit-identically to the training process the snapshot was captured from.
-func (s *Snapshot) System() (*core.System, error) {
-	return core.NewInferenceSystem(s.State, s.Encoder, s.Head, s.Shards, 0)
-}
-
-// model is the joint module the weights stream carries: encoder parameters
-// first, then the head's — the same order core.System.Params uses.
-type model struct {
-	enc  *nn.GNN
-	head *nn.Linear
-}
-
-func (m model) Params() []*nn.Param {
-	ps := m.enc.Params()
-	if m.head != nil {
-		ps = append(ps, m.head.Params()...)
+// check reports what makes the tables unservable: Encode refuses to write
+// such a snapshot and Decode refuses to return one.
+func (s *Snapshot) check() error {
+	if s.Emb == nil || s.Emb.Rows() < 1 || s.Emb.Cols() < 1 {
+		return fmt.Errorf("snapshot: empty embedding table")
 	}
-	return ps
+	if s.Classes == 0 {
+		if s.Preds != nil {
+			return fmt.Errorf("snapshot: predictions without a classification head")
+		}
+		return nil
+	}
+	if s.Classes < 2 || s.Classes > maxClasses {
+		return fmt.Errorf("snapshot: classification head with %d classes", s.Classes)
+	}
+	if len(s.Preds) != s.Emb.Rows() {
+		return fmt.Errorf("snapshot: %d predictions for %d vertices", len(s.Preds), s.Emb.Rows())
+	}
+	for v, c := range s.Preds {
+		if c < 0 || c >= s.Classes {
+			return fmt.Errorf("snapshot: vertex %d predicted class %d of %d", v, c, s.Classes)
+		}
+	}
+	return nil
 }
 
-// Encode writes the snapshot to w in format version 1.
+// formatError explains a header whose format this build does not read.
+func formatError(format uint32) error {
+	if format == 1 {
+		return fmt.Errorf("snapshot: format version 1 (model weights and forest) is no longer read: republish the model")
+	}
+	return fmt.Errorf("snapshot: unsupported format version %d (this build reads %d)", format, formatVersion)
+}
+
+// Encode writes the snapshot to w in format version 2.
 func (s *Snapshot) Encode(w io.Writer) error {
-	if s.Encoder == nil || s.State == nil {
-		return fmt.Errorf("snapshot: incomplete snapshot (missing encoder or state)")
+	if err := s.check(); err != nil {
+		return err
 	}
-	if err := s.State.Validate(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if (s.Classes == 0) != (s.Head == nil) {
-		return fmt.Errorf("snapshot: Classes=%d with head=%v", s.Classes, s.Head != nil)
-	}
-	if s.Shards < 1 {
-		return fmt.Errorf("snapshot: shard count %d must be positive", s.Shards)
-	}
-	bw := bufio.NewWriter(w)
-	h := crc32.NewIEEE()
-	e := &encoder{w: io.MultiWriter(bw, h)}
-
-	e.u32(magic)
-	e.u32(formatVersion)
-	e.u64(s.Meta.Version)
-
 	metaJSON, err := json.Marshal(s.Meta)
 	if err != nil {
 		return fmt.Errorf("snapshot: encoding metadata: %w", err)
 	}
-	e.blob(metaJSON, maxMetaLen, "metadata")
-
-	e.u8(uint8(s.Model.Backbone))
-	e.u32(uint32(s.Model.InDim))
-	e.u32(uint32(s.Model.Hidden))
-	e.u32(uint32(s.Model.OutDim))
-	e.u32(uint32(s.Model.Layers))
-	e.u32(uint32(s.Model.Heads))
-	e.f64(s.Model.Dropout)
-	e.u32(uint32(s.Classes))
-	e.u32(uint32(s.Shards))
-
-	var weights bytes.Buffer
-	if err := nn.SaveParams(&weights, model{s.Encoder, s.Head}); err != nil {
-		return fmt.Errorf("snapshot: encoding weights: %w", err)
-	}
-	e.blob(weights.Bytes(), maxWeightsLen, "weights")
-
-	fs := s.State
-	e.u32(uint32(fs.N))
-	for v := 0; v < fs.N; v++ {
-		e.u32(uint32(fs.TreeNodes[v]))
-		e.u32(uint32(len(fs.TreeEdges[v])))
-		for _, edge := range fs.TreeEdges[v] {
-			e.u32(uint32(edge[0]))
-			e.u32(uint32(edge[1]))
-		}
-	}
-	e.u32(uint32(len(fs.LeafRows)))
-	for _, r := range fs.LeafRows {
-		e.u32(uint32(r))
-	}
-	for _, v := range fs.LeafVertex {
-		e.u32(uint32(v))
-	}
-	for _, c := range fs.PoolCoef {
-		e.f64(c)
-	}
-	xBlob, err := fs.X.MarshalBinary()
+	emb, err := s.Emb.MarshalBinary()
 	if err != nil {
-		return fmt.Errorf("snapshot: encoding embeddings: %w", err)
+		return fmt.Errorf("snapshot: encoding embedding table: %w", err)
 	}
-	e.blob(xBlob, maxMatrixLen, "embedding matrix")
+	preds := make([]byte, 4*len(s.Preds))
+	for v, c := range s.Preds {
+		binary.LittleEndian.PutUint32(preds[4*v:], uint32(c))
+	}
+
+	bw := bufio.NewWriter(w)
+	h := crc32.NewIEEE()
+	e := &encoder{w: io.MultiWriter(bw, h)}
+	e.u32(magic)
+	e.u32(formatVersion)
+	e.u64(s.Meta.Version)
+	e.blob(metaJSON, maxMetaLen, "metadata")
+	e.u32(uint32(s.Classes))
+	e.blob(emb, maxMatrixLen, "embedding table")
+	e.bytes(preds)
 	if e.err != nil {
 		return fmt.Errorf("snapshot: encoding: %w", e.err)
 	}
@@ -223,8 +177,8 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads one snapshot, verifying structure, bounds, and the CRC
-// trailer, and rebuilds the modules ready for System().
+// Decode reads one snapshot, verifying structure, bounds, the CRC trailer
+// and the tables' consistency.
 func Decode(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	h := crc32.NewIEEE()
@@ -234,81 +188,34 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: bad magic %#x (not a lumos snapshot)", got)
 	}
 	if v := d.u32(); d.err == nil && v != formatVersion {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads %d)", v, formatVersion)
+		return nil, formatError(v)
 	}
 	s := &Snapshot{}
 	version := d.u64()
-
 	metaJSON := d.blob(maxMetaLen, "metadata")
+	classes := d.u32()
+	if d.err == nil && classes > maxClasses {
+		return nil, fmt.Errorf("snapshot: class count %d exceeds bound %d (corrupt length field?)", classes, maxClasses)
+	}
+	s.Classes = int(classes)
+	embBlob := d.blob(maxMatrixLen, "embedding table")
 	if d.err == nil {
-		if err := json.Unmarshal(metaJSON, &s.Meta); err != nil {
-			return nil, fmt.Errorf("snapshot: decoding metadata: %w", err)
+		s.Emb = &tensor.Matrix{}
+		if err := s.Emb.UnmarshalBinary(embBlob); err != nil {
+			return nil, fmt.Errorf("snapshot: decoding embedding table: %w", err)
+		}
+		// Each vertex's row has arrived, so N u32s cost at most half its
+		// bytes again.
+		if s.Classes > 0 && s.Emb.Cols() > 0 {
+			raw := d.bytes(4*s.Emb.Rows(), "predictions")
+			if d.err == nil {
+				s.Preds = make([]int, s.Emb.Rows())
+				for v := range s.Preds {
+					s.Preds[v] = int(binary.LittleEndian.Uint32(raw[4*v:]))
+				}
+			}
 		}
 	}
-	s.Meta.Version = version // the binary header is authoritative, not the JSON
-
-	backbone := d.u8()
-	s.Model = nn.GNNConfig{
-		InDim:  d.dim("input dim"),
-		Hidden: d.dim("hidden dim"),
-		OutDim: d.dim("output dim"),
-		Layers: d.dim("layer count"),
-		Heads:  d.dim("head count"),
-	}
-	s.Model.Dropout = d.f64()
-	s.Classes = d.dim("class count")
-	s.Shards = d.dim("shard count")
-
-	weights := d.blob(maxWeightsLen, "weights")
-
-	fs := &core.ForestState{N: d.dim("device count")}
-	if d.err == nil && fs.N > maxDevices {
-		return nil, fmt.Errorf("snapshot: device count %d exceeds bound %d (corrupt length field?)", fs.N, maxDevices)
-	}
-	totalNodes, totalEdges := 0, 0
-	if d.err == nil {
-		fs.TreeNodes = make([]int, fs.N)
-		fs.TreeEdges = make([][][2]int, fs.N)
-	}
-	for v := 0; d.err == nil && v < fs.N; v++ {
-		fs.TreeNodes[v] = d.dim("tree node count")
-		totalNodes += fs.TreeNodes[v]
-		if totalNodes > maxTreeNodes {
-			return nil, fmt.Errorf("snapshot: forest claims over %d nodes (corrupt length field?)", maxTreeNodes)
-		}
-		ne := d.dim("tree edge count")
-		totalEdges += ne
-		if totalEdges > maxTreeEdges {
-			return nil, fmt.Errorf("snapshot: forest claims over %d edges (corrupt length field?)", maxTreeEdges)
-		}
-		if d.err != nil {
-			break
-		}
-		edges := make([][2]int, ne)
-		for i := range edges {
-			edges[i] = [2]int{d.dim("edge endpoint"), d.dim("edge endpoint")}
-		}
-		fs.TreeEdges[v] = edges
-	}
-	nLeaf := d.dim("leaf count")
-	if d.err == nil && nLeaf > totalNodes {
-		return nil, fmt.Errorf("snapshot: %d leaves for %d forest nodes (corrupt length field?)", nLeaf, totalNodes)
-	}
-	if d.err == nil {
-		fs.LeafRows = make([]int, nLeaf)
-		fs.LeafVertex = make([]int, nLeaf)
-		fs.PoolCoef = make([]float64, nLeaf)
-		for i := range fs.LeafRows {
-			fs.LeafRows[i] = d.dim("leaf row")
-		}
-		for i := range fs.LeafVertex {
-			fs.LeafVertex[i] = d.dim("leaf vertex")
-		}
-		for i := range fs.PoolCoef {
-			fs.PoolCoef[i] = d.f64()
-		}
-	}
-	xBlob := d.blob(maxMatrixLen, "embedding matrix")
 	if d.err != nil {
 		return nil, fmt.Errorf("snapshot: decoding: %w", d.err)
 	}
@@ -329,35 +236,17 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: reading trailer: %w", err)
 	}
 
-	fs.X = &tensor.Matrix{}
-	if err := fs.X.UnmarshalBinary(xBlob); err != nil {
-		return nil, fmt.Errorf("snapshot: decoding embeddings: %w", err)
+	if err := json.Unmarshal(metaJSON, &s.Meta); err != nil {
+		return nil, fmt.Errorf("snapshot: decoding metadata: %w", err)
 	}
-	s.State = fs
-	if err := fs.Validate(); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+	// The binary header is authoritative, and the JSON must be exactly what
+	// Encode writes for it, so a decoded snapshot re-encodes to its bytes.
+	s.Meta.Version = version
+	if canon, err := json.Marshal(s.Meta); err != nil || !bytes.Equal(canon, metaJSON) {
+		return nil, fmt.Errorf("snapshot: metadata is not in canonical form")
 	}
-
-	if backbone != uint8(nn.GCN) && backbone != uint8(nn.GAT) {
-		return nil, fmt.Errorf("snapshot: unknown backbone %d", backbone)
-	}
-	s.Model.Backbone = nn.Backbone(backbone)
-	enc, err := nn.NewGNN(s.Model, rand.New(rand.NewSource(0)))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: rebuilding encoder: %w", err)
-	}
-	s.Encoder = enc
-	if s.Classes > 0 {
-		if s.Classes < 2 {
-			return nil, fmt.Errorf("snapshot: classification head with %d classes", s.Classes)
-		}
-		s.Head = nn.NewLinear("head", s.Model.OutDim, s.Classes, rand.New(rand.NewSource(0)))
-	}
-	if err := nn.LoadParams(bytes.NewReader(weights), model{s.Encoder, s.Head}); err != nil {
-		return nil, fmt.Errorf("snapshot: restoring weights: %w", err)
-	}
-	if s.Shards < 1 {
-		return nil, fmt.Errorf("snapshot: shard count %d must be positive", s.Shards)
+	if err := s.check(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -396,7 +285,7 @@ func PeekVersion(path string) (uint64, error) {
 		return 0, fmt.Errorf("%s: bad magic %#x (not a lumos snapshot)", path, hdr.Magic)
 	}
 	if hdr.Format != formatVersion {
-		return 0, fmt.Errorf("%s: unsupported format version %d", path, hdr.Format)
+		return 0, fmt.Errorf("%s: %w", path, formatError(hdr.Format))
 	}
 	return hdr.Version, nil
 }
@@ -475,12 +364,8 @@ type encoder struct {
 	err error
 }
 
-func (e *encoder) u8(v uint8)   { e.write(v) }
 func (e *encoder) u32(v uint32) { e.write(v) }
 func (e *encoder) u64(v uint64) { e.write(v) }
-func (e *encoder) f64(v float64) {
-	e.write(math.Float64bits(v))
-}
 
 func (e *encoder) write(v interface{}) {
 	if e.err != nil {
@@ -490,14 +375,14 @@ func (e *encoder) write(v interface{}) {
 }
 
 func (e *encoder) blob(b []byte, max int, what string) {
-	if e.err != nil {
-		return
-	}
-	if len(b) > max {
+	if e.err == nil && len(b) > max {
 		e.err = fmt.Errorf("%s is %d bytes, bound is %d", what, len(b), max)
-		return
 	}
 	e.u32(uint32(len(b)))
+	e.bytes(b)
+}
+
+func (e *encoder) bytes(b []byte) {
 	if e.err == nil {
 		_, e.err = e.w.Write(b)
 	}
@@ -508,12 +393,6 @@ func (e *encoder) blob(b []byte, max int, what string) {
 type decoder struct {
 	r   io.Reader
 	err error
-}
-
-func (d *decoder) u8() uint8 {
-	var v uint8
-	d.read(&v)
-	return v
 }
 
 func (d *decoder) u32() uint32 {
@@ -528,22 +407,6 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) f64() float64 {
-	var v uint64
-	d.read(&v)
-	return math.Float64frombits(v)
-}
-
-// dim reads a u32 meant to be a small structural quantity (a dimension,
-// count, or index) and bounds it.
-func (d *decoder) dim(what string) int {
-	v := d.u32()
-	if d.err == nil && v > maxDim {
-		d.err = fmt.Errorf("%s %d exceeds bound %d (corrupt length field?)", what, v, maxDim)
-	}
-	return int(v)
-}
-
 func (d *decoder) read(v interface{}) {
 	if d.err != nil {
 		return
@@ -551,18 +414,19 @@ func (d *decoder) read(v interface{}) {
 	d.err = binary.Read(d.r, binary.LittleEndian, v)
 }
 
-// blob reads a length-prefixed byte section, growing as data actually
-// arrives so a corrupt length never drives an up-front allocation.
+// blob reads a length-prefixed byte section of at most max bytes.
 func (d *decoder) blob(max int, what string) []byte {
-	if d.err != nil {
-		return nil
-	}
 	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if int(n) > max {
+	if d.err == nil && int64(n) > int64(max) {
 		d.err = fmt.Errorf("%s claims %d bytes, bound is %d (corrupt length field?)", what, n, max)
+	}
+	return d.bytes(int(n), what)
+}
+
+// bytes reads an n-byte section, growing as data actually arrives so a
+// corrupt length never drives an up-front allocation.
+func (d *decoder) bytes(n int, what string) []byte {
+	if d.err != nil {
 		return nil
 	}
 	var buf bytes.Buffer

@@ -117,9 +117,8 @@
 //
 // # Snapshots and serving
 //
-// Trained models leave the training process through versioned snapshots
-// (internal/snapshot) and come back to life in serving replicas
-// (internal/serve):
+// A trained model's answers leave the training process through versioned
+// snapshots (internal/snapshot) and are served by replicas (internal/serve):
 //
 //	snap, _ := lumos.CaptureSnapshot(sys, lumos.SnapshotMeta{Dataset: g.Name})
 //	v, _ := lumos.PublishSnapshot("model.snap", snap) // atomic write, version v
@@ -130,14 +129,16 @@
 //	defer stop()
 //	http.ListenAndServe(":8080", srv.Handler())
 //
-// A snapshot carries metadata, the model weights and the per-device tree
-// state under a CRC-32 trailer; truncation, bit flips and oversized length
-// fields fail at decode time with bounded allocation. Publishing is atomic
-// (temp file + fsync + rename) and auto-increments the version. Because a
-// snapshot pins the training shard partition, every served class and link
-// score is bit-identical to what EvaluateAccuracy / EvaluateAUC computed in
-// the training process. Entry points: lumos-train -publish, the lumos-serve
-// CLI, and examples/servequickstart; bench/ measures the whole
+// A snapshot is the serving table: metadata, every vertex's pooled
+// embedding and, with a classification head, its predicted class, under a
+// CRC-32 trailer; truncation, bit flips and oversized length fields fail at
+// decode time with bounded allocation. Publishing is atomic (temp file +
+// fsync + rename) and auto-increments the version. The tables are the
+// trainer's own evaluation outputs, so every served class and link score is
+// bit-identical to what EvaluateAccuracy / EvaluateAUC computed in the
+// training process, and a replica runs no model. A snapshot is not a
+// checkpoint: it carries no weights. Entry points: lumos-train -publish, the
+// lumos-serve CLI, and examples/servequickstart; bench/ measures the whole
 // train→publish→serve loop.
 //
 // # Observability and run records (internal/obs, internal/report)

@@ -173,12 +173,28 @@ gate plain ./internal/baselines TestBaselineGoldens TestBaselineEpochAllocBudget
 gate plain ./internal/core TestNoTermRound
 
 # Serving-loop gates: the checkpoint/snapshot corruption tables (corrupt
-# files must fail with bounded allocation), the hot-swap race suite, and the
+# files must fail with bounded allocation; every truncated prefix and every
+# flipped bit of a snapshot fails), the hot-swap race suite, and the
 # CLI-level train → publish → serve → query → republish → SIGTERM round trip.
 gate plain ./internal/nn TestLoadParamsCorruptLengthFields TestLoadParamsTruncation
 gate plain ./internal/snapshot TestSnapshotCorruption TestSnapshotTruncation
 gate race ./internal/serve TestServeHotSwapRace
 gate plain . TestServePublishServeQueryE2E
+
+# The snapshot is the serving table: the answers a replica serves after
+# Capture → PublishNext → Read → NewBundle (recorded while a replica still
+# rebuilt the training system), the served tables against the trainer's own
+# evaluation, Capture leaving training bit-identical, the matrix header
+# whose 8·rows·cols wraps (at the tensor and the snapshot layer), resealed
+# body edits, the seed corpus of FuzzDecode, then a short fuzz pass.
+gate plain ./internal/serve TestServedAnswersGolden TestServeBundleBitIdentical
+gate plain ./internal/core TestInferenceSystemBitIdentical TestInferenceSystemRepeatedForwards
+gate plain ./internal/tensor TestUnmarshalOverflowingHeader
+gate plain ./internal/snapshot \
+	TestSnapshotRoundTrip TestCaptureLeavesTrainingUnchanged \
+	TestSnapshotMatrixOverflowHeader TestSnapshotResealedTablesRejected \
+	TestSnapshotBadMagicAndFormat FuzzDecode
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/snapshot
 
 # The HTTP transcript golden (every status and body across a replica's life)
 # and Close refusing later queries with a 503, twice without a panic.
