@@ -27,9 +27,8 @@
 //	u32  ×N each vertex's predicted class, < classes (only when classes > 0)
 //	u32  CRC-32 (IEEE) of every preceding byte
 //
-// Format 1 carried the model weights and the training forest, from which a
-// replica rebuilt the training system; this build refuses it with an error
-// saying to republish.
+// A format-1 file (model weights and training forest) is refused with an
+// error saying to republish the model.
 package snapshot
 
 import (
@@ -204,9 +203,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		if err := s.Emb.UnmarshalBinary(embBlob); err != nil {
 			return nil, fmt.Errorf("snapshot: decoding embedding table: %w", err)
 		}
-		// Each vertex's row has arrived, so N u32s cost at most half its
-		// bytes again.
-		if s.Classes > 0 && s.Emb.Cols() > 0 {
+		if s.Classes > 0 {
 			raw := d.bytes(4*s.Emb.Rows(), "predictions")
 			if d.err == nil {
 				s.Preds = make([]int, s.Emb.Rows())
