@@ -125,8 +125,7 @@ func TestInferenceSystemBitIdentical(t *testing.T) {
 
 // TestInferenceSystemRepeatedForwards: evaluation forwards must be
 // repeatable on the recycled tapes (Capture computes the serving tables
-// between training steps), and the tables returned must be the caller's
-// own: mutating them must not reach the live system.
+// between training steps).
 func TestInferenceSystemRepeatedForwards(t *testing.T) {
 	sys, _, _ := trainTiny(t, Supervised, nn.GCN, 33, 2)
 	emb, preds := sys.ServingTables()
@@ -135,10 +134,35 @@ func TestInferenceSystemRepeatedForwards(t *testing.T) {
 		if !reflect.DeepEqual(emb.Data(), e.Data()) || !reflect.DeepEqual(preds, p) {
 			t.Fatalf("forward %d drifted", i+2)
 		}
-		e.Fill(0)
-		p[0] = -1
 	}
-	if !reflect.DeepEqual(emb.Data(), sys.Embeddings().Data()) {
-		t.Fatal("mutating served tables changed the live system")
+}
+
+// TestForestStateIsDeepCopy: the state a snapshot captures from the forest
+// (the serving tables) must be the caller's own: mutating it must not reach
+// the live system, and later forwards of the system must not reach it.
+func TestForestStateIsDeepCopy(t *testing.T) {
+	sys, _, _ := trainTiny(t, Supervised, nn.GCN, 37, 2)
+	before := sys.Embeddings()
+	beforePreds, err := sys.Predictions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb, preds := sys.ServingTables()
+	emb.Fill(0)
+	preds[0] = -1
+	afterPreds, err := sys.Predictions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before.Data(), sys.Embeddings().Data()) || !reflect.DeepEqual(beforePreds, afterPreds) {
+		t.Fatal("mutating the captured state changed the live system")
+	}
+	for i, x := range emb.Data() {
+		if x != 0 {
+			t.Fatalf("a later forward rewrote captured embedding entry %d", i)
+		}
+	}
+	if preds[0] != -1 {
+		t.Fatal("a later forward rewrote the captured predictions")
 	}
 }
