@@ -488,9 +488,9 @@ func BenchmarkRoundShardsN(b *testing.B) {
 // 10-round Simulator.Run on the gossip-ba-swap system (facebook×0.008, one
 // device per shard, a Barabási–Albert contact graph with m = 3, lr 0.1,
 // churn 0.05, everyone online participating) — per round, every
-// participant's replica load, one-device StepRound and store, the per-link
-// delta queues, and the Metropolis–Hastings mixes, plus one run's replica
-// setup and final consensus evaluation.
+// participant's replica swap in, one-device StepRound and swap out, the
+// per-link delta queues, and the Metropolis–Hastings mixes, plus one run's
+// replica setup and final consensus evaluation.
 func BenchmarkGossipRounds(b *testing.B) {
 	g, err := graph.LoadDataset("facebook", 0.008, 7)
 	if err != nil {

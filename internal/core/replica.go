@@ -14,22 +14,29 @@ import (
 // trainable weight plus the device's own Adam state (step count and
 // moments). Replicas are the multi-model substrate behind decentralized
 // (gossip) training, where no central aggregator holds "the" model — the
-// simulator keeps one replica per device, loads it into the System to run
-// that device's local step, stores the result back, and mixes neighbors'
-// replicas with MixReplicas.
+// simulator keeps one replica per device, moves it into the System to run
+// that device's local step, moves the result out into another replica, and
+// mixes neighbors' replicas with MixReplicas.
 //
-// A replica owns its buffers and never aliases live training state or
-// another replica: Load and Store copy in both directions, Clone copies
-// weights and moments, and MixReplicas writes into the destination's own
-// weight and moment buffers. So replicas can be held across rounds, cloned
-// for best-snapshot tracking, and mixed freely, and a steady-state store,
-// load or mix allocates nothing.
+// A replica never shares a buffer with live training state or with another
+// replica, and each method keeps it that way. SwapReplica moves: the
+// system's weight arrays and Adam moments trade places with the replica's,
+// so the replica afterwards holds what the system held (when the system held
+// another replica's state a moment ago, that is scratch for the caller to
+// overwrite). LoadReplica and StoreReplica copy, for a replica that must
+// survive being installed (the consensus average, the best-validation
+// model). Clone copies weights and moments, and MixReplicas writes into the
+// destination's own weight and moment buffers. So replicas can be held
+// across rounds, cloned for best-snapshot tracking, and mixed freely, and a
+// steady-state swap, store, load or mix allocates nothing.
 type Replica struct {
 	weights []*tensor.Matrix
 	opt     *nn.OptState
-	// mixSrcs is MixReplicas' scratch when this replica is the destination:
-	// the sources' optimizer states, in source order.
-	mixSrcs []*nn.OptState
+	// mixW and mixOpt are MixReplicas' scratch when this replica is the
+	// destination: the sources' weights and optimizer states, in source
+	// order.
+	mixW   [][]*tensor.Matrix
+	mixOpt []*nn.OptState
 }
 
 // NewReplica captures the system's current weights and optimizer state as a
@@ -68,6 +75,32 @@ func (s *System) StoreReplica(r *Replica) error {
 		r.weights[i].CopyFrom(p.V.Data)
 	}
 	s.opt.CaptureStateInto(r.opt, params)
+	return nil
+}
+
+// SwapReplica exchanges the system's model with r's without copying: each
+// parameter matrix trades its backing array with r's weight of the same
+// shape (the arrays move, not the *Matrix pointers, which the shard views
+// share), and the optimizer's step count and Adam moments trade places with
+// r's. Afterwards the system trains exactly as after LoadReplica(r), and r
+// holds exactly what StoreReplica would have copied into it; calling it
+// twice restores both. A replica of the wrong shape is refused before
+// anything moves.
+func (s *System) SwapReplica(r *Replica) error {
+	params := s.eng.allParams
+	if len(r.weights) != len(params) {
+		return fmt.Errorf("core: replica has %d tensors for %d params", len(r.weights), len(params))
+	}
+	for i, p := range params {
+		pr, pc := p.V.Data.Dims()
+		if rr, rc := r.weights[i].Dims(); rr != pr || rc != pc {
+			return fmt.Errorf("core: replica tensor %d is %dx%d, param %s is %dx%d", i, rr, rc, p.Name, pr, pc)
+		}
+	}
+	for i, p := range params {
+		p.V.Data.SwapData(r.weights[i])
+	}
+	s.opt.SwapState(params, r.opt)
 	return nil
 }
 
@@ -113,46 +146,24 @@ func (r *Replica) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// MixReplicas overwrites dst's weights with the weighted sum
-// Σ ws[i]·srcs[i] — the neighbor-averaging step of gossip training. The sum
-// runs in slice order, so callers control the floating-point reduction
-// order exactly (the determinism contract: pass sources in a frozen order,
-// e.g. self first, then neighbors ascending). Adam's moments mix with the
-// same weights into dst's own moment buffers (nn.MixOptStatesInto) — without
-// moment averaging, per-device sign-normalized steps cancel in the consensus
-// mean and decentralized training stalls; the step count adopts srcs[0]'s,
-// by convention the device's own post-step half. dst must not appear in
-// srcs: its buffers are overwritten while sources are still being read.
+// MixReplicas overwrites dst with the weighted sum Σ ws[i]·srcs[i] — the
+// neighbor-averaging step of gossip training — weights and Adam moments
+// alike, through nn.MixModelsInto into dst's own buffers. Every sum runs in
+// slice order, so callers control the floating-point reduction order exactly
+// (the determinism contract: pass sources in a frozen order, e.g. self
+// first, then neighbors ascending). Without moment averaging, per-device
+// sign-normalized steps cancel in the consensus mean and decentralized
+// training stalls; the step count adopts srcs[0]'s, by convention the
+// device's own post-step half. dst must not appear in srcs: its buffers are
+// overwritten while sources are still being read.
 func MixReplicas(dst *Replica, srcs []*Replica, ws []float64) error {
-	if len(srcs) == 0 || len(srcs) != len(ws) {
-		return fmt.Errorf("core: mixing %d replicas with %d weights", len(srcs), len(ws))
+	if cap(dst.mixW) < len(srcs) {
+		dst.mixW, dst.mixOpt = make([][]*tensor.Matrix, 0, len(srcs)), make([]*nn.OptState, 0, len(srcs))
 	}
+	dst.mixW, dst.mixOpt = dst.mixW[:0], dst.mixOpt[:0]
 	for _, s := range srcs {
-		if s == dst {
-			return fmt.Errorf("core: mix destination aliases a source")
-		}
-		if len(s.weights) != len(dst.weights) {
-			return fmt.Errorf("core: mixing replicas of different shapes")
-		}
+		dst.mixW = append(dst.mixW, s.weights)
+		dst.mixOpt = append(dst.mixOpt, s.opt)
 	}
-	for i, out := range dst.weights {
-		od := out.Data()
-		s0 := srcs[0].weights[i].Data()
-		w0 := ws[0]
-		for k := range od {
-			od[k] = w0 * s0[k]
-		}
-		for j := 1; j < len(srcs); j++ {
-			sd := srcs[j].weights[i].Data()
-			wj := ws[j]
-			for k := range od {
-				od[k] += wj * sd[k]
-			}
-		}
-	}
-	dst.mixSrcs = dst.mixSrcs[:0]
-	for _, s := range srcs {
-		dst.mixSrcs = append(dst.mixSrcs, s.opt)
-	}
-	return nn.MixOptStatesInto(dst.opt, dst.mixSrcs, ws)
+	return nn.MixModelsInto(dst.weights, dst.opt, dst.mixW, dst.mixOpt, ws)
 }

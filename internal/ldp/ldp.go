@@ -41,7 +41,31 @@ func (m OneBit) Validate() error {
 //
 //	Pr[x' = 1] = 1/(e^ε+1) + (x−a)/(b−a) · (e^ε−1)/(e^ε+1)
 func (m OneBit) EncodeValue(x float64, rng *rand.Rand) float64 {
-	e := math.Exp(m.Eps)
+	return m.coder().encode(x, rng)
+}
+
+// RecoverValue maps an encoded bit back to an unbiased estimate per Eq. 27.
+// The sentinel 0.5 ("not transmitted") recovers to the midpoint (a+b)/2,
+// which carries no directional information.
+func (m OneBit) RecoverValue(bit float64) float64 {
+	return m.coder().recover(bit)
+}
+
+// oneBitCoder is a OneBit with e^ε evaluated once, for the encoders that
+// treat a whole feature vector under one budget. Its arithmetic is Eq. 26–27
+// exactly as EncodeValue and RecoverValue state it, so per-element and
+// per-vector calls agree bit for bit.
+type oneBitCoder struct {
+	m OneBit
+	e float64 // e^ε
+}
+
+func (m OneBit) coder() oneBitCoder {
+	return oneBitCoder{m: m, e: math.Exp(m.Eps)}
+}
+
+func (c oneBitCoder) encode(x float64, rng *rand.Rand) float64 {
+	m, e := c.m, c.e
 	p := 1/(e+1) + (clamp(x, m.A, m.B)-m.A)/(m.B-m.A)*(e-1)/(e+1)
 	if rng.Float64() < p {
 		return 1
@@ -49,11 +73,8 @@ func (m OneBit) EncodeValue(x float64, rng *rand.Rand) float64 {
 	return 0
 }
 
-// RecoverValue maps an encoded bit back to an unbiased estimate per Eq. 27.
-// The sentinel 0.5 ("not transmitted") recovers to the midpoint (a+b)/2,
-// which carries no directional information.
-func (m OneBit) RecoverValue(bit float64) float64 {
-	e := math.Exp(m.Eps)
+func (c oneBitCoder) recover(bit float64) float64 {
+	m, e := c.m, c.e
 	switch bit {
 	case 1:
 		return (m.B-m.A)/2*(e+1)/(e-1) + (m.A+m.B)/2
@@ -126,7 +147,7 @@ func (f FeatureEncoder) Encode(x []float64, rng *rand.Rand) ([][]float64, error)
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	ob := OneBit{Eps: f.PerElementEps(), A: f.A, B: f.B}
+	ob := OneBit{Eps: f.PerElementEps(), A: f.A, B: f.B}.coder()
 	bins := BinPartition(f.Dim, f.Workload, rng)
 	out := make([][]float64, f.Workload)
 	for k := range out {
@@ -135,7 +156,7 @@ func (f FeatureEncoder) Encode(x []float64, rng *rand.Rand) ([][]float64, error)
 			enc[i] = NotTransmitted
 		}
 		for _, i := range bins[k] {
-			enc[i] = ob.EncodeValue(x[i], rng)
+			enc[i] = ob.encode(x[i], rng)
 		}
 		out[k] = enc
 	}
@@ -149,10 +170,10 @@ func (f FeatureEncoder) Recover(enc []float64) ([]float64, error) {
 	if len(enc) != f.Dim {
 		return nil, fmt.Errorf("ldp: encoded length %d, encoder dim %d", len(enc), f.Dim)
 	}
-	ob := OneBit{Eps: f.PerElementEps(), A: f.A, B: f.B}
+	ob := OneBit{Eps: f.PerElementEps(), A: f.A, B: f.B}.coder()
 	out := make([]float64, f.Dim)
 	for i, b := range enc {
-		out[i] = ob.RecoverValue(b)
+		out[i] = ob.recover(b)
 	}
 	return out, nil
 }

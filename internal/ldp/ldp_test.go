@@ -325,3 +325,107 @@ func TestComposedEps(t *testing.T) {
 		t.Fatal("composition sum wrong")
 	}
 }
+
+// encodeOracle and recoverOracle are Eq. 26 and 27 as EncodeValue and
+// RecoverValue computed them before the vector encoders shared one e^ε:
+// e^ε evaluated for every element.
+func encodeOracle(m OneBit, x float64, rng *rand.Rand) float64 {
+	e := math.Exp(m.Eps)
+	p := 1/(e+1) + (clamp(x, m.A, m.B)-m.A)/(m.B-m.A)*(e-1)/(e+1)
+	if rng.Float64() < p {
+		return 1
+	}
+	return 0
+}
+
+func recoverOracle(m OneBit, bit float64) float64 {
+	e := math.Exp(m.Eps)
+	switch bit {
+	case 1:
+		return (m.B-m.A)/2*(e+1)/(e-1) + (m.A+m.B)/2
+	case 0:
+		return (m.A-m.B)/2*(e+1)/(e-1) + (m.A+m.B)/2
+	default:
+		return (m.A + m.B) / 2
+	}
+}
+
+// The vector encoders evaluate e^ε once per call; their outputs match the
+// per-element methods and the per-element oracle bit for bit under a fixed
+// RNG — the bins, every encoded bit, every recovered value, and the RNG
+// stream left behind.
+func TestVectorEncodersMatchPerElement(t *testing.T) {
+	for ci, f := range []FeatureEncoder{
+		{Epsilon: 2, A: 0, B: 1, Workload: 4, Dim: 20},
+		{Epsilon: 0.3, A: -1.5, B: 2.25, Workload: 3, Dim: 17},
+		{Epsilon: 9, A: -3, B: -1, Workload: 1, Dim: 8},
+	} {
+		seed := int64(40 + ci)
+		xr := rand.New(rand.NewSource(seed))
+		x := make([]float64, f.Dim)
+		for i := range x {
+			x[i] = f.A - 0.5 + (f.B-f.A+1)*xr.Float64() // some outside [A,B]
+		}
+		ob := OneBit{Eps: f.PerElementEps(), A: f.A, B: f.B}
+
+		rng := rand.New(rand.NewSource(seed))
+		got, err := f.Encode(x, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := rng.Int63()
+		for _, oracle := range []struct {
+			name   string
+			encode func(float64, *rand.Rand) float64
+		}{
+			{"EncodeValue", ob.EncodeValue},
+			{"oracle", func(v float64, r *rand.Rand) float64 { return encodeOracle(ob, v, r) }},
+		} {
+			ref := rand.New(rand.NewSource(seed))
+			bins := BinPartition(f.Dim, f.Workload, ref)
+			for k, bin := range bins {
+				want := make([]float64, f.Dim)
+				for i := range want {
+					want[i] = NotTransmitted
+				}
+				for _, i := range bin {
+					want[i] = oracle.encode(x[i], ref)
+				}
+				for i := range want {
+					if math.Float64bits(got[k][i]) != math.Float64bits(want[i]) {
+						t.Fatalf("config %d, part %d[%d]: Encode %v, %s %v", ci, k, i, got[k][i], oracle.name, want[i])
+					}
+				}
+			}
+			if ref.Int63() != next {
+				t.Fatalf("config %d: Encode left the RNG at a different position from %s", ci, oracle.name)
+			}
+		}
+		for k, part := range got {
+			rec, err := f.Recover(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range part {
+				for name, want := range map[string]float64{"RecoverValue": ob.RecoverValue(b), "oracle": recoverOracle(ob, b)} {
+					if math.Float64bits(rec[i]) != math.Float64bits(want) {
+						t.Fatalf("config %d, part %d[%d]: Recover %v, %s %v", ci, k, i, rec[i], name, want)
+					}
+				}
+			}
+		}
+
+		m := MultiBit{Eps: f.Epsilon, M: f.Dim / 2, A: f.A, B: f.B}
+		mob := OneBit{Eps: m.Eps / float64(m.M), A: m.A, B: m.B}
+		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		out, err := m.Encode(x, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range ref.Perm(f.Dim)[:m.M] {
+			if want := recoverOracle(mob, encodeOracle(mob, x[i], ref)); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("config %d: MultiBit element %d: %v, oracle %v", ci, i, out[i], want)
+			}
+		}
+	}
+}

@@ -103,14 +103,14 @@ func (m MultiBit) Encode(x []float64, rng *rand.Rand) ([]float64, error) {
 	if err := ob.Validate(); err != nil {
 		return nil, err
 	}
+	c := ob.coder()
 	out := make([]float64, d)
 	mid := (m.A + m.B) / 2
 	for i := range out {
 		out[i] = mid
 	}
 	for _, i := range rng.Perm(d)[:mm] {
-		bit := ob.EncodeValue(x[i], rng)
-		out[i] = ob.RecoverValue(bit)
+		out[i] = c.recover(c.encode(x[i], rng))
 	}
 	return out, nil
 }

@@ -81,6 +81,8 @@ func (o *Adam) Step(params []*Param) {
 type OptState struct {
 	t    int
 	m, v []*tensor.Matrix
+	// mix is MixModelsInto's scratch when this state is the destination.
+	mix mixScratch
 }
 
 // StepCount returns the captured update count.
@@ -158,6 +160,36 @@ func (o *Adam) RestoreState(params []*Param, st *OptState) {
 	}
 }
 
+// SwapState exchanges the optimizer's state for the given parameters with
+// st's: the step counts trade places, and so do the moment matrices
+// themselves, so nothing is copied. Afterwards the optimizer trains exactly
+// as after RestoreState(params, st), and st holds what CaptureState would
+// have returned before the call; swapping twice restores both sides. A nil
+// moment on either side becomes a missing one on the other. params must be
+// the list st is aligned with.
+func (o *Adam) SwapState(params []*Param, st *OptState) {
+	if len(params) != len(st.m) || len(params) != len(st.v) {
+		panic(fmt.Sprintf("nn: optimizer state captured over %d params, swapping %d", len(st.m), len(params)))
+	}
+	o.t, st.t = st.t, o.t
+	for i, p := range params {
+		st.m[i] = swapMoment(o.m, p.V, st.m[i])
+		st.v[i] = swapMoment(o.v, p.V, st.v[i])
+	}
+}
+
+// swapMoment installs in as key's live moment (none when nil) and returns
+// the one it replaces (nil when there was none).
+func swapMoment(live map[*autodiff.Value]*tensor.Matrix, key *autodiff.Value, in *tensor.Matrix) *tensor.Matrix {
+	out := live[key]
+	if in == nil {
+		delete(live, key)
+	} else {
+		live[key] = in
+	}
+	return out
+}
+
 // MixOptStates returns the weighted sum of captured optimizer states — the
 // moment half of decentralized neighbor averaging. Mixing moments alongside
 // weights is what makes gossip-averaged Adam converge: each device's first
@@ -169,17 +201,28 @@ func (o *Adam) RestoreState(params []*Param, st *OptState) {
 // result's moment is nil only where every source's is.
 func MixOptStates(srcs []*OptState, ws []float64) (*OptState, error) {
 	st := &OptState{}
-	if err := MixOptStatesInto(st, srcs, ws); err != nil {
+	if err := MixModelsInto(nil, st, nil, srcs, ws); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// MixOptStatesInto is MixOptStates into dst's own moment buffers, which it
-// overwrites (allocating only moments dst lacks). The arithmetic is the
-// same: each moment starts from +0 and accumulates ws[j]·srcs[j] in source
-// slice order, skipping nil moments. dst must not be one of srcs.
-func MixOptStatesInto(dst *OptState, srcs []*OptState, ws []float64) error {
+// MixModelsInto is the neighbour-averaging step over whole models, weights
+// and optimizer state together, into dst's own buffers. Source j is the pair
+// (srcW[j], srcs[j]); for every parameter i, in order:
+//
+//   - dstW[i] becomes Σ_j ws[j]·srcW[j][i], summed from ws[0]·srcW[0][i]
+//     in source order;
+//   - each of dst's moments becomes the same sum over the sources whose
+//     moment is non-nil, summed from +0 (a never-stepped moment is a zero
+//     matrix), and stays nil only where every source's is nil.
+//
+// Every sum is one tensor.WeightedSumInto, so dst's buffers are read and
+// written once per group of sources, not once per source, and the result is
+// bit-identical to accumulating one source at a time. dst adopts srcs[0]'s
+// step count (by convention the device's own). dstW and srcW may both be nil
+// to mix optimizer states alone. dst must not be one of srcs.
+func MixModelsInto(dstW []*tensor.Matrix, dst *OptState, srcW [][]*tensor.Matrix, srcs []*OptState, ws []float64) error {
 	if len(srcs) == 0 || len(srcs) != len(ws) {
 		return fmt.Errorf("nn: mixing %d optimizer states with %d weights", len(srcs), len(ws))
 	}
@@ -192,40 +235,68 @@ func MixOptStatesInto(dst *OptState, srcs []*OptState, ws []float64) error {
 			return fmt.Errorf("nn: mixing optimizer states of different shapes")
 		}
 	}
+	if dstW != nil || srcW != nil {
+		if len(dstW) != k || len(srcW) != len(srcs) {
+			return fmt.Errorf("nn: mixing %d weight sets of %d tensors for %d sources of %d params", len(srcW), len(dstW), len(srcs), k)
+		}
+		for _, w := range srcW {
+			if len(w) != k {
+				return fmt.Errorf("nn: mixing weight sets of different shapes")
+			}
+		}
+	}
 	dst.t = srcs[0].t
-	dst.m = mixMoments(dst.m, srcs, ws, func(s *OptState) []*tensor.Matrix { return s.m }, k)
-	dst.v = mixMoments(dst.v, srcs, ws, func(s *OptState) []*tensor.Matrix { return s.v }, k)
+	if len(dst.m) != k {
+		dst.m = make([]*tensor.Matrix, k)
+	}
+	if len(dst.v) != k {
+		dst.v = make([]*tensor.Matrix, k)
+	}
+	sc := &dst.mix
+	if cap(sc.srcs) < len(srcs) {
+		sc.srcs, sc.ws = make([]*tensor.Matrix, 0, len(srcs)), make([]float64, 0, len(srcs))
+	}
+	for i := 0; i < k; i++ {
+		if dstW != nil {
+			sc.srcs = sc.srcs[:0]
+			for _, w := range srcW {
+				sc.srcs = append(sc.srcs, w[i])
+			}
+			tensor.WeightedSumInto(dstW[i], sc.srcs, ws, false)
+		}
+		dst.m[i] = sc.mixMoment(dst.m[i], srcs, ws, i, false)
+		dst.v[i] = sc.mixMoment(dst.v[i], srcs, ws, i, true)
+	}
 	return nil
 }
 
-// mixMoments accumulates one moment slice's weighted sum into out, in source
-// slice order — the same frozen reduction order the weight mix uses.
-func mixMoments(out []*tensor.Matrix, srcs []*OptState, ws []float64, pick func(*OptState) []*tensor.Matrix, k int) []*tensor.Matrix {
-	if len(out) != k {
-		out = make([]*tensor.Matrix, k)
-	}
-	for i := range out {
-		acc, started := out[i], false
-		for j, s := range srcs {
-			mj := pick(s)[i]
-			if mj == nil {
-				continue
-			}
-			if !started {
-				if acc == nil {
-					acc = tensor.New(mj.Rows(), mj.Cols())
-				} else {
-					acc.Zero()
-				}
-				started = true
-			}
-			tensor.AddScaledInPlace(acc, ws[j], mj)
+// mixScratch is one parameter's mix sources and their weights.
+type mixScratch struct {
+	srcs []*tensor.Matrix
+	ws   []float64
+}
+
+// mixMoment overwrites out (allocated if nil) with the +0-started weighted
+// sum of parameter i's first moments across srcs (second moments when second
+// is set), skipping nil ones, or returns nil when every one is nil.
+func (sc *mixScratch) mixMoment(out *tensor.Matrix, srcs []*OptState, ws []float64, i int, second bool) *tensor.Matrix {
+	sc.srcs, sc.ws = sc.srcs[:0], sc.ws[:0]
+	for j, s := range srcs {
+		m := s.m[i]
+		if second {
+			m = s.v[i]
 		}
-		if !started {
-			acc = nil
+		if m != nil {
+			sc.srcs, sc.ws = append(sc.srcs, m), append(sc.ws, ws[j])
 		}
-		out[i] = acc
 	}
+	if len(sc.srcs) == 0 {
+		return nil
+	}
+	if out == nil {
+		out = tensor.New(sc.srcs[0].Dims())
+	}
+	tensor.WeightedSumInto(out, sc.srcs, sc.ws, true)
 	return out
 }
 

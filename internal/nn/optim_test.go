@@ -202,3 +202,84 @@ func TestAdamCaptureStateDetached(t *testing.T) {
 		t.Fatalf("restoring a never-stepped state left %d/%d moments", len(o.m), len(o.v))
 	}
 }
+
+// mixMomentsOracle is the per-source moment mix MixModelsInto replaced,
+// kept as its oracle: each moment starts from +0 and adds every non-nil
+// source moment in its own pass, picked out by a closure.
+func mixMomentsOracle(srcs []*OptState, ws []float64, pick func(*OptState) []*tensor.Matrix) []*tensor.Matrix {
+	out := make([]*tensor.Matrix, len(srcs[0].m))
+	for i := range out {
+		for j, s := range srcs {
+			mj := pick(s)[i]
+			if mj == nil {
+				continue
+			}
+			if out[i] == nil {
+				out[i] = tensor.New(mj.Rows(), mj.Cols())
+			}
+			tensor.AddScaledInPlace(out[i], ws[j], mj)
+		}
+	}
+	return out
+}
+
+// MixModelsInto without weights (the optimizer-state mix) matches the
+// per-source oracle bit for bit for 1–9 sources, with nil moments in some
+// sources and entries salted with ±0 and subnormals; a moment every source
+// lacks stays nil, and the destination's stale buffers do not leak into the
+// result.
+func TestMixOptStatesMatchesOracle(t *testing.T) {
+	entries := []float64{0, math.Copysign(0, -1), 5e-324, -7e-322, 1.5, -0.25, 3e-9}
+	k := 0
+	mat := func() *tensor.Matrix {
+		m := tensor.New(2, 3)
+		for i := range m.Data() {
+			m.Data()[i] = entries[k%len(entries)] * float64(1+k%5)
+			k++
+		}
+		return m
+	}
+	pool := make([]*OptState, 9)
+	for j := range pool {
+		st := &OptState{t: j + 1, m: make([]*tensor.Matrix, 3), v: make([]*tensor.Matrix, 3)}
+		for i := 0; i < 2; i++ { // parameter 2 is never stepped anywhere
+			if (i+j)%3 != 0 {
+				st.m[i], st.v[i] = mat(), mat()
+			}
+		}
+		pool[j] = st
+	}
+	dst := &OptState{m: []*tensor.Matrix{mat(), nil, mat()}, v: []*tensor.Matrix{nil, mat(), mat()}}
+	for ns := 1; ns <= 9; ns++ {
+		srcs, ws := pool[:ns], make([]float64, ns)
+		for j := range ws {
+			ws[j] = 1 / float64(j+2)
+		}
+		if err := MixModelsInto(nil, dst, nil, srcs, ws); err != nil {
+			t.Fatal(err)
+		}
+		wantM := mixMomentsOracle(srcs, ws, func(s *OptState) []*tensor.Matrix { return s.m })
+		wantV := mixMomentsOracle(srcs, ws, func(s *OptState) []*tensor.Matrix { return s.v })
+		for i := range wantM {
+			for _, c := range []struct{ got, want *tensor.Matrix }{{dst.m[i], wantM[i]}, {dst.v[i], wantV[i]}} {
+				if (c.got == nil) != (c.want == nil) {
+					t.Fatalf("%d sources, param %d: nil %v, oracle nil %v", ns, i, c.got == nil, c.want == nil)
+				}
+				if c.got == nil {
+					continue
+				}
+				for e, x := range c.got.Data() {
+					if math.Float64bits(x) != math.Float64bits(c.want.Data()[e]) {
+						t.Fatalf("%d sources, param %d[%d]: %v, oracle %v", ns, i, e, x, c.want.Data()[e])
+					}
+				}
+			}
+		}
+		if dst.StepCount() != srcs[0].StepCount() {
+			t.Fatalf("step count %d, want the self source's %d", dst.StepCount(), srcs[0].StepCount())
+		}
+	}
+	if err := MixModelsInto(nil, pool[0], nil, pool[:2], []float64{0.5, 0.5}); err == nil {
+		t.Fatal("aliased destination accepted")
+	}
+}

@@ -206,6 +206,15 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.data, src.data)
 }
 
+// SwapData exchanges the backing arrays of m and o, which must have the same
+// shape: a move, not a copy, of both matrices' contents. Every holder of
+// either *Matrix sees the new values; a SliceRows view of either keeps the
+// array it was cut from.
+func (m *Matrix) SwapData(o *Matrix) {
+	m.sameShape(o, "SwapData")
+	m.data, o.data = o.data, m.data
+}
+
 // Zero sets every entry to 0.
 func (m *Matrix) Zero() {
 	for i := range m.data {

@@ -44,10 +44,24 @@ type jsonTopology struct {
 	Edges [][2]int `json:"edges"`
 }
 
+// MaxNodes bounds the device count a contact-graph file may declare. Every
+// reader checks the declared count before anything is sized by it, so a
+// short file cannot make a reader allocate a huge adjacency table: what a
+// reader allocates is bounded by a constant times the input's length plus
+// one adjacency header per declared device, and nothing per device when it
+// fails.
+const MaxNodes = 1 << 20
+
 // Load reads a contact graph from path, dispatching on the extension
 // exactly as fleet.LoadTrace does: .json parses the JSON schema, everything
 // else the CSV schema. The result is fully validated.
 func Load(path string) (*Topology, error) {
+	return load(path, -1)
+}
+
+// load is Load; when want ≥ 0 the file must declare exactly want devices,
+// which is checked before the topology is built.
+func load(path string, want int) (*Topology, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("topo: open contact graph: %w", err)
@@ -56,9 +70,9 @@ func Load(path string) (*Topology, error) {
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	var t *Topology
 	if strings.EqualFold(filepath.Ext(path), ".json") {
-		t, err = ReadJSON(f)
+		t, err = readJSON(f, want)
 	} else {
-		t, err = ReadCSV(f)
+		t, err = readCSV(f, want)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("topo: contact graph %s: %w", path, err)
@@ -69,10 +83,26 @@ func Load(path string) (*Topology, error) {
 	return t, nil
 }
 
+// checkNodes bounds a file's declared device count: at most MaxNodes, and
+// exactly want when want ≥ 0.
+func checkNodes(n, want int) error {
+	if n > MaxNodes {
+		return fmt.Errorf("declares %d devices, above the limit of %d", n, MaxNodes)
+	}
+	if want >= 0 && n != want {
+		return fmt.Errorf("covers %d devices, fleet has %d", n, want)
+	}
+	return nil
+}
+
 // ReadCSV parses the CSV contact-graph schema. The "# nodes: <n>" comment
 // directive is required — it is the only place the device count lives, and
 // without it isolated devices would silently vanish.
 func ReadCSV(r io.Reader) (*Topology, error) {
+	return readCSV(r, -1)
+}
+
+func readCSV(r io.Reader, want int) (*Topology, error) {
 	// csv.Reader's Comment option would discard the nodes directive with the
 	// rest of the comments, so comments are peeled manually line by line.
 	nodes := -1
@@ -101,6 +131,9 @@ func ReadCSV(r io.Reader) (*Topology, error) {
 	}
 	if nodes < 0 {
 		return nil, fmt.Errorf("missing \"# nodes: <n>\" directive")
+	}
+	if err := checkNodes(nodes, want); err != nil {
+		return nil, err
 	}
 	if len(dataLines) == 0 {
 		return nil, fmt.Errorf("missing %s header", strings.Join(edgeColumns, ","))
@@ -140,10 +173,17 @@ func ReadCSV(r io.Reader) (*Topology, error) {
 
 // ReadJSON parses the JSON contact-graph schema.
 func ReadJSON(r io.Reader) (*Topology, error) {
+	return readJSON(r, -1)
+}
+
+func readJSON(r io.Reader, want int) (*Topology, error) {
 	var jt jsonTopology
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&jt); err != nil {
+		return nil, err
+	}
+	if err := checkNodes(jt.Nodes, want); err != nil {
 		return nil, err
 	}
 	return FromEdges(jt.Name, jt.Nodes, jt.Edges)

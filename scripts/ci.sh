@@ -125,6 +125,23 @@ gate plain ./internal/core \
 	TestReplicaRoundTripDoesNotAllocate TestSoloRoundAllocBudget
 gate plain ./internal/sim TestGossipTimelineGolden
 
+# Fused gossip mix and replica moves: the weighted-sum kernel against the
+# one-pass-per-source loop it replaced (kept as the oracle in the test files)
+# bit for bit over 1–9 sources, ±0 and subnormals, under the race detector;
+# the optimizer-state mix against its own; SwapData moving arrays; then
+# MixReplicas bitwise against the per-source oracle, SwapReplica as an exact
+# two-way move that refuses a wrong-shape replica and trains exactly like
+# LoadReplica. The gossip timeline golden above was recorded before either
+# change.
+gate race ./internal/tensor TestWeightedSumMatchesOracle TestSwapData
+gate plain ./internal/nn TestMixOptStatesMatchesOracle
+gate plain ./internal/core TestMixReplicas TestSwapReplica TestSwapReplicaTrainsLikeLoad
+
+# The one-bit LDP encoders evaluate e^ε once per vector: Encode, Recover and
+# MultiBit against the per-element methods and the per-element oracle, bit
+# for bit under a fixed RNG.
+gate plain ./internal/ldp TestVectorEncodersMatchPerElement
+
 # Word-parallel secure comparison: Less against the bit-serial GMW evaluator
 # it replaced (kept as the oracle in the test files) — result bit and
 # per-call traffic, exhaustively at L=8 and on random and edge operands up to
@@ -195,6 +212,17 @@ gate plain ./internal/snapshot \
 	TestSnapshotMatrixOverflowHeader TestSnapshotResealedTablesRejected \
 	TestSnapshotBadMagicAndFormat FuzzDecode
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/snapshot
+
+# Contact-graph files: a declared device count is bounded before it sizes
+# anything (a 30-byte file once built a 50M-device topology), a file: spec
+# for the wrong fleet is refused before allocating, then the seed corpora of
+# FuzzReadTopology (CSV and JSON) and FuzzParseSpec and a short fuzz pass of
+# each.
+gate plain ./internal/topo \
+	TestReadRejectsHugeNodeCount TestBuildFileRejectsCountBeforeAllocating \
+	FuzzReadTopology FuzzParseSpec
+go test -run '^$' -fuzz '^FuzzReadTopology$' -fuzztime 10s ./internal/topo
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/topo
 
 # The HTTP transcript golden (every status and body across a replica's life)
 # and Close refusing later queries with a 503, twice without a panic.
