@@ -238,7 +238,7 @@ func BenchmarkTreeConstruction(b *testing.B) {
 }
 
 // BenchmarkLDPFeatureEncode measures one device's embedding initialization
-// (encode + per-recipient recovery).
+// (encode + every recipient's recovery, into caller-owned rows).
 func BenchmarkLDPFeatureEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	enc := ldp.FeatureEncoder{Epsilon: 2, A: 0, B: 1, Workload: 12, Dim: 512}
@@ -246,13 +246,13 @@ func BenchmarkLDPFeatureEncode(b *testing.B) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
+	rows := make([][]float64, enc.Workload)
+	for k := range rows {
+		rows[k] = make([]float64, enc.Dim)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts, err := enc.Encode(x, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := enc.Recover(parts[0]); err != nil {
+		if err := enc.EncodeRecover(x, rows, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

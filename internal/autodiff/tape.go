@@ -1,11 +1,25 @@
 package autodiff
 
-import "lumos/internal/tensor"
+import (
+	"math/bits"
 
-// tapeChunk is the Value-slab chunk size. Chunks have a fixed length so a
+	"lumos/internal/tensor"
+)
+
+// firstChunk is the length of a tape's first Value-slab chunk; chunk c holds
+// firstChunk·2^c Values, so a tape's slab is at most twice what it records
+// (a one-device shard's 10-node tape holds 16) and a tape that records n
+// nodes has ~log2(n/firstChunk) chunks. Chunks are never reallocated, so a
 // growing tape never relocates live Values — pointers handed out by node
 // constructors stay valid for the life of the tape.
-const tapeChunk = 256
+const firstChunk = 16
+
+// chunkOf returns the slab chunk holding tape index i and i's offset in it:
+// chunk c starts at firstChunk·(2^c − 1).
+func chunkOf(i int) (c, off int) {
+	c = bits.Len(uint(i/firstChunk+1)) - 1
+	return c, i - firstChunk*(1<<c-1)
+}
 
 // bufPool is the free-list for one matrix shape: buffers checked out since
 // the last Reset live in bufs[:next], recyclable ones in bufs[next:].
@@ -29,6 +43,10 @@ type bufPool struct {
 // from two tapes, cut one side into a leaf of the other (Tape.Const or
 // Tape.Var over its Data) and replay the cut's gradient with
 // BackwardWithGradient.
+//
+// Nodes live in a slab of chunks that starts at firstChunk Values and doubles
+// as the tape grows, so a small tape (a one-device shard's) costs a few kB,
+// not a fixed-size slab, and finding node i stays O(1).
 //
 // A Tape is not safe for concurrent use; give each worker its own (the
 // engine keeps one per shard). Reset must not run while any Value or matrix
@@ -84,13 +102,13 @@ func (t *Tape) scratch(rows, cols int) *tensor.Matrix {
 }
 
 // newValue checks the next node out of the slab, growing it by one chunk
-// when exhausted. The node comes back field-reset, keeping only its parents
-// slice capacity (so steady-state epochs re-record parents without
-// allocating).
+// (twice the last) when exhausted. The node comes back field-reset, keeping
+// only its parents slice capacity (so steady-state epochs re-record parents
+// without allocating).
 func (t *Tape) newValue() *Value {
-	ci, off := t.used/tapeChunk, t.used%tapeChunk
+	ci, off := chunkOf(t.used)
 	if ci == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]Value, tapeChunk))
+		t.chunks = append(t.chunks, make([]Value, firstChunk<<ci))
 	}
 	v := &t.chunks[ci][off]
 	parents := v.parents[:0]
@@ -137,7 +155,8 @@ func (t *Tape) Const(m *tensor.Matrix) *Value {
 
 // at returns the node with tape index i.
 func (t *Tape) at(i int) *Value {
-	return &t.chunks[i/tapeChunk][i%tapeChunk]
+	c, off := chunkOf(i)
+	return &t.chunks[c][off]
 }
 
 // sweep runs the backward pass over nodes [0, from] in reverse recording

@@ -3,6 +3,7 @@ package autodiff
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"lumos/internal/tensor"
 )
@@ -121,5 +122,57 @@ func TestTapeBackwardSweepScope(t *testing.T) {
 	}
 	if w.Grad == nil {
 		t.Fatal("sweep missed the parameter")
+	}
+}
+
+// A tape's slab is sized to what it records: a 10-node graph (a one-device
+// shard's) fits in the first chunk, at most 4 kB. Growing through several
+// chunks never moves a recorded Value, and after Reset the same storage
+// comes back in the same order without a new chunk.
+func TestTapeSlabSizedToRecording(t *testing.T) {
+	slabBytes := func(tp *Tape) uintptr {
+		n := 0
+		for _, c := range tp.chunks {
+			n += cap(c)
+		}
+		return uintptr(n) * unsafe.Sizeof(Value{})
+	}
+	tp := NewTape()
+	m := tensor.New(1, 1)
+	for i := 0; i < 10; i++ {
+		tp.Const(m)
+	}
+	if b := slabBytes(tp); b > 4096 {
+		t.Fatalf("10-node tape holds a %d B slab, want ≤ 4096", b)
+	}
+
+	const n = 1000
+	tp.Reset()
+	mats := make([]*tensor.Matrix, n)
+	vals := make([]*Value, n)
+	for i := range vals {
+		mats[i] = tensor.New(1, 1)
+		vals[i] = tp.Const(mats[i])
+	}
+	if len(tp.chunks) < 5 {
+		t.Fatalf("%d nodes recorded in %d chunks, want growth through several", n, len(tp.chunks))
+	}
+	if b := slabBytes(tp); b > 2*n*unsafe.Sizeof(Value{}) {
+		t.Fatalf("%d-node tape holds a %d B slab, more than twice its nodes", n, b)
+	}
+	for i, v := range vals {
+		if tp.at(i) != v || v.Data != mats[i] || v.ti != i || v.tape != tp {
+			t.Fatalf("node %d moved or was overwritten while the slab grew", i)
+		}
+	}
+	chunks := len(tp.chunks)
+	tp.Reset()
+	for i := range vals {
+		if v := tp.Const(mats[n-1-i]); v != vals[i] {
+			t.Fatalf("after Reset node %d came back at different storage", i)
+		}
+	}
+	if len(tp.chunks) != chunks {
+		t.Fatalf("re-recording after Reset grew the slab from %d to %d chunks", chunks, len(tp.chunks))
 	}
 }

@@ -166,11 +166,12 @@ type Config struct {
 	// shard owns its private RNG stream.
 	Workers int
 	// Shards is the number of device shards the forest is partitioned into
-	// (contiguous device ranges balanced by tree size). 0 auto-tunes to
-	// min(N, max(DefaultShards, 4·NumCPU)). Independent of Workers, so on a
-	// given machine the computation graph — and therefore the bits — never
-	// depends on the worker-pool size; set it explicitly to pin results
-	// across machines with different core counts.
+	// (contiguous device ranges balanced by tree size). 0 means
+	// min(N, DefaultShards) on every host. The partition fixes the
+	// computation graph and its reduction order, so the bits depend on
+	// Shards but never on Workers or on the machine. The trade-off: a
+	// default system has at most DefaultShards (32) shards, so at most 32
+	// workers have work on a many-core host; set Shards higher there.
 	Shards int
 	// Sched selects synchronous (default, the paper's protocol) or
 	// staleness-bounded asynchronous round scheduling.
@@ -193,23 +194,9 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultShards is the floor of the auto-tuned forest partition count used
-// when Config.Shards is 0 (capped at the device count).
+// DefaultShards is the forest partition count used when Config.Shards is 0
+// (capped at the device count).
 const DefaultShards = 32
-
-// defaultShardCount returns the shard count used when Config.Shards is 0:
-// max(DefaultShards, 4·NumCPU), so many-core machines get enough shards to
-// keep every worker busy while small machines keep the historical default.
-// The count depends on the CPU count but never on Config.Workers, so results
-// on one machine are identical for every worker-pool size; pin Config.Shards
-// explicitly when bit-reproducibility across machines matters (the shard
-// partition shapes the deterministic reduction order).
-func defaultShardCount() int {
-	if c := 4 * runtime.NumCPU(); c > DefaultShards {
-		return c
-	}
-	return DefaultShards
-}
 
 // Validate fills the paper's defaults and checks ranges.
 func (c *Config) Validate() error {

@@ -143,7 +143,7 @@ type holder struct{ shard, row int }
 func newEngine(s *System) *engine {
 	target := s.Cfg.Shards
 	if target == 0 {
-		target = defaultShardCount()
+		target = DefaultShards
 	}
 	if target > s.G.N {
 		target = s.G.N

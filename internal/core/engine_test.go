@@ -254,7 +254,7 @@ func TestShardPartitionInvariants(t *testing.T) {
 		shards := sys.eng.shards
 		want := shardsCfg
 		if want == 0 {
-			want = defaultShardCount()
+			want = DefaultShards
 		}
 		if want > g.N {
 			want = g.N

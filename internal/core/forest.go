@@ -58,6 +58,12 @@ func buildTrees(g *graph.Graph, retained [][]int, disableVirtualNodes bool) []*t
 // set preserves Theorem 4: each recipient sees d/|bins| elements encoded at
 // ε·|bins|/d each.)
 //
+// The trees are flattened first, so each recipient's estimate of u is
+// recovered straight into the forest row of its leaf for u (found from u's
+// position in the recipient's sorted Retained): ldp.FeatureEncoder's
+// EncodeRecover makes the draws Encode would make, in the same order, and
+// no encoded or recovered vector is kept anywhere else.
+//
 // Traffic: one MsgFeature per (sender, recipient) pair; encoded elements
 // are 2 bits each ({0, ½, 1}), so a partial feature costs ⌈d/4⌉ bytes plus
 // a small header.
@@ -77,46 +83,6 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 		return nil, fmt.Errorf("core: graph %q has no features", g.Name)
 	}
 
-	// Reverse retention: recipients[u] = devices holding a leaf for u.
-	recipients := make([][]int, g.N)
-	for v, t := range trees {
-		for _, u := range t.Retained {
-			recipients[u] = append(recipients[u], v)
-		}
-	}
-
-	// LDP encode/exchange. recovered[w][u] is what device w holds for
-	// neighbor u after recovery.
-	recovered := make([]map[int][]float64, g.N)
-	for v := range recovered {
-		recovered[v] = make(map[int][]float64)
-	}
-	featureMsgBytes := (d+3)/4 + 16
-	for u := 0; u < g.N; u++ {
-		if len(recipients[u]) == 0 {
-			continue
-		}
-		enc := ldp.FeatureEncoder{
-			Epsilon:  epsilon,
-			A:        g.FeatLo,
-			B:        g.FeatHi,
-			Workload: len(recipients[u]),
-			Dim:      d,
-		}
-		parts, err := enc.Encode(g.Features.Row(u), devices[u].Rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding device %d: %w", u, err)
-		}
-		for k, w := range recipients[u] {
-			rec, err := enc.Recover(parts[k])
-			if err != nil {
-				return nil, fmt.Errorf("core: recovering device %d's feature at %d: %w", u, w, err)
-			}
-			recovered[w][u] = rec
-			net.Send(u, w, fed.MsgFeature, featureMsgBytes)
-		}
-	}
-
 	// Flatten trees.
 	f := &Forest{Offsets: make([]int, g.N)}
 	total := 0
@@ -126,7 +92,62 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 	}
 	f.NumNodes = total
 	f.X = tensor.New(total, d)
+
+	// Reverse retention: the recipients of u's feature are
+	// recipients[start[u]:start[u+1]], in ascending device order, each with
+	// the forest row of its leaf for u.
+	type recipient struct{ dev, row int }
+	start := make([]int, g.N+1)
+	for _, t := range trees {
+		for _, u := range t.Retained {
+			start[u+1]++
+		}
+	}
+	for u := 0; u < g.N; u++ {
+		start[u+1] += start[u]
+	}
+	recipients := make([]recipient, start[g.N])
+	next := append([]int(nil), start[:g.N]...)
+	for v, t := range trees {
+		for k, u := range t.Retained {
+			i := t.NeighborLeafAt(k)
+			if t.Kind[i] != tree.NeighborLeaf || t.Vertex[i] != u {
+				return nil, fmt.Errorf("core: device %d has no leaf for neighbor %d", v, u)
+			}
+			recipients[next[u]] = recipient{dev: v, row: f.Offsets[v] + i}
+			next[u]++
+		}
+	}
+
+	// LDP encode/exchange, recovered into the recipients' leaf rows.
+	featureMsgBytes := (d+3)/4 + 16
+	var rows [][]float64
+	for u := 0; u < g.N; u++ {
+		rs := recipients[start[u]:start[u+1]]
+		if len(rs) == 0 {
+			continue
+		}
+		enc := ldp.FeatureEncoder{
+			Epsilon:  epsilon,
+			A:        g.FeatLo,
+			B:        g.FeatHi,
+			Workload: len(rs),
+			Dim:      d,
+		}
+		rows = rows[:0]
+		for _, r := range rs {
+			rows = append(rows, f.X.Row(r.row))
+		}
+		if err := enc.EncodeRecover(g.Features.Row(u), rows, devices[u].Rng); err != nil {
+			return nil, fmt.Errorf("core: encoding device %d: %w", u, err)
+		}
+		for _, r := range rs {
+			net.Send(u, r.dev, fed.MsgFeature, featureMsgBytes)
+		}
+	}
+
 	leafCount := make([]int, g.N)
+	neighborLeaves := 0
 	for v, t := range trees {
 		off := f.Offsets[v]
 		for i := 0; i < t.NumNodes; i++ {
@@ -142,13 +163,14 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 			case tree.CenterLeaf:
 				f.X.SetRow(row, g.Features.Row(v)) // own feature, un-noised
 			case tree.NeighborLeaf:
-				rec, ok := recovered[v][gv]
-				if !ok {
-					return nil, fmt.Errorf("core: device %d missing feature for neighbor %d", v, gv)
-				}
-				f.X.SetRow(row, rec)
+				neighborLeaves++
 			}
 		}
+	}
+	// Every neighbor leaf received exactly one recovered feature: the
+	// exchange wrote one row per retained neighbor, each a neighbor leaf.
+	if neighborLeaves != len(recipients) {
+		return nil, fmt.Errorf("core: %d neighbor leaves, %d received features", neighborLeaves, len(recipients))
 	}
 	if rowNormalize {
 		for _, row := range f.LeafRows {

@@ -248,14 +248,26 @@ func TestDeviceUploadBytes(t *testing.T) {
 	}
 }
 
-// TestDefaultShardCountAutoTune checks the CPU-aware default.
-func TestDefaultShardCountAutoTune(t *testing.T) {
-	got := defaultShardCount()
-	want := 4 * runtime.NumCPU()
-	if want < DefaultShards {
-		want = DefaultShards
+// TestDefaultShardCountIsHostIndependent: an unset Shards partitions the
+// forest into DefaultShards shards whatever the host's CPU count and the
+// worker-pool size, capped at the device count.
+func TestDefaultShardCountIsHostIndependent(t *testing.T) {
+	g := engineGraph(t, 15)
+	for _, workers := range []int{1, 2 * runtime.NumCPU(), 64} {
+		sys, err := NewSystem(g, g, Config{Epochs: 1, MCMCIterations: 5, Workers: workers, Seed: 15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.ShardCount(); got != DefaultShards {
+			t.Fatalf("Workers=%d: default partition has %d shards, want %d", workers, got, DefaultShards)
+		}
 	}
-	if got != want {
-		t.Fatalf("defaultShardCount() = %d, want %d", got, want)
+	small := testGraph(t, 12, 20, 2, 15)
+	sys, err := NewSystem(small, small, Config{Epochs: 1, MCMCIterations: 5, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.ShardCount(); got != small.N {
+		t.Fatalf("%d-device default partition has %d shards, want one per device", small.N, got)
 	}
 }

@@ -177,9 +177,12 @@ func (nw *Network) Diff(since Traffic) Traffic {
 // Device is one federated participant: vertex identity, local ego network,
 // private randomness, and a secure-computation party handle.
 type Device struct {
-	ID    int
-	Ego   *graph.EgoNet
-	Rng   *rand.Rand
+	ID  int
+	Ego *graph.EgoNet
+	Rng *rand.Rand
+	// Party is the device's side of the secure comparisons (its own stream,
+	// independent of Rng). It seeds that stream on its first comparison, so
+	// a device of a non-secure system never pays for it.
 	Party *smc.Party
 }
 

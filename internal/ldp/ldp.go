@@ -163,19 +163,43 @@ func (f FeatureEncoder) Encode(x []float64, rng *rand.Rand) ([][]float64, error)
 	return out, nil
 }
 
-// Recover maps one received encoded vector to its unbiased estimate
-// (Eq. 27); run by the *receiving* device, which knows the public protocol
-// parameters (ε, wl of the sender, d, [a,b]) but not the raw feature.
-func (f FeatureEncoder) Recover(enc []float64) ([]float64, error) {
-	if len(enc) != f.Dim {
-		return nil, fmt.Errorf("ldp: encoded length %d, encoder dim %d", len(enc), f.Dim)
+// EncodeRecover runs the whole exchange of feature x: it encodes x for its
+// Workload recipients and writes recipient k's unbiased estimate (Eq. 27)
+// straight into rows[k], a caller-owned vector of length Dim, without
+// building the encoded vectors. It draws from rng exactly what Encode draws,
+// in the same order: the permutation, then bin k's elements perm[k],
+// perm[k+wl], … (BinPartition's order) for k = 0, 1, …, each encoded once.
+// Every element outside a recipient's bin recovers from NotTransmitted. So
+// rows[k] is bit for bit the recovery of Encode(x, rng)[k], and rng is left
+// where Encode leaves it.
+func (f FeatureEncoder) EncodeRecover(x []float64, rows [][]float64, rng *rand.Rand) error {
+	if len(x) != f.Dim {
+		return fmt.Errorf("ldp: feature length %d, encoder dim %d", len(x), f.Dim)
+	}
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if len(rows) != f.Workload {
+		return fmt.Errorf("ldp: %d recipient rows for workload %d", len(rows), f.Workload)
+	}
+	for k, row := range rows {
+		if len(row) != f.Dim {
+			return fmt.Errorf("ldp: recipient row %d has length %d, encoder dim %d", k, len(row), f.Dim)
+		}
 	}
 	ob := OneBit{Eps: f.PerElementEps(), A: f.A, B: f.B}.coder()
-	out := make([]float64, f.Dim)
-	for i, b := range enc {
-		out[i] = ob.recover(b)
+	mid := ob.recover(NotTransmitted)
+	perm := rng.Perm(f.Dim)
+	for k, row := range rows {
+		for i := range row {
+			row[i] = mid
+		}
+		for j := k; j < f.Dim; j += f.Workload {
+			i := perm[j]
+			row[i] = ob.recover(ob.encode(x[i], rng))
+		}
 	}
-	return out, nil
+	return nil
 }
 
 func clamp(x, lo, hi float64) float64 {

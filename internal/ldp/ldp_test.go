@@ -165,11 +165,7 @@ func TestFeatureEncoderRoundTrip(t *testing.T) {
 	if transmitted != 20 {
 		t.Fatalf("transmitted %d elements, want every element exactly once", transmitted)
 	}
-	rec, err := f.Recover(parts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec) != 20 {
+	if rec := recoverVector(f, parts[0]); len(rec) != 20 {
 		t.Fatal("recover length wrong")
 	}
 }
@@ -184,8 +180,75 @@ func TestFeatureEncoderValidation(t *testing.T) {
 	if _, err := f.Encode(make([]float64, 3), rng); err == nil {
 		t.Fatal("wrong feature length must error")
 	}
-	if _, err := f.Recover(make([]float64, 3)); err == nil {
-		t.Fatal("wrong encoded length must error")
+	x, row := make([]float64, 4), make([]float64, 4)
+	if err := f.EncodeRecover(make([]float64, 3), [][]float64{row, row}, rng); err == nil {
+		t.Fatal("EncodeRecover: wrong feature length must error")
+	}
+	if err := f.EncodeRecover(x, [][]float64{row}, rng); err == nil {
+		t.Fatal("EncodeRecover: a row count other than the workload must error")
+	}
+	if err := f.EncodeRecover(x, [][]float64{row, make([]float64, 3)}, rng); err == nil {
+		t.Fatal("EncodeRecover: wrong row length must error")
+	}
+	if err := bad.EncodeRecover(x, nil, rng); err == nil {
+		t.Fatal("EncodeRecover: workload 0 must error")
+	}
+}
+
+// recoverVector is Eq. 27 over one received encoded vector, the recovery the
+// embedding exchange ran on every part before EncodeRecover fused it into
+// the encoding: the oracle EncodeRecover is checked against.
+func recoverVector(f FeatureEncoder, enc []float64) []float64 {
+	ob := OneBit{Eps: f.PerElementEps(), A: f.A, B: f.B}.coder()
+	out := make([]float64, len(enc))
+	for i, b := range enc {
+		out[i] = ob.recover(b)
+	}
+	return out
+}
+
+// EncodeRecover equals Encode followed by recovering every part, bit for
+// bit, and leaves the RNG where Encode leaves it: for workloads 1, 2, d−1
+// and d, and for workloads that do not divide d.
+func TestEncodeRecoverMatchesEncodeThenRecover(t *testing.T) {
+	for _, c := range []struct{ d, wl int }{
+		{17, 1}, {17, 2}, {17, 16}, {17, 17}, {17, 5},
+		{20, 1}, {20, 2}, {20, 19}, {20, 20}, {20, 3}, {1, 1},
+	} {
+		f := FeatureEncoder{Epsilon: 1.7, A: -0.5, B: 2, Workload: c.wl, Dim: c.d}
+		seed := int64(100*c.d + c.wl)
+		xr := rand.New(rand.NewSource(-seed))
+		x := make([]float64, c.d)
+		for i := range x {
+			x[i] = -1 + 3.5*xr.Float64() // some outside [A,B]
+		}
+		ref := rand.New(rand.NewSource(seed))
+		parts, err := f.Encode(x, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		rows := make([][]float64, c.wl)
+		for k := range rows {
+			rows[k] = make([]float64, c.d)
+			for i := range rows[k] {
+				rows[k][i] = math.NaN() // every element must be written
+			}
+		}
+		if err := f.EncodeRecover(x, rows, rng); err != nil {
+			t.Fatal(err)
+		}
+		for k, part := range parts {
+			want := recoverVector(f, part)
+			for i := range want {
+				if math.Float64bits(rows[k][i]) != math.Float64bits(want[i]) {
+					t.Fatalf("d=%d wl=%d: row %d[%d] = %v, Encode+recover %v", c.d, c.wl, k, i, rows[k][i], want[i])
+				}
+			}
+		}
+		if rng.Int63() != ref.Int63() {
+			t.Fatalf("d=%d wl=%d: EncodeRecover left the RNG at a different position from Encode", c.d, c.wl)
+		}
 	}
 }
 
@@ -402,14 +465,11 @@ func TestVectorEncodersMatchPerElement(t *testing.T) {
 			}
 		}
 		for k, part := range got {
-			rec, err := f.Recover(part)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rec := recoverVector(f, part)
 			for i, b := range part {
 				for name, want := range map[string]float64{"RecoverValue": ob.RecoverValue(b), "oracle": recoverOracle(ob, b)} {
 					if math.Float64bits(rec[i]) != math.Float64bits(want) {
-						t.Fatalf("config %d, part %d[%d]: Recover %v, %s %v", ci, k, i, rec[i], name, want)
+						t.Fatalf("config %d, part %d[%d]: recoverVector %v, %s %v", ci, k, i, rec[i], name, want)
 					}
 				}
 			}

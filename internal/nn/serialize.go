@@ -106,8 +106,11 @@ func LoadParams(r io.Reader, m Module) error {
 	if count > MaxCheckpointParams {
 		return fmt.Errorf("nn: checkpoint claims %d parameters, bound is %d (corrupt length field?)", count, MaxCheckpointParams)
 	}
-	loaded := make(map[string]*tensor.Matrix, count)
-	order := make([]string, 0, count)
+	// count is untrusted until the parameters arrive: grow with them rather
+	// than pre-sizing (an 8-byte stream claiming 65536 parameters once
+	// allocated 4.5 MB before failing on EOF).
+	loaded := make(map[string]*tensor.Matrix)
+	var order []string
 	for i := uint32(0); i < count; i++ {
 		var nameLen uint32
 		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {

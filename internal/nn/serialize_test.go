@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -160,4 +161,126 @@ func TestLoadParamsFailureLeavesModelUntouched(t *testing.T) {
 	if !tensor.ApproxEqual(reader[0].V.Data, before, 0) {
 		t.Fatal("failed load mutated the model")
 	}
+}
+
+// loadAllocBytes runs LoadParams and returns the bytes it allocated.
+func loadAllocBytes(data []byte, m Module) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := LoadParams(bytes.NewReader(data), m)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// loadAllocBound is the most LoadParams may allocate for an n-byte stream:
+// its read buffer and bookkeeping, plus a small multiple of the bytes it
+// actually read (a payload buffer grows by doubling, then the matrix is
+// decoded out of it). Nothing is sized from a length field before the
+// bytes it promises have arrived.
+func loadAllocBound(n int) uint64 { return 64<<10 + 8*uint64(n) }
+
+// An 8-byte stream claiming the maximum parameter count fails on EOF after
+// allocating little more than its read buffer: the containers grow as
+// parameters arrive instead of being sized from the untrusted count (they
+// once took 4.5 MB here).
+func TestLoadParamsHugeCountAllocatesLittle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is unreliable under -short (race) runs")
+	}
+	data := binary.LittleEndian.AppendUint32(nil, checkpointMagic)
+	data = binary.LittleEndian.AppendUint32(data, MaxCheckpointParams)
+	m := newParamSet(rand.New(rand.NewSource(28)), "a")
+	var worst uint64
+	for i := 0; i < 5; i++ {
+		n, err := loadAllocBytes(data, m)
+		if err == nil {
+			t.Fatal("8-byte checkpoint loaded without error")
+		}
+		worst = max(worst, n)
+	}
+	if worst > 16<<10 {
+		t.Fatalf("8-byte checkpoint claiming %d parameters allocated %d B, want ≤ 16 KiB", MaxCheckpointParams, worst)
+	}
+}
+
+// fuzzModel is the model FuzzLoadParams loads into: two parameters of
+// different shapes, small enough that a valid checkpoint is 74 bytes.
+func fuzzModel(seed int64) paramSet {
+	rng := rand.New(rand.NewSource(seed))
+	return paramSet{
+		{Name: "w", V: autodiff.Var(tensor.Uniform(1, 2, -1, 1, rng))},
+		{Name: "b", V: autodiff.Var(tensor.Uniform(1, 1, -1, 1, rng))},
+	}
+}
+
+// checkpointRecords splits a checkpoint LoadParams accepted into name →
+// payload.
+func checkpointRecords(data []byte) map[string][]byte {
+	out := make(map[string][]byte)
+	count := int(binary.LittleEndian.Uint32(data[4:]))
+	p := 8
+	for i := 0; i < count; i++ {
+		n := int(binary.LittleEndian.Uint32(data[p:]))
+		name := string(data[p+4 : p+4+n])
+		p += 4 + n
+		n = int(binary.LittleEndian.Uint32(data[p:]))
+		out[name] = data[p+4 : p+4+n]
+		p += 4 + n
+	}
+	return out
+}
+
+func marshalParams(t *testing.T, m paramSet) [][]byte {
+	out := make([][]byte, len(m))
+	for i, p := range m {
+		b, err := p.V.Data.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// FuzzLoadParams: the loader returns an error or a fully restored model. It
+// never panics, never touches the model when it fails, and never allocates
+// more than loadAllocBound of the stream's length. The committed seeds
+// (testdata/fuzz/FuzzLoadParams) are a valid checkpoint, huge count, name
+// and payload lengths, an 8-byte stream claiming the maximum count, a
+// duplicate name, 0×huge and huge×0 matrix headers and trailing bytes;
+// every truncation of the valid checkpoint is added here.
+func FuzzLoadParams(f *testing.F) {
+	var good bytes.Buffer
+	if err := SaveParams(&good, fuzzModel(2)); err != nil {
+		f.Fatal(err)
+	}
+	for n := 0; n < good.Len(); n++ {
+		f.Add(good.Bytes()[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := fuzzModel(1)
+		before := marshalParams(t, m)
+		n, err := loadAllocBytes(data, m)
+		if !testing.Short() && n > loadAllocBound(len(data)) {
+			t.Fatalf("%d-byte checkpoint allocated %d B, bound %d (err %v)", len(data), n, loadAllocBound(len(data)), err)
+		}
+		after := marshalParams(t, m)
+		if err != nil {
+			for i, p := range m {
+				if !bytes.Equal(after[i], before[i]) {
+					t.Fatalf("failed load (%v) changed parameter %q", err, p.Name)
+				}
+			}
+			return
+		}
+		recs := checkpointRecords(data)
+		if len(recs) != len(m) {
+			t.Fatalf("loaded a checkpoint of %d parameters into a model of %d", len(recs), len(m))
+		}
+		for i, p := range m {
+			if !bytes.Equal(after[i], recs[p.Name]) {
+				t.Fatalf("parameter %q is not what the checkpoint holds", p.Name)
+			}
+		}
+	})
 }

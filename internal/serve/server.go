@@ -173,6 +173,7 @@ func (s *Server) submit(r *request) result {
 // worker drains queries in batches; one bundle load answers a whole batch.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	results := make([]result, 0, s.opt.MaxBatch)
 	for {
 		select {
 		case <-s.quit:
@@ -194,14 +195,20 @@ func (s *Server) worker() {
 			timer.Stop()
 			t0 := s.tel.begin()
 			b := s.cur.Load()
+			results = results[:0]
 			for _, r := range batch {
-				r.done <- answer(b, r)
+				results = append(results, answer(b, r))
 			}
 			var version uint64
 			if b != nil {
 				version = b.Version
 			}
+			// Record the batch before delivering it, so a caller that
+			// scrapes /metrics once its answer arrives sees the batch.
 			s.tel.batch(len(batch), version, t0)
+			for i, r := range batch {
+				r.done <- results[i]
+			}
 		}
 	}
 }

@@ -62,14 +62,27 @@ const otWireBytes = 18
 func shareWireBytes(bits int) int64 { return int64((bits + 7) / 8) }
 
 // Party holds one participant's private randomness. In the federated
-// system every device owns one Party seeded from its device id.
+// system every device owns one Party seeded from its device id. The stream
+// is seeded on the party's first draw, not by NewParty: a party that never
+// runs a protocol (every party of a non-secure system) costs its seed, not a
+// seeded ~5 kB math/rand source. The values drawn are exactly those of an
+// eagerly seeded rand.New(rand.NewSource(seed)).
 type Party struct {
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand // nil until the first draw
 }
 
 // NewParty returns a Party with its own deterministic randomness stream.
 func NewParty(seed int64) *Party {
-	return &Party{rng: rand.New(rand.NewSource(seed))}
+	return &Party{seed: seed}
+}
+
+// stream returns the party's randomness, seeding it on first use.
+func (p *Party) stream() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
+	return p.rng
 }
 
 // obliviousTransfer executes 64 simulated 1-out-of-2 OTs of single-bit
@@ -88,14 +101,15 @@ func obliviousTransfer(m0, m1, choice, pad0, pad1 uint64) uint64 {
 // andWord evaluates 64 independent GMW AND gates, gate i on bit i of each
 // share word, using two OTs per gate (one per cross term): it returns the
 // shares (za, zb) of (xa⊕xb)∧(ya⊕yb), alice holding xa, ya, za.
-func andWord(alice, bob *Party, xa, xb, ya, yb uint64) (za, zb uint64) {
+// alice and bob are the two parties' streams.
+func andWord(alice, bob *rand.Rand, xa, xb, ya, yb uint64) (za, zb uint64) {
 	// x∧y = xA·yA ⊕ xA·yB ⊕ xB·yA ⊕ xB·yB.
 	// Cross term xA·yB: Alice is OT sender with (s, s⊕xA); Bob selects yB.
-	s1 := alice.rng.Uint64()
-	t1 := obliviousTransfer(s1, s1^xa, yb, alice.rng.Uint64(), alice.rng.Uint64())
+	s1 := alice.Uint64()
+	t1 := obliviousTransfer(s1, s1^xa, yb, alice.Uint64(), alice.Uint64())
 	// Cross term xB·yA: Bob is OT sender with (s2, s2⊕xB); Alice selects yA.
-	s2 := bob.rng.Uint64()
-	t2 := obliviousTransfer(s2, s2^xb, ya, bob.rng.Uint64(), bob.rng.Uint64())
+	s2 := bob.Uint64()
+	t2 := obliviousTransfer(s2, s2^xb, ya, bob.Uint64(), bob.Uint64())
 	return xa&ya ^ s1 ^ t2, xb&yb ^ s2 ^ t1
 }
 
@@ -125,23 +139,24 @@ func (p *Protocol) Less(alice *Party, a uint64, bob *Party, b uint64) bool {
 	p.checkRange(a)
 	p.checkRange(b)
 	mask := ^uint64(0) >> (64 - p.Bits)
+	ar, br := alice.stream(), bob.stream()
 	// Input sharing: each party draws one word of private randomness r as
 	// its share of its L input bits and transmits input⊕r.
-	xa := alice.rng.Uint64() & mask
+	xa := ar.Uint64() & mask
 	xb := a ^ xa
-	yb := bob.rng.Uint64() & mask
+	yb := br.Uint64() & mask
 	ya := b ^ yb
 	// Comparator, LSB → MSB:
 	//   lt_i = (¬x_i ∧ y_i) ⊕ ((x_i ≡ y_i) ∧ lt_{i-1})
 	// The L gates ¬x_i ∧ y_i are independent: one word-wide gate (¬ flips
 	// Alice's share only).
-	dA, dB := andWord(alice, bob, xa^mask, xb, ya, yb)
+	dA, dB := andWord(ar, br, xa^mask, xb, ya, yb)
 	eqA, eqB := ^(xa ^ ya), xb^yb
 	// The carry chain is L dependent AND gates. Their output masks and OT
 	// pads are drawn as words up front; gate i reads bit 0 of every register
 	// after i right shifts (obliviousTransfer is inlined: no call per gate).
-	s1, pa0, pa1 := alice.rng.Uint64(), alice.rng.Uint64(), alice.rng.Uint64()
-	s2, pb0, pb1 := bob.rng.Uint64(), bob.rng.Uint64(), bob.rng.Uint64()
+	s1, pa0, pa1 := ar.Uint64(), ar.Uint64(), ar.Uint64()
+	s2, pb0, pb1 := br.Uint64(), br.Uint64(), br.Uint64()
 	var ltA, ltB uint64 // shares of lt_{i-1}, in bit 0
 	for i := 0; i < p.Bits; i++ {
 		// carry_i = eq_i ∧ lt_{i-1}, the cross terms' OTs as in andWord.
@@ -244,10 +259,10 @@ func toFixed(v float64, bits int) uint64 {
 // AcceptMH instead; Diff exists to mirror the paper's literal "compute
 // f(Xt) − f(X't)" formulation and for tests.
 func (p *Protocol) Diff(alice *Party, a int64, bob *Party, b int64) int64 {
-	r := int64(bob.rng.Uint64() >> 1) // bob's blinding factor
-	blinded := b + r                  // bob → alice
-	partial := a - blinded            // alice → bob
-	result := partial + r             // bob reveals a − b
+	r := int64(bob.stream().Uint64() >> 1) // bob's blinding factor
+	blinded := b + r                       // bob → alice
+	partial := a - blinded                 // alice → bob
+	result := partial + r                  // bob reveals a − b
 	p.Stats.Messages += 3
 	p.Stats.Bytes += 24
 	return result

@@ -350,3 +350,35 @@ func TestPartyDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// A party seeds its stream on its first draw, and that stream is exactly the
+// one an eagerly seeded math/rand source gives.
+func TestPartyStreamMatchesEagerSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 0x6a09e667f3bcc90} {
+		p := NewParty(seed)
+		if p.rng != nil {
+			t.Fatalf("seed %d: NewParty seeded its stream before any draw", seed)
+		}
+		ref := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			if got, want := p.stream().Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d, draw %d: party %#x, eager source %#x", seed, i, got, want)
+			}
+		}
+	}
+	// Through the protocol: a comparison draws the same words from lazily
+	// and eagerly seeded parties.
+	lazyA, lazyB := NewParty(3), NewParty(4)
+	eagerA, eagerB := NewParty(3), NewParty(4)
+	eagerA.stream()
+	eagerB.stream()
+	p := NewProtocol(16, &Stats{})
+	for i := uint64(0); i < 50; i++ {
+		if p.Less(lazyA, i*977%65536, lazyB, i*331%65536) != p.Less(eagerA, i*977%65536, eagerB, i*331%65536) {
+			t.Fatalf("comparison %d differs between lazy and eager parties", i)
+		}
+	}
+	if lazyA.stream().Int63() != eagerA.stream().Int63() || lazyB.stream().Int63() != eagerB.stream().Int63() {
+		t.Fatal("lazy and eager parties left their streams at different positions")
+	}
+}

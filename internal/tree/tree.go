@@ -127,13 +127,21 @@ func (t *Tree) Leaves() []int {
 	return out
 }
 
+// NeighborLeafAt returns the local node index of the leaf representing
+// Retained[k]: 3+3k in a virtual-node tree (Build), 1+k in a flat ego graph
+// (BuildEgo).
+func (t *Tree) NeighborLeafAt(k int) int {
+	if t.Kind[0] == Root {
+		return 3 + 3*k
+	}
+	return 1 + k
+}
+
 // NeighborLeafIndex returns the local node index of the leaf representing
 // global neighbor u, or -1 if u is not retained.
 func (t *Tree) NeighborLeafIndex(u int) int {
-	for i, v := range t.Vertex {
-		if v == u && t.Kind[i] == NeighborLeaf {
-			return i
-		}
+	if k := sort.SearchInts(t.Retained, u); k < len(t.Retained) && t.Retained[k] == u {
+		return t.NeighborLeafAt(k)
 	}
 	return -1
 }

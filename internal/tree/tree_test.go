@@ -120,6 +120,31 @@ func TestLeavesAndNeighborLeafIndex(t *testing.T) {
 	}
 }
 
+// NeighborLeafAt(k) is the leaf of Retained[k] in both layouts, and
+// NeighborLeafIndex agrees with a scan over every node.
+func TestNeighborLeafAtBothLayouts(t *testing.T) {
+	retained := []int{9, 3, 14, 5, 11}
+	for name, tr := range map[string]*Tree{"Build": Build(7, retained), "BuildEgo": BuildEgo(7, retained)} {
+		for k, u := range tr.Retained {
+			if i := tr.NeighborLeafAt(k); tr.Kind[i] != NeighborLeaf || tr.Vertex[i] != u {
+				t.Fatalf("%s: NeighborLeafAt(%d) = %d (kind %d, vertex %d), want the leaf of %d",
+					name, k, i, tr.Kind[i], tr.Vertex[i], u)
+			}
+		}
+		for u := 0; u < 16; u++ {
+			want := -1
+			for i, v := range tr.Vertex {
+				if v == u && tr.Kind[i] == NeighborLeaf {
+					want = i
+				}
+			}
+			if got := tr.NeighborLeafIndex(u); got != want {
+				t.Fatalf("%s: NeighborLeafIndex(%d) = %d, scan %d", name, u, got, want)
+			}
+		}
+	}
+}
+
 func TestValidateCatchesCorruption(t *testing.T) {
 	tr := Build(0, []int{1, 2})
 	tr.Vertex[0] = 5 // root must map to -1

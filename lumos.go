@@ -45,7 +45,7 @@
 //
 // Training runs on a device-parallel engine: the forest of per-device trees
 // is partitioned into Config.Shards contiguous shards (default:
-// min(N, max(32, 4·NumCPU)), balanced by tree size), and each epoch's local
+// min(N, 32) on every host, balanced by tree size), and each epoch's local
 // forward/backward passes execute on a worker pool of Config.Workers
 // goroutines (default: one per CPU). Shard gradients are combined by a
 // deterministic tree-ordered reduction, and every shard owns a private RNG

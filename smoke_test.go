@@ -10,11 +10,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
-
-	"lumos/internal/core"
 )
 
 // entryPoints lists every main package with the arguments used to exercise
@@ -175,11 +172,6 @@ func TestEntryPointsBuildAndRun(t *testing.T) {
 			if len(out) == 0 {
 				t.Fatalf("%s produced no output", ep.pkg)
 			}
-			if 4*runtime.NumCPU() > core.DefaultShards {
-				t.Logf("transcript not compared: the golden was recorded where the default shard count is %d, and it is %d here",
-					core.DefaultShards, 4*runtime.NumCPU())
-				return
-			}
 			norm := normalizeTranscript(string(out), binDir)
 			if got, want := fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))[:16], transcriptGolden[name]; got != want {
 				t.Errorf("transcript hash %q: %q, want %q; normalized output:\n%s", name, got, want, norm)
@@ -189,10 +181,9 @@ func TestEntryPointsBuildAndRun(t *testing.T) {
 }
 
 // transcriptGolden pins every run row's output: the first 16 hex digits of
-// the SHA-256 of normalizeTranscript's result. A system built with the
-// default shard count partitions its forest by the host's CPU count above
-// 8 CPUs (core.Config.Shards), which moves its floating-point reduction
-// order, so the hashes are compared only on hosts with at most 8 CPUs.
+// the SHA-256 of normalizeTranscript's result. The default shard count does
+// not depend on the host (core.Config.Shards), so the hashes compare on
+// every machine.
 var transcriptGolden = map[string]string{
 	"cmd/lumos-bench":          "f7edcb8b6fdaf68c",
 	"cmd/lumos-datagen":        "1a578c8f9a80c91b",
