@@ -46,7 +46,8 @@ type bufPool struct {
 //
 // Nodes live in a slab of chunks that starts at firstChunk Values and doubles
 // as the tape grows, so a small tape (a one-device shard's) costs a few kB,
-// not a fixed-size slab, and finding node i stays O(1).
+// not a fixed-size slab; newValue finds the next slot in O(1) and Backward
+// walks the chunks in reverse.
 //
 // A Tape is not safe for concurrent use; give each worker its own (the
 // engine keeps one per shard). Reset must not run while any Value or matrix
@@ -153,21 +154,19 @@ func (t *Tape) Const(m *tensor.Matrix) *Value {
 	return v
 }
 
-// at returns the node with tape index i.
-func (t *Tape) at(i int) *Value {
-	c, off := chunkOf(i)
-	return &t.chunks[c][off]
-}
-
 // sweep runs the backward pass over nodes [0, from] in reverse recording
 // order. Recording order is a topological order (an op's parents exist
 // before it), so the reverse sweep visits every node after all its
 // consumers; nodes the seeded gradient never reached are skipped.
 func (t *Tape) sweep(from int) {
-	for i := from; i >= 0; i-- {
-		v := t.at(i)
-		if v.Grad != nil && v.back != nil {
-			v.back(v)
+	ci, off := chunkOf(from)
+	for ; ci >= 0; ci-- {
+		chunk := t.chunks[ci][:off+1]
+		for j := len(chunk) - 1; j >= 0; j-- {
+			if v := &chunk[j]; v.Grad != nil && v.back != nil {
+				v.back(v)
+			}
 		}
+		off = firstChunk<<ci/2 - 1 // the chunk before ci is half its length
 	}
 }

@@ -161,7 +161,8 @@ func TestTapeSlabSizedToRecording(t *testing.T) {
 		t.Fatalf("%d-node tape holds a %d B slab, more than twice its nodes", n, b)
 	}
 	for i, v := range vals {
-		if tp.at(i) != v || v.Data != mats[i] || v.ti != i || v.tape != tp {
+		c, off := chunkOf(i)
+		if &tp.chunks[c][off] != v || v.Data != mats[i] || v.ti != i || v.tape != tp {
 			t.Fatalf("node %d moved or was overwritten while the slab grew", i)
 		}
 	}
