@@ -12,6 +12,7 @@ import (
 	"lumos/internal/fed"
 	"lumos/internal/graph"
 	"lumos/internal/nn"
+	"lumos/internal/tensor"
 )
 
 // constructCase is one benchmark workload's NewSystem configuration (bench/
@@ -69,16 +70,17 @@ var forestXGolden = map[string]uint64{
 	"gossip-ba-swap":     0x81c40a60e8d2aa47,
 }
 
-func hashMatrixBits(rows, cols int, data []float64) uint64 {
+func hashMatrix(m *tensor.Matrix) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(rows))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(cols))
-	h.Write(b[:])
-	for _, v := range data {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	word := func(w uint64) {
+		binary.LittleEndian.PutUint64(b[:], w)
 		h.Write(b[:])
+	}
+	word(uint64(m.Rows()))
+	word(uint64(m.Cols()))
+	for _, v := range m.Data() {
+		word(math.Float64bits(v))
 	}
 	return h.Sum64()
 }
@@ -92,9 +94,7 @@ func TestForestXGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := sys.Forest.X
-		got := hashMatrixBits(x.Rows(), x.Cols(), x.Data())
-		if want := forestXGolden[c.name]; got != want {
+		if got, want := hashMatrix(sys.Forest.X), forestXGolden[c.name]; got != want {
 			t.Errorf("%s: Forest.X hash %#x, golden %#x", c.name, got, want)
 		}
 	}
