@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -175,5 +176,20 @@ func TestTapeSlabSizedToRecording(t *testing.T) {
 	}
 	if len(tp.chunks) != chunks {
 		t.Fatalf("re-recording after Reset grew the slab from %d to %d chunks", chunks, len(tp.chunks))
+	}
+
+	// Backward crosses every chunk boundary: the gradient of a chain of
+	// n−1 doublings reaches its leaf only if every node is swept.
+	tp.Reset()
+	x := tp.Var(tensor.New(1, 1))
+	y := x
+	for i := 1; i < n; i++ {
+		y = Scale(y, 2)
+	}
+	seed := tensor.New(1, 1)
+	seed.Fill(1)
+	y.BackwardWithGradient(seed)
+	if got, want := x.Grad.At(0, 0), math.Ldexp(1, n-1); got != want {
+		t.Fatalf("gradient through a %d-node chain = %v, want 2^%d", n, got, n-1)
 	}
 }
