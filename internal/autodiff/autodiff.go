@@ -55,6 +55,9 @@ type Value struct {
 	rowDst [][]int
 	fs     []float64
 	mat    *tensor.Matrix
+	// sparse is a Tape.ConstSparse leaf's row-constant-plus-residual form
+	// of Data.
+	sparse *tensor.ConstSparse
 }
 
 // Var wraps a matrix as a parameter: a trainable leaf on no tape, whose
@@ -207,12 +210,32 @@ func (v *Value) propagate() {
 // Linear algebra ops
 // ---------------------------------------------------------------------------
 
-// MatMul returns a·b.
+// MatMul returns a·b. When a is a Tape.ConstSparse leaf — a shard's forest
+// input in the engine's first layer — the product and b's gradient run
+// through its sparse view: O(rows + residual entries) row operations
+// instead of O(rows × cols), equal to the dense product up to summation
+// order. A 1×b.Cols() tape buffer is the view kernels' workspace (column
+// sums forward, the constant rows' gradient sum backward).
 func MatMul(a, b *Value) *Value {
 	t := tapeFor("MatMul", a, b)
 	data := t.scratch(a.Data.Rows(), b.Data.Cols())
+	if a.sparse != nil {
+		ws := t.scratch(1, b.Data.Cols())
+		tensor.ConstSparseMatMulInto(data, a.sparse, b.Data, ws.Data())
+		out := t.node(data, backMatMulConstSparse, a, b)
+		out.mat = ws
+		return out
+	}
 	tensor.MatMulInto(data, a.Data, b.Data)
 	return t.node(data, backMatMul, a, b)
+}
+
+// backMatMulConstSparse is backMatMul for a ConstSparse left operand, which
+// takes no gradient.
+func backMatMulConstSparse(v *Value) {
+	if b := v.parents[1]; b.requiresGrad {
+		tensor.ConstSparseMatMulTNAddInto(b.EnsureGrad(), v.parents[0].sparse, v.Grad, v.mat.Data())
+	}
 }
 
 func backMatMul(v *Value) {

@@ -54,12 +54,33 @@ var (
 	// duplicate edge (1→0 twice).
 	gradCSR  = tensor.NewCSR(4, []int{0, 1, 1, 3, 4, 1, 2}, []int{0, 0, 1, 1, 3, 0, 3})
 	gradCoef = []float64{0.5, -1.5, 2, 0.25, 1, 0.75, -0.5}
+	// gradSparseX is a 5×4 forest-shaped input: a constant row with
+	// residuals in the first and last column, a zero-constant sparse row,
+	// an empty row, an all-constant row, and a row sharing the first's span.
+	gradSparseX = func() *tensor.ConstSparse {
+		m := tensor.NewConstSparse(5, 4, 3)
+		col, val := m.Residual()
+		copy(col, []int32{0, 3, 1})
+		copy(val, []float64{0.9, -0.6, 0.7})
+		m.SetRow(0, 0.3, 0, 2)
+		m.SetRow(1, 0, 2, 3)
+		m.SetRow(3, -0.4, 0, 0)
+		m.SetRow(4, 0.3, 0, 2)
+		return m
+	}()
 )
 
 var gradTable = []gradCase{
 	{test: "TestGradMatMul", name: "matmul", ops: []string{"MatMul", "SumAll"},
 		params: [][2]int{{3, 4}, {4, 2}},
 		f:      func(tp *Tape, p []*Value) *Value { return SumAll(MatMul(p[0], p[1])) }},
+	{test: "TestGradMatMul", name: "matmul/constsparse", ops: []string{"MatMul", "SumSquares"},
+		// A Tape.ConstSparse left operand: the product and its right
+		// operand's gradient run through the view's kernels.
+		params: [][2]int{{4, 3}},
+		f: func(tp *Tape, p []*Value) *Value {
+			return SumSquares(MatMul(tp.ConstSparse(gradSparseX.Dense(), gradSparseX), p[0]))
+		}},
 	{test: "TestGradAddSub", name: "add/sub", ops: []string{"Add", "Sub", "MulElem", "SumAll"},
 		params: [][2]int{{2, 3}, {2, 3}},
 		f: func(tp *Tape, p []*Value) *Value {

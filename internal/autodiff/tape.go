@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math/bits"
 
 	"lumos/internal/tensor"
@@ -151,6 +152,25 @@ func (t *Tape) Var(m *tensor.Matrix) *Value {
 func (t *Tape) Const(m *tensor.Matrix) *Value {
 	v := t.newValue()
 	v.Data = m
+	return v
+}
+
+// ConstSparse records a non-trainable leaf that carries a second form of
+// its matrix: m as a row constant plus a sparse residual (view must equal m,
+// and both are caller-owned). Data is still the dense m, so every op reads
+// the leaf as it reads a Const — except MatMul with the leaf on the left,
+// which multiplies through the view instead (tensor.ConstSparseMatMulInto)
+// and accumulates its right operand's gradient the same way. The product
+// then costs O(rows + residual entries) row operations instead of
+// O(rows × cols), and differs from the dense one only in summation order.
+// The leaf never takes a gradient.
+func (t *Tape) ConstSparse(m *tensor.Matrix, view *tensor.ConstSparse) *Value {
+	if view.Rows() != m.Rows() || view.Cols() != m.Cols() {
+		panic(fmt.Sprintf("autodiff: ConstSparse view %dx%d for a %dx%d matrix", view.Rows(), view.Cols(), m.Rows(), m.Cols()))
+	}
+	v := t.newValue()
+	v.Data = m
+	v.sparse = view
 	return v
 }
 

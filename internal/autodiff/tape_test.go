@@ -193,3 +193,41 @@ func TestTapeSlabSizedToRecording(t *testing.T) {
 		t.Fatalf("gradient through a %d-node chain = %v, want 2^%d", n, got, n-1)
 	}
 }
+
+// A ConstSparse leaf reads as its dense matrix to every op but MatMul, whose
+// product and weight gradient go through the view: equal to the Const
+// leaf's up to summation order, with no gradient on the leaf itself, and no
+// new allocation once the tape is warm.
+func TestConstSparseLeafMatMul(t *testing.T) {
+	x := gradSparseX.Dense()
+	w := Var(tensor.Uniform(4, 3, -1, 1, rand.New(rand.NewSource(9))))
+	record := func(tp *Tape, sparse bool) (*Value, *Value) {
+		tp.Reset()
+		w.ZeroGrad()
+		leaf := tp.Const(x)
+		if sparse {
+			leaf = tp.ConstSparse(x, gradSparseX)
+		}
+		out := MatMul(leaf, w)
+		SumSquares(out).Backward()
+		return leaf, out
+	}
+	_, dense := record(NewTape(), false)
+	wantOut, wantGrad := dense.Data.Clone(), w.Grad.Clone()
+	tp := NewTape()
+	leaf, out := record(tp, true)
+	if leaf.Data != x || leaf.Grad != nil {
+		t.Fatal("a ConstSparse leaf must hold the dense matrix and take no gradient")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *tensor.Matrix
+	}{{"product", out.Data, wantOut}, {"weight gradient", w.Grad, wantGrad}} {
+		if !tensor.ApproxEqual(c.got, c.want, 1e-14) {
+			t.Fatalf("%s through the view:\n%v\nwant\n%v", c.name, c.got, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { record(tp, true) }); allocs != 0 {
+		t.Fatalf("warm ConstSparse MatMul allocated %v times per recording", allocs)
+	}
+}
