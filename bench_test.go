@@ -252,7 +252,7 @@ func BenchmarkLDPFeatureEncode(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := enc.EncodeRecover(x, rows, rng); err != nil {
+		if err := enc.EncodeRecover(x, rows, nil, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

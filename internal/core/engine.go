@@ -52,6 +52,9 @@ type shard struct {
 	lo, hi int
 	conv   *nn.ConvGraph
 	x      *tensor.Matrix
+	// view is x's rows of Forest.XView (nil when the forest has none):
+	// what the first layer multiplies.
+	view *tensor.ConstSparse
 	// leafLocal[i] is the shard-local row of the shard's i-th leaf,
 	// leafVertex[i] its global vertex, poolCoef[i] the Eq. 31 averaging
 	// coefficient (identical to the corresponding Forest.PoolCoef entry).
@@ -134,6 +137,10 @@ type engine struct {
 	serving            []bool
 	shardActive        []bool
 	shardDelay         []int
+	// denseInput makes every shard forward read its dense rows of
+	// Forest.X instead of the XView: the oracle the first-layer view is
+	// tested against. Only tests set it.
+	denseInput bool
 }
 
 // holder is one shard's partial row standing for a vertex.
@@ -276,6 +283,9 @@ func buildShards(f *Forest, trees []*tree.Tree, target int) []*shard {
 		// A view, not a copy: shard rows are contiguous in the forest, and
 		// the forward pass only reads X, so all shards alias f.X safely.
 		sh.x = f.X.SliceRows(base, end)
+		if f.XView != nil {
+			sh.view = f.XView.SliceRows(base, end)
+		}
 		var edges [][2]int
 		for v := lo; v < hi; v++ {
 			off := f.Offsets[v] - base
@@ -374,7 +384,9 @@ func (e *engine) parallel(fn func(i int)) {
 }
 
 // forwardActive runs the shared encoder over the active shards (nil means
-// all) and pools each one's leaves into its partial embedding P_s
+// all) — its first layer multiplying through the shard's rows of
+// Forest.XView when the forest has one — and pools each one's leaves into
+// its partial embedding P_s
 // (len(verts)×OutDim, row k for vertex verts[k]); inactive shards get a nil
 // partial. Each shard records onto its own tape (taken fresh here,
 // invalidating the previous epoch's Values and buffers), so the partials'
@@ -389,7 +401,11 @@ func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 			return
 		}
 		sh := e.shards[i]
-		x := e.shardTape(i).Const(sh.x)
+		tp := e.shardTape(i)
+		x := tp.Const(sh.x)
+		if sh.view != nil && !e.denseInput {
+			x = tp.ConstSparse(sh.x, sh.view)
+		}
 		h := e.encs[i].Forward(sh.conv, x, training, e.rngs[i])
 		parts[i] = autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lumos/internal/fed"
 	"lumos/internal/graph"
@@ -21,6 +22,17 @@ type Forest struct {
 	// feature on its center leaves, LDP-recovered features on neighbor
 	// leaves, zeros on virtual nodes (paper Eq. 25).
 	X *tensor.Matrix
+	// XView is X again, as what the LDP exchange actually transmitted: a
+	// row constant plus a sparse residual. A neighbor leaf's row is its
+	// sender's "not transmitted" estimate everywhere but the ~d/wl columns
+	// it was sent; a center leaf's row is the device's sparse raw feature
+	// (constant 0), one residual span shared by all of the device's center
+	// leaves; a virtual row is empty. XView.Dense() equals X bit for bit.
+	// The engine's first layer multiplies through it (autodiff
+	// Tape.ConstSparse), which equals the dense product up to summation
+	// order. It is nil when it would not hold fewer entries than X has
+	// nonzeros (dense raw features), and the first layer reads X.
+	XView *tensor.ConstSparse
 	// LeafRows[i] is the forest row of the i-th leaf; LeafVertex[i] its
 	// global vertex; PoolCoef[i] = 1/#leaves(vertex) so that the
 	// coefficient-weighted per-vertex sum of leaf rows is average pooling.
@@ -67,6 +79,12 @@ func buildTrees(g *graph.Graph, retained [][]int, disableVirtualNodes bool) []*t
 // Traffic: one MsgFeature per (sender, recipient) pair; encoded elements
 // are 2 bits each ({0, ½, 1}), so a partial feature costs ⌈d/4⌉ bytes plus
 // a small header.
+//
+// XView is recorded while the rows are written, not by a scan of X: a
+// recipient's residual is the columns EncodeRecover reports it was sent,
+// and a device's center feature is normalized once and shared by its
+// center leaves. Every value in XView is read from the row it describes
+// after normalization, so XView.Dense() equals X bit for bit.
 //
 // When rowNormalize is set (the default), every leaf's initial embedding is
 // L2-normalized by the device holding it. This is a purely local,
@@ -119,9 +137,31 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 		}
 	}
 
-	// LDP encode/exchange, recovered into the recipients' leaf rows.
+	// The first layer's view of X (Forest.XView), recorded while the rows
+	// are written: one backing array holds every device's center residual
+	// (its feature's nonzero columns, shared by its center leaves), then
+	// every (sender, recipient) pair's transmitted columns, which number d
+	// per sender.
+	entries, senders := 0, 0
+	for v := 0; v < g.N; v++ {
+		for _, x := range g.Features.Row(v) {
+			if math.Float64bits(x) != 0 {
+				entries++
+			}
+		}
+		if start[v+1] > start[v] {
+			senders++
+		}
+	}
+	view := tensor.NewConstSparse(total, d, entries+senders*d)
+	col, val := view.Residual()
+	fill, viewEntries, denseNNZ := 0, 0, 0
+
+	// LDP encode/exchange, recovered into the recipients' leaf rows; each
+	// row is normalized and entered into the view as it is written.
 	featureMsgBytes := (d+3)/4 + 16
 	var rows [][]float64
+	var sent [][]int32
 	for u := 0; u < g.N; u++ {
 		rs := recipients[start[u]:start[u+1]]
 		if len(rs) == 0 {
@@ -134,26 +174,41 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 			Workload: len(rs),
 			Dim:      d,
 		}
-		rows = rows[:0]
-		for _, r := range rs {
+		rows, sent = rows[:0], sent[:0]
+		lo := fill
+		for k, r := range rs {
 			rows = append(rows, f.X.Row(r.row))
+			sent = append(sent, col[fill:fill+enc.BinLen(k)])
+			fill += enc.BinLen(k)
 		}
-		if err := enc.EncodeRecover(g.Features.Row(u), rows, devices[u].Rng); err != nil {
+		if err := enc.EncodeRecover(g.Features.Row(u), rows, sent, devices[u].Rng); err != nil {
 			return nil, fmt.Errorf("core: encoding device %d: %w", u, err)
 		}
-		for _, r := range rs {
+		for k, r := range rs {
+			row, cols := rows[k], sent[k]
+			if rowNormalize {
+				normalizeRow(row)
+			}
+			slices.Sort(cols)
+			c, nnz := residualRow(row, cols, val[lo:lo+len(cols)])
+			view.SetRow(r.row, c, lo, lo+len(cols))
+			lo += len(cols)
+			viewEntries += len(cols)
+			denseNNZ += nnz
 			net.Send(u, r.dev, fed.MsgFeature, featureMsgBytes)
 		}
 	}
 
 	leafCount := make([]int, g.N)
 	neighborLeaves := 0
+	center := make([]float64, d)
 	for v, t := range trees {
 		off := f.Offsets[v]
+		cLo, cHi, cNNZ := -1, -1, 0
 		for i := 0; i < t.NumNodes; i++ {
 			gv := t.Vertex[i]
 			if gv < 0 {
-				continue // virtual node: zero embedding
+				continue // virtual node: zero embedding, an empty view row
 			}
 			row := off + i
 			f.LeafRows = append(f.LeafRows, row)
@@ -161,7 +216,32 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 			leafCount[gv]++
 			switch t.Kind[i] {
 			case tree.CenterLeaf:
-				f.X.SetRow(row, g.Features.Row(v)) // own feature, un-noised
+				// The own feature, un-noised: normalized once per device
+				// and copied to each of its center leaves, which share one
+				// residual span.
+				if cLo < 0 {
+					cLo, cNNZ = fill, 0
+					for j, x := range g.Features.Row(v) {
+						center[j] = x
+						if math.Float64bits(x) != 0 {
+							col[fill] = int32(j)
+							fill++
+						}
+					}
+					cHi = fill
+					if rowNormalize {
+						normalizeRow(center)
+					}
+					for e := cLo; e < cHi; e++ {
+						if val[e] = center[col[e]]; val[e] != 0 {
+							cNNZ++
+						}
+					}
+				}
+				f.X.SetRow(row, center)
+				view.SetRow(row, 0, cLo, cHi)
+				viewEntries += cHi - cLo
+				denseNNZ += cNNZ
 			case tree.NeighborLeaf:
 				neighborLeaves++
 			}
@@ -172,10 +252,10 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 	if neighborLeaves != len(recipients) {
 		return nil, fmt.Errorf("core: %d neighbor leaves, %d received features", neighborLeaves, len(recipients))
 	}
-	if rowNormalize {
-		for _, row := range f.LeafRows {
-			normalizeRow(f.X.Row(row))
-		}
+	// The view pays only when it does less work than the dense product's
+	// nonzeros: a property of the input (dense raw features keep X alone).
+	if viewEntries < denseNNZ {
+		f.XView = view
 	}
 	f.PoolCoef = make([]float64, len(f.LeafRows))
 	for i, gv := range f.LeafVertex {
@@ -192,6 +272,32 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 		}
 	}
 	return f, nil
+}
+
+// residualRow enters one recovered neighbor row into the view: cols are its
+// transmitted columns, ascending, whose values it copies into val, and every
+// other column holds the row's constant c (0 when every column was sent).
+// nnz counts the row's nonzero entries.
+func residualRow(row []float64, cols []int32, val []float64) (c float64, nnz int) {
+	j := 0
+	for _, k := range cols {
+		if int(k) != j {
+			break
+		}
+		j++
+	}
+	if j < len(row) {
+		c = row[j]
+		if c != 0 {
+			nnz = len(row) - len(cols)
+		}
+	}
+	for e, k := range cols {
+		if val[e] = row[k]; val[e] != 0 {
+			nnz++
+		}
+	}
+	return c, nnz
 }
 
 // normalizeRow scales a feature row to unit L2 norm (no-op for zero rows).

@@ -26,17 +26,33 @@ var goldenTraces = map[string]map[Task][]float64{
 
 // TestTrainersMatchPreSessionGoldens is the redesign's bit-identity gate:
 // the session-backed trainers must reproduce the pre-redesign loss traces
-// exactly, across both backbones, both tasks, and Workers=1 vs 8.
+// exactly, across both backbones, both tasks, and Workers=1 vs 8, on the
+// dense first-layer input (TestFirstLayerViewMatchesDense holds the view
+// to it).
 func TestTrainersMatchPreSessionGoldens(t *testing.T) {
 	g := engineGraph(t, 9)
 	for _, bb := range []nn.Backbone{nn.GCN, nn.GAT} {
 		want := goldenTraces[bb.String()]
 		for _, workers := range []int{1, 8} {
 			cfg := Config{Backbone: bb, Epochs: 5, MCMCIterations: 20, Workers: workers, Shards: 32, Seed: 9}
+			// The traces predate Forest.XView: the first layer reads the
+			// dense input (engine.denseInput), as it did when they were
+			// recorded.
+			sup, split := supervisedSystem(t, g, cfg)
+			sup.eng.denseInput = true
+			stats, err := sup.TrainSupervised(split)
+			if err != nil {
+				t.Fatal(err)
+			}
 			requireIdentical(t, bb.String()+"/supervised vs pre-session golden",
-				supervisedLosses(t, g, cfg), want[Supervised])
+				stats.Losses, want[Supervised])
+			uns, es := unsupervisedSystem(t, g, cfg)
+			uns.eng.denseInput = true
+			if stats, err = uns.TrainUnsupervised(es); err != nil {
+				t.Fatal(err)
+			}
 			requireIdentical(t, bb.String()+"/unsupervised vs pre-session golden",
-				unsupervisedLosses(t, g, cfg), want[Unsupervised])
+				stats.Losses, want[Unsupervised])
 		}
 	}
 }

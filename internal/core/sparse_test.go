@@ -91,7 +91,8 @@ var goldenSparseRounds = []float64{
 // rebuilt from leafVertex/poolCoef, for one shard, a few, and one per
 // device, at fresh and at trained weights; and a partial-participation +
 // expiry + delayed-gradient round sequence against the parent commit's loss
-// trace.
+// trace. Both run on the dense first-layer input (engine.denseInput) the
+// oracle and the trace were recorded with.
 func TestSparsePartialsMatchDenseOracle(t *testing.T) {
 	g := engineGraph(t, 41)
 	for _, shards := range []int{1, 5, g.N} {
@@ -100,6 +101,7 @@ func TestSparsePartialsMatchDenseOracle(t *testing.T) {
 			sys, split := supervisedSystem(t, g, Config{
 				Epochs: 2, MCMCIterations: 10, Shards: shards, Workers: workers, Seed: 41,
 			})
+			sys.eng.denseInput = true
 			requireBitIdentical(t, name+"/fresh", sys.eng.forward().Data, denseOracleForward(sys.eng))
 			if _, err := sys.TrainSupervised(split); err != nil {
 				t.Fatal(err)
@@ -111,6 +113,7 @@ func TestSparsePartialsMatchDenseOracle(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		sys, _, sess := roundSession(t, 41)
 		sys.eng.workers = workers
+		sys.eng.denseInput = true
 		losses, stale, expired := runSparseRounds(t, sys, sess)
 		if stale == 0 || expired == 0 {
 			t.Fatalf("schedule applied %d stale gradients and expired %d caches; want both > 0", stale, expired)

@@ -163,6 +163,16 @@ func (f FeatureEncoder) Encode(x []float64, rng *rand.Rand) ([][]float64, error)
 	return out, nil
 }
 
+// BinLen returns how many elements recipient k receives: bin k of
+// BinPartition's order holds perm[k], perm[k+wl], …, so ⌈(d−k)/wl⌉ of them
+// (none when k ≥ d).
+func (f FeatureEncoder) BinLen(k int) int {
+	if k >= f.Dim {
+		return 0
+	}
+	return (f.Dim - k + f.Workload - 1) / f.Workload
+}
+
 // EncodeRecover runs the whole exchange of feature x: it encodes x for its
 // Workload recipients and writes recipient k's unbiased estimate (Eq. 27)
 // straight into rows[k], a caller-owned vector of length Dim, without
@@ -172,7 +182,12 @@ func (f FeatureEncoder) Encode(x []float64, rng *rand.Rand) ([][]float64, error)
 // Every element outside a recipient's bin recovers from NotTransmitted. So
 // rows[k] is bit for bit the recovery of Encode(x, rng)[k], and rng is left
 // where Encode leaves it.
-func (f FeatureEncoder) EncodeRecover(x []float64, rows [][]float64, rng *rand.Rand) error {
+//
+// sent, when non-nil, receives the columns each recipient was sent: sent[k]
+// (length BinLen(k)) gets bin k's elements in transmission order. The rest
+// of rows[k] is the one NotTransmitted estimate, so the pair is rows[k] as a
+// constant plus a sparse residual (core.Forest.XView).
+func (f FeatureEncoder) EncodeRecover(x []float64, rows [][]float64, sent [][]int32, rng *rand.Rand) error {
 	if len(x) != f.Dim {
 		return fmt.Errorf("ldp: feature length %d, encoder dim %d", len(x), f.Dim)
 	}
@@ -187,6 +202,16 @@ func (f FeatureEncoder) EncodeRecover(x []float64, rows [][]float64, rng *rand.R
 			return fmt.Errorf("ldp: recipient row %d has length %d, encoder dim %d", k, len(row), f.Dim)
 		}
 	}
+	if sent != nil {
+		if len(sent) != f.Workload {
+			return fmt.Errorf("ldp: %d sent-column lists for workload %d", len(sent), f.Workload)
+		}
+		for k, cols := range sent {
+			if len(cols) != f.BinLen(k) {
+				return fmt.Errorf("ldp: sent-column list %d has length %d, bin holds %d", k, len(cols), f.BinLen(k))
+			}
+		}
+	}
 	ob := OneBit{Eps: f.PerElementEps(), A: f.A, B: f.B}.coder()
 	mid := ob.recover(NotTransmitted)
 	perm := rng.Perm(f.Dim)
@@ -197,6 +222,9 @@ func (f FeatureEncoder) EncodeRecover(x []float64, rows [][]float64, rng *rand.R
 		for j := k; j < f.Dim; j += f.Workload {
 			i := perm[j]
 			row[i] = ob.recover(ob.encode(x[i], rng))
+			if sent != nil {
+				sent[k][j/f.Workload] = int32(i)
+			}
 		}
 	}
 	return nil

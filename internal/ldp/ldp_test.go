@@ -3,6 +3,7 @@ package ldp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -181,17 +182,23 @@ func TestFeatureEncoderValidation(t *testing.T) {
 		t.Fatal("wrong feature length must error")
 	}
 	x, row := make([]float64, 4), make([]float64, 4)
-	if err := f.EncodeRecover(make([]float64, 3), [][]float64{row, row}, rng); err == nil {
+	if err := f.EncodeRecover(make([]float64, 3), [][]float64{row, row}, nil, rng); err == nil {
 		t.Fatal("EncodeRecover: wrong feature length must error")
 	}
-	if err := f.EncodeRecover(x, [][]float64{row}, rng); err == nil {
+	if err := f.EncodeRecover(x, [][]float64{row}, nil, rng); err == nil {
 		t.Fatal("EncodeRecover: a row count other than the workload must error")
 	}
-	if err := f.EncodeRecover(x, [][]float64{row, make([]float64, 3)}, rng); err == nil {
+	if err := f.EncodeRecover(x, [][]float64{row, make([]float64, 3)}, nil, rng); err == nil {
 		t.Fatal("EncodeRecover: wrong row length must error")
 	}
-	if err := bad.EncodeRecover(x, nil, rng); err == nil {
+	if err := bad.EncodeRecover(x, nil, nil, rng); err == nil {
 		t.Fatal("EncodeRecover: workload 0 must error")
+	}
+	if err := f.EncodeRecover(x, [][]float64{row, row}, [][]int32{make([]int32, 2)}, rng); err == nil {
+		t.Fatal("EncodeRecover: a sent-list count other than the workload must error")
+	}
+	if err := f.EncodeRecover(x, [][]float64{row, row}, [][]int32{make([]int32, 2), make([]int32, 3)}, rng); err == nil {
+		t.Fatal("EncodeRecover: a sent list longer than its bin must error")
 	}
 }
 
@@ -209,7 +216,8 @@ func recoverVector(f FeatureEncoder, enc []float64) []float64 {
 
 // EncodeRecover equals Encode followed by recovering every part, bit for
 // bit, and leaves the RNG where Encode leaves it: for workloads 1, 2, d−1
-// and d, and for workloads that do not divide d.
+// and d, and for workloads that do not divide d. The sent-column lists name
+// exactly the elements Encode transmitted to each part.
 func TestEncodeRecoverMatchesEncodeThenRecover(t *testing.T) {
 	for _, c := range []struct{ d, wl int }{
 		{17, 1}, {17, 2}, {17, 16}, {17, 17}, {17, 5},
@@ -235,10 +243,24 @@ func TestEncodeRecoverMatchesEncodeThenRecover(t *testing.T) {
 				rows[k][i] = math.NaN() // every element must be written
 			}
 		}
-		if err := f.EncodeRecover(x, rows, rng); err != nil {
+		sent := make([][]int32, c.wl)
+		for k := range sent {
+			sent[k] = make([]int32, f.BinLen(k))
+		}
+		if err := f.EncodeRecover(x, rows, sent, rng); err != nil {
 			t.Fatal(err)
 		}
 		for k, part := range parts {
+			var transmitted []int32
+			for i, b := range part {
+				if b != NotTransmitted {
+					transmitted = append(transmitted, int32(i))
+				}
+			}
+			got := slices.Sorted(slices.Values(sent[k]))
+			if !slices.Equal(got, transmitted) {
+				t.Fatalf("d=%d wl=%d: part %d sent columns %v, Encode transmitted %v", c.d, c.wl, k, got, transmitted)
+			}
 			want := recoverVector(f, part)
 			for i := range want {
 				if math.Float64bits(rows[k][i]) != math.Float64bits(want[i]) {
