@@ -18,11 +18,13 @@ import (
 
 // ReadEdgeList parses lines of "u,v" (or "u v" / "u\tv") pairs, ignoring
 // blank lines and lines starting with '#' or a non-numeric header. Vertex
-// ids must be non-negative integers; n is inferred as max id + 1 unless a
-// larger minN is given.
+// ids must be non-negative integers below MaxVertices; n is inferred as max
+// id + 1 unless a larger minN is given.
 func ReadEdgeList(r io.Reader, minN int) (n int, edges [][2]int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	if minN > MaxVertices {
+		return 0, nil, fmt.Errorf("graph: %d vertices requested, above the limit of %d", minN, MaxVertices)
+	}
+	sc := newLineScanner(r)
 	maxID := -1
 	lineNo := 0
 	for sc.Scan() {
@@ -45,6 +47,9 @@ func ReadEdgeList(r io.Reader, minN int) (n int, edges [][2]int, err error) {
 		}
 		if u < 0 || v < 0 {
 			return 0, nil, fmt.Errorf("graph: negative vertex id on line %d", lineNo)
+		}
+		if u >= MaxVertices || v >= MaxVertices {
+			return 0, nil, fmt.Errorf("graph: vertex id %d on line %d, above the limit of %d vertices", max(u, v), lineNo, MaxVertices)
 		}
 		if u > maxID {
 			maxID = u
@@ -72,8 +77,10 @@ func ReadEdgeList(r io.Reader, minN int) (n int, edges [][2]int, err error) {
 // strings; they are mapped to consecutive integers in order of first
 // appearance. Returns the labels and the number of distinct classes.
 func ReadLabels(r io.Reader, n int) ([]int, int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	if n < 0 || n > MaxVertices {
+		return nil, 0, fmt.Errorf("graph: %d vertices, outside [0,%d]", n, MaxVertices)
+	}
+	sc := newLineScanner(r)
 	labels := make([]int, n)
 	classOf := map[string]int{}
 	lineNo := 0
@@ -115,10 +122,17 @@ func ReadLabels(r io.Reader, n int) ([]int, int, error) {
 
 // ReadSparseFeatures parses lines of "id,dim" (one active binary feature
 // per line, MUSAE style) into an n×d binary feature matrix; d is inferred
-// as max dim + 1 unless a larger minD is given.
+// as max dim + 1 unless a larger minD is given. n is at most MaxVertices, d
+// at most MaxFeatureDim and n·d at most MaxFeatureEntries, all checked
+// before the matrix is allocated.
 func ReadSparseFeatures(r io.Reader, n, minD int) (*tensor.Matrix, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	if n < 0 || n > MaxVertices {
+		return nil, fmt.Errorf("graph: %d vertices, outside [0,%d]", n, MaxVertices)
+	}
+	if minD > MaxFeatureDim {
+		return nil, fmt.Errorf("graph: %d feature dimensions requested, above the limit of %d", minD, MaxFeatureDim)
+	}
+	sc := newLineScanner(r)
 	type nz struct{ id, dim int }
 	var entries []nz
 	maxDim := -1
@@ -141,7 +155,7 @@ func ReadSparseFeatures(r io.Reader, n, minD int) (*tensor.Matrix, error) {
 			}
 			return nil, fmt.Errorf("graph: feature line %d: %q", lineNo, line)
 		}
-		if id < 0 || id >= n || dim < 0 {
+		if id < 0 || id >= n || dim < 0 || dim >= MaxFeatureDim {
 			return nil, fmt.Errorf("graph: feature entry (%d,%d) out of range on line %d", id, dim, lineNo)
 		}
 		if dim > maxDim {
@@ -158,6 +172,9 @@ func ReadSparseFeatures(r io.Reader, n, minD int) (*tensor.Matrix, error) {
 	}
 	if d == 0 {
 		return nil, fmt.Errorf("graph: empty feature file")
+	}
+	if n*d > MaxFeatureEntries {
+		return nil, fmt.Errorf("graph: %d×%d feature matrix, above the limit of %d entries", n, d, MaxFeatureEntries)
 	}
 	feats := tensor.New(n, d)
 	for _, e := range entries {
@@ -193,6 +210,16 @@ func LoadCSVDataset(name string, edgesR, featuresR, labelsR io.Reader) (*Graph, 
 	}
 	g.Name = name
 	return g, nil
+}
+
+// maxLineLen bounds one line of a CSV input. The scanner's buffer starts
+// small and grows with the longest line actually read.
+const maxLineLen = 1 << 20
+
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLineLen)
+	return sc
 }
 
 func splitFields(line string) []string {
