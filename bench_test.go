@@ -19,6 +19,7 @@ import (
 	"lumos"
 	"lumos/internal/autodiff"
 	"lumos/internal/balance"
+	"lumos/internal/core"
 	"lumos/internal/eval"
 	"lumos/internal/fed"
 	"lumos/internal/graph"
@@ -533,6 +534,49 @@ func BenchmarkGossipRounds(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// BenchmarkFirstLayer is the first layer's product and weight gradient
+// (MatMul forward, then W's gradient from a fixed upstream gradient) over
+// the whole epoch-gcn-secure forest (facebook×0.025, secure trees, 118
+// features → 16): "dense" multiplies Forest.X, "view" its row-constant-plus-
+// residual form Forest.XView, which the engine's shard forwards read.
+func BenchmarkFirstLayer(b *testing.B) {
+	g, err := graph.LoadDataset("facebook", 0.025, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, g, core.Config{
+		Task: core.Supervised, Backbone: nn.GCN, SecureCompare: true, MCMCIterations: 100, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, view := sys.Forest.X, sys.Forest.XView
+	if view == nil {
+		b.Fatal("the workload's forest has no XView")
+	}
+	rng := rand.New(rand.NewSource(7))
+	w := autodiff.Var(tensor.Glorot(x.Cols(), 16, rng))
+	seed := tensor.Uniform(x.Rows(), 16, -1, 1, rng)
+	tape := autodiff.NewTape()
+	for _, c := range []struct {
+		name string
+		leaf func() *autodiff.Value
+	}{
+		{"dense", func() *autodiff.Value { return tape.Const(x) }},
+		{"view", func() *autodiff.Value { return tape.ConstSparse(x, view) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tape.Reset()
+				w.ZeroGrad()
+				autodiff.MatMul(c.leaf(), w).BackwardWithGradient(seed)
+			}
+			b.ReportMetric(float64(view.Entries())/float64(x.Rows()), "entries/row")
+		})
 	}
 }
 

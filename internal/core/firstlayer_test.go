@@ -62,6 +62,9 @@ func requireRelClose(t *testing.T, name string, got, want *tensor.Matrix, tol fl
 // relative; and the trained systems predict the same classes and score the
 // same test metric.
 func TestFirstLayerViewMatchesDense(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains eight systems; a numeric comparison the race detector adds nothing to")
+	}
 	for _, c := range constructCases {
 		t.Run(c.name, func(t *testing.T) {
 			view, oracle := caseSessions(t, c)

@@ -164,6 +164,33 @@ gate plain ./internal/core \
 	TestForestXGolden TestNonSecureSystemSeedsNoParty \
 	TestNewSystemAllocBudgetShardsN TestDefaultShardCountIsHostIndependent
 
+# The first layer reads what LDP transmitted. The ConstSparse kernels
+# against the dense ones (rows with no majority value, all-constant and
+# empty rows, residuals in the first and last column, a one-column W, shared
+# spans and shard slices; zero-constant rows bit for bit) and the MatMul over
+# a Tape.ConstSparse leaf (its finite-difference row included), under the
+# race detector; then, on the four benchmark workloads' systems, the view
+# against Forest.X bit for bit and the engine against its dense-input oracle
+# (forward to 1e-12, ten steps to 1e-9, same predictions and metric), and a
+# dense-feature forest keeping no view.
+gate race ./internal/tensor \
+	TestConstSparseMatMulMatchesDense TestConstSparseMatMulTNMatchesDense \
+	TestConstSparseZeroConstantRowsBitIdentical TestConstSparseDenseAndSlice
+gate race ./internal/autodiff TestConstSparseLeafMatMul TestGradMatMul TestGradTableCoversEveryOp
+gate plain ./internal/core \
+	TestForestXViewDenseEqualsX TestFirstLayerViewMatchesDense TestDenseFeaturesKeepNoView
+
+# Graph inputs: a binary graph file's counts are bounded or backed by their
+# bytes before they size anything (8- to 40-byte headers once allocated
+# 0.8–1.6 GB), the CSV readers bound ids, dimensions and n·d, then the seed
+# corpora of the four reader fuzz targets and a short fuzz pass of each.
+gate plain ./internal/graph \
+	TestReadHugeHeadersAllocateLittle TestReadRejectsMalformedFields TestCSVReadersRejectHugeIDs \
+	FuzzRead FuzzReadEdgeList FuzzReadLabels FuzzReadSparseFeatures
+for target in FuzzRead FuzzReadEdgeList FuzzReadLabels FuzzReadSparseFeatures; do
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/graph
+done
+
 # Word-parallel secure comparison: Less against the bit-serial GMW evaluator
 # it replaced (kept as the oracle in the test files) — result bit and
 # per-call traffic, exhaustively at L=8 and on random and edge operands up to
