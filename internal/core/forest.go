@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"lumos/internal/fed"
 	"lumos/internal/graph"
@@ -155,13 +154,15 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 	}
 	view := tensor.NewConstSparse(total, d, entries+senders*d)
 	col, val := view.Residual()
-	fill, viewEntries, denseNNZ := 0, 0, 0
+	fill, denseNNZ := 0, 0
 
 	// LDP encode/exchange, recovered into the recipients' leaf rows; each
 	// row is normalized and entered into the view as it is written.
 	featureMsgBytes := (d+3)/4 + 16
 	var rows [][]float64
 	var sent [][]int32
+	var cursor []int
+	owner := make([]int, d) // the recipient each of a sender's columns went to
 	for u := 0; u < g.N; u++ {
 		rs := recipients[start[u]:start[u+1]]
 		if len(rs) == 0 {
@@ -184,16 +185,27 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 		if err := enc.EncodeRecover(g.Features.Row(u), rows, sent, devices[u].Rng); err != nil {
 			return nil, fmt.Errorf("core: encoding device %d: %w", u, err)
 		}
+		// The bins partition the d columns: rewrite each recipient's list in
+		// ascending column order with one pass over the columns.
+		cursor = cursor[:0]
+		for k, cols := range sent {
+			for _, j := range cols {
+				owner[j] = k
+			}
+			cursor = append(cursor, 0)
+		}
+		for j, k := range owner {
+			sent[k][cursor[k]] = int32(j)
+			cursor[k]++
+		}
 		for k, r := range rs {
 			row, cols := rows[k], sent[k]
 			if rowNormalize {
 				normalizeRow(row)
 			}
-			slices.Sort(cols)
 			c, nnz := residualRow(row, cols, val[lo:lo+len(cols)])
 			view.SetRow(r.row, c, lo, lo+len(cols))
 			lo += len(cols)
-			viewEntries += len(cols)
 			denseNNZ += nnz
 			net.Send(u, r.dev, fed.MsgFeature, featureMsgBytes)
 		}
@@ -240,7 +252,6 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 				}
 				f.X.SetRow(row, center)
 				view.SetRow(row, 0, cLo, cHi)
-				viewEntries += cHi - cLo
 				denseNNZ += cNNZ
 			case tree.NeighborLeaf:
 				neighborLeaves++
@@ -254,7 +265,7 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 	}
 	// The view pays only when it does less work than the dense product's
 	// nonzeros: a property of the input (dense raw features keep X alone).
-	if viewEntries < denseNNZ {
+	if view.Entries() < denseNNZ {
 		f.XView = view
 	}
 	f.PoolCoef = make([]float64, len(f.LeafRows))
