@@ -401,10 +401,11 @@ func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 			return
 		}
 		sh := e.shards[i]
-		tp := e.shardTape(i)
-		x := tp.Const(sh.x)
-		if sh.view != nil && !e.denseInput {
+		var x *autodiff.Value
+		if tp := e.shardTape(i); sh.view != nil && !e.denseInput {
 			x = tp.ConstSparse(sh.x, sh.view)
+		} else {
+			x = tp.Const(sh.x)
 		}
 		h := e.encs[i].Forward(sh.conv, x, training, e.rngs[i])
 		parts[i] = autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)

@@ -137,22 +137,22 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 	}
 
 	// The first layer's view of X (Forest.XView), recorded while the rows
-	// are written: one backing array holds every device's center residual
-	// (its feature's nonzero columns, shared by its center leaves), then
-	// every (sender, recipient) pair's transmitted columns, which number d
-	// per sender.
-	entries, senders := 0, 0
+	// are written: one backing array holds every (sender, recipient) pair's
+	// transmitted columns, which number d per sender, then every device's
+	// center residual (its feature's nonzero columns, shared by its center
+	// leaves).
+	centerEntries, senders := 0, 0
 	for v := 0; v < g.N; v++ {
 		for _, x := range g.Features.Row(v) {
 			if math.Float64bits(x) != 0 {
-				entries++
+				centerEntries++
 			}
 		}
 		if start[v+1] > start[v] {
 			senders++
 		}
 	}
-	view := tensor.NewConstSparse(total, d, entries+senders*d)
+	view := tensor.NewConstSparse(total, d, senders*d+centerEntries)
 	col, val := view.Residual()
 	fill, denseNNZ := 0, 0
 

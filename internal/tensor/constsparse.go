@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ConstSparse is a read-only rows×cols matrix stored as one constant per row
 // plus a sparse residual: row i holds c[i] in every column except its
@@ -26,7 +29,7 @@ import "fmt"
 type ConstSparse struct {
 	rows, cols int
 	c          []float64
-	lo, hi     []int
+	lo, hi     []int32
 	col        []int32
 	val        []float64
 }
@@ -34,14 +37,15 @@ type ConstSparse struct {
 // NewConstSparse returns a rows×cols ConstSparse whose rows are all the
 // constant 0 with no residual, backed by arrays for exactly entries residual
 // entries (Residual hands them out for filling; SetRow points rows at them).
+// Columns and spans are int32, so cols and entries must fit one.
 func NewConstSparse(rows, cols, entries int) *ConstSparse {
-	if rows < 0 || cols < 0 || entries < 0 {
+	if rows < 0 || cols < 0 || entries < 0 || cols > math.MaxInt32 || entries > math.MaxInt32 {
 		panic(fmt.Sprintf("tensor: NewConstSparse(%d, %d, %d)", rows, cols, entries))
 	}
 	return &ConstSparse{
 		rows: rows, cols: cols,
 		c:  make([]float64, rows),
-		lo: make([]int, rows), hi: make([]int, rows),
+		lo: make([]int32, rows), hi: make([]int32, rows),
 		col: make([]int32, entries), val: make([]float64, entries),
 	}
 }
@@ -64,7 +68,7 @@ func (m *ConstSparse) SetRow(i int, c float64, lo, hi int) {
 	if i < 0 || i >= m.rows || lo < 0 || hi < lo || hi > len(m.col) {
 		panic(fmt.Sprintf("tensor: SetRow(%d, span [%d,%d)) on %d rows, %d entries", i, lo, hi, m.rows, len(m.col)))
 	}
-	m.c[i], m.lo[i], m.hi[i] = c, lo, hi
+	m.c[i], m.lo[i], m.hi[i] = c, int32(lo), int32(hi)
 }
 
 // Entries returns the number of residual entries over all rows, a span
@@ -72,7 +76,7 @@ func (m *ConstSparse) SetRow(i int, c float64, lo, hi int) {
 func (m *ConstSparse) Entries() int {
 	n := 0
 	for i := range m.lo {
-		n += m.hi[i] - m.lo[i]
+		n += int(m.hi[i] - m.lo[i])
 	}
 	return n
 }
