@@ -178,9 +178,10 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 		rows, sent = rows[:0], sent[:0]
 		lo := fill
 		for k, r := range rs {
+			n := enc.BinLen(k)
 			rows = append(rows, f.X.Row(r.row))
-			sent = append(sent, col[fill:fill+enc.BinLen(k)])
-			fill += enc.BinLen(k)
+			sent = append(sent, col[fill:fill+n])
+			fill += n
 		}
 		if err := enc.EncodeRecover(g.Features.Row(u), rows, sent, devices[u].Rng); err != nil {
 			return nil, fmt.Errorf("core: encoding device %d: %w", u, err)

@@ -219,11 +219,11 @@ func (f FeatureEncoder) EncodeRecover(x []float64, rows [][]float64, sent [][]in
 		for i := range row {
 			row[i] = mid
 		}
-		for j := k; j < f.Dim; j += f.Workload {
+		for j, n := k, 0; j < f.Dim; j, n = j+f.Workload, n+1 {
 			i := perm[j]
 			row[i] = ob.recover(ob.encode(x[i], rng))
 			if sent != nil {
-				sent[k][j/f.Workload] = int32(i)
+				sent[k][n] = int32(i)
 			}
 		}
 	}
