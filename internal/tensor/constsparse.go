@@ -62,8 +62,8 @@ func (m *ConstSparse) Residual() (col []int32, val []float64) { return m.col, m.
 
 // SetRow makes row i the constant c everywhere except the residual entries
 // [lo, hi) of the backing arrays, whose columns must be distinct and in
-// range (checked when the row is read: Entries, Dense and the kernels index
-// by them).
+// range (an out-of-range column panics when Dense or a kernel indexes by
+// it).
 func (m *ConstSparse) SetRow(i int, c float64, lo, hi int) {
 	if i < 0 || i >= m.rows || lo < 0 || hi < lo || hi > len(m.col) {
 		panic(fmt.Sprintf("tensor: SetRow(%d, span [%d,%d)) on %d rows, %d entries", i, lo, hi, m.rows, len(m.col)))

@@ -51,6 +51,12 @@
 // stored through one +0 add so a −0 first product canonicalizes exactly like
 // the chain's +0-starting accumulator), so callers can hand it recycled
 // buffers.
+//
+// ConstSparse (constsparse.go) is the one exception to the frozen order: a
+// matrix stored as a constant per row plus a sparse residual — the shape of
+// an LDP-initialized forest input — whose two kernels equal MatMulInto and
+// MatMulTNAddInto only up to summation order. Its property tests check them
+// against the dense kernels within a rounding bound, not bit for bit.
 package tensor
 
 import (

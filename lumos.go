@@ -74,7 +74,12 @@
 // register-blocked and the GCN/GAT neighbourhood aggregation runs as single
 // CSR-driven ops; none of this changes a floating-point summation order,
 // so golden loss traces stay bit-identical to the scalar loops they were
-// recorded on, which survive as test oracles.
+// recorded on, which survive as test oracles. The one exception is the
+// first layer's input: each shard multiplies its rows of Forest.XView, the
+// forest input as LDP transmitted it (a constant per row plus a sparse
+// residual), which equals the dense product up to summation order and
+// costs O(rows + residual entries); goldens recorded before it run on the
+// dense input, kept as a test oracle in internal/core.
 //
 // Config.Sched selects the round schedule. SchedSync (default) is the
 // paper's lockstep protocol: every epoch aggregates all gradients and waits
