@@ -14,12 +14,17 @@ import (
 // became leaf-sized, kept as the reference: every shard's partial padded to
 // N×OutDim (the pool CSR built over all N vertices straight from
 // leafVertex/poolCoef) and the partials summed with autodiff.AddN in shard
-// order, all recorded on one tape of its own.
+// order, all recorded on one tape of its own. Each shard's first layer reads
+// the input the engine's does (its XView, or X under engine.denseInput).
 func denseOracleForward(e *engine) *tensor.Matrix {
 	tp := autodiff.NewTape()
 	parts := make([]*autodiff.Value, len(e.shards))
 	for i, sh := range e.shards {
-		h := e.encs[i].Forward(sh.conv, tp.Const(sh.x), false, e.rngs[i])
+		x := tp.ConstSparse(sh.x, sh.view)
+		if e.denseInput {
+			x = tp.Const(sh.x)
+		}
+		h := e.encs[i].Forward(sh.conv, x, false, e.rngs[i])
 		parts[i] = autodiff.CSRAggregate(h, tensor.NewCSR(e.sys.G.N, sh.leafLocal, sh.leafVertex), sh.poolCoef)
 	}
 	return autodiff.AddN(parts...).Data
@@ -91,8 +96,9 @@ var goldenSparseRounds = []float64{
 // rebuilt from leafVertex/poolCoef, for one shard, a few, and one per
 // device, at fresh and at trained weights; and a partial-participation +
 // expiry + delayed-gradient round sequence against the parent commit's loss
-// trace. Both run on the dense first-layer input (engine.denseInput) the
-// oracle and the trace were recorded with.
+// trace. The oracle reads the first-layer input the engine reads; the round
+// sequence runs on the dense input (engine.denseInput) its trace was
+// recorded with.
 func TestSparsePartialsMatchDenseOracle(t *testing.T) {
 	g := engineGraph(t, 41)
 	for _, shards := range []int{1, 5, g.N} {
@@ -101,7 +107,6 @@ func TestSparsePartialsMatchDenseOracle(t *testing.T) {
 			sys, split := supervisedSystem(t, g, Config{
 				Epochs: 2, MCMCIterations: 10, Shards: shards, Workers: workers, Seed: 41,
 			})
-			sys.eng.denseInput = true
 			requireBitIdentical(t, name+"/fresh", sys.eng.forward().Data, denseOracleForward(sys.eng))
 			if _, err := sys.TrainSupervised(split); err != nil {
 				t.Fatal(err)
