@@ -554,9 +554,6 @@ func BenchmarkFirstLayer(b *testing.B) {
 		b.Fatal(err)
 	}
 	x, view := sys.Forest.X, sys.Forest.XView
-	if view == nil {
-		b.Fatal("the workload's forest has no XView")
-	}
 	rng := rand.New(rand.NewSource(7))
 	w := autodiff.Var(tensor.Glorot(x.Cols(), 16, rng))
 	seed := tensor.Uniform(x.Rows(), 16, -1, 1, rng)

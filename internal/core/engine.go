@@ -52,8 +52,7 @@ type shard struct {
 	lo, hi int
 	conv   *nn.ConvGraph
 	x      *tensor.Matrix
-	// view is x's rows of Forest.XView (nil when the forest has none):
-	// what the first layer multiplies.
+	// view is x's rows of Forest.XView: what the first layer multiplies.
 	view *tensor.ConstSparse
 	// leafLocal[i] is the shard-local row of the shard's i-th leaf,
 	// leafVertex[i] its global vertex, poolCoef[i] the Eq. 31 averaging
@@ -283,9 +282,7 @@ func buildShards(f *Forest, trees []*tree.Tree, target int) []*shard {
 		// A view, not a copy: shard rows are contiguous in the forest, and
 		// the forward pass only reads X, so all shards alias f.X safely.
 		sh.x = f.X.SliceRows(base, end)
-		if f.XView != nil {
-			sh.view = f.XView.SliceRows(base, end)
-		}
+		sh.view = f.XView.SliceRows(base, end)
 		var edges [][2]int
 		for v := lo; v < hi; v++ {
 			off := f.Offsets[v] - base
@@ -385,8 +382,7 @@ func (e *engine) parallel(fn func(i int)) {
 
 // forwardActive runs the shared encoder over the active shards (nil means
 // all) — its first layer multiplying through the shard's rows of
-// Forest.XView when the forest has one — and pools each one's leaves into
-// its partial embedding P_s
+// Forest.XView — and pools each one's leaves into its partial embedding P_s
 // (len(verts)×OutDim, row k for vertex verts[k]); inactive shards get a nil
 // partial. Each shard records onto its own tape (taken fresh here,
 // invalidating the previous epoch's Values and buffers), so the partials'
@@ -402,10 +398,10 @@ func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 		}
 		sh := e.shards[i]
 		var x *autodiff.Value
-		if tp := e.shardTape(i); sh.view != nil && !e.denseInput {
-			x = tp.ConstSparse(sh.x, sh.view)
-		} else {
+		if tp := e.shardTape(i); e.denseInput {
 			x = tp.Const(sh.x)
+		} else {
+			x = tp.ConstSparse(sh.x, sh.view)
 		}
 		h := e.encs[i].Forward(sh.conv, x, training, e.rngs[i])
 		parts[i] = autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)

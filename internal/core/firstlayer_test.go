@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"lumos/internal/autodiff"
 	"lumos/internal/graph"
 	"lumos/internal/tensor"
 )
@@ -68,9 +69,6 @@ func TestFirstLayerViewMatchesDense(t *testing.T) {
 	for _, c := range constructCases {
 		t.Run(c.name, func(t *testing.T) {
 			view, oracle := caseSessions(t, c)
-			if view.sys.Forest.XView == nil {
-				t.Fatal("the workload's forest has no XView")
-			}
 			requireRelClose(t, "pooled forward", view.sys.eng.forward().Data.Clone(), oracle.sys.eng.forward().Data, 1e-12)
 			for step := 0; step < 10; step++ {
 				got, err := view.Step()
@@ -107,8 +105,8 @@ func TestFirstLayerViewMatchesDense(t *testing.T) {
 }
 
 // TestForestXViewDenseEqualsX: on the four benchmark workloads' systems the
-// view is attached, stands for Forest.X bit for bit, does fewer entries'
-// work than X has nonzeros, and every shard reads its own rows of it.
+// view stands for Forest.X bit for bit, does fewer entries' work than X has
+// nonzeros, and every shard reads its own rows of it.
 func TestForestXViewDenseEqualsX(t *testing.T) {
 	for _, c := range constructCases {
 		train, full, cfg := c.system(t)
@@ -117,9 +115,6 @@ func TestForestXViewDenseEqualsX(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := sys.Forest
-		if f.XView == nil {
-			t.Fatalf("%s: no XView", c.name)
-		}
 		requireBitIdentical(t, c.name+"/XView.Dense()", f.XView.Dense(), f.X)
 		nnz := 0
 		for _, v := range f.X.Data() {
@@ -136,11 +131,12 @@ func TestForestXViewDenseEqualsX(t *testing.T) {
 	}
 }
 
-// A forest whose dense rows have no more nonzeros than the view would hold
-// keeps no view: dense raw features over a range whose "not transmitted"
-// estimate is 0, so every neighbor row is as sparse in X as in a residual.
-// The engine then reads X, as it did before views existed.
-func TestDenseFeaturesKeepNoView(t *testing.T) {
+// Dense raw features over a range whose "not transmitted" estimate is 0 give
+// every row of the view the constant 0, so each row's residual is its
+// nonzeros in ascending column order: the view's first-layer product is
+// then the dense product bit for bit, the same terms summed in the same
+// order.
+func TestZeroConstantViewMultipliesAsX(t *testing.T) {
 	g := pathGraph(t, 6)
 	g.FeatLo, g.FeatHi = -1, 1
 	for v := 0; v < g.N; v++ {
@@ -153,16 +149,18 @@ func TestDenseFeaturesKeepNoView(t *testing.T) {
 		retained[v] = g.Adj[v]
 	}
 	f, _, _ := buildTestForest(t, g, retained, true)
-	if f.XView != nil {
-		t.Fatalf("dense features kept a view doing %d entries' work", f.XView.Entries())
+	requireBitIdentical(t, "XView.Dense()", f.XView.Dense(), f.X)
+	rng := rand.New(rand.NewSource(5))
+	w := autodiff.Var(tensor.Uniform(f.X.Cols(), 4, -1, 1, rng))
+	seed := tensor.Uniform(f.X.Rows(), 4, -1, 1, rng)
+	layer := func(x *autodiff.Value) (out, grad *tensor.Matrix) {
+		w.ZeroGrad()
+		y := autodiff.MatMul(x, w)
+		y.BackwardWithGradient(seed)
+		return y.Data, w.Grad.Clone()
 	}
-	sys, err := NewSystem(g, g, Config{Task: Supervised, MCMCIterations: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sh := range sys.eng.shards {
-		if sh.view != nil {
-			t.Fatalf("shard %d has a view over a forest without one", i)
-		}
-	}
+	wantOut, wantGrad := layer(autodiff.NewTape().Const(f.X))
+	gotOut, gotGrad := layer(autodiff.NewTape().ConstSparse(f.X, f.XView))
+	requireBitIdentical(t, "first-layer product", gotOut, wantOut)
+	requireBitIdentical(t, "weight gradient", gotGrad, wantGrad)
 }

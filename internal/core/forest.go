@@ -29,8 +29,7 @@ type Forest struct {
 	// leaves; a virtual row is empty. XView.Dense() equals X bit for bit.
 	// The engine's first layer multiplies through it (autodiff
 	// Tape.ConstSparse), which equals the dense product up to summation
-	// order. It is nil when it would not hold fewer entries than X has
-	// nonzeros (dense raw features), and the first layer reads X.
+	// order.
 	XView *tensor.ConstSparse
 	// LeafRows[i] is the forest row of the i-th leaf; LeafVertex[i] its
 	// global vertex; PoolCoef[i] = 1/#leaves(vertex) so that the
@@ -154,7 +153,7 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 	}
 	view := tensor.NewConstSparse(total, d, senders*d+centerEntries)
 	col, val := view.Residual()
-	fill, denseNNZ := 0, 0
+	fill := 0
 
 	// LDP encode/exchange, recovered into the recipients' leaf rows; each
 	// row is normalized and entered into the view as it is written.
@@ -187,7 +186,9 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 			return nil, fmt.Errorf("core: encoding device %d: %w", u, err)
 		}
 		// The bins partition the d columns: rewrite each recipient's list in
-		// ascending column order with one pass over the columns.
+		// ascending column order with one pass over the columns, the order
+		// the dense kernel sums a row in, so a row whose constant is 0
+		// multiplies bit for bit as its row of X does.
 		cursor = cursor[:0]
 		for k, cols := range sent {
 			for _, j := range cols {
@@ -204,10 +205,8 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 			if rowNormalize {
 				normalizeRow(row)
 			}
-			c, nnz := residualRow(row, cols, val[lo:lo+len(cols)])
-			view.SetRow(r.row, c, lo, lo+len(cols))
+			view.SetRow(r.row, residualRow(row, cols, val[lo:lo+len(cols)]), lo, lo+len(cols))
 			lo += len(cols)
-			denseNNZ += nnz
 			net.Send(u, r.dev, fed.MsgFeature, featureMsgBytes)
 		}
 	}
@@ -217,7 +216,7 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 	center := make([]float64, d)
 	for v, t := range trees {
 		off := f.Offsets[v]
-		cLo, cHi, cNNZ := -1, -1, 0
+		cLo, cHi := -1, -1
 		for i := 0; i < t.NumNodes; i++ {
 			gv := t.Vertex[i]
 			if gv < 0 {
@@ -233,7 +232,7 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 				// and copied to each of its center leaves, which share one
 				// residual span.
 				if cLo < 0 {
-					cLo, cNNZ = fill, 0
+					cLo = fill
 					for j, x := range g.Features.Row(v) {
 						center[j] = x
 						if math.Float64bits(x) != 0 {
@@ -246,14 +245,11 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 						normalizeRow(center)
 					}
 					for e := cLo; e < cHi; e++ {
-						if val[e] = center[col[e]]; val[e] != 0 {
-							cNNZ++
-						}
+						val[e] = center[col[e]]
 					}
 				}
 				f.X.SetRow(row, center)
 				view.SetRow(row, 0, cLo, cHi)
-				denseNNZ += cNNZ
 			case tree.NeighborLeaf:
 				neighborLeaves++
 			}
@@ -264,11 +260,7 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 	if neighborLeaves != len(recipients) {
 		return nil, fmt.Errorf("core: %d neighbor leaves, %d received features", neighborLeaves, len(recipients))
 	}
-	// The view pays only when it does less work than the dense product's
-	// nonzeros: a property of the input (dense raw features keep X alone).
-	if view.Entries() < denseNNZ {
-		f.XView = view
-	}
+	f.XView = view
 	f.PoolCoef = make([]float64, len(f.LeafRows))
 	for i, gv := range f.LeafVertex {
 		if leafCount[gv] == 0 {
@@ -289,8 +281,7 @@ func buildForest(g *graph.Graph, trees []*tree.Tree, devices []*fed.Device,
 // residualRow enters one recovered neighbor row into the view: cols are its
 // transmitted columns, ascending, whose values it copies into val, and every
 // other column holds the row's constant c (0 when every column was sent).
-// nnz counts the row's nonzero entries.
-func residualRow(row []float64, cols []int32, val []float64) (c float64, nnz int) {
+func residualRow(row []float64, cols []int32, val []float64) (c float64) {
 	j := 0
 	for _, k := range cols {
 		if int(k) != j {
@@ -300,16 +291,11 @@ func residualRow(row []float64, cols []int32, val []float64) (c float64, nnz int
 	}
 	if j < len(row) {
 		c = row[j]
-		if c != 0 {
-			nnz = len(row) - len(cols)
-		}
 	}
 	for e, k := range cols {
-		if val[e] = row[k]; val[e] != 0 {
-			nnz++
-		}
+		val[e] = row[k]
 	}
-	return c, nnz
+	return c
 }
 
 // normalizeRow scales a feature row to unit L2 norm (no-op for zero rows).

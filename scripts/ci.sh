@@ -172,13 +172,13 @@ gate plain ./internal/core \
 # race detector; then, on the four benchmark workloads' systems, the view
 # against Forest.X bit for bit and the engine against its dense-input oracle
 # (forward to 1e-12, ten steps to 1e-9, same predictions and metric), and a
-# dense-feature forest keeping no view.
+# forest whose row constants are all 0 multiplying as X does, bit for bit.
 gate race ./internal/tensor \
 	TestConstSparseMatMulMatchesDense TestConstSparseMatMulTNMatchesDense \
 	TestConstSparseZeroConstantRowsBitIdentical TestConstSparseDenseAndSlice
 gate race ./internal/autodiff TestConstSparseLeafMatMul TestGradMatMul TestGradTableCoversEveryOp
 gate plain ./internal/core \
-	TestForestXViewDenseEqualsX TestFirstLayerViewMatchesDense TestDenseFeaturesKeepNoView
+	TestForestXViewDenseEqualsX TestFirstLayerViewMatchesDense TestZeroConstantViewMultipliesAsX
 
 # Graph inputs: a binary graph file's counts are bounded or backed by their
 # bytes before they size anything (8- to 40-byte headers once allocated
