@@ -143,13 +143,20 @@ func (v *Value) accum(g *tensor.Matrix) {
 // parents carry. Parameters carry none and do not count. It panics, naming
 // the op, when no parent is on a tape or two parents are on different ones.
 func tapeFor(op string, parents ...*Value) *Tape {
+	return tapeOf(op, parents)
+}
+
+// tapeOf is tapeFor over parents held in several slices.
+func tapeOf(op string, groups ...[]*Value) *Tape {
 	var t *Tape
-	for _, p := range parents {
-		if p.tape != nil && p.tape != t {
-			if t != nil {
-				panic("autodiff: " + op + " over values from two tapes")
+	for _, ps := range groups {
+		for _, p := range ps {
+			if p.tape != nil && p.tape != t {
+				if t != nil {
+					panic("autodiff: " + op + " over values from two tapes")
+				}
+				t = p.tape
 			}
-			t = p.tape
 		}
 	}
 	if t == nil {

@@ -155,6 +155,18 @@ var gradTable = []gradCase{
 			// Weighted, so the gradient is not trivially zero.
 			return SumAll(MulElem(SegmentSoftmax(p[0], []int{0, 0, 1, 1, 1, 2}, 3), tp.Const(gradSoftmaxWeights)))
 		}},
+	{test: "TestGradGATAttention", name: "gatattention/concat", ops: []string{"GATAttention", "SumSquares"},
+		// Two heads over gatCSR (an empty segment, a repeated source, a
+		// duplicate edge): projections 5×3, then aL, then aR per head.
+		params: [][2]int{{5, 3}, {5, 3}, {3, 1}, {3, 1}, {3, 1}, {3, 1}},
+		f: func(tp *Tape, p []*Value) *Value {
+			return SumSquares(GATAttention(p[0:2], p[2:4], p[4:6], gatCSR, 0.2, true))
+		}},
+	{test: "TestGradGATAttention", name: "gatattention/mean", ops: []string{"GATAttention", "SumSquares"},
+		params: [][2]int{{5, 3}, {5, 3}, {3, 1}, {3, 1}, {3, 1}, {3, 1}},
+		f: func(tp *Tape, p []*Value) *Value {
+			return SumSquares(GATAttention(p[0:2], p[2:4], p[4:6], gatCSR, 0.2, false))
+		}},
 	{test: "TestGradConcat", name: "concatcols", ops: []string{"ConcatCols", "SumSquares"},
 		params: [][2]int{{3, 2}, {3, 4}},
 		f:      func(tp *Tape, p []*Value) *Value { return SumSquares(ConcatCols(p[0], p[1])) }},
@@ -202,6 +214,7 @@ func TestGradScatterAddN(t *testing.T)         { runGradRows(t) }
 func TestGradCSRAggregate(t *testing.T)        { runGradRows(t) }
 func TestGradSegmentSoftmax(t *testing.T)      { runGradRows(t) }
 func TestGradConcat(t *testing.T)              { runGradRows(t) }
+func TestGradGATAttention(t *testing.T)        { runGradRows(t) }
 func TestGradPairDot(t *testing.T)             { runGradRows(t) }
 func TestGradSoftmaxCrossEntropy(t *testing.T) { runGradRows(t) }
 func TestGradLogisticLoss(t *testing.T)        { runGradRows(t) }

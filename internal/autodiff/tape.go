@@ -123,16 +123,24 @@ func (t *Tape) newValue() *Value {
 // The backward function and parent list are only retained when some parent
 // needs a gradient.
 func (t *Tape) node(data *tensor.Matrix, bk backward, parents ...*Value) *Value {
+	return t.nodeOf(data, bk, parents)
+}
+
+// nodeOf is node for a parent list held in several slices: the node's
+// parents are the groups concatenated in order.
+func (t *Tape) nodeOf(data *tensor.Matrix, bk backward, groups ...[]*Value) *Value {
 	out := t.newValue()
 	out.Data = data
-	for _, p := range parents {
-		if p.requiresGrad {
-			out.requiresGrad = true
-			break
+	for _, ps := range groups {
+		for _, p := range ps {
+			out.requiresGrad = out.requiresGrad || p.requiresGrad
 		}
 	}
 	if out.requiresGrad {
-		out.parents = append(out.parents[:0], parents...)
+		out.parents = out.parents[:0]
+		for _, ps := range groups {
+			out.parents = append(out.parents, ps...)
+		}
 		out.back = bk
 	}
 	return out

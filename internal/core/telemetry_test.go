@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lumos/internal/graph"
+	"lumos/internal/nn"
 	"lumos/internal/obs"
 )
 
@@ -19,7 +20,7 @@ func TestDisabledTelemetryAllocBudget(t *testing.T) {
 		t.Skip("allocation counting is unreliable under -short (race) runs")
 	}
 	// Metrics and Tracer deliberately omitted: this is the disabled path.
-	sys := allocSystem(t, Unsupervised)
+	sys := allocSystem(t, Unsupervised, nn.GCN)
 	// A nil edge split keeps valMetric out of the steady state, exactly like
 	// TestUnsupervisedSessionAllocBudget.
 	sess, err := sys.NewSession(NewUnsupervisedObjective(nil))

@@ -279,25 +279,25 @@ func (l *GATConv) OutDim() int {
 	return l.OutPerHead
 }
 
-// Forward computes attention-weighted aggregation over g.
+// Forward computes attention-weighted aggregation over g. Each head's
+// projection x·W[h] is its own MatMul (so a first layer over a
+// Tape.ConstSparse input multiplies through its sparse view); the
+// attention itself — every head's scores, LeakyReLU, edge softmax,
+// α-weighted aggregation and the concat or mean — is one
+// autodiff.GATAttention, which keeps the arithmetic order of the per-head
+// chain of library ops it replaced (see its doc), and the bias is added
+// last.
 func (l *GATConv) Forward(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
-	headOuts := make([]*autodiff.Value, l.Heads)
+	// Up to four heads (the paper's count) fit in arrays on the stack, so a
+	// forward allocates nothing; more spill to the heap.
+	var whs, als, ars [4]*autodiff.Value
+	wh, aL, aR := whs[:0], als[:0], ars[:0]
 	for h := 0; h < l.Heads; h++ {
-		wh := autodiff.MatMul(x, l.W[h].V)
-		sl := autodiff.MatMul(wh, l.AL[h].V) // N×1
-		sr := autodiff.MatMul(wh, l.AR[h].V) // N×1
-		e := autodiff.LeakyReLU(
-			autodiff.Add(autodiff.Gather(sl, g.Src), autodiff.Gather(sr, g.Dst)),
-			l.NegativeSlope)
-		alpha := autodiff.SegmentSoftmax(e, g.Dst, g.N)
-		headOuts[h] = autodiff.CSRAggregateMul(wh, alpha, g.CSR())
+		wh = append(wh, autodiff.MatMul(x, l.W[h].V))
+		aL = append(aL, l.AL[h].V)
+		aR = append(aR, l.AR[h].V)
 	}
-	var out *autodiff.Value
-	if l.Concat {
-		out = autodiff.ConcatCols(headOuts...)
-	} else {
-		out = autodiff.Scale(autodiff.AddN(headOuts...), 1/float64(l.Heads))
-	}
+	out := autodiff.GATAttention(wh, aL, aR, g.CSR(), l.NegativeSlope, l.Concat)
 	return autodiff.AddRow(out, l.B.V)
 }
 
