@@ -257,35 +257,17 @@ func backScores(whg, whd []float64, d int, dsr, dsl []float64, aR, aL *Value) {
 			}
 		}
 	}
-	var gr, gl []float64
-	if aR.requiresGrad {
-		gr = aR.EnsureGrad().Data()
-	}
-	if aL.requiresGrad {
-		gl = aL.EnsureGrad().Data()
-	}
-	if gr != nil && gl != nil && aR != aL {
-		// Two gradient buffers: one pass over wh feeds both sums.
-		for i, xr := range dsr {
-			xl := dsl[i]
-			row := whd[i*d : i*d+d : i*d+d]
-			gr, gl := gr[:len(row)], gl[:len(row)]
-			for k, w := range row {
-				if w != 0 {
-					gr[k] += w * xr
-					gl[k] += w * xl
-				}
-			}
-		}
-		return
-	}
-	for _, p := range [2]struct{ g, ds []float64 }{{gr, dsr}, {gl, dsl}} {
-		if p.g == nil {
+	for _, p := range [2]struct {
+		a  *Value
+		ds []float64
+	}{{aR, dsr}, {aL, dsl}} {
+		if !p.a.requiresGrad {
 			continue
 		}
+		g := p.a.EnsureGrad().Data()
 		for i, x := range p.ds {
 			row := whd[i*d : i*d+d : i*d+d]
-			g := p.g[:len(row)]
+			g := g[:len(row)]
 			for k, w := range row {
 				if w != 0 {
 					g[k] += w * x
