@@ -54,14 +54,21 @@ func (p Profile) OnlineAt(r int) bool {
 	return (r+p.Phase)%p.Period < p.OnRounds
 }
 
-// Validate rejects non-positive capacity multipliers and malformed
-// availability cycles — the guard every trace record passes through on load.
+// MaxPeriod bounds an availability cycle's length in rounds. It keeps every
+// cycle inside a 32-bit int, so OnlineAt's r+Phase cannot overflow.
+const MaxPeriod = math.MaxInt32
+
+// Validate rejects capacity multipliers that are not finite and positive,
+// and malformed availability cycles — the guard every trace record passes
+// through on load.
 func (p Profile) Validate() error {
-	if p.Compute <= 0 || p.Bandwidth <= 0 || p.Latency <= 0 || p.Power <= 0 {
-		return fmt.Errorf("fleet: profile multipliers must be positive, got compute=%v bandwidth=%v latency=%v power=%v (a trace record omitting a column loads as 0)", p.Compute, p.Bandwidth, p.Latency, p.Power)
+	for _, m := range [...]float64{p.Compute, p.Bandwidth, p.Latency, p.Power} {
+		if !(m > 0) || math.IsInf(m, 1) {
+			return fmt.Errorf("fleet: profile multipliers must be finite and positive, got compute=%v bandwidth=%v latency=%v power=%v (a trace record omitting a column loads as 0)", p.Compute, p.Bandwidth, p.Latency, p.Power)
+		}
 	}
-	if p.Period < 0 {
-		return fmt.Errorf("fleet: negative availability period %d", p.Period)
+	if p.Period < 0 || p.Period > MaxPeriod {
+		return fmt.Errorf("fleet: availability period %d outside [0,%d]", p.Period, MaxPeriod)
 	}
 	if p.Period > 0 {
 		if p.OnRounds < 1 || p.OnRounds > p.Period {

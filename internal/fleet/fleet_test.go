@@ -27,6 +27,11 @@ func TestProfileValidate(t *testing.T) {
 		{Compute: 1, Bandwidth: 1, Latency: 1, Power: 1, Period: 4, OnRounds: 5},
 		{Compute: 1, Bandwidth: 1, Latency: 1, Power: 1, Period: 4, OnRounds: 2, Phase: 4},
 		{Compute: 1, Bandwidth: 1, Latency: 1, Power: 1, OnRounds: 2},
+		{Compute: math.NaN(), Bandwidth: 1, Latency: 1, Power: 1},
+		{Compute: 1, Bandwidth: math.Inf(1), Latency: 1, Power: 1},
+		{Compute: 1, Bandwidth: 1, Latency: math.Inf(-1), Power: 1},
+		{Compute: 1, Bandwidth: 1, Latency: 1, Power: math.NaN()},
+		{Compute: 1, Bandwidth: 1, Latency: 1, Power: 1, Period: MaxPeriod + 1, OnRounds: 1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("profile %+v validated", bad)
@@ -201,6 +206,16 @@ func TestReadTraceCSVRejectsMalformed(t *testing.T) {
 		"float period":  "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,2.5,1,0\n",
 		"phase too big": "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,4,2,9\n",
 		"no devices":    "device,compute,bandwidth,latency,power,period,on_rounds,phase\n",
+		// Non-finite multipliers once loaded and priced every round's
+		// energy as NaN.
+		"NaN compute":   "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,NaN,1,1,1,0,0,0\n",
+		"Inf bandwidth": "device,compute,bandwidth,latency,power,period,on_rounds,phase\n1,1,+Inf,1,1,0,0,0\n",
+		// Integral columns past int's range once converted to whatever
+		// the platform's float-to-int conversion produced.
+		"huge period":    "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,1e300,1,0\n",
+		"huge -phase":    "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,4,1,-1e300\n",
+		"Inf on_rounds":  "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,4,+Inf,0\n",
+		"period too big": "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,2147483648,1,0\n",
 	} {
 		if _, err := ReadTraceCSV(bytes.NewReader([]byte(body))); err == nil {
 			t.Errorf("%s: malformed CSV trace accepted", name)
@@ -210,9 +225,11 @@ func TestReadTraceCSVRejectsMalformed(t *testing.T) {
 
 func TestReadTraceJSONRejectsMalformed(t *testing.T) {
 	for name, body := range map[string]string{
-		"empty devices": `{"devices": []}`,
-		"zero compute":  `{"devices": [{"compute": 0, "bandwidth": 1, "latency": 1, "power": 1}]}`,
-		"unknown field": `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "wat": 2}]}`,
+		"empty devices":  `{"devices": []}`,
+		"zero compute":   `{"devices": [{"compute": 0, "bandwidth": 1, "latency": 1, "power": 1}]}`,
+		"unknown field":  `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "wat": 2}]}`,
+		"huge period":    `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "period": 1e300, "on_rounds": 1}]}`,
+		"period too big": `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "period": 4294967296, "on_rounds": 1}]}`,
 	} {
 		if _, err := ReadTraceJSON(bytes.NewReader([]byte(body))); err == nil {
 			t.Errorf("%s: malformed JSON trace accepted", name)

@@ -143,6 +143,11 @@ func parseTraceRow(row []string) (Profile, error) {
 		if fs[i] != math.Trunc(fs[i]) {
 			return Profile{}, fmt.Errorf("%s must be an integer, got %v", traceColumns[i], fs[i])
 		}
+		// Bounded before the conversion to int, whose result is
+		// implementation-defined for a value outside int's range.
+		if !(math.Abs(fs[i]) <= MaxPeriod) {
+			return Profile{}, fmt.Errorf("%s %v outside [-%d,%d]", traceColumns[i], fs[i], MaxPeriod, MaxPeriod)
+		}
 	}
 	return Profile{
 		Compute: fs[1], Bandwidth: fs[2], Latency: fs[3], Power: fs[4],

@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -373,8 +374,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // ParsePrometheus reads Prometheus text exposition into a flat map of
 // sample name (including any label set, exactly as exposed) to value —
 // enough for scrape tests and for folding a /metrics snapshot into a
-// benchmark report. Comment and blank lines are skipped; a malformed
-// sample line is an error.
+// benchmark report. Comment and blank lines are skipped. A sample line is
+// a name, an optional {label set} (label values may hold spaces and
+// escaped quotes), a value that strconv.ParseFloat accepts in full (so
+// also +Inf, -Inf and NaN), and an optional integer timestamp, which is
+// dropped; anything else is an error.
 func ParsePrometheus(text string) (map[string]float64, error) {
 	out := make(map[string]float64)
 	for ln, line := range strings.Split(text, "\n") {
@@ -382,17 +386,58 @@ func ParsePrometheus(text string) (map[string]float64, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		i := strings.LastIndexByte(line, ' ')
-		if i <= 0 {
+		name, rest, ok := splitSampleName(line)
+		if !ok {
 			return nil, fmt.Errorf("obs: malformed sample on line %d: %q", ln+1, line)
 		}
-		var v float64
-		if _, err := fmt.Sscanf(line[i+1:], "%g", &v); err != nil {
+		fields := strings.Fields(rest)
+		if len(fields) == 0 || len(fields) > 2 {
+			return nil, fmt.Errorf("obs: malformed sample on line %d: %q", ln+1, line)
+		}
+		v, err := strconv.ParseFloat(fields[0], 64)
+		if err != nil {
 			return nil, fmt.Errorf("obs: bad value on line %d: %q: %v", ln+1, line, err)
 		}
-		out[strings.TrimSpace(line[:i])] = v
+		if len(fields) == 2 {
+			if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+				return nil, fmt.Errorf("obs: bad timestamp on line %d: %q: %v", ln+1, line, err)
+			}
+		}
+		out[name] = v
 	}
 	return out, nil
+}
+
+// splitSampleName splits a trimmed sample line into its name with any
+// label set, and the rest. The name runs to the first space or '{'; a
+// label set runs to the '}' that closes it, skipping braces and escaped
+// quotes inside quoted label values. ok is false when the name is empty,
+// a label set is unterminated, or nothing separates the name from the
+// rest.
+func splitSampleName(line string) (name, rest string, ok bool) {
+	i := strings.IndexAny(line, " \t{")
+	if i <= 0 {
+		return "", "", false
+	}
+	if line[i] == '{' {
+		quoted := false
+		for i++; i < len(line); i++ {
+			switch c := line[i]; {
+			case quoted && c == '\\':
+				i++ // the escaped character
+			case c == '"':
+				quoted = !quoted
+			case !quoted && c == '}':
+				i++
+				if i < len(line) && line[i] != ' ' && line[i] != '\t' {
+					return "", "", false
+				}
+				return line[:i], line[i:], true
+			}
+		}
+		return "", "", false
+	}
+	return line[:i], line[i:], true
 }
 
 // baseName strips a trailing {label} set from an instrument name.

@@ -232,6 +232,106 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 	if _, err := ParsePrometheus("name not_a_number"); err == nil {
 		t.Fatal("want error for non-numeric value")
 	}
+	for _, line := range []string{
+		"x 12abc",   // once parsed as 12: the value must be one whole float
+		"x 1 2 3",   // more than a value and a timestamp
+		"x 1 1.5",   // a timestamp is an integer
+		`x{a="b} 1`, // unterminated label set
+		`x{a="b"}1`, // no space before the value
+		`{a="b"} 1`, // no name
+	} {
+		if m, err := ParsePrometheus(line); err == nil {
+			t.Errorf("%q parsed as %v, want an error", line, m)
+		}
+	}
+}
+
+// TestParsePrometheusSampleForms reads what the text format allows on a
+// sample line: the special values, an optional timestamp (once read as part
+// of the name), and label values holding spaces, braces and escaped quotes.
+func TestParsePrometheusSampleForms(t *testing.T) {
+	m, err := ParsePrometheus(strings.Join([]string{
+		"x 1 1700000000",
+		`y{path="a b",code="200"} 2.5 -17`,
+		`z{a="b \"} 1"} 3 2`,
+		"up +Inf",
+		"down -Inf",
+		"gone NaN",
+	}, "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"x": 1, `y{path="a b",code="200"}`: 2.5, `z{a="b \"} 1"}`: 3,
+		"up": math.Inf(1), "down": math.Inf(-1),
+	}
+	for k, v := range want {
+		if got, ok := m[k]; !ok || got != v {
+			t.Errorf("%s = %v (present %v), want %v", k, got, ok, v)
+		}
+	}
+	if !math.IsNaN(m["gone"]) || len(m) != len(want)+1 {
+		t.Errorf("parsed %v", m)
+	}
+}
+
+// FuzzParsePrometheus: arbitrary text parses or errors without a panic, and
+// a registry's own exposition parses back to the values written. The second
+// input becomes a label value (the registry writes names verbatim, so one
+// holding a quote, a backslash or a newline is the caller's error and is
+// skipped) and the third a gauge's value.
+func FuzzParsePrometheus(f *testing.F) {
+	var seed strings.Builder
+	if err := exposeFuzzRegistry(`a b`, 1.5).WritePrometheus(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.String(), "a b", 1.5)
+	for _, text := range []string{"x 12abc", "x 1 1700000000", "x +Inf", "x NaN", `x{a="}"} 3`} {
+		f.Add(text, "", math.Inf(-1))
+	}
+	f.Fuzz(func(t *testing.T, text, label string, v float64) {
+		if m, err := ParsePrometheus(text); err == nil {
+			for k := range m {
+				if k == "" {
+					t.Fatalf("%q parsed to an empty name", text)
+				}
+			}
+		}
+		if strings.ContainsAny(label, "\"\\\n") {
+			return
+		}
+		var b strings.Builder
+		if err := exposeFuzzRegistry(label, v).WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ParsePrometheus(b.String())
+		if err != nil {
+			t.Fatalf("own exposition does not parse: %v\n%s", err, b.String())
+		}
+		lb := `{l="` + label + `"}`
+		for name, want := range map[string]float64{
+			"fuzz_gauge" + lb: v, "fuzz_total" + lb: 3,
+			"fuzz_seconds_count" + lb: 1, "fuzz_seconds_sum" + lb: 0.25,
+			`fuzz_seconds_bucket{l="` + label + `",le="0.5"}`:  1,
+			`fuzz_seconds_bucket{l="` + label + `",le="+Inf"}`: 1,
+		} {
+			got, ok := m[name]
+			if !ok || math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("%s = %v (present %v), want %v\n%s", name, got, ok, want, b.String())
+			}
+		}
+	})
+}
+
+// exposeFuzzRegistry is a registry holding one instrument of each kind,
+// every one labelled l=label.
+func exposeFuzzRegistry(label string, v float64) *Registry {
+	r := New()
+	lb := `{l="` + label + `"}`
+	r.Gauge("fuzz_gauge"+lb, "a gauge").Set(v)
+	r.Counter("fuzz_total"+lb, "a counter").Add(3)
+	r.Histogram("fuzz_seconds"+lb, "a histogram", []float64{0.5}).Observe(0.25)
+	return r
 }
 
 func TestRegisterKindMismatchPanics(t *testing.T) {
