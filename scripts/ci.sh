@@ -191,6 +191,32 @@ for target in FuzzRead FuzzReadEdgeList FuzzReadLabels FuzzReadSparseFeatures; d
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/graph
 done
 
+# One op for a GAT layer's attention: GATAttention against the per-head
+# chain of library ops it replaced (kept as the oracle in the test files) —
+# forward and every gradient bit for bit over one and four heads,
+# concatenated and averaged, zeros of both signs, empty segments, repeated
+# sources and duplicate edges — its finite-difference rows and a warm tape
+# recording it without allocating, under the race detector; then the epoch
+# allocation budgets on the GAT backbone.
+gate race ./internal/autodiff \
+	TestGATAttentionMatchesPerHeadOracle TestGradGATAttention TestGATAttentionTapedSteadyState
+gate plain ./internal/core \
+	TestSupervisedEpochAllocBudget/GAT TestUnsupervisedEpochAllocBudget/GAT
+
+# Fleet traces and Prometheus text: a trace with a non-finite multiplier or
+# an integral column past int's range is refused, a sample value must be
+# one whole float (optionally followed by an integer timestamp), then the
+# seed corpora of the three reader fuzz targets and a short fuzz pass of
+# each.
+gate plain ./internal/fleet \
+	TestProfileValidate TestReadTraceCSVRejectsMalformed TestReadTraceJSONRejectsMalformed \
+	FuzzReadTraceCSV FuzzReadTraceJSON
+gate plain ./internal/obs \
+	TestParsePrometheusRejectsGarbage TestParsePrometheusSampleForms FuzzParsePrometheus
+go test -run '^$' -fuzz '^FuzzReadTraceCSV$' -fuzztime 10s ./internal/fleet
+go test -run '^$' -fuzz '^FuzzReadTraceJSON$' -fuzztime 10s ./internal/fleet
+go test -run '^$' -fuzz '^FuzzParsePrometheus$' -fuzztime 10s ./internal/obs
+
 # Word-parallel secure comparison: Less against the bit-serial GMW evaluator
 # it replaced (kept as the oracle in the test files) — result bit and
 # per-call traffic, exhaustively at L=8 and on random and edge operands up to
