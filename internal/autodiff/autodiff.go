@@ -32,6 +32,10 @@ type Value struct {
 	// Data holds the forward result.
 	Data *tensor.Matrix
 	// Grad holds dLoss/dData after Backward; nil if no gradient flowed here.
+	// On a tape only leaves (Tape.Var, Const, ConstSparse) and the root of
+	// the backward keep it: an op node's gradient goes back to the tape's
+	// free-list once its backward function has run, leaving Grad nil.
+	// Parameters keep theirs until ZeroGrad.
 	Grad *tensor.Matrix
 
 	requiresGrad bool

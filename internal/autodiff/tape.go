@@ -23,10 +23,13 @@ func chunkOf(i int) (c, off int) {
 }
 
 // bufPool is the free-list for one matrix shape: buffers checked out since
-// the last Reset live in bufs[:next], recyclable ones in bufs[next:].
+// the last Reset live in bufs[:next], recyclable ones in bufs[next:]. free
+// holds checked-out gradient buffers a backward sweep has released (see
+// Tape.sweep); they are handed out again before the pool grows.
 type bufPool struct {
 	bufs []*tensor.Matrix
 	next int
+	free []*tensor.Matrix
 }
 
 // Tape owns the memory of a differentiation graph that is rebuilt with the
@@ -75,6 +78,7 @@ func (t *Tape) Reset() {
 	t.used = 0
 	for _, p := range t.pools {
 		p.next = 0
+		p.free = p.free[:0]
 	}
 }
 
@@ -90,17 +94,29 @@ func (t *Tape) Matrix(rows, cols int) *tensor.Matrix {
 // scratch is Matrix without the zeroing sweep, for ops that fully overwrite
 // their output: a recycled buffer comes back with its previous contents.
 func (t *Tape) scratch(rows, cols int) *tensor.Matrix {
-	key := int64(rows)<<32 | int64(uint32(cols))
-	p := t.pools[key]
-	if p == nil {
-		p = &bufPool{}
-		t.pools[key] = p
+	p := t.pool(rows, cols)
+	if k := len(p.free) - 1; k >= 0 {
+		m := p.free[k]
+		p.free = p.free[:k]
+		return m
 	}
 	if p.next == len(p.bufs) {
 		p.bufs = append(p.bufs, tensor.New(rows, cols))
 	}
 	p.next++
 	return p.bufs[p.next-1]
+}
+
+// pool returns the free-list for rows×cols buffers, creating it on first
+// use.
+func (t *Tape) pool(rows, cols int) *bufPool {
+	key := int64(rows)<<32 | int64(uint32(cols))
+	p := t.pools[key]
+	if p == nil {
+		p = &bufPool{}
+		t.pools[key] = p
+	}
+	return p
 }
 
 // newValue checks the next node out of the slab, growing it by one chunk
@@ -185,16 +201,32 @@ func (t *Tape) ConstSparse(m *tensor.Matrix, view *tensor.ConstSparse) *Value {
 // sweep runs the backward pass over nodes [0, from] in reverse recording
 // order. Recording order is a topological order (an op's parents exist
 // before it), so the reverse sweep visits every node after all its
-// consumers; nodes the seeded gradient never reached are skipped.
+// consumers; nodes the seeded gradient never reached are skipped. Once a
+// node's backward function has run nothing reads its gradient again, so the
+// buffer goes back to its shape's free-list — except the root's, which the
+// caller seeded and may still read.
 func (t *Tape) sweep(from int) {
 	ci, off := chunkOf(from)
+	root := true
 	for ; ci >= 0; ci-- {
 		chunk := t.chunks[ci][:off+1]
 		for j := len(chunk) - 1; j >= 0; j-- {
 			if v := &chunk[j]; v.Grad != nil && v.back != nil {
 				v.back(v)
+				if !root {
+					t.recycle(v.Grad)
+					v.Grad = nil
+				}
 			}
+			root = false
 		}
 		off = firstChunk<<ci/2 - 1 // the chunk before ci is half its length
 	}
+}
+
+// recycle puts m, a buffer checked out of the tape that nothing reads any
+// more, on its shape's free-list for the next scratch or Matrix.
+func (t *Tape) recycle(m *tensor.Matrix) {
+	p := t.pool(m.Dims())
+	p.free = append(p.free, m)
 }

@@ -126,6 +126,57 @@ func TestTapeBackwardSweepScope(t *testing.T) {
 	}
 }
 
+// TestTapeReleasesSweptGradients: a backward keeps only the gradients the
+// rest of its sweep still reads. Over a chain of k same-shape ReLUs from a
+// leaf, the shape's pool ends holding the k outputs plus at most three
+// gradients — the root's and two in flight — where keeping every node's
+// gradient took k + 1. Afterwards only the leaf and the root hold a
+// gradient, the leaf's is exact, and a warm tape re-records and sweeps the
+// chain without allocating.
+func TestTapeReleasesSweptGradients(t *testing.T) {
+	const rows, cols = 3, 4
+	rng := rand.New(rand.NewSource(6))
+	xm := tensor.Uniform(rows, cols, -1, 1, rng)
+	seed := tensor.Uniform(rows, cols, -1, 1, rng)
+	want := tensor.New(rows, cols)
+	for i, x := range xm.Data() {
+		if x > 0 {
+			want.Data()[i] = seed.Data()[i]
+		}
+	}
+	for _, k := range []int{1, 2, 5, 20} {
+		tp := NewTape()
+		chain := make([]*Value, k)
+		var x *Value
+		record := func() {
+			tp.Reset()
+			x = tp.Var(xm)
+			h := x
+			for i := range chain {
+				h = ReLU(h)
+				chain[i] = h
+			}
+			h.BackwardWithGradient(seed)
+		}
+		record()
+		if chain[k-1].Grad == nil {
+			t.Fatalf("k=%d: the root lost its gradient", k)
+		}
+		for i, v := range chain[:k-1] {
+			if v.Grad != nil {
+				t.Fatalf("k=%d: node %d kept its gradient after the sweep", k, i)
+			}
+		}
+		requireBits(t, "leaf gradient", want, x.Grad)
+		if n := len(tp.pool(rows, cols).bufs); n > k+3 {
+			t.Fatalf("k=%d: the pool holds %d buffers, want ≤ %d outputs + 3 gradients", k, n, k)
+		}
+		if allocs := testing.AllocsPerRun(5, record); allocs != 0 {
+			t.Fatalf("k=%d: a warm tape records and sweeps the chain with %.0f allocations, want 0", k, allocs)
+		}
+	}
+}
+
 // A tape's slab is sized to what it records: a 10-node graph (a one-device
 // shard's) fits in the first chunk, at most 4 kB. Growing through several
 // chunks never moves a recorded Value, and after Reset the same storage
