@@ -440,6 +440,114 @@ func backDropout(v *Value) {
 	tensor.MulElemAddInto(v.parents[0].EnsureGrad(), v.Grad, v.mat)
 }
 
+// BiasReLUDropout is a hidden layer's activation as one op: it equals
+// Dropout(ReLU(AddRow(a, b)), p, rng, training) bit for bit — output and
+// both parents' gradients, non-finite gradients included — and draws the
+// same rng.Float64() per entry, in row-major order, only when training and
+// p > 0. Where the chain records three nodes over four activation-sized
+// buffers, the op records one node that keeps its output and, when it
+// drops, one multiplier per entry.
+//
+// With y = a + b[j], the output is (y > 0 ? y : +0)·m, m being the kept
+// entries' 1/(1−p) or 0 (1 in eval mode or at p = 0). Backward passes
+// 0 + (0 + g·m) to a and to b (summed over rows in ascending order) where
+// y > 0, and +0 elsewhere. The stored multiplier is −0 where the ReLU
+// blocked, so that a dropped entry (m = +0) still passes g·0 — NaN for a
+// non-finite g — as the chain does. Without a multiplier (no dropout),
+// y > 0 exactly where the output is > 0.
+func BiasReLUDropout(a, b *Value, p float64, rng *rand.Rand, training bool) *Value {
+	t := tapeFor("BiasReLUDropout", a, b)
+	rows, cols := a.Data.Dims()
+	if b.Data.Rows() != 1 || b.Data.Cols() != cols {
+		panic(fmt.Sprintf("autodiff: BiasReLUDropout bias %dx%d for %dx%d", b.Data.Rows(), b.Data.Cols(), rows, cols))
+	}
+	drop := training && p > 0
+	if drop && p >= 1 {
+		panic("autodiff: Dropout probability must be < 1")
+	}
+	data := t.scratch(rows, cols)
+	var mask *tensor.Matrix
+	if drop {
+		mask = t.scratch(rows, cols)
+	}
+	keep, bd := 1/(1-p), b.Data.Data()
+	for i := 0; i < rows; i++ {
+		ar, orow := a.Data.Row(i), data.Row(i)
+		if !drop {
+			for j, x := range ar {
+				if y := x + bd[j]; y > 0 {
+					orow[j] = y
+				} else {
+					orow[j] = 0
+				}
+			}
+			continue
+		}
+		mr := mask.Row(i)
+		for j, x := range ar {
+			y := x + bd[j]
+			r, m := 0.0, 0.0
+			if y > 0 {
+				r = y
+			}
+			if rng.Float64() >= p {
+				m = keep
+			}
+			orow[j] = r * m
+			if !(y > 0) {
+				m = math.Copysign(0, -1)
+			}
+			mr[j] = m
+		}
+	}
+	out := t.node(data, backBiasReLUDropout, a, b)
+	out.mat = mask
+	return out
+}
+
+// backBiasReLUDropout writes the gradient the chain's AddRow received into
+// a buffer and accumulates it with AddRow's own kernels, so the parents'
+// gradients match the chain's to the NaN payload. The buffer is a's fresh
+// gradient when a held none (0 + d equals d here: d is never −0), else a
+// tape buffer returned to the free-list at once.
+func backBiasReLUDropout(v *Value) {
+	a, b := v.parents[0], v.parents[1]
+	fresh := a.requiresGrad && a.Grad == nil
+	var d *tensor.Matrix
+	if fresh {
+		d = a.EnsureGrad()
+	} else {
+		d = v.tape.scratch(v.Data.Dims())
+	}
+	for i := 0; i < d.Rows(); i++ {
+		dr, gr, orow := d.Row(i), v.Grad.Row(i), v.Data.Row(i)
+		var mr []float64
+		if v.mat != nil {
+			mr = v.mat.Row(i)
+		}
+		for j, g := range gr {
+			dr[j] = 0 // what a blocked entry passes
+			switch {
+			case mr == nil:
+				if orow[j] > 0 {
+					dr[j] = 0 + g
+				}
+			case !math.Signbit(mr[j]):
+				dr[j] = 0 + (0 + g*mr[j])
+			}
+		}
+	}
+	if a.requiresGrad && !fresh {
+		tensor.AddInPlace(a.Grad, d)
+	}
+	if b.requiresGrad {
+		tensor.AddRowSumsInPlace(b.EnsureGrad(), d)
+	}
+	if !fresh {
+		v.tape.recycle(d)
+	}
+}
+
 func sigmoid(x float64) float64 {
 	if x >= 0 {
 		return 1 / (1 + math.Exp(-x))

@@ -107,6 +107,18 @@ var gradTable = []gradCase{
 			// same mask.
 			return SumSquares(Dropout(p[0], 0.4, rand.New(rand.NewSource(5)), true))
 		}},
+	{test: "TestGradBiasReLUDropout", name: "biasreludropout/train", ops: []string{"BiasReLUDropout", "SumSquares"},
+		params: [][2]int{{6, 5}, {1, 5}},
+		f: func(tp *Tape, p []*Value) *Value {
+			// A freshly seeded stream per recording: every call draws the
+			// same mask.
+			return SumSquares(BiasReLUDropout(p[0], p[1], 0.4, rand.New(rand.NewSource(5)), true))
+		}},
+	{test: "TestGradBiasReLUDropout", name: "biasreludropout/eval", ops: []string{"BiasReLUDropout", "SumSquares"},
+		params: [][2]int{{6, 5}, {1, 5}},
+		f: func(tp *Tape, p []*Value) *Value {
+			return SumSquares(BiasReLUDropout(p[0], p[1], 0.4, nil, false))
+		}},
 	{test: "TestGradGatherSegmentSum", name: "gather/segmentsum", ops: []string{"Gather", "SumSquares"},
 		params: [][2]int{{5, 3}},
 		f: func(tp *Tape, p []*Value) *Value {
@@ -207,6 +219,7 @@ func TestGradAddSub(t *testing.T)              { runGradRows(t) }
 func TestGradAddRow(t *testing.T)              { runGradRows(t) }
 func TestGradScaleAddN(t *testing.T)           { runGradRows(t) }
 func TestGradActivations(t *testing.T)         { runGradRows(t) }
+func TestGradBiasReLUDropout(t *testing.T)     { runGradRows(t) }
 func TestGradGatherSegmentSum(t *testing.T)    { runGradRows(t) }
 func TestGradScaleRows(t *testing.T)           { runGradRows(t) }
 func TestGradMulRowsByCol(t *testing.T)        { runGradRows(t) }

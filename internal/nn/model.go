@@ -74,22 +74,14 @@ func (c *GNNConfig) Validate() error {
 	return nil
 }
 
-// convLayer abstracts GCNConv and GATConv behind one interface.
+// convLayer abstracts GCNConv and GATConv behind one interface. A layer's
+// Forward is its preBias output plus its bias; GNN.Forward adds a hidden
+// layer's bias inside the fused activation instead.
 type convLayer interface {
 	Module
-	forwardConv(g *ConvGraph, x *autodiff.Value) *autodiff.Value
-}
-
-type gcnAdapter struct{ *GCNConv }
-
-func (a gcnAdapter) forwardConv(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
-	return a.Forward(g, x)
-}
-
-type gatAdapter struct{ *GATConv }
-
-func (a gatAdapter) forwardConv(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
-	return a.Forward(g, x)
+	Forward(g *ConvGraph, x *autodiff.Value) *autodiff.Value
+	preBias(g *ConvGraph, x *autodiff.Value) *autodiff.Value
+	bias() *autodiff.Value
 }
 
 // GNN is a multi-layer graph neural network encoder: conv → ReLU → dropout,
@@ -116,13 +108,13 @@ func NewGNN(cfg GNNConfig, rng *rand.Rand) (*GNN, error) {
 		name := fmt.Sprintf("gnn.l%d", i)
 		switch cfg.Backbone {
 		case GCN:
-			m.layers = append(m.layers, gcnAdapter{NewGCNConv(name, in, out, rng)})
+			m.layers = append(m.layers, NewGCNConv(name, in, out, rng))
 			in = out
 		case GAT:
 			// Hidden layers concatenate heads; the final layer averages
 			// them, the standard GAT arrangement.
 			l := NewGATConv(name, in, out, cfg.Heads, !last, rng)
-			m.layers = append(m.layers, gatAdapter{l})
+			m.layers = append(m.layers, l)
 			in = l.OutDim()
 		default:
 			return nil, fmt.Errorf("nn: unknown backbone %v", cfg.Backbone)
@@ -135,6 +127,9 @@ func NewGNN(cfg GNNConfig, rng *rand.Rand) (*GNN, error) {
 func (m *GNN) EmbeddingDim() int { return m.Cfg.OutDim }
 
 // Forward encodes node features x over graph g. training enables dropout.
+// A hidden layer's bias, ReLU and dropout are one autodiff.BiasReLUDropout
+// over the conv's pre-bias output; the last layer is the conv's own
+// Forward, bias included.
 //
 // The tape enters through x: wrap the features with Tape.Const (or Tape.Var)
 // and the whole forward records onto that tape — every op output,
@@ -144,11 +139,10 @@ func (m *GNN) EmbeddingDim() int { return m.Cfg.OutDim }
 func (m *GNN) Forward(g *ConvGraph, x *autodiff.Value, training bool, rng *rand.Rand) *autodiff.Value {
 	h := x
 	for i, l := range m.layers {
-		h = l.forwardConv(g, h)
-		if i < len(m.layers)-1 {
-			h = autodiff.ReLU(h)
-			h = autodiff.Dropout(h, m.Cfg.Dropout, rng, training)
+		if i == len(m.layers)-1 {
+			return l.Forward(g, h)
 		}
+		h = autodiff.BiasReLUDropout(l.preBias(g, h), l.bias(), m.Cfg.Dropout, rng, training)
 	}
 	return h
 }
@@ -170,10 +164,10 @@ func (m *GNN) CloneShared() *GNN {
 	c := &GNN{Cfg: m.Cfg}
 	for _, l := range m.layers {
 		switch t := l.(type) {
-		case gcnAdapter:
-			c.layers = append(c.layers, gcnAdapter{t.GCNConv.CloneShared()})
-		case gatAdapter:
-			c.layers = append(c.layers, gatAdapter{t.GATConv.CloneShared()})
+		case *GCNConv:
+			c.layers = append(c.layers, t.CloneShared())
+		case *GATConv:
+			c.layers = append(c.layers, t.CloneShared())
 		default:
 			panic(fmt.Sprintf("nn: CloneShared: unknown layer type %T", l))
 		}

@@ -214,12 +214,17 @@ func NewGCNConv(name string, in, out int, rng *rand.Rand) *GCNConv {
 }
 
 // Forward aggregates normalized neighbor messages over g as one fused CSR
-// op (no per-edge message matrix).
+// op (no per-edge message matrix) and adds the bias.
 func (l *GCNConv) Forward(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
-	h := autodiff.MatMul(x, l.W.V)
-	agg := autodiff.CSRAggregate(h, g.CSR(), g.Norm)
-	return autodiff.AddRow(agg, l.B.V)
+	return autodiff.AddRow(l.preBias(g, x), l.B.V)
 }
+
+// preBias is Forward without the bias.
+func (l *GCNConv) preBias(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
+	return autodiff.CSRAggregate(autodiff.MatMul(x, l.W.V), g.CSR(), g.Norm)
+}
+
+func (l *GCNConv) bias() *autodiff.Value { return l.B.V }
 
 // Params implements Module.
 func (l *GCNConv) Params() []*Param { return []*Param{l.W, l.B} }
@@ -288,6 +293,11 @@ func (l *GATConv) OutDim() int {
 // chain of library ops it replaced (see its doc), and the bias is added
 // last.
 func (l *GATConv) Forward(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
+	return autodiff.AddRow(l.preBias(g, x), l.B.V)
+}
+
+// preBias is Forward without the bias.
+func (l *GATConv) preBias(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
 	// Up to four heads (the paper's count) fit in arrays on the stack, so a
 	// forward allocates nothing; more spill to the heap.
 	var whs, als, ars [4]*autodiff.Value
@@ -297,9 +307,10 @@ func (l *GATConv) Forward(g *ConvGraph, x *autodiff.Value) *autodiff.Value {
 		aL = append(aL, l.AL[h].V)
 		aR = append(aR, l.AR[h].V)
 	}
-	out := autodiff.GATAttention(wh, aL, aR, g.CSR(), l.NegativeSlope, l.Concat)
-	return autodiff.AddRow(out, l.B.V)
+	return autodiff.GATAttention(wh, aL, aR, g.CSR(), l.NegativeSlope, l.Concat)
 }
+
+func (l *GATConv) bias() *autodiff.Value { return l.B.V }
 
 // Params implements Module.
 func (l *GATConv) Params() []*Param {
