@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lumos/internal/obs"
@@ -120,16 +121,25 @@ func argInt(args map[string]any, key string) (int, bool) {
 // sync, async, and gossip timelines: all three mark rounds with a "round"
 // span on track 0 and put device work on track d+1, which is all the
 // analyzer relies on.
+//
+// The utilization table has a row for every device the trace mentions —
+// by a work span or a track name (the simulator names every device's
+// track) — up to the highest device with work. What it allocates is thus
+// bounded by the input, whatever track ids the input carries.
 func AnalyzeTrace(events []obs.Event, topK int) (*TraceAnalysis, error) {
 	var (
 		rounds    []span             // "round" spans, track 0
 		broadcast = map[int]span{}   // round → broadcast span
 		byRound   = map[int][]span{} // round → device-track work spans
 		spans     []span             // every decoded X span (for utilization)
+		devices   []int              // every device a span or track name mentions
 	)
 	minT, maxT := math.Inf(1), math.Inf(-1)
 	maxDevice := -1
 	for _, e := range events {
+		if e.Ph == "M" && e.Name == "thread_name" && e.TID > 0 {
+			devices = append(devices, e.TID-1)
+		}
 		if e.Ph != "X" {
 			continue
 		}
@@ -156,9 +166,8 @@ func AnalyzeTrace(events []obs.Event, topK int) (*TraceAnalysis, error) {
 		case e.TID == 0 && e.Name == "broadcast":
 			broadcast[s.round] = s
 		case e.TID > 0 && deviceSpanNames[e.Name]:
-			if s.device > maxDevice {
-				maxDevice = s.device
-			}
+			maxDevice = max(maxDevice, s.device)
+			devices = append(devices, s.device)
 			byRound[s.round] = append(byRound[s.round], s)
 			spans = append(spans, s)
 		}
@@ -253,21 +262,25 @@ func AnalyzeTrace(events []obs.Event, topK int) (*TraceAnalysis, error) {
 
 	// Per-device utilization over the trace's full wall-clock span.
 	if maxDevice >= 0 && an.Span > 0 {
-		busy := make([]float64, maxDevice+1)
-		queue := make([]float64, maxDevice+1)
+		slices.Sort(devices)
+		devices = slices.Compact(devices)
+		devices = devices[:sort.SearchInts(devices, maxDevice+1)]
+		busy := make([]float64, len(devices))
+		queue := make([]float64, len(devices))
 		for _, s := range spans {
+			k := sort.SearchInts(devices, s.device)
 			if s.name == "agg-serve" {
-				queue[s.device] += s.end - s.start
+				queue[k] += s.end - s.start
 			} else {
-				busy[s.device] += s.end - s.start
+				busy[k] += s.end - s.start
 			}
 		}
-		for d := 0; d <= maxDevice; d++ {
+		for k, d := range devices {
 			u := DeviceUsage{
 				Device:    d,
-				Busy:      busy[d],
-				QueueWait: queue[d],
-				Idle:      math.Max(0, an.Span-busy[d]-queue[d]),
+				Busy:      busy[k],
+				QueueWait: queue[k],
+				Idle:      math.Max(0, an.Span-busy[k]-queue[k]),
 			}
 			u.BusyFrac = u.Busy / an.Span
 			u.QueueFrac = u.QueueWait / an.Span
