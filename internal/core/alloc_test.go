@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lumos/internal/autodiff"
@@ -320,5 +322,42 @@ func TestSoloRoundAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(len(split.Train), step)
 	if allocs > soloRoundAllocBudget {
 		t.Fatalf("steady-state solo round allocates %.0f times, budget %d", allocs, soloRoundAllocBudget)
+	}
+}
+
+// firstStepBytes is the ceiling on the bytes a fresh system's first
+// supervised step allocates at allocSystem's configuration (32 shards,
+// Workers=1), per backbone. The first step is where every shard tape grows
+// to its high-water mark, so this is the training working set. Measured
+// GCN 4 103 624 B and GAT 16 770 680 B once a backward released each op
+// node's gradient after using it and a hidden layer's bias, ReLU and
+// dropout became one op; before, 6 946 408 and 24 432 152 B. The ceilings
+// are ~6 kB above the measurement. One more hidden-layer-sized buffer on
+// every shard tape (2 646 forest rows) is 339 kB on GCN and 1.35 MB on GAT.
+var firstStepBytes = map[nn.Backbone]uint64{nn.GCN: 4_110_000, nn.GAT: 16_776_000}
+
+func TestFirstStepAllocBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is unreliable under -short (race) runs")
+	}
+	for _, bb := range allocBackbones {
+		t.Run(bb.String(), func(t *testing.T) {
+			best := uint64(math.MaxUint64)
+			for range 3 {
+				sys := allocSystem(t, Supervised, bb)
+				lossFn := func(pooled *autodiff.Value) *autodiff.Value {
+					return autodiff.SoftmaxCrossEntropy(sys.Head.Forward(pooled), sys.G.Labels, nil)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				sys.eng.step(nil, lossFn)
+				runtime.ReadMemStats(&after)
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			}
+			t.Logf("first %s step allocates %d B", bb, best)
+			if best > firstStepBytes[bb] {
+				t.Fatalf("a fresh system's first %s step allocates %d B, budget %d B", bb, best, firstStepBytes[bb])
+			}
+		})
 	}
 }

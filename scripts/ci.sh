@@ -217,6 +217,29 @@ go test -run '^$' -fuzz '^FuzzReadTraceCSV$' -fuzztime 10s ./internal/fleet
 go test -run '^$' -fuzz '^FuzzReadTraceJSON$' -fuzztime 10s ./internal/fleet
 go test -run '^$' -fuzz '^FuzzParsePrometheus$' -fuzztime 10s ./internal/obs
 
+# Shard tapes keep only what backward still reads. BiasReLUDropout against
+# the AddRow → ReLU → Dropout chain it replaced in a GNN's hidden layers
+# (kept as the oracle in the test files) — output, both parents' gradients
+# and the stream's position bit for bit, in training and eval mode and at
+# p = 0, with ±0 pre-activations and NaN/±Inf gradients on dropped and on
+# ReLU-blocked entries — its finite-difference rows, and a backward handing
+# each op node's gradient back to the tape once used (only the leaf and the
+# root keep one, and a warm tape allocates nothing), under the race
+# detector; then the bytes a fresh system's first step allocates on both
+# backbones.
+gate race ./internal/autodiff \
+	TestBiasReLUDropoutMatchesChain TestGradBiasReLUDropout TestTapeReleasesSweptGradients \
+	TestGradTableCoversEveryOp
+gate plain ./internal/core TestFirstStepAllocBytes
+
+# Trace files: AnalyzeTrace sizes nothing by a track id (a 160-byte trace
+# once allocated 329 MB), then the seed corpora of the two trace reader
+# fuzz targets (every decoded trace is analyzed too) and a short fuzz pass
+# of each.
+gate plain ./internal/report TestAnalyzeTraceAllocBoundedByInput FuzzReadJSONL FuzzReadChrome
+go test -run '^$' -fuzz '^FuzzReadJSONL$' -fuzztime 10s ./internal/report
+go test -run '^$' -fuzz '^FuzzReadChrome$' -fuzztime 10s ./internal/report
+
 # Word-parallel secure comparison: Less against the bit-serial GMW evaluator
 # it replaced (kept as the oracle in the test files) — result bit and
 # per-call traffic, exhaustively at L=8 and on random and edge operands up to
