@@ -30,7 +30,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 
@@ -40,6 +39,7 @@ import (
 	"lumos/internal/fed"
 	"lumos/internal/fleet"
 	"lumos/internal/report"
+	"lumos/internal/rng"
 	"lumos/internal/sim"
 	"lumos/internal/topo"
 )
@@ -99,7 +99,7 @@ func main() {
 	// The task decides the split, the training graph, and the objective the
 	// session trains. Objectives bind to one system, so each discipline run
 	// below builds a fresh one from the factory.
-	trainGraph, newObjective, err := core.SplitForTask(g, base.Task, rand.New(rand.NewSource(data.Seed)))
+	trainGraph, newObjective, err := core.SplitForTask(g, base.Task, rng.New(data.Seed))
 	check(err)
 	fleetLabel := string(fleetKind)
 	if trace != nil {

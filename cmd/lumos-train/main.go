@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -23,6 +22,7 @@ import (
 	"lumos/internal/nn"
 	"lumos/internal/obs"
 	"lumos/internal/report"
+	"lumos/internal/rng"
 	"lumos/internal/snapshot"
 )
 
@@ -67,7 +67,7 @@ func main() {
 		hookPublishTelemetry(run.Tracer, run.Metrics)
 	}
 
-	rng := rand.New(rand.NewSource(data.Seed))
+	rng := rng.New(data.Seed)
 	start := time.Now()
 	var (
 		runStats    *core.TrainStats

@@ -30,6 +30,7 @@ import (
 
 	"lumos/internal/fed"
 	"lumos/internal/graph"
+	"lumos/internal/rng"
 	"lumos/internal/smc"
 )
 
@@ -201,7 +202,7 @@ func Balance(g *graph.Graph, devices []*fed.Device, server *fed.Server, cfg Conf
 	}
 	stats := &smc.Stats{}
 	cmp := &comparer{proto: smc.NewProtocol(cfg.Bits, stats), secure: cfg.Secure}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x42616c616e636572))
+	rng := rng.New(cfg.Seed ^ 0x42616c616e636572)
 
 	st := newState(g, GreedyInit(g, devices, cmp))
 	res := &Result{MaxTrace: []int{st.maxWorkload()}}

@@ -6,6 +6,7 @@ import (
 
 	"lumos/internal/graph"
 	"lumos/internal/nn"
+	"lumos/internal/rng"
 )
 
 // Centralized is the non-private upper bound: the server holds the full
@@ -65,7 +66,7 @@ func NewCentralizedLink(full *graph.Graph, es *graph.EdgeSplit, cfg ModelConfig)
 		full: full,
 		es:   es,
 		run:  run,
-		rng:  rand.New(rand.NewSource(cfg.Seed ^ 0x6c696e6b)),
+		rng:  rng.New(cfg.Seed ^ 0x6c696e6b),
 	}, nil
 }
 

@@ -3,11 +3,11 @@ package baselines
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"lumos/internal/graph"
 	"lumos/internal/ldp"
 	"lumos/internal/nn"
+	"lumos/internal/rng"
 	"lumos/internal/tensor"
 )
 
@@ -57,7 +57,7 @@ func NewLPGNN(g *graph.Graph, cfg LPGNNConfig) (*LPGNN, error) {
 	if cfg.EpsX <= 0 || cfg.EpsY <= 0 {
 		return nil, fmt.Errorf("baselines: LPGNN budgets must be positive (εx=%v εy=%v)", cfg.EpsX, cfg.EpsY)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x6c70676e6e))
+	rng := rng.New(cfg.Seed ^ 0x6c70676e6e)
 	d := g.FeatureDim()
 	m := int(math.Floor(cfg.EpsX / 2.18))
 	if m < 1 {

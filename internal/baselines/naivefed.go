@@ -8,6 +8,7 @@ import (
 	"lumos/internal/graph"
 	"lumos/internal/ldp"
 	"lumos/internal/nn"
+	"lumos/internal/rng"
 	"lumos/internal/tensor"
 )
 
@@ -49,7 +50,7 @@ func NewNaiveFed(g *graph.Graph, cfg NaiveFedConfig) (*NaiveFed, error) {
 	if cfg.Delta == 0 {
 		cfg.Delta = 1e-5
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x6e616976))
+	rng := rng.New(cfg.Seed ^ 0x6e616976)
 
 	// L2 sensitivity of releasing the whole feature vector: adjacent
 	// inputs may differ in every coordinate, so Δ₂ = (b−a)·√d.

@@ -23,6 +23,7 @@ import (
 	"lumos/internal/graph"
 	"lumos/internal/metrics"
 	"lumos/internal/nn"
+	"lumos/internal/rng"
 	"lumos/internal/tensor"
 )
 
@@ -101,7 +102,7 @@ func newRunner(cfg ModelConfig, conv *nn.ConvGraph, x *tensor.Matrix, classes in
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x62617365))
+	rng := rng.New(cfg.Seed ^ 0x62617365)
 	enc, err := nn.NewGNN(nn.GNNConfig{
 		Backbone: cfg.Backbone,
 		InDim:    x.Cols(),

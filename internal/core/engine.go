@@ -9,6 +9,7 @@ import (
 
 	"lumos/internal/autodiff"
 	"lumos/internal/nn"
+	"lumos/internal/rng"
 	"lumos/internal/tensor"
 	"lumos/internal/tree"
 )
@@ -159,7 +160,7 @@ func newEngine(s *System) *engine {
 	for i, sh := range e.shards {
 		e.allVerts = append(e.allVerts, sh.verts)
 		e.encs = append(e.encs, s.Encoder.CloneShared())
-		e.rngs = append(e.rngs, rand.New(rand.NewSource(s.Cfg.Seed^(int64(i+1)*0x1f3d5b79a7c6e42d))))
+		e.rngs = append(e.rngs, rng.New(s.Cfg.Seed^(int64(i+1)*0x1f3d5b79a7c6e42d)))
 		e.viewParams = append(e.viewParams, e.encs[i].Params())
 	}
 	e.tapes = make([]*autodiff.Tape, len(e.shards))

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"lumos/internal/balance"
 	"lumos/internal/fed"
 	"lumos/internal/graph"
 	"lumos/internal/nn"
+	"lumos/internal/rng"
 	"lumos/internal/tree"
 )
 
@@ -93,7 +93,7 @@ func NewSystem(g, full *graph.Graph, cfg Config) (*System, error) {
 	s.Forest = forest
 
 	// Shared model.
-	modelRng := rand.New(rand.NewSource(cfg.Seed ^ 0x6d6f64656c))
+	modelRng := rng.New(cfg.Seed ^ 0x6d6f64656c)
 	enc, err := nn.NewGNN(nn.GNNConfig{
 		Backbone: cfg.Backbone,
 		InDim:    g.FeatureDim(),

@@ -9,11 +9,11 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 
 	"lumos/internal/core"
 	"lumos/internal/graph"
 	"lumos/internal/nn"
+	"lumos/internal/rng"
 )
 
 // Options scales the experiment suite. The defaults are laptop-sized; a
@@ -130,7 +130,7 @@ type dataset struct {
 
 func (d *dataset) nodeSplit() (*graph.NodeSplit, error) {
 	if d.nodes == nil {
-		s, err := graph.SplitNodes(d.g, 0.5, 0.25, rand.New(rand.NewSource(d.seed^1)))
+		s, err := graph.SplitNodes(d.g, 0.5, 0.25, rng.New(d.seed^1))
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func (d *dataset) nodeSplit() (*graph.NodeSplit, error) {
 
 func (d *dataset) edgeSplit() (*graph.EdgeSplit, error) {
 	if d.edges == nil {
-		s, err := graph.SplitEdges(d.g, 0.8, 0.05, rand.New(rand.NewSource(d.seed^2)))
+		s, err := graph.SplitEdges(d.g, 0.8, 0.05, rng.New(d.seed^2))
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,9 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 
 	"lumos/internal/core"
+	"lumos/internal/rng"
 	"lumos/internal/sim"
 	"lumos/internal/topo"
 )
@@ -63,7 +63,7 @@ func RunSimTimeline(opts Options, sc sim.Scenario) ([]SimTimelineResult, error) 
 		// The task decides the split, the training graph, and the objective
 		// the session trains. An objective binds to one system, so each
 		// discipline below gets a fresh one from newObjective.
-		trainGraph, newObjective, err := core.SplitForTask(d.g, opts.Task, rand.New(rand.NewSource(opts.Seed^1)))
+		trainGraph, newObjective, err := core.SplitForTask(d.g, opts.Task, rng.New(opts.Seed^1))
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"lumos/internal/graph"
+	"lumos/internal/rng"
 	"lumos/internal/smc"
 )
 
@@ -194,7 +195,7 @@ func NewDevices(g *graph.Graph, seed int64) []*Device {
 		ds[v] = &Device{
 			ID:    v,
 			Ego:   g.Ego(v),
-			Rng:   rand.New(rand.NewSource(seed ^ int64(v)*0x1e3779b97f4a7c15)),
+			Rng:   rng.New(seed ^ int64(v)*0x1e3779b97f4a7c15),
 			Party: smc.NewParty(seed ^ int64(v+1)*0x6a09e667f3bcc90),
 		}
 	}
@@ -209,5 +210,5 @@ type Server struct {
 
 // NewServer returns a server with deterministic randomness.
 func NewServer(seed int64) *Server {
-	return &Server{Rng: rand.New(rand.NewSource(seed ^ 0x5bf0a8b145769231))}
+	return &Server{Rng: rng.New(seed ^ 0x5bf0a8b145769231)}
 }

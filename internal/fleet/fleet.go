@@ -16,7 +16,8 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"lumos/internal/rng"
 )
 
 // Profile is one device's capacity relative to the nominal device of the
@@ -142,7 +143,7 @@ func (z zipf) Profiles(n int, seed int64) ([]Profile, error) {
 	if z.skew < 0 {
 		return nil, fmt.Errorf("fleet: negative zipf skew %v", z.skew)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	out := make([]Profile, n)
 	perm := rng.Perm(n)
 	for rank, d := range perm {
@@ -193,7 +194,7 @@ func (p periodic) Profiles(n int, seed int64) ([]Profile, error) {
 	if on > p.period {
 		on = p.period
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	out := make([]Profile, n)
 	for d := range out {
 		out[d] = Profile{

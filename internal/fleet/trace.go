@@ -7,12 +7,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"lumos/internal/rng"
 )
 
 // Trace is a device-population trace loaded from disk — the FedScale-style
@@ -277,7 +278,7 @@ func (t *Trace) Profiles(n int, seed int64) ([]Profile, error) {
 	case n == m:
 		copy(out, t.Devices)
 	case n < m:
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		perm := rng.Perm(m)[:n]
 		// Keep the chosen records in ascending file order so truncating a
 		// trace preserves its shape, not the permutation's.
@@ -287,7 +288,7 @@ func (t *Trace) Profiles(n int, seed int64) ([]Profile, error) {
 			out[d] = t.Devices[i]
 		}
 	default:
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		perm := rng.Perm(m)
 		for d := range out {
 			out[d] = t.Devices[perm[d%m]]
@@ -309,7 +310,7 @@ func SampleTrace(devices int, seed int64) (*Trace, error) {
 	if devices <= 0 {
 		return nil, fmt.Errorf("fleet: sample trace of %d devices", devices)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	tr := &Trace{Name: fmt.Sprintf("sample-%d", devices)}
 	for d := 0; d < devices; d++ {
 		var p Profile

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"lumos/internal/rng"
 	"lumos/internal/tensor"
 )
 
@@ -109,7 +110,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(cfg.Seed)
 
 	// Labels: balanced classes, shuffled.
 	labels := make([]int, cfg.N)

@@ -340,47 +340,64 @@ func LoadRunRecord(dir string) (*RunRecord, []string, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("report: %w", err)
 	}
+	rb, err := readOptional(filepath.Join(dir, RoundsFile))
+	if err != nil {
+		return nil, nil, err
+	}
+	pb, err := readOptional(filepath.Join(dir, MetricsFile))
+	if err != nil {
+		return nil, nil, err
+	}
+	return parseRunRecord(mb, rb, pb)
+}
+
+// readOptional reads the file at path; a file that does not exist reads as
+// nil. An empty file reads as os.ReadFile's empty, non-nil slice.
+func readOptional(path string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	switch {
+	case os.IsNotExist(err):
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("report: %w", err)
+	}
+	return b, nil
+}
+
+// parseRunRecord decodes a record from the contents of its three files, as
+// LoadRunRecord documents; rounds or metrics is nil when its file is
+// missing.
+func parseRunRecord(manifest, rounds, metrics []byte) (*RunRecord, []string, error) {
 	rec := &RunRecord{}
-	if err := json.Unmarshal(mb, &rec.Manifest); err != nil {
+	if err := json.Unmarshal(manifest, &rec.Manifest); err != nil {
 		return nil, nil, fmt.Errorf("report: manifest: %w", err)
 	}
 	var warnings []string
-	rb, err := os.ReadFile(filepath.Join(dir, RoundsFile))
-	switch {
-	case os.IsNotExist(err):
+	if rounds == nil {
 		warnings = append(warnings, fmt.Sprintf("%s missing: record carries no per-round rows", RoundsFile))
-	case err != nil:
-		return nil, nil, fmt.Errorf("report: %w", err)
-	default:
-		lines := strings.Split(string(rb), "\n")
-		for i, line := range lines {
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			var row RoundRow
-			if err := json.Unmarshal([]byte(line), &row); err != nil {
-				// A torn final line is the expected residue of a killed run:
-				// keep the complete prefix and say so. Anything earlier is
-				// corruption worth failing on.
-				if i == len(lines)-1 || allBlankAfter(lines, i+1) {
-					warnings = append(warnings,
-						fmt.Sprintf("%s: truncated final row dropped (%d complete rounds kept)", RoundsFile, len(rec.Rounds)))
-					break
-				}
-				return nil, nil, fmt.Errorf("report: %s line %d: %w", RoundsFile, i+1, err)
-			}
-			rec.Rounds = append(rec.Rounds, row)
-		}
 	}
-	pb, err := os.ReadFile(filepath.Join(dir, MetricsFile))
-	switch {
-	case os.IsNotExist(err):
-		// Metrics are optional; Metrics stays nil.
-	case err != nil:
-		return nil, nil, fmt.Errorf("report: %w", err)
-	default:
-		m, err := obs.ParsePrometheus(string(pb))
+	lines := strings.Split(string(rounds), "\n")
+	for i, line := range lines {
+		line = strings.TrimSpace(line)
+		if line == "" {
+			continue
+		}
+		var row RoundRow
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			// A torn final line is the expected residue of a killed run:
+			// keep the complete prefix and say so. Anything earlier is
+			// corruption worth failing on.
+			if i == len(lines)-1 || allBlankAfter(lines, i+1) {
+				warnings = append(warnings,
+					fmt.Sprintf("%s: truncated final row dropped (%d complete rounds kept)", RoundsFile, len(rec.Rounds)))
+				break
+			}
+			return nil, nil, fmt.Errorf("report: %s line %d: %w", RoundsFile, i+1, err)
+		}
+		rec.Rounds = append(rec.Rounds, row)
+	}
+	if metrics != nil {
+		m, err := obs.ParsePrometheus(string(metrics))
 		if err != nil {
 			return nil, nil, fmt.Errorf("report: %s: %w", MetricsFile, err)
 		}

@@ -80,6 +80,14 @@ func TestAnalyzeTraceAllocBoundedByInput(t *testing.T) {
 // without every device appear. It is kept small (~4 kB) so the fuzzer
 // minimizes what it finds quickly.
 func shortSimTrace(tb testing.TB) *obs.Tracer {
+	tr := obs.NewVirtualTracer()
+	shortSim(tb, tr, nil)
+	return tr
+}
+
+// shortSim runs shortSimTrace's simulation, recording into tr and reg
+// (either may be nil).
+func shortSim(tb testing.TB, tr *obs.Tracer, reg *obs.Registry) *sim.Result {
 	const seed = 5
 	g, err := graph.Generate(graph.GenConfig{
 		Name: "sim", N: 10, M: 24, Classes: 2, FeatureDim: 4,
@@ -99,18 +107,18 @@ func shortSimTrace(tb testing.TB) *obs.Tracer {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr := obs.NewVirtualTracer()
 	s, err := sim.New(sys, sim.Scenario{
 		Fleet: sim.FleetZipf, ZipfSkew: 2, Rounds: 2, Participation: 0.7, Churn: 0.2,
-		EvalEvery: -1, Seed: seed, Tracer: tr,
+		EvalEvery: -1, Seed: seed, Tracer: tr, Metrics: reg,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := s.Run(core.NewSupervisedObjective(split)); err != nil {
+	res, err := s.Run(core.NewSupervisedObjective(split))
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return tr
+	return res
 }
 
 // fuzzTraceReader checks a trace reader's invariant, with every decoded

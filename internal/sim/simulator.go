@@ -10,6 +10,7 @@ import (
 	"lumos/internal/core"
 	"lumos/internal/fleet"
 	"lumos/internal/obs"
+	"lumos/internal/rng"
 	"lumos/internal/topo"
 )
 
@@ -128,8 +129,8 @@ func New(sys *core.System, sc Scenario) (*Simulator, error) {
 		freeAt:    make([]float64, n),
 		lag:       make([]int, n),
 		lastPart:  make([]int, n),
-		churnRng:  rand.New(rand.NewSource(sc.Seed ^ 0x636875726e)),
-		sampleRng: rand.New(rand.NewSource(sc.Seed ^ 0x73616d706c65)),
+		churnRng:  rng.New(sc.Seed ^ 0x636875726e),
+		sampleRng: rng.New(sc.Seed ^ 0x73616d706c65),
 		agg:       fleet.Server{BytesPerSecond: sc.Cost.AggBytesPerSecond},
 		energy:    make([]float64, n),
 		topo:      sc.Topology,

@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"lumos/internal/rng"
 )
 
 // Stats accumulates protocol traffic. One Stats is typically shared by all
@@ -63,10 +65,11 @@ func shareWireBytes(bits int) int64 { return int64((bits + 7) / 8) }
 
 // Party holds one participant's private randomness. In the federated
 // system every device owns one Party seeded from its device id. The stream
-// is seeded on the party's first draw, not by NewParty: a party that never
-// runs a protocol (every party of a non-secure system) costs its seed, not a
-// seeded ~5 kB math/rand source. The values drawn are exactly those of an
-// eagerly seeded rand.New(rand.NewSource(seed)).
+// is seeded on the party's first draw, not by NewParty: seeding is cheap
+// (rng.New, a few µs) but the seeded register is ~5 kB, and a party that
+// never runs a protocol (every party of a non-secure system) keeps only its
+// seed. The values drawn are exactly those of an eagerly seeded
+// rand.New(rand.NewSource(seed)).
 type Party struct {
 	seed int64
 	rng  *rand.Rand // nil until the first draw
@@ -80,7 +83,7 @@ func NewParty(seed int64) *Party {
 // stream returns the party's randomness, seeding it on first use.
 func (p *Party) stream() *rand.Rand {
 	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.seed))
+		p.rng = rng.New(p.seed)
 	}
 	return p.rng
 }

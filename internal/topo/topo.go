@@ -27,6 +27,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"lumos/internal/rng"
 )
 
 // Topology is an undirected simple graph over n devices: no self-loops, no
@@ -194,13 +196,18 @@ func dedupe(edges [][2]int) [][2]int {
 // 1/n — gossip degenerates to the star aggregator's average, which is what
 // the gossip-vs-star equivalence test pins.
 func Complete(n int) (*Topology, error) {
+	return FromEdges("complete", n, allPairs(n))
+}
+
+// allPairs lists every pair {u, v} of n devices, u < v, in order.
+func allPairs(n int) [][2]int {
 	var edges [][2]int
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return FromEdges("complete", n, edges)
+	return edges
 }
 
 // KRegular builds a random k-regular contact graph by seeded stub matching
@@ -208,8 +215,11 @@ func Complete(n int) (*Topology, error) {
 // pairs them. A whole shuffle comes out simple with probability about
 // e^{−(k²−1)/4}, so the draw is retried while that is likely to work, and the
 // last draw's few self-loops and repeated edges are then repaired in place
-// (repairMatching). n·k must be even and k < n. The result is deterministic
-// in (n, k, seed).
+// (repairMatching). At k = n−1 the only simple graph is the complete one,
+// which is built directly: a Topology keeps sorted adjacency, not pairing
+// order, so a matching that came out simple would give the same value, and
+// near-complete draws are where the repair runs out of swaps. n·k must be
+// even and k < n. The result is deterministic in (n, k, seed).
 func KRegular(n, k int, seed int64) (*Topology, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("topo: k-regular degree %d must be positive", k)
@@ -220,7 +230,10 @@ func KRegular(n, k int, seed int64) (*Topology, error) {
 	if n*k%2 != 0 {
 		return nil, fmt.Errorf("topo: k-regular needs n·k even, got n=%d k=%d", n, k)
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x6b726567)) // "kreg"
+	if k == n-1 {
+		return FromEdges(fmt.Sprintf("k-regular:%d", k), n, allPairs(n))
+	}
+	rng := rng.New(seed ^ 0x6b726567) // "kreg"
 	stubs := make([]int, n*k)
 	for i := range stubs {
 		stubs[i] = i / k
@@ -325,7 +338,7 @@ func BarabasiAlbert(n, m int, seed int64) (*Topology, error) {
 	if m+1 >= n {
 		return nil, fmt.Errorf("topo: barabasi-albert with m=%d needs more than %d devices", m, m+1)
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x62616c62)) // "balb"
+	rng := rng.New(seed ^ 0x62616c62) // "balb"
 	var edges [][2]int
 	// targets repeats each endpoint once per incident edge, so a uniform
 	// draw from it is degree-proportional.

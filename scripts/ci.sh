@@ -240,6 +240,23 @@ gate plain ./internal/report TestAnalyzeTraceAllocBoundedByInput FuzzReadJSONL F
 go test -run '^$' -fuzz '^FuzzReadJSONL$' -fuzztime 10s ./internal/report
 go test -run '^$' -fuzz '^FuzzReadChrome$' -fuzztime 10s ./internal/report
 
+# Run records: the seed corpus of FuzzLoadRunRecord (a short run's
+# WriteRunRecord output, a torn final row, an empty rounds file; an error or
+# a record, never a panic or an allocation past its bound), then a short
+# fuzz pass.
+gate plain ./internal/report FuzzLoadRunRecord
+go test -run '^$' -fuzz '^FuzzLoadRunRecord$' -fuzztime 10s ./internal/report
+
+# One seeding path: internal/rng equals math/rand's generator for edge and
+# random seeds over two turns of its register (Uint64, Int63, and through
+# rand.Rand Float64, Intn, NormFloat64 and Perm), after a reseed too, and
+# no non-test file under internal/ or cmd/ calls math/rand.NewSource
+# itself, under the race detector. Then k-regular at k = n−1 builds the complete graph on every
+# seed.
+gate race ./internal/rng \
+	TestSourceMatchesMathRand TestSourceReseed TestOneSeedingPath
+gate plain ./internal/topo TestKRegularCompleteDegree TestKRegularPinnedEdgeLists
+
 # Word-parallel secure comparison: Less against the bit-serial GMW evaluator
 # it replaced (kept as the oracle in the test files) — result bit and
 # per-call traffic, exhaustively at L=8 and on random and edge operands up to
