@@ -70,9 +70,6 @@ func Var(m *tensor.Matrix) *Value {
 	return &Value{Data: m, requiresGrad: true}
 }
 
-// RequiresGrad reports whether the value participates in differentiation.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
 // ZeroGrad discards the stored gradient. The buffer is retained internally
 // and recycled by the next EnsureGrad, so parameters that are zeroed and
 // re-accumulated every epoch stop churning the allocator; the observable
@@ -120,12 +117,6 @@ func (v *Value) RecycleGrad(buf *tensor.Matrix) {
 	}
 	v.gradBuf = buf
 }
-
-// Rows returns the row count of the underlying matrix.
-func (v *Value) Rows() int { return v.Data.Rows() }
-
-// Cols returns the column count of the underlying matrix.
-func (v *Value) Cols() int { return v.Data.Cols() }
 
 // Scalar returns the single entry of a 1×1 value.
 func (v *Value) Scalar() float64 {
@@ -259,38 +250,6 @@ func backMatMul(v *Value) {
 	}
 }
 
-// Add returns a + b (same shape).
-func Add(a, b *Value) *Value {
-	t := tapeFor("Add", a, b)
-	data := t.scratch(a.Data.Rows(), a.Data.Cols())
-	tensor.AddInto(data, a.Data, b.Data)
-	return t.node(data, backFanIn, a, b)
-}
-
-// backFanIn adds the output gradient to every parent — the backward of Add
-// and AddN.
-func backFanIn(v *Value) {
-	for _, p := range v.parents {
-		p.accum(v.Grad)
-	}
-}
-
-// Sub returns a − b (same shape).
-func Sub(a, b *Value) *Value {
-	t := tapeFor("Sub", a, b)
-	data := t.scratch(a.Data.Rows(), a.Data.Cols())
-	tensor.SubInto(data, a.Data, b.Data)
-	return t.node(data, backSub, a, b)
-}
-
-func backSub(v *Value) {
-	a, b := v.parents[0], v.parents[1]
-	a.accum(v.Grad)
-	if b.requiresGrad {
-		tensor.AddScaledInPlace(b.EnsureGrad(), -1, v.Grad)
-	}
-}
-
 // AddRow adds the 1×c row vector r to every row of a.
 func AddRow(a, r *Value) *Value {
 	t := tapeFor("AddRow", a, r)
@@ -307,138 +266,9 @@ func backAddRow(v *Value) {
 	}
 }
 
-// MulElem returns the elementwise product a ⊙ b.
-func MulElem(a, b *Value) *Value {
-	t := tapeFor("MulElem", a, b)
-	data := t.scratch(a.Data.Rows(), a.Data.Cols())
-	tensor.MulElemInto(data, a.Data, b.Data)
-	return t.node(data, backMulElem, a, b)
-}
-
-func backMulElem(v *Value) {
-	a, b := v.parents[0], v.parents[1]
-	if a.requiresGrad {
-		tensor.MulElemAddInto(a.EnsureGrad(), v.Grad, b.Data)
-	}
-	if b.requiresGrad {
-		tensor.MulElemAddInto(b.EnsureGrad(), v.Grad, a.Data)
-	}
-}
-
-// Scale returns s·a for a constant s.
-func Scale(a *Value, s float64) *Value {
-	t := tapeFor("Scale", a)
-	data := t.scratch(a.Data.Rows(), a.Data.Cols())
-	tensor.ScaleInto(data, a.Data, s)
-	out := t.node(data, backScale, a)
-	out.s = s
-	return out
-}
-
-func backScale(v *Value) {
-	tensor.AddScaledInPlace(v.parents[0].EnsureGrad(), v.s, v.Grad)
-}
-
-// AddN sums any number of same-shape values.
-func AddN(vs ...*Value) *Value {
-	if len(vs) == 0 {
-		panic("autodiff: AddN of nothing")
-	}
-	t := tapeFor("AddN", vs...)
-	data := t.scratch(vs[0].Data.Rows(), vs[0].Data.Cols())
-	data.CopyFrom(vs[0].Data)
-	for _, v := range vs[1:] {
-		tensor.AddInPlace(data, v.Data)
-	}
-	return t.node(data, backFanIn, vs...)
-}
-
 // ---------------------------------------------------------------------------
 // Activations and regularization
 // ---------------------------------------------------------------------------
-
-// ReLU returns max(0, a) elementwise.
-func ReLU(a *Value) *Value {
-	t := tapeFor("ReLU", a)
-	data := t.Matrix(a.Data.Rows(), a.Data.Cols())
-	ad, od := a.Data.Data(), data.Data()
-	for i, x := range ad {
-		if x > 0 {
-			od[i] = x
-		}
-	}
-	return t.node(data, backReLU, a)
-}
-
-func backReLU(v *Value) {
-	a := v.parents[0]
-	gd := a.EnsureGrad().Data()
-	ad, od := a.Data.Data(), v.Grad.Data()
-	for i := range ad {
-		if ad[i] > 0 {
-			gd[i] += od[i]
-		}
-	}
-}
-
-// LeakyReLU returns x for x>0 and slope·x otherwise, elementwise.
-func LeakyReLU(a *Value, slope float64) *Value {
-	t := tapeFor("LeakyReLU", a)
-	data := t.scratch(a.Data.Rows(), a.Data.Cols())
-	ad, od := a.Data.Data(), data.Data()
-	for i, x := range ad {
-		if x > 0 {
-			od[i] = x
-		} else {
-			od[i] = slope * x
-		}
-	}
-	out := t.node(data, backLeakyReLU, a)
-	out.s = slope
-	return out
-}
-
-func backLeakyReLU(v *Value) {
-	a := v.parents[0]
-	gd := a.EnsureGrad().Data()
-	ad, od := a.Data.Data(), v.Grad.Data()
-	for i := range ad {
-		if ad[i] > 0 {
-			gd[i] += od[i]
-		} else {
-			gd[i] += v.s * od[i]
-		}
-	}
-}
-
-// Dropout zeroes entries with probability p and rescales survivors by
-// 1/(1−p) when training is true; it is the identity otherwise.
-func Dropout(a *Value, p float64, rng *rand.Rand, training bool) *Value {
-	if !training || p <= 0 {
-		return a
-	}
-	if p >= 1 {
-		panic("autodiff: Dropout probability must be < 1")
-	}
-	t := tapeFor("Dropout", a)
-	keep := 1 / (1 - p)
-	mask := t.Matrix(a.Data.Rows(), a.Data.Cols())
-	md := mask.Data()
-	for i := range md {
-		if rng.Float64() >= p {
-			md[i] = keep
-		}
-	}
-	data := t.scratch(a.Data.Rows(), a.Data.Cols())
-	tensor.MulElemInto(data, a.Data, mask)
-	out := t.node(data, backDropout, a)
-	out.mat = mask
-	return out
-}
-
-func backDropout(v *Value) {
-	tensor.MulElemAddInto(v.parents[0].EnsureGrad(), v.Grad, v.mat)
-}
 
 // BiasReLUDropout is a hidden layer's activation as one op: it equals
 // Dropout(ReLU(AddRow(a, b)), p, rng, training) bit for bit — output and

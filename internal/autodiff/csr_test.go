@@ -252,7 +252,7 @@ func TestCSRAggregateConstInput(t *testing.T) {
 	aFus := NewTape().Const(aData.Clone())
 	fus := CSRAggregate(aFus, csr, coef)
 	requireBits(t, "const forward", ref.Data, fus.Data)
-	if fus.RequiresGrad() {
+	if fus.requiresGrad {
 		t.Fatal("aggregate of a const should not require grad")
 	}
 

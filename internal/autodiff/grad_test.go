@@ -17,13 +17,14 @@ import (
 // The finite-difference table: every exported op's analytic gradient, as one
 // Backward on a tape computes it, against central differences of the same
 // recorded scalar. TestGradTableCoversEveryOp keeps the table complete: an
-// exported op no row differentiates through fails it.
+// exported op, or an unfused oracle op of the test files, that no row
+// differentiates through fails it.
 
 // gradCase is one row of the table.
 type gradCase struct {
 	test string   // the top-level test that runs the row
 	name string   // the row's name in failure messages
-	ops  []string // the exported ops the scalar differentiates through
+	ops  []string // the exported and oracle ops the scalar differentiates through
 	// params are the shapes of the differentiated leaves, recorded with
 	// tp.Var in order and filled from U(−1, 1), kept at least 0.05 away
 	// from 0 so the ReLU kinks stay out of the finite differences' reach.
@@ -259,12 +260,12 @@ func checkGrad(t *testing.T, c gradCase) {
 	rng := rand.New(rand.NewSource(1))
 	params := make([]*tensor.Matrix, len(c.params))
 	for i, s := range c.params {
-		params[i] = tensor.Apply(tensor.Uniform(s[0], s[1], -1, 1, rng), func(x float64) float64 {
+		params[i] = tensor.Uniform(s[0], s[1], -1, 1, rng)
+		for j, x := range params[i].Data() {
 			if math.Abs(x) < 0.05 {
-				return x + 0.1
+				params[i].Data()[j] = x + 0.1
 			}
-			return x
-		})
+		}
 	}
 	tp := NewTape()
 	record := func() (leaves []*Value, h, cut, loss *Value) {
@@ -316,16 +317,17 @@ func checkGrad(t *testing.T, c gradCase) {
 }
 
 // TestGradTableCoversEveryOp reads the package source: every exported
-// function returning a *Value other than the parameter constructor must
-// appear in some row's ops, every op a row names must exist, and every row must name a
-// test function that runs it.
+// function returning a *Value other than the parameter constructor — the
+// ops production can call, and the oracle ops the test files declare — must
+// appear in some row's ops, every op a row names must exist, and every row
+// must name a test function that runs it.
 func TestGradTableCoversEveryOp(t *testing.T) {
 	leafConstructors := []string{"Var"}
 	files, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ops, tests []string
+	var ops, oracles, tests []string
 	fset := token.NewFileSet()
 	for _, f := range files {
 		if !strings.HasSuffix(f.Name(), ".go") {
@@ -342,13 +344,12 @@ func TestGradTableCoversEveryOp(t *testing.T) {
 				continue
 			}
 			name := fd.Name.Name
-			if isTest {
-				if strings.HasPrefix(name, "Test") {
-					tests = append(tests, name)
-				}
-				continue
-			}
-			if returnsValue(fd) && !slices.Contains(leafConstructors, name) {
+			switch {
+			case isTest && strings.HasPrefix(name, "Test"):
+				tests = append(tests, name)
+			case isTest && returnsValue(fd):
+				oracles = append(oracles, name)
+			case !isTest && returnsValue(fd) && !slices.Contains(leafConstructors, name):
 				ops = append(ops, name)
 			}
 		}
@@ -359,15 +360,15 @@ func TestGradTableCoversEveryOp(t *testing.T) {
 			t.Errorf("row %s names %s, which is not a test function", c.name, c.test)
 		}
 		for _, op := range c.ops {
-			if !slices.Contains(ops, op) {
-				t.Errorf("row %s names %s, which is not an exported op", c.name, op)
+			if !slices.Contains(ops, op) && !slices.Contains(oracles, op) {
+				t.Errorf("row %s names %s, which is neither an exported nor an oracle op", c.name, op)
 			}
 			covered[op] = true
 		}
 	}
-	for _, op := range ops {
+	for _, op := range append(ops, oracles...) {
 		if !covered[op] {
-			t.Errorf("exported op %s has no finite-difference row", op)
+			t.Errorf("op %s has no finite-difference row", op)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package autodiff
 
 import (
 	"fmt"
-	"math"
 
 	"lumos/internal/tensor"
 )
@@ -16,20 +15,6 @@ import (
 // reference until the owning tape is reset; they must stay unmodified for
 // that long. The engine's per-shard index arrays
 // are immutable after construction, so they are shared across all epochs.
-
-// Gather returns the matrix whose i-th row is a.Row(idx[i]).
-func Gather(a *Value, idx []int) *Value {
-	t := tapeFor("Gather", a)
-	data := t.scratch(len(idx), a.Data.Cols())
-	tensor.GatherInto(data, a.Data, idx)
-	out := t.node(data, backGather, a)
-	out.ints = idx
-	return out
-}
-
-func backGather(v *Value) {
-	tensor.ScatterAddRows(v.parents[0].EnsureGrad(), v.Grad, v.ints)
-}
 
 // ScatterAddN sums row-sparse parts into one dense rows×cols matrix: starting
 // from zero, out.Row(dst[k][i]) += parts[k].Row(src[k][i]), for k ascending
@@ -107,129 +92,6 @@ func CSRAggregate(a *Value, csr *tensor.CSR, coef []float64) *Value {
 
 func backCSRAggregate(v *Value) {
 	tensor.CSRAggregateBackward(v.parents[0].EnsureGrad(), nil, nil, v.Grad, v.ints, v.ints2, v.fs)
-}
-
-// CSRAggregateMul is CSRAggregate with a differentiable per-edge weight: w
-// is an NumEdges×1 column (attention coefficients). Both gradients flow;
-// each is bit-identical to its counterpart in the unfused oracle chain.
-func CSRAggregateMul(a, w *Value, csr *tensor.CSR) *Value {
-	if w.Data.Rows() != csr.NumEdges() || w.Data.Cols() != 1 {
-		panic(fmt.Sprintf("autodiff: CSRAggregateMul w %dx%d for %d edges",
-			w.Data.Rows(), w.Data.Cols(), csr.NumEdges()))
-	}
-	t := tapeFor("CSRAggregateMul", a, w)
-	data := t.scratch(csr.NSeg, a.Data.Cols())
-	tensor.CSRAggregateInto(data, a.Data, csr, w.Data.Data())
-	out := t.node(data, backCSRAggregateMul, a, w)
-	out.ints = csr.Src
-	out.ints2 = csr.Dst
-	return out
-}
-
-func backCSRAggregateMul(v *Value) {
-	a, w := v.parents[0], v.parents[1]
-	var aGrad, wGrad *tensor.Matrix
-	if a.requiresGrad {
-		aGrad = a.EnsureGrad()
-	}
-	if w.requiresGrad {
-		wGrad = w.EnsureGrad()
-	}
-	tensor.CSRAggregateBackward(aGrad, wGrad, a.Data, v.Grad, v.ints, v.ints2, w.Data.Data())
-}
-
-// SegmentSoftmax normalizes the n×1 column e with a numerically stable
-// softmax within each segment: out_i = exp(e_i−m_s)/Σ_{j∈s} exp(e_j−m_s)
-// for s = seg[i]. Rows whose segment has a single member get 1.
-func SegmentSoftmax(e *Value, seg []int, nseg int) *Value {
-	n := e.Data.Rows()
-	if e.Data.Cols() != 1 {
-		panic(fmt.Sprintf("autodiff: SegmentSoftmax on %dx%d (want n×1)", n, e.Data.Cols()))
-	}
-	if len(seg) != n {
-		panic(fmt.Sprintf("autodiff: SegmentSoftmax %d segments for %d rows", len(seg), n))
-	}
-	t := tapeFor("SegmentSoftmax", e)
-	maxes := t.scratch(nseg, 1).Data()
-	for i := range maxes {
-		maxes[i] = math.Inf(-1)
-	}
-	for i := 0; i < n; i++ {
-		if v := e.Data.At(i, 0); v > maxes[seg[i]] {
-			maxes[seg[i]] = v
-		}
-	}
-	sums := t.Matrix(nseg, 1).Data()
-	data := t.scratch(n, 1)
-	for i := 0; i < n; i++ {
-		ex := math.Exp(e.Data.At(i, 0) - maxes[seg[i]])
-		data.Set(i, 0, ex)
-		sums[seg[i]] += ex
-	}
-	for i := 0; i < n; i++ {
-		data.Set(i, 0, data.At(i, 0)/sums[seg[i]])
-	}
-	out := t.node(data, backSegmentSoftmax, e)
-	out.ints = seg
-	out.n = nseg
-	return out
-}
-
-func backSegmentSoftmax(v *Value) {
-	// dL/de_i = α_i (g_i − Σ_{j∈seg(i)} α_j g_j)
-	e, seg, n := v.parents[0], v.ints, v.Data.Rows()
-	dot := v.tape.Matrix(v.n, 1).Data()
-	for i := 0; i < n; i++ {
-		dot[seg[i]] += v.Data.At(i, 0) * v.Grad.At(i, 0)
-	}
-	g := e.EnsureGrad()
-	for i := 0; i < n; i++ {
-		ai := v.Data.At(i, 0)
-		g.Set(i, 0, g.At(i, 0)+ai*(v.Grad.At(i, 0)-dot[seg[i]]))
-	}
-}
-
-// ConcatCols concatenates values horizontally (same row count).
-func ConcatCols(vs ...*Value) *Value {
-	if len(vs) == 0 {
-		panic("autodiff: ConcatCols of nothing")
-	}
-	t := tapeFor("ConcatCols", vs...)
-	rows := vs[0].Data.Rows()
-	cols := 0
-	for _, v := range vs {
-		if v.Data.Rows() != rows {
-			panic(fmt.Sprintf("autodiff: ConcatCols rows %d vs %d", v.Data.Rows(), rows))
-		}
-		cols += v.Data.Cols()
-	}
-	data := t.scratch(rows, cols)
-	off := 0
-	for _, v := range vs {
-		c := v.Data.Cols()
-		for i := 0; i < rows; i++ {
-			copy(data.Row(i)[off:off+c], v.Data.Row(i))
-		}
-		off += c
-	}
-	return t.node(data, backConcatCols, vs...)
-}
-
-func backConcatCols(v *Value) {
-	off := 0
-	for _, p := range v.parents {
-		c := p.Data.Cols()
-		if p.requiresGrad {
-			g := p.EnsureGrad()
-			for i := 0; i < g.Rows(); i++ {
-				grow, orow := g.Row(i), v.Grad.Row(i)[off:off+c]
-				for j := range grow {
-					grow[j] += orow[j]
-				}
-			}
-		}
-		off += c
-	}
 }
 
 // PairDot returns the m×1 column whose k-th entry is the dot product of rows

@@ -11,18 +11,6 @@ import (
 // weight, and target slices are retained by reference like the index arrays
 // of the graph ops.
 
-// SumAll returns the sum of all entries as a 1×1 value.
-func SumAll(a *Value) *Value {
-	t := tapeFor("SumAll", a)
-	data := t.scratch(1, 1)
-	data.Set(0, 0, tensor.Sum(a.Data))
-	return t.node(data, backSumAll, a)
-}
-
-func backSumAll(v *Value) {
-	tensor.AddConstInPlace(v.parents[0].EnsureGrad(), v.Grad.At(0, 0))
-}
-
 // SumSquares returns Σ aᵢⱼ² as a 1×1 value (for L2 regularization).
 func SumSquares(a *Value) *Value {
 	s := 0.0

@@ -237,9 +237,7 @@ func TestTapeSlabSizedToRecording(t *testing.T) {
 	for i := 1; i < n; i++ {
 		y = Scale(y, 2)
 	}
-	seed := tensor.New(1, 1)
-	seed.Fill(1)
-	y.BackwardWithGradient(seed)
+	y.BackwardWithGradient(tensor.Full(1, 1, 1))
 	if got, want := x.Grad.At(0, 0), math.Ldexp(1, n-1); got != want {
 		t.Fatalf("gradient through a %d-node chain = %v, want 2^%d", n, got, n-1)
 	}

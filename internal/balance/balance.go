@@ -94,16 +94,6 @@ func (r *Result) MaxWorkload() int {
 	return mx
 }
 
-// TotalWorkload returns Σ_v wl(v), bounded below by |E| (covering
-// constraint) and above by 2|E| (no trimming).
-func (r *Result) TotalWorkload() int {
-	s := 0
-	for _, w := range r.Workloads {
-		s += w
-	}
-	return s
-}
-
 // comparer wraps the secure protocol so the plaintext fast path charges
 // the same traffic (smc.Protocol.ChargeComparison) as the protocol itself.
 type comparer struct {

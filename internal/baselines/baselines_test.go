@@ -176,8 +176,8 @@ func TestNaiveFedNoisesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Randomized response on Θ(N²) pairs must add many noise edges.
-	if nf.NoisedEdgeCount() <= g.NumEdges() {
-		t.Fatalf("noised graph has %d edges, original %d", nf.NoisedEdgeCount(), g.NumEdges())
+	if got := nf.noisedGraph.NumEdges(); got <= g.NumEdges() {
+		t.Fatalf("noised graph has %d edges, original %d", got, g.NumEdges())
 	}
 	if _, err := nf.TrainSupervised(split); err != nil {
 		t.Fatal(err)

@@ -98,9 +98,6 @@ func NewNaiveFed(g *graph.Graph, cfg NaiveFedConfig) (*NaiveFed, error) {
 	}, nil
 }
 
-// NoisedEdgeCount reports how many edges the server-side noised graph has.
-func (n *NaiveFed) NoisedEdgeCount() int { return n.noisedGraph.NumEdges() }
-
 // TrainSupervised fits against the noised labels on the noised topology.
 func (n *NaiveFed) TrainSupervised(split *graph.NodeSplit) ([]float64, error) {
 	if n.noisyLabels == nil {

@@ -249,7 +249,7 @@ func (r *runner) trainLink(pos [][2]int, sampleNeg func() [][2]int, valPos, valN
 // accuracy evaluates argmax predictions against true labels over mask.
 func (r *runner) accuracy(trueLabels []int, mask []bool) (float64, error) {
 	logits := r.head.Forward(r.embed(false))
-	pred := make([]int, logits.Rows())
+	pred := make([]int, logits.Data.Rows())
 	for v := range pred {
 		pred[v] = tensor.ArgMaxRow(logits.Data, v)
 	}

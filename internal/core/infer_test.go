@@ -148,7 +148,7 @@ func TestForestStateIsDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	emb, preds := sys.ServingTables()
-	emb.Fill(0)
+	emb.Zero()
 	preds[0] = -1
 	afterPreds, err := sys.Predictions()
 	if err != nil {

@@ -230,9 +230,9 @@ func (o *unsupervisedObjective) testMetric() (float64, error) {
 // 50/25/25 supervised, edges 80/5/15 unsupervised) and returns the graph to
 // train on (g itself, or the training-edge subgraph) together with a
 // factory for fresh objectives over that split — an objective binds to one
-// system, so every system a runner builds needs its own. This is the shared
-// task switch behind eval.RunSimTimeline and the lumos-sim CLI; new
-// objectives plug into both by extending it here once.
+// system, so every system a runner builds needs its own. This is the task
+// switch behind the lumos-sim CLI and the end-to-end benchmark; a new
+// objective plugs into both by extending it here once.
 func SplitForTask(g *graph.Graph, task Task, rng *rand.Rand) (*graph.Graph, func() Objective, error) {
 	switch task {
 	case Supervised:

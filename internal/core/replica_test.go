@@ -56,7 +56,7 @@ func TestReplicaRoundTripBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if got := sys.opt.StepCount(); got != start.opt.StepCount() {
+	if got := sys.opt.CaptureState(sys.Params()).StepCount(); got != start.opt.StepCount() {
 		t.Fatalf("optimizer step count %d, want %d", got, start.opt.StepCount())
 	}
 

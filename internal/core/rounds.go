@@ -32,11 +32,6 @@ type RoundOutcome struct {
 	ValEvaluated bool
 }
 
-// ShardCount reports how many shards the engine partitioned the forest into.
-func (s *System) ShardCount() int {
-	return len(s.eng.shards)
-}
-
 // DeviceUploadBytes estimates the bytes device v uploads in one round it
 // participates in: its leaf-embedding pushes to the vertices' owners, its
 // loss share, and its gradient contribution (plus pooled-embedding returns

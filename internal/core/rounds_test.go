@@ -56,8 +56,8 @@ func TestStepRoundFullParticipation(t *testing.T) {
 	if out.Skipped {
 		t.Fatal("full round skipped")
 	}
-	if out.ActiveShards != sys.ShardCount() {
-		t.Fatalf("active shards %d, want %d", out.ActiveShards, sys.ShardCount())
+	if out.ActiveShards != len(sys.eng.shards) {
+		t.Fatalf("active shards %d, want %d", out.ActiveShards, len(sys.eng.shards))
 	}
 	if out.StaleApplied != 0 || out.ExpiredParts != 0 {
 		t.Fatalf("fresh full round reported stale state: %+v", out)
@@ -91,7 +91,7 @@ func TestStepRoundPartialAndExpiry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.ActiveShards >= sys.ShardCount() {
+		if out.ActiveShards >= len(sys.eng.shards) {
 			t.Fatalf("round %d: all shards active despite half fleet offline", r)
 		}
 		if r < 2 && out.ExpiredParts != 0 {
@@ -258,7 +258,7 @@ func TestDefaultShardCountIsHostIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sys.ShardCount(); got != DefaultShards {
+		if got := len(sys.eng.shards); got != DefaultShards {
 			t.Fatalf("Workers=%d: default partition has %d shards, want %d", workers, got, DefaultShards)
 		}
 	}
@@ -267,7 +267,7 @@ func TestDefaultShardCountIsHostIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.ShardCount(); got != small.N {
+	if got := len(sys.eng.shards); got != small.N {
 		t.Fatalf("%d-device default partition has %d shards, want one per device", small.N, got)
 	}
 }

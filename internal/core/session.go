@@ -64,9 +64,6 @@ func (s *System) NewSession(obj Objective) (*Session, error) {
 	}, nil
 }
 
-// Objective returns the objective the session trains.
-func (se *Session) Objective() Objective { return se.obj }
-
 // Step runs one full-participation training epoch: the objective draws its
 // per-epoch samples, the engine executes the sharded forward/backward under
 // the configured schedule, traffic is accounted, and — every

@@ -71,8 +71,7 @@ func TestNewSessionValidation(t *testing.T) {
 	}
 }
 
-// TestSplitForTask covers the shared task switch used by the timeline
-// runner and the lumos-sim CLI.
+// TestSplitForTask covers the task switch the lumos-sim CLI uses.
 func TestSplitForTask(t *testing.T) {
 	g := engineGraph(t, 56)
 	tg, newObj, err := SplitForTask(g, Supervised, rand.New(rand.NewSource(56)))
@@ -195,7 +194,7 @@ func TestUnsupervisedStepRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Skipped || out.Loss <= 0 || out.ActiveShards != sys.ShardCount() {
+	if out.Skipped || out.Loss <= 0 || out.ActiveShards != len(sys.eng.shards) {
 		t.Fatalf("full unsupervised round malformed: %+v", out)
 	}
 	// Half the fleet offline: fewer active shards, positive loss, caches
@@ -210,7 +209,7 @@ func TestUnsupervisedStepRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Skipped || out.ActiveShards >= sys.ShardCount() {
+		if out.Skipped || out.ActiveShards >= len(sys.eng.shards) {
 			t.Fatalf("round %d malformed under half fleet: %+v", r, out)
 		}
 		expired += out.ExpiredParts

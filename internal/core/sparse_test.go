@@ -13,8 +13,9 @@ import (
 // denseOracleForward is the combine the engine used before shard partials
 // became leaf-sized, kept as the reference: every shard's partial padded to
 // N×OutDim (the pool CSR built over all N vertices straight from
-// leafVertex/poolCoef) and the partials summed with autodiff.AddN in shard
-// order, all recorded on one tape of its own. Each shard's first layer reads
+// leafVertex/poolCoef) and the partials summed in shard order (the first
+// copied, the rest added, as autodiff's AddN oracle does), all recorded on
+// one tape of its own. Each shard's first layer reads
 // the input the engine's does (its XView, or X under engine.denseInput).
 func denseOracleForward(e *engine) *tensor.Matrix {
 	tp := autodiff.NewTape()
@@ -27,7 +28,11 @@ func denseOracleForward(e *engine) *tensor.Matrix {
 		h := e.encs[i].Forward(sh.conv, x, false, e.rngs[i])
 		parts[i] = autodiff.CSRAggregate(h, tensor.NewCSR(e.sys.G.N, sh.leafLocal, sh.leafVertex), sh.poolCoef)
 	}
-	return autodiff.AddN(parts...).Data
+	sum := parts[0].Data.Clone()
+	for _, p := range parts[1:] {
+		tensor.AddInPlace(sum, p.Data)
+	}
+	return sum
 }
 
 func requireBitIdentical(t *testing.T, name string, got, want *tensor.Matrix) {

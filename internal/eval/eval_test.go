@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"lumos/internal/core"
 	"lumos/internal/nn"
-	"lumos/internal/sim"
 )
 
 // tinyOpts keeps every experiment runner fast enough for unit tests while
@@ -219,87 +217,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 3 || lines[0] != "a,longcol" {
 		t.Fatalf("csv output:\n%s", csv.String())
-	}
-}
-
-// TestRunSimTimelineUnsupervised exercises the Options.Task threading: the
-// timeline runner must drive the link-prediction objective and label the
-// metric AUC (it used to hardcode the supervised task).
-func TestRunSimTimelineUnsupervised(t *testing.T) {
-	sc := sim.Scenario{
-		Fleet: sim.FleetZipf, ZipfSkew: 1.4,
-		Churn: 0.2, Participation: 0.8,
-		Rounds: 4, EvalEvery: 2, Seed: 4,
-	}
-	opts := tinyOpts()
-	opts.Task = core.Unsupervised
-	rs, err := RunSimTimeline(opts, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("got %d results, want sync+async for one dataset", len(rs))
-	}
-	for _, r := range rs {
-		if r.Task != "unsupervised" || r.Metric != "AUC" {
-			t.Fatalf("timeline labeled task=%q metric=%q", r.Task, r.Metric)
-		}
-		if r.FinalMetric <= 0 || r.WallClock <= 0 || r.TotalBytes <= 0 {
-			t.Fatalf("degenerate unsupervised timeline: %+v", r)
-		}
-	}
-	var buf bytes.Buffer
-	if err := SimTimelineTable(rs).Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "AUC") {
-		t.Fatal("summary table missing the AUC metric label")
-	}
-}
-
-func TestRunSimTimeline(t *testing.T) {
-	sc := sim.Scenario{
-		Fleet: sim.FleetZipf, ZipfSkew: 1.4,
-		Churn: 0.2, Participation: 0.8,
-		Rounds: 6, EvalEvery: 3, Seed: 4,
-	}
-	rs, err := RunSimTimeline(tinyOpts(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("got %d results, want sync+async for one dataset", len(rs))
-	}
-	var syncRes, asyncRes SimTimelineResult
-	for _, r := range rs {
-		if r.Rounds != 6 {
-			t.Fatalf("%s/%s simulated %d rounds, want 6", r.Dataset, r.Sched, r.Rounds)
-		}
-		if r.WallClock <= 0 || r.TotalBytes <= 0 {
-			t.Fatalf("degenerate timeline: %+v", r)
-		}
-		if r.TotalEnergy <= 0 {
-			t.Fatalf("timeline accounted no fleet energy: %+v", r)
-		}
-		switch r.Sched {
-		case "sync":
-			syncRes = r
-		case "async":
-			asyncRes = r
-		}
-	}
-	if asyncRes.WallClock >= syncRes.WallClock {
-		t.Fatalf("async wall-clock %.3fs not below sync %.3fs", asyncRes.WallClock, syncRes.WallClock)
-	}
-	var buf bytes.Buffer
-	if err := SimTimelineTable(rs).Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "async") {
-		t.Fatal("table missing async row")
-	}
-	if err := SimTimelineCSVTable(rs).RenderCSV(&buf); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -37,12 +37,6 @@ type Options struct {
 	Backbones []nn.Backbone
 	// Datasets to evaluate (default both presets).
 	Datasets []string
-	// Task selects the objective the scenario-simulation runner drives
-	// (default core.Supervised — node classification with an accuracy
-	// timeline; core.Unsupervised simulates link prediction with an AUC
-	// timeline). The per-figure runners ignore it: each figure fixes its
-	// own task.
-	Task core.Task
 	// Workers sizes every trainer's worker pool (0 = one per CPU). Results
 	// are bit-identical for any value; this only changes wall-clock time.
 	Workers int
@@ -51,12 +45,7 @@ type Options struct {
 	Sched core.Sched
 	// Staleness is the async gradient-staleness bound (SchedAsync only).
 	Staleness int
-	// Topology, when non-empty, adds a decentralized (gossip) run per
-	// dataset to the scenario-simulation timeline: a topo.ParseSpec string
-	// ("ring:4", "ba:2", "complete", "file:<path>") built over each
-	// dataset's device count with the run seed.
-	Topology string
-	Seed     int64
+	Seed      int64
 }
 
 // Dataset names used throughout the harness.

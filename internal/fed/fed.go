@@ -155,11 +155,6 @@ func (nw *Network) Snapshot() Traffic {
 	return t
 }
 
-// Reset zeroes all counters.
-func (nw *Network) Reset() {
-	nw.traffic = Traffic{PerDeviceSent: make([]int, nw.n)}
-}
-
 // Diff returns the traffic accumulated since an earlier snapshot.
 func (nw *Network) Diff(since Traffic) Traffic {
 	cur := nw.Snapshot()

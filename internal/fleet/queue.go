@@ -108,23 +108,6 @@ func (s *Server) Serve(at float64, bytes int64) float64 {
 	return done
 }
 
-// BusyUntil blocks the server until t — the downlink broadcast occupying
-// the shared link after a commit. A no-op when contention is disabled or t
-// is already in the past.
-func (s *Server) BusyUntil(t float64) {
-	if s.Enabled() && t > s.freeAt {
-		s.freeAt = t
-	}
-}
-
-// FreeAt reports when the server next goes idle.
-func (s *Server) FreeAt() float64 {
-	if !s.Enabled() {
-		return 0
-	}
-	return s.freeAt
-}
-
 // ServeBatch serves one round's worth of jobs under the server's discipline
 // and returns each job's departure time, indexed like jobs. Unlike Serve,
 // the whole batch must be known up front: under processor sharing a job's

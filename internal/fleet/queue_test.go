@@ -36,8 +36,8 @@ func TestServePSEqualJobsFinishTogether(t *testing.T) {
 				t.Fatalf("k=%d job %d departs %v, want %v", k, i, d, want)
 			}
 		}
-		if math.Abs(s.FreeAt()-want) > 1e-9 {
-			t.Fatalf("k=%d freeAt %v, want %v", k, s.FreeAt(), want)
+		if math.Abs(s.freeAt-want) > 1e-9 {
+			t.Fatalf("k=%d freeAt %v, want %v", k, s.freeAt, want)
 		}
 	}
 }
@@ -72,8 +72,8 @@ func TestServeBatchFIFOMatchesServe(t *testing.T) {
 			t.Fatalf("job %d: batch %v != sequential %v", i, batch[i], seq)
 		}
 	}
-	if a.FreeAt() != b.FreeAt() {
-		t.Fatalf("freeAt diverged: %v vs %v", a.FreeAt(), b.FreeAt())
+	if a.freeAt != b.freeAt {
+		t.Fatalf("freeAt diverged: %v vs %v", a.freeAt, b.freeAt)
 	}
 }
 

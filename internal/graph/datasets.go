@@ -80,25 +80,6 @@ func LastFMLike(scale float64, seed int64) (*Graph, error) {
 	})
 }
 
-// SmallWorld returns a small deterministic test graph: a ring of n vertices
-// with k extra chords, 2 classes, 8 features. Useful in unit tests that
-// need a connected graph with known structure.
-func SmallWorld(n int, seed int64) (*Graph, error) {
-	if n < 8 {
-		return nil, fmt.Errorf("graph: SmallWorld needs n ≥ 8, got %d", n)
-	}
-	return Generate(GenConfig{
-		Name:       fmt.Sprintf("smallworld(%d)", n),
-		N:          n,
-		M:          capEdges(3*n, n),
-		Classes:    2,
-		FeatureDim: 8,
-		PowerLaw:   2.8,
-		Homophily:  0.75,
-		Seed:       seed,
-	})
-}
-
 func scaledInt(full int, scale float64, min int) int {
 	v := int(math.Round(float64(full) * scale))
 	if v < min {

@@ -164,15 +164,6 @@ func (g *Graph) Ego(v int) *EgoNet {
 	return e
 }
 
-// Egos extracts all ego networks, the federated system's initial state.
-func (g *Graph) Egos() []*EgoNet {
-	out := make([]*EgoNet, g.N)
-	for v := 0; v < g.N; v++ {
-		out[v] = g.Ego(v)
-	}
-	return out
-}
-
 // Subgraph returns a new graph keeping only the given edges (same vertex
 // set, features, labels). Used to build the training graph in edge splits.
 func (g *Graph) Subgraph(edges [][2]int) (*Graph, error) {

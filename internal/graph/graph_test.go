@@ -84,9 +84,6 @@ func TestEgoIsolation(t *testing.T) {
 	if g.Adj[1][0] == 99 || g.Features.At(1, 0) == 99 {
 		t.Fatal("Ego must copy state")
 	}
-	if len(g.Egos()) != 3 {
-		t.Fatal("Egos count wrong")
-	}
 }
 
 func TestSubgraphKeepsAttributes(t *testing.T) {
@@ -260,19 +257,6 @@ func TestPresetScaleValidation(t *testing.T) {
 	}
 	if _, err := LastFMLike(1.5, 1); err == nil {
 		t.Fatal("scale >1 must error")
-	}
-}
-
-func TestSmallWorld(t *testing.T) {
-	g, err := SmallWorld(40, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N != 40 || g.NumClasses != 2 {
-		t.Fatalf("smallworld: %d nodes %d classes", g.N, g.NumClasses)
-	}
-	if _, err := SmallWorld(4, 2); err == nil {
-		t.Fatal("too-small SmallWorld must error")
 	}
 }
 

@@ -93,15 +93,6 @@ func NewCDF(values []int) *CDF {
 	return &CDF{sorted: s}
 }
 
-// At returns P[X ≤ x].
-func (c *CDF) At(x int) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchInts(c.sorted, x+1)
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the smallest value v with P[X ≤ v] ≥ p.
 func (c *CDF) Quantile(p float64) int {
 	if len(c.sorted) == 0 {
@@ -156,19 +147,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // RelChange returns (a−b)/b, the relative-difference statistic the paper

@@ -129,15 +129,6 @@ func TestQuickROCAUCComplementSymmetry(t *testing.T) {
 
 func TestCDF(t *testing.T) {
 	c := NewCDF([]int{5, 1, 3, 3, 9})
-	if c.At(0) != 0 {
-		t.Fatalf("At(0) = %v", c.At(0))
-	}
-	if c.At(3) != 0.6 {
-		t.Fatalf("At(3) = %v", c.At(3))
-	}
-	if c.At(9) != 1 || c.At(100) != 1 {
-		t.Fatal("upper tail wrong")
-	}
 	if c.Max() != 9 {
 		t.Fatalf("Max = %d", c.Max())
 	}
@@ -158,7 +149,7 @@ func TestCDF(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
-	if c.At(5) != 0 || c.Max() != 0 || c.Quantile(0.5) != 0 {
+	if c.Max() != 0 || c.Quantile(0.5) != 0 {
 		t.Fatal("empty CDF must be all zeros")
 	}
 }
@@ -169,12 +160,6 @@ func TestMeanStd(t *testing.T) {
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean must be 0")
-	}
-	if got := Std([]float64{2, 4}); got != 1 {
-		t.Fatalf("std = %v", got)
-	}
-	if Std([]float64{1}) != 0 {
-		t.Fatal("single-sample std must be 0")
 	}
 }
 

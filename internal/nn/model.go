@@ -174,30 +174,3 @@ func (m *GNN) CloneShared() *GNN {
 	}
 	return c
 }
-
-// Classifier couples a GNN encoder with a linear decoding head, the
-// supervised architecture of §VI-C(a): z_u = LINEAR(h_u), softmax, CE loss.
-type Classifier struct {
-	Encoder *GNN
-	Head    *Linear
-}
-
-// NewClassifier builds an encoder plus a classes-way linear head.
-func NewClassifier(cfg GNNConfig, classes int, rng *rand.Rand) (*Classifier, error) {
-	enc, err := NewGNN(cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	if classes < 2 {
-		return nil, fmt.Errorf("nn: classifier needs ≥2 classes, got %d", classes)
-	}
-	return &Classifier{
-		Encoder: enc,
-		Head:    NewLinear("head", cfg.OutDim, classes, rng),
-	}, nil
-}
-
-// Params implements Module.
-func (c *Classifier) Params() []*Param {
-	return append(c.Encoder.Params(), c.Head.Params()...)
-}

@@ -110,12 +110,6 @@ func (l *Linear) Forward(x *autodiff.Value) *autodiff.Value {
 // Params implements Module.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// CloneShared returns a view of the layer whose parameters share l's
-// matrices but own independent gradient buffers (see ShareParam).
-func (l *Linear) CloneShared() *Linear {
-	return &Linear{In: l.In, Out: l.Out, W: ShareParam(l.W), B: ShareParam(l.B)}
-}
-
 // ---------------------------------------------------------------------------
 // ConvGraph: the message-passing structure consumed by GCN/GAT layers
 // ---------------------------------------------------------------------------

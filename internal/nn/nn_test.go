@@ -15,8 +15,8 @@ func TestLinearShapesAndParams(t *testing.T) {
 	l := NewLinear("fc", 4, 3, rng)
 	x := autodiff.NewTape().Const(tensor.Uniform(5, 4, -1, 1, rng))
 	y := l.Forward(x)
-	if y.Rows() != 5 || y.Cols() != 3 {
-		t.Fatalf("linear output %dx%d", y.Rows(), y.Cols())
+	if y.Data.Rows() != 5 || y.Data.Cols() != 3 {
+		t.Fatalf("linear output %dx%d", y.Data.Rows(), y.Data.Cols())
 	}
 	if len(l.Params()) != 2 {
 		t.Fatalf("linear has %d params", len(l.Params()))
@@ -109,16 +109,16 @@ func TestGATConvShapes(t *testing.T) {
 	concat := NewGATConv("gat", 8, 4, 3, true, rng)
 	x := autodiff.NewTape().Const(tensor.Uniform(6, 8, -1, 1, rng))
 	y := concat.Forward(g, x)
-	if y.Cols() != 12 {
-		t.Fatalf("concat GAT output cols = %d, want 12", y.Cols())
+	if y.Data.Cols() != 12 {
+		t.Fatalf("concat GAT output cols = %d, want 12", y.Data.Cols())
 	}
 	if concat.OutDim() != 12 {
 		t.Fatalf("OutDim = %d", concat.OutDim())
 	}
 	avg := NewGATConv("gat2", 8, 4, 3, false, rng)
 	y2 := avg.Forward(g, x)
-	if y2.Cols() != 4 {
-		t.Fatalf("avg GAT output cols = %d, want 4", y2.Cols())
+	if y2.Data.Cols() != 4 {
+		t.Fatalf("avg GAT output cols = %d, want 4", y2.Data.Cols())
 	}
 	if got := len(avg.Params()); got != 3*3+1 {
 		t.Fatalf("GAT params = %d", got)
@@ -168,8 +168,8 @@ func TestGNNForwardBothBackbones(t *testing.T) {
 			t.Fatal(err)
 		}
 		y := m.Forward(g, x, true, rng)
-		if y.Rows() != 5 || y.Cols() != 4 {
-			t.Fatalf("%v output %dx%d", bb, y.Rows(), y.Cols())
+		if y.Data.Rows() != 5 || y.Data.Cols() != 4 {
+			t.Fatalf("%v output %dx%d", bb, y.Data.Rows(), y.Data.Cols())
 		}
 		if tensor.HasNaN(y.Data) {
 			t.Fatalf("%v produced NaN", bb)
@@ -194,8 +194,9 @@ func TestBackboneString(t *testing.T) {
 }
 
 func TestClassifierEndToEndLearnsXORish(t *testing.T) {
-	// Two clusters on a graph with cluster-pure features: the classifier
-	// should separate them quickly.
+	// Two clusters on a graph with cluster-pure features: a GCN encoder
+	// under a linear head (the supervised architecture of §VI-C(a)) should
+	// separate them quickly.
 	rng := rand.New(rand.NewSource(9))
 	edges := [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}}
 	g := NewConvGraph(6, edges)
@@ -204,17 +205,19 @@ func TestClassifierEndToEndLearnsXORish(t *testing.T) {
 		{0, 1}, {0, 1}, {0, 1},
 	})
 	labels := []int{0, 0, 0, 1, 1, 1}
-	clf, err := NewClassifier(GNNConfig{Backbone: GCN, InDim: 2, Hidden: 8, OutDim: 4, Dropout: 0.0}, 2, rng)
+	enc, err := NewGNN(GNNConfig{Backbone: GCN, InDim: 2, Hidden: 8, OutDim: 4, Dropout: 0.0}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	head := NewLinear("head", 4, 2, rng)
+	clf := paramSet(append(enc.Params(), head.Params()...))
 	opt := NewAdam(0.05)
 	tape := autodiff.NewTape()
 	var last float64
 	for epoch := 0; epoch < 120; epoch++ {
 		tape.Reset()
-		h := clf.Encoder.Forward(g, tape.Const(x), true, rng)
-		logits := clf.Head.Forward(h)
+		h := enc.Forward(g, tape.Const(x), true, rng)
+		logits := head.Forward(h)
 		loss := autodiff.SoftmaxCrossEntropy(logits, labels, nil)
 		ZeroGrad(clf)
 		loss.Backward()
@@ -225,19 +228,12 @@ func TestClassifierEndToEndLearnsXORish(t *testing.T) {
 		t.Fatalf("classifier failed to fit: final loss %v", last)
 	}
 	tape.Reset()
-	h := clf.Encoder.Forward(g, tape.Const(x), false, rng)
-	logits := clf.Head.Forward(h)
+	h := enc.Forward(g, tape.Const(x), false, rng)
+	logits := head.Forward(h)
 	for i, y := range labels {
 		if tensor.ArgMaxRow(logits.Data, i) != y {
 			t.Fatalf("node %d misclassified", i)
 		}
-	}
-}
-
-func TestClassifierNeedsTwoClasses(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	if _, err := NewClassifier(GNNConfig{Backbone: GCN, InDim: 2, Hidden: 2, OutDim: 2}, 1, rng); err == nil {
-		t.Fatal("expected error for single class")
 	}
 }
 
@@ -246,7 +242,7 @@ func TestSnapshotRestore(t *testing.T) {
 	l := NewLinear("fc", 3, 3, rng)
 	snap := Snapshot(l)
 	orig := l.W.V.Data.Clone()
-	l.W.V.Data.Fill(0)
+	l.W.V.Data.Zero()
 	Restore(l, snap)
 	if !tensor.ApproxEqual(l.W.V.Data, orig, 0) {
 		t.Fatal("restore did not recover weights")
@@ -326,7 +322,7 @@ func TestCloneSharedSharesWeightsSplitsGrads(t *testing.T) {
 	g := NewConvGraph(3, [][2]int{{0, 1}, {1, 2}})
 	x := autodiff.NewTape().Const(tensor.Uniform(3, 6, -1, 1, rng))
 	out := view.Forward(g, x, false, rng)
-	autodiff.SumAll(out).Backward()
+	out.BackwardWithGradient(tensor.Full(out.Data.Rows(), out.Data.Cols(), 1))
 	for i := range ps {
 		if ps[i].V.Grad != nil {
 			t.Fatalf("param %q: view backward leaked into original grad", ps[i].Name)
@@ -338,22 +334,10 @@ func TestCloneSharedSharesWeightsSplitsGrads(t *testing.T) {
 
 	// Restore on the original must be visible through the view (shared data).
 	snap := Snapshot(enc)
-	ps[0].V.Data.Fill(0)
+	ps[0].V.Data.Zero()
 	Restore(enc, snap)
 	if !tensor.ApproxEqual(vs[0].V.Data, snap[0], 0) {
 		t.Fatal("Restore not visible through the shared view")
-	}
-}
-
-func TestCloneSharedLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	l := NewLinear("head", 4, 3, rng)
-	v := l.CloneShared()
-	if v.W.V.Data != l.W.V.Data || v.B.V.Data != l.B.V.Data {
-		t.Fatal("Linear view does not share weights")
-	}
-	if v.W.V == l.W.V {
-		t.Fatal("Linear view shares the W Value")
 	}
 }
 

@@ -312,16 +312,6 @@ func restoreMoment(dst map[*autodiff.Value]*tensor.Matrix, key *autodiff.Value, 
 	dst[key] = src.Clone()
 }
 
-// Reset clears optimizer state (moments and step count).
-func (o *Adam) Reset() {
-	o.t = 0
-	o.m = make(map[*autodiff.Value]*tensor.Matrix)
-	o.v = make(map[*autodiff.Value]*tensor.Matrix)
-}
-
-// StepCount returns the number of updates applied so far.
-func (o *Adam) StepCount() int { return o.t }
-
 // SGD is a plain stochastic gradient descent optimizer, kept as a simple
 // reference and for ablation against Adam.
 type SGD struct {

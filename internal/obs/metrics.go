@@ -159,56 +159,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Quantile estimates the q-th quantile (q in [0,1]) from the bucket counts
-// by linear interpolation inside the containing bucket. Values beyond the
-// last finite bound are clamped to it (the +Inf bucket has no width), and a
-// histogram with no observations reports 0.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	cum := int64(0)
-	for i, c := range s.Counts {
-		prev := cum
-		cum += c
-		if float64(cum) < rank || c == 0 {
-			continue
-		}
-		if i >= len(s.Bounds) {
-			return s.Bounds[len(s.Bounds)-1] // overflow bucket: clamp
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		frac := (rank - float64(prev)) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		return lo + frac*(hi-lo)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // Default bucket layouts. Bounds are inclusive upper edges.
 var (
 	// LatencyBuckets spans 100µs to 10s — request latencies in seconds.

@@ -38,10 +38,10 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
-	if s := h.Snapshot(); s.Count != 0 || s.Quantile(0.5) != 0 {
+	if s := h.Snapshot(); s.Count != 0 {
 		t.Fatal("nil histogram snapshot must be zero")
 	}
 	if err := r.WritePrometheus(nil); err != nil {
@@ -70,36 +70,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if got, want := s.Sum, 0.5+1+1.5+2+3+10; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum = %g, want %g", got, want)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{10, 20, 30, 40})
-	// 100 observations spread uniformly: 25 in each of the four buckets.
-	for b := 0; b < 4; b++ {
-		for i := 0; i < 25; i++ {
-			h.Observe(float64(b*10) + 5)
-		}
-	}
-	s := h.Snapshot()
-	cases := []struct{ q, want float64 }{
-		{0.25, 10}, {0.5, 20}, {0.75, 30}, {1, 40},
-		{0.125, 5}, // halfway into the first bucket
-	}
-	for _, c := range cases {
-		if got := s.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	// Overflow observations clamp to the last finite bound.
-	h2 := newHistogram([]float64{1})
-	h2.Observe(100)
-	if got := h2.Snapshot().Quantile(0.99); got != 1 {
-		t.Fatalf("overflow quantile = %g, want clamp to 1", got)
-	}
-	// Empty histogram reports 0.
-	if got := newHistogram([]float64{1}).Snapshot().Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %g, want 0", got)
 	}
 }
 
@@ -161,10 +131,10 @@ func TestMetricsHammerConcurrent(t *testing.T) {
 	if g.Value() != total {
 		t.Fatalf("gauge = %g, want %d", g.Value(), total)
 	}
-	if h.Count() != total {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), total)
-	}
 	s := h.Snapshot()
+	if s.Count != total {
+		t.Fatalf("histogram count = %d, want %d", s.Count, total)
+	}
 	sum := int64(0)
 	for _, n := range s.Counts {
 		sum += n

@@ -60,7 +60,10 @@ func TestE2EStragglerBlameMatchesSlowestDevice(t *testing.T) {
 	// with no churn and full participation every device starts at the
 	// previous commit, so the aggregator's FIFO finishes last with the
 	// device whose compute + transfer is largest.
-	profiles := s.Profiles()
+	profiles, err := sim.BuildProfiles(sc, g.N) // the fleet the simulator drew
+	if err != nil {
+		t.Fatal(err)
+	}
 	wl := sys.Workloads()
 	up := sys.DeviceUploadBytes()
 	slowest, slowestT := -1, math.Inf(-1)

@@ -14,9 +14,8 @@
 //   - metrics.prom — the final Prometheus scrape of the run's registry.
 //
 // Writer streams a record incrementally (lumos-sim/lumos-train -run-out);
-// WriteRunRecord writes one in a single call; LoadRunRecord reads one back,
-// tolerating a truncated rounds.jsonl tail with a warning — exactly what a
-// killed run leaves behind. Two records of the same scenario diff with
+// LoadRunRecord reads one back, tolerating a truncated rounds.jsonl tail
+// with a warning — exactly what a killed run leaves behind. Two records of the same scenario diff with
 // Diff (cmd/lumos-report), turning any pair of runs into a CI-able A/B
 // gate; AnalyzeTrace (analyze.go) computes per-round critical paths and
 // straggler blame from the trace events the simulator records.
@@ -29,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 
 	"lumos/internal/core"
@@ -276,57 +274,6 @@ func writeManifest(dir string, m Manifest) error {
 	}
 	if err != nil {
 		return fmt.Errorf("report: manifest: %w", err)
-	}
-	return nil
-}
-
-// WriteRunRecord writes a complete record to dir in one call — the
-// non-streaming twin of Writer, used when the rows already exist (tests,
-// post-hoc conversion, doctored fixtures).
-func WriteRunRecord(dir string, rec *RunRecord) error {
-	if rec == nil {
-		return fmt.Errorf("report: nil record")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("report: %w", err)
-	}
-	if err := writeManifest(dir, rec.Manifest); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, RoundsFile))
-	if err != nil {
-		return fmt.Errorf("report: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	for _, row := range rec.Rounds {
-		b, err := json.Marshal(row)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("report: %w", err)
-		}
-		bw.Write(b)
-		bw.WriteByte('\n')
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("report: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("report: %w", err)
-	}
-	if rec.Metrics != nil {
-		names := make([]string, 0, len(rec.Metrics))
-		for n := range rec.Metrics {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		var b strings.Builder
-		for _, n := range names {
-			fmt.Fprintf(&b, "%s %g\n", n, rec.Metrics[n])
-		}
-		if err := os.WriteFile(filepath.Join(dir, MetricsFile), []byte(b.String()), 0o644); err != nil {
-			return fmt.Errorf("report: %w", err)
-		}
 	}
 	return nil
 }

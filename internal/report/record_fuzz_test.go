@@ -17,7 +17,7 @@ import (
 // nothing may be sized by a value the input names.
 func recordAllocBound(n int) uint64 { return 64<<10 + 1024*uint64(n) }
 
-// shortSimRecordFiles returns the three files WriteRunRecord writes for
+// shortSimRecordFiles returns the three files writeRunRecord writes for
 // shortSim's two-round run: manifest, rounds and metrics.
 func shortSimRecordFiles(tb testing.TB) (manifest, rounds, metrics []byte) {
 	reg := obs.New()
@@ -40,7 +40,7 @@ func shortSimRecordFiles(tb testing.TB) (manifest, rounds, metrics []byte) {
 		rec.Rounds = append(rec.Rounds, RowFromSim(rs))
 	}
 	dir := filepath.Join(tb.TempDir(), "rec")
-	if err := WriteRunRecord(dir, rec); err != nil {
+	if err := writeRunRecord(dir, rec); err != nil {
 		tb.Fatal(err)
 	}
 	read := func(name string) []byte {

@@ -1,9 +1,13 @@
 package report
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -35,7 +39,7 @@ func sampleRecord() *RunRecord {
 func TestRunRecordRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "rec")
 	want := sampleRecord()
-	if err := WriteRunRecord(dir, want); err != nil {
+	if err := writeRunRecord(dir, want); err != nil {
 		t.Fatal(err)
 	}
 	got, warnings, err := LoadRunRecord(dir)
@@ -56,7 +60,7 @@ func TestRunRecordRoundTrip(t *testing.T) {
 func TestLoadLegacyKernelsKey(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "rec")
 	want := sampleRecord()
-	if err := WriteRunRecord(dir, want); err != nil {
+	if err := writeRunRecord(dir, want); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, ManifestFile)
@@ -140,7 +144,7 @@ func TestNilWriterNoOps(t *testing.T) {
 func TestLoadTruncatedTail(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "rec")
 	want := sampleRecord()
-	if err := WriteRunRecord(dir, want); err != nil {
+	if err := writeRunRecord(dir, want); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, RoundsFile)
@@ -170,7 +174,7 @@ func TestLoadTruncatedTail(t *testing.T) {
 // truncation artifact and must fail loudly.
 func TestLoadCorruptMiddleFails(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "rec")
-	if err := WriteRunRecord(dir, sampleRecord()); err != nil {
+	if err := writeRunRecord(dir, sampleRecord()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, RoundsFile)
@@ -194,7 +198,7 @@ func TestLoadMissingRoundsWarns(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "rec")
 	rec := sampleRecord()
 	rec.Rounds, rec.Metrics = nil, nil
-	if err := WriteRunRecord(dir, rec); err != nil {
+	if err := writeRunRecord(dir, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, RoundsFile)); err != nil {
@@ -210,4 +214,54 @@ func TestLoadMissingRoundsWarns(t *testing.T) {
 	if len(got.Rounds) != 0 || got.Metrics != nil {
 		t.Fatalf("unexpected content: %+v", got)
 	}
+}
+
+// writeRunRecord writes a complete record to dir in one call — the
+// non-streaming twin of Writer, for fixtures whose rows already exist.
+func writeRunRecord(dir string, rec *RunRecord) error {
+	if rec == nil {
+		return fmt.Errorf("report: nil record")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("report: %w", err)
+	}
+	if err := writeManifest(dir, rec.Manifest); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, RoundsFile))
+	if err != nil {
+		return fmt.Errorf("report: %w", err)
+	}
+	bw := bufio.NewWriter(f)
+	for _, row := range rec.Rounds {
+		b, err := json.Marshal(row)
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("report: %w", err)
+		}
+		bw.Write(b)
+		bw.WriteByte('\n')
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return fmt.Errorf("report: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("report: %w", err)
+	}
+	if rec.Metrics != nil {
+		names := make([]string, 0, len(rec.Metrics))
+		for n := range rec.Metrics {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		var b strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&b, "%s %g\n", n, rec.Metrics[n])
+		}
+		if err := os.WriteFile(filepath.Join(dir, MetricsFile), []byte(b.String()), 0o644); err != nil {
+			return fmt.Errorf("report: %w", err)
+		}
+	}
+	return nil
 }

@@ -175,8 +175,7 @@ func TestServeBundleBitIdentical(t *testing.T) {
 // all classes are int(v) and every pair score is v²·cols, so a reader that
 // mixes fields from two bundles (a torn read) is caught immediately.
 func fakeBundle(v uint64, n, cols int) *Bundle {
-	emb := tensor.New(n, cols)
-	emb.Fill(float64(v))
+	emb := tensor.Full(n, cols, float64(v))
 	preds := make([]int, n)
 	for i := range preds {
 		preds[i] = int(v)

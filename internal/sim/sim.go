@@ -107,8 +107,8 @@ type Scenario struct {
 	// Topology is the device contact graph for decentralized (gossip)
 	// scheduling: required — and only meaningful — when the system's
 	// Config.Sched is core.SchedGossip, with exactly one topology node per
-	// device. Build one with the internal/topo generators or load a measured
-	// contact graph with topo.Load. New rejects a topology under star
+	// device. Build one from a topo.Spec: a generator, or a measured
+	// contact graph through "file:<path>". New rejects a topology under star
 	// scheduling and a gossip system without one.
 	Topology *topo.Topology
 	// LinkDiscipline selects how concurrent deltas share a gossip link:

@@ -235,11 +235,6 @@ func (s *Simulator) recordRound(rs *RoundStats) {
 	}
 }
 
-// Profiles exposes the fleet for inspection and reporting.
-func (s *Simulator) Profiles() []Profile {
-	return append([]Profile(nil), s.profiles...)
-}
-
 // Run simulates the scenario's rounds over the system, driving one training
 // session of the given objective round by round, and returns the timeline.
 // The objective supplies the task's training signal (only present devices

@@ -48,14 +48,6 @@ type Stats struct {
 	Comparisons int   // top-level comparisons completed
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Messages += other.Messages
-	s.Bytes += other.Bytes
-	s.OTs += other.OTs
-	s.Comparisons += other.Comparisons
-}
-
 // otWireBytes models the per-OT wire cost of an IKNP-style OT extension of
 // single-bit secrets: a 128-bit column plus two masked payloads.
 const otWireBytes = 18
@@ -249,24 +241,4 @@ func toFixed(v float64, bits int) uint64 {
 		x = limit
 	}
 	return uint64(x)
-}
-
-// ---------------------------------------------------------------------------
-// Secure difference (additive masking), kept for completeness
-// ---------------------------------------------------------------------------
-
-// Diff reveals a − b to the caller using additive masking through an
-// exchange of blinded values: bob blinds b with fresh randomness, alice
-// aggregates, bob unblinds the aggregate. Note that whoever learns a − b
-// and knows one operand can recover the other — which is why the MCMC uses
-// AcceptMH instead; Diff exists to mirror the paper's literal "compute
-// f(Xt) − f(X't)" formulation and for tests.
-func (p *Protocol) Diff(alice *Party, a int64, bob *Party, b int64) int64 {
-	r := int64(bob.stream().Uint64() >> 1) // bob's blinding factor
-	blinded := b + r                       // bob → alice
-	partial := a - blinded                 // alice → bob
-	result := partial + r                  // bob reveals a − b
-	p.Stats.Messages += 3
-	p.Stats.Bytes += 24
-	return result
 }

@@ -92,15 +92,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Messages: 1, Bytes: 2, OTs: 3, Comparisons: 4}
-	b := Stats{Messages: 10, Bytes: 20, OTs: 30, Comparisons: 40}
-	a.Add(b)
-	if a.Messages != 11 || a.Bytes != 22 || a.OTs != 33 || a.Comparisons != 44 {
-		t.Fatalf("Add = %+v", a)
-	}
-}
-
 func TestProtocolRangeCheck(t *testing.T) {
 	stats := &Stats{}
 	p := NewProtocol(8, stats)
@@ -299,20 +290,6 @@ func TestAcceptMHValidatesU(t *testing.T) {
 		}
 	}()
 	p.AcceptMH(NewParty(1), 1, NewParty(2), 1, 0)
-}
-
-func TestDiff(t *testing.T) {
-	stats := &Stats{}
-	p := NewProtocol(32, stats)
-	alice, bob := NewParty(16), NewParty(17)
-	for _, c := range [][2]int64{{10, 3}, {3, 10}, {-5, 5}, {0, 0}, {1 << 40, 1}} {
-		if got := p.Diff(alice, c[0], bob, c[1]); got != c[0]-c[1] {
-			t.Fatalf("Diff(%d,%d) = %d", c[0], c[1], got)
-		}
-	}
-	if stats.Messages == 0 {
-		t.Fatal("Diff recorded no traffic")
-	}
 }
 
 func TestToFixedSaturates(t *testing.T) {

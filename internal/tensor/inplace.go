@@ -15,56 +15,13 @@ import (
 //
 // Accumulating variants (…AddInto, …InPlace) require dst to hold the running
 // value; overwriting variants (…Into) fully define dst. All of them check
-// shapes and panic on mismatch, like the allocating kernels they mirror.
-
-// AddInto stores a + b into dst (all same shape).
-func AddInto(dst, a, b *Matrix) {
-	dst.sameShape(a, "AddInto")
-	a.sameShape(b, "AddInto")
-	for i := range dst.data {
-		dst.data[i] = a.data[i] + b.data[i]
-	}
-}
-
-// SubInto stores a − b into dst (all same shape).
-func SubInto(dst, a, b *Matrix) {
-	dst.sameShape(a, "SubInto")
-	a.sameShape(b, "SubInto")
-	for i := range dst.data {
-		dst.data[i] = a.data[i] - b.data[i]
-	}
-}
-
-// MulElemInto stores the Hadamard product a ⊙ b into dst (all same shape).
-func MulElemInto(dst, a, b *Matrix) {
-	dst.sameShape(a, "MulElemInto")
-	a.sameShape(b, "MulElemInto")
-	for i := range dst.data {
-		dst.data[i] = a.data[i] * b.data[i]
-	}
-}
-
-// MulElemAddInto accumulates a ⊙ b into dst (all same shape).
-func MulElemAddInto(dst, a, b *Matrix) {
-	dst.sameShape(a, "MulElemAddInto")
-	a.sameShape(b, "MulElemAddInto")
-	for i := range dst.data {
-		dst.data[i] += a.data[i] * b.data[i]
-	}
-}
+// shapes and panic on mismatch.
 
 // ScaleInto stores s·a into dst (same shape).
 func ScaleInto(dst, a *Matrix, s float64) {
 	dst.sameShape(a, "ScaleInto")
 	for i := range dst.data {
 		dst.data[i] = s * a.data[i]
-	}
-}
-
-// AddConstInPlace adds the scalar c to every entry of dst.
-func AddConstInPlace(dst *Matrix, c float64) {
-	for i := range dst.data {
-		dst.data[i] += c
 	}
 }
 
@@ -96,22 +53,8 @@ func AddRowSumsInPlace(dst, a *Matrix) {
 	}
 }
 
-// GatherInto stores the matrix whose i-th row is a.Row(idx[i]) into dst.
-func GatherInto(dst, a *Matrix, idx []int) {
-	if dst.rows != len(idx) || dst.cols != a.cols {
-		panic(fmt.Sprintf("tensor: GatherInto dst %dx%d for %d rows of %dx%d",
-			dst.rows, dst.cols, len(idx), a.rows, a.cols))
-	}
-	for i, r := range idx {
-		if r < 0 || r >= a.rows {
-			panic(fmt.Sprintf("tensor: GatherInto index %d out of range [0,%d)", r, a.rows))
-		}
-		copy(dst.Row(i), a.Row(r))
-	}
-}
-
 // SoftmaxRowsInto stores the row-wise softmax of a into dst, numerically
-// stabilized like SoftmaxRows.
+// stabilized by subtracting each row's maximum.
 func SoftmaxRowsInto(dst, a *Matrix) {
 	dst.sameShape(a, "SoftmaxRowsInto")
 	for i := 0; i < a.rows; i++ {

@@ -237,7 +237,7 @@ func TestCSRAggregateKernelMatchesScatter(t *testing.T) {
 		csr := NewCSR(tc.nseg, src, dst)
 
 		// Unfused: materialize the scaled message matrix, then scatter.
-		msg := Gather(a, src)
+		msg := gather(a, src)
 		for e := 0; e < tc.m; e++ {
 			row := msg.Row(e)
 			for j := range row {
@@ -256,7 +256,7 @@ func TestCSRAggregateKernelMatchesScatter(t *testing.T) {
 
 		// Unweighted variant against a plain scatter of the gathered rows.
 		wantU := New(tc.nseg, tc.c)
-		ScatterAddRows(wantU, Gather(a, src), dst)
+		ScatterAddRows(wantU, gather(a, src), dst)
 		gotU := saltedMatrix(tc.nseg, tc.c, rng)
 		CSRAggregateInto(gotU, a, csr, nil)
 		requireBitIdentical(t, "CSRAggregateInto unweighted", wantU, gotU)

@@ -5,37 +5,6 @@ import (
 	"math"
 )
 
-// The allocating kernels below are thin wrappers over their Into/fused
-// twins in inplace.go, so each kernel has exactly one implementation.
-
-// Add returns a + b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	AddInto(out, a, b)
-	return out
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	SubInto(out, a, b)
-	return out
-}
-
-// MulElem returns the Hadamard (elementwise) product a ⊙ b.
-func MulElem(a, b *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	MulElemInto(out, a, b)
-	return out
-}
-
-// Scale returns s·a.
-func Scale(a *Matrix, s float64) *Matrix {
-	out := New(a.rows, a.cols)
-	ScaleInto(out, a, s)
-	return out
-}
-
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Matrix) {
 	a.sameShape(b, "AddInPlace")
@@ -49,25 +18,6 @@ func AddScaledInPlace(a *Matrix, s float64, b *Matrix) {
 	a.sameShape(b, "AddScaledInPlace")
 	for i := range a.data {
 		a.data[i] += s * b.data[i]
-	}
-}
-
-// SumInto accumulates every src into dst in argument order. It is the
-// reduction entry point of the device-parallel trainer: the summation order
-// is fixed by the caller (shard order), so the result is bit-identical no
-// matter how many workers produced the inputs. Nil sources are skipped.
-func SumInto(dst *Matrix, srcs ...*Matrix) {
-	for _, s := range srcs {
-		if s != nil {
-			AddInPlace(dst, s)
-		}
-	}
-}
-
-// ScaleInPlace multiplies every entry of a by s.
-func ScaleInPlace(a *Matrix, s float64) {
-	for i := range a.data {
-		a.data[i] *= s
 	}
 }
 
@@ -91,64 +41,6 @@ func MatMul(a, b *Matrix) *Matrix {
 	parallelRowBlocks(a.rows, workers, func(lo, hi int) {
 		matMulRowsBlocked(a, b, out, lo, hi)
 	})
-	return out
-}
-
-// Transpose returns aᵀ.
-func Transpose(a *Matrix) *Matrix {
-	out := New(a.cols, a.rows)
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			out.data[j*out.cols+i] = a.data[i*a.cols+j]
-		}
-	}
-	return out
-}
-
-// AddRowVector returns a with the 1×cols row vector v added to every row.
-func AddRowVector(a, v *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	AddRowVectorInto(out, a, v)
-	return out
-}
-
-// SumRows returns the 1×cols vector of column sums (summing down each column).
-func SumRows(a *Matrix) *Matrix {
-	out := New(1, a.cols)
-	AddRowSumsInPlace(out, a)
-	return out
-}
-
-// Sum returns the sum of all entries.
-func Sum(a *Matrix) float64 {
-	s := 0.0
-	for _, v := range a.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the mean of all entries (0 for an empty matrix).
-func Mean(a *Matrix) float64 {
-	if len(a.data) == 0 {
-		return 0
-	}
-	return Sum(a) / float64(len(a.data))
-}
-
-// Apply returns f applied elementwise to a.
-func Apply(a *Matrix, f func(float64) float64) *Matrix {
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
-// Gather returns the matrix whose i-th row is a.Row(idx[i]).
-func Gather(a *Matrix, idx []int) *Matrix {
-	out := New(len(idx), a.cols)
-	GatherInto(out, a, idx)
 	return out
 }
 
@@ -225,13 +117,6 @@ func ArgMaxRow(a *Matrix, i int) int {
 	return bi
 }
 
-// SoftmaxRows returns row-wise softmax of a, numerically stabilized.
-func SoftmaxRows(a *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	SoftmaxRowsInto(out, a)
-	return out
-}
-
 // MaxAbs returns the maximum absolute entry value (0 for empty).
 func MaxAbs(a *Matrix) float64 {
 	mx := 0.0
@@ -241,15 +126,6 @@ func MaxAbs(a *Matrix) float64 {
 		}
 	}
 	return mx
-}
-
-// Norm2 returns the Frobenius norm.
-func Norm2(a *Matrix) float64 {
-	s := 0.0
-	for _, v := range a.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // ApproxEqual reports whether a and b have the same shape and every entry
@@ -274,58 +150,4 @@ func HasNaN(a *Matrix) bool {
 		}
 	}
 	return false
-}
-
-// VStack concatenates matrices vertically. All inputs must share a column
-// count; empty inputs are skipped. VStack of nothing returns a 0×0 matrix.
-func VStack(ms ...*Matrix) *Matrix {
-	rows, cols := 0, -1
-	for _, m := range ms {
-		if m == nil || m.rows == 0 {
-			continue
-		}
-		if cols == -1 {
-			cols = m.cols
-		} else if m.cols != cols {
-			panic(fmt.Sprintf("tensor: VStack cols %d vs %d", m.cols, cols))
-		}
-		rows += m.rows
-	}
-	if cols == -1 {
-		return New(0, 0)
-	}
-	out := New(rows, cols)
-	r := 0
-	for _, m := range ms {
-		if m == nil || m.rows == 0 {
-			continue
-		}
-		copy(out.data[r*cols:], m.data)
-		r += m.rows
-	}
-	return out
-}
-
-// HStack concatenates matrices horizontally. All inputs must share a row count.
-func HStack(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows := ms[0].rows
-	cols := 0
-	for _, m := range ms {
-		if m.rows != rows {
-			panic(fmt.Sprintf("tensor: HStack rows %d vs %d", m.rows, rows))
-		}
-		cols += m.cols
-	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		off := 0
-		for _, m := range ms {
-			copy(out.data[i*cols+off:i*cols+off+m.cols], m.Row(i))
-			off += m.cols
-		}
-	}
-	return out
 }

@@ -45,7 +45,7 @@
 // stable original edge order let CSRAggregateInto run neighborhood
 // aggregation — gather source rows, scale each by its edge coefficient, sum
 // per destination — in one pass with no per-edge message materialization,
-// bit-identical by construction to the three-op Gather→scale→ScatterAddRows
+// bit-identical by construction to the three-op gather→scale→ScatterAddRows
 // chain (the oracle in kernels_test.go and internal/autodiff/csr_test.go).
 // It overwrites its output (empty segments zeroed, each segment's first term
 // stored through one +0 add so a −0 first product canonicalizes exactly like
@@ -77,15 +77,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromSlice wraps data (row-major, length rows*cols) in a Matrix. The slice
-// is used directly, not copied.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{rows: rows, cols: cols, data: data}
 }
 
 // FromRows builds a matrix from a slice of equal-length rows.
@@ -127,15 +118,6 @@ func Uniform(rows, cols int, lo, hi float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
 	for i := range m.data {
 		m.data[i] = lo + (hi-lo)*rng.Float64()
-	}
-	return m
-}
-
-// Normal returns a rows×cols matrix with entries drawn from N(mean, std²).
-func Normal(rows, cols int, mean, std float64, rng *rand.Rand) *Matrix {
-	m := New(rows, cols)
-	for i := range m.data {
-		m.data[i] = mean + std*rng.NormFloat64()
 	}
 	return m
 }
@@ -225,13 +207,6 @@ func (m *Matrix) SwapData(o *Matrix) {
 func (m *Matrix) Zero() {
 	for i := range m.data {
 		m.data[i] = 0
-	}
-}
-
-// Fill sets every entry to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
 	}
 }
 

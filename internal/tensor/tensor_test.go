@@ -21,20 +21,6 @@ func TestNewZeroed(t *testing.T) {
 	}
 }
 
-func TestFromSliceAliases(t *testing.T) {
-	data := []float64{1, 2, 3, 4}
-	m := FromSlice(2, 2, data)
-	data[0] = 9
-	if m.At(0, 0) != 9 {
-		t.Fatal("FromSlice should wrap, not copy")
-	}
-}
-
-func TestFromSliceBadLength(t *testing.T) {
-	defer expectPanic(t, "FromSlice with wrong length")
-	FromSlice(2, 2, []float64{1, 2, 3})
-}
-
 func TestFromRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if m.Rows() != 3 || m.Cols() != 2 || m.At(2, 1) != 6 {
@@ -71,8 +57,8 @@ func TestEye(t *testing.T) {
 
 func TestFull(t *testing.T) {
 	m := Full(2, 3, 7.5)
-	if Sum(m) != 7.5*6 {
-		t.Fatalf("Full sum = %v", Sum(m))
+	if sum(m) != 7.5*6 {
+		t.Fatalf("Full sum = %v", sum(m))
 	}
 }
 
@@ -111,12 +97,11 @@ func TestCopyFromShapeMismatch(t *testing.T) {
 func TestZeroAndFill(t *testing.T) {
 	m := Full(2, 2, 3)
 	m.Zero()
-	if Sum(m) != 0 {
+	if sum(m) != 0 {
 		t.Fatal("Zero failed")
 	}
-	m.Fill(2)
-	if Sum(m) != 8 {
-		t.Fatal("Fill failed")
+	if m = Full(2, 2, 2); sum(m) != 8 {
+		t.Fatal("Full failed")
 	}
 }
 
@@ -133,15 +118,6 @@ func TestGlorotBounds(t *testing.T) {
 		if v < -limit || v > limit {
 			t.Fatalf("glorot value %v outside ±%v", v, limit)
 		}
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := Normal(200, 200, 1.5, 0.5, rng)
-	mean := Mean(m)
-	if math.Abs(mean-1.5) > 0.01 {
-		t.Fatalf("normal mean %v, want ≈1.5", mean)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // Contact-graph files mirror fleet.Trace's on-disk conventions: '#' comment
 // lines, a canonical header, validate-on-load, lossless round-trip, and
-// Save/Load dispatching on the .json extension.
+// reading dispatching on the .json extension.
 //
 // On-disk schema (version 1):
 //
@@ -52,15 +52,11 @@ type jsonTopology struct {
 // fails.
 const MaxNodes = 1 << 20
 
-// Load reads a contact graph from path, dispatching on the extension
+// load reads a contact graph from path, dispatching on the extension
 // exactly as fleet.LoadTrace does: .json parses the JSON schema, everything
-// else the CSV schema. The result is fully validated.
-func Load(path string) (*Topology, error) {
-	return load(path, -1)
-}
-
-// load is Load; when want ≥ 0 the file must declare exactly want devices,
-// which is checked before the topology is built.
+// else the CSV schema. The result is fully validated; when want ≥ 0 the
+// file must declare exactly want devices, which is checked before the
+// topology is built.
 func load(path string, want int) (*Topology, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -95,13 +91,9 @@ func checkNodes(n, want int) error {
 	return nil
 }
 
-// ReadCSV parses the CSV contact-graph schema. The "# nodes: <n>" comment
+// readCSV parses the CSV contact-graph schema. The "# nodes: <n>" comment
 // directive is required — it is the only place the device count lives, and
 // without it isolated devices would silently vanish.
-func ReadCSV(r io.Reader) (*Topology, error) {
-	return readCSV(r, -1)
-}
-
 func readCSV(r io.Reader, want int) (*Topology, error) {
 	// csv.Reader's Comment option would discard the nodes directive with the
 	// rest of the comments, so comments are peeled manually line by line.
@@ -171,11 +163,7 @@ func readCSV(r io.Reader, want int) (*Topology, error) {
 	return FromEdges("", nodes, edges)
 }
 
-// ReadJSON parses the JSON contact-graph schema.
-func ReadJSON(r io.Reader) (*Topology, error) {
-	return readJSON(r, -1)
-}
-
+// readJSON parses the JSON contact-graph schema.
 func readJSON(r io.Reader, want int) (*Topology, error) {
 	var jt jsonTopology
 	dec := json.NewDecoder(r)
@@ -187,54 +175,4 @@ func readJSON(r io.Reader, want int) (*Topology, error) {
 		return nil, err
 	}
 	return FromEdges(jt.Name, jt.Nodes, jt.Edges)
-}
-
-// WriteCSV writes the topology in the CSV schema, comment header first —
-// including the required nodes directive — then canonical u<v edges in
-// lexicographic order, so write→load→write is byte-stable.
-func (t *Topology) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# Lumos contact topology v1: one undirected edge per row.\n")
-	fmt.Fprintf(bw, "# nodes: %d\n", t.n)
-	cw := csv.NewWriter(bw)
-	if err := cw.Write(edgeColumns); err != nil {
-		return err
-	}
-	for _, e := range t.Edges() {
-		if err := cw.Write([]string{strconv.Itoa(e[0]), strconv.Itoa(e[1])}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteJSON writes the topology in the JSON schema, edges in canonical
-// order.
-func (t *Topology) WriteJSON(w io.Writer) error {
-	jt := jsonTopology{Name: t.name, Nodes: t.n, Edges: t.Edges()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jt)
-}
-
-// Save writes the topology to path, dispatching on the extension exactly as
-// Load does: .json gets the JSON schema, everything else CSV.
-func (t *Topology) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("topo: save contact graph: %w", err)
-	}
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		err = t.WriteJSON(f)
-	} else {
-		err = t.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,8 +36,8 @@ func readAllocBound(size, n int) uint64 {
 // readers are the two contact-graph schemas.
 var readers = []struct {
 	name string
-	read func(io.Reader) (*Topology, error)
-}{{"csv", ReadCSV}, {"json", ReadJSON}}
+	read func(io.Reader, int) (*Topology, error)
+}{{"csv", readCSV}, {"json", readJSON}}
 
 // A tiny file declaring a huge device count is refused before an adjacency
 // table is sized by it. Before the bound, the 30-odd-byte CSV below built a
@@ -45,12 +49,12 @@ func TestReadRejectsHugeNodeCount(t *testing.T) {
 		{"json", `{"nodes": 50000000, "edges": [[0,1]]}`},
 		{"json", fmt.Sprintf(`{"nodes": %d, "edges": [[0,1]]}`, MaxNodes+1)},
 	} {
-		read := ReadCSV
+		read := readCSV
 		if c.schema == "json" {
-			read = ReadJSON
+			read = readJSON
 		}
 		var err error
-		alloc := allocatedBy(func() { _, err = read(strings.NewReader(c.body)) })
+		alloc := allocatedBy(func() { _, err = read(strings.NewReader(c.body), -1) })
 		if err == nil {
 			t.Errorf("%s %q: accepted", c.schema, c.body)
 		}
@@ -60,7 +64,7 @@ func TestReadRejectsHugeNodeCount(t *testing.T) {
 	}
 	// MaxNodes itself is a valid declaration: isolated devices appear in no
 	// edge row.
-	tp, err := ReadCSV(strings.NewReader(fmt.Sprintf("# nodes: %d\nsrc,dst\n0,1\n", MaxNodes)))
+	tp, err := readCSV(strings.NewReader(fmt.Sprintf("# nodes: %d\nsrc,dst\n0,1\n", MaxNodes)), -1)
 	if err != nil || tp.N() != MaxNodes {
 		t.Fatalf("MaxNodes declaration: %v", err)
 	}
@@ -122,7 +126,7 @@ func FuzzReadTopology(f *testing.F) {
 		for _, r := range readers {
 			var tp *Topology
 			var err error
-			alloc := allocatedBy(func() { tp, err = r.read(bytes.NewReader(data)) })
+			alloc := allocatedBy(func() { tp, err = r.read(bytes.NewReader(data), -1) })
 			n := 0
 			if err == nil {
 				n = tp.N()
@@ -136,18 +140,18 @@ func FuzzReadTopology(f *testing.F) {
 			checkTopology(t, tp)
 			for _, w := range readers {
 				var buf bytes.Buffer
-				write := tp.WriteCSV
+				write := writeCSV
 				if w.name == "json" {
-					write = tp.WriteJSON
+					write = writeJSON
 				}
-				if err := write(&buf); err != nil {
+				if err := write(tp, &buf); err != nil {
 					t.Fatalf("%s write: %v", w.name, err)
 				}
-				back, err := w.read(&buf)
+				back, err := w.read(&buf, -1)
 				if err != nil {
 					t.Fatalf("%s topology does not re-read as %s: %v", r.name, w.name, err)
 				}
-				if back.N() != n || !reflect.DeepEqual(back.Edges(), tp.Edges()) {
+				if back.N() != n || !reflect.DeepEqual(edges(back), edges(tp)) {
 					t.Fatalf("%s topology changed across a %s round trip", r.name, w.name)
 				}
 			}
@@ -180,4 +184,35 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		checkTopology(t, tp)
 	})
+}
+
+// writeCSV writes t in the CSV schema, comment header first — including the
+// required nodes directive — then canonical u<v edges in lexicographic
+// order, so write→load→write is byte-stable.
+func writeCSV(t *Topology, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# Lumos contact topology v1: one undirected edge per row.\n")
+	fmt.Fprintf(bw, "# nodes: %d\n", t.n)
+	cw := csv.NewWriter(bw)
+	if err := cw.Write(edgeColumns); err != nil {
+		return err
+	}
+	for _, e := range edges(t) {
+		if err := cw.Write([]string{strconv.Itoa(e[0]), strconv.Itoa(e[1])}); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// writeJSON writes t in the JSON schema, edges in canonical order.
+func writeJSON(t *Topology, w io.Writer) error {
+	jt := jsonTopology{Name: t.name, Nodes: t.n, Edges: edges(t)}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(jt)
 }

@@ -33,7 +33,7 @@ import (
 
 // Topology is an undirected simple graph over n devices: no self-loops, no
 // duplicate edges, neighbor lists sorted ascending. The zero value is not
-// usable; build one with a generator, FromEdges, or Load.
+// usable; build one with a generator, FromEdges, or a file: spec.
 type Topology struct {
 	name string
 	n    int
@@ -60,20 +60,6 @@ func (t *Topology) NumEdges() int {
 		total += len(ns)
 	}
 	return total / 2
-}
-
-// Edges returns every undirected edge once, as [u, v] with u < v, sorted
-// lexicographically — the canonical form Save writes and tests compare.
-func (t *Topology) Edges() [][2]int {
-	out := make([][2]int, 0, t.NumEdges())
-	for u, ns := range t.adj {
-		for _, v := range ns {
-			if u < v {
-				out = append(out, [2]int{u, v})
-			}
-		}
-	}
-	return out
 }
 
 // Connected reports whether every device can reach every other — the
@@ -390,7 +376,7 @@ type Spec struct {
 //	ba:<m>          Barabási–Albert with m attachments per device
 //	barabasi-albert:<m>  same, long form
 //	complete        all-pairs
-//	file:<path>     contact-graph file (CSV or JSON; see Load)
+//	file:<path>     contact-graph file (CSV or JSON; see file.go)
 func ParseSpec(s string) (Spec, error) {
 	kind, arg := s, ""
 	if i := strings.Index(s, ":"); i >= 0 {

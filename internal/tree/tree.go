@@ -113,20 +113,6 @@ func BuildEgo(center int, retained []int) *Tree {
 	return t
 }
 
-// Workload returns the number of retained neighbors (the paper's wl).
-func (t *Tree) Workload() int { return len(t.Retained) }
-
-// Leaves returns local indices of all nodes representing real vertices.
-func (t *Tree) Leaves() []int {
-	var out []int
-	for i, v := range t.Vertex {
-		if v >= 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // NeighborLeafAt returns the local node index of the leaf representing
 // Retained[k]: 3+3k in a virtual-node tree (Build), 1+k in a flat ego graph
 // (BuildEgo).
@@ -137,28 +123,16 @@ func (t *Tree) NeighborLeafAt(k int) int {
 	return 1 + k
 }
 
-// NeighborLeafIndex returns the local node index of the leaf representing
-// global neighbor u, or -1 if u is not retained.
-func (t *Tree) NeighborLeafIndex(u int) int {
-	if k := sort.SearchInts(t.Retained, u); k < len(t.Retained) && t.Retained[k] == u {
-		return t.NeighborLeafAt(k)
-	}
-	return -1
-}
-
-// Validate checks structural invariants; it is used by property tests.
+// Validate checks structural invariants; tests run it over built trees.
 func (t *Tree) Validate() error {
 	if len(t.Kind) != t.NumNodes || len(t.Vertex) != t.NumNodes {
 		return fmt.Errorf("tree: metadata length mismatch (nodes=%d kind=%d vertex=%d)",
 			t.NumNodes, len(t.Kind), len(t.Vertex))
 	}
-	deg := make([]int, t.NumNodes)
 	for _, e := range t.Edges {
 		if e[0] < 0 || e[0] >= t.NumNodes || e[1] < 0 || e[1] >= t.NumNodes {
 			return fmt.Errorf("tree: edge %v out of range", e)
 		}
-		deg[e[0]]++
-		deg[e[1]]++
 	}
 	if len(t.Edges) != t.NumNodes-1 && t.NumNodes > 0 {
 		// A tree on n nodes has n−1 edges (flat ego graphs are stars, also

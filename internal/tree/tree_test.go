@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,8 +18,8 @@ func TestBuildStructure(t *testing.T) {
 	if len(tr.Edges) != tr.NumNodes-1 {
 		t.Fatalf("edges = %d", len(tr.Edges))
 	}
-	if tr.Workload() != 3 {
-		t.Fatalf("workload = %d", tr.Workload())
+	if len(tr.Retained) != 3 {
+		t.Fatalf("workload = %d", len(tr.Retained))
 	}
 	// Retained must be sorted.
 	if tr.Retained[0] != 1 || tr.Retained[1] != 3 || tr.Retained[2] != 9 {
@@ -69,7 +70,7 @@ func TestBuildEmptyRetained(t *testing.T) {
 	if tr.NumNodes != 1 || tr.Kind[0] != CenterLeaf || tr.Vertex[0] != 4 {
 		t.Fatalf("degenerate tree = %+v", tr)
 	}
-	if len(tr.Leaves()) != 1 {
+	if len(leaves(tr)) != 1 {
 		t.Fatal("degenerate tree must keep one leaf")
 	}
 }
@@ -104,24 +105,23 @@ func TestBuildEgoStructure(t *testing.T) {
 
 func TestLeavesAndNeighborLeafIndex(t *testing.T) {
 	tr := Build(1, []int{2, 8})
-	leaves := tr.Leaves()
-	if len(leaves) != 4 { // 2 pairs × 2 leaves
-		t.Fatalf("leaves = %v", leaves)
+	ls := leaves(tr)
+	if len(ls) != 4 { // 2 pairs × 2 leaves
+		t.Fatalf("leaves = %v", ls)
 	}
-	if idx := tr.NeighborLeafIndex(8); idx < 0 || tr.Vertex[idx] != 8 {
-		t.Fatalf("NeighborLeafIndex(8) = %d", idx)
+	if idx := tr.NeighborLeafAt(1); tr.Kind[idx] != NeighborLeaf || tr.Vertex[idx] != 8 {
+		t.Fatalf("NeighborLeafAt(1) = %d, want the leaf of 8", idx)
 	}
-	if tr.NeighborLeafIndex(99) != -1 {
-		t.Fatal("missing neighbor must return -1")
-	}
-	// The center is never reported as a neighbor leaf.
-	if tr.NeighborLeafIndex(1) != -1 {
-		t.Fatal("center reported as neighbor leaf")
+	// The center's leaves are never neighbor leaves.
+	for _, i := range ls {
+		if tr.Vertex[i] == 1 && tr.Kind[i] != CenterLeaf {
+			t.Fatalf("center mapped to a %v node", tr.Kind[i])
+		}
 	}
 }
 
-// NeighborLeafAt(k) is the leaf of Retained[k] in both layouts, and
-// NeighborLeafIndex agrees with a scan over every node.
+// NeighborLeafAt(k) is the leaf of Retained[k] in both layouts, and the
+// only neighbor leaf of its vertex.
 func TestNeighborLeafAtBothLayouts(t *testing.T) {
 	retained := []int{9, 3, 14, 5, 11}
 	for name, tr := range map[string]*Tree{"Build": Build(7, retained), "BuildEgo": BuildEgo(7, retained)} {
@@ -131,15 +131,12 @@ func TestNeighborLeafAtBothLayouts(t *testing.T) {
 					name, k, i, tr.Kind[i], tr.Vertex[i], u)
 			}
 		}
-		for u := 0; u < 16; u++ {
-			want := -1
-			for i, v := range tr.Vertex {
-				if v == u && tr.Kind[i] == NeighborLeaf {
-					want = i
-				}
+		for i, v := range tr.Vertex {
+			if tr.Kind[i] != NeighborLeaf {
+				continue
 			}
-			if got := tr.NeighborLeafIndex(u); got != want {
-				t.Fatalf("%s: NeighborLeafIndex(%d) = %d, scan %d", name, u, got, want)
+			if k := slices.Index(tr.Retained, v); k < 0 || tr.NeighborLeafAt(k) != i {
+				t.Fatalf("%s: neighbor leaf %d (vertex %d) is not NeighborLeafAt of its vertex", name, i, v)
 			}
 		}
 	}
@@ -179,7 +176,7 @@ func TestQuickBuildInvariants(t *testing.T) {
 		if tr.Validate() != nil {
 			return false
 		}
-		if tr.Workload() != len(retained) {
+		if len(tr.Retained) != len(retained) {
 			return false
 		}
 		// Every retained neighbor has exactly one leaf; the center has one
@@ -201,4 +198,16 @@ func TestQuickBuildInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// leaves returns the local indices of the nodes that represent real
+// vertices.
+func leaves(t *Tree) []int {
+	var out []int
+	for i, v := range t.Vertex {
+		if v >= 0 {
+			out = append(out, i)
+		}
+	}
+	return out
 }
