@@ -21,10 +21,10 @@ import (
 // vertex with no incoming edge gets a zero row. csr is retained by
 // reference until the tape is reset.
 //
-// Forward and backward are bit-identical to the per-head chain of library
-// ops it replaces — MatMul, Gather, Add, LeakyReLU, SegmentSoftmax and
-// CSRAggregateMul per head, then ConcatCols or AddN+Scale — because every
-// sum runs in that chain's order:
+// Forward and backward are bit-identical to the per-head chain of ops it
+// replaced — MatMul, then the oracle ops Gather, Add, LeakyReLU,
+// SegmentSoftmax and CSRAggregateMul per head and ConcatCols or AddN+Scale
+// (oracles_test.go) — because every sum runs in that chain's order:
 //   - scores: Σ_k wh[i][k]·a[k] in ascending k from a +0 accumulator,
 //     skipping wh[i][k] == 0 (MatMul's kernel);
 //   - softmax: per destination the max, then exp(e−max) summed in original

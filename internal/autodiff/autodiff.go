@@ -270,8 +270,9 @@ func backAddRow(v *Value) {
 // Activations and regularization
 // ---------------------------------------------------------------------------
 
-// BiasReLUDropout is a hidden layer's activation as one op: it equals
-// Dropout(ReLU(AddRow(a, b)), p, rng, training) bit for bit — output and
+// BiasReLUDropout is a hidden layer's activation as one op: it equals the
+// chain Dropout(ReLU(AddRow(a, b)), p, rng, training) of the oracle ops in
+// oracles_test.go bit for bit — output and
 // both parents' gradients, non-finite gradients included — and draws the
 // same rng.Float64() per entry, in row-major order, only when training and
 // p > 0. Where the chain records three nodes over four activation-sized

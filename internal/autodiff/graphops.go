@@ -22,13 +22,14 @@ import (
 // part in order (src[k][i] = i), so dst[k] then names one output row per
 // part row; a non-nil src[k] reads only the rows it lists, which is how a
 // caller combines just the output rows it will use. Per output row the
-// terms land in the order AddN would add the same parts in had each first
-// been padded to rows×cols with zero rows. Adding those zeros is exact, so
-// the result is bit-identical to that dense sum with one exception: every
-// entry is accumulated onto +0, so an entry whose terms are all −0.0 comes
-// out +0.0 (the canonicalization CSRAggregateInto documents), where AddN,
-// which copies its first term, would have kept −0.0. Rows no list names
-// stay zero; a destination may repeat across parts and within one.
+// terms land in the order the AddN oracle (oracles_test.go) would add the
+// same parts in had each first been padded to rows×cols with zero rows.
+// Adding those zeros is exact, so the result is bit-identical to that dense
+// sum with one exception: every entry is accumulated onto +0, so an entry
+// whose terms are all −0.0 comes out +0.0 (the canonicalization
+// CSRAggregateInto documents), where AddN, which copies its first term,
+// would have kept −0.0. Rows no list names stay zero; a destination may
+// repeat across parts and within one.
 //
 // Backward gathers: parts[k].Grad.Row(src[k][i]) += out.Grad.Row(dst[k][i])
 // for the parts that require a gradient — every such part receives a

@@ -1,8 +1,10 @@
 package baselines
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lumos/internal/graph"
@@ -211,6 +213,32 @@ func TestNaiveFedLink(t *testing.T) {
 	}
 	if auc < 0.3 || auc > 0.95 {
 		t.Fatalf("naive link AUC %v implausible", auc)
+	}
+}
+
+// TestSampleNonEdgesOnNearCompleteGraph: a graph with fewer non-edges than
+// the positives asked for yields every non-edge each epoch, not none (the
+// link baselines used to train on positive pairs alone there).
+func TestSampleNonEdgesOnNearCompleteGraph(t *testing.T) {
+	var edges [][2]int
+	for u := 0; u < 6; u++ {
+		for v := u + 1; v < 6; v++ {
+			if [2]int{u, v} != [2]int{0, 1} && [2]int{u, v} != [2]int{2, 3} {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+	}
+	g, err := graph.NewFromEdges(6, edges, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := sampleNonEdgesFn(g, len(edges), rand.New(rand.NewSource(1)))
+	for epoch := 0; epoch < 5; epoch++ {
+		got := sample()
+		slices.SortFunc(got, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
+		if !slices.Equal(got, [][2]int{{0, 1}, {2, 3}}) {
+			t.Fatalf("epoch %d drew %v, want both non-edges", epoch, got)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func (c *Centralized) TrainSupervised(split *graph.NodeSplit) []float64 {
 	for _, v := range split.Train {
 		weights[v] = 1
 	}
-	return c.run.trainSupervised(c.g.Labels, weights, c.g.Labels, split.IsVal)
+	return c.run.train(c.run.crossEntropy(c.g.Labels, weights), c.run.accuracyOn(c.g.Labels, split.IsVal))
 }
 
 // EvaluateAccuracy returns test accuracy over mask.
@@ -72,8 +72,8 @@ func NewCentralizedLink(full *graph.Graph, es *graph.EdgeSplit, cfg ModelConfig)
 
 // Train fits the link-prediction objective on the training edges.
 func (c *CentralizedLink) Train() []float64 {
-	return c.run.trainLink(c.es.Train, sampleNonEdgesFn(c.full, len(c.es.Train), c.rng),
-		c.es.Val, c.es.ValNeg)
+	return c.run.train(c.run.linkLoss(c.es.Train, sampleNonEdgesFn(c.full, len(c.es.Train), c.rng)),
+		c.run.aucOn(c.es.Val, c.es.ValNeg))
 }
 
 // EvaluateAUC returns ROC-AUC over the test edges and sampled non-edges.

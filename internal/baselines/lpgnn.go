@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"lumos/internal/autodiff"
 	"lumos/internal/graph"
 	"lumos/internal/ldp"
 	"lumos/internal/nn"
@@ -208,11 +209,16 @@ func (l *LPGNN) TrainSupervised(split *graph.NodeSplit) []float64 {
 	for _, v := range split.Train {
 		weights[v] = 1
 	}
+	val := l.run.accuracyOn(l.noisyLabels, split.IsVal)
 	if l.forward {
-		return l.run.trainSupervisedNoisy(l.noisyLabels, l.transition, weights, l.noisyLabels, split.IsVal)
+		// Forward correction: the loss sees labels through the known
+		// confusion matrix.
+		return l.run.train(func() *autodiff.Value {
+			return autodiff.NoisyLabelCE(l.run.logits(), l.noisyLabels, l.transition, weights)
+		}, val)
 	}
 	corrected := denoiseLabels(l.g, l.noisyLabels, split.IsTrain)
-	return l.run.trainSupervised(corrected, weights, l.noisyLabels, split.IsVal)
+	return l.run.train(l.run.crossEntropy(corrected, weights), val)
 }
 
 // EvaluateAccuracy scores against the *true* labels over mask.

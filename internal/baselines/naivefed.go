@@ -108,7 +108,7 @@ func (n *NaiveFed) TrainSupervised(split *graph.NodeSplit) ([]float64, error) {
 		weights[v] = 1
 	}
 	// Model selection sees only the noisy labels the server actually holds.
-	return n.run.trainSupervised(n.noisyLabels, weights, n.noisyLabels, split.IsVal), nil
+	return n.run.train(n.run.crossEntropy(n.noisyLabels, weights), n.run.accuracyOn(n.noisyLabels, split.IsVal)), nil
 }
 
 // EvaluateAccuracy scores against the true labels.
@@ -128,7 +128,7 @@ func (n *NaiveFed) TrainLink(valPos, valNeg [][2]int) []float64 {
 		// stay comparable across systems.
 		pos = pos[:4*len(n.g.Edges)]
 	}
-	return n.run.trainLink(pos, sampleNonEdgesFn(n.noisedGraph, len(pos), n.rng), valPos, valNeg)
+	return n.run.train(n.run.linkLoss(pos, sampleNonEdgesFn(n.noisedGraph, len(pos), n.rng)), n.run.aucOn(valPos, valNeg))
 }
 
 // EvaluateAUC scores ROC-AUC on the true test edges and non-edges.

@@ -149,25 +149,23 @@ func (r *runner) embed(training bool) *autodiff.Value {
 	return r.enc.Forward(r.conv, r.tape.Const(r.x), training, r.rng)
 }
 
-// trainSupervised runs the full supervised loop against (possibly noised)
-// labels with per-vertex weights and returns the loss trace. When trueLabels
-// and valMask are non-nil, validation accuracy drives model selection.
-func (r *runner) trainSupervised(labels []int, weights []float64, trueLabels []int, valMask []bool) []float64 {
-	if r.head == nil {
-		panic("baselines: supervised training without a head")
-	}
+// train runs cfg.Epochs epochs and returns the loss trace. Each epoch
+// records loss() (which runs a training-mode forward), steps Adam on its
+// gradient, and — every EvalEvery epochs and at the last — scores val();
+// the best-scoring parameters are restored at the end. A nil val trains
+// without model selection.
+func (r *runner) train(loss func() *autodiff.Value, val func() (float64, error)) []float64 {
 	losses := make([]float64, 0, r.cfg.Epochs)
 	bestVal, bestSnap := -1.0, []*tensor.Matrix(nil)
 	for epoch := 0; epoch < r.cfg.Epochs; epoch++ {
-		logits := r.head.Forward(r.embed(true))
-		loss := autodiff.SoftmaxCrossEntropy(logits, labels, weights)
+		l := loss()
 		nn.ZeroGrad(r)
-		loss.Backward()
+		l.Backward()
 		r.opt.Step(r.params())
-		losses = append(losses, loss.Scalar())
-		if trueLabels != nil && valMask != nil && (epoch%r.cfg.EvalEvery == 0 || epoch == r.cfg.Epochs-1) {
-			if acc, err := r.accuracy(trueLabels, valMask); err == nil && acc > bestVal {
-				bestVal = acc
+		losses = append(losses, l.Scalar())
+		if val != nil && (epoch%r.cfg.EvalEvery == 0 || epoch == r.cfg.Epochs-1) {
+			if v, err := val(); err == nil && v > bestVal {
+				bestVal = v
 				bestSnap = nn.Snapshot(r)
 			}
 		}
@@ -178,41 +176,26 @@ func (r *runner) trainSupervised(labels []int, weights []float64, trueLabels []i
 	return losses
 }
 
-// trainSupervisedNoisy is trainSupervised with the forward-correction loss
-// for labels observed through a known confusion matrix T.
-func (r *runner) trainSupervisedNoisy(noisy []int, T [][]float64, weights []float64, trueLabels []int, valMask []bool) []float64 {
+// logits records the head's class scores over a training-mode forward.
+func (r *runner) logits() *autodiff.Value {
 	if r.head == nil {
 		panic("baselines: supervised training without a head")
 	}
-	losses := make([]float64, 0, r.cfg.Epochs)
-	bestVal, bestSnap := -1.0, []*tensor.Matrix(nil)
-	for epoch := 0; epoch < r.cfg.Epochs; epoch++ {
-		logits := r.head.Forward(r.embed(true))
-		loss := autodiff.NoisyLabelCE(logits, noisy, T, weights)
-		nn.ZeroGrad(r)
-		loss.Backward()
-		r.opt.Step(r.params())
-		losses = append(losses, loss.Scalar())
-		if trueLabels != nil && valMask != nil && (epoch%r.cfg.EvalEvery == 0 || epoch == r.cfg.Epochs-1) {
-			if acc, err := r.accuracy(trueLabels, valMask); err == nil && acc > bestVal {
-				bestVal = acc
-				bestSnap = nn.Snapshot(r)
-			}
-		}
-	}
-	if bestSnap != nil {
-		nn.Restore(r, bestSnap)
-	}
-	return losses
+	return r.head.Forward(r.embed(true))
 }
 
-// trainLink runs the unsupervised link-prediction loop over fixed positive
-// pairs, resampling negatives each epoch via sampleNeg. When valPos/valNeg
-// are non-empty, validation AUC drives model selection.
-func (r *runner) trainLink(pos [][2]int, sampleNeg func() [][2]int, valPos, valNeg [][2]int) []float64 {
-	losses := make([]float64, 0, r.cfg.Epochs)
-	bestVal, bestSnap := -1.0, []*tensor.Matrix(nil)
-	for epoch := 0; epoch < r.cfg.Epochs; epoch++ {
+// crossEntropy is the supervised loss against (possibly noised) labels with
+// per-vertex weights.
+func (r *runner) crossEntropy(labels []int, weights []float64) func() *autodiff.Value {
+	return func() *autodiff.Value {
+		return autodiff.SoftmaxCrossEntropy(r.logits(), labels, weights)
+	}
+}
+
+// linkLoss is the link-prediction loss over fixed positive pairs, with
+// negatives resampled every epoch by sampleNeg.
+func (r *runner) linkLoss(pos [][2]int, sampleNeg func() [][2]int) func() *autodiff.Value {
+	return func() *autodiff.Value {
 		neg := sampleNeg()
 		idxU := make([]int, 0, len(pos)+len(neg))
 		idxV := make([]int, 0, len(pos)+len(neg))
@@ -227,23 +210,26 @@ func (r *runner) trainLink(pos [][2]int, sampleNeg func() [][2]int, valPos, valN
 			idxV = append(idxV, e[1])
 			ys = append(ys, -1)
 		}
-		emb := r.embed(true)
-		loss := autodiff.LogisticLoss(autodiff.PairDot(emb, idxU, idxV), ys)
-		nn.ZeroGrad(r)
-		loss.Backward()
-		r.opt.Step(r.params())
-		losses = append(losses, loss.Scalar())
-		if len(valPos) > 0 && len(valNeg) > 0 && (epoch%r.cfg.EvalEvery == 0 || epoch == r.cfg.Epochs-1) {
-			if auc, err := r.auc(valPos, valNeg); err == nil && auc > bestVal {
-				bestVal = auc
-				bestSnap = nn.Snapshot(r)
-			}
-		}
+		return autodiff.LogisticLoss(autodiff.PairDot(r.embed(true), idxU, idxV), ys)
 	}
-	if bestSnap != nil {
-		nn.Restore(r, bestSnap)
+}
+
+// accuracyOn is validation accuracy against labels over mask, or nil (no
+// model selection) when either is missing.
+func (r *runner) accuracyOn(labels []int, mask []bool) func() (float64, error) {
+	if labels == nil || mask == nil {
+		return nil
 	}
-	return losses
+	return func() (float64, error) { return r.accuracy(labels, mask) }
+}
+
+// aucOn is validation ROC-AUC over pos and neg, or nil (no model selection)
+// when either is empty.
+func (r *runner) aucOn(pos, neg [][2]int) func() (float64, error) {
+	if len(pos) == 0 || len(neg) == 0 {
+		return nil
+	}
+	return func() (float64, error) { return r.auc(pos, neg) }
 }
 
 // accuracy evaluates argmax predictions against true labels over mask.
@@ -272,14 +258,15 @@ func (r *runner) auc(pos, neg [][2]int) (float64, error) {
 	return metrics.ROCAUC(scores, labels)
 }
 
-// sampleNonEdgesFn returns a closure drawing k fresh non-edges of g per call.
+// sampleNonEdgesFn returns a closure drawing k fresh non-edges of g per
+// call, or every non-edge when g has fewer than k: a near-complete graph
+// still trains against negatives.
 func sampleNonEdgesFn(g *graph.Graph, k int, rng *rand.Rand) func() [][2]int {
+	k = min(k, g.N*(g.N-1)/2-g.NumEdges())
 	return func() [][2]int {
 		out, err := graph.SampleNonEdges(g, k, rng)
 		if err != nil {
-			// Extremely dense graphs cannot supply enough negatives; fall
-			// back to whatever is available rather than aborting training.
-			return nil
+			panic(err) // k never exceeds the non-edges available
 		}
 		return out
 	}

@@ -240,8 +240,8 @@ gate plain ./internal/report TestAnalyzeTraceAllocBoundedByInput FuzzReadJSONL F
 go test -run '^$' -fuzz '^FuzzReadJSONL$' -fuzztime 10s ./internal/report
 go test -run '^$' -fuzz '^FuzzReadChrome$' -fuzztime 10s ./internal/report
 
-# Run records: the seed corpus of FuzzLoadRunRecord (a short run's
-# WriteRunRecord output, a torn final row, an empty rounds file; an error or
+# Run records: the seed corpus of FuzzLoadRunRecord (the three files of a
+# short run's record, a torn final row, an empty rounds file; an error or
 # a record, never a panic or an allocation past its bound), then a short
 # fuzz pass.
 gate plain ./internal/report FuzzLoadRunRecord
@@ -256,6 +256,16 @@ go test -run '^$' -fuzz '^FuzzLoadRunRecord$' -fuzztime 10s ./internal/report
 gate race ./internal/rng \
 	TestSourceMatchesMathRand TestSourceReseed TestOneSeedingPath
 gate plain ./internal/topo TestKRegularCompleteDegree TestKRegularPinnedEdgeLists
+
+# Production code is what production calls: every exported function and
+# method under internal/ has a reference from a non-test file outside
+# bench/, satisfies an interface, or is on the gate's allow-list with its
+# reason (the module type-checked from source); the gate's own fixture
+# (an unused function, a bench-only one, an interface method, stale and
+# reasonless allow-list entries); and the link baselines drawing every
+# non-edge of a graph with fewer non-edges than positives.
+gate plain . TestProductionAPIIsCalled TestAPIGateFixture
+gate plain ./internal/baselines TestSampleNonEdgesOnNearCompleteGraph
 
 # Word-parallel secure comparison: Less against the bit-serial GMW evaluator
 # it replaced (kept as the oracle in the test files) — result bit and
@@ -287,12 +297,13 @@ gate plain . \
 	TestEntryPointsBuildAndRun/examples/topologystudy
 
 # One backward: every graph records on a tape. The finite-difference table
-# over every exported op (each row recorded on a tape; the coverage test
-# fails when an op has no row) and the panics of an op over no tape or over
-# two tapes, under the race detector; then the comparison baselines' golden
-# loss traces and metrics (recorded before they moved onto a tape), their
-# per-epoch allocation budget, and the engine round whose combine has no
-# term (its zero pooled value now on the serial tape).
+# over every exported op and every unfused oracle op of the test files (each
+# row recorded on a tape; the coverage test fails when an op has no row) and
+# the panics of an op over no tape or over two tapes, under the race
+# detector; then the comparison baselines' golden loss traces and metrics
+# (recorded before they moved onto a tape), their per-epoch allocation
+# budget, and the engine round whose combine has no term (its zero pooled
+# value now on the serial tape).
 gate race ./internal/autodiff \
 	TestGradMatMul TestGradAddSub TestGradAddRow TestGradScaleAddN \
 	TestGradActivations TestGradDropoutMask TestGradGatherSegmentSum \
