@@ -167,7 +167,7 @@ func main() { lib.BenchOnly() }
 	allow["lib.T.Spare"] = ""
 	got = run(t, allow)
 	for _, want := range []string{
-		"allow-list entry lib.Used is stale: it has a production reference",
+		"allow-list entry lib.Used is stale: the gate does not flag it",
 		"allow-list entry lib.Gone is stale: no exported function or method has that name",
 		"allow-list entry lib.T.Spare gives no reason",
 	} {
@@ -243,7 +243,6 @@ type apiChecker struct {
 }
 
 type apiPackage struct {
-	dir   string
 	pkg   *types.Package
 	info  *types.Info
 	files []*ast.File
@@ -278,7 +277,7 @@ func (c *apiChecker) check(dir string) (*apiPackage, error) {
 		return nil, fmt.Errorf("no Go files in module directory %q", dir)
 	}
 	c.pkgs[dir] = nil
-	ap := &apiPackage{dir: dir, info: &types.Info{
+	ap := &apiPackage{info: &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
@@ -463,7 +462,7 @@ func unusedExports(module string, files map[string][]byte, allow map[string]stri
 		case !known[key]:
 			problems = append(problems, fmt.Sprintf("allow-list entry %s is stale: no exported function or method has that name", key))
 		case !flagged[key]:
-			problems = append(problems, fmt.Sprintf("allow-list entry %s is stale: it has a production reference", key))
+			problems = append(problems, fmt.Sprintf("allow-list entry %s is stale: the gate does not flag it", key))
 		case strings.TrimSpace(reason) == "":
 			problems = append(problems, fmt.Sprintf("allow-list entry %s gives no reason", key))
 		}

@@ -8,11 +8,12 @@ import (
 	"lumos/internal/tensor"
 )
 
-// The unfused ops. Production records fused ops only (BiasReLUDropout,
-// GATAttention, CSRAggregate, ScatterAddN); these are the chains the fused
-// ops are checked against bit for bit, and the building blocks of the
-// finite-difference table's scalars. Each keeps its own row in gradTable, so
-// the oracles stay gradient-checked too.
+// The unfused ops. No production graph records them: a GNN layer's
+// attention is GATAttention, its hidden activation BiasReLUDropout, its
+// aggregation CSRAggregate and the forest pooling ScatterAddN. They are the
+// chains those fused ops are checked against bit for bit, and the building
+// blocks of the finite-difference table's scalars. Each keeps a row in
+// gradTable, so the oracles stay gradient-checked too.
 
 // Add returns a + b (same shape).
 func Add(a, b *Value) *Value {
