@@ -14,7 +14,7 @@ import (
 
 // Contact-graph files mirror fleet.Trace's on-disk conventions: '#' comment
 // lines, a canonical header, validate-on-load, lossless round-trip, and
-// reading dispatching on the .json extension.
+// a reader that dispatches on the .json extension.
 //
 // On-disk schema (version 1):
 //
