@@ -6,7 +6,6 @@
 package lumos_test
 
 import (
-	"bufio"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -66,15 +65,11 @@ var apiAllowList = map[string]string{
 }
 
 func TestProductionAPIIsCalled(t *testing.T) {
-	module, err := modulePath("go.mod")
-	if err != nil {
-		t.Fatal(err)
-	}
 	files, err := moduleSources(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	problems, err := unusedExports(module, files, apiAllowList)
+	problems, err := unusedExports("lumos", files, apiAllowList)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,25 +170,6 @@ func main() { lib.BenchOnly() }
 			t.Errorf("gate did not report %q; it reported:\n%s", want, got)
 		}
 	}
-}
-
-// modulePath reads the module line of a go.mod file.
-func modulePath(gomod string) (string, error) {
-	f, err := os.Open(gomod)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
 // moduleSources reads every non-test Go file under root, keyed by its
