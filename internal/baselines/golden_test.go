@@ -71,6 +71,26 @@ func lpgnnNoisy(t *testing.T) ([]float64, float64) {
 	return losses, acc
 }
 
+// lpgnnMajorityVote trains LPGNN through its production path: training
+// labels corrected by the neighborhood majority vote.
+func lpgnnMajorityVote(t *testing.T) ([]float64, float64) {
+	g := blGraph(t, 3)
+	split, _ := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(3)))
+	lp, err := NewLPGNN(g, LPGNNConfig{
+		ModelConfig: ModelConfig{Backbone: nn.GCN, Epochs: 6, EvalEvery: 2, Seed: 3},
+		EpsX:        2, EpsY: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := lp.TrainSupervised(split)
+	acc, err := lp.EvaluateAccuracy(split.IsTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return losses, acc
+}
+
 func naiveFedNode(t *testing.T) ([]float64, float64) {
 	g := blGraph(t, 5)
 	split, _ := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(5)))
@@ -152,6 +172,12 @@ var baselineGoldens = []struct {
 			0x1.4aa31bc7cfe1cp-01, 0x1.4255d8bd8b405p-01, 0x1.3b3f6de15bdfap-01,
 		},
 		metric: 0x1.e2be2be2be2bep-01},
+	{name: "lpgnn/majority-vote", run: lpgnnMajorityVote,
+		losses: []float64{
+			0x1.8e1596c52c36dp-01, 0x1.5ec1a570bf97bp-01, 0x1.3c6f32cbe51eap-01,
+			0x1.2050f4bce14ap-01, 0x1.0d46199b1425fp-01, 0x1.015fd0456809bp-01,
+		},
+		metric: 0x1.f15f15f15f15fp-01},
 	{name: "naivefed/node", run: naiveFedNode,
 		losses: []float64{
 			0x1.965d432a7462ep-01, 0x1.66e66c2186165p-01, 0x1.81d1edf905279p-01,
