@@ -21,8 +21,8 @@ import (
 	"lumos/internal/tensor"
 )
 
-// backward computes one recorded op's parent gradients from v.Grad. Hot ops
-// use shared top-level functions here (no per-node closure allocation); the
+// backward computes one recorded op's parent gradients from v.Grad. Every op
+// uses a shared top-level function here (no per-node closure allocation); the
 // op's payload lives in the Value's auxiliary fields.
 type backward func(v *Value)
 
@@ -49,8 +49,7 @@ type Value struct {
 
 	// Op payload. Which fields are live depends on the op; keeping them
 	// inline (instead of closed over) is what makes recording allocation-free
-	// once the tape's slab is warm. Cold ops (NoisyLabelCE) use a closure
-	// instead.
+	// once the tape's slab is warm.
 	s      float64
 	n      int
 	ints   []int

@@ -42,12 +42,7 @@ type gradCase struct {
 // Fixed (non-differentiated) operands of the table's rows.
 var (
 	gradSoftmaxWeights = tensor.FromRows([][]float64{{0.7}, {-1.2}, {0.4}, {1.5}, {-0.3}, {0.9}})
-	gradNoiseT         = [][]float64{
-		{0.8, 0.1, 0.1},
-		{0.1, 0.8, 0.1},
-		{0.1, 0.1, 0.8},
-	}
-	gradCutX = tensor.FromRows([][]float64{
+	gradCutX           = tensor.FromRows([][]float64{
 		{0.3, -0.8, 0.5, 0.1}, {-0.6, 0.2, 0.9, -0.4}, {0.7, 0.7, -0.2, 0.6},
 		{-0.1, -0.5, 0.3, 0.8}, {0.4, -0.9, -0.7, 0.2},
 	})
@@ -199,11 +194,6 @@ var gradTable = []gradCase{
 		f: func(tp *Tape, p []*Value) *Value {
 			return LogisticLoss(p[0], []float64{1, -1, 1, -1, 1, -1})
 		}},
-	{test: "TestGradNoisyLabelCE", name: "noisyCE", ops: []string{"NoisyLabelCE"},
-		params: [][2]int{{4, 3}},
-		f: func(tp *Tape, p []*Value) *Value {
-			return NoisyLabelCE(p[0], []int{0, 1, 2, 1}, gradNoiseT, []float64{1, 1, 0, 2})
-		}},
 	{test: "TestGradSumMeanSquares", name: "sumsquares", ops: []string{"SumSquares"},
 		params: [][2]int{{3, 4}},
 		f:      func(tp *Tape, p []*Value) *Value { return SumSquares(p[0]) }},
@@ -232,7 +222,6 @@ func TestGradGATAttention(t *testing.T)        { runGradRows(t) }
 func TestGradPairDot(t *testing.T)             { runGradRows(t) }
 func TestGradSoftmaxCrossEntropy(t *testing.T) { runGradRows(t) }
 func TestGradLogisticLoss(t *testing.T)        { runGradRows(t) }
-func TestGradNoisyLabelCE(t *testing.T)        { runGradRows(t) }
 func TestGradSumMeanSquares(t *testing.T)      { runGradRows(t) }
 func TestGradCutGraph(t *testing.T)            { runGradRows(t) }
 

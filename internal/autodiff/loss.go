@@ -96,82 +96,6 @@ func backSoftmaxCE(v *Value) {
 	}
 }
 
-// NoisyLabelCE is the forward-correction cross-entropy for learning with
-// label noise of a known confusion structure: with p = softmax(logits) and
-// T[i][j] = P(observed=j | true=i), the loss is −mean log((pᵀT)_ỹ). When the
-// observed labels come from randomized response, training against the
-// noise-adjusted distribution is a consistent estimator of the clean model
-// (Patrini et al.; used here by the LPGNN baseline). A cold-path op: its
-// backward closes over the forward's intermediates instead of using the
-// tape's payload fields.
-func NoisyLabelCE(logits *Value, noisy []int, T [][]float64, weights []float64) *Value {
-	n, c := logits.Data.Dims()
-	if len(noisy) != n {
-		panic(fmt.Sprintf("autodiff: NoisyLabelCE %d labels for %d rows", len(noisy), n))
-	}
-	if len(T) != c {
-		panic(fmt.Sprintf("autodiff: NoisyLabelCE transition matrix %d rows for %d classes", len(T), c))
-	}
-	w := func(i int) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[i]
-	}
-	t := tapeFor("NoisyLabelCE", logits)
-	probs := t.scratch(n, c)
-	tensor.SoftmaxRowsInto(probs, logits.Data)
-	// q[i] = Σ_k p[i,k]·T[k][ỹ_i]
-	q := make([]float64, n)
-	totalW, loss := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		wi := w(i)
-		if wi == 0 {
-			continue
-		}
-		y := noisy[i]
-		if y < 0 || y >= c {
-			panic(fmt.Sprintf("autodiff: noisy label %d out of range [0,%d)", y, c))
-		}
-		prow := probs.Row(i)
-		for k := 0; k < c; k++ {
-			q[i] += prow[k] * T[k][y]
-		}
-		loss += wi * -math.Log(math.Max(q[i], 1e-12))
-		totalW += wi
-	}
-	if totalW == 0 {
-		panic("autodiff: NoisyLabelCE with all-zero weights")
-	}
-	loss /= totalW
-	data := t.scratch(1, 1)
-	data.Set(0, 0, loss)
-	return t.node(data, func(out *Value) {
-		g := logits.EnsureGrad()
-		scale := out.Grad.At(0, 0) / totalW
-		for i := 0; i < n; i++ {
-			wi := w(i)
-			if wi == 0 {
-				continue
-			}
-			y := noisy[i]
-			qi := math.Max(q[i], 1e-12)
-			prow := probs.Row(i)
-			// dL/dp_ik = −w·T[k][y]/q; chain through softmax Jacobian.
-			dot := 0.0
-			dp := make([]float64, c)
-			for k := 0; k < c; k++ {
-				dp[k] = -wi * T[k][y] / qi
-				dot += dp[k] * prow[k]
-			}
-			grow := g.Row(i)
-			for k := 0; k < c; k++ {
-				grow[k] += scale * prow[k] * (dp[k] - dot)
-			}
-		}
-	}, logits)
-}
-
 // LogisticLoss returns the mean binary logistic loss over the n×1 score
 // column with targets ys ∈ {+1, −1}:
 //

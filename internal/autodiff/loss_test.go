@@ -2,7 +2,6 @@ package autodiff
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"lumos/internal/tensor"
@@ -68,21 +67,6 @@ func TestLogisticLossValues(t *testing.T) {
 	loss3 := LogisticLoss(s3, []float64{-1, 1})
 	if math.IsInf(loss3.Scalar(), 0) || math.IsNaN(loss3.Scalar()) {
 		t.Fatalf("logistic overflow: %v", loss3.Scalar())
-	}
-}
-
-func TestNoisyLabelCEIdentityMatchesPlainCE(t *testing.T) {
-	// With T = I the forward-corrected loss is ordinary cross-entropy.
-	rng := rand.New(rand.NewSource(23))
-	logits := NewTape().Const(tensor.Uniform(5, 4, -1, 1, rng))
-	labels := []int{0, 3, 2, 1, 0}
-	T := [][]float64{
-		{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1},
-	}
-	a := NoisyLabelCE(logits, labels, T, nil).Scalar()
-	b := SoftmaxCrossEntropy(logits, labels, nil).Scalar()
-	if math.Abs(a-b) > 1e-9 {
-		t.Fatalf("identity-T loss %v != CE %v", a, b)
 	}
 }
 

@@ -29,12 +29,27 @@ func TestModelConfigDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Hidden != 16 || cfg.Epochs != 300 || cfg.LearningRate != 0.01 {
+	if cfg.Epochs != 300 || cfg.EvalEvery != 5 {
 		t.Fatalf("defaults: %+v", cfg)
 	}
 	bad := ModelConfig{Epochs: -1}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative epochs must fail")
+	}
+	// Every runner trains Lumos's model: the nn declaration's encoder under
+	// Adam at its learning rate and weight decay.
+	g := blGraph(t, 1)
+	for _, bb := range []nn.Backbone{nn.GCN, nn.GAT} {
+		r, err := newRunner(ModelConfig{Backbone: bb}, nn.NewConvGraph(g.N, g.Edges), g.Features, g.NumClasses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := nn.PaperGNN(bb, g.FeatureDim()); r.enc.Cfg != want {
+			t.Fatalf("%v encoder %+v, want %+v", bb, r.enc.Cfg, want)
+		}
+		if r.opt.LR != nn.PaperLearningRate || r.opt.WeightDecay != nn.PaperWeightDecay {
+			t.Fatalf("%v Adam lr %v decay %v", bb, r.opt.LR, r.opt.WeightDecay)
+		}
 	}
 }
 
@@ -100,15 +115,6 @@ func TestLPGNNOrderingAndTrustModel(t *testing.T) {
 	}
 	if acc < 0.55 {
 		t.Fatalf("LPGNN accuracy %v too low with label correction", acc)
-	}
-	// Forward-correction variant also runs.
-	lp2, err := NewLPGNN(g, LPGNNConfig{ModelConfig: mc, EpsX: 2, EpsY: 1, ForwardCorrection: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp2.TrainSupervised(split)
-	if _, err := lp2.EvaluateAccuracy(split.IsTest); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -52,25 +52,6 @@ func centralizedLink(bb nn.Backbone) baselineRun {
 	}
 }
 
-// lpgnnNoisy trains LPGNN through its forward-correction (NoisyLabelCE) loss.
-func lpgnnNoisy(t *testing.T) ([]float64, float64) {
-	g := blGraph(t, 3)
-	split, _ := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(3)))
-	lp, err := NewLPGNN(g, LPGNNConfig{
-		ModelConfig: ModelConfig{Backbone: nn.GCN, Epochs: 6, EvalEvery: 2, Seed: 3},
-		EpsX:        2, EpsY: 1, ForwardCorrection: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	losses := lp.TrainSupervised(split)
-	acc, err := lp.EvaluateAccuracy(split.IsTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return losses, acc
-}
-
 // lpgnnMajorityVote trains LPGNN through its production path: training
 // labels corrected by the neighborhood majority vote.
 func lpgnnMajorityVote(t *testing.T) ([]float64, float64) {
@@ -166,12 +147,6 @@ var baselineGoldens = []struct {
 			0x1.38f1e1c95a1a6p-01, 0x1.3a29a41688444p-01, 0x1.30700caf61773p-01,
 		},
 		metric: 0x1.4c827f035deccp-01},
-	{name: "lpgnn/forward-correction", run: lpgnnNoisy,
-		losses: []float64{
-			0x1.7186fc51c09bp-01, 0x1.622003d74061p-01, 0x1.55f9d12022911p-01,
-			0x1.4aa31bc7cfe1cp-01, 0x1.4255d8bd8b405p-01, 0x1.3b3f6de15bdfap-01,
-		},
-		metric: 0x1.e2be2be2be2bep-01},
 	{name: "lpgnn/majority-vote", run: lpgnnMajorityVote,
 		losses: []float64{
 			0x1.8e1596c52c36dp-01, 0x1.5ec1a570bf97bp-01, 0x1.3c6f32cbe51eap-01,

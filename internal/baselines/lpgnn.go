@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lumos/internal/autodiff"
 	"lumos/internal/graph"
 	"lumos/internal/ldp"
 	"lumos/internal/nn"
@@ -18,15 +17,10 @@ type LPGNNConfig struct {
 	ModelConfig
 	EpsX float64
 	EpsY float64
-	// KPropSteps is the number of feature-denoising aggregation hops
-	// (default 2).
-	KPropSteps int
-	// ForwardCorrection switches the label-denoising strategy from the
-	// default neighborhood majority vote (the stronger rendition of
-	// LPGNN's Drop on homophilous graphs) to the forward-correction loss
-	// through the known randomized-response transition matrix.
-	ForwardCorrection bool
 }
+
+// kpropSteps is the number of KProp feature-denoising aggregation hops.
+const kpropSteps = 2
 
 // LPGNN reproduces "Locally Private Graph Neural Networks" under its trust
 // model: the server owns the true topology (weaker privacy than Lumos),
@@ -36,18 +30,16 @@ type LPGNNConfig struct {
 //
 //   - the multi-bit encoder with its optimal sampled-dimension count
 //     m = max(1, min(d, ⌊ε_x/2.18⌋)) and unbiased rescaling;
-//   - KProp feature denoising: KPropSteps rounds of degree-normalized
+//   - KProp feature denoising: kpropSteps rounds of degree-normalized
 //     neighborhood averaging applied to the decoded features before
 //     training (the server knows the topology, so this is free);
 //   - Drop-style label denoising: training labels are corrected by a
-//     neighborhood majority vote over noisy training labels.
+//     neighborhood majority vote over noisy training labels (the stronger
+//     rendition of LPGNN's Drop on homophilous graphs).
 type LPGNN struct {
 	g           *graph.Graph
 	run         *runner
 	noisyLabels []int
-	kprop       int
-	forward     bool
-	transition  [][]float64
 }
 
 // NewLPGNN builds the LPGNN baseline over the full graph.
@@ -76,40 +68,17 @@ func NewLPGNN(g *graph.Graph, cfg LPGNNConfig) (*LPGNN, error) {
 		}
 		noised.SetRow(v, row)
 	}
-	if cfg.KPropSteps == 0 {
-		cfg.KPropSteps = 2
-	}
-	denoised := standardize(kprop(g, noised, cfg.KPropSteps))
+	denoised := standardize(kprop(g, noised, kpropSteps))
 	rr := ldp.RandomizedResponse{Eps: cfg.EpsY, K: g.NumClasses}
 	noisyLabels := make([]int, g.N)
 	for v, y := range g.Labels {
 		noisyLabels[v] = rr.Perturb(y, rng)
 	}
-	// Known RR confusion structure for the forward-correction loss.
-	keep := rr.KeepProb()
-	off := (1 - keep) / float64(g.NumClasses-1)
-	T := make([][]float64, g.NumClasses)
-	for i := range T {
-		T[i] = make([]float64, g.NumClasses)
-		for j := range T[i] {
-			if i == j {
-				T[i][j] = keep
-			} else {
-				T[i][j] = off
-			}
-		}
-	}
 	run, err := newRunner(cfg.ModelConfig, nn.NewConvGraph(g.N, g.Edges), denoised, g.NumClasses)
 	if err != nil {
 		return nil, err
 	}
-	return &LPGNN{
-		g: g, run: run,
-		noisyLabels: noisyLabels,
-		kprop:       cfg.KPropSteps,
-		forward:     cfg.ForwardCorrection,
-		transition:  T,
-	}, nil
+	return &LPGNN{g: g, run: run, noisyLabels: noisyLabels}, nil
 }
 
 // kprop applies steps rounds of mean neighborhood aggregation (with
@@ -197,8 +166,8 @@ func denoiseLabels(g *graph.Graph, noisy []int, isTrain []bool) []int {
 	return out
 }
 
-// TrainSupervised fits the model against the noisy training labels using
-// the configured correction strategy. Model selection can only use the
+// TrainSupervised fits the model against the noisy training labels after
+// the majority-vote correction. Model selection can only use the
 // *noisy* validation labels: in LPGNN's trust model every label reaches the
 // server through randomized response, so with many classes (small keep
 // probability) validation selection degrades — the mechanism behind the
@@ -209,16 +178,8 @@ func (l *LPGNN) TrainSupervised(split *graph.NodeSplit) []float64 {
 	for _, v := range split.Train {
 		weights[v] = 1
 	}
-	val := l.run.accuracyOn(l.noisyLabels, split.IsVal)
-	if l.forward {
-		// Forward correction: the loss sees labels through the known
-		// confusion matrix.
-		return l.run.train(func() *autodiff.Value {
-			return autodiff.NoisyLabelCE(l.run.logits(), l.noisyLabels, l.transition, weights)
-		}, val)
-	}
 	corrected := denoiseLabels(l.g, l.noisyLabels, split.IsTrain)
-	return l.run.train(l.run.crossEntropy(corrected, weights), val)
+	return l.run.train(l.run.crossEntropy(corrected, weights), l.run.accuracyOn(l.noisyLabels, split.IsVal))
 }
 
 // EvaluateAccuracy scores against the *true* labels over mask.

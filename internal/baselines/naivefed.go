@@ -13,16 +13,18 @@ import (
 )
 
 // NaiveFedConfig extends the model config with the naive system's noise
-// parameters. EpsFeature calibrates the Gaussian mechanism (per-coordinate
-// sensitivity 1, δ = Delta); EpsEdge and EpsLabel drive randomized response
-// on adjacency bits and labels.
+// parameters. EpsFeature calibrates the Gaussian mechanism (δ = naiveDelta);
+// EpsEdge and EpsLabel drive randomized response on adjacency bits and
+// labels.
 type NaiveFedConfig struct {
 	ModelConfig
 	EpsFeature float64
 	EpsEdge    float64
 	EpsLabel   float64
-	Delta      float64
 }
+
+// naiveDelta is the Gaussian mechanism's δ on each device's features.
+const naiveDelta = 1e-5
 
 // NaiveFed is the paper's "Naive FedGNN" baseline (§VIII-C): every device
 // noises its entire ego network — Gaussian noise on features, randomized
@@ -47,15 +49,12 @@ func NewNaiveFed(g *graph.Graph, cfg NaiveFedConfig) (*NaiveFed, error) {
 	if cfg.EpsFeature <= 0 || cfg.EpsEdge <= 0 {
 		return nil, fmt.Errorf("baselines: NaiveFed budgets must be positive")
 	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 1e-5
-	}
 	rng := rng.New(cfg.Seed ^ 0x6e616976)
 
 	// L2 sensitivity of releasing the whole feature vector: adjacent
 	// inputs may differ in every coordinate, so Δ₂ = (b−a)·√d.
 	sensitivity := (g.FeatHi - g.FeatLo) * math.Sqrt(float64(g.FeatureDim()))
-	sigma, err := ldp.GaussianSigma(cfg.EpsFeature, cfg.Delta, sensitivity)
+	sigma, err := ldp.GaussianSigma(cfg.EpsFeature, naiveDelta, sensitivity)
 	if err != nil {
 		return nil, err
 	}

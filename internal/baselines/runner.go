@@ -27,20 +27,12 @@ import (
 	"lumos/internal/tensor"
 )
 
-// ModelConfig are the architecture/optimization knobs shared by every
-// baseline (kept equal to Lumos's in experiments).
+// ModelConfig is the training schedule shared by every baseline. The model
+// is Lumos's own: nn.PaperGNN for Backbone, trained by Adam at
+// nn.PaperLearningRate with nn.PaperWeightDecay.
 type ModelConfig struct {
-	Backbone     nn.Backbone
-	Hidden       int
-	OutDim       int
-	Layers       int
-	Heads        int
-	Dropout      float64
-	LearningRate float64
-	// WeightDecay is Adam's L2 coefficient (default 5e-4; negative
-	// disables it), matching the Lumos trainer.
-	WeightDecay float64
-	Epochs      int
+	Backbone nn.Backbone
+	Epochs   int
 	// EvalEvery is the validation-selection cadence (default 5).
 	EvalEvery int
 	Seed      int64
@@ -48,37 +40,13 @@ type ModelConfig struct {
 
 // Validate fills the paper's defaults.
 func (c *ModelConfig) Validate() error {
-	if c.Hidden == 0 {
-		c.Hidden = 16
-	}
-	if c.OutDim == 0 {
-		c.OutDim = 16
-	}
-	if c.Layers == 0 {
-		c.Layers = 2
-	}
-	if c.Heads == 0 {
-		c.Heads = 4
-	}
-	if c.Dropout == 0 {
-		c.Dropout = 0.01
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.01
-	}
-	if c.WeightDecay == 0 {
-		c.WeightDecay = 5e-4
-	}
-	if c.WeightDecay < 0 {
-		c.WeightDecay = 0
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 300
 	}
 	if c.EvalEvery == 0 {
 		c.EvalEvery = 5
 	}
-	if c.Epochs < 0 || c.EvalEvery < 0 || c.LearningRate <= 0 || c.Dropout < 0 || c.Dropout >= 1 {
+	if c.Epochs < 0 || c.EvalEvery < 0 {
 		return fmt.Errorf("baselines: invalid model config %+v", c)
 	}
 	return nil
@@ -103,15 +71,7 @@ func newRunner(cfg ModelConfig, conv *nn.ConvGraph, x *tensor.Matrix, classes in
 		return nil, err
 	}
 	rng := rng.New(cfg.Seed ^ 0x62617365)
-	enc, err := nn.NewGNN(nn.GNNConfig{
-		Backbone: cfg.Backbone,
-		InDim:    x.Cols(),
-		Hidden:   cfg.Hidden,
-		OutDim:   cfg.OutDim,
-		Layers:   cfg.Layers,
-		Heads:    cfg.Heads,
-		Dropout:  cfg.Dropout,
-	}, rng)
+	enc, err := nn.NewGNN(nn.PaperGNN(cfg.Backbone, x.Cols()), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -119,14 +79,14 @@ func newRunner(cfg ModelConfig, conv *nn.ConvGraph, x *tensor.Matrix, classes in
 		conv: conv,
 		x:    x,
 		enc:  enc,
-		opt:  nn.NewAdam(cfg.LearningRate),
+		opt:  nn.NewAdam(nn.PaperLearningRate),
 		rng:  rng,
 		cfg:  cfg,
 		tape: autodiff.NewTape(),
 	}
-	r.opt.WeightDecay = cfg.WeightDecay
+	r.opt.WeightDecay = nn.PaperWeightDecay
 	if classes >= 2 {
-		r.head = nn.NewLinear("head", cfg.OutDim, classes, rng)
+		r.head = nn.NewLinear("head", enc.EmbeddingDim(), classes, rng)
 	}
 	return r, nil
 }

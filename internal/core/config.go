@@ -106,29 +106,24 @@ func ParseTask(name string) (Task, error) {
 }
 
 // Config collects every Lumos hyperparameter. Zero values select the
-// paper's experimental settings where they exist.
+// paper's experimental settings where they exist. The model is the one
+// every system in the paper's evaluation trains, nn.PaperGNN for Backbone
+// under Adam with nn.PaperWeightDecay; of it only Hidden, Heads and
+// LearningRate are settable here.
 type Config struct {
 	Task     Task
 	Backbone nn.Backbone
 
-	// Hidden and OutDim are the GNN layer widths (paper: both 16).
+	// Hidden is the GNN's hidden width and Heads the GAT attention head
+	// count (default: nn.PaperGNN's, 16 and 4).
 	Hidden int
-	OutDim int
-	// Layers is the GNN depth l (paper: 2).
-	Layers int
-	// Heads is the GAT attention head count (paper: 4).
-	Heads int
-	// Dropout follows each hidden activation (paper: 0.01).
-	Dropout float64
+	Heads  int
 
 	// Epsilon is the LDP privacy budget ε for feature encoding (paper
 	// default: 2).
 	Epsilon float64
-	// LearningRate for Adam (paper: 0.01).
+	// LearningRate for Adam (default nn.PaperLearningRate, 0.01).
 	LearningRate float64
-	// WeightDecay is Adam's decoupled L2 coefficient (default 5e-4, the
-	// standard GCN setting; set negative to disable).
-	WeightDecay float64
 	// Epochs is the number of training epochs (paper: 300).
 	Epochs int
 	// EvalEvery controls how often validation-based model selection runs
@@ -150,10 +145,6 @@ type Config struct {
 	// DisableTreeTrimming reproduces the "Lumos w.o. TT" ablation: every
 	// device keeps its full neighbor set.
 	DisableTreeTrimming bool
-
-	// NegPerPos is the number of negative samples per positive pair in the
-	// unsupervised loss (default 1).
-	NegPerPos int
 
 	// DisableRowNorm turns off the default local L2 normalization of leaf
 	// features after LDP recovery (see buildForest).
@@ -200,20 +191,12 @@ const DefaultShards = 32
 
 // Validate fills the paper's defaults and checks ranges.
 func (c *Config) Validate() error {
+	paper := nn.PaperGNN(c.Backbone, 0) // only its widths are read
 	if c.Hidden == 0 {
-		c.Hidden = 16
-	}
-	if c.OutDim == 0 {
-		c.OutDim = 16
-	}
-	if c.Layers == 0 {
-		c.Layers = 2
+		c.Hidden = paper.Hidden
 	}
 	if c.Heads == 0 {
-		c.Heads = 4
-	}
-	if c.Dropout == 0 {
-		c.Dropout = 0.01
+		c.Heads = paper.Heads
 	}
 	if c.Epsilon == 0 {
 		c.Epsilon = 2
@@ -222,16 +205,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: negative privacy budget %v", c.Epsilon)
 	}
 	if c.LearningRate == 0 {
-		c.LearningRate = 0.01
+		c.LearningRate = nn.PaperLearningRate
 	}
 	if c.LearningRate <= 0 {
 		return fmt.Errorf("core: non-positive learning rate %v", c.LearningRate)
-	}
-	if c.WeightDecay == 0 {
-		c.WeightDecay = 5e-4
-	}
-	if c.WeightDecay < 0 {
-		c.WeightDecay = 0
 	}
 	if c.EvalEvery == 0 {
 		c.EvalEvery = 5
@@ -247,12 +224,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MCMCIterations < 0 {
 		return fmt.Errorf("core: negative MCMC iteration count %d", c.MCMCIterations)
-	}
-	if c.NegPerPos == 0 {
-		c.NegPerPos = 1
-	}
-	if c.NegPerPos < 0 {
-		return fmt.Errorf("core: negative NegPerPos %d", c.NegPerPos)
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.NumCPU()
@@ -286,11 +257,8 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown scheduling mode %v", c.Sched)
 	}
-	if c.Hidden < 0 || c.OutDim < 0 || c.Layers < 0 || c.Heads < 0 {
+	if c.Hidden < 0 || c.Heads < 0 {
 		return fmt.Errorf("core: negative model dimension")
-	}
-	if c.Dropout < 0 || c.Dropout >= 1 {
-		return fmt.Errorf("core: dropout %v outside [0,1)", c.Dropout)
 	}
 	return nil
 }

@@ -28,14 +28,29 @@ func TestConfigDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Hidden != 16 || cfg.OutDim != 16 || cfg.Layers != 2 || cfg.Heads != 4 {
+	if cfg.Hidden != 16 || cfg.Heads != 4 {
 		t.Fatalf("model defaults wrong: %+v", cfg)
 	}
 	if cfg.Epsilon != 2 || cfg.LearningRate != 0.01 || cfg.Epochs != 300 {
 		t.Fatalf("training defaults wrong: %+v", cfg)
 	}
-	if cfg.NegPerPos != 1 || cfg.EvalEvery != 5 {
+	if cfg.EvalEvery != 5 {
 		t.Fatalf("aux defaults wrong: %+v", cfg)
+	}
+	// A default system trains the paper's model, the one the baselines
+	// build from too.
+	g := testGraph(t, 40, 160, 3, 1)
+	for _, bb := range []nn.Backbone{nn.GCN, nn.GAT} {
+		sys, err := NewSystem(g, g, Config{Backbone: bb, Epochs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := nn.PaperGNN(bb, g.FeatureDim()); sys.Encoder.Cfg != want {
+			t.Fatalf("%v encoder %+v, want %+v", bb, sys.Encoder.Cfg, want)
+		}
+		if sys.opt.LR != nn.PaperLearningRate || sys.opt.WeightDecay != nn.PaperWeightDecay {
+			t.Fatalf("%v Adam lr %v decay %v", bb, sys.opt.LR, sys.opt.WeightDecay)
+		}
 	}
 }
 
@@ -45,8 +60,6 @@ func TestConfigValidation(t *testing.T) {
 		{LearningRate: -0.1},
 		{Epochs: -5},
 		{MCMCIterations: -1},
-		{NegPerPos: -2},
-		{Dropout: 1.5},
 		{EvalEvery: -1},
 	}
 	for i, cfg := range bad {

@@ -143,8 +143,8 @@ func (o *supervisedObjective) testMetric() (float64, error) {
 
 // unsupervisedObjective is link prediction with negative sampling (paper
 // §VI-C b, Eq. 33): every active device contributes logistic terms for its
-// retained-neighbor pairs plus NegPerPos locally rejected negatives per
-// positive, drawn fresh each step from the device's private RNG. Its steps
+// retained-neighbor pairs plus one locally rejected negative per positive,
+// drawn fresh each step from the device's private RNG. Its steps
 // read all N pooled rows (lossRows is nil): at full participation the
 // sampled pairs touch most vertices, and scoring them against the full
 // matrix keeps PairDot's indices global.

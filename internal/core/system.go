@@ -94,15 +94,9 @@ func NewSystem(g, full *graph.Graph, cfg Config) (*System, error) {
 
 	// Shared model.
 	modelRng := rng.New(cfg.Seed ^ 0x6d6f64656c)
-	enc, err := nn.NewGNN(nn.GNNConfig{
-		Backbone: cfg.Backbone,
-		InDim:    g.FeatureDim(),
-		Hidden:   cfg.Hidden,
-		OutDim:   cfg.OutDim,
-		Layers:   cfg.Layers,
-		Heads:    cfg.Heads,
-		Dropout:  cfg.Dropout,
-	}, modelRng)
+	model := nn.PaperGNN(cfg.Backbone, g.FeatureDim())
+	model.Hidden, model.Heads = cfg.Hidden, cfg.Heads
+	enc, err := nn.NewGNN(model, modelRng)
 	if err != nil {
 		return nil, err
 	}
@@ -111,10 +105,10 @@ func NewSystem(g, full *graph.Graph, cfg Config) (*System, error) {
 		if g.NumClasses < 2 || g.Labels == nil {
 			return nil, fmt.Errorf("core: supervised task needs labels and ≥2 classes")
 		}
-		s.Head = nn.NewLinear("head", cfg.OutDim, g.NumClasses, modelRng)
+		s.Head = nn.NewLinear("head", enc.EmbeddingDim(), g.NumClasses, modelRng)
 	}
 	s.opt = nn.NewAdam(cfg.LearningRate)
-	s.opt.WeightDecay = cfg.WeightDecay
+	s.opt.WeightDecay = nn.PaperWeightDecay
 
 	// Device-parallel training engine: shard the forest and prepare
 	// per-shard weight views and RNG streams.

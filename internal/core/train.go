@@ -72,9 +72,10 @@ func (s *System) samplePairs(idxU, idxV []int, ys []float64, active []bool) ([]i
 			idxV = append(idxV, v)
 			ys = append(ys, 1)
 		}
-		// Negative sampling: device u knows its own complete neighbor list
-		// (its ego network), so it can locally reject neighbors.
-		want := len(ret) * s.Cfg.NegPerPos
+		// Negative sampling, one negative per positive: device u knows its
+		// own complete neighbor list (its ego network), so it can locally
+		// reject neighbors.
+		want := len(ret)
 		for drawn, attempts := 0, 0; drawn < want && attempts < 50*want+50; attempts++ {
 			w := s.Devices[u].Rng.Intn(s.G.N)
 			if w == u || s.Full.HasEdge(u, w) {
@@ -96,7 +97,7 @@ func (s *System) samplePairs(idxU, idxV []int, ys []float64, active []bool) ([]i
 // transfer-time estimates derive from these numbers, so they can never
 // drift apart.
 func (s *System) wireBytes() (embBytes, gradBytes, lossBytes int) {
-	return 8*s.Cfg.OutDim + 16, 8*nn.CountParams(s.Encoder) + 16, 24
+	return 8*s.Encoder.EmbeddingDim() + 16, 8*nn.CountParams(s.Encoder) + 16, 24
 }
 
 // accountEpochTraffic records the messages every epoch of either task

@@ -44,8 +44,8 @@ func ParseBackbone(name string) (Backbone, error) {
 	}
 }
 
-// GNNConfig describes a multi-layer GNN encoder. The paper's setting is
-// Layers=2, Hidden=Out=16, Heads=4 (GAT), Dropout=0.01.
+// GNNConfig describes a multi-layer GNN encoder. PaperGNN is the paper's
+// setting.
 type GNNConfig struct {
 	Backbone Backbone
 	InDim    int
@@ -55,6 +55,22 @@ type GNNConfig struct {
 	Heads    int     // GAT only
 	Dropout  float64 // applied after each hidden activation
 }
+
+// PaperGNN is the encoder of every system in the paper's evaluation over
+// inDim input features: Layers=2, Hidden=Out=16, Heads=4 (GAT only) and
+// Dropout=0.01. Lumos and its baselines all build from it, so accuracy
+// differences between them come from the privacy and federation mechanisms,
+// not the model. Adam trains it at PaperLearningRate with PaperWeightDecay.
+func PaperGNN(b Backbone, inDim int) GNNConfig {
+	return GNNConfig{Backbone: b, InDim: inDim, Hidden: 16, OutDim: 16, Layers: 2, Heads: 4, Dropout: 0.01}
+}
+
+// The paper's optimizer setting for PaperGNN: Adam at learning rate 0.01,
+// with L2 weight decay 5e-4 (the standard GCN setting).
+const (
+	PaperLearningRate = 0.01
+	PaperWeightDecay  = 5e-4
+)
 
 // Validate fills defaults and checks consistency.
 func (c *GNNConfig) Validate() error {

@@ -309,7 +309,7 @@ gate race ./internal/autodiff \
 	TestGradActivations TestGradDropoutMask TestGradGatherSegmentSum \
 	TestGradScaleRows TestGradMulRowsByCol TestGradScatterAddN \
 	TestGradCSRAggregate TestGradSegmentSoftmax TestGradConcat TestGradPairDot \
-	TestGradSoftmaxCrossEntropy TestGradLogisticLoss TestGradNoisyLabelCE \
+	TestGradSoftmaxCrossEntropy TestGradLogisticLoss \
 	TestGradSumMeanSquares TestGradCutGraph TestGradTableCoversEveryOp \
 	TestOpOnNoTapePanics TestOpOverTwoTapesPanics
 gate plain ./internal/baselines TestBaselineGoldens TestBaselineEpochAllocBudget
