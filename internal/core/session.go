@@ -69,7 +69,7 @@ func (s *System) NewSession(obj Objective) (*Session, error) {
 // the configured schedule, traffic is accounted, and — every
 // Config.EvalEvery epochs and on the final configured epoch — the
 // objective's validation metric drives model selection. Returns the epoch
-// loss.
+// loss, or the validation metric's error.
 func (se *Session) Step() (float64, error) {
 	s := se.sys
 	t0 := se.tel.begin()
@@ -86,10 +86,8 @@ func (se *Session) Step() (float64, error) {
 	// Validation-based model selection: each device evaluates its own
 	// prediction locally, so this costs one extra (eval-mode) forward.
 	if epoch%s.Cfg.EvalEvery == 0 || epoch == s.Cfg.Epochs-1 {
-		if m, ok, err := se.obj.valMetric(); ok && err == nil && m > se.bestVal {
-			se.bestVal = m
-			se.bestSnap = nn.Snapshot(s)
-			se.tel.selected(m)
+		if _, _, err := se.selectModel(); err != nil {
+			return 0, err
 		}
 	}
 	se.tel.finishStep(se, t0, epoch, loss)
@@ -168,26 +166,34 @@ func (se *Session) StepRound(plan RoundPlan) (RoundOutcome, error) {
 	return out, nil
 }
 
-// selectRound runs the plan's optional validation evaluation and folds it
-// into model selection — the round-path twin of Step's EvalEvery block.
+// selectRound runs the plan's optional validation evaluation through
+// selectModel and reports it in out.
 func (se *Session) selectRound(plan RoundPlan, out *RoundOutcome) error {
 	if !plan.Evaluate {
 		return nil
 	}
-	m, ok, err := se.obj.valMetric()
-	if err != nil {
-		return err
+	m, ok, err := se.selectModel()
+	if ok {
+		out.ValMetric, out.ValEvaluated = m, true
 	}
-	if !ok {
-		return nil
+	return err
+}
+
+// selectModel evaluates the objective's validation metric and snapshots the
+// model when the metric is the best so far — model selection for Step's
+// EvalEvery epochs and for rounds that ask for it. ok is false when the
+// objective carries no validation data.
+func (se *Session) selectModel() (m float64, ok bool, err error) {
+	m, ok, err = se.obj.valMetric()
+	if err != nil || !ok {
+		return 0, false, err
 	}
-	out.ValMetric, out.ValEvaluated = m, true
 	if m > se.bestVal {
 		se.bestVal = m
 		se.bestSnap = nn.Snapshot(se.sys)
 		se.tel.selected(m)
 	}
-	return nil
+	return m, true, nil
 }
 
 // FinishRounds seals the training run: every still-queued stale gradient

@@ -326,6 +326,41 @@ func TestStepRoundModelSelection(t *testing.T) {
 	}
 }
 
+// TestStepReturnsValidationError: a validation metric that cannot be
+// computed (no validation negatives, so ROC-AUC sees one class) fails Step
+// the way it fails an evaluating StepRound, instead of skipping model
+// selection.
+func TestStepReturnsValidationError(t *testing.T) {
+	g := testGraph(t, 150, 900, 2, 5)
+	es, err := graph.SplitEdges(g, 0.8, 0.05, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	es.ValNeg = nil
+	sys, err := NewSystem(es.TrainGraph, g, Config{Task: Unsupervised, MCMCIterations: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sys.NewSession(NewUnsupervisedObjective(es))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, roundErr := sess.StepRound(RoundPlan{Evaluate: true})
+	if roundErr == nil {
+		t.Fatal("StepRound{Evaluate: true} without validation negatives succeeded")
+	}
+	_, stepErr := sess.Step()
+	if stepErr == nil {
+		t.Fatal("Step without validation negatives succeeded")
+	}
+	if stepErr.Error() != roundErr.Error() {
+		t.Fatalf("Step error %q, StepRound error %q", stepErr, roundErr)
+	}
+	if sess.bestSnap != nil {
+		t.Fatal("a model was selected without a validation metric")
+	}
+}
+
 // TestParseTask mirrors the ParseSched contract for the new task parser.
 func TestParseTask(t *testing.T) {
 	for name, want := range map[string]Task{

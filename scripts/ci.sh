@@ -292,6 +292,11 @@ gate plain ./internal/sim TestPreFleetTimelineGolden
 # conservation laws over disciplines and seeds, best-round model selection
 # under every discipline, and the refusal to run one Simulator twice.
 gate plain ./internal/sim TestRunGolden TestTimelineInvariants TestSimModelSelection TestSimulatorReuseFails
+
+# Epoch-driven model selection fails the way round-driven selection does: a
+# validation metric that cannot be computed (no validation negatives, so
+# ROC-AUC sees one class) is Step's error, not a silently skipped selection.
+gate plain ./internal/core TestStepReturnsValidationError
 gate plain . \
 	TestEntryPointsBuildAndRun/lumos-sim-gossip \
 	TestEntryPointsBuildAndRun/examples/topologystudy
