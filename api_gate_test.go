@@ -50,12 +50,6 @@ var apiAllowList = map[string]string{
 	"tensor.ConstSparse.Entries": "the core first-layer tests and BenchmarkFirstLayer count a view's stored entries",
 	"tree.Tree.Validate":         "the structural invariants core's tests check on every tree NewSystem builds",
 
-	// Per-element LDP oracles the vector encoders are checked against bit
-	// for bit (TestVectorEncodersMatchPerElement).
-	"ldp.OneBit.EncodeValue":            "per-element oracle of OneBit's vector encoder",
-	"ldp.OneBit.RecoverValue":           "per-element oracle of OneBit's vector recovery",
-	"ldp.RandomizedResponse.PerturbBit": "per-element oracle of randomized response over edge bits",
-
 	// Reserved by a ROADMAP direction.
 	"nn.LoadParams":            "direction 2: the checkpoint's weight section reads it, or it goes with -save",
 	"core.Replica.Fingerprint": "direction 2: resume checks gossip replicas with it; the sim goldens pin it today",

@@ -37,24 +37,8 @@ func (m OneBit) Validate() error {
 	return nil
 }
 
-// EncodeValue randomizes one value to a bit per Eq. 26:
-//
-//	Pr[x' = 1] = 1/(e^ε+1) + (x−a)/(b−a) · (e^ε−1)/(e^ε+1)
-func (m OneBit) EncodeValue(x float64, rng *rand.Rand) float64 {
-	return m.coder().encode(x, rng)
-}
-
-// RecoverValue maps an encoded bit back to an unbiased estimate per Eq. 27.
-// The sentinel 0.5 ("not transmitted") recovers to the midpoint (a+b)/2,
-// which carries no directional information.
-func (m OneBit) RecoverValue(bit float64) float64 {
-	return m.coder().recover(bit)
-}
-
 // oneBitCoder is a OneBit with e^ε evaluated once, for the encoders that
-// treat a whole feature vector under one budget. Its arithmetic is Eq. 26–27
-// exactly as EncodeValue and RecoverValue state it, so per-element and
-// per-vector calls agree bit for bit.
+// treat a whole feature vector under one budget.
 type oneBitCoder struct {
 	m OneBit
 	e float64 // e^ε
@@ -64,6 +48,9 @@ func (m OneBit) coder() oneBitCoder {
 	return oneBitCoder{m: m, e: math.Exp(m.Eps)}
 }
 
+// encode randomizes one value to a bit per Eq. 26:
+//
+//	Pr[x' = 1] = 1/(e^ε+1) + (x−a)/(b−a) · (e^ε−1)/(e^ε+1)
 func (c oneBitCoder) encode(x float64, rng *rand.Rand) float64 {
 	m, e := c.m, c.e
 	p := 1/(e+1) + (clamp(x, m.A, m.B)-m.A)/(m.B-m.A)*(e-1)/(e+1)
@@ -73,6 +60,9 @@ func (c oneBitCoder) encode(x float64, rng *rand.Rand) float64 {
 	return 0
 }
 
+// recover maps an encoded bit back to an unbiased estimate per Eq. 27. The
+// sentinel 0.5 ("not transmitted") recovers to the midpoint (a+b)/2, which
+// carries no directional information.
 func (c oneBitCoder) recover(bit float64) float64 {
 	m, e := c.m, c.e
 	switch bit {

@@ -68,15 +68,6 @@ func (r RandomizedResponse) Perturb(v int, rng *rand.Rand) int {
 	return o
 }
 
-// PerturbBit randomizes a boolean (K must be 2).
-func (r RandomizedResponse) PerturbBit(b bool, rng *rand.Rand) bool {
-	v := 0
-	if b {
-		v = 1
-	}
-	return r.Perturb(v, rng) == 1
-}
-
 // MultiBit is an LPGNN-style multi-bit feature encoder: each user uniformly
 // samples M of the D dimensions, randomizes each with budget ε/M using the
 // one-bit mechanism, and the server rescales to an unbiased estimate;
