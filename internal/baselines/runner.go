@@ -136,19 +136,15 @@ func (r *runner) train(loss func() *autodiff.Value, val func() (float64, error))
 	return losses
 }
 
-// logits records the head's class scores over a training-mode forward.
-func (r *runner) logits() *autodiff.Value {
+// crossEntropy is the supervised loss against (possibly noised) labels with
+// per-vertex weights, over the head's class scores from a training-mode
+// forward.
+func (r *runner) crossEntropy(labels []int, weights []float64) func() *autodiff.Value {
 	if r.head == nil {
 		panic("baselines: supervised training without a head")
 	}
-	return r.head.Forward(r.embed(true))
-}
-
-// crossEntropy is the supervised loss against (possibly noised) labels with
-// per-vertex weights.
-func (r *runner) crossEntropy(labels []int, weights []float64) func() *autodiff.Value {
 	return func() *autodiff.Value {
-		return autodiff.SoftmaxCrossEntropy(r.logits(), labels, weights)
+		return autodiff.SoftmaxCrossEntropy(r.head.Forward(r.embed(true)), labels, weights)
 	}
 }
 
