@@ -12,7 +12,7 @@
 //
 // -traces writes a FedScale-style fleet trace (internal/fleet schema:
 // per-device compute/bandwidth/latency/power multipliers plus an optional
-// periodic availability cycle) in CSV, or JSON when -out ends in .json —
+// periodic availability cycle) in CSV, the one format of a fleet trace and
 // the file lumos-sim consumes via -fleet trace:<path>. The sample fleet
 // mixes mid-range, flagship (fast, power-hungry), and constrained diurnal
 // devices, deterministically from -seed, so tests and the smoke suite
@@ -73,9 +73,8 @@ func main() {
 	}
 }
 
-// emitTrace samples a deterministic fleet trace and writes it to path (CSV,
-// or JSON when the extension is .json), or to stdout as CSV when path is
-// empty. A summary of the sampled population is printed either way.
+// emitTrace samples a deterministic fleet trace and writes it as CSV to
+// path, or to stdout when path is empty. A summary of the sampled population is printed either way.
 func emitTrace(devices int, seed int64, path string) {
 	tr, err := fleet.SampleTrace(devices, seed)
 	check(err)

@@ -9,7 +9,7 @@
 //	lumos-report run <dir>            render a run record (summary, rounds,
 //	                                  metrics) as aligned tables, or
 //	                                  markdown with -md
-//	lumos-report trace <file>         analyze a trace file: per-round
+//	lumos-report trace <file>         analyze a Chrome trace file: per-round
 //	                                  critical paths (-critical-path),
 //	                                  straggler-blame table, device
 //	                                  utilization

@@ -9,7 +9,7 @@
 // The device population comes from internal/fleet: synthetic fleets
 // (uniform, zipf, periodic availability) or a trace file of per-device
 // capacity/power/availability records (-fleet trace:<path>, FedScale-style
-// CSV/JSON; generate a sample with lumos-datagen -traces). -agg-capacity
+// CSV; generate a sample with lumos-datagen -traces). -agg-capacity
 // puts an M/G/1-style shared server at the aggregator so uploads and model
 // broadcasts serialize instead of using independent links, and every round
 // reports the fleet's energy spend (compute x profile power + radio bytes).
@@ -54,7 +54,7 @@ func main() {
 	engine.Register(flag.CommandLine)
 	rec.Register(flag.CommandLine)
 	var (
-		fleetSpec = flag.String("fleet", "zipf", "device fleet: uniform|zipf|periodic|trace:<path> (CSV/JSON trace, see lumos-datagen -traces)")
+		fleetSpec = flag.String("fleet", "zipf", "device fleet: uniform|zipf|periodic|trace:<path> (CSV trace, see lumos-datagen -traces)")
 		zipfSkew  = flag.Float64("zipf", 1.2, "zipf fleet skew (slowest device ~2^skew x median)")
 		tracePer  = flag.Int("trace-period", 8, "periodic fleet availability period, rounds")
 		traceDuty = flag.Float64("trace-duty", 0.75, "periodic fleet online fraction of each period")

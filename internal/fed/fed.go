@@ -170,11 +170,10 @@ func (nw *Network) Diff(since Traffic) Traffic {
 	return d
 }
 
-// Device is one federated participant: vertex identity, local ego network,
-// private randomness, and a secure-computation party handle.
+// Device is one federated participant: vertex identity, private
+// randomness, and a secure-computation party handle.
 type Device struct {
 	ID  int
-	Ego *graph.EgoNet
 	Rng *rand.Rand
 	// Party is the device's side of the secure comparisons (its own stream,
 	// independent of Rng). It seeds that stream on its first comparison, so
@@ -189,7 +188,6 @@ func NewDevices(g *graph.Graph, seed int64) []*Device {
 	for v := 0; v < g.N; v++ {
 		ds[v] = &Device{
 			ID:    v,
-			Ego:   g.Ego(v),
 			Rng:   rng.New(seed ^ int64(v)*0x1e3779b97f4a7c15),
 			Party: smc.NewParty(seed ^ int64(v+1)*0x6a09e667f3bcc90),
 		}

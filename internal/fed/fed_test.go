@@ -97,10 +97,10 @@ func TestNewDevicesIndependentRandomness(t *testing.T) {
 	if len(ds) != 20 {
 		t.Fatalf("devices = %d", len(ds))
 	}
-	// Identities and local views line up.
+	// Identities line up with vertices.
 	for v, d := range ds {
-		if d.ID != v || d.Ego.Center != v {
-			t.Fatalf("device %d mismatched ego %d", d.ID, d.Ego.Center)
+		if d.ID != v {
+			t.Fatalf("device %d built for vertex %d", d.ID, v)
 		}
 		if d.Party == nil || d.Rng == nil {
 			t.Fatal("device missing randomness")

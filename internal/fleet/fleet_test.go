@@ -116,9 +116,9 @@ func TestServerDisabledIsIndependentLinks(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip writes a sampled trace in both schemas and reloads it:
-// the profiles must survive DeepEqual — the contract `lumos-datagen
-// -traces` output relies on.
+// TestTraceRoundTrip saves a sampled trace and reloads it: the profiles must
+// survive DeepEqual — the contract `lumos-datagen -traces` output relies on.
+// A .json path holds the same CSV schema; there is one trace format.
 func TestTraceRoundTrip(t *testing.T) {
 	tr, err := SampleTrace(23, 7)
 	if err != nil {
@@ -211,23 +211,11 @@ func TestReadTraceCSVRejectsMalformed(t *testing.T) {
 		"huge -phase":    "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,4,1,-1e300\n",
 		"Inf on_rounds":  "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,4,+Inf,0\n",
 		"period too big": "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,2147483648,1,0\n",
+		// A JSON body is not a trace: traces are CSV only.
+		"JSON trace": `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1}]}`,
 	} {
 		if _, err := ReadTraceCSV(bytes.NewReader([]byte(body))); err == nil {
 			t.Errorf("%s: malformed CSV trace accepted", name)
-		}
-	}
-}
-
-func TestReadTraceJSONRejectsMalformed(t *testing.T) {
-	for name, body := range map[string]string{
-		"empty devices":  `{"devices": []}`,
-		"zero compute":   `{"devices": [{"compute": 0, "bandwidth": 1, "latency": 1, "power": 1}]}`,
-		"unknown field":  `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "wat": 2}]}`,
-		"huge period":    `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "period": 1e300, "on_rounds": 1}]}`,
-		"period too big": `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "period": 4294967296, "on_rounds": 1}]}`,
-	} {
-		if _, err := ReadTraceJSON(bytes.NewReader([]byte(body))); err == nil {
-			t.Errorf("%s: malformed JSON trace accepted", name)
 		}
 	}
 }

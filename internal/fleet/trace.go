@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -23,26 +22,21 @@ import (
 // trace, devices are assigned records by deterministic seeded sampling, so
 // a small measured trace can drive an arbitrarily large fleet.
 //
-// On-disk schema (version 1), selected by file extension:
+// On-disk schema (version 1): CSV, whatever the file's extension.
+// '#'-prefixed comment lines, then a header row naming the columns, then one
+// row per device:
 //
-//   - CSV (.csv, or anything not .json): '#'-prefixed comment lines, then a
-//     header row naming the columns, then one row per device:
-//
-//     device,compute,bandwidth,latency,power,period,on_rounds,phase
-//     0,1.000,1.000,1.000,1.000,0,0,0
-//     1,2.500,0.632,1.581,0.800,8,6,3
-//
-//   - JSON (.json): {"name": "...", "devices": [{"compute": 1, "bandwidth":
-//     1, "latency": 1, "power": 1, "period": 0, "on_rounds": 0, "phase":
-//     0}, ...]}
+//	device,compute,bandwidth,latency,power,period,on_rounds,phase
+//	0,1.000,1.000,1.000,1.000,0,0,0
+//	1,2.500,0.632,1.581,0.800,8,6,3
 //
 // compute/bandwidth/latency/power are multipliers over the cost model's
 // nominal device (see Profile); period/on_rounds/phase describe the
 // availability cycle (all zero = always online). The device column is
 // ordinal only — rows load in file order.
 type Trace struct {
-	// Name labels the trace (CSV: the file's base name; JSON: its "name"
-	// field, falling back to the base name).
+	// Name labels the trace (LoadTrace: the file's base name without its
+	// extension).
 	Name string
 	// Devices holds one validated profile per traced device, in file order.
 	Devices []Profile
@@ -52,44 +46,19 @@ type Trace struct {
 // written in.
 var traceColumns = []string{"device", "compute", "bandwidth", "latency", "power", "period", "on_rounds", "phase"}
 
-// jsonTrace mirrors the JSON schema.
-type jsonTrace struct {
-	Name    string        `json:"name,omitempty"`
-	Devices []jsonProfile `json:"devices"`
-}
-
-type jsonProfile struct {
-	Compute   float64 `json:"compute"`
-	Bandwidth float64 `json:"bandwidth"`
-	Latency   float64 `json:"latency"`
-	Power     float64 `json:"power"`
-	Period    int     `json:"period,omitempty"`
-	OnRounds  int     `json:"on_rounds,omitempty"`
-	Phase     int     `json:"phase,omitempty"`
-}
-
-// LoadTrace reads a fleet trace from path, dispatching on the extension:
-// .json parses the JSON schema, everything else the CSV schema. Every
-// record is validated on load, so a Trace in memory is always usable.
+// LoadTrace reads a CSV fleet trace from path. Every record is validated
+// on load, so a Trace in memory is always usable.
 func LoadTrace(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: open trace: %w", err)
 	}
 	defer f.Close()
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	var tr *Trace
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		tr, err = ReadTraceJSON(f)
-	} else {
-		tr, err = ReadTraceCSV(f)
-	}
+	tr, err := ReadTraceCSV(f)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: trace %s: %w", path, err)
 	}
-	if tr.Name == "" {
-		tr.Name = name
-	}
+	tr.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	return tr, nil
 }
 
@@ -156,24 +125,6 @@ func parseTraceRow(row []string) (Profile, error) {
 	}, nil
 }
 
-// ReadTraceJSON parses the JSON trace schema.
-func ReadTraceJSON(r io.Reader) (*Trace, error) {
-	var jt jsonTrace
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jt); err != nil {
-		return nil, err
-	}
-	tr := &Trace{Name: jt.Name}
-	for _, d := range jt.Devices {
-		tr.Devices = append(tr.Devices, Profile{
-			Compute: d.Compute, Bandwidth: d.Bandwidth, Latency: d.Latency,
-			Power: d.Power, Period: d.Period, OnRounds: d.OnRounds, Phase: d.Phase,
-		})
-	}
-	return tr, tr.validate()
-}
-
 func (t *Trace) validate() error {
 	if len(t.Devices) == 0 {
 		return fmt.Errorf("trace describes no devices")
@@ -220,32 +171,13 @@ func formatMult(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteJSON writes the trace in the JSON schema.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	jt := jsonTrace{Name: t.Name}
-	for _, p := range t.Devices {
-		jt.Devices = append(jt.Devices, jsonProfile{
-			Compute: p.Compute, Bandwidth: p.Bandwidth, Latency: p.Latency,
-			Power: p.Power, Period: p.Period, OnRounds: p.OnRounds, Phase: p.Phase,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jt)
-}
-
-// Save writes the trace to path, dispatching on the extension exactly as
-// LoadTrace does: .json gets the JSON schema, everything else CSV.
+// Save writes the trace to path in the CSV schema, whatever the extension.
 func (t *Trace) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("fleet: save trace: %w", err)
 	}
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		err = t.WriteJSON(f)
-	} else {
-		err = t.WriteCSV(f)
-	}
+	err = t.WriteCSV(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -2,13 +2,13 @@ package fleet
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 )
 
-// traceSeeds are inputs both trace fuzz targets start from: rows that once
-// loaded non-finite multipliers or out-of-range cycle columns.
+// traceSeeds are inputs FuzzReadTraceCSV starts from: rows that once loaded
+// non-finite multipliers or out-of-range cycle columns, and a JSON body,
+// which is not a trace.
 var traceSeeds = []string{
 	"device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,NaN,1,1,1,0,0,0\n1,1,+Inf,1,1,0,0,0\n",
 	"device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,1e300,1,0\n",
@@ -16,16 +16,15 @@ var traceSeeds = []string{
 	`{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "period": 1e300, "on_rounds": 1}]}`,
 }
 
-// fuzzTrace checks a trace fuzz target's invariant: read returns an error,
-// or a trace whose every profile validates and which write → read returns
-// unchanged.
-func fuzzTrace(f *testing.F, read func(io.Reader) (*Trace, error), write func(*Trace, io.Writer) error) {
+// FuzzReadTraceCSV: ReadTraceCSV returns an error, or a trace whose every
+// profile validates and which WriteCSV → ReadTraceCSV returns unchanged.
+func FuzzReadTraceCSV(f *testing.F) {
 	tr, err := SampleTrace(12, 5)
 	if err != nil {
 		f.Fatal(err)
 	}
 	var good bytes.Buffer
-	if err := write(tr, &good); err != nil {
+	if err := tr.WriteCSV(&good); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
@@ -33,7 +32,7 @@ func fuzzTrace(f *testing.F, read func(io.Reader) (*Trace, error), write func(*T
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := read(bytes.NewReader(data))
+		tr, err := ReadTraceCSV(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -43,10 +42,10 @@ func fuzzTrace(f *testing.F, read func(io.Reader) (*Trace, error), write func(*T
 			}
 		}
 		var buf bytes.Buffer
-		if err := write(tr, &buf); err != nil {
+		if err := tr.WriteCSV(&buf); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		again, err := read(&buf)
+		again, err := ReadTraceCSV(&buf)
 		if err != nil {
 			t.Fatalf("re-reading a written trace: %v\n%s", err, buf.Bytes())
 		}
@@ -55,7 +54,3 @@ func fuzzTrace(f *testing.F, read func(io.Reader) (*Trace, error), write func(*T
 		}
 	})
 }
-
-func FuzzReadTraceCSV(f *testing.F) { fuzzTrace(f, ReadTraceCSV, (*Trace).WriteCSV) }
-
-func FuzzReadTraceJSON(f *testing.F) { fuzzTrace(f, ReadTraceJSON, (*Trace).WriteJSON) }

@@ -27,6 +27,9 @@ import (
 // per-vertex power-law weights, and with probability Homophily the second
 // endpoint is resampled from the first endpoint's class.
 
+// featureNoise is the Bernoulli background rate of every feature bit.
+const featureNoise = 0.03
+
 // GenConfig parameterizes the generator.
 type GenConfig struct {
 	Name    string
@@ -41,10 +44,9 @@ type GenConfig struct {
 	// Homophily is the probability that an edge endpoint is resampled from
 	// within the same class, controlling label signal in the topology.
 	Homophily float64
-	// FeatureSignal is the Bernoulli rate of class-indicative feature bits;
-	// FeatureNoise is the background rate of all bits.
+	// FeatureSignal is the Bernoulli rate of class-indicative feature bits
+	// (every bit also fires at featureNoise).
 	FeatureSignal float64
-	FeatureNoise  float64
 	// ActivePerClass is how many feature dimensions are indicative of each
 	// class (defaults to FeatureDim/Classes, capped).
 	ActivePerClass int
@@ -86,9 +88,6 @@ func (c *GenConfig) Validate() error {
 	}
 	if c.FeatureSignal == 0 {
 		c.FeatureSignal = 0.35
-	}
-	if c.FeatureNoise == 0 {
-		c.FeatureNoise = 0.03
 	}
 	if c.ActivePerClass == 0 {
 		c.ActivePerClass = c.FeatureDim / c.Classes
@@ -192,7 +191,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	}
 
 	// Features: class-indicative dimensions fire at FeatureSignal, all
-	// dimensions fire at FeatureNoise.
+	// dimensions fire at featureNoise.
 	active := make([][]int, cfg.Classes)
 	perm := rng.Perm(cfg.FeatureDim)
 	pos := 0
@@ -206,7 +205,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	for v := 0; v < cfg.N; v++ {
 		row := feats.Row(v)
 		for d := range row {
-			if rng.Float64() < cfg.FeatureNoise {
+			if rng.Float64() < featureNoise {
 				row[d] = 1
 			}
 		}

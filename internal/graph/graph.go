@@ -1,10 +1,9 @@
 // Package graph provides the graph substrate for the federated learning
-// system: an undirected attributed graph type, ego-network views (the only
-// thing a device is allowed to see in the node-level federated setting),
-// synthetic social-graph generators with power-law degree heterogeneity,
-// dataset presets standing in for the paper's Facebook page-page and LastFM
-// Asia crawls, and train/validation/test splitting for both node
-// classification and link prediction.
+// system: an undirected attributed graph type, synthetic social-graph
+// generators with power-law degree heterogeneity, dataset presets standing
+// in for the paper's Facebook page-page and LastFM Asia crawls, and
+// train/validation/test splitting for both node classification and link
+// prediction.
 package graph
 
 import (
@@ -135,33 +134,6 @@ func (g *Graph) Degrees() []int {
 		d[v] = len(g.Adj[v])
 	}
 	return d
-}
-
-// EgoNet is the complete local view of a device in the node-level federated
-// setting: its own id, feature, label, and the identities of its direct
-// neighbors — nothing else (paper §IV-A).
-type EgoNet struct {
-	Center    int
-	Neighbors []int
-	Feature   []float64
-	Label     int
-}
-
-// Ego extracts device v's ego network. The returned slices are copies: a
-// device must not be able to mutate (or observe mutations of) global state.
-func (g *Graph) Ego(v int) *EgoNet {
-	if v < 0 || v >= g.N {
-		panic(fmt.Sprintf("graph: ego of vertex %d outside [0,%d)", v, g.N))
-	}
-	e := &EgoNet{Center: v}
-	e.Neighbors = append([]int(nil), g.Adj[v]...)
-	if g.Features != nil {
-		e.Feature = append([]float64(nil), g.Features.Row(v)...)
-	}
-	if g.Labels != nil {
-		e.Label = g.Labels[v]
-	}
-	return e
 }
 
 // Subgraph returns a new graph keeping only the given edges (same vertex

@@ -68,24 +68,6 @@ func TestDegreesAndStats(t *testing.T) {
 	}
 }
 
-func TestEgoIsolation(t *testing.T) {
-	feats := tensor.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	g, err := NewFromEdges(3, [][2]int{{0, 1}, {1, 2}}, feats, []int{7, 8, 9}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := g.Ego(1)
-	if e.Center != 1 || len(e.Neighbors) != 2 || e.Label != 8 {
-		t.Fatalf("ego = %+v", e)
-	}
-	// Mutating the ego must not affect the graph.
-	e.Neighbors[0] = 99
-	e.Feature[0] = 99
-	if g.Adj[1][0] == 99 || g.Features.At(1, 0) == 99 {
-		t.Fatal("Ego must copy state")
-	}
-}
-
 func TestSubgraphKeepsAttributes(t *testing.T) {
 	feats := tensor.New(3, 2)
 	g, err := NewFromEdges(3, [][2]int{{0, 1}, {1, 2}}, feats, []int{0, 1, 0}, 2)

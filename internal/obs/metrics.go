@@ -1,7 +1,7 @@
 // Package obs is the runtime telemetry layer: a dependency-free metrics
 // registry (atomic counters, gauges, fixed-bucket histograms with a
 // Prometheus text exposition) and a structured event tracer writing Chrome
-// trace-event JSON (viewable in Perfetto) or JSONL.
+// trace-event JSON (viewable in Perfetto).
 //
 // Two design rules shape the package. First, disabled telemetry is free:
 // every instrument method is safe on a nil receiver and returns

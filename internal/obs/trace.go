@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 )
@@ -28,8 +26,8 @@ type Event struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Tracer accumulates spans and instants and writes them out as either
-// Chrome trace-event JSON or JSONL. A nil *Tracer is valid and every
+// Tracer accumulates spans and instants and writes them out as Chrome
+// trace-event JSON. A nil *Tracer is valid and every
 // method on it is a no-op, so instrumented code needs no enablement
 // branches.
 //
@@ -166,25 +164,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteJSONL writes one event per line as standalone JSON objects —
-// greppable, streamable, and trivially diffable in tests.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range t.Events() {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadChrome parses a Chrome trace-event object ({"traceEvents":[...]})
 // back into its events — the inverse of WriteChrome, so recorded timelines
 // can be analyzed offline (internal/report).
@@ -201,63 +180,29 @@ func ReadChrome(r io.Reader) ([]Event, error) {
 	return chrome.TraceEvents, nil
 }
 
-// ReadEventsFile loads a trace file written by WriteFile: JSONL when the
-// extension is .jsonl, Chrome trace-event JSON otherwise.
+// ReadEventsFile loads a trace file written by WriteFile. The file must
+// hold Chrome trace-event JSON, whatever its extension.
 func ReadEventsFile(path string) ([]Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
-	var evs []Event
-	if strings.EqualFold(filepath.Ext(path), ".jsonl") {
-		evs, err = ReadJSONL(f)
-	} else {
-		evs, err = ReadChrome(f)
-	}
+	evs, err := ReadChrome(f)
 	if err != nil {
 		return nil, fmt.Errorf("trace %s: %w", path, err)
 	}
 	return evs, nil
 }
 
-// ReadJSONL decodes one event per line, skipping blank lines — the inverse
-// of WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	var evs []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal([]byte(text), &e); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		evs = append(evs, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return evs, nil
-}
-
-// WriteFile writes the trace to path: JSONL when the extension is
-// .jsonl, Chrome trace-event JSON otherwise.
+// WriteFile writes the trace to path as Chrome trace-event JSON, whatever
+// the extension.
 func (t *Tracer) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	if strings.EqualFold(filepath.Ext(path), ".jsonl") {
-		err = t.WriteJSONL(f)
-	} else {
-		err = t.WriteChrome(f)
-	}
+	err = t.WriteChrome(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -88,53 +88,24 @@ func TestSpanClampNegativeDuration(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	tr := NewVirtualTracer()
-	tr.Span(1, "a", "x", 0, 1, nil)
-	tr.Instant(2, "b", "y", 3, map[string]any{"k": "v"})
-	var b bytes.Buffer
-	if err := tr.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	for i, ln := range lines {
-		var e Event
-		if err := json.Unmarshal([]byte(ln), &e); err != nil {
-			t.Fatalf("line %d not JSON: %v: %q", i, err, ln)
-		}
-	}
-}
-
-func TestWriteFilePicksFormatByExtension(t *testing.T) {
+// TestWriteFileWritesChromeWhateverTheExtension: a .jsonl path gets Chrome
+// trace-event JSON too; there is one trace format.
+func TestWriteFileWritesChromeWhateverTheExtension(t *testing.T) {
 	dir := t.TempDir()
 	tr := NewVirtualTracer()
 	tr.Span(0, "c", "n", 0, 1, nil)
-
-	chrome := filepath.Join(dir, "out.trace.json")
-	if err := tr.WriteFile(chrome); err != nil {
-		t.Fatal(err)
-	}
-	cb, err := os.ReadFile(chrome)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(cb), `{"traceEvents":[`) {
-		t.Fatalf(".json file is not Chrome format: %q", cb)
-	}
-
-	jsonl := filepath.Join(dir, "out.jsonl")
-	if err := tr.WriteFile(jsonl); err != nil {
-		t.Fatal(err)
-	}
-	jb, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(jb), "traceEvents") {
-		t.Fatalf(".jsonl file is not JSONL: %q", jb)
+	for _, name := range []string{"out.trace.json", "out.jsonl"} {
+		path := filepath.Join(dir, name)
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(b), `{"traceEvents":[`) {
+			t.Fatalf("%s is not Chrome format: %q", name, b)
+		}
 	}
 }
 
@@ -158,7 +129,7 @@ func TestTracerDeterministicBytes(t *testing.T) {
 }
 
 // TestReadEventsFileRoundTrip: events written with WriteFile load back
-// identically through ReadEventsFile, in both formats. Args use float64
+// identically through ReadEventsFile, whatever the extension. Args use float64
 // values because that is what encoding/json decodes numbers to.
 func TestReadEventsFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -184,7 +155,8 @@ func TestReadEventsFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadChromeRejectsNonTrace: an arbitrary JSON object is not a trace.
+// TestReadChromeRejectsNonTrace: an arbitrary JSON object is not a trace,
+// and neither is a JSONL event stream.
 func TestReadChromeRejectsNonTrace(t *testing.T) {
 	if _, err := ReadChrome(strings.NewReader(`{"foo": 1}`)); err == nil {
 		t.Fatal("non-trace object parsed")
@@ -192,20 +164,8 @@ func TestReadChromeRejectsNonTrace(t *testing.T) {
 	if _, err := ReadChrome(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage parsed")
 	}
-}
-
-// TestReadJSONLSkipsBlanksAndReportsLine: blank lines are tolerated, torn
-// lines are reported with their line number.
-func TestReadJSONLSkipsBlanksAndReportsLine(t *testing.T) {
-	evs, err := ReadJSONL(strings.NewReader("\n{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"pid\":1,\"tid\":1}\n\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Name != "a" {
-		t.Fatalf("unexpected events: %+v", evs)
-	}
-	if _, err := ReadJSONL(strings.NewReader("{\"name\":\"a\"}\n{torn")); err == nil ||
-		!strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("torn line not reported with its number: %v", err)
+	jsonl := `{"name":"a","ph":"X","ts":0,"pid":1,"tid":1}` + "\n" + `{"name":"b","ph":"X","ts":1,"pid":1,"tid":1}` + "\n"
+	if _, err := ReadChrome(strings.NewReader(jsonl)); err == nil {
+		t.Fatal("JSONL event stream parsed")
 	}
 }

@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -14,24 +13,21 @@ import (
 	"lumos/internal/sim"
 )
 
-// farTrackJSONL is a 160-byte trace whose only device span sits on track
-// 1 000 001. The analyzer once sized its device table by that id: 329 MB
-// and a million rows for two lines.
-const farTrackJSONL = `{"name":"round","ph":"X","ts":0,"dur":1,"pid":1,"tid":0,"args":{"round":0}}
-{"name":"compute","ph":"X","ts":0,"dur":1,"pid":1,"tid":1000001,"args":{"round":0}}
-`
+// farTrack is a Chrome trace whose only device span sits on track tid.
+// With tid 1 000 001 it is the 160-byte trace for which the analyzer once
+// sized its device table by that id: 329 MB and a million rows for two
+// events.
+func farTrack(tid string) string {
+	return `{"traceEvents":[{"name":"round","ph":"X","ts":0,"dur":1,"pid":1,"tid":0,"args":{"round":0}},` +
+		`{"name":"compute","ph":"X","ts":0,"dur":1,"pid":1,"tid":` + tid + `,"args":{"round":0}}]}`
+}
 
-// farTrackChrome is farTrackJSONL as a Chrome trace object, its track id
-// at the top of int64.
-const farTrackChrome = `{"traceEvents":[{"name":"round","ph":"X","ts":0,"dur":1,"pid":1,"tid":0,"args":{"round":0}},` +
-	`{"name":"compute","ph":"X","ts":0,"dur":1,"pid":1,"tid":9223372036854775807,"args":{"round":0}}]}`
-
-// analyzeAllocBytes reads a trace with read and analyzes it, returning the
+// analyzeAllocBytes reads a Chrome trace and analyzes it, returning the
 // bytes both allocated together.
-func analyzeAllocBytes(read func(io.Reader) ([]obs.Event, error), data []byte) (uint64, []obs.Event, *TraceAnalysis, error) {
+func analyzeAllocBytes(data []byte) (uint64, []obs.Event, *TraceAnalysis, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	evs, err := read(bytes.NewReader(data))
+	evs, err := obs.ReadChrome(bytes.NewReader(data))
 	var an *TraceAnalysis
 	if err == nil {
 		an, err = AnalyzeTrace(evs, 5)
@@ -41,36 +37,35 @@ func analyzeAllocBytes(read func(io.Reader) ([]obs.Event, error), data []byte) (
 }
 
 // traceAllocBound is the most reading and analyzing an n-byte trace may
-// allocate: the JSONL reader's 1 MiB line buffer and bookkeeping, plus a
-// fixed multiple of the input (decoded events, spans and per-round
-// tables). Nothing is sized by a value the input names.
+// allocate: 2 MiB of fixed bookkeeping plus a fixed multiple of the input
+// (decoded events, spans and per-round tables). Nothing is sized by a value
+// the input names.
 func traceAllocBound(n int) uint64 { return 2<<20 + 1024*uint64(n) }
 
 // TestAnalyzeTraceAllocBoundedByInput: a trace naming a far track id gets
-// one device row, and reading plus analyzing it allocates about the JSONL
-// reader's line buffer — not a table sized by the id.
+// one device row, and reading plus analyzing it stays within
+// traceAllocBound — no table is sized by the id.
 func TestAnalyzeTraceAllocBoundedByInput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is unreliable under -short (race) runs")
 	}
 	for _, c := range []struct {
-		name   string
-		read   func(io.Reader) ([]obs.Event, error)
-		data   string
+		tid    string
 		device int
 	}{
-		{"jsonl", obs.ReadJSONL, farTrackJSONL, 1_000_000},
-		{"chrome", obs.ReadChrome, farTrackChrome, 1<<63 - 2},
+		{"1000001", 1_000_000},
+		{"9223372036854775807", 1<<63 - 2},
 	} {
-		n, _, an, err := analyzeAllocBytes(c.read, []byte(c.data))
+		data := farTrack(c.tid)
+		n, _, an, err := analyzeAllocBytes([]byte(data))
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("tid %s: %v", c.tid, err)
 		}
 		if len(an.Devices) != 1 || an.Devices[0].Device != c.device {
-			t.Fatalf("%s: %d device rows, want one for device %d", c.name, len(an.Devices), c.device)
+			t.Fatalf("tid %s: %d device rows, want one for device %d", c.tid, len(an.Devices), c.device)
 		}
-		if bound := traceAllocBound(len(c.data)); n > bound {
-			t.Fatalf("%s: a %d-byte trace allocated %d B, bound %d B", c.name, len(c.data), n, bound)
+		if bound := traceAllocBound(len(data)); n > bound {
+			t.Fatalf("tid %s: a %d-byte trace allocated %d B, bound %d B", c.tid, len(data), n, bound)
 		}
 	}
 }
@@ -121,20 +116,21 @@ func shortSim(tb testing.TB, tr *obs.Tracer, reg *obs.Registry) *sim.Result {
 	return res
 }
 
-// fuzzTraceReader checks a trace reader's invariant, with every decoded
-// trace going through AnalyzeTrace: an error or a result, never a panic,
-// and never an allocation past traceAllocBound. A result has at most one
-// round per event and one device row per event, rows ascending.
-func fuzzTraceReader(f *testing.F, read func(io.Reader) ([]obs.Event, error), write func(*obs.Tracer, io.Writer) error, far string) {
+// FuzzReadChrome: ReadChrome followed by AnalyzeTrace returns an error or a
+// result, never panics, and never allocates past traceAllocBound. A result
+// has at most one round per event and one device row per event, rows
+// ascending.
+func FuzzReadChrome(f *testing.F) {
 	var good bytes.Buffer
-	if err := write(shortSimTrace(f), &good); err != nil {
+	if err := shortSimTrace(f).WriteChrome(&good); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
+	far := farTrack("9223372036854775807")
 	f.Add([]byte(far))
 	f.Add([]byte(strings.ReplaceAll(far, `"tid":0`, `"tid":-3`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, evs, an, err := analyzeAllocBytes(read, data)
+		n, evs, an, err := analyzeAllocBytes(data)
 		if !testing.Short() && n > traceAllocBound(len(data)) {
 			t.Fatalf("%d-byte trace allocated %d B, bound %d (err %v)", len(data), n, traceAllocBound(len(data)), err)
 		}
@@ -150,12 +146,4 @@ func fuzzTraceReader(f *testing.F, read func(io.Reader) ([]obs.Event, error), wr
 			}
 		}
 	})
-}
-
-func FuzzReadJSONL(f *testing.F) {
-	fuzzTraceReader(f, obs.ReadJSONL, (*obs.Tracer).WriteJSONL, farTrackJSONL)
-}
-
-func FuzzReadChrome(f *testing.F) {
-	fuzzTraceReader(f, obs.ReadChrome, (*obs.Tracer).WriteChrome, farTrackChrome)
 }

@@ -25,9 +25,6 @@ type Options struct {
 	// latency and batch-size histograms, queue depth, swap counter,
 	// serving snapshot version/age) and enables GET /metrics on Handler.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records batch drains and hot swaps as
-	// wall-clock trace events.
-	Tracer *obs.Tracer
 	// AccessLog, when set, receives one record per HTTP request handled
 	// by Handler. Nil (the default) logs nothing.
 	AccessLog func(AccessRecord)
@@ -134,7 +131,7 @@ func (s *Server) Swap(b *Bundle) bool {
 		}
 		if s.cur.CompareAndSwap(cur, b) {
 			s.opt.Logf("serve: now serving snapshot v%d (%d vertices, %d classes)", b.Version, b.N, b.Classes)
-			s.tel.swapped(b.Version)
+			s.tel.swaps.Inc()
 			return true
 		}
 	}
@@ -193,19 +190,14 @@ func (s *Server) worker() {
 				}
 			}
 			timer.Stop()
-			t0 := s.tel.begin()
 			b := s.cur.Load()
 			results = results[:0]
 			for _, r := range batch {
 				results = append(results, answer(b, r))
 			}
-			var version uint64
-			if b != nil {
-				version = b.Version
-			}
 			// Record the batch before delivering it, so a caller that
 			// scrapes /metrics once its answer arrives sees the batch.
-			s.tel.batch(len(batch), version, t0)
+			s.tel.batchSize.Observe(float64(len(batch)))
 			for i, r := range batch {
 				r.done <- results[i]
 			}

@@ -11,7 +11,6 @@ import (
 // enabled flag only gates the time.Now reads bracketing each query.
 type serveTelemetry struct {
 	enabled bool
-	tracer  *obs.Tracer
 
 	classifyLat   *obs.Histogram
 	scoreLat      *obs.Histogram
@@ -22,21 +21,16 @@ type serveTelemetry struct {
 	swaps         *obs.Counter
 }
 
-// serveTrack is the tracer track for the batching worker and swap events.
-const serveTrack = 0
-
 // initTelemetry registers the server's instruments on opt.Metrics and
 // hooks the live gauges (queue depth, serving version, snapshot age) that
-// are sampled at scrape time. Safe to call with Metrics and Tracer nil.
+// are sampled at scrape time. Safe to call with Metrics nil.
 func (s *Server) initTelemetry() {
-	r, tr := s.opt.Metrics, s.opt.Tracer
-	if r == nil && tr == nil {
+	r := s.opt.Metrics
+	if r == nil {
 		return
 	}
-	tr.SetTrackName(serveTrack, "serve worker")
 	s.tel = serveTelemetry{
 		enabled: true,
-		tracer:  tr,
 		classifyLat: r.Histogram(`lumos_serve_query_seconds{endpoint="classify"}`,
 			"End-to-end query latency through the batching path", obs.LatencyBuckets),
 		scoreLat: r.Histogram(`lumos_serve_query_seconds{endpoint="score"}`,
@@ -51,9 +45,6 @@ func (s *Server) initTelemetry() {
 			"Queries answered per worker batch", obs.SizeBuckets),
 		swaps: r.Counter("lumos_serve_swaps_total",
 			"Successful bundle hot swaps"),
-	}
-	if r == nil {
-		return
 	}
 	r.GaugeFunc("lumos_serve_queue_depth",
 		"Queries waiting in the batching queue", func() float64 {
@@ -100,28 +91,4 @@ func (t *serveTelemetry) query(kind reqKind, start time.Time, err error) {
 	if err != nil {
 		t.queryErrors.Inc()
 	}
-}
-
-// batch records one worker drain: the batch size and, when tracing, a
-// span covering the answer phase.
-func (t *serveTelemetry) batch(n int, version uint64, start time.Time) {
-	if !t.enabled {
-		return
-	}
-	t.batchSize.Observe(float64(n))
-	if t.tracer != nil {
-		end := t.tracer.Now()
-		t.tracer.Span(serveTrack, "serve", "batch", end-time.Since(start).Seconds(), end,
-			map[string]any{"size": n, "version": version})
-	}
-}
-
-// swapped records a successful hot swap.
-func (t *serveTelemetry) swapped(version uint64) {
-	if !t.enabled {
-		return
-	}
-	t.swaps.Inc()
-	t.tracer.Instant(serveTrack, "serve", "hot-swap", t.tracer.Now(),
-		map[string]any{"version": version})
 }

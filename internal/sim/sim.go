@@ -63,7 +63,7 @@ type Scenario struct {
 	// Fleet names the device-profile distribution (default FleetUniform).
 	Fleet Fleet
 	// Trace supplies the device population when Fleet is FleetTrace —
-	// typically loaded from a FedScale-style CSV/JSON file with
+	// typically loaded from a FedScale-style CSV file with
 	// fleet.LoadTrace. The trace fleet has no synthetic fallback: naming it
 	// without a trace fails validation.
 	Trace *fleet.Trace

@@ -1,9 +1,7 @@
 package topo
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,7 +10,6 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -33,38 +30,26 @@ func readAllocBound(size, n int) uint64 {
 	return 1<<20 + 256*uint64(size) + 64*uint64(n)
 }
 
-// readers are the two contact-graph schemas.
-var readers = []struct {
-	name string
-	read func(io.Reader, int) (*Topology, error)
-}{{"csv", readCSV}, {"json", readJSON}}
-
 // A tiny file declaring a huge device count is refused before an adjacency
-// table is sized by it. Before the bound, the 30-odd-byte CSV below built a
+// table is sized by it. Before the bound, the 30-odd-byte file below built a
 // 50M-device topology (1.2 GB of adjacency headers).
 func TestReadRejectsHugeNodeCount(t *testing.T) {
-	for _, c := range []struct{ schema, body string }{
-		{"csv", "# nodes: 50000000\nsrc,dst\n0,1\n"},
-		{"csv", fmt.Sprintf("# nodes: %d\nsrc,dst\n0,1\n", MaxNodes+1)},
-		{"json", `{"nodes": 50000000, "edges": [[0,1]]}`},
-		{"json", fmt.Sprintf(`{"nodes": %d, "edges": [[0,1]]}`, MaxNodes+1)},
+	for _, body := range []string{
+		`{"nodes": 50000000, "edges": [[0,1]]}`,
+		fmt.Sprintf(`{"nodes": %d, "edges": [[0,1]]}`, MaxNodes+1),
 	} {
-		read := readCSV
-		if c.schema == "json" {
-			read = readJSON
-		}
 		var err error
-		alloc := allocatedBy(func() { _, err = read(strings.NewReader(c.body), -1) })
+		alloc := allocatedBy(func() { _, err = readJSON(strings.NewReader(body), -1) })
 		if err == nil {
-			t.Errorf("%s %q: accepted", c.schema, c.body)
+			t.Errorf("%q: accepted", body)
 		}
-		if limit := readAllocBound(len(c.body), 0); alloc > limit {
-			t.Errorf("%s %q: allocated %d bytes refusing it, bound %d", c.schema, c.body, alloc, limit)
+		if limit := readAllocBound(len(body), 0); alloc > limit {
+			t.Errorf("%q: allocated %d bytes refusing it, bound %d", body, alloc, limit)
 		}
 	}
 	// MaxNodes itself is a valid declaration: isolated devices appear in no
-	// edge row.
-	tp, err := readCSV(strings.NewReader(fmt.Sprintf("# nodes: %d\nsrc,dst\n0,1\n", MaxNodes)), -1)
+	// edge.
+	tp, err := readJSON(strings.NewReader(fmt.Sprintf(`{"nodes": %d, "edges": [[0,1]]}`, MaxNodes)), -1)
 	if err != nil || tp.N() != MaxNodes {
 		t.Fatalf("MaxNodes declaration: %v", err)
 	}
@@ -74,25 +59,21 @@ func TestReadRejectsHugeNodeCount(t *testing.T) {
 // is refused before the file's count sizes anything.
 func TestBuildFileRejectsCountBeforeAllocating(t *testing.T) {
 	dir := t.TempDir()
-	for _, c := range []struct{ name, body string }{
-		{"big.csv", fmt.Sprintf("# nodes: %d\nsrc,dst\n0,1\n", MaxNodes)},
-		{"big.json", fmt.Sprintf(`{"nodes": %d, "edges": [[0,1]]}`, MaxNodes)},
-	} {
-		path := filepath.Join(dir, c.name)
-		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sp, err := ParseSpec("file:" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alloc := allocatedBy(func() { _, err = sp.Build(16, 1) })
-		if err == nil || !strings.Contains(err.Error(), "fleet has 16") {
-			t.Errorf("%s over 16 devices: %v, want a device-count mismatch", c.name, err)
-		}
-		if limit := readAllocBound(len(c.body), 0); alloc > limit {
-			t.Errorf("%s: allocated %d bytes refusing it, bound %d", c.name, alloc, limit)
-		}
+	body := fmt.Sprintf(`{"nodes": %d, "edges": [[0,1]]}`, MaxNodes)
+	path := filepath.Join(dir, "big.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := ParseSpec("file:" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := allocatedBy(func() { _, err = sp.Build(16, 1) })
+	if err == nil || !strings.Contains(err.Error(), "fleet has 16") {
+		t.Errorf("big.json over 16 devices: %v, want a device-count mismatch", err)
+	}
+	if limit := readAllocBound(len(body), 0); alloc > limit {
+		t.Errorf("big.json: allocated %d bytes refusing it, bound %d", alloc, limit)
 	}
 }
 
@@ -118,43 +99,36 @@ func checkTopology(t *testing.T, tp *Topology) {
 	}
 }
 
-// FuzzReadTopology: on any input each reader returns an error or a valid
+// FuzzReadTopology: on any input readJSON returns an error or a valid
 // topology, never panics, and never allocates past readAllocBound. A
-// topology it accepts survives a write and re-read in both schemas.
+// topology it accepts survives a write and re-read unchanged. The csv-*
+// seeds are CSV contact graphs, kept as inputs the reader rejects.
 func FuzzReadTopology(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, r := range readers {
-			var tp *Topology
-			var err error
-			alloc := allocatedBy(func() { tp, err = r.read(bytes.NewReader(data), -1) })
-			n := 0
-			if err == nil {
-				n = tp.N()
-			}
-			if limit := readAllocBound(len(data), n); alloc > limit {
-				t.Fatalf("%s reader allocated %d bytes on %d input bytes (%d devices), bound %d", r.name, alloc, len(data), n, limit)
-			}
-			if err != nil {
-				continue
-			}
-			checkTopology(t, tp)
-			for _, w := range readers {
-				var buf bytes.Buffer
-				write := writeCSV
-				if w.name == "json" {
-					write = writeJSON
-				}
-				if err := write(tp, &buf); err != nil {
-					t.Fatalf("%s write: %v", w.name, err)
-				}
-				back, err := w.read(&buf, -1)
-				if err != nil {
-					t.Fatalf("%s topology does not re-read as %s: %v", r.name, w.name, err)
-				}
-				if back.N() != n || !reflect.DeepEqual(edges(back), edges(tp)) {
-					t.Fatalf("%s topology changed across a %s round trip", r.name, w.name)
-				}
-			}
+		var tp *Topology
+		var err error
+		alloc := allocatedBy(func() { tp, err = readJSON(bytes.NewReader(data), -1) })
+		n := 0
+		if err == nil {
+			n = tp.N()
+		}
+		if limit := readAllocBound(len(data), n); alloc > limit {
+			t.Fatalf("reader allocated %d bytes on %d input bytes (%d devices), bound %d", alloc, len(data), n, limit)
+		}
+		if err != nil {
+			return
+		}
+		checkTopology(t, tp)
+		var buf bytes.Buffer
+		if err := writeJSON(tp, &buf); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		back, err := readJSON(&buf, -1)
+		if err != nil {
+			t.Fatalf("written topology does not re-read: %v", err)
+		}
+		if back.N() != n || !reflect.DeepEqual(edges(back), edges(tp)) {
+			t.Fatal("topology changed across a round trip")
 		}
 	})
 }
@@ -184,29 +158,6 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		checkTopology(t, tp)
 	})
-}
-
-// writeCSV writes t in the CSV schema, comment header first — including the
-// required nodes directive — then canonical u<v edges in lexicographic
-// order, so write→load→write is byte-stable.
-func writeCSV(t *Topology, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# Lumos contact topology v1: one undirected edge per row.\n")
-	fmt.Fprintf(bw, "# nodes: %d\n", t.n)
-	cw := csv.NewWriter(bw)
-	if err := cw.Write(edgeColumns); err != nil {
-		return err
-	}
-	for _, e := range edges(t) {
-		if err := cw.Write([]string{strconv.Itoa(e[0]), strconv.Itoa(e[1])}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // writeJSON writes t in the JSON schema, edges in canonical order.

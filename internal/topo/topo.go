@@ -2,8 +2,8 @@
 // (gossip) Lumos scheduling: which devices can exchange model deltas
 // directly. A Topology is an undirected simple graph over the device ids,
 // produced by deterministic seeded generators (ring, k-regular,
-// Barabási–Albert, complete) or loaded from a contact-graph file
-// (CSV/JSON, mirroring fleet.Trace's on-disk conventions — see file.go).
+// Barabási–Albert, complete) or loaded from a JSON contact-graph file (see
+// file.go).
 //
 // Topologies feed sim.Scenario.Topology: under core.SchedGossip each device
 // averages its model with its participating neighbors using
@@ -376,7 +376,7 @@ type Spec struct {
 //	ba:<m>          Barabási–Albert with m attachments per device
 //	barabasi-albert:<m>  same, long form
 //	complete        all-pairs
-//	file:<path>     contact-graph file (CSV or JSON; see file.go)
+//	file:<path>     JSON contact-graph file (see file.go)
 func ParseSpec(s string) (Spec, error) {
 	kind, arg := s, ""
 	if i := strings.Index(s, ":"); i >= 0 {
@@ -421,7 +421,7 @@ func ParseSpec(s string) (Spec, error) {
 		return Spec{Kind: "complete"}, nil
 	case "file":
 		if arg == "" {
-			return Spec{}, fmt.Errorf("topo: file spec needs a path, e.g. \"file:contacts.csv\"")
+			return Spec{}, fmt.Errorf("topo: file spec needs a path, e.g. \"file:contacts.json\"")
 		}
 		return Spec{Kind: "file", Path: arg}, nil
 	default:

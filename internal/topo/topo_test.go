@@ -239,57 +239,51 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	for _, name := range []string{"contacts.csv", "contacts.json"} {
-		path := filepath.Join(dir, name)
-		if err := save(orig, path); err != nil {
-			t.Fatalf("save %s: %v", name, err)
-		}
-		got, err := load(path, -1)
-		if err != nil {
-			t.Fatalf("load %s: %v", name, err)
-		}
-		if got.N() != orig.N() {
-			t.Fatalf("%s: %d nodes, want %d", name, got.N(), orig.N())
-		}
-		if !reflect.DeepEqual(edges(got), edges(orig)) {
-			t.Fatalf("%s: edges changed across round-trip", name)
-		}
-		// save→load→save must be byte-stable (canonical edge order).
-		again := filepath.Join(dir, "again-"+name)
-		if err := save(got, again); err != nil {
-			t.Fatal(err)
-		}
-		t2, err := load(again, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(edges(t2), edges(orig)) {
-			t.Fatalf("%s: second round-trip drifted", name)
-		}
+	path := filepath.Join(dir, "contacts.json")
+	if err := save(orig, path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := load(path, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N() != orig.N() {
+		t.Fatalf("%d nodes, want %d", got.N(), orig.N())
+	}
+	if !reflect.DeepEqual(edges(got), edges(orig)) {
+		t.Fatal("edges changed across round-trip")
+	}
+	// save→load→save must be stable (canonical edge order).
+	again := filepath.Join(dir, "again.json")
+	if err := save(got, again); err != nil {
+		t.Fatal(err)
+	}
+	t2, err := load(again, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(edges(t2), edges(orig)) {
+		t.Fatal("second round-trip drifted")
 	}
 }
 
-func TestReadCSVRejectsMalformed(t *testing.T) {
+func TestReadRejectsMalformed(t *testing.T) {
 	cases := []struct{ name, body string }{
-		{"missing-nodes", "src,dst\n0,1\n"},
-		{"missing-header", "# nodes: 4\n"},
-		{"wrong-header", "# nodes: 4\na,b\n0,1\n"},
-		{"self-loop", "# nodes: 4\nsrc,dst\n2,2\n"},
-		{"out-of-range", "# nodes: 4\nsrc,dst\n0,9\n"},
-		{"duplicate", "# nodes: 4\nsrc,dst\n0,1\n1,0\n"},
-		{"non-numeric", "# nodes: 4\nsrc,dst\nzero,1\n"},
-		{"bad-directive", "# nodes: four\nsrc,dst\n0,1\n"},
+		{"missing-nodes", `{"edges": [[0,1]]}`},
+		{"unknown-field", `{"nodes": 4, "edges": [[0,1]], "bogus": 1}`},
+		{"self-loop", `{"nodes": 4, "edges": [[0,0]]}`},
+		{"out-of-range", `{"nodes": 4, "edges": [[0,9]]}`},
+		{"duplicate", `{"nodes": 4, "edges": [[0,1],[1,0]]}`},
+		{"non-numeric", `{"nodes": 4, "edges": [["zero",1]]}`},
+		{"string-count", `{"nodes": "four", "edges": [[0,1]]}`},
+		// A CSV contact graph is not a contact-graph file, whatever its
+		// extension: the reader takes JSON only.
+		{"csv", "# nodes: 4\nsrc,dst\n0,1\n"},
 	}
 	for _, c := range cases {
-		if _, err := readCSV(strings.NewReader(c.body), -1); err == nil {
+		if _, err := readJSON(strings.NewReader(c.body), -1); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-	}
-	if _, err := readJSON(strings.NewReader(`{"nodes": 4, "edges": [[0,1]], "bogus": 1}`), -1); err == nil {
-		t.Error("unknown JSON field accepted")
-	}
-	if _, err := readJSON(strings.NewReader(`{"nodes": 4, "edges": [[0,0]]}`), -1); err == nil {
-		t.Error("JSON self-loop accepted")
 	}
 }
 
@@ -324,7 +318,7 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("Build ring:4 over 10: %v", err)
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "c.csv")
+	path := filepath.Join(dir, "c.json")
 	if err := save(tp, path); err != nil {
 		t.Fatal(err)
 	}
@@ -366,18 +360,13 @@ func TestMetropolisWeightsDoublyStochastic(t *testing.T) {
 	}
 }
 
-// save writes t to path, dispatching on the extension exactly as load does:
-// .json gets the JSON schema, everything else CSV.
+// save writes t to path in the contact-graph schema.
 func save(t *Topology, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("topo: save contact graph: %w", err)
 	}
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		err = writeJSON(t, f)
-	} else {
-		err = writeCSV(t, f)
-	}
+	err = writeJSON(t, f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

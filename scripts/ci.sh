@@ -206,15 +206,13 @@ gate plain ./internal/core \
 # Fleet traces and Prometheus text: a trace with a non-finite multiplier or
 # an integral column past int's range is refused, a sample value must be
 # one whole float (optionally followed by an integer timestamp), then the
-# seed corpora of the three reader fuzz targets and a short fuzz pass of
+# seed corpora of the two reader fuzz targets and a short fuzz pass of
 # each.
 gate plain ./internal/fleet \
-	TestProfileValidate TestReadTraceCSVRejectsMalformed TestReadTraceJSONRejectsMalformed \
-	FuzzReadTraceCSV FuzzReadTraceJSON
+	TestProfileValidate TestReadTraceCSVRejectsMalformed FuzzReadTraceCSV
 gate plain ./internal/obs \
 	TestParsePrometheusRejectsGarbage TestParsePrometheusSampleForms FuzzParsePrometheus
 go test -run '^$' -fuzz '^FuzzReadTraceCSV$' -fuzztime 10s ./internal/fleet
-go test -run '^$' -fuzz '^FuzzReadTraceJSON$' -fuzztime 10s ./internal/fleet
 go test -run '^$' -fuzz '^FuzzParsePrometheus$' -fuzztime 10s ./internal/obs
 
 # Shard tapes keep only what backward still reads. BiasReLUDropout against
@@ -233,11 +231,9 @@ gate race ./internal/autodiff \
 gate plain ./internal/core TestFirstStepAllocBytes
 
 # Trace files: AnalyzeTrace sizes nothing by a track id (a 160-byte trace
-# once allocated 329 MB), then the seed corpora of the two trace reader
-# fuzz targets (every decoded trace is analyzed too) and a short fuzz pass
-# of each.
-gate plain ./internal/report TestAnalyzeTraceAllocBoundedByInput FuzzReadJSONL FuzzReadChrome
-go test -run '^$' -fuzz '^FuzzReadJSONL$' -fuzztime 10s ./internal/report
+# once allocated 329 MB), then the seed corpus of the trace reader's fuzz
+# target (every decoded trace is analyzed too) and a short fuzz pass.
+gate plain ./internal/report TestAnalyzeTraceAllocBoundedByInput FuzzReadChrome
 go test -run '^$' -fuzz '^FuzzReadChrome$' -fuzztime 10s ./internal/report
 
 # Run records: the seed corpus of FuzzLoadRunRecord (the three files of a
@@ -352,8 +348,8 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/snapshot
 # Contact-graph files: a declared device count is bounded before it sizes
 # anything (a 30-byte file once built a 50M-device topology), a file: spec
 # for the wrong fleet is refused before allocating, then the seed corpora of
-# FuzzReadTopology (CSV and JSON) and FuzzParseSpec and a short fuzz pass of
-# each.
+# FuzzReadTopology (JSON; its CSV seeds must be refused) and FuzzParseSpec
+# and a short fuzz pass of each.
 gate plain ./internal/topo \
 	TestReadRejectsHugeNodeCount TestBuildFileRejectsCountBeforeAllocating \
 	FuzzReadTopology FuzzParseSpec
