@@ -74,7 +74,8 @@ func main() {
 }
 
 // emitTrace samples a deterministic fleet trace and writes it as CSV to
-// path, or to stdout when path is empty. A summary of the sampled population is printed either way.
+// path, or to stdout when path is empty. A summary of the sampled
+// population is printed either way.
 func emitTrace(devices int, seed int64, path string) {
 	tr, err := fleet.SampleTrace(devices, seed)
 	check(err)

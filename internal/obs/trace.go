@@ -27,9 +27,8 @@ type Event struct {
 }
 
 // Tracer accumulates spans and instants and writes them out as Chrome
-// trace-event JSON. A nil *Tracer is valid and every
-// method on it is a no-op, so instrumented code needs no enablement
-// branches.
+// trace-event JSON. A nil *Tracer is valid and every method on it is a
+// no-op, so instrumented code needs no enablement branches.
 //
 // Two clock modes exist. A wall tracer (NewTracer) anchors Now() at its
 // creation; callers bracket work with t0 := tr.Now() ... tr.Span(...,
