@@ -1,8 +1,8 @@
 // Package balance solves the paper's workload-balancing problem (§V-B/C):
 // choose, for every edge, which incident device represents it in its tree,
 // minimizing the maximum per-device workload subject to every edge being
-// represented at least once (Eq. 10, proved NP-hard by reduction to min-max
-// colored TSP). The approximation has two phases, exactly as in the paper:
+// represented at least once (Eq. 10). The approximation has two phases,
+// exactly as in the paper:
 //
 //  1. Greedy initialization (Alg. 1): a device keeps a neighbor only if the
 //     neighbor's rounded log-degree is at least its own; degree comparisons
@@ -13,12 +13,23 @@
 //     branches off it, and accept with probability min(1, e^{f(X)−f(X')}).
 //     Theorem 2 bounds the tail probability of a bad final state.
 //
+// The paper proves its problem NP-hard by reduction to min-max colored TSP.
+// As this package states the problem — workload = len(Retained[v]), and
+// VerifyCover the only constraint — keeping an edge on both sides never
+// lowers the maximum, so the optimum is a minimum max-in-degree orientation
+// of the graph, which is polynomial (binary search on the bound with a
+// max-flow feasibility check, or path reversal). The paper's hardness
+// belongs to its richer workload, not to the problem solved here.
+//
 // Alg. 3's candidate filter is maintained incrementally: a device's
 // candidacy can only change when its own or a neighbor's workload changes,
-// and each MCMC transition touches at most 1+k devices, so re-running the
-// full quadratic scan every iteration (as the paper's pseudo-code literally
-// does) would repeat byte-identical comparisons. The incremental version
-// produces the same candidate set with strictly fewer secure comparisons.
+// and each MCMC transition touches at most 1+k devices. The state keeps each
+// N_v as a sorted slice and flags the touched devices and their neighbors in
+// a dirty []bool; Alg. 3 rechecks only flagged devices, in ascending id, and
+// reuses its candidate and best lists across iterations. The paper's
+// pseudo-code re-runs the full quadratic scan every iteration, repeating
+// byte-identical comparisons; the incremental filter yields the same
+// candidate set with strictly fewer secure comparisons.
 package balance
 
 import (
@@ -26,7 +37,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"lumos/internal/fed"
 	"lumos/internal/graph"
@@ -199,28 +210,22 @@ func Balance(g *graph.Graph, devices []*fed.Device, server *fed.Server, cfg Conf
 
 	for t := 0; t < cfg.Iterations; t++ {
 		u := st.findMaxDevice(devices, server, cmp, res)
-		if u < 0 || st.wl[u] == 0 {
+		if u < 0 || len(st.retained[u]) == 0 {
 			res.MaxTrace = append(res.MaxTrace, st.maxWorkload())
 			continue
 		}
-		fx := float64(st.wl[u]) // f(X_t): the current maximum workload
+		wl := len(st.retained[u]) // f(X_t): the current maximum workload
 		// Device u samples the step size k ∈ [1, round(ln wl(u))] (Alg. 2
 		// line 3) and k distinct members of N_u (line 4).
-		kMax := int(math.Round(math.Log(float64(st.wl[u]))))
-		if kMax < 1 {
-			kMax = 1
-		}
-		k := 1 + devices[u].Rng.Intn(kMax)
-		if k > st.wl[u] {
-			k = st.wl[u]
-		}
+		kMax := max(int(math.Round(math.Log(float64(wl)))), 1)
+		k := min(1+devices[u].Rng.Intn(kMax), wl)
 		moved := st.sampleNeighbors(u, k, devices[u].Rng)
 		tr := st.apply(u, moved)
 		res.ControlMessages += len(moved) // u notifies each moved device
 
 		uPrime := st.findMaxDevice(devices, server, cmp, res)
-		fy := float64(st.wl[uPrime]) // f(X'_t)
-		if cmp.acceptMH(devices[u].Party, fx, devices[uPrime].Party, fy, 1-rng.Float64()) {
+		fy := float64(len(st.retained[uPrime])) // f(X'_t)
+		if cmp.acceptMH(devices[u].Party, float64(wl), devices[uPrime].Party, fy, 1-rng.Float64()) {
 			res.Accepted++
 		} else {
 			st.revert(tr)
@@ -229,38 +234,35 @@ func Balance(g *graph.Graph, devices []*fed.Device, server *fed.Server, cfg Conf
 		res.MaxTrace = append(res.MaxTrace, st.maxWorkload())
 	}
 
-	res.Retained = st.retainedSlices()
-	res.Workloads = append([]int(nil), st.wl...)
+	res.Retained = st.retained
+	res.Workloads = make([]int, g.N)
+	for v, r := range st.retained {
+		res.Workloads[v] = len(r)
+	}
 	res.SMC = *stats
 	return res, nil
 }
 
-// state maintains the assignment, workloads, and the incrementally
-// maintained candidate structure for Alg. 3.
+// state maintains the assignment and the incrementally maintained candidate
+// structure for Alg. 3. A device's workload is len(retained[v]).
 type state struct {
-	g        *graph.Graph
-	retained []map[int]bool
-	wl       []int
+	g *graph.Graph
+	// retained[v] is N_v, sorted ascending.
+	retained [][]int
 	// isCand caches each device's Alg. 3 candidacy (local workload
 	// maximum); dirty marks devices whose cache must be refreshed.
-	isCand []bool
-	dirty  map[int]bool
+	isCand, dirty []bool
+	// Scratch reused across iterations: Alg. 3's candidate and best lists,
+	// the members of N_u sampleNeighbors shuffles, and a transition's added
+	// list.
+	cvs, best, members, added []int
 }
 
+// newState takes ownership of retained.
 func newState(g *graph.Graph, retained [][]int) *state {
-	st := &state{
-		g:        g,
-		retained: make([]map[int]bool, g.N),
-		wl:       make([]int, g.N),
-		isCand:   make([]bool, g.N),
-		dirty:    make(map[int]bool, g.N),
-	}
-	for v := 0; v < g.N; v++ {
-		st.retained[v] = make(map[int]bool, len(retained[v]))
-		for _, u := range retained[v] {
-			st.retained[v][u] = true
-		}
-		st.wl[v] = len(st.retained[v])
+	st := &state{g: g, retained: retained, isCand: make([]bool, g.N), dirty: make([]bool, g.N)}
+	for v := range retained {
+		slices.Sort(retained[v])
 		st.dirty[v] = true
 	}
 	return st
@@ -268,10 +270,8 @@ func newState(g *graph.Graph, retained [][]int) *state {
 
 func (st *state) maxWorkload() int {
 	mx := 0
-	for _, w := range st.wl {
-		if w > mx {
-			mx = w
-		}
+	for _, r := range st.retained {
+		mx = max(mx, len(r))
 	}
 	return mx
 }
@@ -289,53 +289,52 @@ func (st *state) markChanged(v int) {
 // candidates with server-side random tie-breaking. Returns -1 only for an
 // edgeless graph.
 func (st *state) findMaxDevice(devices []*fed.Device, server *fed.Server, cmp *comparer, res *Result) int {
-	for v := range st.dirty {
-		cand := true
-		for _, n := range st.g.Adj[v] {
-			// Every neighbor's workload must satisfy wl_n ≤ wl_v.
-			if !cmp.lessOrEqual(devices[n].Party, uint64(st.wl[n]), devices[v].Party, uint64(st.wl[v])) {
-				cand = false
-				break
+	wl := func(v int) uint64 { return uint64(len(st.retained[v])) }
+	cvs := st.cvs[:0]
+	for v, dirty := range st.dirty {
+		if dirty {
+			st.dirty[v] = false
+			st.isCand[v] = true
+			for _, n := range st.g.Adj[v] {
+				// Every neighbor's workload must satisfy wl_n ≤ wl_v.
+				if !cmp.lessOrEqual(devices[n].Party, wl(n), devices[v].Party, wl(v)) {
+					st.isCand[v] = false
+					break
+				}
 			}
 		}
-		st.isCand[v] = cand
-	}
-	clear(st.dirty)
-
-	var cvs []int
-	for v, ok := range st.isCand {
-		if ok {
+		if st.isCand[v] {
 			cvs = append(cvs, v)
 		}
 	}
+	st.cvs = cvs
 	if len(cvs) == 0 {
 		return -1
 	}
 	res.ControlMessages += len(cvs) // candidate announcements
-	best := []int{cvs[0]}
+	best := append(st.best[:0], cvs[0])
 	for _, c := range cvs[1:] {
 		b := best[0]
-		if cmp.less(devices[c].Party, uint64(st.wl[c]), devices[b].Party, uint64(st.wl[b])) {
+		if cmp.less(devices[c].Party, wl(c), devices[b].Party, wl(b)) {
 			continue // c strictly smaller
 		}
-		if cmp.less(devices[b].Party, uint64(st.wl[b]), devices[c].Party, uint64(st.wl[c])) {
-			best = []int{c} // c strictly larger
+		if cmp.less(devices[b].Party, wl(b), devices[c].Party, wl(c)) {
+			best = append(best[:0], c) // c strictly larger
 		} else {
 			best = append(best, c) // tie
 		}
 	}
+	st.best = best
 	res.ControlMessages += len(cvs) // server responses
 	return best[server.Rng.Intn(len(best))]
 }
 
 // sampleNeighbors draws k distinct members of N_u using device u's private
-// randomness, with a deterministic base order for reproducibility.
+// randomness, shuffling N_u in ascending order for reproducibility. The
+// result is scratch, valid until the next call.
 func (st *state) sampleNeighbors(u, k int, rng *rand.Rand) []int {
-	members := make([]int, 0, st.wl[u])
-	for v := range st.retained[u] {
-		members = append(members, v)
-	}
-	sort.Ints(members)
+	members := append(st.members[:0], st.retained[u]...)
+	st.members = members
 	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
 	return members[:k]
 }
@@ -351,61 +350,41 @@ type transition struct {
 // N_v (set semantics — when v already retained u only the removal changes
 // workloads, strictly improving the objective contribution).
 func (st *state) apply(u int, moved []int) transition {
-	tr := transition{u: u, moved: moved}
+	tr := transition{u: u, moved: moved, added: st.added[:0]}
 	for _, v := range moved {
-		delete(st.retained[u], v)
-		if !st.retained[v][u] {
-			st.retained[v][u] = true
+		i, _ := slices.BinarySearch(st.retained[u], v)
+		st.retained[u] = slices.Delete(st.retained[u], i, i+1)
+		if i, found := slices.BinarySearch(st.retained[v], u); !found {
+			st.retained[v] = slices.Insert(st.retained[v], i, u)
 			tr.added = append(tr.added, v)
 		}
-		st.wl[v] = len(st.retained[v])
 		st.markChanged(v)
 	}
-	st.wl[u] = len(st.retained[u])
+	st.added = tr.added
 	st.markChanged(u)
 	return tr
 }
 
 // revert undoes a rejected transition.
 func (st *state) revert(tr transition) {
-	for _, v := range tr.moved {
-		st.retained[tr.u][v] = true
-	}
+	st.retained[tr.u] = append(st.retained[tr.u], tr.moved...)
+	slices.Sort(st.retained[tr.u])
 	for _, v := range tr.added {
-		delete(st.retained[v], tr.u)
+		i, _ := slices.BinarySearch(st.retained[v], tr.u)
+		st.retained[v] = slices.Delete(st.retained[v], i, i+1)
 	}
 	for _, v := range tr.moved {
-		st.wl[v] = len(st.retained[v])
 		st.markChanged(v)
 	}
-	st.wl[tr.u] = len(st.retained[tr.u])
 	st.markChanged(tr.u)
-}
-
-func (st *state) retainedSlices() [][]int {
-	out := make([][]int, st.g.N)
-	for v := range st.retained {
-		for u := range st.retained[v] {
-			out[v] = append(out[v], u)
-		}
-		sort.Ints(out[v])
-	}
-	return out
 }
 
 // VerifyCover checks the Eq. 10 covering constraint: every edge of g is
 // retained by at least one endpoint. Used by tests and as a postcondition.
 func VerifyCover(g *graph.Graph, retained [][]int) error {
-	sets := make([]map[int]bool, g.N)
-	for v := range retained {
-		sets[v] = make(map[int]bool, len(retained[v]))
-		for _, u := range retained[v] {
-			sets[v][u] = true
-		}
-	}
 	for _, e := range g.Edges {
 		u, v := e[0], e[1]
-		if !sets[u][v] && !sets[v][u] {
+		if !slices.Contains(retained[u], v) && !slices.Contains(retained[v], u) {
 			return fmt.Errorf("balance: edge (%d,%d) uncovered", u, v)
 		}
 	}

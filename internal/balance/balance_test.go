@@ -209,6 +209,27 @@ func TestBalanceSecureGolden(t *testing.T) {
 	}
 }
 
+// TestFindMaxDeviceDoesNotAllocate: once its scratch lists have grown, Alg.
+// 3 allocates nothing, whether it rechecks dirty devices under the secure
+// comparator or only rescans the cached candidacies.
+func TestFindMaxDeviceDoesNotAllocate(t *testing.T) {
+	g, devices, server := testSetup(t, 150, 900, 10)
+	cmp := &comparer{proto: smc.NewProtocol(32, &smc.Stats{}), secure: true}
+	st := newState(g, GreedyInit(g, devices, cmp))
+	res := &Result{}
+	st.findMaxDevice(devices, server, cmp, res)
+	v := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		st.markChanged(v % g.N)
+		v += 7
+		st.findMaxDevice(devices, server, cmp, res)
+		st.findMaxDevice(devices, server, cmp, res)
+	})
+	if allocs != 0 {
+		t.Fatalf("findMaxDevice: %v allocations per call pair, want 0", allocs)
+	}
+}
+
 func TestBalanceZeroIterationsIsGreedy(t *testing.T) {
 	g, devices, server := testSetup(t, 80, 400, 6)
 	res, err := Balance(g, devices, server, Config{Iterations: 0, Seed: 6})

@@ -5,11 +5,9 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 
-	"lumos/internal/fed"
 	"lumos/internal/graph"
 	"lumos/internal/nn"
 	"lumos/internal/tensor"
@@ -102,12 +100,13 @@ func TestForestXGolden(t *testing.T) {
 
 // newSystemBytesPerVertex is the ceiling on the bytes one NewSystem call
 // allocates per vertex at Shards=N, on the two simulator workloads'
-// systems. Measured 48 156 B (sim-async-churn, N=449) and 49 068 B
-// (gossip-ba-swap, N=180) once party streams were seeded on first draw and
-// the LDP estimates went straight into the forest; before, 70 717 and
-// 71 668 B. The ceiling is ~+7 %: seeding every party again (~5 kB each)
-// or keeping the per-recipient vectors breaks it.
-const newSystemBytesPerVertex = 52_000
+// systems. Measured 47 589 B (sim-async-churn, N=449) and 47 669 B
+// (gossip-ba-swap, N=180) once each SMC party held a 16-byte PCG and the
+// balancer kept its sets in sorted slices (49 136 and 50 105 B before; 70 717
+// and 71 668 B before the LDP estimates went straight into the forest). The
+// ceiling is ~+7 %: a ~5 kB register per party, or the per-recipient
+// vectors, breaks it.
+const newSystemBytesPerVertex = 51_000
 
 func TestNewSystemAllocBudgetShardsN(t *testing.T) {
 	if testing.Short() {
@@ -135,31 +134,35 @@ func TestNewSystemAllocBudgetShardsN(t *testing.T) {
 	}
 }
 
-// partySeeded reports whether a device's SMC party has built its stream.
-func partySeeded(d *fed.Device) bool {
-	return !reflect.ValueOf(d.Party).Elem().FieldByName("rng").IsNil()
-}
+// secureNewSystemBytesPerVertex is the ceiling on the bytes one NewSystem
+// call allocates per vertex on the epoch-gcn-secure system (N=562, every
+// comparison under the secure comparator). Measured 46 065 B once each
+// party held a PCG by value and the balancer kept its sets in sorted slices;
+// before, 52 712 B. The ceiling is ~+7 %: a party that seeds a ~5 kB
+// register on its first comparison, as parties once did, breaks it.
+const secureNewSystemBytesPerVertex = 49_300
 
-// A non-secure system never seeds an SMC party stream; a secure one seeds
-// the streams of the devices that compared.
-func TestNonSecureSystemSeedsNoParty(t *testing.T) {
-	g := engineGraph(t, 5)
-	for _, secure := range []bool{false, true} {
-		sys, err := NewSystem(g, g, Config{MCMCIterations: 10, SecureCompare: secure, Shards: g.N, Seed: 5})
-		if err != nil {
+func TestNewSystemAllocBudgetSecure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is unreliable under -short (race) runs")
+	}
+	c := constructCases[0]
+	if !c.secure {
+		t.Fatalf("%s is not a secure case", c.name)
+	}
+	train, full, cfg := c.system(t)
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewSystem(train, full, cfg); err != nil {
 			t.Fatal(err)
 		}
-		seeded := 0
-		for _, d := range sys.Devices {
-			if partySeeded(d) {
-				seeded++
-			}
-		}
-		if !secure && seeded != 0 {
-			t.Errorf("non-secure system seeded %d of %d party streams", seeded, len(sys.Devices))
-		}
-		if secure && seeded == 0 {
-			t.Error("secure system seeded no party stream")
-		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if budget := uint64(secureNewSystemBytesPerVertex * full.N); best > budget {
+		t.Errorf("%s: NewSystem at N=%d allocates %d B, budget %d B (%d B per vertex)",
+			c.name, full.N, best, budget, secureNewSystemBytesPerVertex)
 	}
 }

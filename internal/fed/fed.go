@@ -175,9 +175,8 @@ func (nw *Network) Diff(since Traffic) Traffic {
 type Device struct {
 	ID  int
 	Rng *rand.Rand
-	// Party is the device's side of the secure comparisons (its own stream,
-	// independent of Rng). It seeds that stream on its first comparison, so
-	// a device of a non-secure system never pays for it.
+	// Party is the device's side of the secure comparisons: its own 16-byte
+	// PCG stream, independent of Rng.
 	Party *smc.Party
 }
 

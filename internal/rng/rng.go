@@ -1,5 +1,6 @@
-// Package rng is the seeded randomness behind every device, shard and party
-// stream: math/rand's own generator, seeded without math/rand's serial chain.
+// Package rng is the seeded randomness behind every production stream but
+// the SMC parties' (each party holds a math/rand/v2 PCG; see internal/smc):
+// math/rand's own generator, seeded without math/rand's serial chain.
 //
 // NewSource(seed) produces exactly the stream of math/rand.NewSource(seed),
 // for every int64 seed, draw for draw, including after Seed on a used source
@@ -7,15 +8,16 @@
 // changes; only its set-up cost does.
 //
 // Why it exists. Lumos gives every device private randomness (LDP noise,
-// SMC pads) and the engine one dropout stream per shard, so a system of N
-// devices seeds about 2N sources before it trains. math/rand's generator is
-// a 607-word additive lagged Fibonacci register, and seeding fills it from
-// 1 841 steps of the Park–Miller generator x ← 48271·x mod (2³¹−1), each
-// step waiting on the one before it. Here the n-th Park–Miller value is
-// computed directly as 48271ⁿ·x₀ mod (2³¹−1) from a table of powers built
-// once: 1 821 independent products, each folded modulo the Mersenne prime
-// without a division, which the CPU can overlap. A seed costs ~3.2 µs
-// against math/rand's ~13.5 µs (BenchmarkSeed, one core of a 2-vCPU VM).
+// MCMC proposals) and the engine one dropout stream per shard, so a system
+// of N devices seeds about 2N sources before it trains. math/rand's
+// generator is a 607-word additive lagged Fibonacci register, and seeding
+// fills it from 1 841 steps of the Park–Miller generator
+// x ← 48271·x mod (2³¹−1), each step waiting on the one before it. Here the
+// n-th Park–Miller value is computed directly as 48271ⁿ·x₀ mod (2³¹−1) from
+// a table of powers built once: 1 821 independent products, each folded
+// modulo the Mersenne prime without a division, which the CPU can overlap.
+// A seed costs ~3.2 µs against math/rand's ~13.5 µs (BenchmarkSeed, one
+// core of a 2-vCPU VM).
 //
 // The register's seeding constants ("cooked" values) are not copied from
 // the standard library. init recovers them from the first 607 outputs of one

@@ -1,10 +1,10 @@
 package smc
 
 // The bit-serial GMW evaluator: one secret-shared bit, one OT and one
-// math/rand draw at a time. It is the oracle the word-parallel Less is
+// party-stream draw at a time. It is the oracle the word-parallel Less is
 // tested against: same circuit, same gate count, same traffic.
 
-func (p *Party) bit() byte { return byte(p.stream().Intn(2)) }
+func (p *Party) bit() byte { return byte(p.src.Uint64() >> 63) }
 
 // obliviousTransferBit executes one simulated 1-out-of-2 OT of single-bit
 // secrets: the receiver learns m[choice]; the sender learns nothing about

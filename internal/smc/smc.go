@@ -23,20 +23,18 @@
 // depth L, walked in registers. Traffic is accounted per gate, in bulk
 // (ChargeComparison), so every Stats counter is what a gate-by-gate
 // evaluation would record. Each party draws its randomness a word at a time
-// from its private stream: one word for its L input shares, then an output
-// mask and two OT pads for the word-wide gate and again for the carry chain
-// — seven draws per comparison where a bit-serial evaluation makes 14·L.
-// Which random bit masks which wire differs from a bit-serial evaluation;
-// the result bit and the traffic do not. The simulation caveat above is
-// unchanged.
+// from its private stream, a math/rand/v2 PCG: one word for its L input
+// shares, then an output mask and two OT pads for the word-wide gate and
+// again for the carry chain — seven draws per comparison where a bit-serial
+// evaluation makes 14·L. Which random bit masks which wire differs from a
+// bit-serial evaluation; the result bit and the traffic do not. The
+// simulation caveat above is unchanged.
 package smc
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-
-	"lumos/internal/rng"
+	"math/rand/v2"
 )
 
 // Stats accumulates protocol traffic. One Stats is typically shared by all
@@ -55,30 +53,24 @@ const otWireBytes = 18
 // shareWireBytes models sending one packed share vector of L bits.
 func shareWireBytes(bits int) int64 { return int64((bits + 7) / 8) }
 
-// Party holds one participant's private randomness. In the federated
-// system every device owns one Party seeded from its device id. The stream
-// is seeded on the party's first draw, not by NewParty: seeding is cheap
-// (rng.New, a few µs) but the seeded register is ~5 kB, and a party that
-// never runs a protocol (every party of a non-secure system) keeps only its
-// seed. The values drawn are exactly those of an eagerly seeded
-// rand.New(rand.NewSource(seed)).
+// Party holds one participant's private randomness: a PCG (16 bytes),
+// held by value and seeded by NewParty. In the federated system every device
+// owns one Party seeded from its device id. No draw is observable: a
+// comparison's result bit and its traffic come from the circuit, not from
+// the masks.
 type Party struct {
-	seed int64
-	rng  *rand.Rand // nil until the first draw
+	src rand.PCG
 }
 
 // NewParty returns a Party with its own deterministic randomness stream.
 func NewParty(seed int64) *Party {
-	return &Party{seed: seed}
+	p := new(Party)
+	p.src.Seed(uint64(seed), partyStream)
+	return p
 }
 
-// stream returns the party's randomness, seeding it on first use.
-func (p *Party) stream() *rand.Rand {
-	if p.rng == nil {
-		p.rng = rng.New(p.seed)
-	}
-	return p.rng
-}
+// partyStream is the second word of every party's PCG seed.
+const partyStream = 0x9e3779b97f4a7c15
 
 // obliviousTransfer executes 64 simulated 1-out-of-2 OTs of single-bit
 // secrets at once, one per bit: bit i of the result is bit i of m1 where bit
@@ -97,7 +89,7 @@ func obliviousTransfer(m0, m1, choice, pad0, pad1 uint64) uint64 {
 // share word, using two OTs per gate (one per cross term): it returns the
 // shares (za, zb) of (xa⊕xb)∧(ya⊕yb), alice holding xa, ya, za.
 // alice and bob are the two parties' streams.
-func andWord(alice, bob *rand.Rand, xa, xb, ya, yb uint64) (za, zb uint64) {
+func andWord(alice, bob *rand.PCG, xa, xb, ya, yb uint64) (za, zb uint64) {
 	// x∧y = xA·yA ⊕ xA·yB ⊕ xB·yA ⊕ xB·yB.
 	// Cross term xA·yB: Alice is OT sender with (s, s⊕xA); Bob selects yB.
 	s1 := alice.Uint64()
@@ -134,7 +126,7 @@ func (p *Protocol) Less(alice *Party, a uint64, bob *Party, b uint64) bool {
 	p.checkRange(a)
 	p.checkRange(b)
 	mask := ^uint64(0) >> (64 - p.Bits)
-	ar, br := alice.stream(), bob.stream()
+	ar, br := &alice.src, &bob.src
 	// Input sharing: each party draws one word of private randomness r as
 	// its share of its L input bits and transmits input⊕r.
 	xa := ar.Uint64() & mask

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestLessExhaustiveSmall(t *testing.T) {
@@ -328,34 +329,43 @@ func TestPartyDeterminism(t *testing.T) {
 	}
 }
 
-// A party seeds its stream on its first draw, and that stream is exactly the
-// one an eagerly seeded math/rand source gives.
-func TestPartyStreamMatchesEagerSource(t *testing.T) {
-	for _, seed := range []int64{0, 1, -7, 0x6a09e667f3bcc90} {
-		p := NewParty(seed)
-		if p.rng != nil {
-			t.Fatalf("seed %d: NewParty seeded its stream before any draw", seed)
-		}
-		ref := rand.New(rand.NewSource(seed))
-		for i := 0; i < 2000; i++ {
-			if got, want := p.stream().Uint64(), ref.Uint64(); got != want {
-				t.Fatalf("seed %d, draw %d: party %#x, eager source %#x", seed, i, got, want)
-			}
-		}
-	}
-	// Through the protocol: a comparison draws the same words from lazily
-	// and eagerly seeded parties.
-	lazyA, lazyB := NewParty(3), NewParty(4)
-	eagerA, eagerB := NewParty(3), NewParty(4)
-	eagerA.stream()
-	eagerB.stream()
+// TestPartyStreamDeterministic: a party's stream is a function of its seed
+// alone. Parties built from one seed end every comparison in the same state,
+// so they drew the same words through Less; parties built from different
+// seeds draw different words.
+func TestPartyStreamDeterministic(t *testing.T) {
 	p := NewProtocol(16, &Stats{})
+	a1, b1 := NewParty(3), NewParty(4)
+	a2, b2 := NewParty(3), NewParty(4)
 	for i := uint64(0); i < 50; i++ {
-		if p.Less(lazyA, i*977%65536, lazyB, i*331%65536) != p.Less(eagerA, i*977%65536, eagerB, i*331%65536) {
-			t.Fatalf("comparison %d differs between lazy and eager parties", i)
+		x, y := i*977%65536, i*331%65536
+		if p.Less(a1, x, b1, y) != p.Less(a2, x, b2, y) {
+			t.Fatalf("comparison %d differs between same-seed parties", i)
+		}
+		if *a1 != *a2 || *b1 != *b2 {
+			t.Fatalf("comparison %d left same-seed parties in different states", i)
 		}
 	}
-	if lazyA.stream().Int63() != eagerA.stream().Int63() || lazyB.stream().Int63() != eagerB.stream().Int63() {
-		t.Fatal("lazy and eager parties left their streams at different positions")
+	if *a1 == *b1 {
+		t.Fatal("parties with seeds 3 and 4 are in the same state")
+	}
+	seen := map[uint64]int64{}
+	for _, seed := range []int64{0, 1, 2, -1, -7, 0x6a09e667f3bcc90, 7 ^ 0x6a09e667f3bcc90} {
+		q := NewParty(seed)
+		for i := 0; i < 7; i++ {
+			w := q.src.Uint64()
+			if prev, ok := seen[w]; ok {
+				t.Fatalf("seeds %d and %d both drew %#x", prev, seed, w)
+			}
+			seen[w] = seed
+		}
+	}
+}
+
+// A party is its PCG: a device's comparison state costs a few words, not
+// a lagged-Fibonacci register.
+func TestPartyIsSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Party{}); size > 32 {
+		t.Fatalf("Party is %d bytes, want at most 32", size)
 	}
 }

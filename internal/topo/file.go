@@ -2,6 +2,7 @@ package topo
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,13 +16,14 @@ import (
 //	{"name": "...", "nodes": 4, "edges": [[0,1],[1,2]]}
 //
 // "nodes" carries the device count, since isolated devices appear in no
-// edge. Edges are undirected and may appear in either orientation, but each
-// pair at most once; self-loops and out-of-range endpoints are rejected on
-// load.
+// edge. An edge is exactly two endpoints. Edges are undirected and may
+// appear in either orientation, but each pair at most once; self-loops and
+// out-of-range endpoints are rejected on load, as is anything after the
+// object.
 type jsonTopology struct {
-	Name  string   `json:"name,omitempty"`
-	Nodes int      `json:"nodes"`
-	Edges [][2]int `json:"edges"`
+	Name  string  `json:"name,omitempty"`
+	Nodes int     `json:"nodes"`
+	Edges [][]int `json:"edges"`
 }
 
 // MaxNodes bounds the device count a contact-graph file may declare. The
@@ -60,11 +62,21 @@ func readJSON(r io.Reader, want int) (*Topology, error) {
 	if err := dec.Decode(&jt); err != nil {
 		return nil, err
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("data after the contact-graph object")
+	}
 	if jt.Nodes > MaxNodes {
 		return nil, fmt.Errorf("declares %d devices, above the limit of %d", jt.Nodes, MaxNodes)
 	}
 	if want >= 0 && jt.Nodes != want {
 		return nil, fmt.Errorf("covers %d devices, fleet has %d", jt.Nodes, want)
 	}
-	return FromEdges(jt.Name, jt.Nodes, jt.Edges)
+	edges := make([][2]int, len(jt.Edges))
+	for i, e := range jt.Edges {
+		if len(e) != 2 {
+			return nil, fmt.Errorf("edge %d has %d endpoints, want 2", i, len(e))
+		}
+		edges[i] = [2]int{e[0], e[1]}
+	}
+	return FromEdges(jt.Name, jt.Nodes, edges)
 }

@@ -162,7 +162,10 @@ func FuzzParseSpec(f *testing.F) {
 
 // writeJSON writes t in the JSON schema, edges in canonical order.
 func writeJSON(t *Topology, w io.Writer) error {
-	jt := jsonTopology{Name: t.name, Nodes: t.n, Edges: edges(t)}
+	jt := jsonTopology{Name: t.name, Nodes: t.n}
+	for _, e := range edges(t) {
+		jt.Edges = append(jt.Edges, e[:])
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(jt)

@@ -276,6 +276,12 @@ func TestReadRejectsMalformed(t *testing.T) {
 		{"duplicate", `{"nodes": 4, "edges": [[0,1],[1,0]]}`},
 		{"non-numeric", `{"nodes": 4, "edges": [["zero",1]]}`},
 		{"string-count", `{"nodes": "four", "edges": [[0,1]]}`},
+		// An edge is exactly two endpoints, and the object is the whole
+		// file.
+		{"three-endpoints", `{"nodes": 4, "edges": [[0,1,2]]}`},
+		{"one-endpoint", `{"nodes": 4, "edges": [[3]]}`},
+		{"trailing-bytes", `{"nodes": 4, "edges": [[0,1]]} x`},
+		{"second-object", `{"nodes": 4, "edges": [[0,1]]} {"nodes": 4, "edges": [[1,2]]}`},
 		// A CSV contact graph is not a contact-graph file, whatever its
 		// extension: the reader takes JSON only.
 		{"csv", "# nodes: 4\nsrc,dst\n0,1\n"},

@@ -146,9 +146,10 @@ gate plain ./internal/core TestMixReplicas TestSwapReplica TestSwapReplicaTrains
 # per-element oracle, bit for bit under a fixed RNG.
 gate plain ./internal/ldp TestVectorEncodersMatchPerElement
 
-# NewSystem pays only for state it uses. SMC party streams are seeded on
-# their first draw and equal an eagerly seeded source; a non-secure system
-# seeds none. The fused LDP exchange (EncodeRecover, written straight into
+# NewSystem pays only for state it uses. An SMC party is a 16-byte PCG
+# whose stream is a function of its seed alone; the balancer's Alg. 3 scan
+# allocates nothing once warm, and a secure system's NewSystem stays in its
+# byte budget. The fused LDP exchange (EncodeRecover, written straight into
 # the forest rows) equals Encode + per-vector recovery bit for bit and
 # leaves the RNG where Encode does; a recipient's leaf comes from its
 # position in Retained; the forest's initial embeddings on the four
@@ -156,12 +157,13 @@ gate plain ./internal/ldp TestVectorEncodersMatchPerElement
 # tape's slab is sized to what it records, and NewSystem's allocated bytes at
 # Shards=N stay in budget. The default shard count is the same on every
 # host.
-gate plain ./internal/smc TestPartyStreamMatchesEagerSource
+gate plain ./internal/smc TestPartyStreamDeterministic TestPartyIsSmall
+gate plain ./internal/balance TestFindMaxDeviceDoesNotAllocate
 gate plain ./internal/ldp TestEncodeRecoverMatchesEncodeThenRecover
 gate plain ./internal/tree TestNeighborLeafAtBothLayouts
 gate plain ./internal/autodiff TestTapeSlabSizedToRecording
 gate plain ./internal/core \
-	TestForestXGolden TestNonSecureSystemSeedsNoParty \
+	TestForestXGolden TestNewSystemAllocBudgetSecure \
 	TestNewSystemAllocBudgetShardsN TestDefaultShardCountIsHostIndependent
 
 # The first layer reads what LDP transmitted. The ConstSparse kernels
@@ -347,12 +349,14 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/snapshot
 
 # Contact-graph files: a declared device count is bounded before it sizes
 # anything (a 30-byte file once built a 50M-device topology), a file: spec
-# for the wrong fleet is refused before allocating, then the seed corpora of
+# for the wrong fleet is refused before allocating, malformed files are
+# refused (an edge of one or three endpoints once loaded as a pair, and
+# bytes after the object were ignored), then the seed corpora of
 # FuzzReadTopology (JSON; its CSV seeds must be refused) and FuzzParseSpec
 # and a short fuzz pass of each.
 gate plain ./internal/topo \
 	TestReadRejectsHugeNodeCount TestBuildFileRejectsCountBeforeAllocating \
-	FuzzReadTopology FuzzParseSpec
+	TestReadRejectsMalformed FuzzReadTopology FuzzParseSpec
 go test -run '^$' -fuzz '^FuzzReadTopology$' -fuzztime 10s ./internal/topo
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/topo
 
