@@ -108,6 +108,24 @@ func TestForestXGolden(t *testing.T) {
 // vectors, breaks it.
 const newSystemBytesPerVertex = 51_000
 
+// newSystemBytes returns the fewest bytes one of three NewSystem calls on
+// the case's system allocates, and the system's vertex count.
+func newSystemBytes(t *testing.T, c constructCase) (best uint64, n int) {
+	t.Helper()
+	train, full, cfg := c.system(t)
+	best = math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewSystem(train, full, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best, full.N
+}
+
 func TestNewSystemAllocBudgetShardsN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is unreliable under -short (race) runs")
@@ -116,20 +134,10 @@ func TestNewSystemAllocBudgetShardsN(t *testing.T) {
 		if !c.shardsN {
 			continue
 		}
-		train, full, cfg := c.system(t)
-		best := uint64(math.MaxUint64)
-		for i := 0; i < 3; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if _, err := NewSystem(train, full, cfg); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			best = min(best, after.TotalAlloc-before.TotalAlloc)
-		}
-		if budget := uint64(newSystemBytesPerVertex * full.N); best > budget {
+		best, n := newSystemBytes(t, c)
+		if budget := uint64(newSystemBytesPerVertex * n); best > budget {
 			t.Errorf("%s: NewSystem at Shards=N=%d allocates %d B, budget %d B (%d B per vertex)",
-				c.name, full.N, best, budget, newSystemBytesPerVertex)
+				c.name, n, best, budget, newSystemBytesPerVertex)
 		}
 	}
 }
@@ -150,19 +158,9 @@ func TestNewSystemAllocBudgetSecure(t *testing.T) {
 	if !c.secure {
 		t.Fatalf("%s is not a secure case", c.name)
 	}
-	train, full, cfg := c.system(t)
-	best := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := NewSystem(train, full, cfg); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
-	}
-	if budget := uint64(secureNewSystemBytesPerVertex * full.N); best > budget {
+	best, n := newSystemBytes(t, c)
+	if budget := uint64(secureNewSystemBytesPerVertex * n); best > budget {
 		t.Errorf("%s: NewSystem at N=%d allocates %d B, budget %d B (%d B per vertex)",
-			c.name, full.N, best, budget, secureNewSystemBytesPerVertex)
+			c.name, n, best, budget, secureNewSystemBytesPerVertex)
 	}
 }
