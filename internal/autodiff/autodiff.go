@@ -81,7 +81,8 @@ func (v *Value) ZeroGrad() {
 
 // EnsureGrad returns the gradient buffer, allocating (or recycling) a zeroed
 // one if none is attached: tape-bound values draw from their tape's
-// free-list, parameters reuse the buffer retained by ZeroGrad.
+// free-list, parameters reuse the buffer retained by ZeroGrad or given by
+// RecycleGrad.
 func (v *Value) EnsureGrad() *tensor.Matrix {
 	if v.Grad == nil {
 		r, c := v.Data.Dims()

@@ -3,6 +3,7 @@ package autodiff
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"lumos/internal/tensor"
 )
@@ -23,9 +24,10 @@ func chunkOf(i int) (c, off int) {
 }
 
 // bufPool is the free-list for one matrix shape: buffers checked out since
-// the last Reset live in bufs[:next], recyclable ones in bufs[next:]. free
-// holds checked-out gradient buffers a backward sweep has released (see
-// Tape.sweep); they are handed out again before the pool grows.
+// the last Reset live in bufs[:next], recyclable ones in bufs[next:] (none
+// on a tape whose buffers go back to a Pool). free holds checked-out
+// gradient buffers a backward sweep has released (see Tape.sweep); they are
+// handed out again before the pool grows.
 type bufPool struct {
 	bufs []*tensor.Matrix
 	next int
@@ -53,17 +55,27 @@ type bufPool struct {
 // not a fixed-size slab; newValue finds the next slot in O(1) and Backward
 // walks the chunks in reverse.
 //
-// A Tape is not safe for concurrent use; give each worker its own (the
-// engine keeps one per shard). Reset must not run while any Value or matrix
+// A tape from NewTape keeps its buffers across Reset, for its own next
+// recording. A tape from Pool.NewTape draws them from a Pool that several
+// tapes share, and Reset hands every one of them back: between a Reset and
+// its next op such a tape holds no buffer at all, so tapes that record in
+// turn (the engine's shard tapes) need one tape's working set, not each
+// its own.
+//
+// A Tape serves one goroutine at a time; tapes on one Pool may record on
+// different goroutines at once. Reset must not run while any Value or matrix
 // handed out since the previous Reset is still in use — the memory is
 // recycled, not freed.
 type Tape struct {
 	chunks [][]Value
 	used   int
 	pools  map[int64]*bufPool
+	// shared, when non-nil, is the Pool the tape's buffers come from and
+	// go back to on Reset.
+	shared *Pool
 }
 
-// NewTape returns an empty tape.
+// NewTape returns an empty tape that keeps its own buffers.
 func NewTape() *Tape {
 	return &Tape{pools: make(map[int64]*bufPool)}
 }
@@ -72,14 +84,41 @@ func NewTape() *Tape {
 func (t *Tape) Len() int { return t.used }
 
 // Reset recycles every node and buffer recorded since the last Reset. All
-// Values and matrices previously handed out become invalid: the next epoch's
-// ops will reuse their memory.
+// Values and matrices previously handed out become invalid: the next
+// recording's ops will reuse their memory. A tape on a Pool hands its
+// buffers back to the pool.
 func (t *Tape) Reset() {
 	t.used = 0
+	if t.shared != nil {
+		t.shared.mu.Lock()
+		defer t.shared.mu.Unlock()
+	}
 	for _, p := range t.pools {
+		if t.shared != nil {
+			for _, m := range p.bufs[:p.next] {
+				t.shared.put(m)
+			}
+			clear(p.bufs)
+			clear(p.free)
+			p.bufs = p.bufs[:0]
+		}
 		p.next = 0
 		p.free = p.free[:0]
 	}
+}
+
+// Bytes returns the size of the matrix buffers the tape holds: those
+// checked out since the last Reset, plus, on a tape that keeps its own
+// buffers, the ones waiting for reuse. A tape on a Pool holds none after
+// Reset.
+func (t *Tape) Bytes() int64 {
+	var n int64
+	for _, p := range t.pools {
+		for _, m := range p.bufs {
+			n += 8 * int64(m.Size())
+		}
+	}
+	return n
 }
 
 // Matrix checks a zeroed rows×cols buffer out of the tape's free-list,
@@ -101,7 +140,11 @@ func (t *Tape) scratch(rows, cols int) *tensor.Matrix {
 		return m
 	}
 	if p.next == len(p.bufs) {
-		p.bufs = append(p.bufs, tensor.New(rows, cols))
+		if t.shared != nil {
+			p.bufs = append(p.bufs, t.shared.Get(rows, cols))
+		} else {
+			p.bufs = append(p.bufs, tensor.New(rows, cols))
+		}
 	}
 	p.next++
 	return p.bufs[p.next-1]
@@ -110,13 +153,83 @@ func (t *Tape) scratch(rows, cols int) *tensor.Matrix {
 // pool returns the free-list for rows×cols buffers, creating it on first
 // use.
 func (t *Tape) pool(rows, cols int) *bufPool {
-	key := int64(rows)<<32 | int64(uint32(cols))
+	key := shapeKey(rows, cols)
 	p := t.pools[key]
 	if p == nil {
 		p = &bufPool{}
 		t.pools[key] = p
 	}
 	return p
+}
+
+// shapeKey is the free-list key of a rows×cols buffer.
+func shapeKey(rows, cols int) int64 {
+	return int64(rows)<<32 | int64(uint32(cols))
+}
+
+// Pool is a shape-keyed free-list of matrices that several tapes (see
+// Pool.NewTape) and their owner draw from. It is safe for concurrent use.
+// A pool never shrinks: it ends up holding, per shape, the most buffers of
+// that shape its users ever had checked out at once.
+type Pool struct {
+	mu   sync.Mutex
+	free map[int64][]*tensor.Matrix
+}
+
+// NewPool returns an empty pool.
+func NewPool() *Pool {
+	return &Pool{free: make(map[int64][]*tensor.Matrix)}
+}
+
+// NewTape returns an empty tape whose buffers come from p and go back to it
+// on every Reset.
+func (p *Pool) NewTape() *Tape {
+	t := NewTape()
+	t.shared = p
+	return t
+}
+
+// Get checks a rows×cols buffer out of the pool, allocating one if none is
+// free. Its contents are unspecified.
+func (p *Pool) Get(rows, cols int) *tensor.Matrix {
+	key := shapeKey(rows, cols)
+	p.mu.Lock()
+	free := p.free[key]
+	if k := len(free) - 1; k >= 0 {
+		m := free[k]
+		free[k] = nil
+		p.free[key] = free[:k]
+		p.mu.Unlock()
+		return m
+	}
+	p.mu.Unlock()
+	return tensor.New(rows, cols)
+}
+
+// Put returns m to the pool. Nothing may read or write m afterwards.
+func (p *Pool) Put(m *tensor.Matrix) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.put(m)
+}
+
+// put is Put with p.mu held.
+func (p *Pool) put(m *tensor.Matrix) {
+	key := shapeKey(m.Dims())
+	p.free[key] = append(p.free[key], m)
+}
+
+// Bytes returns the size of the buffers free in the pool.
+func (p *Pool) Bytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for _, free := range p.free {
+		for _, m := range free {
+			n += 8 * int64(m.Size())
+		}
+	}
+	return n
 }
 
 // newValue checks the next node out of the slab, growing it by one chunk

@@ -3,6 +3,7 @@ package autodiff
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -278,5 +279,89 @@ func TestConstSparseLeafMatMul(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { record(tp, true) }); allocs != 0 {
 		t.Fatalf("warm ConstSparse MatMul allocated %v times per recording", allocs)
+	}
+}
+
+// heldBuffers returns the buffers tp has checked out.
+func heldBuffers(tp *Tape) map[*tensor.Matrix]bool {
+	held := map[*tensor.Matrix]bool{}
+	for _, p := range tp.pools {
+		for _, m := range p.bufs[:p.next] {
+			held[m] = true
+		}
+	}
+	return held
+}
+
+// TestPoolSharedAcrossTapes: tapes on one Pool hold buffers only between
+// their first op and their Reset, which hands every one back; the next tape
+// to record the same graph checks out exactly those buffers, allocating
+// none. Recording in turn and on two goroutines at once (the race
+// detector's case: the pool is the tapes' only shared state), every loss
+// and gradient equals the same graph's on a tape that keeps its own
+// buffers, bit for bit.
+func TestPoolSharedAcrossTapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	x := tensor.Uniform(3, 4, -1, 1, rng)
+	wm := tensor.Uniform(4, 2, -1, 1, rng)
+	bm := tensor.Uniform(1, 2, -1, 1, rng)
+	wantLoss, wantGW, wantGB := tapeGraph(NewTape(), Var(wm), Var(bm), x)
+	check := func(name string, loss float64, gw, gb *tensor.Matrix) {
+		t.Helper()
+		if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+			t.Fatalf("%s: loss %v, want %v", name, loss, wantLoss)
+		}
+		matIdentical(t, name+" dW", gw, wantGW)
+		matIdentical(t, name+" dB", gb, wantGB)
+	}
+
+	pool := NewPool()
+	a, b := pool.NewTape(), pool.NewTape()
+	loss, gw, gb := tapeGraph(a, Var(wm), Var(bm), x)
+	check("tape a", loss, gw, gb)
+	held, bytes := heldBuffers(a), a.Bytes()
+	if bytes == 0 || pool.Bytes() != 0 {
+		t.Fatalf("recording tape holds %d B with %d B left in the pool; want all of it on the tape", bytes, pool.Bytes())
+	}
+	a.Reset()
+	if a.Bytes() != 0 || pool.Bytes() != bytes {
+		t.Fatalf("after Reset the tape holds %d B and the pool %d B; want 0 and %d", a.Bytes(), pool.Bytes(), bytes)
+	}
+	loss, gw, gb = tapeGraph(b, Var(wm), Var(bm), x)
+	check("tape b after a", loss, gw, gb)
+	got := heldBuffers(b)
+	for m := range held {
+		if !got[m] {
+			t.Fatal("tape b allocated a buffer instead of reusing one tape a handed back")
+		}
+	}
+	if len(got) != len(held) || pool.Bytes() != 0 {
+		t.Fatalf("tape b holds %d buffers (tape a held %d) and left %d B in the pool", len(got), len(held), pool.Bytes())
+	}
+	b.Reset()
+
+	var wg sync.WaitGroup
+	var diverged [2]bool
+	for k, tp := range []*Tape{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer tp.Reset()
+			for range 50 {
+				tp.Reset()
+				loss, gw, gb := tapeGraph(tp, Var(wm), Var(bm), x)
+				if math.Float64bits(loss) != math.Float64bits(wantLoss) || !tensor.ApproxEqual(gw, wantGW, 0) || !tensor.ApproxEqual(gb, wantGB, 0) {
+					diverged[k] = true
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if diverged[0] || diverged[1] {
+		t.Fatalf("tapes recording concurrently on one pool diverged from the private tape: %v", diverged)
+	}
+	if pool.Bytes() < bytes || pool.Bytes() > 2*bytes {
+		t.Fatalf("after two concurrent tapes the pool holds %d B; want between one and two tapes' %d B", pool.Bytes(), bytes)
 	}
 }

@@ -46,6 +46,17 @@ import (
 // Config.Staleness epochs, simulating staleness-bounded asynchronous
 // aggregation. The delay schedule derives from the shard workload ranking,
 // so async runs are exactly as reproducible as sync ones.
+//
+// Memory: a shard holds buffers only while it computes. Every shard tape
+// draws from one engine-wide autodiff.Pool and hands its buffers back as
+// soon as the shard is done — right after its phase-3 backward, or, in an
+// evaluation forward, once its partial is copied into an engine-owned
+// matrix. The shard weight views' gradients come from the same pool before
+// phase 3 and go back after phase 4 (or, when delayed, once applied). So
+// the pool holds what the busiest round had in flight at once (its fresh
+// shards' activations and view gradients, plus the queued delayed
+// gradients), not every shard's last computation; a round or an
+// evaluation in which few shards compute leaves the rest holding nothing.
 
 // shard is a contiguous run of device trees [lo, hi), flattened into its own
 // message-passing graph with shard-local row indices.
@@ -85,12 +96,15 @@ type delayedGrads struct {
 
 // engine executes training epochs over the sharded forest.
 type engine struct {
-	sys     *System
-	shards  []*shard
-	encs    []*nn.GNN        // per-shard shared-weight views of sys.Encoder
-	rngs    []*rand.Rand     // per-shard dropout streams split from the root seed
-	tapes   []*autodiff.Tape // per-shard autodiff tapes, reset-and-reused every epoch
-	serial  *autodiff.Tape   // tape of the serial combine-and-loss phase
+	sys    *System
+	shards []*shard
+	encs   []*nn.GNN        // per-shard shared-weight views of sys.Encoder
+	rngs   []*rand.Rand     // per-shard dropout streams split from the root seed
+	tapes  []*autodiff.Tape // per-shard autodiff tapes on pool, reset once the shard is done
+	// pool is the engine-wide buffer pool: every shard tape's buffers and
+	// the shard views' gradients come from it and go back to it.
+	pool    *autodiff.Pool
+	serial  *autodiff.Tape // tape of the serial combine-and-loss phase
 	workers int
 	delays  []int // per-shard staleness delay in epochs (all zero when sync)
 	queue   []delayedGrads
@@ -121,10 +135,12 @@ type engine struct {
 	// retained it — the embeddings they last pushed, made under their own
 	// replicas.
 	holders [][]holder
-	// freeGrads holds applied delayedGrads.grads sets for the next delayed
-	// shard to refill: their buffers go back to that shard's view parameters
-	// as it detaches its own.
-	freeGrads [][]*tensor.Matrix
+	// freeSets holds emptied delayedGrads.grads slices (their buffers went
+	// back to the pool when applied) for the next delayed shard to fill.
+	freeSets [][]*tensor.Matrix
+	// evalParts[i] is the engine's copy of shard i's last evaluation-mode
+	// partial, taken so the shard's tape can be reset at once.
+	evalParts []*tensor.Matrix
 	// Per-round scratch, one entry per shard (terms, termSrc and termDst:
 	// capacity for one), so rounds do not allocate it; each round (or eval
 	// forward) overwrites what the last one left. serving marks the shards
@@ -137,6 +153,9 @@ type engine struct {
 	serving            []bool
 	shardActive        []bool
 	shardDelay         []int
+	// work lists the shards a parallel phase runs (see parallel); all lists
+	// every shard.
+	work, all []int
 	// denseInput makes every shard forward read its dense rows of
 	// Forest.X instead of the XView: the oracle the first-layer view is
 	// tested against. Only tests set it.
@@ -164,8 +183,14 @@ func newEngine(s *System) *engine {
 		e.viewParams = append(e.viewParams, e.encs[i].Params())
 	}
 	e.tapes = make([]*autodiff.Tape, len(e.shards))
+	e.pool = autodiff.NewPool()
 	n := len(e.shards)
+	e.work, e.all = make([]int, 0, n), make([]int, n)
+	for i := range e.all {
+		e.all[i] = i
+	}
 	e.parts, e.cuts = make([]*autodiff.Value, n), make([]*autodiff.Value, n)
+	e.evalParts = make([]*tensor.Matrix, n)
 	e.terms = make([]*autodiff.Value, 0, n)
 	e.termSrc, e.termDst = make([][]int, 0, n), make([][]int, 0, n)
 	e.serving, e.shardActive, e.shardDelay = make([]bool, n), make([]bool, n), make([]int, n)
@@ -215,11 +240,11 @@ func (e *engine) buildHolders() {
 }
 
 // shardTape returns shard i's tape ready for a fresh recording: reset for
-// reuse in the steady state, brand new on first use. Only shard i's worker
-// may call this for i.
+// reuse in the steady state, brand new (on the engine's pool) on first use.
+// Only shard i's worker may call this for i.
 func (e *engine) shardTape(i int) *autodiff.Tape {
 	if e.tapes[i] == nil {
-		e.tapes[i] = autodiff.NewTape()
+		e.tapes[i] = e.pool.NewTape()
 	} else {
 		e.tapes[i].Reset()
 	}
@@ -349,16 +374,14 @@ func shardDelays(shards []*shard, staleness int) []int {
 	return delays
 }
 
-// parallel runs fn(i) for every shard index on the engine's worker pool.
-// Shard order of side effects is unconstrained; callers must only write
-// shard-local state.
-func (e *engine) parallel(fn func(i int)) {
-	w := e.workers
-	if w > len(e.shards) {
-		w = len(e.shards)
-	}
+// parallel runs fn(i) for every shard index in shards on the engine's
+// worker pool, with no more workers than shards: a phase with one shard to
+// run (a gossip device's step) runs on the caller. Shard order of side
+// effects is unconstrained; callers must only write shard-local state.
+func (e *engine) parallel(shards []int, fn func(i int)) {
+	w := min(e.workers, len(shards))
 	if w <= 1 {
-		for i := range e.shards {
+		for _, i := range shards {
 			fn(i)
 		}
 		return
@@ -370,56 +393,76 @@ func (e *engine) parallel(fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(e.shards) {
+				k := int(next.Add(1)) - 1
+				if k >= len(shards) {
 					return
 				}
-				fn(i)
+				fn(shards[k])
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// forwardActive runs the shared encoder over the active shards (nil means
-// all) — its first layer multiplying through the shard's rows of
-// Forest.XView — and pools each one's leaves into its partial embedding P_s
-// (len(verts)×OutDim, row k for vertex verts[k]); inactive shards get a nil
-// partial. Each shard records onto its own tape (taken fresh here,
-// invalidating the previous epoch's Values and buffers), so the partials'
-// graphs are tape-backed and rooted in the shard's weight views: Backward on
-// them is a linear sweep, and their memory is recycled next epoch. The
-// returned slice is the engine's scratch, good until the next call.
+// shardForward runs the shared encoder over shard i — its first layer
+// multiplying through the shard's rows of Forest.XView — and pools the
+// shard's leaves into its partial embedding P_s (len(verts)×OutDim, row k
+// for vertex verts[k]). It records onto shard i's tape, taken fresh, so the
+// partial's graph is tape-backed and rooted in the shard's weight views:
+// Backward on it is a linear sweep, and its buffers stay checked out of
+// the pool until the tape's next Reset. Only shard i's worker may call it
+// for i.
+func (e *engine) shardForward(i int, training bool) *autodiff.Value {
+	sh := e.shards[i]
+	var x *autodiff.Value
+	if tp := e.shardTape(i); e.denseInput {
+		x = tp.Const(sh.x)
+	} else {
+		x = tp.ConstSparse(sh.x, sh.view)
+	}
+	h := e.encs[i].Forward(sh.conv, x, training, e.rngs[i])
+	return autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)
+}
+
+// forwardActive runs shardForward over the active shards (nil means all);
+// inactive shards get a nil partial. Every active shard's tape keeps its
+// buffers until the caller resets it. The returned slice is the engine's
+// scratch, good until the next call.
 func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 	parts := e.parts
-	e.parallel(func(i int) {
-		if active != nil && !active[i] {
-			parts[i] = nil
-			return
+	e.work = e.work[:0]
+	for i := range parts {
+		parts[i] = nil
+		if active == nil || active[i] {
+			e.work = append(e.work, i)
 		}
-		sh := e.shards[i]
-		var x *autodiff.Value
-		if tp := e.shardTape(i); e.denseInput {
-			x = tp.Const(sh.x)
-		} else {
-			x = tp.ConstSparse(sh.x, sh.view)
-		}
-		h := e.encs[i].Forward(sh.conv, x, training, e.rngs[i])
-		parts[i] = autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)
+	}
+	e.parallel(e.work, func(i int) {
+		parts[i] = e.shardForward(i, training)
 	})
 	return parts
 }
 
 // forward runs the shared encoder over every shard in evaluation mode and
 // pools leaf embeddings into per-vertex embeddings (N×OutDim; paper Eq. 31,
-// average pooling). The partials are cut onto the serial tape and combined
-// there in fixed shard order, so the result does not depend on Workers. It
-// lives in the serial tape's buffers: good until the next round or forward.
+// average pooling). Each shard's partial is copied into evalParts and its
+// tape reset at once, so an evaluation holds one shard's activations per
+// worker; the copies are then cut onto the serial tape and combined there
+// in fixed shard order, so the result does not depend on Workers. It lives
+// in the serial tape's buffers: good until the next round or forward.
 func (e *engine) forward() *autodiff.Value {
-	parts := e.forwardActive(false, nil)
+	e.parallel(e.all, func(i int) {
+		p := e.shardForward(i, false).Data
+		if e.evalParts[i] == nil {
+			e.evalParts[i] = p.Clone()
+		} else {
+			e.evalParts[i].CopyFrom(p)
+		}
+		e.tapes[i].Reset()
+	})
 	st := e.serialTape()
-	for i, p := range parts {
-		e.cuts[i] = st.Const(p.Data)
+	for i, p := range e.evalParts {
+		e.cuts[i] = st.Const(p)
 	}
 	return autodiff.ScatterAddN(e.sys.G.N, e.cuts, nil, e.allVerts)
 }
@@ -557,26 +600,39 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, rows []int,
 	loss := lossFn(pooled)
 	loss.Backward()
 
-	// Phase 3: parallel shard backward, replaying each cut's gradient
-	// through the shard subgraph into the shard's private weight views.
-	e.parallel(func(i int) {
-		if cuts[i] == nil {
-			return
+	// Phase 3: parallel shard backward over the fresh shards, replaying each
+	// cut's gradient through the shard subgraph into the shard's private
+	// weight views, whose gradient buffers come from the pool (handed out
+	// serially first), then resetting the shard's tape: its buffers go back
+	// to the pool for the shards still running. A fresh cut leaf's Data is
+	// its partial's buffer, released here: nothing reads the cuts after
+	// this phase.
+	e.work = e.work[:0]
+	for i, c := range cuts {
+		if c == nil {
+			continue
 		}
+		e.work = append(e.work, i)
+		if c.Grad != nil {
+			for _, vp := range e.viewParams[i] {
+				vp.V.RecycleGrad(e.pool.Get(vp.V.Data.Dims()))
+			}
+		}
+	}
+	e.parallel(e.work, func(i int) {
 		if g := cuts[i].Grad; g != nil {
 			parts[i].BackwardWithGradient(g)
 		}
+		e.tapes[i].Reset()
 	})
 
 	// Phase 4: deterministic reduction, in the same order as the historical
 	// queue-everything scheme: gradients from earlier epochs that come due
 	// now were queued first, so they apply first; then this epoch's
-	// immediate (delay-0) shard gradients in shard order. Immediate
-	// gradients fold straight into the real parameters and their view
-	// buffers are zeroed in place for next epoch's accumulation — only
-	// delayed gradients detach their buffers into the queue (the buffer
-	// must outlive the view's next backward), taking in exchange the
-	// buffers of a set the queue has already applied.
+	// immediate (delay-0) shard gradients in shard order. Every view
+	// detaches its gradient: an immediate one folds straight into the real
+	// parameters and its buffer goes back to the pool, a delayed one goes
+	// into the queue until applyDue applies it and pools it.
 	rep.staleApplied = e.applyDue(e.epoch)
 	for i := range e.shards {
 		if parts[i] == nil {
@@ -589,23 +645,21 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, rows []int,
 		views := e.viewParams[i]
 		if d == 0 {
 			for j, vp := range views {
-				if g := vp.V.Grad; g != nil {
+				if g := vp.V.DetachGrad(); g != nil {
 					tensor.AddInPlace(e.encParams[j].V.EnsureGrad(), g)
-					vp.V.ZeroGrad()
+					e.pool.Put(g)
 				}
 			}
 			continue
 		}
 		var grads []*tensor.Matrix
-		if k := len(e.freeGrads) - 1; k >= 0 {
-			grads, e.freeGrads = e.freeGrads[k], e.freeGrads[:k]
+		if k := len(e.freeSets) - 1; k >= 0 {
+			grads, e.freeSets = e.freeSets[k], e.freeSets[:k]
 		} else {
 			grads = make([]*tensor.Matrix, len(views))
 		}
 		for j, vp := range views {
-			g := vp.V.DetachGrad()
-			vp.V.RecycleGrad(grads[j])
-			grads[j] = g
+			grads[j] = vp.V.DetachGrad()
 		}
 		e.queue = append(e.queue, delayedGrads{computed: e.epoch, release: e.epoch + d, shard: i, grads: grads})
 	}
@@ -652,8 +706,9 @@ func (e *engine) skipRound() int {
 
 // applyDue folds every queued gradient whose release epoch has arrived into
 // the real encoder parameters, in queue order (compute epoch, then shard) —
-// a fixed order, so reduction stays bit-deterministic. Returns how many of
-// the applied gradients were computed in an earlier epoch (stale applies).
+// a fixed order, so reduction stays bit-deterministic — and returns the
+// applied buffers to the pool. Returns how many of the applied gradients
+// were computed in an earlier epoch (stale applies).
 func (e *engine) applyDue(epoch int) (stale int) {
 	kept := e.queue[:0]
 	for _, dg := range e.queue {
@@ -669,8 +724,10 @@ func (e *engine) applyDue(epoch int) (stale int) {
 				continue
 			}
 			tensor.AddInPlace(e.encParams[j].V.EnsureGrad(), g)
+			e.pool.Put(g)
 		}
-		e.freeGrads = append(e.freeGrads, dg.grads)
+		clear(dg.grads)
+		e.freeSets = append(e.freeSets, dg.grads)
 	}
 	e.queue = kept
 	return stale

@@ -1,9 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"lumos/internal/obs"
 )
@@ -40,6 +41,18 @@ type Server struct {
 	Served *obs.Counter
 
 	freeAt float64
+	// ServeBatch's scratch, reused across calls: the departures it returns,
+	// the jobs in arrival order, and the jobs in flight under processor
+	// sharing.
+	done   []float64
+	order  []int
+	active []flight
+}
+
+// flight is a job in service under processor sharing.
+type flight struct {
+	idx       int
+	remaining float64 // solo service seconds still owed
 }
 
 // Discipline selects a Server's queueing discipline.
@@ -117,21 +130,24 @@ func (s *Server) Serve(at float64, bytes int64) float64 {
 // order get deterministic departures. Under DiscFIFO the result is
 // bit-identical to calling Serve once per job in that same order (the
 // equivalence the frozen sim goldens pin). A disabled server returns every
-// arrival unchanged.
+// arrival unchanged. The returned slice is the server's scratch, valid until
+// its next ServeBatch: a warm server allocates nothing.
 func (s *Server) ServeBatch(jobs []Job) []float64 {
-	done := make([]float64, len(jobs))
+	s.done = slices.Grow(s.done[:0], len(jobs))[:len(jobs)]
+	done := s.done
 	if !s.Enabled() {
 		for i, j := range jobs {
 			done[i] = j.At
 		}
 		return done
 	}
-	order := make([]int, len(jobs))
+	s.order = slices.Grow(s.order[:0], len(jobs))[:len(jobs)]
+	order := s.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return jobs[order[a]].At < jobs[order[b]].At
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(jobs[a].At, jobs[b].At)
 	})
 	if s.Discipline == DiscFIFO {
 		for _, i := range order {
@@ -145,11 +161,7 @@ func (s *Server) ServeBatch(jobs []Job) []float64 {
 	// solo service time at rate 1/k. Work queued from before the batch
 	// (freeAt) delays every job's start FIFO-style: nothing in this batch
 	// begins service before the server is free.
-	type flight struct {
-		idx       int
-		remaining float64 // solo service seconds still owed
-	}
-	var active []flight
+	active := s.active[:0]
 	tnow := 0.0
 	first := true
 	finish := func(until float64) {
@@ -204,6 +216,7 @@ func (s *Server) ServeBatch(jobs []Job) []float64 {
 		active = append(active, flight{idx: i, remaining: float64(jobs[i].Bytes) / s.BytesPerSecond})
 	}
 	finish(math.Inf(1))
+	s.active = active
 	if len(jobs) > 0 {
 		s.freeAt = tnow
 	}

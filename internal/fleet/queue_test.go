@@ -127,3 +127,32 @@ func TestServeBatchDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// A warm server prices a batch without allocating, under either discipline:
+// the departures, the arrival order and the jobs in flight reuse the
+// server's scratch, and the returned departures are the ones a fresh server
+// computes.
+func TestServeBatchDoesNotAllocate(t *testing.T) {
+	jobs := make([]Job, 64)
+	for i := range jobs {
+		jobs[i] = Job{At: float64((i*7)%8) * 1e-3, Bytes: int64(1000 + 37*i)}
+	}
+	for _, d := range []Discipline{DiscFIFO, DiscPS} {
+		fresh := Server{BytesPerSecond: 2e6, Discipline: d}
+		want := append([]float64(nil), fresh.ServeBatch(jobs)...)
+		warm := Server{BytesPerSecond: 2e6, Discipline: d}
+		warm.ServeBatch(jobs)
+		if allocs := testing.AllocsPerRun(20, func() {
+			warm.freeAt = 0
+			warm.ServeBatch(jobs)
+		}); allocs != 0 {
+			t.Fatalf("%v: a warm ServeBatch allocates %v times", d, allocs)
+		}
+		warm.freeAt = 0
+		for i, got := range warm.ServeBatch(jobs) {
+			if got != want[i] {
+				t.Fatalf("%v: job %d departs %v on a warm server, %v on a fresh one", d, i, got, want[i])
+			}
+		}
+	}
+}

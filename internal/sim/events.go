@@ -38,29 +38,58 @@ type event struct {
 	round  int
 }
 
-// eventQueue is a min-heap over (at, seq): equal-time events pop in push
-// order, so the processing order never depends on heap internals or map
-// iteration — a hard requirement for the simulator's bit-reproducibility.
-type eventQueue []*event
+// before orders events by (at, seq).
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap over (at, seq) holding events by value,
+// so a push allocates nothing once the queue has grown. Equal-time events
+// pop in push order, so the processing order never depends on heap
+// internals or map iteration — a hard requirement for the simulator's
+// bit-reproducibility.
+type eventQueue []event
 
 func (q eventQueue) Len() int { return len(q) }
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// push adds e to the queue.
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	*q = h
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// pop removes and returns the earliest event; the queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -63,7 +62,7 @@ func (s *Simulator) priceGossip(r int, participants []int, prev float64, rs *Rou
 	}
 	keys := sc.keys[:0]
 	for s.q.Len() > 0 {
-		e := heap.Pop(&s.q).(*event)
+		e := s.q.pop()
 		if e.kind != evComputeDone {
 			return 0, fmt.Errorf("unexpected %v event during gossip compute", e.kind)
 		}
@@ -106,7 +105,7 @@ func (s *Simulator) priceGossip(r int, participants []int, prev float64, rs *Rou
 		end[d] = computeDone[d]
 	}
 	for s.q.Len() > 0 {
-		e := heap.Pop(&s.q).(*event)
+		e := s.q.pop()
 		if e.at > end[e.device] {
 			end[e.device] = e.at
 		}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -165,7 +164,7 @@ func TestTraceProfilesCycle(t *testing.T) {
 func TestEventQueueOrdering(t *testing.T) {
 	var q eventQueue
 	push := func(at float64, seq int) {
-		heap.Push(&q, &event{at: at, seq: seq})
+		q.push(event{at: at, seq: seq})
 	}
 	push(3, 1)
 	push(1, 2)
@@ -174,10 +173,58 @@ func TestEventQueueOrdering(t *testing.T) {
 	push(1, 5)
 	wantSeq := []int{4, 2, 3, 5, 1}
 	for i, want := range wantSeq {
-		e := heap.Pop(&q).(*event)
+		e := q.pop()
 		if e.seq != want {
 			t.Fatalf("pop %d: got seq %d, want %d", i, e.seq, want)
 		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("%d events left after popping all", q.Len())
+	}
+}
+
+// The event heap against a sorted list: pushes drawn from a few times (so
+// ties are common) interleaved with pops, every pop the (at, seq) minimum of
+// what is queued; and a warm queue pushes without allocating.
+func TestEventQueueMatchesSortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var q eventQueue
+	var pending []event
+	seq := 0
+	for step := 0; step < 2000; step++ {
+		if len(pending) == 0 || rng.Float64() < 0.55 {
+			seq++
+			e := event{at: float64(rng.Intn(6)) * 0.5, seq: seq}
+			q.push(e)
+			pending = append(pending, e)
+			continue
+		}
+		first := 0
+		for i, e := range pending {
+			if e.before(pending[first]) {
+				first = i
+			}
+		}
+		if got := q.pop(); got != pending[first] {
+			t.Fatalf("step %d: popped %+v, want %+v", step, got, pending[first])
+		}
+		pending = append(pending[:first], pending[first+1:]...)
+	}
+	if q.Len() != len(pending) {
+		t.Fatalf("queue holds %d events, want %d", q.Len(), len(pending))
+	}
+	for q.Len() > 0 {
+		q.pop()
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < cap(q); i++ {
+			q.push(event{at: float64(i % 3), seq: i})
+		}
+		for q.Len() > 0 {
+			q.pop()
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm event queue allocates %v times per fill and drain", allocs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -464,7 +463,7 @@ func (s *Simulator) scheduleChurn(r int, at float64) {
 // drainBoundary processes the join/leave events due at the round boundary.
 func (s *Simulator) drainBoundary(now float64, rs *RoundStats) {
 	for s.q.Len() > 0 && s.q[0].at <= now {
-		e := heap.Pop(&s.q).(*event)
+		e := s.q.pop()
 		switch e.kind {
 		case evLeave:
 			if s.avail[e.device] {
@@ -569,7 +568,7 @@ func (s *Simulator) priceStar(r int, participants []int, prev float64, rs *Round
 // deterministic event order) — before it counts as delivered (scratch.end).
 func (s *Simulator) drainRound() {
 	for s.q.Len() > 0 {
-		e := heap.Pop(&s.q).(*event)
+		e := s.q.pop()
 		switch e.kind {
 		case evComputeDone:
 			arrive := e.at + s.xferTime(e.device)
@@ -720,5 +719,5 @@ func (s *Simulator) downTime(d int) float64 {
 // push schedules an event on the virtual clock.
 func (s *Simulator) push(kind eventKind, at float64, device, round int) {
 	s.seq++
-	heap.Push(&s.q, &event{at: at, seq: s.seq, kind: kind, device: device, round: round})
+	s.q.push(event{at: at, seq: s.seq, kind: kind, device: device, round: round})
 }

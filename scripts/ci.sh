@@ -232,6 +232,20 @@ gate race ./internal/autodiff \
 	TestGradTableCoversEveryOp
 gate plain ./internal/core TestFirstStepAllocBytes
 
+# A shard holds buffers only while it computes: two tapes on one shared
+# pool reuse each other's buffers and match private tapes bit for bit,
+# recording in turn and on two goroutines at once (the pool is the only
+# shared mutable state the shard tapes have), under the race detector; then,
+# on a one-device-per-shard system, no shard tape holds a buffer after a
+# partial round or an evaluation forward, and the pool keeps no more than
+# private tapes would. Gossip pricing: a warm ServeBatch allocates nothing
+# under FIFO or processor sharing, and the by-value event heap pops in
+# (at, seq) order without allocating.
+GATE_COUNT=10 gate race ./internal/autodiff TestPoolSharedAcrossTapes
+gate plain ./internal/core TestShardsHoldNoBuffersBetweenRounds
+gate plain ./internal/fleet TestServeBatchDoesNotAllocate
+gate plain ./internal/sim TestEventQueueOrdering TestEventQueueMatchesSortedOrder
+
 # Trace files: AnalyzeTrace sizes nothing by a track id (a 160-byte trace
 # once allocated 329 MB), then the seed corpus of the trace reader's fuzz
 # target (every decoded trace is analyzed too) and a short fuzz pass.
