@@ -50,7 +50,6 @@ var apiAllowList = map[string]string{
 	"tensor.ConstSparse.Entries": "the core first-layer tests and BenchmarkFirstLayer count a view's stored entries",
 	"tree.Tree.Validate":         "the structural invariants core's tests check on every tree NewSystem builds",
 	"autodiff.Tape.Bytes":        "core's retention test checks that no shard tape holds a buffer between rounds",
-	"autodiff.Pool.Bytes":        "core's retention test bounds what the engine pool keeps after a round",
 
 	// Reserved by a ROADMAP direction.
 	"nn.LoadParams":            "direction 2: the checkpoint's weight section reads it, or it goes with -save",

@@ -437,7 +437,9 @@ func newEpochBenchSystem(b *testing.B, workers int) (*lumos.System, *graph.NodeS
 // per committed round, measured without the simulator around it. The seeded
 // schedule has half the fleet present each round and 30 % of the
 // participants' gradients delayed by 1–2 rounds, under the simulator's
-// default cache TTL of 2.
+// default cache TTL of 2. It runs on one worker, as every bench/ workload
+// does, so its numbers time the configuration train_round_ms measures on
+// any host.
 func BenchmarkRoundShardsN(b *testing.B) {
 	g, err := graph.LoadDataset("facebook", 0.02, 1)
 	if err != nil {
@@ -449,7 +451,7 @@ func BenchmarkRoundShardsN(b *testing.B) {
 	}
 	sys, err := lumos.NewSystem(g, g, lumos.Config{
 		Task: lumos.Supervised, Backbone: lumos.GCN, MCMCIterations: 150,
-		Sched: lumos.SchedAsync, Staleness: 2, Shards: g.N, Seed: 1,
+		Sched: lumos.SchedAsync, Staleness: 2, Shards: g.N, Workers: 1, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -491,7 +493,8 @@ func BenchmarkRoundShardsN(b *testing.B) {
 // churn 0.05, everyone online participating) — per round, every
 // participant's replica swap in, one-device StepRound and swap out, the
 // per-link delta queues, and the Metropolis–Hastings mixes, plus one run's
-// replica setup and final consensus evaluation.
+// replica setup and final consensus evaluation. Like BenchmarkRoundShardsN
+// it runs on one worker.
 func BenchmarkGossipRounds(b *testing.B) {
 	g, err := graph.LoadDataset("facebook", 0.008, 7)
 	if err != nil {
@@ -503,7 +506,7 @@ func BenchmarkGossipRounds(b *testing.B) {
 	}
 	sys, err := lumos.NewSystem(g, g, lumos.Config{
 		Task: lumos.Supervised, Backbone: lumos.GCN, MCMCIterations: 150, LearningRate: 0.1,
-		Sched: lumos.SchedGossip, Shards: g.N, Seed: 7,
+		Sched: lumos.SchedGossip, Shards: g.N, Workers: 1, Seed: 7,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -154,7 +154,7 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 	if !concat {
 		tensor.ScaleInto(data, data, 1/float64(heads))
 	}
-	v := t.nodeOf(data, backGATAttention, wh, aL, aR)
+	v := t.nodeOf(data, opGATAttention, wh, aL, aR)
 	v.s = slope
 	v.mat = ws
 	v.ints, v.ints2 = csr.Src, csr.Dst
@@ -163,6 +163,10 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 	}
 	return v
 }
+
+// The backward reads every head's projection and attention vectors, and α
+// and the LeakyReLU inputs from the workspace it kept.
+var opGATAttention = &op{back: backGATAttention, readsIn: true}
 
 // backGATAttention is GATAttention's backward. Parents are the heads'
 // projections, then their aL, then their aR; v.n is 1 when the heads were

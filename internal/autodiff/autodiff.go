@@ -21,15 +21,25 @@ import (
 	"lumos/internal/tensor"
 )
 
-// backward computes one recorded op's parent gradients from v.Grad. Every op
-// uses a shared top-level function here (no per-node closure allocation); the
-// op's payload lives in the Value's auxiliary fields.
-type backward func(v *Value)
+// op is what a recorded node keeps of the operation that made it: back
+// computes its parents' gradients from v.Grad, and readsOut and readsIn
+// declare whether back reads the node's own Data and its parents' Data
+// (their shapes included). Tape.Release hands back every op output that no
+// recorded op declares it reads, so a declaration that leaves out a read
+// turns into a nil-pointer panic in back. Every op is a package-level value
+// over a shared top-level function (no per-node closure allocation); the
+// op's payload lives in the Value's auxiliary fields, which back may always
+// read.
+type op struct {
+	back              func(v *Value)
+	readsOut, readsIn bool
+}
 
 // Value is one node in the differentiation graph: a matrix plus, after
 // Backward, the gradient of the loss with respect to it.
 type Value struct {
-	// Data holds the forward result.
+	// Data holds the forward result. It is nil on an op node whose buffer
+	// Tape.Release handed back (the node keeps only its shape).
 	Data *tensor.Matrix
 	// Grad holds dLoss/dData after Backward; nil if no gradient flowed here.
 	// On a tape only leaves (Tape.Var, Const, ConstSparse) and the root of
@@ -39,10 +49,18 @@ type Value struct {
 	Grad *tensor.Matrix
 
 	requiresGrad bool
-	tape         *Tape // owning tape; nil for parameters
-	ti           int   // index on the owning tape
-	parents      []*Value
-	back         backward
+	// keep marks the node, during Tape.Release, as one whose Data a
+	// backward reads.
+	keep bool
+	// buf is the index of Data's buffer in the owning tape's held list;
+	// −1 for a leaf (caller-owned Data) and once released.
+	buf int32
+	// rows, cols are a released node's shape.
+	rows, cols int
+	tape       *Tape // owning tape; nil for parameters
+	ti         int   // index on the owning tape
+	parents    []*Value
+	op         *op
 	// gradBuf retains the last detached-by-ZeroGrad gradient buffer of a
 	// parameter so EnsureGrad can recycle it instead of reallocating.
 	gradBuf *tensor.Matrix
@@ -85,7 +103,10 @@ func (v *Value) ZeroGrad() {
 // RecycleGrad.
 func (v *Value) EnsureGrad() *tensor.Matrix {
 	if v.Grad == nil {
-		r, c := v.Data.Dims()
+		r, c := v.rows, v.cols
+		if v.Data != nil {
+			r, c = v.Data.Dims()
+		}
 		switch {
 		case v.tape != nil:
 			v.Grad = v.tape.Matrix(r, c)
@@ -224,13 +245,19 @@ func MatMul(a, b *Value) *Value {
 	if a.sparse != nil {
 		ws := t.scratch(1, b.Data.Cols())
 		tensor.ConstSparseMatMulInto(data, a.sparse, b.Data, ws.Data())
-		out := t.node(data, backMatMulConstSparse, a, b)
+		out := t.node(data, opMatMulConstSparse, a, b)
 		out.mat = ws
 		return out
 	}
 	tensor.MatMulInto(data, a.Data, b.Data)
-	return t.node(data, backMatMul, a, b)
+	return t.node(data, opMatMul, a, b)
 }
+
+var (
+	opMatMul = &op{back: backMatMul, readsIn: true}
+	// The view kernels read the left leaf's sparse form, never its Data.
+	opMatMulConstSparse = &op{back: backMatMulConstSparse}
+)
 
 // backMatMulConstSparse is backMatMul for a ConstSparse left operand, which
 // takes no gradient.
@@ -255,8 +282,10 @@ func AddRow(a, r *Value) *Value {
 	t := tapeFor("AddRow", a, r)
 	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	tensor.AddRowVectorInto(data, a.Data, r.Data)
-	return t.node(data, backAddRow, a, r)
+	return t.node(data, opAddRow, a, r)
 }
+
+var opAddRow = &op{back: backAddRow}
 
 func backAddRow(v *Value) {
 	a, r := v.parents[0], v.parents[1]
@@ -331,10 +360,14 @@ func BiasReLUDropout(a, b *Value, p float64, rng *rand.Rand, training bool) *Val
 			mr[j] = m
 		}
 	}
-	out := t.node(data, backBiasReLUDropout, a, b)
+	out := t.node(data, opBiasReLUDropout, a, b)
 	out.mat = mask
 	return out
 }
+
+// Without a mask, the backward finds the ReLU's pass-through entries in the
+// output.
+var opBiasReLUDropout = &op{back: backBiasReLUDropout, readsOut: true}
 
 // backBiasReLUDropout writes the gradient the chain's AddRow received into
 // a buffer and accumulates it with AddRow's own kernels, so the parents'

@@ -27,10 +27,12 @@ func segmentSum(a *Value, seg []int, nseg int) *Value {
 	t := tapeFor("segmentSum", a)
 	data := t.Matrix(nseg, a.Data.Cols())
 	tensor.ScatterAddRows(data, a.Data, seg)
-	out := t.node(data, backSegmentSum, a)
+	out := t.node(data, opSegmentSum, a)
 	out.ints = seg
 	return out
 }
+
+var opSegmentSum = &op{back: backSegmentSum}
 
 func backSegmentSum(v *Value) {
 	g := v.parents[0].EnsureGrad()
@@ -55,10 +57,12 @@ func scaleRows(a *Value, coef []float64) *Value {
 			orow[j] = coef[i] * row[j]
 		}
 	}
-	out := t.node(data, backScaleRows, a)
+	out := t.node(data, opScaleRows, a)
 	out.fs = coef
 	return out
 }
+
+var opScaleRows = &op{back: backScaleRows}
 
 func backScaleRows(v *Value) {
 	g := v.parents[0].EnsureGrad()
@@ -87,8 +91,10 @@ func mulRowsByCol(a, s *Value) *Value {
 			orow[j] = si * row[j]
 		}
 	}
-	return t.node(data, backMulRowsByCol, a, s)
+	return t.node(data, opMulRowsByCol, a, s)
 }
+
+var opMulRowsByCol = &op{back: backMulRowsByCol, readsIn: true}
 
 func backMulRowsByCol(v *Value) {
 	a, s := v.parents[0], v.parents[1]

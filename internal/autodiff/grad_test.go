@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -115,6 +116,13 @@ var gradTable = []gradCase{
 		f: func(tp *Tape, p []*Value) *Value {
 			return SumSquares(BiasReLUDropout(p[0], p[1], 0.4, nil, false))
 		}},
+	{test: "TestGradBiasReLUDropout", name: "biasreludropout/eval/sum", ops: []string{"BiasReLUDropout", "SumAll"},
+		// SumAll's backward does not read its input: only the op's own
+		// declaration keeps its output for its maskless backward.
+		params: [][2]int{{6, 5}, {1, 5}},
+		f: func(tp *Tape, p []*Value) *Value {
+			return SumAll(BiasReLUDropout(p[0], p[1], 0.4, nil, false))
+		}},
 	{test: "TestGradGatherSegmentSum", name: "gather/segmentsum", ops: []string{"Gather", "SumSquares"},
 		params: [][2]int{{5, 3}},
 		f: func(tp *Tape, p []*Value) *Value {
@@ -162,6 +170,14 @@ var gradTable = []gradCase{
 		f: func(tp *Tape, p []*Value) *Value {
 			// Weighted, so the gradient is not trivially zero.
 			return SumAll(MulElem(SegmentSoftmax(p[0], []int{0, 0, 1, 1, 1, 2}, 3), tp.Const(gradSoftmaxWeights)))
+		}},
+	{test: "TestGradSegmentSoftmax", name: "segmentsoftmax/scatter", ops: []string{"SegmentSoftmax", "ScatterAddN", "SumSquares"},
+		// ScatterAddN's backward does not read the softmax: only the op's
+		// own declaration keeps its output for its backward.
+		params: [][2]int{{6, 1}},
+		f: func(tp *Tape, p []*Value) *Value {
+			soft := SegmentSoftmax(p[0], []int{0, 0, 1, 1, 1, 2}, 3)
+			return SumSquares(ScatterAddN(3, []*Value{soft}, nil, [][]int{{0, 1, 1, 2, 0, 2}}))
 		}},
 	{test: "TestGradGATAttention", name: "gatattention/concat", ops: []string{"GATAttention", "SumSquares"},
 		// Two heads over gatCSR (an empty segment, a repeated source, a
@@ -303,6 +319,85 @@ func checkGrad(t *testing.T, c gradCase) {
 			}
 		}
 	}
+}
+
+// TestGradRowsUnderRelease: Tape.Release changes no gradient. Every row of
+// the table is recorded again with a Release before its backward — on a cut
+// row, of the upstream half with the cut point as its root, as the engine
+// releases a shard's forward — and its loss and every leaf gradient must
+// equal the row's without the Release, bit for bit. Each row runs on its
+// leaves and again on leaves passed through Scale(·, 1), so that every op
+// reads op nodes: an op whose backward reads an input or its output without
+// declaring it (see op) then reads a released buffer, which panics.
+func TestGradRowsUnderRelease(t *testing.T) {
+	released := 0
+	for _, c := range gradTable {
+		for _, wrap := range []bool{false, true} {
+			name := fmt.Sprintf("%s (wrapped %v)", c.name, wrap)
+			wantLoss, want, _ := gradsUnderRelease(t, name, c, wrap, false)
+			gotLoss, got, n := gradsUnderRelease(t, name, c, wrap, true)
+			if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+				t.Fatalf("%s: loss %v after Release, %v without", name, gotLoss, wantLoss)
+			}
+			for i := range want {
+				requireBits(t, fmt.Sprintf("%s: param %d gradient", name, i), want[i], got[i])
+			}
+			released += n
+		}
+	}
+	if released == 0 {
+		t.Fatal("no row released a buffer")
+	}
+}
+
+// gradsUnderRelease records row c on a fresh tape, its leaves wrapped in
+// Scale(·, 1) when wrap is set, releases the recording before the backward
+// when release is set, and returns the loss, a copy of every leaf's
+// gradient and the number of nodes the Release emptied. A panic fails the
+// test under the row's name.
+func gradsUnderRelease(t *testing.T, name string, c gradCase, wrap, release bool) (loss float64, grads []*tensor.Matrix, released int) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s (release %v): %v", name, release, r)
+		}
+	}()
+	rng := rand.New(rand.NewSource(1))
+	tp := NewTape()
+	leaves, in := make([]*Value, len(c.params)), make([]*Value, len(c.params))
+	for i, s := range c.params {
+		leaves[i] = tp.Var(tensor.Uniform(s[0], s[1], -1, 1, rng))
+		in[i] = leaves[i]
+		if wrap {
+			in[i] = Scale(leaves[i], 1)
+		}
+	}
+	root := c.f(tp, in)
+	if release {
+		tp.Release(root)
+	}
+	h := root
+	var cut *Value
+	if c.cut != nil {
+		cut = tp.Var(h.Data)
+		root = c.cut(cut)
+	}
+	for i := 0; i < tp.Len(); i++ {
+		if tp.at(i).Data == nil {
+			released++
+		}
+	}
+	root.Backward()
+	if cut != nil {
+		h.BackwardWithGradient(cut.Grad)
+	}
+	for i, l := range leaves {
+		if l.Grad == nil {
+			t.Fatalf("%s: param %d received no gradient", name, i)
+		}
+		grads = append(grads, l.Grad.Clone())
+	}
+	return root.Scalar(), grads, released
 }
 
 // TestGradTableCoversEveryOp reads the package source: every exported

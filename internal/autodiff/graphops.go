@@ -52,10 +52,12 @@ func ScatterAddN(rows int, parts []*Value, src, dst [][]int) *Value {
 			tensor.AddRowPairs(data, dst[k], p.Data, src[k])
 		}
 	}
-	out := t.node(data, backScatterAddN, parts...)
+	out := t.node(data, opScatterAddN, parts...)
 	out.rowSrc, out.rowDst = src, dst
 	return out
 }
+
+var opScatterAddN = &op{back: backScatterAddN}
 
 func backScatterAddN(v *Value) {
 	for k, p := range v.parents {
@@ -84,12 +86,14 @@ func CSRAggregate(a *Value, csr *tensor.CSR, coef []float64) *Value {
 	// buffer is fine here.
 	data := t.scratch(csr.NSeg, a.Data.Cols())
 	tensor.CSRAggregateInto(data, a.Data, csr, coef)
-	out := t.node(data, backCSRAggregate, a)
+	out := t.node(data, opCSRAggregate, a)
 	out.ints = csr.Src
 	out.ints2 = csr.Dst
 	out.fs = coef
 	return out
 }
+
+var opCSRAggregate = &op{back: backCSRAggregate}
 
 func backCSRAggregate(v *Value) {
 	tensor.CSRAggregateBackward(v.parents[0].EnsureGrad(), nil, nil, v.Grad, v.ints, v.ints2, v.fs)
@@ -108,11 +112,13 @@ func PairDot(a *Value, idxU, idxV []int) *Value {
 	for k := 0; k < m; k++ {
 		data.Set(k, 0, tensor.RowDot(a.Data, idxU[k], a.Data, idxV[k]))
 	}
-	out := t.node(data, backPairDot, a)
+	out := t.node(data, opPairDot, a)
 	out.ints = idxU
 	out.ints2 = idxV
 	return out
 }
+
+var opPairDot = &op{back: backPairDot, readsIn: true}
 
 func backPairDot(v *Value) {
 	a := v.parents[0]

@@ -20,8 +20,10 @@ func SumSquares(a *Value) *Value {
 	t := tapeFor("SumSquares", a)
 	data := t.scratch(1, 1)
 	data.Set(0, 0, s)
-	return t.node(data, backSumSquares, a)
+	return t.node(data, opSumSquares, a)
 }
+
+var opSumSquares = &op{back: backSumSquares, readsIn: true}
 
 func backSumSquares(v *Value) {
 	a := v.parents[0]
@@ -67,13 +69,16 @@ func SoftmaxCrossEntropy(logits *Value, labels []int, weights []float64) *Value 
 	loss /= totalW
 	data := t.scratch(1, 1)
 	data.Set(0, 0, loss)
-	out := t.node(data, backSoftmaxCE, logits)
+	out := t.node(data, opSoftmaxCE, logits)
 	out.ints = labels
 	out.fs = weights
 	out.mat = probs
 	out.s = totalW
 	return out
 }
+
+// The backward reads the probabilities it kept, not the logits.
+var opSoftmaxCE = &op{back: backSoftmaxCE}
 
 func backSoftmaxCE(v *Value) {
 	logits, probs := v.parents[0], v.mat
@@ -123,10 +128,12 @@ func LogisticLoss(scores *Value, ys []float64) *Value {
 	t := tapeFor("LogisticLoss", scores)
 	data := t.scratch(1, 1)
 	data.Set(0, 0, loss)
-	out := t.node(data, backLogisticLoss, scores)
+	out := t.node(data, opLogisticLoss, scores)
 	out.fs = ys
 	return out
 }
+
+var opLogisticLoss = &op{back: backLogisticLoss, readsIn: true}
 
 func backLogisticLoss(v *Value) {
 	scores := v.parents[0]

@@ -20,11 +20,13 @@ func Add(a, b *Value) *Value {
 	t := tapeFor("Add", a, b)
 	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	addInto(data, a.Data, b.Data)
-	return t.node(data, backFanIn, a, b)
+	return t.node(data, opFanIn, a, b)
 }
 
 // backFanIn adds the output gradient to every parent — the backward of Add
 // and AddN.
+var opFanIn = &op{back: backFanIn}
+
 func backFanIn(v *Value) {
 	for _, p := range v.parents {
 		p.accum(v.Grad)
@@ -42,7 +44,7 @@ func AddN(vs ...*Value) *Value {
 	for _, v := range vs[1:] {
 		tensor.AddInPlace(data, v.Data)
 	}
-	return t.node(data, backFanIn, vs...)
+	return t.node(data, opFanIn, vs...)
 }
 
 // Sub returns a − b (same shape).
@@ -50,8 +52,10 @@ func Sub(a, b *Value) *Value {
 	t := tapeFor("Sub", a, b)
 	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	subInto(data, a.Data, b.Data)
-	return t.node(data, backSub, a, b)
+	return t.node(data, opSub, a, b)
 }
+
+var opSub = &op{back: backSub}
 
 func backSub(v *Value) {
 	a, b := v.parents[0], v.parents[1]
@@ -66,8 +70,10 @@ func MulElem(a, b *Value) *Value {
 	t := tapeFor("MulElem", a, b)
 	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	mulElemInto(data, a.Data, b.Data)
-	return t.node(data, backMulElem, a, b)
+	return t.node(data, opMulElem, a, b)
 }
+
+var opMulElem = &op{back: backMulElem, readsIn: true}
 
 func backMulElem(v *Value) {
 	a, b := v.parents[0], v.parents[1]
@@ -84,10 +90,12 @@ func Scale(a *Value, s float64) *Value {
 	t := tapeFor("Scale", a)
 	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	tensor.ScaleInto(data, a.Data, s)
-	out := t.node(data, backScale, a)
+	out := t.node(data, opScale, a)
 	out.s = s
 	return out
 }
+
+var opScale = &op{back: backScale}
 
 func backScale(v *Value) {
 	tensor.AddScaledInPlace(v.parents[0].EnsureGrad(), v.s, v.Grad)
@@ -103,8 +111,10 @@ func ReLU(a *Value) *Value {
 			od[i] = x
 		}
 	}
-	return t.node(data, backReLU, a)
+	return t.node(data, opReLU, a)
 }
+
+var opReLU = &op{back: backReLU, readsIn: true}
 
 func backReLU(v *Value) {
 	a := v.parents[0]
@@ -129,10 +139,12 @@ func LeakyReLU(a *Value, slope float64) *Value {
 			od[i] = slope * x
 		}
 	}
-	out := t.node(data, backLeakyReLU, a)
+	out := t.node(data, opLeakyReLU, a)
 	out.s = slope
 	return out
 }
+
+var opLeakyReLU = &op{back: backLeakyReLU, readsIn: true}
 
 func backLeakyReLU(v *Value) {
 	a := v.parents[0]
@@ -167,10 +179,12 @@ func Dropout(a *Value, p float64, rng *rand.Rand, training bool) *Value {
 	}
 	data := t.scratch(a.Data.Rows(), a.Data.Cols())
 	mulElemInto(data, a.Data, mask)
-	out := t.node(data, backDropout, a)
+	out := t.node(data, opDropout, a)
 	out.mat = mask
 	return out
 }
+
+var opDropout = &op{back: backDropout}
 
 func backDropout(v *Value) {
 	mulElemAddInto(v.parents[0].EnsureGrad(), v.Grad, v.mat)
@@ -181,10 +195,12 @@ func Gather(a *Value, idx []int) *Value {
 	t := tapeFor("Gather", a)
 	data := t.scratch(len(idx), a.Data.Cols())
 	gatherInto(data, a.Data, idx)
-	out := t.node(data, backGather, a)
+	out := t.node(data, opGather, a)
 	out.ints = idx
 	return out
 }
+
+var opGather = &op{back: backGather}
 
 func backGather(v *Value) {
 	tensor.ScatterAddRows(v.parents[0].EnsureGrad(), v.Grad, v.ints)
@@ -201,11 +217,13 @@ func CSRAggregateMul(a, w *Value, csr *tensor.CSR) *Value {
 	t := tapeFor("CSRAggregateMul", a, w)
 	data := t.scratch(csr.NSeg, a.Data.Cols())
 	tensor.CSRAggregateInto(data, a.Data, csr, w.Data.Data())
-	out := t.node(data, backCSRAggregateMul, a, w)
+	out := t.node(data, opCSRAggregateMul, a, w)
 	out.ints = csr.Src
 	out.ints2 = csr.Dst
 	return out
 }
+
+var opCSRAggregateMul = &op{back: backCSRAggregateMul, readsIn: true}
 
 func backCSRAggregateMul(v *Value) {
 	a, w := v.parents[0], v.parents[1]
@@ -250,11 +268,13 @@ func SegmentSoftmax(e *Value, seg []int, nseg int) *Value {
 	for i := 0; i < n; i++ {
 		data.Set(i, 0, data.At(i, 0)/sums[seg[i]])
 	}
-	out := t.node(data, backSegmentSoftmax, e)
+	out := t.node(data, opSegmentSoftmax, e)
 	out.ints = seg
 	out.n = nseg
 	return out
 }
+
+var opSegmentSoftmax = &op{back: backSegmentSoftmax, readsOut: true}
 
 func backSegmentSoftmax(v *Value) {
 	// dL/de_i = α_i (g_i − Σ_{j∈seg(i)} α_j g_j)
@@ -293,8 +313,10 @@ func ConcatCols(vs ...*Value) *Value {
 		}
 		off += c
 	}
-	return t.node(data, backConcatCols, vs...)
+	return t.node(data, opConcatCols, vs...)
 }
+
+var opConcatCols = &op{back: backConcatCols, readsIn: true}
 
 func backConcatCols(v *Value) {
 	off := 0
@@ -318,8 +340,10 @@ func SumAll(a *Value) *Value {
 	t := tapeFor("SumAll", a)
 	data := t.scratch(1, 1)
 	data.Set(0, 0, sumEntries(a.Data))
-	return t.node(data, backSumAll, a)
+	return t.node(data, opSumAll, a)
 }
+
+var opSumAll = &op{back: backSumAll}
 
 func backSumAll(v *Value) {
 	addConstInPlace(v.parents[0].EnsureGrad(), v.Grad.At(0, 0))

@@ -149,7 +149,7 @@ func TestScatterAddNNegativeZero(t *testing.T) {
 	out := ScatterAddN(2, []*Value{p}, nil, [][]int{{1}})
 	requireBits(t, "forward", tensor.FromRows([][]float64{{0, 0}, {0, 1}}), out.Data)
 	out.Grad = tensor.FromRows([][]float64{{7, 7}, {negZero, 2}})
-	out.back(out)
+	out.op.back(out)
 	requireBits(t, "gradient", tensor.FromRows([][]float64{{0, 2}}), p.Grad)
 }
 

@@ -23,17 +23,6 @@ func chunkOf(i int) (c, off int) {
 	return c, i - firstChunk*(1<<c-1)
 }
 
-// bufPool is the free-list for one matrix shape: buffers checked out since
-// the last Reset live in bufs[:next], recyclable ones in bufs[next:] (none
-// on a tape whose buffers go back to a Pool). free holds checked-out
-// gradient buffers a backward sweep has released (see Tape.sweep); they are
-// handed out again before the pool grows.
-type bufPool struct {
-	bufs []*tensor.Matrix
-	next int
-	free []*tensor.Matrix
-}
-
 // Tape owns the memory of a differentiation graph that is rebuilt with the
 // same structure over and over — an epoch's forward pass. Every op records
 // its result node onto the tape its inputs carry, in construction order, so
@@ -43,24 +32,26 @@ type bufPool struct {
 // first epoch warms the arenas, steady-state epochs allocate almost nothing.
 //
 // A graph enters its tape through Var/Const leaves, and every op over them
-// draws its buffers from the tape's shape-keyed free-list. Parameters (the
-// package-level Var) are on no tape and may feed ops on any tape. An op with
-// no taped input, or with inputs from two tapes, panics: to combine values
-// from two tapes, cut one side into a leaf of the other (Tape.Const or
-// Tape.Var over its Data) and replay the cut's gradient with
-// BackwardWithGradient.
+// draws its buffers from the tape's Pool. Parameters (the package-level Var)
+// are on no tape and may feed ops on any tape. An op with no taped input, or
+// with inputs from two tapes, panics: to combine values from two tapes, cut
+// one side into a leaf of the other (Tape.Const or Tape.Var over its Data)
+// and replay the cut's gradient with BackwardWithGradient.
 //
 // Nodes live in a slab of chunks that starts at firstChunk Values and doubles
 // as the tape grows, so a small tape (a one-device shard's) costs a few kB,
 // not a fixed-size slab; newValue finds the next slot in O(1) and Backward
 // walks the chunks in reverse.
 //
-// A tape from NewTape keeps its buffers across Reset, for its own next
-// recording. A tape from Pool.NewTape draws them from a Pool that several
-// tapes share, and Reset hands every one of them back: between a Reset and
-// its next op such a tape holds no buffer at all, so tapes that record in
-// turn (the engine's shard tapes) need one tape's working set, not each
-// its own.
+// Every tape draws its buffers from a Pool and hands every one of them back
+// on Reset: between a Reset and its next op a tape holds no buffer at all.
+// A tape from NewTape has a pool of its own, so its next recording reuses
+// its last one's buffers; tapes from Pool.NewTape share one, so tapes that
+// record in turn (the engine's shard tapes) need one tape's working set, not
+// each its own. Within a recording, a buffer comes back sooner twice over:
+// a backward sweep reuses the gradients it is done with, and Release hands
+// the pool every op output that no backward will read — what a tape keeps
+// between its forward and its backward is only what the backward needs.
 //
 // A Tape serves one goroutine at a time; tapes on one Pool may record on
 // different goroutines at once. Reset must not run while any Value or matrix
@@ -69,61 +60,106 @@ type bufPool struct {
 type Tape struct {
 	chunks [][]Value
 	used   int
-	pools  map[int64]*bufPool
-	// shared, when non-nil, is the Pool the tape's buffers come from and
-	// go back to on Reset.
-	shared *Pool
+	// pool is where the tape's buffers come from and go back to on Reset;
+	// own marks it as the tape's private pool (NewTape).
+	pool *Pool
+	own  bool
+	// held lists the buffers checked out of pool since the last Reset, in
+	// checkout order; Release nils the entries it hands back early.
+	held []*tensor.Matrix
+	// free holds, by size class, held buffers nothing reads any more (a
+	// sweep's used gradients, an op's temporaries): scratch hands them out
+	// again before it asks the pool.
+	free [][]*tensor.Matrix
 }
 
-// NewTape returns an empty tape that keeps its own buffers.
+// NewTape returns an empty tape on a pool of its own.
 func NewTape() *Tape {
-	return &Tape{pools: make(map[int64]*bufPool)}
+	t := NewPool().NewTape()
+	t.own = true
+	return t
 }
 
 // Len returns the number of live nodes recorded since the last Reset.
 func (t *Tape) Len() int { return t.used }
 
-// Reset recycles every node and buffer recorded since the last Reset. All
-// Values and matrices previously handed out become invalid: the next
-// recording's ops will reuse their memory. A tape on a Pool hands its
-// buffers back to the pool.
+// Reset recycles every node and buffer recorded since the last Reset: the
+// buffers go back to the tape's pool. All Values and matrices previously
+// handed out become invalid: the next recording's ops will reuse their
+// memory.
 func (t *Tape) Reset() {
 	t.used = 0
-	if t.shared != nil {
-		t.shared.mu.Lock()
-		defer t.shared.mu.Unlock()
-	}
-	for _, p := range t.pools {
-		if t.shared != nil {
-			for _, m := range p.bufs[:p.next] {
-				t.shared.put(m)
-			}
-			clear(p.bufs)
-			clear(p.free)
-			p.bufs = p.bufs[:0]
+	t.pool.mu.Lock()
+	// In reverse, so the pool's stacks hand them out again in checkout
+	// order.
+	for k := len(t.held) - 1; k >= 0; k-- {
+		if m := t.held[k]; m != nil {
+			t.pool.put(m)
 		}
-		p.next = 0
-		p.free = p.free[:0]
+	}
+	t.pool.mu.Unlock()
+	clear(t.held)
+	t.held = t.held[:0]
+	for c := range t.free {
+		clear(t.free[c])
+		t.free[c] = t.free[c][:0]
 	}
 }
 
-// Bytes returns the size of the matrix buffers the tape holds: those
-// checked out since the last Reset, plus, on a tape that keeps its own
-// buffers, the ones waiting for reuse. A tape on a Pool holds none after
-// Reset.
-func (t *Tape) Bytes() int64 {
-	var n int64
-	for _, p := range t.pools {
-		for _, m := range p.bufs {
-			n += 8 * int64(m.Size())
+// Release hands back to the pool, ahead of Reset, the output buffer of every
+// op recorded since the last Reset that no recorded backward reads: every op
+// node's but the root's, those a consumer's backward reads as its parents'
+// Data, and those the node's own backward reads (see op). Payload buffers an
+// op keeps for its backward (a dropout mask, a softmax's probabilities, a
+// kernel workspace) stay. A released node keeps its shape, so a backward
+// through it works as before and computes the same gradients bit for bit,
+// but its Data is nil: any read of it panics. Release allocates nothing.
+func (t *Tape) Release(root *Value) {
+	if root.tape != t {
+		panic("autodiff: Release of a root on another tape")
+	}
+	for i := 0; i < t.used; i++ {
+		v := t.at(i)
+		if v.op == nil {
+			continue
 		}
+		v.keep = v.keep || v.op.readsOut
+		if v.op.readsIn {
+			for _, p := range v.parents {
+				if p.tape == t {
+					p.keep = true
+				}
+			}
+		}
+	}
+	root.keep = true
+	t.pool.mu.Lock()
+	defer t.pool.mu.Unlock()
+	for i := 0; i < t.used; i++ {
+		v := t.at(i)
+		if v.buf >= 0 && !v.keep {
+			t.pool.put(v.Data)
+			t.held[v.buf] = nil
+			v.rows, v.cols = v.Data.Dims()
+			v.Data, v.buf = nil, -1
+		}
+		v.keep = false
+	}
+}
+
+// Bytes returns the capacity, in bytes, of the buffers the tape holds:
+// those checked out since the last Reset and not released, plus, on a tape
+// with a pool of its own, the ones waiting there for its next recording.
+func (t *Tape) Bytes() int64 {
+	n := capBytes(t.held)
+	if t.own {
+		n += t.pool.Bytes()
 	}
 	return n
 }
 
-// Matrix checks a zeroed rows×cols buffer out of the tape's free-list,
-// growing it on first use. The buffer is owned by the tape and is recycled
-// by the next Reset.
+// Matrix checks a zeroed rows×cols buffer out of the tape. The buffer is
+// owned by the tape and is recycled by the next Reset.
 func (t *Tape) Matrix(rows, cols int) *tensor.Matrix {
 	m := t.scratch(rows, cols)
 	m.Zero()
@@ -133,77 +169,83 @@ func (t *Tape) Matrix(rows, cols int) *tensor.Matrix {
 // scratch is Matrix without the zeroing sweep, for ops that fully overwrite
 // their output: a recycled buffer comes back with its previous contents.
 func (t *Tape) scratch(rows, cols int) *tensor.Matrix {
-	p := t.pool(rows, cols)
-	if k := len(p.free) - 1; k >= 0 {
-		m := p.free[k]
-		p.free = p.free[:k]
-		return m
-	}
-	if p.next == len(p.bufs) {
-		if t.shared != nil {
-			p.bufs = append(p.bufs, t.shared.Get(rows, cols))
-		} else {
-			p.bufs = append(p.bufs, tensor.New(rows, cols))
+	if c := sizeClass(rows * cols); c < len(t.free) {
+		if k := len(t.free[c]) - 1; k >= 0 {
+			m := t.free[c][k]
+			t.free[c] = t.free[c][:k]
+			m.Reshape(rows, cols)
+			return m
 		}
 	}
-	p.next++
-	return p.bufs[p.next-1]
+	m := t.pool.Get(rows, cols)
+	t.held = append(t.held, m)
+	return m
 }
 
-// pool returns the free-list for rows×cols buffers, creating it on first
-// use.
-func (t *Tape) pool(rows, cols int) *bufPool {
-	key := shapeKey(rows, cols)
-	p := t.pools[key]
-	if p == nil {
-		p = &bufPool{}
-		t.pools[key] = p
+// recycle puts m, a buffer checked out of the tape that nothing reads any
+// more, on the tape's free-list for the next scratch or Matrix.
+func (t *Tape) recycle(m *tensor.Matrix) {
+	c := sizeClass(cap(m.Data()))
+	for len(t.free) <= c {
+		t.free = append(t.free, nil)
 	}
-	return p
+	t.free[c] = append(t.free[c], m)
 }
 
-// shapeKey is the free-list key of a rows×cols buffer.
-func shapeKey(rows, cols int) int64 {
-	return int64(rows)<<32 | int64(uint32(cols))
+// bufIndex returns the index in held of m, an op's output buffer.
+func (t *Tape) bufIndex(m *tensor.Matrix) int32 {
+	for k := len(t.held) - 1; k >= 0; k-- {
+		if t.held[k] == m {
+			return int32(k)
+		}
+	}
+	panic("autodiff: op output not checked out of its tape")
 }
 
-// Pool is a shape-keyed free-list of matrices that several tapes (see
-// Pool.NewTape) and their owner draw from. It is safe for concurrent use.
-// A pool never shrinks: it ends up holding, per shape, the most buffers of
-// that shape its users ever had checked out at once.
+// Pool is a free-list of matrix buffers that tapes (see Pool.NewTape) and
+// their owner draw from, keyed by size class: a rows×cols matrix is handed
+// out over a prefix of a buffer of the smallest class holding rows·cols
+// entries. The classes run 1, 2, 3, 4, 6, 8, 12, 16, … — the powers of two
+// and the midpoints 3·2^k between them — so a buffer wastes under a third
+// of itself, and matrices of different shapes (two shards' activations over
+// trees of different sizes) reuse each other's buffers. It is safe for
+// concurrent use. A pool never shrinks: it ends up holding, per class, the
+// most buffers of that class its users ever had checked out at once.
 type Pool struct {
 	mu   sync.Mutex
-	free map[int64][]*tensor.Matrix
+	free [][]*tensor.Matrix // by size class
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{free: make(map[int64][]*tensor.Matrix)}
+	return &Pool{}
 }
 
 // NewTape returns an empty tape whose buffers come from p and go back to it
 // on every Reset.
 func (p *Pool) NewTape() *Tape {
-	t := NewTape()
-	t.shared = p
-	return t
+	return &Tape{pool: p}
 }
 
-// Get checks a rows×cols buffer out of the pool, allocating one if none is
-// free. Its contents are unspecified.
+// Get checks a rows×cols buffer out of the pool, allocating one of its
+// size class if none is free. Its contents are unspecified.
 func (p *Pool) Get(rows, cols int) *tensor.Matrix {
-	key := shapeKey(rows, cols)
+	c := sizeClass(rows * cols)
 	p.mu.Lock()
-	free := p.free[key]
-	if k := len(free) - 1; k >= 0 {
-		m := free[k]
-		free[k] = nil
-		p.free[key] = free[:k]
-		p.mu.Unlock()
-		return m
+	if c < len(p.free) {
+		if k := len(p.free[c]) - 1; k >= 0 {
+			m := p.free[c][k]
+			p.free[c][k] = nil
+			p.free[c] = p.free[c][:k]
+			p.mu.Unlock()
+			m.Reshape(rows, cols)
+			return m
+		}
 	}
 	p.mu.Unlock()
-	return tensor.New(rows, cols)
+	m := tensor.New(1, classSize(c))
+	m.Reshape(rows, cols)
+	return m
 }
 
 // Put returns m to the pool. Nothing may read or write m afterwards.
@@ -213,23 +255,75 @@ func (p *Pool) Put(m *tensor.Matrix) {
 	p.put(m)
 }
 
-// put is Put with p.mu held.
+// put is Put with p.mu held. A buffer from elsewhere whose capacity falls
+// between two classes serves the smaller one.
 func (p *Pool) put(m *tensor.Matrix) {
-	key := shapeKey(m.Dims())
-	p.free[key] = append(p.free[key], m)
+	n := cap(m.Data())
+	c := sizeClass(n)
+	if classSize(c) > n {
+		c--
+	}
+	if c < 0 {
+		return
+	}
+	for len(p.free) <= c {
+		p.free = append(p.free, nil)
+	}
+	p.free[c] = append(p.free[c], m)
 }
 
-// Bytes returns the size of the buffers free in the pool.
+// Bytes returns the capacity, in bytes, of the buffers free in the pool.
 func (p *Pool) Bytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var n int64
 	for _, free := range p.free {
-		for _, m := range free {
-			n += 8 * int64(m.Size())
+		n += capBytes(free)
+	}
+	return n
+}
+
+// capBytes sums the capacity of ms' buffers, in bytes, skipping nils.
+func capBytes(ms []*tensor.Matrix) int64 {
+	var n int64
+	for _, m := range ms {
+		if m != nil {
+			n += 8 * int64(cap(m.Data()))
 		}
 	}
 	return n
+}
+
+// sizeClass returns the index of the smallest size class holding n
+// entries: class 2k−1 holds 2^k, class 2k−2 holds 3·2^(k−2) (k ≥ 2), and
+// class 0 holds 1.
+func sizeClass(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	k := bits.Len(uint(n - 1)) // 2^(k−1) < n ≤ 2^k
+	if k >= 2 && n <= 3<<(k-2) {
+		return 2*k - 2
+	}
+	return 2*k - 1
+}
+
+// classSize returns the number of entries size class c holds.
+func classSize(c int) int {
+	switch {
+	case c == 0:
+		return 1
+	case c%2 == 1:
+		return 1 << ((c + 1) / 2)
+	default:
+		return 3 << (c/2 - 1)
+	}
+}
+
+// at returns the node at tape index i.
+func (t *Tape) at(i int) *Value {
+	c, off := chunkOf(i)
+	return &t.chunks[c][off]
 }
 
 // newValue checks the next node out of the slab, growing it by one chunk
@@ -243,23 +337,25 @@ func (t *Tape) newValue() *Value {
 	}
 	v := &t.chunks[ci][off]
 	parents := v.parents[:0]
-	*v = Value{tape: t, ti: t.used, parents: parents}
+	*v = Value{tape: t, ti: t.used, parents: parents, buf: -1}
 	t.used++
 	return v
 }
 
 // node records an op result whose requiresGrad is inherited from parents.
-// The backward function and parent list are only retained when some parent
-// needs a gradient.
-func (t *Tape) node(data *tensor.Matrix, bk backward, parents ...*Value) *Value {
-	return t.nodeOf(data, bk, parents)
+// data must be a buffer of the tape's (scratch or Matrix): the node owns it.
+// The op and parent list are only retained when some parent needs a
+// gradient.
+func (t *Tape) node(data *tensor.Matrix, o *op, parents ...*Value) *Value {
+	return t.nodeOf(data, o, parents)
 }
 
 // nodeOf is node for a parent list held in several slices: the node's
 // parents are the groups concatenated in order.
-func (t *Tape) nodeOf(data *tensor.Matrix, bk backward, groups ...[]*Value) *Value {
+func (t *Tape) nodeOf(data *tensor.Matrix, o *op, groups ...[]*Value) *Value {
 	out := t.newValue()
 	out.Data = data
+	out.buf = t.bufIndex(data)
 	for _, ps := range groups {
 		for _, p := range ps {
 			out.requiresGrad = out.requiresGrad || p.requiresGrad
@@ -270,13 +366,13 @@ func (t *Tape) nodeOf(data *tensor.Matrix, bk backward, groups ...[]*Value) *Val
 		for _, ps := range groups {
 			out.parents = append(out.parents, ps...)
 		}
-		out.back = bk
+		out.op = o
 	}
 	return out
 }
 
 // Var records a trainable leaf on the tape. The matrix is caller-owned (not
-// recycled); the leaf's gradient buffer comes from the tape's free-list.
+// recycled); the leaf's gradient buffer comes from the tape.
 func (t *Tape) Var(m *tensor.Matrix) *Value {
 	v := t.newValue()
 	v.Data = m
@@ -316,7 +412,7 @@ func (t *Tape) ConstSparse(m *tensor.Matrix, view *tensor.ConstSparse) *Value {
 // before it), so the reverse sweep visits every node after all its
 // consumers; nodes the seeded gradient never reached are skipped. Once a
 // node's backward function has run nothing reads its gradient again, so the
-// buffer goes back to its shape's free-list — except the root's, which the
+// buffer goes back on the tape's free-list — except the root's, which the
 // caller seeded and may still read.
 func (t *Tape) sweep(from int) {
 	ci, off := chunkOf(from)
@@ -324,8 +420,8 @@ func (t *Tape) sweep(from int) {
 	for ; ci >= 0; ci-- {
 		chunk := t.chunks[ci][:off+1]
 		for j := len(chunk) - 1; j >= 0; j-- {
-			if v := &chunk[j]; v.Grad != nil && v.back != nil {
-				v.back(v)
+			if v := &chunk[j]; v.Grad != nil && v.op != nil {
+				v.op.back(v)
 				if !root {
 					t.recycle(v.Grad)
 					v.Grad = nil
@@ -335,11 +431,4 @@ func (t *Tape) sweep(from int) {
 		}
 		off = firstChunk<<ci/2 - 1 // the chunk before ci is half its length
 	}
-}
-
-// recycle puts m, a buffer checked out of the tape that nothing reads any
-// more, on its shape's free-list for the next scratch or Matrix.
-func (t *Tape) recycle(m *tensor.Matrix) {
-	p := t.pool(m.Dims())
-	p.free = append(p.free, m)
 }

@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -129,7 +130,7 @@ func TestTapeBackwardSweepScope(t *testing.T) {
 
 // TestTapeReleasesSweptGradients: a backward keeps only the gradients the
 // rest of its sweep still reads. Over a chain of k same-shape ReLUs from a
-// leaf, the shape's pool ends holding the k outputs plus at most three
+// leaf, the tape ends holding the k outputs plus at most three
 // gradients — the root's and two in flight — where keeping every node's
 // gradient took k + 1. Afterwards only the leaf and the root hold a
 // gradient, the leaf's is exact, and a warm tape re-records and sweeps the
@@ -169,8 +170,8 @@ func TestTapeReleasesSweptGradients(t *testing.T) {
 			}
 		}
 		requireBits(t, "leaf gradient", want, x.Grad)
-		if n := len(tp.pool(rows, cols).bufs); n > k+3 {
-			t.Fatalf("k=%d: the pool holds %d buffers, want ≤ %d outputs + 3 gradients", k, n, k)
+		if n := len(tp.held); n > k+3 {
+			t.Fatalf("k=%d: the tape holds %d buffers, want ≤ %d outputs + 3 gradients", k, n, k)
 		}
 		if allocs := testing.AllocsPerRun(5, record); allocs != 0 {
 			t.Fatalf("k=%d: a warm tape records and sweeps the chain with %.0f allocations, want 0", k, allocs)
@@ -285,8 +286,8 @@ func TestConstSparseLeafMatMul(t *testing.T) {
 // heldBuffers returns the buffers tp has checked out.
 func heldBuffers(tp *Tape) map[*tensor.Matrix]bool {
 	held := map[*tensor.Matrix]bool{}
-	for _, p := range tp.pools {
-		for _, m := range p.bufs[:p.next] {
+	for _, m := range tp.held {
+		if m != nil {
 			held[m] = true
 		}
 	}
@@ -363,5 +364,93 @@ func TestPoolSharedAcrossTapes(t *testing.T) {
 	}
 	if pool.Bytes() < bytes || pool.Bytes() > 2*bytes {
 		t.Fatalf("after two concurrent tapes the pool holds %d B; want between one and two tapes' %d B", pool.Bytes(), bytes)
+	}
+}
+
+// TestReleaseKeepsWhatBackwardReads: on a GCN-shaped shard graph — a first
+// layer through a ConstSparse input, CSR aggregation, the fused hidden
+// activation with dropout, a second layer with its bias, and the leaf
+// pooling — Release leaves the tape holding exactly the buffers the
+// backward reads: the hidden activation and its mask, the view kernel's
+// workspace and the root partial. The other five activations go back to
+// the pool; their nodes keep their shapes but no Data, so an op over one
+// panics. The backward computes the weight gradients of the unreleased
+// recording bit for bit, and a warm tape records, releases and sweeps
+// without allocating.
+func TestReleaseKeepsWhatBackwardReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	conv := tensor.NewCSR(5, []int{0, 1, 2, 3, 4, 1, 0, 2}, []int{0, 0, 1, 2, 3, 4, 4, 1})
+	norm := []float64{0.5, 0.25, 1, 0.75, -0.5, 1.5, 0.2, 0.6}
+	pool := tensor.NewCSR(2, []int{0, 2, 4}, []int{0, 1, 1})
+	coef := []float64{1, 0.5, 0.5}
+	params := []*Value{
+		Var(tensor.Uniform(4, 3, -1, 1, rng)), Var(tensor.Uniform(1, 3, -1, 1, rng)),
+		Var(tensor.Uniform(3, 3, -1, 1, rng)), Var(tensor.Uniform(1, 3, -1, 1, rng)),
+	}
+	seed := tensor.Uniform(2, 3, -1, 1, rng)
+	x := gradSparseX.Dense()
+	type recording struct{ a1, c1, h1, a2, c2, d2, p *Value }
+	record := func(tp *Tape, drop *rand.Rand, release bool) recording {
+		tp.Reset()
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+		var r recording
+		r.a1 = MatMul(tp.ConstSparse(x, gradSparseX), params[0])
+		r.c1 = CSRAggregate(r.a1, conv, norm)
+		r.h1 = BiasReLUDropout(r.c1, params[1], 0.3, drop, true)
+		r.a2 = MatMul(r.h1, params[2])
+		r.c2 = CSRAggregate(r.a2, conv, norm)
+		r.d2 = AddRow(r.c2, params[3])
+		r.p = CSRAggregate(r.d2, pool, coef)
+		if release {
+			tp.Release(r.p)
+		}
+		return r
+	}
+	grads := func() []*tensor.Matrix {
+		var gs []*tensor.Matrix
+		for _, p := range params {
+			gs = append(gs, p.Grad.Clone())
+		}
+		return gs
+	}
+
+	record(NewTape(), rand.New(rand.NewSource(9)), false).p.BackwardWithGradient(seed)
+	want := grads()
+
+	tp := NewTape()
+	r := record(tp, rand.New(rand.NewSource(9)), true)
+	kept := map[*tensor.Matrix]bool{r.h1.Data: true, r.h1.mat: true, r.a1.mat: true, r.p.Data: true}
+	held := heldBuffers(tp)
+	if len(held) != len(kept) {
+		t.Fatalf("the tape holds %d buffers after Release, want the %d the backward reads", len(held), len(kept))
+	}
+	for m := range kept {
+		if m == nil || !held[m] {
+			t.Fatal("the tape released a buffer the backward reads")
+		}
+	}
+	for name, v := range map[string]*Value{"a1": r.a1, "c1": r.c1, "a2": r.a2, "c2": r.c2, "d2": r.d2} {
+		if v.Data != nil || v.rows != 5 || v.cols != 3 {
+			t.Fatalf("released node %s: Data %v, shape %dx%d; want nil Data and its 5x3 shape", name, v.Data != nil, v.rows, v.cols)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an op over a released node did not panic")
+			}
+		}()
+		AddRow(r.c1, params[1])
+	}()
+	r.p.BackwardWithGradient(seed)
+	for i, g := range grads() {
+		requireBits(t, fmt.Sprintf("param %d gradient after Release", i), want[i], g)
+	}
+
+	drop := rand.New(rand.NewSource(9))
+	if allocs := testing.AllocsPerRun(5, func() { record(tp, drop, true).p.BackwardWithGradient(seed) }); allocs != 0 {
+		t.Fatalf("a warm tape records, releases and sweeps with %.0f allocations, want 0", allocs)
 	}
 }

@@ -31,32 +31,42 @@ import (
 //     (autodiff.ScatterAddN), then the task loss over just those rows;
 //  3. parallel: each shard replays the loss gradient of its partial through
 //     its own subgraph, accumulating into shard-private views of the shared
-//     weights (nn.CloneShared);
-//  4. serial: shard gradients are reduced into the real parameters in shard
-//     order and the optimizer steps.
+//     weights (nn.CloneShared); as each shard's backward ends, its view
+//     gradients are reduced into the real parameters, strictly in shard
+//     order (an ordered cursor under a mutex: a shard that finishes early
+//     waits for the ones before it);
+//  4. serial: the optimizer steps.
 //
 // Determinism: the shard partition depends only on Config.Shards (never on
 // Workers or the machine), every shard owns a private RNG stream split from
-// the root seed, all cross-shard reductions (steps 2 and 4) run serially in
-// fixed shard order, and parallel phases write only shard-local state. So
-// Workers=1 and Workers=N produce bit-identical losses and weights.
+// the root seed, all cross-shard reductions (steps 2 and 3's) run in fixed
+// shard order, and parallel phases otherwise write only shard-local state.
+// So Workers=1 and Workers=N produce bit-identical losses and weights.
 //
-// Under Config.Sched == SchedAsync, step 4 additionally delays the gradient
-// contribution of straggler shards (the heaviest trees) by up to
-// Config.Staleness epochs, simulating staleness-bounded asynchronous
-// aggregation. The delay schedule derives from the shard workload ranking,
-// so async runs are exactly as reproducible as sync ones.
+// Under Config.Sched == SchedAsync, step 3's reduction additionally delays
+// the gradient contribution of straggler shards (the heaviest trees) by up
+// to Config.Staleness epochs, simulating staleness-bounded asynchronous
+// aggregation: the reduction queues their gradients instead, and queued
+// gradients that come due fold in before any fresh one. The delay schedule
+// derives from the shard workload ranking, so async runs are exactly as
+// reproducible as sync ones.
 //
-// Memory: a shard holds buffers only while it computes. Every shard tape
-// draws from one engine-wide autodiff.Pool and hands its buffers back as
-// soon as the shard is done — right after its phase-3 backward, or, in an
-// evaluation forward, once its partial is copied into an engine-owned
-// matrix. The shard weight views' gradients come from the same pool before
-// phase 3 and go back after phase 4 (or, when delayed, once applied). So
-// the pool holds what the busiest round had in flight at once (its fresh
-// shards' activations and view gradients, plus the queued delayed
-// gradients), not every shard's last computation; a round or an
-// evaluation in which few shards compute leaves the rest holding nothing.
+// Memory: a round holds only what its backward will read. Every shard tape
+// draws from one engine-wide autodiff.Pool, whose buffers are size-classed
+// so that shards over trees of different sizes reuse each other's. A
+// training forward ends with Tape.Release, which hands the pool every
+// activation no backward reads (on a GCN shard, 5 of its 7 rows×16
+// activations), so from phase 1 to phase 3 each fresh shard keeps only its
+// saved-for-backward buffers and its partial. A shard's tape hands back the
+// rest right after its phase-3 backward, and its view gradients — taken
+// from the pool as that backward starts — go back as soon as the ordered
+// reduction has folded them (or, when delayed, once applied). So the pool
+// peaks at the fresh shards' saved buffers plus about one shard's working
+// set and view gradients per worker, plus the queued delayed gradients. An
+// evaluation forward copies each shard's partial into an engine-owned
+// matrix and resets the tape at once, so it holds one shard's activations
+// per worker; a round or an evaluation in which few shards compute leaves
+// the rest holding nothing.
 
 // shard is a contiguous run of device trees [lo, hi), flattened into its own
 // message-passing graph with shard-local row indices.
@@ -138,6 +148,13 @@ type engine struct {
 	// freeSets holds emptied delayedGrads.grads slices (their buffers went
 	// back to the pool when applied) for the next delayed shard to fill.
 	freeSets [][]*tensor.Matrix
+	// Phase 3's ordered reduction: backDone[i] marks fresh shard i's
+	// backward as ended this round, and foldNext indexes the next shard of
+	// work to fold. foldMu guards both, the real encoder gradients, the
+	// queue and freeSets while phase 3 runs.
+	foldMu   sync.Mutex
+	backDone []bool
+	foldNext int
 	// evalParts[i] is the engine's copy of shard i's last evaluation-mode
 	// partial, taken so the shard's tape can be reset at once.
 	evalParts []*tensor.Matrix
@@ -194,6 +211,7 @@ func newEngine(s *System) *engine {
 	e.terms = make([]*autodiff.Value, 0, n)
 	e.termSrc, e.termDst = make([][]int, 0, n), make([][]int, 0, n)
 	e.serving, e.shardActive, e.shardDelay = make([]bool, n), make([]bool, n), make([]int, n)
+	e.backDone = make([]bool, n)
 	e.buildHolders()
 	e.encParams = s.Encoder.Params()
 	e.allParams = s.Params()
@@ -409,19 +427,25 @@ func (e *engine) parallel(shards []int, fn func(i int)) {
 // shard's leaves into its partial embedding P_s (len(verts)×OutDim, row k
 // for vertex verts[k]). It records onto shard i's tape, taken fresh, so the
 // partial's graph is tape-backed and rooted in the shard's weight views:
-// Backward on it is a linear sweep, and its buffers stay checked out of
-// the pool until the tape's next Reset. Only shard i's worker may call it
-// for i.
+// Backward on it is a linear sweep. A training forward releases every
+// activation its backward will not read (Tape.Release); the rest, and the
+// partial, stay checked out of the pool until the tape's next Reset. Only
+// shard i's worker may call it for i.
 func (e *engine) shardForward(i int, training bool) *autodiff.Value {
 	sh := e.shards[i]
+	tp := e.shardTape(i)
 	var x *autodiff.Value
-	if tp := e.shardTape(i); e.denseInput {
+	if e.denseInput {
 		x = tp.Const(sh.x)
 	} else {
 		x = tp.ConstSparse(sh.x, sh.view)
 	}
 	h := e.encs[i].Forward(sh.conv, x, training, e.rngs[i])
-	return autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)
+	p := autodiff.CSRAggregate(h, sh.pool, sh.poolCoef)
+	if training {
+		tp.Release(p)
+	}
+	return p
 }
 
 // forwardActive runs shardForward over the active shards (nil means all);
@@ -599,73 +623,84 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, rows []int,
 	}
 	loss := lossFn(pooled)
 	loss.Backward()
+	// Gradients queued in earlier rounds that come due now fold first, in
+	// queue order, before any this round computes.
+	rep.staleApplied = e.applyDue(e.epoch)
 
 	// Phase 3: parallel shard backward over the fresh shards, replaying each
 	// cut's gradient through the shard subgraph into the shard's private
-	// weight views, whose gradient buffers come from the pool (handed out
-	// serially first), then resetting the shard's tape: its buffers go back
-	// to the pool for the shards still running. A fresh cut leaf's Data is
-	// its partial's buffer, released here: nothing reads the cuts after
-	// this phase.
+	// weight views, whose gradient buffers come from the pool, then
+	// resetting the shard's tape: its buffers go back to the pool for the
+	// shards still running. A fresh cut leaf's Data is its partial's buffer,
+	// released here: nothing reads the cuts after this phase. Each shard's
+	// view gradients then fold in shard order (foldInOrder).
 	e.work = e.work[:0]
 	for i, c := range cuts {
-		if c == nil {
-			continue
+		if c != nil {
+			e.work = append(e.work, i)
+			e.backDone[i] = false
 		}
-		e.work = append(e.work, i)
-		if c.Grad != nil {
+	}
+	e.foldNext = 0
+	e.parallel(e.work, func(i int) {
+		if g := cuts[i].Grad; g != nil {
 			for _, vp := range e.viewParams[i] {
 				vp.V.RecycleGrad(e.pool.Get(vp.V.Data.Dims()))
 			}
-		}
-	}
-	e.parallel(e.work, func(i int) {
-		if g := cuts[i].Grad; g != nil {
 			parts[i].BackwardWithGradient(g)
 		}
 		e.tapes[i].Reset()
+		e.foldInOrder(i, delays)
 	})
-
-	// Phase 4: deterministic reduction, in the same order as the historical
-	// queue-everything scheme: gradients from earlier epochs that come due
-	// now were queued first, so they apply first; then this epoch's
-	// immediate (delay-0) shard gradients in shard order. Every view
-	// detaches its gradient: an immediate one folds straight into the real
-	// parameters and its buffer goes back to the pool, a delayed one goes
-	// into the queue until applyDue applies it and pools it.
-	rep.staleApplied = e.applyDue(e.epoch)
-	for i := range e.shards {
-		if parts[i] == nil {
-			continue
-		}
-		d := e.delays[i]
-		if delays != nil {
-			d = delays[i]
-		}
-		views := e.viewParams[i]
-		if d == 0 {
-			for j, vp := range views {
-				if g := vp.V.DetachGrad(); g != nil {
-					tensor.AddInPlace(e.encParams[j].V.EnsureGrad(), g)
-					e.pool.Put(g)
-				}
-			}
-			continue
-		}
-		var grads []*tensor.Matrix
-		if k := len(e.freeSets) - 1; k >= 0 {
-			grads, e.freeSets = e.freeSets[k], e.freeSets[:k]
-		} else {
-			grads = make([]*tensor.Matrix, len(views))
-		}
-		for j, vp := range views {
-			grads[j] = vp.V.DetachGrad()
-		}
-		e.queue = append(e.queue, delayedGrads{computed: e.epoch, release: e.epoch + d, shard: i, grads: grads})
-	}
 	s.opt.Step(e.allParams)
 	e.epoch++
 	return loss.Scalar(), rep
+}
+
+// foldInOrder marks fresh shard i's backward as ended and folds every
+// fresh shard whose turn has come: the cursor walks e.work in shard order
+// and stops at the first shard still computing, whose own call folds it and
+// whatever finished behind it. So view gradients reduce in shard order
+// whatever the worker interleaving, and a shard's sit in flight only while
+// an earlier shard is still running.
+func (e *engine) foldInOrder(i int, delays []int) {
+	e.foldMu.Lock()
+	defer e.foldMu.Unlock()
+	e.backDone[i] = true
+	for ; e.foldNext < len(e.work) && e.backDone[e.work[e.foldNext]]; e.foldNext++ {
+		e.fold(e.work[e.foldNext], delays)
+	}
+}
+
+// fold detaches fresh shard i's view gradients: an immediate (delay-0) one
+// folds straight into the real parameters and its buffer goes back to the
+// pool, a delayed one goes into the queue until applyDue applies it and
+// pools it. delays is stepRound's (nil: the engine's own schedule).
+func (e *engine) fold(i int, delays []int) {
+	d := e.delays[i]
+	if delays != nil {
+		d = delays[i]
+	}
+	views := e.viewParams[i]
+	if d == 0 {
+		for j, vp := range views {
+			if g := vp.V.DetachGrad(); g != nil {
+				tensor.AddInPlace(e.encParams[j].V.EnsureGrad(), g)
+				e.pool.Put(g)
+			}
+		}
+		return
+	}
+	var grads []*tensor.Matrix
+	if k := len(e.freeSets) - 1; k >= 0 {
+		grads, e.freeSets = e.freeSets[k], e.freeSets[:k]
+	} else {
+		grads = make([]*tensor.Matrix, len(views))
+	}
+	for j, vp := range views {
+		grads[j] = vp.V.DetachGrad()
+	}
+	e.queue = append(e.queue, delayedGrads{computed: e.epoch, release: e.epoch + d, shard: i, grads: grads})
 }
 
 // restrictTo fills srcRows/dstSlots with each serving shard's (partial row,

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"lumos/internal/autodiff"
+	"lumos/internal/nn"
+	"lumos/internal/tensor"
 )
 
 // tapeBytes sums what e's shard tapes hold.
@@ -86,4 +88,102 @@ func shardsHoldNoBuffers(t *testing.T, workers int) {
 	t.Logf("%d of %d shards active: pool %d B after the round, %d B after evaluation; private tapes %d B and %d B",
 		pooled.active, sysShards, pooled.roundPool, pooled.evalPool,
 		private.roundTapes+private.roundPool, private.evalTapes+private.evalPool)
+}
+
+// classBytes is what the engine pool's buffers for matrices of the given
+// shapes occupy, size-class rounding included.
+func classBytes(shapes ...[2]int) int64 {
+	p := autodiff.NewPool()
+	ms := make([]*tensor.Matrix, len(shapes))
+	for i, s := range shapes {
+		ms[i] = p.Get(s[0], s[1])
+	}
+	for _, m := range ms {
+		p.Put(m)
+	}
+	return p.Bytes()
+}
+
+// TestRoundKeepsWhatBackwardReads: between its forward and its backward a
+// fresh shard keeps only what the backward reads. After one GCN shard's
+// training forward its tape holds exactly four buffers: the hidden
+// activation (BiasReLUDropout's output), its dropout mask, the first
+// layer's sparse-matmul workspace and the partial. After a partial round on
+// one worker, the engine pool holds at most the fresh shards' saved bytes,
+// plus one shard's full working set (its tape at the end of a forward and
+// backward, with its view gradients), plus the queued delayed gradients,
+// all within 4/3: what the round had in flight at once, not every fresh
+// shard's activations and view gradients.
+func TestRoundKeepsWhatBackwardReads(t *testing.T) {
+	sys, _, sess := roundSession(t, 41)
+	e := sys.eng
+	e.workers = 1
+	cfg := sys.Encoder.Cfg
+	if cfg.Backbone != nn.GCN || cfg.Layers != 2 || cfg.Dropout == 0 {
+		t.Fatalf("want a two-layer GCN with dropout, have %+v", cfg)
+	}
+
+	// One shard: the largest.
+	big := 0
+	for i, sh := range e.shards {
+		if sh.work > e.shards[big].work {
+			big = i
+		}
+	}
+	sh := e.shards[big]
+	rows := sh.x.Rows()
+	e.shardForward(big, true)
+	saved := classBytes([2]int{rows, cfg.Hidden}, [2]int{rows, cfg.Hidden}, [2]int{1, cfg.Hidden}, [2]int{len(sh.verts), cfg.OutDim})
+	if got := e.tapes[big].Bytes(); got != saved {
+		t.Fatalf("shard %d (%d rows) holds %d B after its training forward; its two %dx%d activation buffers, workspace and partial take %d B",
+			big, rows, got, rows, cfg.Hidden, saved)
+	}
+	e.tapes[big].Reset()
+
+	out, err := sess.StepRound(sparseRoundPlans(sys.G.N)[1])
+	if err != nil || out.Skipped || out.ActiveShards == len(e.shards) {
+		t.Fatalf("want a partial round: %+v, err %v", out, err)
+	}
+	pool := e.pool.Bytes()
+	var queued int64
+	for _, dg := range e.queue {
+		for _, g := range dg.grads {
+			queued += classBytes([2]int{g.Rows(), g.Cols()})
+		}
+	}
+	var fresh []int
+	for i, p := range e.parts {
+		if p != nil {
+			fresh = append(fresh, i)
+		}
+	}
+
+	// Each fresh shard's saved bytes, and its full working set on a tape of
+	// its own.
+	var views int64
+	for _, vp := range e.viewParams[0] {
+		views += classBytes([2]int{vp.V.Data.Rows(), vp.V.Data.Cols()})
+	}
+	var savedSum, working int64
+	for _, i := range fresh {
+		e.shardForward(i, true)
+		savedSum += e.tapes[i].Bytes()
+		e.tapes[i].Reset()
+		pooled := e.tapes[i]
+		e.tapes[i] = autodiff.NewTape()
+		p := e.shardForward(i, true)
+		p.BackwardWithGradient(tensor.Full(p.Data.Rows(), p.Data.Cols(), 1))
+		working = max(working, e.tapes[i].Bytes()+views)
+		e.tapes[i] = pooled
+		for _, vp := range e.viewParams[i] {
+			vp.V.ZeroGrad()
+		}
+	}
+	bound := (savedSum + working + queued) * 4 / 3
+	if pool > bound {
+		t.Fatalf("the pool holds %d B after the round; %d fresh shards saved %d B, one working set is %d B and %d B of gradients are queued: bound %d B",
+			pool, len(fresh), savedSum, working, queued, bound)
+	}
+	t.Logf("%d fresh of %d shards: pool %d B ≤ (%d saved + %d working set + %d queued) × 4/3 = %d B",
+		len(fresh), len(e.shards), pool, savedSum, working, queued, bound)
 }

@@ -203,6 +203,19 @@ func (m *Matrix) SwapData(o *Matrix) {
 	m.data, o.data = o.data, m.data
 }
 
+// Reshape makes m a rows×cols matrix over the first rows·cols entries of
+// its backing array, whose capacity must hold them: entries past the old
+// shape come back with whatever the array held there. It is how a buffer
+// pool hands one array out at many shapes; use it only on a matrix that owns
+// its whole array (not a SliceRows view, whose capacity runs into the rows
+// after it).
+func (m *Matrix) Reshape(rows, cols int) {
+	if rows < 0 || cols < 0 || rows*cols > cap(m.data) {
+		panic(fmt.Sprintf("tensor: Reshape to %dx%d over %d entries", rows, cols, cap(m.data)))
+	}
+	m.rows, m.cols, m.data = rows, cols, m.data[:rows*cols]
+}
+
 // Zero sets every entry to 0.
 func (m *Matrix) Zero() {
 	for i := range m.data {

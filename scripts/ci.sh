@@ -232,6 +232,22 @@ gate race ./internal/autodiff \
 	TestGradTableCoversEveryOp
 gate plain ./internal/core TestFirstStepAllocBytes
 
+# A round keeps only what backward reads: every finite-difference row
+# recorded with Tape.Release before its backward (and again over op-node
+# inputs, so an op that reads an input it does not declare panics) gives its
+# loss and gradients bit for bit, and a GCN-shaped shard keeps exactly the
+# buffers its backward reads and records, releases and sweeps without
+# allocating, under the race detector; then on a one-device-per-shard
+# system one GCN shard's tape after a training forward and the engine pool
+# after a partial round. Phase 3 folds view gradients in shard order under a
+# mutex as each shard's backward ends: the simulator's and the gossip
+# timeline's determinism across worker counts and the async fresh-tape
+# golden hunt its interleavings under the race detector, ten times each.
+gate race ./internal/autodiff TestGradRowsUnderRelease TestReleaseKeepsWhatBackwardReads
+gate plain ./internal/core TestRoundKeepsWhatBackwardReads
+GATE_COUNT=10 gate race ./internal/sim TestSimDeterminismAcrossWorkers TestGossipDeterminismAcrossWorkers
+GATE_COUNT=10 gate race ./internal/core TestTapeReuseMatchesFreshTapesAsync
+
 # A shard holds buffers only while it computes: two tapes on one shared
 # pool reuse each other's buffers and match private tapes bit for bit,
 # recording in turn and on two goroutines at once (the pool is the only
