@@ -39,10 +39,12 @@ import (
 //     and then aL[h]'s gradient receive Σ_i wh[h][i]·ds[i] in ascending i,
 //     skipping wh[h][i] == 0.
 //
-// TestGATAttentionMatchesPerHeadOracle keeps the chain as the oracle. The
-// scratch the backward needs (α and the LeakyReLU inputs of every head)
-// lives in one tape buffer, so a warm tape records the op without
-// allocating.
+// TestGATAttentionMatchesPerHeadOracle keeps the chain as the oracle. What
+// the backward needs besides the projections lives in two tape buffers:
+// every head's α by edge, and a byte per edge per head saying which side
+// of the LeakyReLU its input fell on (z > 0). The forward's scores go back
+// on the tape's free-list, so a warm tape records the op without allocating
+// and Tape.Release hands them to the pool.
 func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bool) *Value {
 	heads := len(wh)
 	if heads == 0 || len(aL) != heads || len(aR) != heads {
@@ -70,14 +72,18 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 	// Rows of vertices with no incoming edge stay zero.
 	data := t.Matrix(rows, cols)
 	out := data.Data()
-	// Row 2h holds head h's α by edge, row 2h+1 its LeakyReLU inputs — what
-	// the backward reads.
-	ws := t.scratch(2*heads, csr.NumEdges())
+	// Row h of ws holds head h's α by edge and pos[h·E+e] is 1 where edge
+	// e's LeakyReLU input was > 0 — what the backward reads.
+	ne := csr.NumEdges()
+	ws := t.scratch(heads, ne)
+	pos := t.scratchBytes(heads * ne)
 	scores := t.scratch(2, rows)
 	sl, sr := scores.Row(0), scores.Row(1)
+	var aggBuf *tensor.Matrix
 	var agg []float64 // one head's aggregated row when heads are averaged
 	if !concat {
-		agg = t.scratch(1, d).Data()
+		aggBuf = t.scratch(1, d)
+		agg = aggBuf.Data()
 	}
 	for h := range wh {
 		whd := wh[h].Data.Data()
@@ -95,7 +101,7 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 			}
 			sl[i], sr[i] = l, r
 		}
-		alpha, z := ws.Row(2*h), ws.Row(2*h+1)
+		alpha, hp := ws.Row(h), pos[h*ne:h*ne+ne:h*ne+ne]
 		for si, s := range csr.Segs {
 			lo, hi := csr.Starts[si], csr.Starts[si+1]
 			srcs, edges := csr.Srcs[lo:hi], csr.Edges[lo:hi:hi]
@@ -103,8 +109,9 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 			mx := math.Inf(-1)
 			for p, e := range edges {
 				x := sl[srcs[p]] + sr[s]
-				z[e] = x
+				hp[e] = 1
 				if !(x > 0) {
+					hp[e] = 0
 					x = slope * x
 				}
 				alpha[e] = x
@@ -153,10 +160,12 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 	}
 	if !concat {
 		tensor.ScaleInto(data, data, 1/float64(heads))
+		t.recycle(aggBuf)
 	}
+	t.recycle(scores)
 	v := t.nodeOf(data, opGATAttention, wh, aL, aR)
 	v.s = slope
-	v.mat = ws
+	v.mat, v.codes = ws, pos
 	v.ints, v.ints2 = csr.Src, csr.Dst
 	if concat {
 		v.n = 1
@@ -165,7 +174,7 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 }
 
 // The backward reads every head's projection and attention vectors, and α
-// and the LeakyReLU inputs from the workspace it kept.
+// and the LeakyReLU branches from the buffers it kept.
 var opGATAttention = &op{back: backGATAttention, readsIn: true}
 
 // backGATAttention is GATAttention's backward. Parents are the heads'
@@ -195,8 +204,9 @@ func backGATAttention(v *Value) {
 	ds := t.scratch(2, rows)            // dL/ds_l and dL/ds_r
 	dsl, dsr := ds.Row(0), ds.Row(1)
 	slope := v.s
+	ne := len(src)
 	for h := heads - 1; h >= 0; h-- {
-		alpha, z := v.mat.Row(2*h), v.mat.Row(2*h+1)
+		alpha, hp := v.mat.Row(h), v.codes[h*ne:h*ne+ne:h*ne+ne]
 		whd := wh[h].Data.Data()
 		var whg []float64
 		if wh[h].requiresGrad {
@@ -232,7 +242,7 @@ func backGATAttention(v *Value) {
 		// Softmax, LeakyReLU and the two score gathers' backward.
 		for e, se := range src {
 			x := 0 + alpha[e]*(eg[e]-dot[dst[e]])
-			if !(z[e] > 0) {
+			if hp[e] == 0 {
 				x = 0 + slope*x
 			}
 			dsr[dst[e]] += x

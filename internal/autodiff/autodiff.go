@@ -56,18 +56,16 @@ type Value struct {
 	// −1 for a leaf (caller-owned Data) and once released.
 	buf int32
 	// rows, cols are a released node's shape.
-	rows, cols int
+	rows, cols int32
 	tape       *Tape // owning tape; nil for parameters
 	ti         int   // index on the owning tape
 	parents    []*Value
 	op         *op
-	// gradBuf retains the last detached-by-ZeroGrad gradient buffer of a
-	// parameter so EnsureGrad can recycle it instead of reallocating.
-	gradBuf *tensor.Matrix
 
 	// Op payload. Which fields are live depends on the op; keeping them
 	// inline (instead of closed over) is what makes recording allocation-free
-	// once the tape's slab is warm.
+	// once the tape's slab is warm, and sharing them between roles keeps a
+	// Value at 256 bytes.
 	s      float64
 	n      int
 	ints   []int
@@ -75,7 +73,13 @@ type Value struct {
 	rowSrc [][]int
 	rowDst [][]int
 	fs     []float64
-	mat    *tensor.Matrix
+	// mat is an op's payload matrix. On a parameter, which records no op,
+	// it retains the last gradient buffer ZeroGrad detached (or RecycleGrad
+	// gave) so EnsureGrad can recycle it instead of reallocating.
+	mat *tensor.Matrix
+	// codes is an op's byte per entry of what its backward needs to know
+	// (a tape byte buffer; see Tape.scratchBytes).
+	codes []byte
 	// sparse is a Tape.ConstSparse leaf's row-constant-plus-residual form
 	// of Data.
 	sparse *tensor.ConstSparse
@@ -92,9 +96,10 @@ func Var(m *tensor.Matrix) *Value {
 // re-accumulated every epoch stop churning the allocator; the observable
 // semantics are unchanged (Grad == nil until a gradient arrives).
 func (v *Value) ZeroGrad() {
-	if v.Grad != nil {
-		v.gradBuf, v.Grad = v.Grad, nil
+	if v.Grad != nil && v.tape == nil {
+		v.mat = v.Grad
 	}
+	v.Grad = nil
 }
 
 // EnsureGrad returns the gradient buffer, allocating (or recycling) a zeroed
@@ -103,15 +108,15 @@ func (v *Value) ZeroGrad() {
 // RecycleGrad.
 func (v *Value) EnsureGrad() *tensor.Matrix {
 	if v.Grad == nil {
-		r, c := v.rows, v.cols
+		r, c := int(v.rows), int(v.cols)
 		if v.Data != nil {
 			r, c = v.Data.Dims()
 		}
 		switch {
 		case v.tape != nil:
 			v.Grad = v.tape.Matrix(r, c)
-		case v.gradBuf != nil && v.gradBuf.Rows() == r && v.gradBuf.Cols() == c:
-			v.Grad = v.gradBuf
+		case v.mat != nil && v.mat.Rows() == r && v.mat.Cols() == c:
+			v.Grad = v.mat
 			v.Grad.Zero()
 		default:
 			v.Grad = tensor.New(r, c)
@@ -125,7 +130,10 @@ func (v *Value) EnsureGrad() *tensor.Matrix {
 // ZeroGrad/EnsureGrad cycle — e.g. queued for stale application.
 func (v *Value) DetachGrad() *tensor.Matrix {
 	g := v.Grad
-	v.Grad, v.gradBuf = nil, nil
+	v.Grad = nil
+	if v.tape == nil {
+		v.mat = nil
+	}
 	return g
 }
 
@@ -136,7 +144,10 @@ func (v *Value) RecycleGrad(buf *tensor.Matrix) {
 	if v.Grad != nil {
 		panic("autodiff: RecycleGrad on a value holding a gradient")
 	}
-	v.gradBuf = buf
+	if v.tape != nil {
+		panic("autodiff: RecycleGrad on a value on a tape")
+	}
+	v.mat = buf
 }
 
 // Scalar returns the single entry of a 1×1 value.
@@ -306,15 +317,16 @@ func backAddRow(v *Value) {
 // same rng.Float64() per entry, in row-major order, only when training and
 // p > 0. Where the chain records three nodes over four activation-sized
 // buffers, the op records one node that keeps its output and, when it
-// drops, one multiplier per entry.
+// drops, one byte per entry: what the ReLU and the dropout did there.
 //
 // With y = a + b[j], the output is (y > 0 ? y : +0)·m, m being the kept
 // entries' 1/(1−p) or 0 (1 in eval mode or at p = 0). Backward passes
 // 0 + (0 + g·m) to a and to b (summed over rows in ascending order) where
-// y > 0, and +0 elsewhere. The stored multiplier is −0 where the ReLU
-// blocked, so that a dropped entry (m = +0) still passes g·0 — NaN for a
-// non-finite g — as the chain does. Without a multiplier (no dropout),
-// y > 0 exactly where the output is > 0.
+// y > 0, and +0 elsewhere. An entry's byte says maskBlocked where the ReLU
+// blocked (whatever the dropout drew), else maskDropped or maskKept, so
+// that a dropped entry (m = +0) still passes g·0 — NaN for a non-finite g —
+// as the chain does. Without a mask (no dropout), y > 0 exactly where the
+// output is > 0.
 func BiasReLUDropout(a, b *Value, p float64, rng *rand.Rand, training bool) *Value {
 	t := tapeFor("BiasReLUDropout", a, b)
 	rows, cols := a.Data.Dims()
@@ -326,14 +338,10 @@ func BiasReLUDropout(a, b *Value, p float64, rng *rand.Rand, training bool) *Val
 		panic("autodiff: Dropout probability must be < 1")
 	}
 	data := t.scratch(rows, cols)
-	var mask *tensor.Matrix
-	if drop {
-		mask = t.scratch(rows, cols)
-	}
 	keep, bd := 1/(1-p), b.Data.Data()
-	for i := 0; i < rows; i++ {
-		ar, orow := a.Data.Row(i), data.Row(i)
-		if !drop {
+	if !drop {
+		for i := 0; i < rows; i++ {
+			ar, orow := a.Data.Row(i), data.Row(i)
 			for j, x := range ar {
 				if y := x + bd[j]; y > 0 {
 					orow[j] = y
@@ -341,33 +349,49 @@ func BiasReLUDropout(a, b *Value, p float64, rng *rand.Rand, training bool) *Val
 					orow[j] = 0
 				}
 			}
-			continue
 		}
-		mr := mask.Row(i)
+		return t.node(data, opBiasReLU, a, b)
+	}
+	mask := t.scratchBytes(rows * cols)
+	for i := 0; i < rows; i++ {
+		ar, orow := a.Data.Row(i), data.Row(i)
+		mr := mask[i*cols : i*cols+cols : i*cols+cols]
+		mr = mr[:len(ar)]
 		for j, x := range ar {
 			y := x + bd[j]
-			r, m := 0.0, 0.0
+			r, m, c := 0.0, 0.0, maskDropped
 			if y > 0 {
 				r = y
 			}
 			if rng.Float64() >= p {
-				m = keep
+				m, c = keep, maskKept
 			}
 			orow[j] = r * m
 			if !(y > 0) {
-				m = math.Copysign(0, -1)
+				c = maskBlocked
 			}
-			mr[j] = m
+			mr[j] = c
 		}
 	}
 	out := t.node(data, opBiasReLUDropout, a, b)
-	out.mat = mask
+	out.codes, out.s = mask, keep
 	return out
 }
 
-// Without a mask, the backward finds the ReLU's pass-through entries in the
-// output.
-var opBiasReLUDropout = &op{back: backBiasReLUDropout, readsOut: true}
+// BiasReLUDropout's mask codes.
+const (
+	maskBlocked byte = iota // the ReLU blocked: the backward passes +0
+	maskDropped             // dropped: it passes 0 + (0 + g·0)
+	maskKept                // kept: it passes 0 + (0 + g·(1/(1−p)))
+)
+
+var (
+	// Without a mask, the backward finds the ReLU's pass-through entries
+	// in the output.
+	opBiasReLU = &op{back: backBiasReLUDropout, readsOut: true}
+	// With one, the mask says all the backward needs.
+	opBiasReLUDropout = &op{back: backBiasReLUDropout}
+)
 
 // backBiasReLUDropout writes the gradient the chain's AddRow received into
 // a buffer and accumulates it with AddRow's own kernels, so the parents'
@@ -376,28 +400,37 @@ var opBiasReLUDropout = &op{back: backBiasReLUDropout, readsOut: true}
 // tape buffer returned to the free-list at once.
 func backBiasReLUDropout(v *Value) {
 	a, b := v.parents[0], v.parents[1]
+	rows, cols := v.Grad.Dims()
 	fresh := a.requiresGrad && a.Grad == nil
 	var d *tensor.Matrix
 	if fresh {
 		d = a.EnsureGrad()
 	} else {
-		d = v.tape.scratch(v.Data.Dims())
+		d = v.tape.scratch(rows, cols)
 	}
-	for i := 0; i < d.Rows(); i++ {
-		dr, gr, orow := d.Row(i), v.Grad.Row(i), v.Data.Row(i)
-		var mr []float64
-		if v.mat != nil {
-			mr = v.mat.Row(i)
-		}
-		for j, g := range gr {
-			dr[j] = 0 // what a blocked entry passes
-			switch {
-			case mr == nil:
+	keep := v.s
+	for i := 0; i < rows; i++ {
+		dr, gr := d.Row(i), v.Grad.Row(i)
+		if v.codes == nil {
+			orow := v.Data.Row(i)
+			for j, g := range gr {
+				dr[j] = 0 // what a blocked entry passes
 				if orow[j] > 0 {
 					dr[j] = 0 + g
 				}
-			case !math.Signbit(mr[j]):
-				dr[j] = 0 + (0 + g*mr[j])
+			}
+			continue
+		}
+		mr := v.codes[i*cols : i*cols+cols : i*cols+cols]
+		mr = mr[:len(gr)]
+		for j, g := range gr {
+			dr[j] = 0 // what a blocked entry passes
+			if c := mr[j]; c != maskBlocked {
+				m := 0.0
+				if c == maskKept {
+					m = keep
+				}
+				dr[j] = 0 + (0 + g*m)
 			}
 		}
 	}

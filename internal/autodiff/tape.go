@@ -43,15 +43,18 @@ func chunkOf(i int) (c, off int) {
 // not a fixed-size slab; newValue finds the next slot in O(1) and Backward
 // walks the chunks in reverse.
 //
-// Every tape draws its buffers from a Pool and hands every one of them back
+// Every tape draws its buffers from a Pool — float64 matrices, and byte
+// buffers for the one-byte-per-entry codes an op may keep for its backward
+// (a dropout mask, a LeakyReLU's branch) — and hands every one of them back
 // on Reset: between a Reset and its next op a tape holds no buffer at all.
 // A tape from NewTape has a pool of its own, so its next recording reuses
 // its last one's buffers; tapes from Pool.NewTape share one, so tapes that
 // record in turn (the engine's shard tapes) need one tape's working set, not
 // each its own. Within a recording, a buffer comes back sooner twice over:
 // a backward sweep reuses the gradients it is done with, and Release hands
-// the pool every op output that no backward will read — what a tape keeps
-// between its forward and its backward is only what the backward needs.
+// the pool every op output that no backward will read, and every op
+// temporary already done with — what a tape keeps between its forward and
+// its backward is only what the backward needs.
 //
 // A Tape serves one goroutine at a time; tapes on one Pool may record on
 // different goroutines at once. Reset must not run while any Value or matrix
@@ -67,6 +70,9 @@ type Tape struct {
 	// held lists the buffers checked out of pool since the last Reset, in
 	// checkout order; Release nils the entries it hands back early.
 	held []*tensor.Matrix
+	// heldBytes lists the byte buffers checked out of pool since the last
+	// Reset.
+	heldBytes [][]byte
 	// free holds, by size class, held buffers nothing reads any more (a
 	// sweep's used gradients, an op's temporaries): scratch hands them out
 	// again before it asks the pool.
@@ -97,9 +103,14 @@ func (t *Tape) Reset() {
 			t.pool.put(m)
 		}
 	}
+	for k := len(t.heldBytes) - 1; k >= 0; k-- {
+		t.pool.putBytes(t.heldBytes[k])
+	}
 	t.pool.mu.Unlock()
 	clear(t.held)
 	t.held = t.held[:0]
+	clear(t.heldBytes)
+	t.heldBytes = t.heldBytes[:0]
 	for c := range t.free {
 		clear(t.free[c])
 		t.free[c] = t.free[c][:0]
@@ -110,10 +121,11 @@ func (t *Tape) Reset() {
 // op recorded since the last Reset that no recorded backward reads: every op
 // node's but the root's, those a consumer's backward reads as its parents'
 // Data, and those the node's own backward reads (see op). Payload buffers an
-// op keeps for its backward (a dropout mask, a softmax's probabilities, a
-// kernel workspace) stay. A released node keeps its shape, so a backward
-// through it works as before and computes the same gradients bit for bit,
-// but its Data is nil: any read of it panics. Release allocates nothing.
+// op keeps for its backward (a dropout mask, attention weights, a kernel
+// workspace) stay; the temporaries an op put back on the tape's free-list
+// go too. A released node keeps its shape, so a backward through it works as
+// before and computes the same gradients bit for bit, but its Data is nil:
+// any read of it panics. Release allocates nothing.
 func (t *Tape) Release(root *Value) {
 	if root.tape != t {
 		panic("autodiff: Release of a root on another tape")
@@ -135,12 +147,21 @@ func (t *Tape) Release(root *Value) {
 	root.keep = true
 	t.pool.mu.Lock()
 	defer t.pool.mu.Unlock()
+	for c, free := range t.free {
+		for _, m := range free {
+			t.pool.put(m)
+			t.held[t.bufIndex(m)] = nil
+		}
+		clear(free)
+		t.free[c] = free[:0]
+	}
 	for i := 0; i < t.used; i++ {
 		v := t.at(i)
 		if v.buf >= 0 && !v.keep {
 			t.pool.put(v.Data)
 			t.held[v.buf] = nil
-			v.rows, v.cols = v.Data.Dims()
+			r, c := v.Data.Dims()
+			v.rows, v.cols = int32(r), int32(c)
 			v.Data, v.buf = nil, -1
 		}
 		v.keep = false
@@ -148,10 +169,14 @@ func (t *Tape) Release(root *Value) {
 }
 
 // Bytes returns the capacity, in bytes, of the buffers the tape holds:
-// those checked out since the last Reset and not released, plus, on a tape
-// with a pool of its own, the ones waiting there for its next recording.
+// those checked out since the last Reset and not released, byte buffers
+// included, plus, on a tape with a pool of its own, the ones waiting there
+// for its next recording.
 func (t *Tape) Bytes() int64 {
 	n := capBytes(t.held)
+	for _, b := range t.heldBytes {
+		n += int64(cap(b))
+	}
 	if t.own {
 		n += t.pool.Bytes()
 	}
@@ -182,6 +207,15 @@ func (t *Tape) scratch(rows, cols int) *tensor.Matrix {
 	return m
 }
 
+// scratchBytes checks a byte buffer of length n out of the tape, for an
+// op's one-byte-per-entry payload. Its contents are unspecified; it goes
+// back to the pool on Reset.
+func (t *Tape) scratchBytes(n int) []byte {
+	b := t.pool.getBytes(n)
+	t.heldBytes = append(t.heldBytes, b)
+	return b
+}
+
 // recycle puts m, a buffer checked out of the tape that nothing reads any
 // more, on the tape's free-list for the next scratch or Matrix.
 func (t *Tape) recycle(m *tensor.Matrix) {
@@ -209,11 +243,14 @@ func (t *Tape) bufIndex(m *tensor.Matrix) int32 {
 // and the midpoints 3·2^k between them — so a buffer wastes under a third
 // of itself, and matrices of different shapes (two shards' activations over
 // trees of different sizes) reuse each other's buffers. It is safe for
-// concurrent use. A pool never shrinks: it ends up holding, per class, the
-// most buffers of that class its users ever had checked out at once.
+// concurrent use. Byte buffers come in the same classes, counted in bytes,
+// on free-lists of their own. A pool shrinks only when its owner calls
+// Trim: until then it ends up holding, per class, the most buffers of that
+// class its users ever had checked out at once.
 type Pool struct {
-	mu   sync.Mutex
-	free [][]*tensor.Matrix // by size class
+	mu        sync.Mutex
+	free      [][]*tensor.Matrix // by size class
+	freeBytes [][][]byte         // by size class
 }
 
 // NewPool returns an empty pool.
@@ -272,13 +309,56 @@ func (p *Pool) put(m *tensor.Matrix) {
 	p.free[c] = append(p.free[c], m)
 }
 
-// Bytes returns the capacity, in bytes, of the buffers free in the pool.
+// getBytes checks a byte buffer of length n out of the pool, allocating
+// one of its size class if none is free. Its contents are unspecified.
+func (p *Pool) getBytes(n int) []byte {
+	c := sizeClass(n)
+	p.mu.Lock()
+	if c < len(p.freeBytes) {
+		if k := len(p.freeBytes[c]) - 1; k >= 0 {
+			b := p.freeBytes[c][k]
+			p.freeBytes[c][k] = nil
+			p.freeBytes[c] = p.freeBytes[c][:k]
+			p.mu.Unlock()
+			return b[:n]
+		}
+	}
+	p.mu.Unlock()
+	return make([]byte, n, classSize(c))
+}
+
+// putBytes returns b, a buffer from getBytes, to the pool; p.mu must be
+// held.
+func (p *Pool) putBytes(b []byte) {
+	c := sizeClass(cap(b))
+	for len(p.freeBytes) <= c {
+		p.freeBytes = append(p.freeBytes, nil)
+	}
+	p.freeBytes[c] = append(p.freeBytes[c], b)
+}
+
+// Trim empties the pool's free-lists, handing every free buffer to the
+// garbage collector. Buffers checked out stay with their holders and come
+// back as usual; the next Get of a class allocates afresh.
+func (p *Pool) Trim() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free, p.freeBytes = nil, nil
+}
+
+// Bytes returns the capacity, in bytes, of the buffers free in the pool,
+// byte buffers included.
 func (p *Pool) Bytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var n int64
 	for _, free := range p.free {
 		n += capBytes(free)
+	}
+	for _, free := range p.freeBytes {
+		for _, b := range free {
+			n += int64(cap(b))
+		}
 	}
 	return n
 }

@@ -371,8 +371,9 @@ func TestPoolSharedAcrossTapes(t *testing.T) {
 // layer through a ConstSparse input, CSR aggregation, the fused hidden
 // activation with dropout, a second layer with its bias, and the leaf
 // pooling — Release leaves the tape holding exactly the buffers the
-// backward reads: the hidden activation and its mask, the view kernel's
-// workspace and the root partial. The other five activations go back to
+// backward reads: the hidden activation, the view kernel's workspace and
+// the root partial, and the dropout mask as one byte buffer of an entry per
+// hidden entry. The other five activations go back to
 // the pool; their nodes keep their shapes but no Data, so an op over one
 // panics. The backward computes the weight gradients of the unreleased
 // recording bit for bit, and a warm tape records, releases and sweeps
@@ -421,7 +422,7 @@ func TestReleaseKeepsWhatBackwardReads(t *testing.T) {
 
 	tp := NewTape()
 	r := record(tp, rand.New(rand.NewSource(9)), true)
-	kept := map[*tensor.Matrix]bool{r.h1.Data: true, r.h1.mat: true, r.a1.mat: true, r.p.Data: true}
+	kept := map[*tensor.Matrix]bool{r.h1.Data: true, r.a1.mat: true, r.p.Data: true}
 	held := heldBuffers(tp)
 	if len(held) != len(kept) {
 		t.Fatalf("the tape holds %d buffers after Release, want the %d the backward reads", len(held), len(kept))
@@ -430,6 +431,9 @@ func TestReleaseKeepsWhatBackwardReads(t *testing.T) {
 		if m == nil || !held[m] {
 			t.Fatal("the tape released a buffer the backward reads")
 		}
+	}
+	if len(tp.heldBytes) != 1 || &tp.heldBytes[0][0] != &r.h1.codes[0] || len(r.h1.codes) != 5*3 {
+		t.Fatalf("the tape holds %d byte buffers after Release; want the hidden layer's 15-entry mask alone", len(tp.heldBytes))
 	}
 	for name, v := range map[string]*Value{"a1": r.a1, "c1": r.c1, "a2": r.a2, "c2": r.c2, "d2": r.d2} {
 		if v.Data != nil || v.rows != 5 || v.cols != 3 {
@@ -453,4 +457,53 @@ func TestReleaseKeepsWhatBackwardReads(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { record(tp, drop, true).p.BackwardWithGradient(seed) }); allocs != 0 {
 		t.Fatalf("a warm tape records, releases and sweeps with %.0f allocations, want 0", allocs)
 	}
+}
+
+// TestPoolByteBuffersAndTrim: a tape's byte buffers (here a dropout mask)
+// come from its pool, count in Tape.Bytes and go back to the pool on Reset;
+// the next tape on the pool checks out the same buffer.
+// Pool.Trim empties the pool, and a recording after it allocates afresh and
+// gives the same loss and gradients bit for bit.
+func TestPoolByteBuffersAndTrim(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	xm := tensor.Uniform(6, 5, -1, 1, rng)
+	w, b := Var(tensor.Uniform(5, 4, -1, 1, rng)), Var(tensor.Uniform(1, 4, -1, 1, rng))
+	record := func(tp *Tape) (loss float64, mask []byte, gw, gb *tensor.Matrix) {
+		w.ZeroGrad()
+		b.ZeroGrad()
+		h := BiasReLUDropout(MatMul(tp.Const(xm), w), b, 0.4, rand.New(rand.NewSource(12)), true)
+		l := SumSquares(h)
+		l.Backward()
+		return l.Scalar(), h.codes, w.Grad.Clone(), b.Grad.Clone()
+	}
+
+	pool := NewPool()
+	a, c := pool.NewTape(), pool.NewTape()
+	wantLoss, mask, wantGW, wantGB := record(a)
+	if len(a.heldBytes) != 1 || len(mask) != 6*4 || a.Bytes() <= capBytes(a.held) {
+		t.Fatalf("tape holds %d byte buffers (mask of %d entries) and %d B in all; want the 24-byte mask counted", len(a.heldBytes), len(mask), a.Bytes())
+	}
+	bytes := a.Bytes()
+	a.Reset()
+	if pool.Bytes() != bytes {
+		t.Fatalf("after Reset the pool holds %d B; want the tape's %d B", pool.Bytes(), bytes)
+	}
+	if _, got, _, _ := record(c); len(c.heldBytes) != 1 || &got[0] != &mask[0] || pool.Bytes() != bytes-c.Bytes() {
+		t.Fatal("the second tape did not check out the byte buffer the first handed back")
+	}
+	c.Reset()
+
+	pool.Trim()
+	if pool.Bytes() != 0 {
+		t.Fatalf("the pool holds %d B after Trim", pool.Bytes())
+	}
+	loss, again, gw, gb := record(a)
+	if &again[0] == &mask[0] {
+		t.Fatal("a recording after Trim reused a trimmed byte buffer")
+	}
+	if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+		t.Fatalf("loss %v after Trim, %v before", loss, wantLoss)
+	}
+	requireBits(t, "dW after Trim", wantGW, gw)
+	requireBits(t, "dB after Trim", wantGB, gb)
 }

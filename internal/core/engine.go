@@ -51,22 +51,28 @@ import (
 // derives from the shard workload ranking, so async runs are exactly as
 // reproducible as sync ones.
 //
-// Memory: a round holds only what its backward will read. Every shard tape
-// draws from one engine-wide autodiff.Pool, whose buffers are size-classed
-// so that shards over trees of different sizes reuse each other's. A
-// training forward ends with Tape.Release, which hands the pool every
-// activation no backward reads (on a GCN shard, 5 of its 7 rows×16
-// activations), so from phase 1 to phase 3 each fresh shard keeps only its
-// saved-for-backward buffers and its partial. A shard's tape hands back the
-// rest right after its phase-3 backward, and its view gradients — taken
-// from the pool as that backward starts — go back as soon as the ordered
-// reduction has folded them (or, when delayed, once applied). So the pool
-// peaks at the fresh shards' saved buffers plus about one shard's working
-// set and view gradients per worker, plus the queued delayed gradients. An
-// evaluation forward copies each shard's partial into an engine-owned
-// matrix and resets the tape at once, so it holds one shard's activations
-// per worker; a round or an evaluation in which few shards compute leaves
-// the rest holding nothing.
+// Memory: a round holds only what its backward will read. Every tape the
+// engine records on — the shard tapes and the serial tape — draws from one
+// engine-wide autodiff.Pool, whose buffers are size-classed so that shards
+// over trees of different sizes reuse each other's. A training forward ends
+// with Tape.Release, which hands the pool every activation no backward
+// reads (on a GCN shard, 5 of its 7 rows×16 activations), so from phase 1
+// to phase 3 each fresh shard keeps only its saved-for-backward buffers and
+// its partial. Where a backward needs only a few values per entry, the op
+// keeps a byte per entry: a dropout mask is one byte per hidden entry, a
+// GAT layer keeps α and a LeakyReLU branch byte per edge and head. A
+// shard's tape hands back the rest right after its phase-3 backward, and
+// its view gradients — taken from the pool as that backward starts — go
+// back as soon as the ordered reduction has folded them (or, when delayed,
+// once applied). So the pool peaks at the fresh shards' saved buffers plus
+// about one shard's working set and view gradients per worker, plus the
+// queued delayed gradients. An evaluation forward copies each shard's
+// partial into an engine-owned matrix and resets the tape at once, so it
+// holds one shard's activations per worker; a round or an evaluation in
+// which few shards compute leaves the rest holding nothing. When training
+// ends (Session.FinishRounds) the engine trims the pool: every free buffer
+// goes to the garbage collector, so an evaluation afterwards regrows only
+// its own working set (one shard's buffers per size class), not a round's.
 
 // shard is a contiguous run of device trees [lo, hi), flattened into its own
 // message-passing graph with shard-local row indices.
@@ -150,11 +156,15 @@ type engine struct {
 	freeSets [][]*tensor.Matrix
 	// Phase 3's ordered reduction: backDone[i] marks fresh shard i's
 	// backward as ended this round, and foldNext indexes the next shard of
-	// work to fold. foldMu guards both, the real encoder gradients, the
-	// queue and freeSets while phase 3 runs.
-	foldMu   sync.Mutex
-	backDone []bool
-	foldNext int
+	// work to fold. viewSets counts the shards whose view gradients are
+	// checked out of the pool and not yet folded, and viewSetsPeak the most
+	// at once this round. foldMu guards them, the real encoder gradients,
+	// the queue and freeSets while phase 3 runs.
+	foldMu       sync.Mutex
+	backDone     []bool
+	foldNext     int
+	viewSets     int
+	viewSetsPeak int
 	// evalParts[i] is the engine's copy of shard i's last evaluation-mode
 	// partial, taken so the shard's tape can be reset at once.
 	evalParts []*tensor.Matrix
@@ -269,10 +279,11 @@ func (e *engine) shardTape(i int) *autodiff.Tape {
 	return e.tapes[i]
 }
 
-// serialTape returns the combine-phase tape ready for a fresh recording.
+// serialTape returns the combine-phase tape ready for a fresh recording:
+// reset for reuse, or brand new (on the engine's pool) on first use.
 func (e *engine) serialTape() *autodiff.Tape {
 	if e.serial == nil {
-		e.serial = autodiff.NewTape()
+		e.serial = e.pool.NewTape()
 	} else {
 		e.serial.Reset()
 	}
@@ -641,9 +652,13 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, rows []int,
 			e.backDone[i] = false
 		}
 	}
-	e.foldNext = 0
+	e.foldNext, e.viewSetsPeak = 0, 0
 	e.parallel(e.work, func(i int) {
 		if g := cuts[i].Grad; g != nil {
+			e.foldMu.Lock()
+			e.viewSets++
+			e.viewSetsPeak = max(e.viewSetsPeak, e.viewSets)
+			e.foldMu.Unlock()
 			for _, vp := range e.viewParams[i] {
 				vp.V.RecycleGrad(e.pool.Get(vp.V.Data.Dims()))
 			}
@@ -668,7 +683,11 @@ func (e *engine) foldInOrder(i int, delays []int) {
 	defer e.foldMu.Unlock()
 	e.backDone[i] = true
 	for ; e.foldNext < len(e.work) && e.backDone[e.work[e.foldNext]]; e.foldNext++ {
-		e.fold(e.work[e.foldNext], delays)
+		k := e.work[e.foldNext]
+		if e.cuts[k].Grad != nil {
+			e.viewSets--
+		}
+		e.fold(k, delays)
 	}
 }
 
@@ -766,6 +785,18 @@ func (e *engine) applyDue(epoch int) (stale int) {
 	}
 	e.queue = kept
 	return stale
+}
+
+// trim ends training's hold on memory: the serial tape hands back its last
+// recording, and the pool hands every free buffer to the garbage collector
+// (Pool.Trim). Shard tapes hold nothing between rounds, so afterwards the
+// engine keeps no tape buffer at all; the next forward regrows what it
+// needs.
+func (e *engine) trim() {
+	if e.serial != nil {
+		e.serial.Reset()
+	}
+	e.pool.Trim()
 }
 
 // queueDepth reports how many shard gradients sit in the staleness queue

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"lumos/internal/autodiff"
@@ -104,45 +105,89 @@ func classBytes(shapes ...[2]int) int64 {
 	return p.Bytes()
 }
 
+// codeBytes is what the engine pool's byte buffer for n one-byte entries
+// occupies: the classes are the matrices', counted in bytes.
+func codeBytes(n int) int64 { return classBytes([2]int{1, n}) / 8 }
+
+// savedBytes is what a fresh shard of e keeps between its training forward
+// and its backward, by backbone (two layers, dropout on):
+//   - GCN: the hidden activation (rows×H floats, the second layer's MatMul
+//     reads it) and its dropout mask (rows×H bytes), the first layer's
+//     sparse-matmul workspace (1×H) and the partial;
+//   - GAT (K heads, concatenated in the hidden layer): per layer the K
+//     projections (GATAttention reads them), α (K×E floats, E the shard's
+//     edges) and the LeakyReLU branch bytes (K·E); the first layer's K
+//     sparse-matmul workspaces (1×H each); the hidden activation
+//     (rows×K·H) and its mask (rows·K·H bytes); and the partial.
+func savedBytes(e *engine, i int) int64 {
+	cfg := e.sys.Encoder.Cfg
+	sh := e.shards[i]
+	rows, h, out := sh.x.Rows(), cfg.Hidden, cfg.OutDim
+	partial := [2]int{len(sh.verts), out}
+	if cfg.Backbone == nn.GCN {
+		return classBytes([2]int{rows, h}, [2]int{1, h}, partial) + codeBytes(rows*h)
+	}
+	k, edges := cfg.Heads, sh.conv.CSR().NumEdges()
+	shapes := [][2]int{{rows, k * h}, partial, {k, edges}, {k, edges}}
+	for range k {
+		shapes = append(shapes, [2]int{rows, h}, [2]int{1, h}, [2]int{rows, out})
+	}
+	return classBytes(shapes...) + codeBytes(rows*k*h) + 2*codeBytes(k*edges)
+}
+
 // TestRoundKeepsWhatBackwardReads: between its forward and its backward a
-// fresh shard keeps only what the backward reads. After one GCN shard's
-// training forward its tape holds exactly four buffers: the hidden
-// activation (BiasReLUDropout's output), its dropout mask, the first
-// layer's sparse-matmul workspace and the partial. After a partial round on
-// one worker, the engine pool holds at most the fresh shards' saved bytes,
-// plus one shard's full working set (its tape at the end of a forward and
-// backward, with its view gradients), plus the queued delayed gradients,
-// all within 4/3: what the round had in flight at once, not every fresh
-// shard's activations and view gradients.
+// fresh shard keeps only what the backward reads, a byte per entry where a
+// byte says enough. After the largest shard's training forward its tape
+// holds exactly savedBytes, on both backbones: on GCN one rows×16 float
+// buffer and rows×16 mask bytes (a float mask was a second float buffer);
+// on GAT the projections, α, the branch and mask bytes, the hidden
+// activation, the workspaces and the partial — no LeakyReLU input and no
+// attention scratch. After a partial round on one worker, the view
+// gradients were checked out one shard at a time (each shard's fold ran
+// before the next shard's backward began), and the engine pool holds at
+// most the fresh shards' saved bytes, plus one shard's full working set
+// (its tape at the end of a forward and backward, with its view gradients),
+// plus the queued delayed gradients, all within 4/3: what the round had in
+// flight at once, not every fresh shard's activations and view gradients.
 func TestRoundKeepsWhatBackwardReads(t *testing.T) {
+	for _, bb := range []nn.Backbone{nn.GCN, nn.GAT} {
+		t.Run(bb.String(), func(t *testing.T) {
+			g := engineGraph(t, 41)
+			sys, err := NewSystem(g, g, Config{Task: Supervised, Backbone: bb, MCMCIterations: 10, Shards: g.N, Seed: 41})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := sys.eng
+			if cfg := sys.Encoder.Cfg; cfg.Layers != 2 || cfg.Dropout == 0 || (bb == nn.GAT && cfg.Heads < 2) {
+				t.Fatalf("want a two-layer %s with dropout (and heads), have %+v", bb, cfg)
+			}
+			big := 0
+			for i, sh := range e.shards {
+				if sh.work > e.shards[big].work {
+					big = i
+				}
+			}
+			e.shardForward(big, true)
+			if got, want := e.tapes[big].Bytes(), savedBytes(e, big); got != want {
+				t.Fatalf("shard %d (%d rows) holds %d B after its training forward; what its backward reads takes %d B",
+					big, e.shards[big].x.Rows(), got, want)
+			}
+			e.tapes[big].Reset()
+		})
+	}
+
 	sys, _, sess := roundSession(t, 41)
 	e := sys.eng
 	e.workers = 1
-	cfg := sys.Encoder.Cfg
-	if cfg.Backbone != nn.GCN || cfg.Layers != 2 || cfg.Dropout == 0 {
-		t.Fatalf("want a two-layer GCN with dropout, have %+v", cfg)
+	if cfg := sys.Encoder.Cfg; cfg.Backbone != nn.GCN {
+		t.Fatalf("want a GCN round system, have %+v", cfg)
 	}
-
-	// One shard: the largest.
-	big := 0
-	for i, sh := range e.shards {
-		if sh.work > e.shards[big].work {
-			big = i
-		}
-	}
-	sh := e.shards[big]
-	rows := sh.x.Rows()
-	e.shardForward(big, true)
-	saved := classBytes([2]int{rows, cfg.Hidden}, [2]int{rows, cfg.Hidden}, [2]int{1, cfg.Hidden}, [2]int{len(sh.verts), cfg.OutDim})
-	if got := e.tapes[big].Bytes(); got != saved {
-		t.Fatalf("shard %d (%d rows) holds %d B after its training forward; its two %dx%d activation buffers, workspace and partial take %d B",
-			big, rows, got, rows, cfg.Hidden, saved)
-	}
-	e.tapes[big].Reset()
-
 	out, err := sess.StepRound(sparseRoundPlans(sys.G.N)[1])
 	if err != nil || out.Skipped || out.ActiveShards == len(e.shards) {
 		t.Fatalf("want a partial round: %+v, err %v", out, err)
+	}
+	if e.viewSetsPeak != 1 {
+		t.Fatalf("phase 3 had %d shards' view gradients checked out at once on one worker; want 1 (each folded before the next backward)", e.viewSetsPeak)
 	}
 	pool := e.pool.Bytes()
 	var queued int64
@@ -186,4 +231,70 @@ func TestRoundKeepsWhatBackwardReads(t *testing.T) {
 	}
 	t.Logf("%d fresh of %d shards: pool %d B ≤ (%d saved + %d working set + %d queued) × 4/3 = %d B",
 		len(fresh), len(e.shards), pool, savedSum, working, queued, bound)
+}
+
+// TestFinishRoundsTrimsThePool: once training ends the engine keeps no
+// round's worth of buffers. On a run whose best snapshot is its last (so
+// the restore changes no weight), FinishRounds leaves the engine pool
+// holding 0 free bytes; Predictions, Embeddings and ServingTables give the
+// same bits just before and just after it; and the first evaluation
+// forward after it leaves the pool exactly as a fresh system's first
+// evaluation leaves its own: what evaluation needs — one shard's buffers
+// per size class, the shards running one at a time on one worker — and
+// not the round's working set the pool held before.
+func TestFinishRoundsTrimsThePool(t *testing.T) {
+	g := engineGraph(t, 42)
+	cfg := Config{Epochs: 3, MCMCIterations: 10, Workers: 1, Seed: 42}
+	sys, split := supervisedSystem(t, g, cfg)
+	sess, err := sys.NewSession(NewSupervisedObjective(split))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range sys.Cfg.Epochs {
+		if _, err := sess.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sess.bestSnap == nil {
+		t.Fatal("no validation-selected snapshot")
+	}
+	for i, m := range nn.Snapshot(sys) {
+		requireBitIdentical(t, fmt.Sprintf("best snapshot tensor %d against the last weights", i), sess.bestSnap[i], m)
+	}
+	type tables struct {
+		preds, servedPreds []int
+		emb, servedEmb     *tensor.Matrix
+	}
+	// read returns the three evaluation surfaces and what the pool held
+	// right after the first of them.
+	read := func(sys *System) (tb tables, evalPool int64) {
+		var err error
+		if tb.preds, err = sys.Predictions(); err != nil {
+			t.Fatal(err)
+		}
+		evalPool = sys.eng.pool.Bytes()
+		tb.emb = sys.Embeddings()
+		tb.servedEmb, tb.servedPreds = sys.ServingTables()
+		return tb, evalPool
+	}
+	before, _ := read(sys)
+	trained := sys.eng.pool.Bytes()
+	sess.FinishRounds()
+	if got := sys.eng.pool.Bytes(); got != 0 {
+		t.Fatalf("the pool holds %d B after FinishRounds; want 0", got)
+	}
+	after, evalPool := read(sys)
+	requireBitIdentical(t, "embeddings across FinishRounds", before.emb, after.emb)
+	requireBitIdentical(t, "served embeddings across FinishRounds", before.servedEmb, after.servedEmb)
+	if !slices.Equal(before.preds, after.preds) || !slices.Equal(before.servedPreds, after.servedPreds) {
+		t.Fatal("predictions changed across FinishRounds")
+	}
+
+	fresh, _ := supervisedSystem(t, g, cfg)
+	_, freshPool := read(fresh)
+	if evalPool != freshPool || evalPool >= trained {
+		t.Fatalf("the first evaluation after FinishRounds left %d B in the pool; a fresh system's leaves %d B, and training left %d B",
+			evalPool, freshPool, trained)
+	}
+	t.Logf("pool: %d B after training, 0 after FinishRounds, %d B after an evaluation", trained, evalPool)
 }

@@ -198,9 +198,12 @@ func (se *Session) selectModel() (m float64, ok bool, err error) {
 
 // FinishRounds seals the training run: every still-queued stale gradient
 // applies in one terminal synchronous step (mirroring the final barrier of
-// a bounded-staleness deployment), and the best validation-selected
-// snapshot — when Step-driven model selection ran — is restored. Call it
-// once after the last Step or StepRound.
+// a bounded-staleness deployment), the best validation-selected snapshot —
+// when Step-driven model selection ran — is restored, and the engine's
+// buffer pool gives every free buffer back to the runtime, so evaluation
+// afterwards holds its own working set instead of a training round's (a
+// later session regrows what a round needs). Call it once after the last
+// Step or StepRound.
 func (se *Session) FinishRounds() {
 	se.sys.eng.drain()
 	restored := se.bestSnap != nil
@@ -208,6 +211,7 @@ func (se *Session) FinishRounds() {
 		nn.Restore(se.sys, se.bestSnap)
 		se.bestSnap = nil
 	}
+	se.sys.eng.trim()
 	se.tel.drained(restored)
 }
 

@@ -18,6 +18,7 @@ import (
 	"lumos/internal/graph"
 	"lumos/internal/metrics"
 	"lumos/internal/nn"
+	"lumos/internal/obs"
 	"lumos/internal/snapshot"
 	"lumos/internal/tensor"
 )
@@ -392,6 +393,78 @@ func TestServeWatchHotSwap(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if b := s.Current(); b == nil || b.Version != 2 {
 		t.Fatalf("corrupt publish disturbed the served bundle: %+v", b)
+	}
+}
+
+// TestServeWatchSurvivesBadPublishes: a replica outlives the two ways a
+// publish goes bad on disk. A truncated file (its header claims a newer
+// version, its body stops halfway) and then a file whose CRC trailer does
+// not match land at the watched path, each replacing the last atomically.
+// The first version keeps serving, each file counts one load error on
+// lumos_serve_load_errors_total, and an unchanged bad file is not retried.
+func TestServeWatchSurvivesBadPublishes(t *testing.T) {
+	sys, _, _ := trainedSystem(t, core.Supervised, 90)
+	snap, err := snapshot.Capture(sys, snapshot.Meta{Dataset: "servetest"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.snap")
+	if v, err := snapshot.PublishNext(path, snap); err != nil || v != 1 {
+		t.Fatalf("publish v1: %d, %v", v, err)
+	}
+	snap.Meta.Version = 2
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	// place writes data beside path and renames it over path, as a
+	// publisher does, so the watcher never sees a half-written file.
+	place := func(data []byte) {
+		t.Helper()
+		tmp := filepath.Join(dir, "next.snap")
+		if err := os.WriteFile(tmp, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg := obs.New()
+	loadErrors := reg.Counter("lumos_serve_load_errors_total", "")
+	s := New(Options{BatchWait: 100 * time.Microsecond, Logf: t.Logf, Metrics: reg})
+	defer s.Close()
+	stop := s.Watch(path, 2*time.Millisecond)
+	defer stop()
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !ok() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	serving := func() uint64 {
+		if b := s.Current(); b != nil {
+			return b.Version
+		}
+		return 0
+	}
+	waitFor("v1 to serve", func() bool { return serving() == 1 })
+
+	place(v2[:len(v2)/2])
+	waitFor("the truncated file's load error", func() bool { return loadErrors.Value() == 1 })
+	corrupt := bytes.Clone(v2)
+	corrupt[len(corrupt)-1] ^= 0xff // the CRC trailer's last byte
+	place(corrupt)
+	waitFor("the corrupt file's load error", func() bool { return loadErrors.Value() == 2 })
+	time.Sleep(20 * time.Millisecond) // ten more polls of the unchanged file
+	if got := loadErrors.Value(); got != 2 || serving() != 1 {
+		t.Fatalf("after a truncated and a corrupt publish: %d load errors, serving v%d; want 2 and v1", got, serving())
 	}
 }
 

@@ -223,7 +223,8 @@ func answer(b *Bundle, r *request) result {
 // is published there. The stat (mtime+size) gates a cheap header peek,
 // which gates the full read — a republish is picked up within about one
 // interval, while an unchanged file costs one stat per tick. Transient
-// errors (mid-rename windows, a corrupt publish) are logged and retried;
+// errors (mid-rename windows, a corrupt publish) are logged, counted on
+// lumos_serve_load_errors_total and retried when the file next changes;
 // the previous bundle keeps serving. The returned stop function halts the
 // watcher and waits for it to exit.
 func (s *Server) Watch(path string, interval time.Duration) (stop func()) {
@@ -259,9 +260,12 @@ func (s *Server) Watch(path string, interval time.Duration) (stop func()) {
 	}
 }
 
+// maybeLoad swaps in the snapshot at path if it is newer than the one
+// serving. Each failure is logged and counted; the served bundle stays.
 func (s *Server) maybeLoad(path string) {
 	v, err := snapshot.PeekVersion(path)
 	if err != nil {
+		s.tel.loadErrors.Inc()
 		s.opt.Logf("serve: peeking %s: %v", path, err)
 		return
 	}
@@ -270,11 +274,13 @@ func (s *Server) maybeLoad(path string) {
 	}
 	snap, err := snapshot.Read(path)
 	if err != nil {
+		s.tel.loadErrors.Inc()
 		s.opt.Logf("serve: reading %s: %v", path, err)
 		return
 	}
 	b, err := NewBundle(snap)
 	if err != nil {
+		s.tel.loadErrors.Inc()
 		s.opt.Logf("serve: preparing %s: %v", path, err)
 		return
 	}

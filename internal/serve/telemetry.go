@@ -19,6 +19,7 @@ type serveTelemetry struct {
 	queryErrors   *obs.Counter
 	batchSize     *obs.Histogram
 	swaps         *obs.Counter
+	loadErrors    *obs.Counter
 }
 
 // initTelemetry registers the server's instruments on opt.Metrics and
@@ -45,6 +46,8 @@ func (s *Server) initTelemetry() {
 			"Queries answered per worker batch", obs.SizeBuckets),
 		swaps: r.Counter("lumos_serve_swaps_total",
 			"Successful bundle hot swaps"),
+		loadErrors: r.Counter("lumos_serve_load_errors_total",
+			"Watched snapshot files that failed to load (peek, read or bundle build); the served bundle stays"),
 	}
 	r.GaugeFunc("lumos_serve_queue_depth",
 		"Queries waiting in the batching queue", func() float64 {

@@ -262,6 +262,21 @@ gate plain ./internal/core TestShardsHoldNoBuffersBetweenRounds
 gate plain ./internal/fleet TestServeBatchDoesNotAllocate
 gate plain ./internal/sim TestEventQueueOrdering TestEventQueueMatchesSortedOrder
 
+# A byte where a byte will do, and a finished session gives its training
+# arena back: a tape's byte buffers come from its pool and go back on Reset,
+# and Pool.Trim empties the pool without changing a later recording's bits,
+# under the race detector; then the exact bytes a fresh GCN and a fresh GAT
+# shard keep after Release (a dropout mask and a LeakyReLU branch are a byte
+# per entry), one shard's view gradients checked out at a time on one
+# worker, and FinishRounds leaving the pool empty with every evaluation
+# surface bit for bit unchanged. A replica's watcher counts each bad
+# publish (truncated, CRC-corrupt) as a load error and keeps serving.
+gate race ./internal/autodiff TestPoolByteBuffersAndTrim TestReleaseKeepsWhatBackwardReads
+gate plain ./internal/core \
+	TestRoundKeepsWhatBackwardReads/GCN TestRoundKeepsWhatBackwardReads/GAT \
+	TestFinishRoundsTrimsThePool
+gate plain ./internal/serve TestServeWatchSurvivesBadPublishes
+
 # Trace files: AnalyzeTrace sizes nothing by a track id (a 160-byte trace
 # once allocated 329 MB), then the seed corpus of the trace reader's fuzz
 # target (every decoded trace is analyzed too) and a short fuzz pass.
