@@ -21,15 +21,23 @@
 // max-flow feasibility check, or path reversal). The paper's hardness
 // belongs to its richer workload, not to the problem solved here.
 //
-// Alg. 3's candidate filter is maintained incrementally: a device's
-// candidacy can only change when its own or a neighbor's workload changes,
-// and each MCMC transition touches at most 1+k devices. The state keeps each
-// N_v as a sorted slice and flags the touched devices and their neighbors in
-// a dirty []bool; Alg. 3 rechecks only flagged devices, in ascending id, and
-// reuses its candidate and best lists across iterations. The paper's
-// pseudo-code re-runs the full quadratic scan every iteration, repeating
-// byte-identical comparisons; the incremental filter yields the same
-// candidate set with strictly fewer secure comparisons.
+// Alg. 1 and Alg. 3 skip every secure comparison whose outcome the two
+// parties already hold, so no skip reveals anything the full protocol would
+// not. Alg. 1 asks logDeg[u] ≤ logDeg[v] first; when the answer is no, the
+// edge's second comparison, logDeg[v] ≤ logDeg[u], is implied by it and is
+// not run. Alg. 3 keeps a memo per device: either it was a local workload
+// maximum at its last check, or the neighbor that out-worked it. The state
+// lists the devices whose workload moved since the last Alg. 3 run (a
+// transition moves its device and every neighbor that gained it); only those
+// and their neighbors are visited. A visited device whose own workload moved
+// rescans its neighbors, as the paper's pseudo-code does. One whose workload
+// did not move compares only against moved neighbors while it was a
+// candidate, and rescans only when its recorded out-worker moved; every
+// comparison it skips has both operands unchanged since the two parties last
+// evaluated it. When no workload moved since the previous run, the
+// tournament's max set is reused and the server only redraws its tie-break.
+// Candidate sets, tie lists, server draws and control messages are those of
+// the full quadratic scan; only the comparison count falls.
 package balance
 
 import (
@@ -147,7 +155,9 @@ func minBits(g *graph.Graph) int {
 // GreedyInit runs Alg. 1: device u keeps neighbor v iff
 // round(ln deg(v)) ≥ round(ln deg(u)), decided by secure comparison of the
 // rounded log-degrees. Ties keep the edge on both sides, so the Eq. 10
-// covering constraint always holds after initialization.
+// covering constraint always holds after initialization. An edge costs one
+// comparison when its first outcome is logDeg[u] > logDeg[v], which implies
+// the second, and two otherwise.
 func GreedyInit(g *graph.Graph, devices []*fed.Device, cmp *comparer) [][]int {
 	logDeg := make([]uint64, g.N)
 	for v := 0; v < g.N; v++ {
@@ -159,10 +169,11 @@ func GreedyInit(g *graph.Graph, devices []*fed.Device, cmp *comparer) [][]int {
 	for _, e := range g.Edges {
 		u, v := e[0], e[1]
 		// u keeps v iff logDeg[u] ≤ logDeg[v]; v keeps u symmetrically.
-		if cmp.lessOrEqual(devices[u].Party, logDeg[u], devices[v].Party, logDeg[v]) {
+		uKeeps := cmp.lessOrEqual(devices[u].Party, logDeg[u], devices[v].Party, logDeg[v])
+		if uKeeps {
 			retained[u] = append(retained[u], v)
 		}
-		if cmp.lessOrEqual(devices[v].Party, logDeg[v], devices[u].Party, logDeg[u]) {
+		if !uKeeps || cmp.lessOrEqual(devices[v].Party, logDeg[v], devices[u].Party, logDeg[u]) {
 			retained[v] = append(retained[v], u)
 		}
 	}
@@ -243,27 +254,35 @@ func Balance(g *graph.Graph, devices []*fed.Device, server *fed.Server, cfg Conf
 	return res, nil
 }
 
-// state maintains the assignment and the incrementally maintained candidate
-// structure for Alg. 3. A device's workload is len(retained[v]).
+// state maintains the assignment and the memo behind Alg. 3. A device's
+// workload is len(retained[v]).
 type state struct {
 	g *graph.Graph
 	// retained[v] is N_v, sorted ascending.
 	retained [][]int
-	// isCand caches each device's Alg. 3 candidacy (local workload
-	// maximum); dirty marks devices whose cache must be refreshed.
-	isCand, dirty []bool
+	// beatenBy[v] is the neighbor whose workload exceeded v's at v's last
+	// candidacy check, or -1 if v was then a local workload maximum (an
+	// Alg. 3 candidate).
+	beatenBy []int
+	// moved lists the devices whose workload changed since the last Alg. 3
+	// run, and hasMoved flags them; visit flags moved devices and their
+	// neighbors during a run.
+	moved           []int
+	hasMoved, visit []bool
 	// Scratch reused across iterations: Alg. 3's candidate and best lists,
 	// the members of N_u sampleNeighbors shuffles, and a transition's added
-	// list.
+	// list. cvs and best hold the last run's lists until a workload moves.
 	cvs, best, members, added []int
 }
 
 // newState takes ownership of retained.
 func newState(g *graph.Graph, retained [][]int) *state {
-	st := &state{g: g, retained: retained, isCand: make([]bool, g.N), dirty: make([]bool, g.N)}
+	st := &state{g: g, retained: retained, beatenBy: make([]int, g.N),
+		hasMoved: make([]bool, g.N), visit: make([]bool, g.N)}
 	for v := range retained {
 		slices.Sort(retained[v])
-		st.dirty[v] = true
+		st.beatenBy[v] = -1
+		st.markMoved(v)
 	}
 	return st
 }
@@ -276,42 +295,59 @@ func (st *state) maxWorkload() int {
 	return mx
 }
 
-// markChanged flags v and its graph neighbors for candidacy recheck.
-func (st *state) markChanged(v int) {
-	st.dirty[v] = true
-	for _, n := range st.g.Adj[v] {
-		st.dirty[n] = true
+// markMoved records that v's workload changed since the last Alg. 3 run.
+func (st *state) markMoved(v int) {
+	if !st.hasMoved[v] {
+		st.hasMoved[v] = true
+		st.moved = append(st.moved, v)
 	}
 }
 
-// findMaxDevice runs Alg. 3: refresh candidacy of dirty devices via secure
-// comparisons with their neighbors, then run a secure tournament among
-// candidates with server-side random tie-breaking. Returns -1 only for an
-// edgeless graph.
+// findMaxDevice runs Alg. 3: refresh the candidacy of the devices a moved
+// workload can affect via secure comparisons with their neighbors, then run
+// a secure tournament among candidates with server-side random
+// tie-breaking. Returns -1 only for a graph without vertices.
 func (st *state) findMaxDevice(devices []*fed.Device, server *fed.Server, cmp *comparer, res *Result) int {
+	if len(st.moved) > 0 {
+		st.refresh(devices, cmp)
+	}
+	if len(st.cvs) == 0 {
+		return -1
+	}
+	// Candidate announcements and server responses.
+	res.ControlMessages += 2 * len(st.cvs)
+	return st.best[server.Rng.Intn(len(st.best))]
+}
+
+// refresh rechecks every device next to a moved workload, rebuilds the
+// candidate list in ascending id and reruns the tournament, whose max set
+// findMaxDevice reuses until a workload moves again.
+func (st *state) refresh(devices []*fed.Device, cmp *comparer) {
 	wl := func(v int) uint64 { return uint64(len(st.retained[v])) }
-	cvs := st.cvs[:0]
-	for v, dirty := range st.dirty {
-		if dirty {
-			st.dirty[v] = false
-			st.isCand[v] = true
-			for _, n := range st.g.Adj[v] {
-				// Every neighbor's workload must satisfy wl_n ≤ wl_v.
-				if !cmp.lessOrEqual(devices[n].Party, wl(n), devices[v].Party, wl(v)) {
-					st.isCand[v] = false
-					break
-				}
-			}
+	for _, m := range st.moved {
+		st.visit[m] = true
+		for _, n := range st.g.Adj[m] {
+			st.visit[n] = true
 		}
-		if st.isCand[v] {
+	}
+	cvs := st.cvs[:0]
+	for v, visit := range st.visit {
+		if visit {
+			st.visit[v] = false
+			st.beatenBy[v] = st.outWorker(v, devices, cmp)
+		}
+		if st.beatenBy[v] < 0 {
 			cvs = append(cvs, v)
 		}
 	}
+	for _, m := range st.moved {
+		st.hasMoved[m] = false
+	}
+	st.moved = st.moved[:0]
 	st.cvs = cvs
 	if len(cvs) == 0 {
-		return -1
+		return
 	}
-	res.ControlMessages += len(cvs) // candidate announcements
 	best := append(st.best[:0], cvs[0])
 	for _, c := range cvs[1:] {
 		b := best[0]
@@ -325,8 +361,27 @@ func (st *state) findMaxDevice(devices []*fed.Device, server *fed.Server, cmp *c
 		}
 	}
 	st.best = best
-	res.ControlMessages += len(cvs) // server responses
-	return best[server.Rng.Intn(len(best))]
+}
+
+// outWorker returns the first neighbor, in adjacency order, whose workload
+// exceeds v's, or -1 if v is a local maximum. It compares only what v's memo
+// does not settle: every neighbor when v's own workload or its recorded
+// out-worker moved, only the moved neighbors when v was a candidate, and
+// none when v's out-worker and v itself are unchanged.
+func (st *state) outWorker(v int, devices []*fed.Device, cmp *comparer) int {
+	b := st.beatenBy[v]
+	all := st.hasMoved[v] || b >= 0 && st.hasMoved[b]
+	if b >= 0 && !all {
+		return b
+	}
+	wv := uint64(len(st.retained[v]))
+	for _, n := range st.g.Adj[v] {
+		// Every neighbor's workload must satisfy wl_n ≤ wl_v.
+		if (all || st.hasMoved[n]) && !cmp.lessOrEqual(devices[n].Party, uint64(len(st.retained[n])), devices[v].Party, wv) {
+			return n
+		}
+	}
+	return -1
 }
 
 // sampleNeighbors draws k distinct members of N_u using device u's private
@@ -357,11 +412,11 @@ func (st *state) apply(u int, moved []int) transition {
 		if i, found := slices.BinarySearch(st.retained[v], u); !found {
 			st.retained[v] = slices.Insert(st.retained[v], i, u)
 			tr.added = append(tr.added, v)
+			st.markMoved(v)
 		}
-		st.markChanged(v)
 	}
 	st.added = tr.added
-	st.markChanged(u)
+	st.markMoved(u)
 	return tr
 }
 
@@ -372,11 +427,9 @@ func (st *state) revert(tr transition) {
 	for _, v := range tr.added {
 		i, _ := slices.BinarySearch(st.retained[v], tr.u)
 		st.retained[v] = slices.Delete(st.retained[v], i, i+1)
+		st.markMoved(v)
 	}
-	for _, v := range tr.moved {
-		st.markChanged(v)
-	}
-	st.markChanged(tr.u)
+	st.markMoved(tr.u)
 }
 
 // VerifyCover checks the Eq. 10 covering constraint: every edge of g is

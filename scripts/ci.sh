@@ -320,6 +320,18 @@ gate plain ./internal/baselines TestSampleNonEdgesOnNearCompleteGraph
 gate race ./internal/smc TestLessMatchesBitSerialOracle TestLessDoesNotAllocate
 gate plain ./internal/balance TestBalanceSecureGolden TestBalanceSecureMatchesPlaintext TestBalanceValidation
 
+# Tree construction runs no comparison whose outcome the parties already
+# hold: at every Alg. 3 call over 120 random graphs (Erdős–Rényi, power-law,
+# stars; isolated vertices included; secure on those of ≤ 30 vertices) the
+# memoized candidate set and best list equal the full rescan's (kept as the
+# oracle in the test files) with no more comparisons; Alg. 1 asks the second
+# degree comparison only where the first leaves it open; the secure golden's
+# assignment hash and re-recorded traffic; and over 120 small random graphs
+# Alg. 2 never reports below the brute-force optimum.
+gate plain ./internal/balance \
+	TestFindMaxDeviceMatchesFullRescan TestGreedyInitCoversAndTrims TestBalanceSecureGolden \
+	TestTheorem2SmallGraphNearOptimal
+
 # Gossip/topology gates: decentralized-timeline determinism across worker
 # counts under the race detector, the gossip-complete ≈ star-sync
 # equivalence check, the star-timeline golden re-check (gossip wiring must

@@ -188,7 +188,7 @@ var transcriptGolden = map[string]string{
 	"cmd/lumos-bench":          "f7edcb8b6fdaf68c",
 	"cmd/lumos-datagen":        "1a578c8f9a80c91b",
 	"cmd/lumos-sim":            "dc3d65c5259b52cb",
-	"cmd/lumos-train":          "51edbe03b3382c8c",
+	"cmd/lumos-train":          "cec01ae24835b8a5",
 	"examples/churnstudy":      "a6ae0020b8cf2ac3",
 	"examples/energystudy":     "9216fc87cbbeb24f",
 	"examples/quickstart":      "a9222e1cbe7d7772",
@@ -204,7 +204,7 @@ var transcriptGolden = map[string]string{
 	"lumos-sim-telemetry":      "0d43a732ab65566f",
 	"lumos-sim-trace":          "8980c7efcf707f34",
 	"lumos-sim-unsupervised":   "e2a774782bcb958c",
-	"lumos-train-runrecord":    "02710cfd1fe6dc07",
+	"lumos-train-runrecord":    "447c56a0a654b0b1",
 }
 
 var (
