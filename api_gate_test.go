@@ -8,6 +8,7 @@ package lumos_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -167,9 +168,11 @@ func main() { lib.BenchOnly() }
 	}
 }
 
-// moduleSources reads every non-test Go file under root, keyed by its
-// slash-separated path relative to root. Directories the go tool ignores
-// (testdata, and names starting with "." or "_") are skipped.
+// moduleSources reads every non-test Go file under root that the go tool
+// builds for this GOOS/GOARCH (build constraints and _GOARCH suffixes
+// honoured, as go build does), keyed by its slash-separated path relative to
+// root. Directories the go tool ignores (testdata, and names starting with
+// "." or "_") are skipped.
 func moduleSources(root string) (map[string][]byte, error) {
 	files := map[string][]byte{}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -185,6 +188,9 @@ func moduleSources(root string) (map[string][]byte, error) {
 		}
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), name); err != nil || !ok {
+			return err
 		}
 		src, err := os.ReadFile(p)
 		if err != nil {

@@ -79,9 +79,7 @@ func NewSystem(g, full *graph.Graph, cfg Config) (*System, error) {
 		}
 		s.Balanced = res
 		s.Net.AbsorbSecure(res.SMC)
-		for i := 0; i < res.ControlMessages; i++ {
-			s.Net.Send(fed.ServerID, fed.ServerID, fed.MsgControl, 16)
-		}
+		s.Net.SendN(fed.ServerID, fed.ServerID, fed.MsgControl, res.ControlMessages, 16)
 	}
 	s.Trees = buildTrees(g, s.Balanced.Retained, cfg.DisableVirtualNodes)
 

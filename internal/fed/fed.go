@@ -126,6 +126,15 @@ func NewNetwork(n int) *Network {
 // Send records one message of the given kind and size. from/to are device
 // ids or ServerID.
 func (nw *Network) Send(from, to int, kind MessageKind, bytes int) {
+	nw.SendN(from, to, kind, 1, bytes)
+}
+
+// SendN records n messages of the given kind from one sender to one
+// receiver, each of the given size: the counters n Sends would leave.
+func (nw *Network) SendN(from, to int, kind MessageKind, n, bytes int) {
+	if n < 0 {
+		panic(fmt.Sprintf("fed: %d messages", n))
+	}
 	if kind < 0 || kind >= numMessageKinds {
 		panic(fmt.Sprintf("fed: unknown message kind %d", kind))
 	}
@@ -135,10 +144,10 @@ func (nw *Network) Send(from, to int, kind MessageKind, bytes int) {
 	if to != ServerID && (to < 0 || to >= nw.n) {
 		panic(fmt.Sprintf("fed: receiver %d out of range", to))
 	}
-	nw.traffic.Messages[kind]++
-	nw.traffic.Bytes[kind] += int64(bytes)
+	nw.traffic.Messages[kind] += n
+	nw.traffic.Bytes[kind] += int64(n) * int64(bytes)
 	if from != ServerID {
-		nw.traffic.PerDeviceSent[from]++
+		nw.traffic.PerDeviceSent[from] += n
 	}
 }
 

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -36,6 +37,32 @@ func TestNetworkAccounting(t *testing.T) {
 	}
 	if avg := tr.AvgPerDevice(); avg != 3.0/4 {
 		t.Fatalf("avg per device = %v", avg)
+	}
+}
+
+// SendN leaves the Traffic that n Sends leave, for device and server
+// senders and receivers, and for n = 0.
+func TestSendNMatchesSends(t *testing.T) {
+	cases := []struct {
+		from, to int
+		kind     MessageKind
+		n, bytes int
+	}{
+		{ServerID, ServerID, MsgControl, 65635, 16},
+		{0, 2, MsgEmbedding, 7, 128},
+		{2, ServerID, MsgGradient, 3, 100},
+		{ServerID, 1, MsgNegSample, 5, 0},
+		{1, 0, MsgLoss, 0, 8},
+	}
+	one, batched := NewNetwork(3), NewNetwork(3)
+	for _, c := range cases {
+		for i := 0; i < c.n; i++ {
+			one.Send(c.from, c.to, c.kind, c.bytes)
+		}
+		batched.SendN(c.from, c.to, c.kind, c.n, c.bytes)
+		if want, got := one.Snapshot(), batched.Snapshot(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("after %+v: SendN left %+v, Sends left %+v", c, got, want)
+		}
 	}
 }
 
@@ -77,6 +104,12 @@ func TestNetworkValidation(t *testing.T) {
 			nw.Send(c.from, c.to, MessageKind(c.kind), 1)
 		}()
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a negative message count must panic")
+		}
+	}()
+	nw.SendN(0, 1, MsgLoss, -1, 8)
 }
 
 func TestMessageKindString(t *testing.T) {

@@ -209,6 +209,10 @@ func columnSums(sum []float64, w *Matrix) {
 // axpy adds s·x to y (equal lengths).
 func axpy(y []float64, s float64, x []float64) {
 	x = x[:len(y)]
+	if nv := len(y) &^ 3; useAVX2 && nv > 0 {
+		axpyVec(y, s, x, nv)
+		y, x = y[nv:], x[nv:]
+	}
 	for j, v := range x {
 		y[j] += s * v
 	}

@@ -121,88 +121,94 @@ func absMatrix(m *Matrix, c []float64) *Matrix {
 }
 
 func TestConstSparseMatMulMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, s := range constSparseShapes(rng) {
-		rows, k, n := s[0], s[1], s[2]
-		name := fmt.Sprintf("%dx%d·%dx%d", rows, k, k, n)
-		a := randConstSparse(rows, k, rng)
-		w := saltedMatrix(k, n, rng)
-		want := New(rows, n)
-		MatMulInto(want, a.Dense(), w)
-		got := Full(rows, n, math.NaN()) // the kernel overwrites
-		ConstSparseMatMulInto(got, a, w, make([]float64, n))
-		scale := MatMul(absMatrix(a.Dense(), a.c), absMatrix(w, nil))
-		requireClose(t, name, want, got, scale)
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for _, s := range constSparseShapes(rng) {
+			rows, k, n := s[0], s[1], s[2]
+			name := fmt.Sprintf("%dx%d·%dx%d", rows, k, k, n)
+			a := randConstSparse(rows, k, rng)
+			w := saltedMatrix(k, n, rng)
+			want := New(rows, n)
+			MatMulInto(want, a.Dense(), w)
+			got := Full(rows, n, math.NaN()) // the kernel overwrites
+			ConstSparseMatMulInto(got, a, w, make([]float64, n))
+			scale := MatMul(absMatrix(a.Dense(), a.c), absMatrix(w, nil))
+			requireClose(t, name, want, got, scale)
 
-		// A shard reads a row slice of the forest's view.
-		if rows >= 4 {
-			lo, hi := rows/4, rows-rows/4
-			sub := a.SliceRows(lo, hi)
-			gotSub := New(hi-lo, n)
-			ConstSparseMatMulInto(gotSub, sub, w, make([]float64, n))
-			requireBitIdentical(t, name+"/slice", got.SliceRows(lo, hi).Clone(), gotSub)
+			// A shard reads a row slice of the forest's view.
+			if rows >= 4 {
+				lo, hi := rows/4, rows-rows/4
+				sub := a.SliceRows(lo, hi)
+				gotSub := New(hi-lo, n)
+				ConstSparseMatMulInto(gotSub, sub, w, make([]float64, n))
+				requireBitIdentical(t, name+"/slice", got.SliceRows(lo, hi).Clone(), gotSub)
+			}
 		}
-	}
+	})
 }
 
 func TestConstSparseMatMulTNMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for _, s := range constSparseShapes(rng) {
-		rows, k, n := s[0], s[1], s[2]
-		name := fmt.Sprintf("(%dx%d)ᵀ·%dx%d", rows, k, rows, n)
-		a := randConstSparse(rows, k, rng)
-		g := saltedMatrix(rows, n, rng)
-		init := positiveSalted(k, n, rng)
-		want := init.Clone()
-		MatMulTNAddInto(want, a.Dense(), g)
-		got := init.Clone()
-		ConstSparseMatMulTNAddInto(got, a, g, make([]float64, n))
-		scale := absMatrix(init, nil)
-		MatMulTNAddInto(scale, absMatrix(a.Dense(), a.c), absMatrix(g, nil))
-		requireClose(t, name, want, got, scale)
-
-		if rows >= 4 {
-			lo, hi := rows/4, rows-rows/4
-			sub, gsub := a.SliceRows(lo, hi), g.SliceRows(lo, hi)
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(32))
+		for _, s := range constSparseShapes(rng) {
+			rows, k, n := s[0], s[1], s[2]
+			name := fmt.Sprintf("(%dx%d)ᵀ·%dx%d", rows, k, rows, n)
+			a := randConstSparse(rows, k, rng)
+			g := saltedMatrix(rows, n, rng)
+			init := positiveSalted(k, n, rng)
 			want := init.Clone()
-			MatMulTNAddInto(want, sub.Dense(), gsub)
+			MatMulTNAddInto(want, a.Dense(), g)
 			got := init.Clone()
-			ConstSparseMatMulTNAddInto(got, sub, gsub, make([]float64, n))
-			requireClose(t, name+"/slice", want, got, scale)
+			ConstSparseMatMulTNAddInto(got, a, g, make([]float64, n))
+			scale := absMatrix(init, nil)
+			MatMulTNAddInto(scale, absMatrix(a.Dense(), a.c), absMatrix(g, nil))
+			requireClose(t, name, want, got, scale)
+
+			if rows >= 4 {
+				lo, hi := rows/4, rows-rows/4
+				sub, gsub := a.SliceRows(lo, hi), g.SliceRows(lo, hi)
+				want := init.Clone()
+				MatMulTNAddInto(want, sub.Dense(), gsub)
+				got := init.Clone()
+				ConstSparseMatMulTNAddInto(got, sub, gsub, make([]float64, n))
+				requireClose(t, name+"/slice", want, got, scale)
+			}
 		}
-	}
+	})
 }
 
 // A row with constant 0 and ascending residual columns sums the same terms
 // in the same order as the dense kernel's zero-skipping loop: bit for bit.
 func TestConstSparseZeroConstantRowsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	rows, k, n := 50, 118, 16
-	dense := saltedMatrix(rows, k, rng)
-	entries := 0
-	for _, v := range dense.Data() {
-		if v != 0 {
-			entries++
-		}
-	}
-	a := NewConstSparse(rows, k, entries)
-	col, val := a.Residual()
-	off := 0
-	for i := 0; i < rows; i++ {
-		lo := off
-		for j, v := range dense.Row(i) {
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(33))
+		rows, k, n := 50, 118, 16
+		dense := saltedMatrix(rows, k, rng)
+		entries := 0
+		for _, v := range dense.Data() {
 			if v != 0 {
-				col[off], val[off] = int32(j), v
-				off++
+				entries++
 			}
 		}
-		a.SetRow(i, 0, lo, off)
-	}
-	w := saltedMatrix(k, n, rng)
-	want, got := New(rows, n), New(rows, n)
-	MatMulInto(want, dense, w)
-	ConstSparseMatMulInto(got, a, w, make([]float64, n))
-	requireBitIdentical(t, "zero-constant rows", want, got)
+		a := NewConstSparse(rows, k, entries)
+		col, val := a.Residual()
+		off := 0
+		for i := 0; i < rows; i++ {
+			lo := off
+			for j, v := range dense.Row(i) {
+				if v != 0 {
+					col[off], val[off] = int32(j), v
+					off++
+				}
+			}
+			a.SetRow(i, 0, lo, off)
+		}
+		w := saltedMatrix(k, n, rng)
+		want, got := New(rows, n), New(rows, n)
+		MatMulInto(want, dense, w)
+		ConstSparseMatMulInto(got, a, w, make([]float64, n))
+		requireBitIdentical(t, "zero-constant rows", want, got)
+	})
 }
 
 func TestConstSparseDenseAndSlice(t *testing.T) {

@@ -92,8 +92,8 @@ func saltedMatrix(rows, cols int, rng *rand.Rand) *Matrix {
 
 // positiveSalted is saltedMatrix without −0 entries, for accumulation
 // destinations: real gradient buffers can never hold −0 (they start at +0
-// and only receive +=), and a −0 destination is the one place where the
-// hoisted TN sparsity check could legally differ from the per-element one.
+// and only receive +=), and only a destination without −0 runs TN's vector
+// path, which adds the ±0 terms the oracle skips.
 func positiveSalted(rows, cols int, rng *rand.Rand) *Matrix {
 	m := saltedMatrix(rows, cols, rng)
 	d := m.Data()
@@ -144,66 +144,72 @@ func kernelShapes(rng *rand.Rand) [][3]int {
 }
 
 func TestKernelEquivalenceMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, sh := range kernelShapes(rng) {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := saltedMatrix(m, k, rng)
-		b := saltedMatrix(k, n, rng)
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for _, sh := range kernelShapes(rng) {
+			m, k, n := sh[0], sh[1], sh[2]
+			a := saltedMatrix(m, k, rng)
+			b := saltedMatrix(k, n, rng)
 
-		ref := New(m, n)
-		matMulRows(a, b, ref, 0, m)
-		blk := New(m, n)
-		matMulRowsBlocked(a, b, blk, 0, m)
-		requireBitIdentical(t, "matMulRowsBlocked", ref, blk)
+			ref := New(m, n)
+			matMulRows(a, b, ref, 0, m)
+			blk := New(m, n)
+			matMulRowsBlocked(a, b, blk, 0, m)
+			requireBitIdentical(t, "matMulRowsBlocked", ref, blk)
 
-		requireBitIdentical(t, "MatMul", ref, MatMul(a, b))
+			requireBitIdentical(t, "MatMul", ref, MatMul(a, b))
 
-		// MatMulInto must yield the product regardless of dst's prior
-		// contents (the kernel overwrites).
-		into := saltedMatrix(m, n, rng)
-		MatMulInto(into, a, b)
-		requireBitIdentical(t, "MatMulInto", ref, into)
-	}
+			// MatMulInto must yield the product regardless of dst's prior
+			// contents (the kernel overwrites).
+			into := saltedMatrix(m, n, rng)
+			MatMulInto(into, a, b)
+			requireBitIdentical(t, "MatMulInto", ref, into)
+		}
+	})
 }
 
 func TestKernelEquivalenceMatMulNT(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, sh := range kernelShapes(rng) {
-		m, w, k := sh[0], sh[1], sh[2]
-		a := saltedMatrix(m, w, rng)
-		b := saltedMatrix(k, w, rng)
-		seed := saltedMatrix(m, k, rng) // NT has no sparsity skip: any dst is fair
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		for _, sh := range kernelShapes(rng) {
+			m, w, k := sh[0], sh[1], sh[2]
+			a := saltedMatrix(m, w, rng)
+			b := saltedMatrix(k, w, rng)
+			seed := saltedMatrix(m, k, rng) // NT has no sparsity skip: any dst is fair
 
-		ref := seed.Clone()
-		matMulNTRows(a, b, ref, 0, m)
-		blk := seed.Clone()
-		matMulNTRowsBlocked(a, b, blk, 0, m)
-		requireBitIdentical(t, "matMulNTRowsBlocked", ref, blk)
+			ref := seed.Clone()
+			matMulNTRows(a, b, ref, 0, m)
+			blk := seed.Clone()
+			matMulNTRowsBlocked(a, b, blk, 0, m)
+			requireBitIdentical(t, "matMulNTRowsBlocked", ref, blk)
 
-		via := seed.Clone()
-		MatMulNTAddInto(via, a, b)
-		requireBitIdentical(t, "MatMulNTAddInto", ref, via)
-	}
+			via := seed.Clone()
+			MatMulNTAddInto(via, a, b)
+			requireBitIdentical(t, "MatMulNTAddInto", ref, via)
+		}
+	})
 }
 
 func TestKernelEquivalenceMatMulTN(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, sh := range kernelShapes(rng) {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := saltedMatrix(m, k, rng)
-		b := saltedMatrix(m, n, rng)
-		seed := positiveSalted(k, n, rng)
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		for _, sh := range kernelShapes(rng) {
+			m, k, n := sh[0], sh[1], sh[2]
+			a := saltedMatrix(m, k, rng)
+			b := saltedMatrix(m, n, rng)
+			seed := positiveSalted(k, n, rng)
 
-		ref := seed.Clone()
-		matMulTNRows(a, b, ref, 0, k)
-		blk := seed.Clone()
-		matMulTNRowsBlocked(a, b, blk, 0, k)
-		requireBitIdentical(t, "matMulTNRowsBlocked", ref, blk)
+			ref := seed.Clone()
+			matMulTNRows(a, b, ref, 0, k)
+			blk := seed.Clone()
+			matMulTNRowsBlocked(a, b, blk, 0, k)
+			requireBitIdentical(t, "matMulTNRowsBlocked", ref, blk)
 
-		via := seed.Clone()
-		MatMulTNAddInto(via, a, b)
-		requireBitIdentical(t, "MatMulTNAddInto", ref, via)
-	}
+			via := seed.Clone()
+			MatMulTNAddInto(via, a, b)
+			requireBitIdentical(t, "MatMulTNAddInto", ref, via)
+		}
+	})
 }
 
 // randomEdges draws m random edges into nseg segments from nsrc source rows,

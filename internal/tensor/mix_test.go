@@ -59,45 +59,48 @@ func mixWeight(rng *rand.Rand) float64 {
 	}
 }
 
-// The fused kernel matches the per-source oracle bit for bit for 1–9
-// sources — every remainder of the 4-then-3 grouping — in both start modes,
-// over entries salted with ±0 and subnormals, including a source whose
-// every product is −0.
+// The fused kernel matches the per-source oracle bit for bit for 1–10
+// sources — every remainder of the 4-then-3 grouping, and one past the
+// vector path's 8-source pass — in both start modes, over entries salted
+// with ±0 and subnormals, including a source whose every product is −0, on
+// lengths up to 85 (the vector path's 16- and 4-wide loops and Go tails).
 func TestWeightedSumMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	for ns := 1; ns <= 9; ns++ {
-		for trial := 0; trial < 40; trial++ {
-			rows, cols := 1+rng.Intn(5), 1+rng.Intn(7)
-			srcs, ws := make([]*Matrix, ns), make([]float64, ns)
-			for j := range srcs {
-				srcs[j] = New(rows, cols)
-				for k := range srcs[j].data {
-					srcs[j].data[k] = mixEntry(rng)
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(91))
+		for ns := 1; ns <= 10; ns++ {
+			for trial := 0; trial < 40; trial++ {
+				rows, cols := 1+rng.Intn(5), 1+rng.Intn(17)
+				srcs, ws := make([]*Matrix, ns), make([]float64, ns)
+				for j := range srcs {
+					srcs[j] = New(rows, cols)
+					for k := range srcs[j].data {
+						srcs[j].data[k] = mixEntry(rng)
+					}
+					ws[j] = mixWeight(rng)
 				}
-				ws[j] = mixWeight(rng)
-			}
-			if trial == 0 {
-				// −0 everywhere in the first product, where the two start
-				// modes differ.
-				for k := range srcs[0].data {
-					srcs[0].data[k] = math.Copysign(0, -1)
+				if trial == 0 {
+					// −0 everywhere in the first product, where the two start
+					// modes differ.
+					for k := range srcs[0].data {
+						srcs[0].data[k] = math.Copysign(0, -1)
+					}
+					ws[0] = 0.5
 				}
-				ws[0] = 0.5
-			}
-			for _, fromZero := range []bool{false, true} {
-				got, want := Full(rows, cols, math.NaN()), Full(rows, cols, math.NaN())
-				WeightedSumInto(got, srcs, ws, fromZero)
-				weightedSumOracle(want, srcs, ws, fromZero)
-				for k := range got.data {
-					if math.Float64bits(got.data[k]) != math.Float64bits(want.data[k]) {
-						t.Fatalf("%d sources, fromZero=%v, trial %d, entry %d: %v (%#x), oracle %v (%#x)",
-							ns, fromZero, trial, k, got.data[k], math.Float64bits(got.data[k]),
-							want.data[k], math.Float64bits(want.data[k]))
+				for _, fromZero := range []bool{false, true} {
+					got, want := Full(rows, cols, math.NaN()), Full(rows, cols, math.NaN())
+					WeightedSumInto(got, srcs, ws, fromZero)
+					weightedSumOracle(want, srcs, ws, fromZero)
+					for k := range got.data {
+						if math.Float64bits(got.data[k]) != math.Float64bits(want.data[k]) {
+							t.Fatalf("%d sources, fromZero=%v, trial %d, entry %d: %v (%#x), oracle %v (%#x)",
+								ns, fromZero, trial, k, got.data[k], math.Float64bits(got.data[k]),
+								want.data[k], math.Float64bits(want.data[k]))
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestWeightedSumPanics(t *testing.T) {

@@ -196,17 +196,19 @@ func TestApproxEqualShapes(t *testing.T) {
 }
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Force the parallel path with a product above the flop threshold and
-	// compare against the serial row kernel.
-	rng := rand.New(rand.NewSource(77))
-	a := Uniform(700, 300, -1, 1, rng)
-	b := Uniform(300, 64, -1, 1, rng)
-	got := MatMul(a, b) // 700*300*64 ≈ 13.4M flops → parallel
-	want := New(700, 64)
-	matMulRows(a, b, want, 0, 700)
-	if !ApproxEqual(got, want, 0) {
-		t.Fatal("parallel MatMul differs from serial kernel")
-	}
+	forEachPath(t, func(t *testing.T) {
+		// Force the parallel path with a product above the flop threshold and
+		// compare against the serial row kernel.
+		rng := rand.New(rand.NewSource(77))
+		a := Uniform(700, 300, -1, 1, rng)
+		b := Uniform(300, 64, -1, 1, rng)
+		got := MatMul(a, b) // 700*300*64 ≈ 13.4M flops → parallel
+		want := New(700, 64)
+		matMulRows(a, b, want, 0, 700)
+		if !ApproxEqual(got, want, 0) {
+			t.Fatal("parallel MatMul differs from serial kernel")
+		}
+	})
 }
 
 // gather returns the matrix whose i-th row is a.Row(idx[i]): the gather

@@ -61,6 +61,18 @@ gate() {
 	done
 }
 
+# The portable build: every other GOARCH runs the Go loops alone, so the
+# tree must keep compiling (and vetting) without the amd64 assembly.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor
+
+# The float contract holds for hand-written code too: no assembly file
+# under internal/ may fuse a multiply into an add.
+if grep -rEn --include='*.s' 'VF(N)?M(ADD|SUB)' internal; then
+	echo "fused multiply-add in assembly under internal/ (see the tensor package doc)" >&2
+	exit 1
+fi
+
 # Allocation-regression guards (see the header).
 gate plain ./internal/core \
 	TestSupervisedEpochAllocBudget TestUnsupervisedEpochAllocBudget \
@@ -131,7 +143,7 @@ gate plain ./internal/sim TestGossipTimelineGolden
 
 # Fused gossip mix and replica moves: the weighted-sum kernel against the
 # one-pass-per-source loop it replaced (kept as the oracle in the test files)
-# bit for bit over 1–9 sources, ±0 and subnormals, under the race detector;
+# bit for bit over 1–10 sources, ±0 and subnormals, under the race detector;
 # the optimizer-state mix against its own; SwapData moving arrays; then
 # MixReplicas bitwise against the per-source oracle, SwapReplica as an exact
 # two-way move that refuses a wrong-shape replica and trains exactly like
@@ -140,6 +152,20 @@ gate plain ./internal/sim TestGossipTimelineGolden
 gate race ./internal/tensor TestWeightedSumMatchesOracle TestSwapData
 gate plain ./internal/nn TestMixOptStatesMatchesOracle
 gate plain ./internal/core TestMixReplicas TestSwapReplica TestSwapReplicaTrainsLikeLoad
+
+# AVX2 kernels: every tensor kernel-vs-oracle test above runs once on the Go
+# loops and once on the vector path (where the CPU has AVX2); then the edge
+# shapes (widths 1–17 and 64 around every vector boundary, depths 0, 1 and
+# 63–65, row sub-ranges, ±0 and all-zero rows, nonzero and −0-holding
+# destinations), axpy at every edge length, and the seed corpus of the
+# both-paths fuzz target, under the race detector (the weighted sum's 1–10
+# sources ride in TestWeightedSumMatchesOracle above); then a short fuzz
+# pass. Balancer control traffic is charged in one call that leaves the
+# counters n sends leave.
+gate race ./internal/tensor \
+	TestKernelsMatchOracleEdgeShapes TestAxpyMatchesScalar FuzzKernelsMatchPortable
+go test -run '^$' -fuzz '^FuzzKernelsMatchPortable$' -fuzztime 10s ./internal/tensor
+gate plain ./internal/fed TestSendNMatchesSends
 
 # The one-bit LDP encoders evaluate e^ε once per vector: Encode, the
 # per-vector recovery and MultiBit against the per-element methods and the
