@@ -46,7 +46,6 @@ var apiAllowList = map[string]string{
 	"tensor.Eye":                 "the identity weights of the nn layer tests",
 	"tensor.HasNaN":              "the nn tests' finite-output checks",
 	"tensor.MaxAbs":              "the core first-layer tests' error scale",
-	"tensor.MatMul":              "the allocating product BenchmarkMatMul and the tensor kernel tests time and check",
 	"tensor.ConstSparse.Dense":   "the dense oracle the core and autodiff tests check the sparse first-layer input against",
 	"tensor.ConstSparse.Entries": "the core first-layer tests and BenchmarkFirstLayer count a view's stored entries",
 	"tree.Tree.Validate":         "the structural invariants core's tests check on every tree NewSystem builds",

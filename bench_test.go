@@ -585,25 +585,33 @@ func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.Uniform(4096, 128, -1, 1, rng)
 	w := tensor.Uniform(128, 16, -1, 1, rng)
+	out := tensor.New(4096, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, w)
+		tensor.MatMulInto(out, x, w)
 	}
 }
 
 // BenchmarkMatMulInto sweeps the register-blocked matmul kernel over square
-// sizes spanning L1-resident to cache-busting.
+// sizes spanning L1-resident to cache-busting, and over the first layer of
+// a baseline at lumos-bench's larger Facebook scales (2247 vertices of 471
+// features into 16 hidden units).
 func BenchmarkMatMulInto(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
+	for _, sh := range [][3]int{{64, 64, 64}, {256, 256, 256}, {1024, 1024, 1024}, {2247, 471, 16}} {
+		m, k, n := sh[0], sh[1], sh[2]
 		rng := rand.New(rand.NewSource(7))
-		x := tensor.Uniform(n, n, -1, 1, rng)
-		w := tensor.Uniform(n, n, -1, 1, rng)
-		out := tensor.New(n, n)
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+		x := tensor.Uniform(m, k, -1, 1, rng)
+		w := tensor.Uniform(k, n, -1, 1, rng)
+		out := tensor.New(m, n)
+		name := fmt.Sprintf("%dx%d", m, n)
+		if m != k || k != n {
+			name = fmt.Sprintf("%dx%dx%d", m, k, n)
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tensor.MatMulInto(out, x, w)
 			}
-			flops := 2 * float64(n) * float64(n) * float64(n)
+			flops := 2 * float64(m) * float64(k) * float64(n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}

@@ -158,9 +158,6 @@ var gradTable = []gradCase{
 	{test: "TestGradCSRAggregate", name: "csraggregate", ops: []string{"CSRAggregate", "SumSquares"},
 		params: [][2]int{{5, 3}},
 		f:      func(tp *Tape, p []*Value) *Value { return SumSquares(CSRAggregate(p[0], gradCSR, gradCoef)) }},
-	{test: "TestGradCSRAggregate", name: "csraggregate/unweighted", ops: []string{"CSRAggregate", "SumSquares"},
-		params: [][2]int{{5, 3}},
-		f:      func(tp *Tape, p []*Value) *Value { return SumSquares(CSRAggregate(p[0], gradCSR, nil)) }},
 	{test: "TestGradCSRAggregate", name: "csraggregatemul", ops: []string{"CSRAggregateMul", "SumSquares"},
 		// Both the features and the per-edge weights are differentiated.
 		params: [][2]int{{5, 3}, {7, 1}},

@@ -74,8 +74,8 @@ func backScatterAddN(v *Value) {
 
 // CSRAggregate is neighborhood aggregation as one op: out.Row(s) =
 // Σ_{edges e with dst[e]=s} coef[e]·a.Row(src[e]), where the edge grouping
-// (and the per-segment summation order) comes from csr. coef may be nil for
-// an unweighted sum. No per-edge message matrix is ever materialized, in
+// (and the per-segment summation order) comes from csr, and coef holds one
+// coefficient per edge. No per-edge message matrix is ever materialized, in
 // either pass. Forward and backward are bit-identical to the three-op
 // gather→scale-rows→segment-sum chain it replaced — csr stores slots in
 // original edge order, the exact order that chain's scatter runs in — which
@@ -96,7 +96,7 @@ func CSRAggregate(a *Value, csr *tensor.CSR, coef []float64) *Value {
 var opCSRAggregate = &op{back: backCSRAggregate}
 
 func backCSRAggregate(v *Value) {
-	tensor.CSRAggregateBackward(v.parents[0].EnsureGrad(), nil, nil, v.Grad, v.ints, v.ints2, v.fs)
+	tensor.CSRAggregateBackward(v.parents[0].EnsureGrad(), v.Grad, v.ints, v.ints2, v.fs)
 }
 
 // PairDot returns the m×1 column whose k-th entry is the dot product of rows

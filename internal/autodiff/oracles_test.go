@@ -225,16 +225,21 @@ func CSRAggregateMul(a, w *Value, csr *tensor.CSR) *Value {
 
 var opCSRAggregateMul = &op{back: backCSRAggregateMul, readsIn: true}
 
+// backCSRAggregateMul walks the edges in ascending original order for both
+// gradients, the order the unfused chain's scatter and per-edge dot products
+// run in: dL/da through the op's own backward kernel, and dL/dw[e] as the dot
+// product of a.Row(src[e]) and the output gradient's row dst[e].
 func backCSRAggregateMul(v *Value) {
 	a, w := v.parents[0], v.parents[1]
-	var aGrad, wGrad *tensor.Matrix
 	if a.requiresGrad {
-		aGrad = a.EnsureGrad()
+		tensor.CSRAggregateBackward(a.EnsureGrad(), v.Grad, v.ints, v.ints2, w.Data.Data())
 	}
 	if w.requiresGrad {
-		wGrad = w.EnsureGrad()
+		wGrad := w.EnsureGrad().Data()
+		for e, se := range v.ints {
+			wGrad[e] += tensor.RowDot(a.Data, se, v.Grad, v.ints2[e])
+		}
 	}
-	tensor.CSRAggregateBackward(aGrad, wGrad, a.Data, v.Grad, v.ints, v.ints2, w.Data.Data())
 }
 
 // SegmentSoftmax normalizes the n×1 column e with a numerically stable

@@ -132,7 +132,7 @@ func TestConstSparseMatMulMatchesDense(t *testing.T) {
 			MatMulInto(want, a.Dense(), w)
 			got := Full(rows, n, math.NaN()) // the kernel overwrites
 			ConstSparseMatMulInto(got, a, w, make([]float64, n))
-			scale := MatMul(absMatrix(a.Dense(), a.c), absMatrix(w, nil))
+			scale := matMul(absMatrix(a.Dense(), a.c), absMatrix(w, nil))
 			requireClose(t, name, want, got, scale)
 
 			// A shard reads a row slice of the forest's view.

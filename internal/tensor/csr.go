@@ -79,8 +79,8 @@ func (c *CSR) NumEdges() int { return len(c.Srcs) }
 //
 //	dst.Row(s) = Σ_slots p of s  coef[csr.Edges[p]] · a.Row(csr.Srcs[p])
 //
-// (unweighted when coef is nil; rows of empty segments become zero). dst
-// must be csr.NSeg×a.cols; its prior contents are ignored, which lets
+// (rows of empty segments become zero). coef holds one coefficient per edge.
+// dst must be csr.NSeg×a.cols; its prior contents are ignored, which lets
 // callers hand it a recycled tape buffer without paying a zeroing pass.
 //
 // Bit-identity with the unfused chain: slots appear in original edge order
@@ -94,7 +94,7 @@ func CSRAggregateInto(dst, a *Matrix, csr *CSR, coef []float64) {
 		panic(fmt.Sprintf("tensor: CSRAggregateInto dst %dx%d for %d segments of %dx%d",
 			dst.rows, dst.cols, csr.NSeg, a.rows, a.cols))
 	}
-	if coef != nil && len(coef) != len(csr.Srcs) {
+	if len(coef) != len(csr.Srcs) {
 		panic(fmt.Sprintf("tensor: CSRAggregateInto coef %d for %d edges", len(coef), len(csr.Srcs)))
 	}
 	c := a.cols
@@ -104,29 +104,16 @@ func CSRAggregateInto(dst, a *Matrix, csr *CSR, coef []float64) {
 		prev = s + 1
 		drow := dst.data[s*c : s*c+c : s*c+c]
 		lo, hi := csr.Starts[si], csr.Starts[si+1]
-		if coef == nil {
-			arow := a.data[csr.Srcs[lo]*c : csr.Srcs[lo]*c+c : csr.Srcs[lo]*c+c]
+		arow := a.data[csr.Srcs[lo]*c : csr.Srcs[lo]*c+c : csr.Srcs[lo]*c+c]
+		w := coef[csr.Edges[lo]]
+		for j, av := range arow {
+			drow[j] = w*av + 0
+		}
+		for p := lo + 1; p < hi; p++ {
+			arow := a.data[csr.Srcs[p]*c : csr.Srcs[p]*c+c : csr.Srcs[p]*c+c]
+			w := coef[csr.Edges[p]]
 			for j, av := range arow {
-				drow[j] = av + 0
-			}
-			for p := lo + 1; p < hi; p++ {
-				arow := a.data[csr.Srcs[p]*c : csr.Srcs[p]*c+c : csr.Srcs[p]*c+c]
-				for j, av := range arow {
-					drow[j] += av
-				}
-			}
-		} else {
-			arow := a.data[csr.Srcs[lo]*c : csr.Srcs[lo]*c+c : csr.Srcs[lo]*c+c]
-			w := coef[csr.Edges[lo]]
-			for j, av := range arow {
-				drow[j] = w*av + 0
-			}
-			for p := lo + 1; p < hi; p++ {
-				arow := a.data[csr.Srcs[p]*c : csr.Srcs[p]*c+c : csr.Srcs[p]*c+c]
-				w := coef[csr.Edges[p]]
-				for j, av := range arow {
-					drow[j] += w * av
-				}
+				drow[j] += w * av
 			}
 		}
 	}
@@ -144,71 +131,28 @@ func zeroRows(m *Matrix, lo, hi, c int) {
 	}
 }
 
-// CSRAggregateBackward accumulates the gradients of a CSR aggregation,
-// walking edges in ascending original order — the same order the unfused
-// chain's ScatterAddRows (into aGrad) and per-edge dot products (into
-// coefGrad) run in, so both gradients are bit-identical to the unfused ones:
+// CSRAggregateBackward accumulates the input gradient of a CSR aggregation,
 //
-//	aGrad.Row(src[e])  += coef[e] · outGrad.Row(dst[e])   (aGrad non-nil)
-//	coefGrad[e]        += a.Row(src[e]) ⋅ outGrad.Row(dst[e])  (coefGrad non-nil)
+//	aGrad.Row(src[e]) += coef[e] · outGrad.Row(dst[e]),
 //
-// coef nil means unweighted (coefficients of 1); a may be nil when coefGrad
-// is nil. coefGrad, when present, is a len(src)×1 column.
-func CSRAggregateBackward(aGrad, coefGrad, a, outGrad *Matrix, src, dst []int, coef []float64) {
+// walking edges in ascending original order — the order the unfused chain's
+// ScatterAddRows runs in, so the gradient is bit-identical to the unfused
+// one. coef holds one coefficient per edge.
+func CSRAggregateBackward(aGrad, outGrad *Matrix, src, dst []int, coef []float64) {
 	c := outGrad.cols
-	if aGrad != nil && aGrad.cols != c {
+	if aGrad.cols != c {
 		panic(fmt.Sprintf("tensor: CSRAggregateBackward aGrad %dx%d for outGrad cols %d",
 			aGrad.rows, aGrad.cols, c))
 	}
-	if coef != nil && len(coef) != len(src) {
+	if len(coef) != len(src) {
 		panic(fmt.Sprintf("tensor: CSRAggregateBackward coef %d for %d edges", len(coef), len(src)))
 	}
-	if coefGrad != nil && (coefGrad.rows != len(src) || coefGrad.cols != 1) {
-		panic(fmt.Sprintf("tensor: CSRAggregateBackward coefGrad %dx%d for %d edges",
-			coefGrad.rows, coefGrad.cols, len(src)))
-	}
-	switch {
-	case aGrad != nil && coefGrad != nil:
-		for e, se := range src {
-			grow := outGrad.data[dst[e]*c : dst[e]*c+c : dst[e]*c+c]
-			garow := aGrad.data[se*c : se*c+c : se*c+c]
-			arow := a.data[se*c : se*c+c : se*c+c]
-			w := coef[e]
-			d := 0.0
-			for j, gv := range grow {
-				garow[j] += w * gv
-				d += arow[j] * gv
-			}
-			coefGrad.data[e] += d
-		}
-	case aGrad != nil:
-		if coef == nil {
-			for e, se := range src {
-				grow := outGrad.data[dst[e]*c : dst[e]*c+c : dst[e]*c+c]
-				garow := aGrad.data[se*c : se*c+c : se*c+c]
-				for j, gv := range grow {
-					garow[j] += gv
-				}
-			}
-			return
-		}
-		for e, se := range src {
-			grow := outGrad.data[dst[e]*c : dst[e]*c+c : dst[e]*c+c]
-			garow := aGrad.data[se*c : se*c+c : se*c+c]
-			w := coef[e]
-			for j, gv := range grow {
-				garow[j] += w * gv
-			}
-		}
-	case coefGrad != nil:
-		for e, se := range src {
-			grow := outGrad.data[dst[e]*c : dst[e]*c+c : dst[e]*c+c]
-			arow := a.data[se*c : se*c+c : se*c+c]
-			d := 0.0
-			for j, gv := range grow {
-				d += arow[j] * gv
-			}
-			coefGrad.data[e] += d
+	for e, se := range src {
+		grow := outGrad.data[dst[e]*c : dst[e]*c+c : dst[e]*c+c]
+		garow := aGrad.data[se*c : se*c+c : se*c+c]
+		w := coef[e]
+		for j, gv := range grow {
+			garow[j] += w * gv
 		}
 	}
 }

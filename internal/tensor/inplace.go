@@ -78,8 +78,9 @@ func SoftmaxRowsInto(dst, a *Matrix) {
 }
 
 // MatMulInto stores a·b into dst (dst is m×n for a m×k, b k×n); dst's prior
-// contents are ignored. The kernel, loop order, and parallel fan-out
-// threshold match MatMul exactly, so the two produce bit-identical results.
+// contents are ignored. Products above matMulParallelThreshold flops fan out
+// across CPUs in row blocks; each entry's sum is the same for any worker
+// count, so the result is too.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("tensor: MatMulInto inner dims %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -139,8 +140,9 @@ func MatMulTNAddInto(dst, a, b *Matrix) {
 	})
 }
 
-// matMulWorkers sizes the worker fan-out for an m×k·k×n-shaped kernel,
-// mirroring MatMul's flop threshold.
+// matMulWorkers sizes the worker fan-out for an m×k·k×n-shaped kernel: one
+// worker below matMulParallelThreshold flops, else one per CPU (at most one
+// per row).
 func matMulWorkers(m, k, n int) int {
 	if flops := m * k * n; flops < matMulParallelThreshold {
 		return 1

@@ -2,16 +2,13 @@ package tensor
 
 import "math"
 
-// Register-blocking parameters. One packed B-panel is mmKBlock×mmColBlock
-// float64s = 16 KB, comfortably L1-resident alongside the A-row and C-row
-// traffic streaming past it.
+// Register-blocking parameters.
 const (
 	mmColBlock = 8   // output columns per register-blocked pass
-	mmKBlock   = 256 // K-depth of one packed B-panel
-	// mmSmallB is the largest B (in float64s) the kernel streams directly
-	// from its natural layout: up to half of a 32 KB L1 it stays resident
-	// across all a-rows and packing would only add a copy. The model's
-	// 16-wide layers sit far below this.
+	mmKBlock   = 256 // rows of a TN's a read per chunk, so a chunk stays in cache
+	// mmSmallB is the largest bᵀ (in float64s) the NT vector path packs into
+	// its stack panel: half of a 32 KB L1. The model's 16-wide layers sit far
+	// below it; a bigger bᵀ takes the Go loops.
 	mmSmallB = 2048
 )
 
@@ -28,15 +25,13 @@ const (
 // kernel no read-back of those zeros). The result is bit-identical on finite
 // inputs to the scalar ikj loop kept as the oracle in kernels_test.go
 // (matMulRows, which accumulates into a zeroed out): each out entry sums k in
-// ascending order from a +0 accumulator (the accumulators round-trip
-// through out between K-panels), and the av == 0 skips only ever omit
-// ±0-valued terms, which cannot change an accumulator that is never −0.
+// ascending order from a +0 accumulator, and the av == 0 skips only ever
+// omit ±0-valued terms, which cannot change an accumulator that is never −0.
 //
-// Blocking scheme: for each 8-wide column block of b, pack successive
-// 256-deep K-panels of b contiguously, then stream every a-row against the
-// packed panel with 8 independent accumulator chains — the panel stays in
-// L1 across all rows, and the chains give the compiler ILP that the scalar
-// ikj loop's single dependent chain cannot.
+// Blocking scheme: for each 8-wide column block of b, stream every a-row
+// against b's rows in their natural layout with 8 independent accumulator
+// chains, one full-K sweep per column block — the chains give the compiler
+// ILP that the scalar ikj loop's single dependent chain cannot.
 func matMulRowsBlocked(a, b, out *Matrix, lo, hi int) {
 	n := b.cols
 	kk := a.cols
@@ -53,99 +48,6 @@ func matMulRowsBlocked(a, b, out *Matrix, lo, hi int) {
 		}
 		return
 	}
-	if kk*n <= mmSmallB {
-		matMulRowsSmallB(a, b, out, lo, hi)
-		return
-	}
-	var panel [mmKBlock * mmColBlock]float64
-	for jb := 0; jb < n; jb += mmColBlock {
-		jw := n - jb
-		if jw >= mmColBlock {
-			jw = mmColBlock
-		}
-		for kb := 0; kb < kk; kb += mmKBlock {
-			kw := kk - kb
-			if kw > mmKBlock {
-				kw = mmKBlock
-			}
-			for k := 0; k < kw; k++ {
-				src := b.data[(kb+k)*n+jb:]
-				dstp := panel[k*jw : k*jw+jw]
-				for x := range dstp {
-					dstp[x] = src[x]
-				}
-			}
-			pan := panel[: kw*jw : kw*jw]
-			if jw == mmColBlock && useAVX2 && hi > lo {
-				mode := gemmStore
-				if kb > 0 {
-					mode = gemmContinue
-				}
-				gemm8(out.data[lo*n+jb:], n, a.data[lo*kk+kb:], kk, 1, pan, mmColBlock, hi-lo, kw, mode)
-			} else if jw == mmColBlock {
-				for i := lo; i < hi; i++ {
-					arow := a.data[i*kk+kb : i*kk+kb+kw : i*kk+kb+kw]
-					od := i*n + jb
-					orow := out.data[od : od+mmColBlock : od+mmColBlock]
-					var c0, c1, c2, c3, c4, c5, c6, c7 float64
-					if kb > 0 {
-						c0, c1, c2, c3 = orow[0], orow[1], orow[2], orow[3]
-						c4, c5, c6, c7 = orow[4], orow[5], orow[6], orow[7]
-					}
-					for k, av := range arow {
-						// ReLU activations make A 22 % (GCN) to 37 %
-						// (GAT) zeros in the hidden layers, and omitted
-						// ±0 terms cannot change the (never −0)
-						// accumulators.
-						if av == 0 {
-							continue
-						}
-						p := pan[k*mmColBlock:]
-						c0 += av * p[0]
-						c1 += av * p[1]
-						c2 += av * p[2]
-						c3 += av * p[3]
-						c4 += av * p[4]
-						c5 += av * p[5]
-						c6 += av * p[6]
-						c7 += av * p[7]
-					}
-					orow[0], orow[1], orow[2], orow[3] = c0, c1, c2, c3
-					orow[4], orow[5], orow[6], orow[7] = c4, c5, c6, c7
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					arow := a.data[i*kk+kb : i*kk+kb+kw : i*kk+kb+kw]
-					od := i*n + jb
-					orow := out.data[od : od+jw : od+jw]
-					var acc [mmColBlock]float64
-					if kb > 0 {
-						copy(acc[:jw], orow)
-					}
-					for k, av := range arow {
-						if av == 0 {
-							continue
-						}
-						p := pan[k*jw : k*jw+jw : k*jw+jw]
-						for x, pv := range p {
-							acc[x] += av * pv
-						}
-					}
-					copy(orow, acc[:jw])
-				}
-			}
-		}
-	}
-}
-
-// matMulRowsSmallB is the no-packing variant of matMulRowsBlocked for
-// L1-resident B: the same 8-wide accumulator chains stream b's rows in
-// their natural layout, one full-K sweep per column block (ascending k, so
-// the summation order is unchanged). Overwrites out rows [lo, hi) like the
-// packed path.
-func matMulRowsSmallB(a, b, out *Matrix, lo, hi int) {
-	n := b.cols
-	kk := a.cols
 	for jb := 0; jb < n; jb += mmColBlock {
 		jw := n - jb
 		if jw >= mmColBlock {

@@ -21,28 +21,10 @@ func AddScaledInPlace(a *Matrix, s float64, b *Matrix) {
 	}
 }
 
-// matMulParallelThreshold is the flop count above which MatMul fans out
-// across CPUs. Row blocks write disjoint output ranges, so no locking is
+// matMulParallelThreshold is the flop count above which a matmul kernel fans
+// out across CPUs. Row blocks write disjoint output ranges, so no locking is
 // needed.
 const matMulParallelThreshold = 1 << 21
-
-// MatMul returns a·b for a (m×k) and b (k×n). Large products are computed
-// in parallel across row blocks.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := New(a.rows, b.cols)
-	workers := matMulWorkers(a.rows, a.cols, b.cols)
-	if workers <= 1 {
-		matMulRowsBlocked(a, b, out, 0, a.rows)
-		return out
-	}
-	parallelRowBlocks(a.rows, workers, func(lo, hi int) {
-		matMulRowsBlocked(a, b, out, lo, hi)
-	})
-	return out
-}
 
 // ScatterAddRows adds each row i of src into dst.Row(idx[i]).
 func ScatterAddRows(dst, src *Matrix, idx []int) {

@@ -28,11 +28,18 @@ func TestInPlaceOps(t *testing.T) {
 	}
 }
 
+// matMul returns a·b in a new matrix: the allocating form of MatMulInto.
+func matMul(a, b *Matrix) *Matrix {
+	out := New(a.rows, b.cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
 	want := FromRows([][]float64{{58, 64}, {139, 154}})
-	if got := MatMul(a, b); !ApproxEqual(got, want, 1e-12) {
+	if got := matMul(a, b); !ApproxEqual(got, want, 1e-12) {
 		t.Fatalf("MatMul = %v, want %v", got, want)
 	}
 }
@@ -40,17 +47,17 @@ func TestMatMulKnown(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := Uniform(5, 5, -1, 1, rng)
-	if !ApproxEqual(MatMul(a, Eye(5)), a, 1e-12) {
+	if !ApproxEqual(matMul(a, Eye(5)), a, 1e-12) {
 		t.Fatal("A·I != A")
 	}
-	if !ApproxEqual(MatMul(Eye(5), a), a, 1e-12) {
+	if !ApproxEqual(matMul(Eye(5), a), a, 1e-12) {
 		t.Fatal("I·A != A")
 	}
 }
 
 func TestMatMulDimMismatch(t *testing.T) {
-	defer expectPanic(t, "MatMul inner dims")
-	MatMul(New(2, 3), New(2, 3))
+	defer expectPanic(t, "MatMulInto inner dims")
+	MatMulInto(New(2, 3), New(2, 3), New(2, 3))
 }
 
 func TestQuickMatMulAssociativeWithVector(t *testing.T) {
@@ -60,7 +67,7 @@ func TestQuickMatMulAssociativeWithVector(t *testing.T) {
 		a := Uniform(4, 3, -2, 2, rng)
 		b := Uniform(3, 5, -2, 2, rng)
 		x := Uniform(5, 1, -2, 2, rng)
-		return ApproxEqual(MatMul(MatMul(a, b), x), MatMul(a, MatMul(b, x)), 1e-9)
+		return ApproxEqual(matMul(matMul(a, b), x), matMul(a, matMul(b, x)), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -202,11 +209,11 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(77))
 		a := Uniform(700, 300, -1, 1, rng)
 		b := Uniform(300, 64, -1, 1, rng)
-		got := MatMul(a, b) // 700*300*64 ≈ 13.4M flops → parallel
+		got := matMul(a, b) // 700*300*64 ≈ 13.4M flops → parallel
 		want := New(700, 64)
 		matMulRows(a, b, want, 0, 700)
 		if !ApproxEqual(got, want, 0) {
-			t.Fatal("parallel MatMul differs from serial kernel")
+			t.Fatal("parallel MatMulInto differs from serial kernel")
 		}
 	})
 }

@@ -172,11 +172,11 @@ func (s *fuzzSource) matrix(rows, cols int) *Matrix {
 
 // FuzzKernelsMatchPortable runs every kernel with a vector path on both
 // paths over the same finite inputs and requires the same bits: the
-// forward (natural-layout and packed B), NT, TN, axpy and the weighted sum.
+// forward, NT, TN, axpy and the weighted sum.
 func FuzzKernelsMatchPortable(f *testing.F) {
 	f.Add(uint8(7), uint8(64), uint8(16), uint8(5), []byte{4, 9, 0, 1, 1, 3, 5, 200, 2, 7})
 	f.Add(uint8(5), uint8(65), uint8(17), uint8(10), []byte{0, 0, 1, 0, 6, 33})
-	f.Add(uint8(9), uint8(255), uint8(37), uint8(1), []byte{3, 127, 3, 129, 4, 1}) // packed B, overflow
+	f.Add(uint8(9), uint8(255), uint8(37), uint8(1), []byte{3, 127, 3, 129, 4, 1}) // deep B, overflow
 	f.Add(uint8(1), uint8(0), uint8(8), uint8(3), []byte{})
 	f.Add(uint8(13), uint8(1), uint8(4), uint8(7), []byte{2, 1, 2, 255, 7, 64})
 	f.Fuzz(func(t *testing.T, rows, depth, width, sources uint8, data []byte) {

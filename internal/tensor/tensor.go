@@ -23,14 +23,15 @@
 //
 // Each matmul has one implementation, register-blocked (kernels.go):
 //
-//   - MatMul/MatMulInto (matMulRowsBlocked) packs B into 256×8 L1-resident
-//     panels and streams each A-row against a panel with 8 independent
-//     accumulator chains, one per output column; when B itself fits in half
-//     of L1 (≤2048 float64s — every 16-wide model layer) a no-packing
-//     variant streams B in its natural layout. The kernel overwrites its
-//     output rows, so MatMulInto needs no dst-zeroing pass. Per-element a==0
-//     skips exploit ReLU-activation sparsity (22 % zeros in the GCN
-//     workload's hidden activations, 37 % in the GAT workload's).
+//   - MatMulInto (matMulRowsBlocked) streams each A-row against B in its
+//     natural layout with 8 independent accumulator chains, one per output
+//     column of an 8-wide column block. B is never packed: on the shapes
+//     the models and baselines run (B at most 64 columns wide) a packed copy
+//     bought nothing, though a much wider B streams from memory once per
+//     column block. The kernel overwrites its output rows, so MatMulInto
+//     needs no dst-zeroing pass. Per-element a==0 skips exploit ReLU-activation sparsity (22 %
+//     zeros in the GCN workload's hidden activations, 37 % in the GAT
+//     workload's).
 //   - MatMulNTAddInto (matMulNTRowsBlocked) dots each A-row against 4 rows
 //     of B concurrently — 4 independent dot-product chains.
 //   - MatMulTNAddInto (matMulTNRowsBlocked) performs rank-1 updates into 4
@@ -79,7 +80,8 @@
 // It overwrites its output (empty segments zeroed, each segment's first term
 // stored through one +0 add so a −0 first product canonicalizes exactly like
 // the chain's +0-starting accumulator), so callers can hand it recycled
-// buffers.
+// buffers. Every aggregation is weighted: coef holds one coefficient per
+// edge.
 //
 // ConstSparse (constsparse.go) is the one exception to the frozen order: a
 // matrix stored as a constant per row plus a sparse residual — the shape of

@@ -101,15 +101,19 @@ gate plain . \
 	TestEntryPointsBuildAndRun/lumos-sim-telemetry \
 	TestEntryPointsBuildAndRun/examples/energystudy
 
-# Compute-path gates. There is one production path (blocked matmuls, fused
-# CSR aggregation, recycled tapes); what it replaced survives as test
-# oracles. The kernel and fused-op equivalence property tests compare against
-# those oracles bit for bit, under the race detector; the golden loss traces
+# Compute-path gates. There is one production path (register-blocked matmuls
+# whose forward streams B in its natural layout, weighted-only fused CSR
+# aggregation, recycled tapes); what it replaced survives as test oracles,
+# and what no run entered (the packed-panel forward, the unweighted CSR arms)
+# is gone. The kernel and fused-op equivalence property tests compare against
+# those oracles bit for bit, and both CSR kernels refuse a nil or short
+# coefficient slice, under the race detector; the golden loss traces
 # (recorded on the scalar, unfused path) and the fresh-tape comparison pin
 # the whole engine; and two systems training at once must not see each other.
 gate race ./internal/tensor \
 	TestKernelEquivalenceMatMul TestKernelEquivalenceMatMulNT \
-	TestKernelEquivalenceMatMulTN TestCSRAggregateKernelMatchesScatter
+	TestKernelEquivalenceMatMulTN TestCSRAggregateKernelMatchesScatter \
+	TestCSRKernelsRequireCoef
 gate race ./internal/autodiff \
 	TestCSRAggregateMatchesUnfused TestCSRAggregateMulMatchesUnfused
 gate plain ./internal/core \
@@ -335,6 +339,17 @@ gate plain ./internal/topo TestKRegularCompleteDegree TestKRegularPinnedEdgeList
 # non-edge of a graph with fewer non-edges than positives.
 gate plain . TestProductionAPIIsCalled TestAPIGateFixture
 gate plain ./internal/baselines TestSampleNonEdgesOnNearCompleteGraph
+
+# Production code is what production runs: the benchmark's four workloads in
+# both trace modes and the CLI smoke, e2e and gossip-refusal rows, built with
+# coverage instrumentation, must enter every non-test function under
+# internal/, or coverageAllowList (coverage_gate_test.go) names it with its
+# reason; a stale or reasonless entry fails too (scripts/coverage.sh, about
+# 1.5 minutes). First the gate's own fixture: a function only a test calls,
+# one entered only through its closure, a file no run linked, exempt String
+# methods and assembly declarations, stale and reasonless entries.
+gate plain . TestCoverageGateFixture
+scripts/coverage.sh
 
 # Word-parallel secure comparison: Less against the bit-serial GMW evaluator
 # it replaced (kept as the oracle in the test files) — result bit and

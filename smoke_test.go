@@ -54,6 +54,11 @@ var entryPoints = []struct {
 		"-dataset", "facebook", "-scale", "0.005", "-rounds", "3", "-mcmc", "10",
 		"-sched", "gossip", "-topology", "ring:4", "-fleet", "zipf",
 		"-participation-policy", "energy"}},
+	// Gossip over the complete contact graph, with best-round model
+	// selection on the validation metric.
+	{pkg: "./cmd/lumos-sim", name: "lumos-sim-complete", run: true, args: []string{
+		"-dataset", "facebook", "-scale", "0.005", "-rounds", "3", "-mcmc", "10",
+		"-sched", "gossip", "-topology", "complete", "-select"}},
 	// Telemetry surface: -trace writes Chrome trace-event JSON ({TMP} is the
 	// shared temp dir) and -metrics dumps Prometheus text after the
 	// timeline; the row keeps both observability flags from rotting.
@@ -81,6 +86,11 @@ var entryPoints = []struct {
 		"trace", "{TMP}/seedrec.trace.json", "-critical-path", "-top", "5"}},
 	{pkg: "./cmd/lumos-train", run: true, args: []string{
 		"-dataset", "facebook", "-scale", "0.005", "-epochs", "2", "-mcmc", "10"}},
+	// A dataset file lumos-datagen writes before the rows run (graph.Write →
+	// graph.Read), trained asynchronously, its weights written with -save.
+	{pkg: "./cmd/lumos-train", name: "lumos-train-file", run: true, args: []string{
+		"-dataset", "file:{TMP}/g.bin", "-epochs", "2", "-mcmc", "10", "-sched", "async",
+		"-save", "{TMP}/w.bin"}},
 	{pkg: "./examples/churnstudy", run: true, args: []string{
 		"-n", "60", "-m", "240", "-rounds", "6", "-mcmc", "10"}},
 	// energystudy enforces its energy-monotone-in-participation invariant
@@ -128,6 +138,13 @@ func TestEntryPointsBuildAndRun(t *testing.T) {
 	}
 	if out, err := exec.Command(seedGen, "-traces", "-devices", "24", "-seed", "3", "-out", tracePath).CombinedOutput(); err != nil {
 		t.Fatalf("lumos-datagen -traces: %v\n%s", err, out)
+	}
+
+	// Seed the dataset-file row the same way: lumos-datagen writes the graph
+	// that lumos-train-file reads back through -dataset file:.
+	if out, err := exec.Command(seedGen, "-dataset", "facebook", "-scale", "0.005",
+		"-out", filepath.Join(binDir, "g.bin")).CombinedOutput(); err != nil {
+		t.Fatalf("lumos-datagen -out: %v\n%s", err, out)
 	}
 
 	// Seed the lumos-report rows: one tiny recorded-and-traced sim run whose
@@ -199,11 +216,13 @@ var transcriptGolden = map[string]string{
 	"lumos-report-diff":        "8dade3c844f2e131",
 	"lumos-report-run":         "726ad4992e8d1869",
 	"lumos-report-trace":       "e06cf406ba4bd267",
+	"lumos-sim-complete":       "fd2099647122c7ee",
 	"lumos-sim-gossip":         "6608a4d1f106c5bc",
 	"lumos-sim-runrecord":      "f40d9ae6d3eaaf80",
 	"lumos-sim-telemetry":      "0d43a732ab65566f",
 	"lumos-sim-trace":          "8980c7efcf707f34",
 	"lumos-sim-unsupervised":   "e2a774782bcb958c",
+	"lumos-train-file":         "3701c32f66ae963e",
 	"lumos-train-runrecord":    "447c56a0a654b0b1",
 }
 
