@@ -214,7 +214,7 @@ func Balance(g *graph.Graph, devices []*fed.Device, server *fed.Server, cfg Conf
 	}
 	stats := &smc.Stats{}
 	cmp := &comparer{proto: smc.NewProtocol(cfg.Bits, stats), secure: cfg.Secure}
-	rng := rng.New(cfg.Seed ^ 0x42616c616e636572)
+	rng := rng.Stream(cfg.Seed, rng.Proposals, 0)
 
 	st := newState(g, GreedyInit(g, devices, cmp))
 	res := &Result{MaxTrace: []int{st.maxWorkload()}}

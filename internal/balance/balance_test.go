@@ -538,7 +538,7 @@ func runAgainstFullRescan(t *testing.T, g *graph.Graph, cfg Config) (memo, full 
 		}
 		oracle.markChanged(g, tr.u)
 	}
-	mh := rng.New(cfg.Seed ^ 0x42616c616e636572)
+	mh := rng.Stream(cfg.Seed, rng.Proposals, 0)
 	for range cfg.Iterations {
 		u := find()
 		if u < 0 || len(st.retained[u]) == 0 {

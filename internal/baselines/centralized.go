@@ -66,7 +66,7 @@ func NewCentralizedLink(full *graph.Graph, es *graph.EdgeSplit, cfg ModelConfig)
 		full: full,
 		es:   es,
 		run:  run,
-		rng:  rng.New(cfg.Seed ^ 0x6c696e6b),
+		rng:  rng.Stream(cfg.Seed, rng.CentralizedLink, 0),
 	}, nil
 }
 

@@ -50,7 +50,7 @@ func NewLPGNN(g *graph.Graph, cfg LPGNNConfig) (*LPGNN, error) {
 	if cfg.EpsX <= 0 || cfg.EpsY <= 0 {
 		return nil, fmt.Errorf("baselines: LPGNN budgets must be positive (εx=%v εy=%v)", cfg.EpsX, cfg.EpsY)
 	}
-	rng := rng.New(cfg.Seed ^ 0x6c70676e6e)
+	rng := rng.Stream(cfg.Seed, rng.LPGNN, 0)
 	d := g.FeatureDim()
 	m := int(math.Floor(cfg.EpsX / 2.18))
 	if m < 1 {

@@ -49,7 +49,7 @@ func NewNaiveFed(g *graph.Graph, cfg NaiveFedConfig) (*NaiveFed, error) {
 	if cfg.EpsFeature <= 0 || cfg.EpsEdge <= 0 {
 		return nil, fmt.Errorf("baselines: NaiveFed budgets must be positive")
 	}
-	rng := rng.New(cfg.Seed ^ 0x6e616976)
+	rng := rng.Stream(cfg.Seed, rng.NaiveFed, 0)
 
 	// L2 sensitivity of releasing the whole feature vector: adjacent
 	// inputs may differ in every coordinate, so Δ₂ = (b−a)·√d.

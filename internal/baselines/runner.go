@@ -70,7 +70,7 @@ func newRunner(cfg ModelConfig, conv *nn.ConvGraph, x *tensor.Matrix, classes in
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rng.New(cfg.Seed ^ 0x62617365)
+	rng := rng.Stream(cfg.Seed, rng.BaselineModel, 0)
 	enc, err := nn.NewGNN(nn.PaperGNN(cfg.Backbone, x.Cols()), rng)
 	if err != nil {
 		return nil, err

@@ -206,7 +206,7 @@ func newEngine(s *System) *engine {
 	for i, sh := range e.shards {
 		e.allVerts = append(e.allVerts, sh.verts)
 		e.encs = append(e.encs, s.Encoder.CloneShared())
-		e.rngs = append(e.rngs, rng.New(s.Cfg.Seed^(int64(i+1)*0x1f3d5b79a7c6e42d)))
+		e.rngs = append(e.rngs, rng.Stream(s.Cfg.Seed, rng.Dropout, i))
 		e.viewParams = append(e.viewParams, e.encs[i].Params())
 	}
 	e.tapes = make([]*autodiff.Tape, len(e.shards))

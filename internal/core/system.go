@@ -91,7 +91,7 @@ func NewSystem(g, full *graph.Graph, cfg Config) (*System, error) {
 	s.Forest = forest
 
 	// Shared model.
-	modelRng := rng.New(cfg.Seed ^ 0x6d6f64656c)
+	modelRng := rng.Stream(cfg.Seed, rng.Model, 0)
 	model := nn.PaperGNN(cfg.Backbone, g.FeatureDim())
 	model.Hidden, model.Heads = cfg.Hidden, cfg.Heads
 	enc, err := nn.NewGNN(model, modelRng)

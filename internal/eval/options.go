@@ -108,7 +108,8 @@ func (o *Options) LoadDataset(name string) (*graph.Graph, error) {
 
 // dataset is one configured dataset as every runner starts it: the graph
 // and, made on first use, the splits the paper trains on — the 50/25/25
-// node split (seeded Seed^1) and the 80/5/15 edge split (seeded Seed^2).
+// node split (stream rng.NodeSplit) and the 80/5/15 edge split (stream
+// rng.EdgeSplit), both derived from the dataset's seed.
 type dataset struct {
 	name  string
 	g     *graph.Graph
@@ -119,7 +120,7 @@ type dataset struct {
 
 func (d *dataset) nodeSplit() (*graph.NodeSplit, error) {
 	if d.nodes == nil {
-		s, err := graph.SplitNodes(d.g, 0.5, 0.25, rng.New(d.seed^1))
+		s, err := graph.SplitNodes(d.g, 0.5, 0.25, rng.Stream(d.seed, rng.NodeSplit, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +131,7 @@ func (d *dataset) nodeSplit() (*graph.NodeSplit, error) {
 
 func (d *dataset) edgeSplit() (*graph.EdgeSplit, error) {
 	if d.edges == nil {
-		s, err := graph.SplitEdges(d.g, 0.8, 0.05, rng.New(d.seed^2))
+		s, err := graph.SplitEdges(d.g, 0.8, 0.05, rng.Stream(d.seed, rng.EdgeSplit, 0))
 		if err != nil {
 			return nil, err
 		}

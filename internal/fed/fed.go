@@ -190,14 +190,17 @@ type Device struct {
 }
 
 // NewDevices instantiates one device per vertex, each with deterministic
-// private randomness derived from seed and its id.
+// private randomness derived from seed and its id: its Rng is the
+// rng.Device stream v and its Party is seeded with the rng.SMCParty seed v.
+// Device 0's Rng is the root stream rng.New(seed) itself (see the rng
+// package doc), so it replays the draws of anything else seeded with seed.
 func NewDevices(g *graph.Graph, seed int64) []*Device {
 	ds := make([]*Device, g.N)
 	for v := 0; v < g.N; v++ {
 		ds[v] = &Device{
 			ID:    v,
-			Rng:   rng.New(seed ^ int64(v)*0x1e3779b97f4a7c15),
-			Party: smc.NewParty(seed ^ int64(v+1)*0x6a09e667f3bcc90),
+			Rng:   rng.Stream(seed, rng.Device, v),
+			Party: smc.NewParty(rng.Derive(seed, rng.SMCParty, v)),
 		}
 	}
 	return ds
@@ -211,5 +214,5 @@ type Server struct {
 
 // NewServer returns a server with deterministic randomness.
 func NewServer(seed int64) *Server {
-	return &Server{Rng: rng.New(seed ^ 0x5bf0a8b145769231)}
+	return &Server{Rng: rng.Stream(seed, rng.Server, 0)}
 }

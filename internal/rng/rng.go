@@ -26,6 +26,25 @@
 //
 // Draws (Uint64, Int63) are the standard library's two-index add, so a
 // draw costs what it costs through math/rand.
+//
+// Streams by role. A run has one seed. Its root stream, New(seed), drives
+// the graph generator and the CLIs' splits; every other production stream
+// is derived from the seed here, by its Role and, for a per-device or
+// per-shard role, its id (Derive, Stream). The rule is
+// seed ^ xor ^ (id+off)·mul with each role's fixed constants
+// (TestDeriveMatchesLegacySeeds holds them to the expressions the recorded
+// goldens were seeded with). Two streams coincide when their seeds agree
+// modulo 2³¹−1 (math/rand's reduction, reduce), not only when they are
+// equal; TestStreamsDistinct checks the reduced seeds of every role and id
+// at full Facebook size (22 470 devices and shards) over seven run seeds.
+// The SMC parties' seeds feed a PCG at full 64-bit width, so there they
+// must differ as 64-bit values. Two coincidences are known and pinned by
+// that test. Device 0's seed is seed ^ 0·mul = seed, so device 0's private
+// stream is the root stream: where the graph, its split and Config.Seed
+// share one seed, device 0's LDP noise and negative samples replay the
+// generator's draws. And at seed 5, shard 8955's dropout stream is device
+// 16967's private stream. Removing either changes draws that the recorded
+// goldens depend on (see ROADMAP direction 8).
 package rng
 
 import "math/rand"

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"lumos/internal/fleet"
+	"lumos/internal/rng"
 )
 
 // Profile is one device's capacity relative to the nominal device of the
@@ -68,10 +69,6 @@ func ParseFleetSpec(spec string) (Fleet, string, error) {
 	return f, "", nil
 }
 
-// profileSeed decorrelates fleet construction from the scenario's other
-// random streams (churn, participation sampling).
-const profileSeed = 0x70726f66696c6573
-
 // Source resolves the scenario's fleet to its fleet.Fleet implementation —
 // the single construction path for synthetic and trace-driven populations.
 func (sc *Scenario) Source() (fleet.Fleet, error) {
@@ -100,5 +97,5 @@ func BuildProfiles(sc Scenario, n int) ([]Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return src.Profiles(n, sc.Seed^profileSeed)
+	return src.Profiles(n, rng.Derive(sc.Seed, rng.Profiles, 0))
 }

@@ -128,8 +128,8 @@ func New(sys *core.System, sc Scenario) (*Simulator, error) {
 		freeAt:    make([]float64, n),
 		lag:       make([]int, n),
 		lastPart:  make([]int, n),
-		churnRng:  rng.New(sc.Seed ^ 0x636875726e),
-		sampleRng: rng.New(sc.Seed ^ 0x73616d706c65),
+		churnRng:  rng.Stream(sc.Seed, rng.Churn, 0),
+		sampleRng: rng.Stream(sc.Seed, rng.Participation, 0),
 		agg:       fleet.Server{BytesPerSecond: sc.Cost.AggBytesPerSecond},
 		energy:    make([]float64, n),
 		topo:      sc.Topology,

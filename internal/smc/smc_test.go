@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"lumos/internal/rng"
 )
 
 func TestLessExhaustiveSmall(t *testing.T) {
@@ -350,7 +352,7 @@ func TestPartyStreamDeterministic(t *testing.T) {
 		t.Fatal("parties with seeds 3 and 4 are in the same state")
 	}
 	seen := map[uint64]int64{}
-	for _, seed := range []int64{0, 1, 2, -1, -7, 0x6a09e667f3bcc90, 7 ^ 0x6a09e667f3bcc90} {
+	for _, seed := range []int64{0, 1, 2, -1, -7, rng.Derive(0, rng.SMCParty, 0), rng.Derive(7, rng.SMCParty, 0)} {
 		q := NewParty(seed)
 		for i := 0; i < 7; i++ {
 			w := q.src.Uint64()

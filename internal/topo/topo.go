@@ -219,7 +219,7 @@ func KRegular(n, k int, seed int64) (*Topology, error) {
 	if k == n-1 {
 		return FromEdges(fmt.Sprintf("k-regular:%d", k), n, allPairs(n))
 	}
-	rng := rng.New(seed ^ 0x6b726567) // "kreg"
+	rng := rng.Stream(seed, rng.KRegular, 0)
 	stubs := make([]int, n*k)
 	for i := range stubs {
 		stubs[i] = i / k
@@ -324,7 +324,7 @@ func BarabasiAlbert(n, m int, seed int64) (*Topology, error) {
 	if m+1 >= n {
 		return nil, fmt.Errorf("topo: barabasi-albert with m=%d needs more than %d devices", m, m+1)
 	}
-	rng := rng.New(seed ^ 0x62616c62) // "balb"
+	rng := rng.Stream(seed, rng.BarabasiAlbert, 0)
 	var edges [][2]int
 	// targets repeats each endpoint once per incident edge, so a uniform
 	// draw from it is degree-proportional.

@@ -73,6 +73,15 @@ if grep -rEn --include='*.s' 'VF(N)?M(ADD|SUB)' internal; then
 	exit 1
 fi
 
+# One seed rule: a stream's seed is derived in internal/rng by its role
+# (rng.Derive, rng.Stream), so no non-test Go file elsewhere XORs a
+# constant into a seed by hand.
+if grep -rEn --include='*.go' --exclude='*_test.go' '[Ss]eed *\^' \
+	internal cmd examples lumos.go | grep -v '^internal/rng/'; then
+	echo "seed derived outside internal/rng; add a role there and call rng.Derive or rng.Stream" >&2
+	exit 1
+fi
+
 # Allocation-regression guards (see the header).
 gate plain ./internal/core \
 	TestSupervisedEpochAllocBudget TestUnsupervisedEpochAllocBudget \
@@ -324,10 +333,15 @@ go test -run '^$' -fuzz '^FuzzLoadRunRecord$' -fuzztime 10s ./internal/report
 # random seeds over two turns of its register (Uint64, Int63, and through
 # rand.Rand Float64, Intn, NormFloat64 and Perm), after a reseed too, and
 # no non-test file under internal/ or cmd/ calls math/rand.NewSource
-# itself, under the race detector. Then k-regular at k = n−1 builds the complete graph on every
-# seed.
+# itself, under the race detector. Every stream is derived by its role in
+# internal/rng: Derive reproduces each seed expression the sites used to
+# write out, and no two streams of a run share a reduced math/rand seed
+# (or, for SMC parties, a 64-bit seed) at full Facebook size but the known
+# aliases, which must still hold. Then k-regular at k = n−1 builds the
+# complete graph on every seed.
 gate race ./internal/rng \
 	TestSourceMatchesMathRand TestSourceReseed TestOneSeedingPath
+gate plain ./internal/rng TestDeriveMatchesLegacySeeds TestStreamsDistinct
 gate plain ./internal/topo TestKRegularCompleteDegree TestKRegularPinnedEdgeLists
 
 # Production code is what production calls: every exported function and
