@@ -161,3 +161,122 @@ func TestTrafficLedgerGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundMessagesConserve checks the round enumeration as conservation
+// laws on the four benchmark workloads' systems (two supervised, one link
+// prediction; GCN and GAT), under full and partial participation:
+//   - per kind, the bytes sent equal the bytes received, with the server as
+//     an endpoint of its own;
+//   - every message has a real sender and receiver: an embedding goes from v
+//     to a retained neighbor, a pooled return from a retained neighbor to v,
+//     and a loss or gradient share from v to the server (never to the old
+//     placeholder device (v+1) mod N);
+//   - each device's bytes equal the closed form
+//     |Retained[v]|·emb·(1 + [link prediction]) + loss + grad, which is
+//     DeviceUploadBytes()[v];
+//   - the network charges exactly the listed messages.
+//
+// One placeholder stays outside the enumeration: negative-sample fetches are
+// charged server to server (accountNegSampling).
+func TestRoundMessagesConserve(t *testing.T) {
+	for _, c := range constructCases {
+		train, full, cfg := c.system(t)
+		sys, err := NewSystem(train, full, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sys.G.N
+		emb, grad, loss := sys.wireBytes()
+		up := sys.DeviceUploadBytes()
+		half := make([]bool, n)
+		for v := range half {
+			half[v] = v%2 == 0
+		}
+		for _, active := range [][]bool{nil, half} {
+			// Endpoint n is the server.
+			var sent, recv [8][]int64
+			for k := range sent {
+				sent[k], recv[k] = make([]int64, n+1), make([]int64, n+1)
+			}
+			charged := make([]int64, n)
+			msgs := make([]int, n)
+			var kindMsgs [8]int
+			var kindBytes [8]int64
+			endpoint := func(id int) int {
+				if id == fed.ServerID {
+					return n
+				}
+				if id < 0 || id >= n {
+					t.Fatalf("%s: endpoint %d is neither a device nor the server", c.name, id)
+				}
+				return id
+			}
+			sys.roundMessages(active, func(v, from, to int, kind fed.MessageKind, bytes int) {
+				if active != nil && !active[v] {
+					t.Fatalf("%s: absent device %d charged", c.name, v)
+				}
+				retained := func(u int) bool {
+					for _, w := range sys.Trees[v].Retained {
+						if w == u {
+							return true
+						}
+					}
+					return false
+				}
+				ok := false
+				switch kind {
+				case fed.MsgEmbedding:
+					ok = from == v && retained(to)
+				case fed.MsgPooled:
+					ok = to == v && retained(from) && c.task == Unsupervised
+				case fed.MsgLoss, fed.MsgGradient:
+					ok = from == v && to == fed.ServerID
+				}
+				if !ok {
+					t.Fatalf("%s: device %d charged %v message %d→%d", c.name, v, kind, from, to)
+				}
+				sent[kind][endpoint(from)] += int64(bytes)
+				recv[kind][endpoint(to)] += int64(bytes)
+				charged[v] += int64(bytes)
+				if from != fed.ServerID {
+					msgs[from]++
+				}
+				kindMsgs[kind]++
+				kindBytes[kind] += int64(bytes)
+			})
+			for k := range sent {
+				var s, r int64
+				for i := range sent[k] {
+					s += sent[k][i]
+					r += recv[k][i]
+				}
+				if s != r {
+					t.Errorf("%s: %v bytes sent %d, received %d", c.name, fed.MessageKind(k), s, r)
+				}
+			}
+			pooled := 0
+			if c.task == Unsupervised {
+				pooled = 1
+			}
+			for v := 0; v < n; v++ {
+				want := int64(0)
+				if active == nil || active[v] {
+					want = int64(len(sys.Trees[v].Retained)*emb*(1+pooled) + loss + grad)
+				}
+				if charged[v] != want {
+					t.Fatalf("%s: device %d charged %d bytes, closed form %d", c.name, v, charged[v], want)
+				}
+				if active == nil && charged[v] != up[v] {
+					t.Fatalf("%s: device %d charged %d bytes, DeviceUploadBytes %d", c.name, v, charged[v], up[v])
+				}
+			}
+			before := sys.Net.Snapshot()
+			sys.accountEpochTraffic(active)
+			d := sys.Net.Diff(before)
+			if d.Messages != kindMsgs || d.Bytes != kindBytes || !reflect.DeepEqual(d.PerDeviceSent, msgs) {
+				t.Errorf("%s: network charged %v / %v / %v, enumeration lists %v / %v / %v",
+					c.name, d.Messages, d.Bytes, d.PerDeviceSent, kindMsgs, kindBytes, msgs)
+			}
+		}
+	}
+}

@@ -32,32 +32,6 @@ type RoundOutcome struct {
 	ValEvaluated bool
 }
 
-// DeviceUploadBytes estimates the bytes device v uploads in one round it
-// participates in: its leaf-embedding pushes to the vertices' owners, its
-// loss share, and its gradient contribution (plus pooled-embedding returns
-// when unsupervised). This is the per-event transfer size the simulator
-// divides by each device's link bandwidth.
-func (s *System) DeviceUploadBytes() []int64 {
-	embBytes, gradBytes, lossBytes := s.wireBytes()
-	out := make([]int64, s.G.N)
-	for v, t := range s.Trees {
-		b := int64(len(t.Retained))*int64(embBytes) + int64(lossBytes) + int64(gradBytes)
-		if s.Cfg.Task == Unsupervised {
-			b += int64(len(t.Retained)) * int64(embBytes)
-		}
-		out[v] = b
-	}
-	return out
-}
-
-// ModelBytes is the serialized size of one shared-model update — the
-// server→device broadcast a participant downloads after aggregation (and a
-// rejoining device must re-download to catch up).
-func (s *System) ModelBytes() int64 {
-	_, gradBytes, _ := s.wireBytes()
-	return int64(gradBytes)
-}
-
 // mapDevices lifts per-device participation and delays to shard granularity:
 // a shard is active when at least half of its devices (and at least one) are
 // present, and an active shard's delay is the largest delay among its

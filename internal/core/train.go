@@ -21,7 +21,8 @@ type TrainStats struct {
 	// initiates per epoch — the Fig. 8a metric.
 	AvgCommRoundsPerDevice float64
 	// SimEpochTime is the straggler-dominated epoch wall-time estimate
-	// from the cost model — the Fig. 8b metric.
+	// from the cost model — the Fig. 8b metric. Its transfer term prices
+	// the mean device's bytes, not the busiest device's.
 	SimEpochTime time.Duration
 	// MeasuredTime is the real CPU time the training loop took.
 	MeasuredTime time.Duration
@@ -100,38 +101,64 @@ func (s *System) wireBytes() (embBytes, gradBytes, lossBytes int) {
 	return 8*s.Encoder.EmbeddingDim() + 16, 8*nn.CountParams(s.Encoder) + 16, 24
 }
 
-// accountEpochTraffic records the messages every epoch of either task
-// sends: each present device pushes the embeddings of its neighbor leaves
-// to their owner devices (the POOL exchange), shares its loss value, and
-// contributes its gradient to the aggregation. active restricts the senders
-// to a participation mask (nil = every device, the full-epoch trainers).
-func (s *System) accountEpochTraffic(active []bool) {
+// roundMessages lists, once, every message a training round sends: each
+// present device v (active nil = every device) pushes the embeddings of its
+// neighbor leaves to their owner devices (the POOL exchange), gets their
+// pooled embeddings back under link prediction (Eq. 33 needs them), and
+// shares its loss and gradient with the server. send gets each message with
+// the device v it is charged to. Every training traffic counter reads it.
+func (s *System) roundMessages(active []bool, send func(v, from, to int, kind fed.MessageKind, bytes int)) {
 	embBytes, gradBytes, lossBytes := s.wireBytes()
 	for v, t := range s.Trees {
 		if active != nil && !active[v] {
 			continue
 		}
 		for _, u := range t.Retained {
-			s.Net.Send(v, u, fed.MsgEmbedding, embBytes)
+			send(v, v, u, fed.MsgEmbedding, embBytes)
 		}
 		if s.Cfg.Task == Unsupervised {
-			// Device v needs its retained neighbors' pooled embeddings to
-			// evaluate Eq. 33.
 			for _, u := range t.Retained {
-				s.Net.Send(u, v, fed.MsgPooled, embBytes)
+				send(v, u, v, fed.MsgPooled, embBytes)
 			}
 		}
-		s.Net.Send(v, (v+1)%s.G.N, fed.MsgLoss, lossBytes)
-		s.Net.Send(v, (v+1)%s.G.N, fed.MsgGradient, gradBytes)
+		send(v, v, fed.ServerID, fed.MsgLoss, lossBytes)
+		send(v, v, fed.ServerID, fed.MsgGradient, gradBytes)
 	}
 }
 
-// accountNegSampling records the embedding fetches for negative samples.
+// accountEpochTraffic charges the network with a round's messages
+// (roundMessages) for the devices active marks.
+func (s *System) accountEpochTraffic(active []bool) {
+	s.roundMessages(active, func(_, from, to int, kind fed.MessageKind, bytes int) {
+		s.Net.Send(from, to, kind, bytes)
+	})
+}
+
+// DeviceUploadBytes is the bytes each device v moves in one round it
+// participates in: the sum of roundMessages' messages charged to v. That is
+// its leaf-embedding pushes to the vertices' owners, its loss share and its
+// gradient contribution, and under link prediction also the pooled
+// embeddings v receives back. This is the per-event transfer size the
+// simulator divides by each device's link bandwidth.
+func (s *System) DeviceUploadBytes() []int64 {
+	out := make([]int64, s.G.N)
+	s.roundMessages(nil, func(v, _, _ int, _ fed.MessageKind, bytes int) { out[v] += int64(bytes) })
+	return out
+}
+
+// ModelBytes is the serialized size of one shared-model update — the
+// server→device broadcast a participant downloads after aggregation (and a
+// rejoining device must re-download to catch up).
+func (s *System) ModelBytes() int64 {
+	_, gradBytes, _ := s.wireBytes()
+	return int64(gradBytes)
+}
+
+// accountNegSampling records the embedding fetches for negative samples,
+// charged server to server: the sampling devices are not yet the endpoints.
 func (s *System) accountNegSampling(negCount int) {
 	embBytes, _, _ := s.wireBytes()
-	for i := 0; i < negCount; i++ {
-		s.Net.Send(fed.ServerID, fed.ServerID, fed.MsgNegSample, embBytes)
-	}
+	s.Net.SendN(fed.ServerID, fed.ServerID, fed.MsgNegSample, negCount, embBytes)
 }
 
 // finishStats derives the Fig. 8 metrics from the recorded traffic.
@@ -140,15 +167,13 @@ func (s *System) finishStats(stats *TrainStats) {
 		return
 	}
 	perDevice := 0.0
-	var maxDeviceBytes int64
+	// The largest epoch's mean device bytes. An epoch's traffic holds only
+	// training messages: NewSystem charges construction traffic.
+	var peakMeanDeviceBytes int64
 	for _, t := range stats.EpochTraffic {
 		perDevice += t.AvgPerDevice()
-		epochBytes := t.TotalBytes(fed.MsgEmbedding, fed.MsgPooled, fed.MsgNegSample,
-			fed.MsgLoss, fed.MsgGradient)
-		if s.G.N > 0 {
-			if b := epochBytes / int64(s.G.N); b > maxDeviceBytes {
-				maxDeviceBytes = b
-			}
+		if b := t.TotalBytes() / int64(max(s.G.N, 1)); b > peakMeanDeviceBytes {
+			peakMeanDeviceBytes = b
 		}
 	}
 	stats.AvgCommRoundsPerDevice = perDevice / float64(len(stats.EpochTraffic))
@@ -162,9 +187,9 @@ func (s *System) finishStats(stats *TrainStats) {
 	if s.Cfg.Sched == SchedAsync {
 		// Bounded-staleness scheduling frees fast devices from the per-epoch
 		// straggler barrier; the cost model amortizes the straggler instead.
-		stats.SimEpochTime = model.EpochTimeAsync(s.Balanced.Workloads, rounds, maxDeviceBytes, s.Cfg.Staleness)
+		stats.SimEpochTime = model.EpochTimeAsync(s.Balanced.Workloads, rounds, peakMeanDeviceBytes, s.Cfg.Staleness)
 	} else {
-		stats.SimEpochTime = model.EpochTime(s.Balanced.Workloads, rounds, maxDeviceBytes)
+		stats.SimEpochTime = model.EpochTime(s.Balanced.Workloads, rounds, peakMeanDeviceBytes)
 	}
 }
 

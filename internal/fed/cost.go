@@ -101,8 +101,9 @@ func (c CostModel) LinkBytesPerSecond(bwA, bwB float64) float64 {
 //
 // workloads are the per-device retained-neighbor counts; rounds is the
 // number of serialized message rounds in the epoch (not total messages —
-// messages within a round travel in parallel); bytes is the maximum number
-// of bytes any single device moves in the epoch.
+// messages within a round travel in parallel); deviceBytes is what one
+// device moves in the epoch. The epoch trainers pass the mean device's bytes
+// (an epoch's bytes over N, the largest over the epochs), not the busiest's.
 func (c CostModel) EpochTime(workloads []int, rounds int, deviceBytes int64) time.Duration {
 	maxWl := 0
 	for _, w := range workloads {
@@ -132,7 +133,8 @@ func (c CostModel) assemble(effWorkload float64, rounds int, deviceBytes int64) 
 //	max(mean workload, max workload / (staleness+1))
 //
 // — the fleet cannot go faster than its average device, and the straggler
-// still bounds throughput once its lag budget is exhausted. staleness = 0
+// still bounds throughput once its lag budget is exhausted. deviceBytes is
+// EpochTime's (callers pass the mean device's bytes); staleness = 0
 // degenerates to the synchronous EpochTime.
 func (c CostModel) EpochTimeAsync(workloads []int, rounds int, deviceBytes int64, staleness int) time.Duration {
 	if staleness <= 0 {

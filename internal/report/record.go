@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"lumos/internal/core"
-	"lumos/internal/fed"
 	"lumos/internal/obs"
 	"lumos/internal/sim"
 )
@@ -147,8 +146,7 @@ func RowsFromTrainStats(stats *core.TrainStats) []RoundRow {
 	for i, loss := range stats.Losses {
 		row := RoundRow{Round: i, Loss: loss}
 		if i < len(stats.EpochTraffic) {
-			row.Bytes = stats.EpochTraffic[i].TotalBytes(fed.MsgEmbedding,
-				fed.MsgPooled, fed.MsgNegSample, fed.MsgLoss, fed.MsgGradient)
+			row.Bytes = stats.EpochTraffic[i].TotalBytes()
 		}
 		rows = append(rows, row)
 	}

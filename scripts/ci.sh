@@ -180,6 +180,15 @@ gate race ./internal/tensor \
 go test -run '^$' -fuzz '^FuzzKernelsMatchPortable$' -fuzztime 10s ./internal/tensor
 gate plain ./internal/fed TestSendNMatchesSends
 
+# One statement of what a training round sends (core.roundMessages), which
+# the network's counters and the simulator's transfer sizes both read: every
+# traffic counter of a sync, an async and a partial-participation run equals
+# the ledger golden recorded while the round was written out twice, and on
+# the four benchmark workloads' systems the enumeration conserves bytes per
+# kind, has a real sender and receiver for every message, and charges each
+# device its closed form in the tree sizes.
+gate plain ./internal/core TestTrafficLedgerGolden TestRoundMessagesConserve
+
 # The one-bit LDP encoders evaluate e^ε once per vector: Encode, the
 # per-vector recovery and MultiBit against the per-element methods and the
 # per-element oracle, bit for bit under a fixed RNG.

@@ -111,9 +111,9 @@ var entryPoints = []struct {
 	// lumos-serve needs a published snapshot and an open port; the
 	// serve_e2e_test drives it for real, so build-only here.
 	{pkg: "./cmd/lumos-serve", run: false},
-	{pkg: "./examples/linkprediction", run: false},
-	{pkg: "./examples/privacysweep", run: false},
-	{pkg: "./examples/socialnetwork", run: false},
+	{pkg: "./examples/linkprediction", run: true},
+	{pkg: "./examples/privacysweep", run: true},
+	{pkg: "./examples/socialnetwork", run: true},
 }
 
 // TestEntryPointsBuildAndRun builds every binary and executes the cheap
@@ -208,9 +208,12 @@ var transcriptGolden = map[string]string{
 	"cmd/lumos-train":          "cec01ae24835b8a5",
 	"examples/churnstudy":      "a6ae0020b8cf2ac3",
 	"examples/energystudy":     "9216fc87cbbeb24f",
+	"examples/linkprediction":  "355c8e078251bdaf",
+	"examples/privacysweep":    "a7bad85fb2f66294",
 	"examples/quickstart":      "a9222e1cbe7d7772",
 	"examples/securecompare":   "2a8ebe61c647ad45",
 	"examples/servequickstart": "ef5d29800c4d59d0",
+	"examples/socialnetwork":   "d6460784fa9ccb10",
 	"examples/topologystudy":   "c9f6357a2e734e7e",
 	"lumos-datagen-traces":     "8c640c6b562100ce",
 	"lumos-report-diff":        "8dade3c844f2e131",
