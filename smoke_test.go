@@ -87,10 +87,9 @@ var entryPoints = []struct {
 	{pkg: "./cmd/lumos-train", run: true, args: []string{
 		"-dataset", "facebook", "-scale", "0.005", "-epochs", "2", "-mcmc", "10"}},
 	// A dataset file lumos-datagen writes before the rows run (graph.Write →
-	// graph.Read), trained asynchronously, its weights written with -save.
+	// graph.Read), trained, its weights written with -save.
 	{pkg: "./cmd/lumos-train", name: "lumos-train-file", run: true, args: []string{
-		"-dataset", "file:{TMP}/g.bin", "-epochs", "2", "-mcmc", "10", "-sched", "async",
-		"-save", "{TMP}/w.bin"}},
+		"-dataset", "file:{TMP}/g.bin", "-epochs", "2", "-mcmc", "10", "-save", "{TMP}/w.bin"}},
 	{pkg: "./examples/churnstudy", run: true, args: []string{
 		"-n", "60", "-m", "240", "-rounds", "6", "-mcmc", "10"}},
 	// energystudy enforces its energy-monotone-in-participation invariant
@@ -225,7 +224,7 @@ var transcriptGolden = map[string]string{
 	"lumos-sim-telemetry":      "0d43a732ab65566f",
 	"lumos-sim-trace":          "8980c7efcf707f34",
 	"lumos-sim-unsupervised":   "e2a774782bcb958c",
-	"lumos-train-file":         "3701c32f66ae963e",
+	"lumos-train-file":         "a79110a13bbc7585",
 	"lumos-train-runrecord":    "447c56a0a654b0b1",
 }
 
