@@ -24,10 +24,10 @@ import (
 func main() {
 	data := cli.Data{Seed: 42}
 	model := cli.Model{Epsilon: 2, MCMC: 150}
-	engine := cli.Engine{Sched: "sync"}
+	var engine cli.Engine
 	data.Register(flag.CommandLine, "seed")
 	model.Register(flag.CommandLine, "eps", "mcmc", "secure")
-	engine.Register(flag.CommandLine)
+	engine.Register(flag.CommandLine, "workers")
 	var (
 		exp     = flag.String("exp", "all", "experiment: fig3|fig4|fig5|fig6|fig7|fig8|headline|all")
 		fbScale = flag.Float64("fbscale", 0.02, "Facebook preset scale (0,1]")
@@ -39,8 +39,6 @@ func main() {
 	)
 	flag.Parse()
 
-	sched, err := engine.EpochSched()
-	check(err)
 	opts := eval.Options{
 		FacebookScale:  *fbScale,
 		LastFMScale:    *lfScale,
@@ -49,8 +47,6 @@ func main() {
 		MCMCIterations: model.MCMC,
 		SecureCompare:  model.Secure,
 		Workers:        engine.Workers,
-		Sched:          sched,
-		Staleness:      engine.Staleness,
 		Seed:           data.Seed,
 	}
 	for _, b := range strings.Split(*bbs, ",") {

@@ -29,11 +29,11 @@ import (
 func main() {
 	data := cli.Data{Dataset: "facebook", Scale: 0.02, Seed: 7}
 	model := cli.Model{Task: "supervised", Backbone: "gcn", Epsilon: 2, MCMC: 150}
-	engine := cli.Engine{Sched: "sync"}
+	var engine cli.Engine
 	var rec cli.Record
 	data.Register(flag.CommandLine)
 	model.Register(flag.CommandLine)
-	engine.Register(flag.CommandLine)
+	engine.Register(flag.CommandLine, "workers")
 	rec.Register(flag.CommandLine)
 	var (
 		epochs  = flag.Int("epochs", 60, "training epochs")
@@ -46,10 +46,7 @@ func main() {
 
 	cfg, err := model.Config()
 	check(err)
-	cfg.Sched, err = engine.EpochSched()
-	check(err)
-	cfg.Workers, cfg.Staleness = engine.Workers, engine.Staleness
-	cfg.Epochs, cfg.Seed = *epochs, data.Seed
+	cfg.Workers, cfg.Epochs, cfg.Seed = engine.Workers, *epochs, data.Seed
 	cfg.DisableVirtualNodes, cfg.DisableTreeTrimming = *noVN, *noTT
 
 	g, err := data.Load()

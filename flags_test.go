@@ -21,10 +21,8 @@ var flagSetGolden = map[string]string{
 -fbscale float 0.02
 -lfscale float 0.1
 -mcmc int 150
--sched string "sync"
 -secure bool
 -seed int 42
--staleness int
 -workers int`,
 	"lumos-datagen": `-dataset string "facebook"
 -devices int 48
@@ -94,10 +92,8 @@ var flagSetGolden = map[string]string{
 -run-out string
 -save string
 -scale float 0.02
--sched string "sync"
 -secure bool
 -seed int 7
--staleness int
 -task string "supervised"
 -trace string
 -workers int`,

@@ -9,7 +9,6 @@
 package cli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -110,36 +109,28 @@ func (m *Model) Config() (core.Config, error) {
 }
 
 // Engine sizes and schedules the training engine: -workers, -sched,
-// -staleness.
+// -staleness. Every trainer binds -workers; only lumos-sim schedules
+// rounds, so only it binds -sched and -staleness.
 type Engine struct {
 	Workers   int
 	Sched     string
 	Staleness int
 }
 
-// Register binds -workers, -sched and -staleness to e on fs.
-func (e *Engine) Register(fs *flag.FlagSet) {
-	fs.IntVar(&e.Workers, "workers", e.Workers, "training worker pool size (0 = one per CPU; results identical)")
-	fs.StringVar(&e.Sched, "sched", e.Sched, "round scheduling: sync|async (staleness-bounded); lumos-sim adds gossip|both")
-	fs.IntVar(&e.Staleness, "staleness", e.Staleness, "async gradient staleness bound in rounds, or epochs for the epoch trainers (0 = default)")
-}
-
-// errGossipNeedsSim rejects -sched gossip on a command that trains by
-// epochs: gossip trains a replica per device over a contact graph, which
-// only the simulator runs.
-var errGossipNeedsSim = errors.New("-sched gossip trains per-device replicas over a contact graph, which only the simulator runs: use lumos-sim -sched gossip -topology <spec>")
-
-// EpochSched parses -sched for a command that trains by epochs: sync or
-// async. Gossip is rejected with an error that points at lumos-sim.
-func (e *Engine) EpochSched() (core.Sched, error) {
-	s, err := core.ParseSched(e.Sched)
-	if err != nil {
-		return 0, err
-	}
-	if s == core.SchedGossip {
-		return 0, errGossipNeedsSim
-	}
-	return s, nil
+// Register binds -workers, -sched and -staleness to e on fs, or only the
+// named ones (the epoch trainers take just -workers).
+func (e *Engine) Register(fs *flag.FlagSet, only ...string) {
+	register(map[string]func(){
+		"workers": func() {
+			fs.IntVar(&e.Workers, "workers", e.Workers, "training worker pool size (0 = one per CPU; results identical)")
+		},
+		"sched": func() {
+			fs.StringVar(&e.Sched, "sched", e.Sched, "round scheduling: sync|async (staleness-bounded)|gossip (with -topology)|both (sync and async)")
+		},
+		"staleness": func() {
+			fs.IntVar(&e.Staleness, "staleness", e.Staleness, "async gradient staleness bound in rounds (0 = default)")
+		},
+	}, only)
 }
 
 // Record asks for a run's telemetry and run record: -trace, -metrics,

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -74,9 +73,11 @@ func TestRegisterOnly(t *testing.T) {
 	fs := newFlagSet()
 	var data Data
 	var model Model
+	var engine Engine
 	data.Register(fs, "seed")
 	model.Register(fs, "eps", "mcmc", "secure")
-	if got := strings.Join(flagNames(fs), " "); got != "eps mcmc secure seed" {
+	engine.Register(fs, "workers")
+	if got := strings.Join(flagNames(fs), " "); got != "eps mcmc secure seed workers" {
 		t.Fatalf("flags %q", got)
 	}
 	defer func() {
@@ -100,23 +101,6 @@ func TestModelConfig(t *testing.T) {
 		if _, err := m.Config(); err == nil {
 			t.Errorf("%+v: no error", m)
 		}
-	}
-}
-
-// TestEpochSchedRejectsGossip: the epoch trainers used to accept -sched
-// gossip and silently train synchronously.
-func TestEpochSchedRejectsGossip(t *testing.T) {
-	for name, want := range map[string]core.Sched{"sync": core.SchedSync, "async": core.SchedAsync} {
-		if got, err := (&Engine{Sched: name}).EpochSched(); err != nil || got != want {
-			t.Fatalf("-sched %s: %v, %v", name, got, err)
-		}
-	}
-	_, err := (&Engine{Sched: "gossip"}).EpochSched()
-	if !errors.Is(err, errGossipNeedsSim) || !strings.Contains(err.Error(), "lumos-sim -sched gossip -topology") {
-		t.Fatalf("gossip: %v", err)
-	}
-	if _, err := (&Engine{Sched: "both"}).EpochSched(); err == nil {
-		t.Fatal("-sched both accepted by an epoch trainer")
 	}
 }
 

@@ -154,16 +154,22 @@ func freshTapeLosses(t *testing.T, sys *System, obj Objective) []float64 {
 		t.Fatal(err)
 	}
 	for epoch := 0; epoch < sys.Cfg.Epochs; epoch++ {
-		for i := range sys.eng.tapes {
-			sys.eng.tapes[i] = nil
-		}
-		sys.eng.serial = nil
+		dropTapes(sys)
 		if _, err := sess.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sess.FinishRounds()
 	return sess.Stats().Losses
+}
+
+// dropTapes throws the engine's tapes away, so the next step records on
+// brand-new ones.
+func dropTapes(sys *System) {
+	for i := range sys.eng.tapes {
+		sys.eng.tapes[i] = nil
+	}
+	sys.eng.serial = nil
 }
 
 // TestTapeReuseMatchesFreshTapes is the tape-lifecycle golden at system
@@ -184,15 +190,20 @@ func TestTapeReuseMatchesFreshTapes(t *testing.T) {
 	}
 }
 
-// TestTapeReuseMatchesFreshTapesAsync extends the golden to the async
-// scheduler, whose delayed-gradient queue detaches buffers from the view
-// parameters — the one place tape-era buffers outlive an epoch.
+// TestTapeReuseMatchesFreshTapesAsync extends the golden to delayed
+// gradients, as the simulator's async rounds hand them to StepRound: the
+// delayed-gradient queue detaches buffers from the view parameters — the
+// one place tape-era buffers outlive a round. sparseRoundPlans' rounds run
+// through recycled tapes and through fresh ones.
 func TestTapeReuseMatchesFreshTapesAsync(t *testing.T) {
 	g := engineGraph(t, 23)
-	cfg := Config{Epochs: 5, MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Workers: 2, Seed: 23}
-	sys, split := supervisedSystem(t, g, cfg)
-	requireIdentical(t, "async reuse vs fresh",
-		supervisedLosses(t, g, cfg), freshTapeLosses(t, sys, NewSupervisedObjective(split)))
+	cfg := Config{MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Workers: 2, Seed: 23}
+	reused, stale := asyncRoundLosses(t, g, cfg, sparseRoundPlans(g.N), false)
+	fresh, _ := asyncRoundLosses(t, g, cfg, sparseRoundPlans(g.N), true)
+	if stale == 0 {
+		t.Fatal("no delayed gradient was applied")
+	}
+	requireIdentical(t, "async reuse vs fresh", reused, fresh)
 }
 
 // TestEvaluationDoesNotPerturbTraining guards the tape-reset discipline

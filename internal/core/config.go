@@ -27,11 +27,12 @@ const (
 	// devices, gradients are aggregated synchronously, and the epoch time is
 	// dominated by the straggler.
 	SchedSync Sched = iota
-	// SchedAsync is staleness-bounded asynchronous scheduling: straggler
-	// shards may apply their gradient contributions up to Config.Staleness
-	// epochs late, and the cost model amortizes their compute accordingly.
-	// Scheduling is simulated deterministically (delays derive from the
-	// shard workload ranking), so training remains reproducible.
+	// SchedAsync is staleness-bounded asynchronous scheduling, run by
+	// internal/sim: a round commits before its stragglers deliver, and a
+	// straggler's gradient applies up to Config.Staleness rounds late. The
+	// simulator derives each gradient's delay from its priced arrival and
+	// hands it to Session.StepRound (RoundPlan.Delays), so training remains
+	// reproducible. Session.Step refuses an async system.
 	SchedAsync
 	// SchedGossip is decentralized scheduling: there is no aggregator, and
 	// devices average model deltas with their contact-graph neighbors using
@@ -164,11 +165,13 @@ type Config struct {
 	// default system has at most DefaultShards (32) shards, so at most 32
 	// workers have work on a many-core host; set Shards higher there.
 	Shards int
-	// Sched selects synchronous (default, the paper's protocol) or
-	// staleness-bounded asynchronous round scheduling.
+	// Sched selects synchronous (default, the paper's protocol),
+	// staleness-bounded asynchronous or gossip round scheduling. Only sync
+	// trains by epochs (Session.Step); internal/sim runs the other two.
 	Sched Sched
-	// Staleness bounds, in epochs, how late a straggler shard's gradient may
-	// be applied under SchedAsync (default 1 when async; ignored when sync).
+	// Staleness bounds, in rounds, how late the simulator may apply a
+	// straggler's gradient under SchedAsync (default 1 when async; must be
+	// 0 otherwise).
 	Staleness int
 
 	// Metrics, when non-nil, receives runtime counters/gauges/histograms

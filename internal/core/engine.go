@@ -43,14 +43,6 @@ import (
 // shard order, and parallel phases otherwise write only shard-local state.
 // So Workers=1 and Workers=N produce bit-identical losses and weights.
 //
-// Under Config.Sched == SchedAsync, step 3's reduction additionally delays
-// the gradient contribution of straggler shards (the heaviest trees) by up
-// to Config.Staleness epochs, simulating staleness-bounded asynchronous
-// aggregation: the reduction queues their gradients instead, and queued
-// gradients that come due fold in before any fresh one. The delay schedule
-// derives from the shard workload ranking, so async runs are exactly as
-// reproducible as sync ones.
-//
 // Memory: a round holds only what its backward will read. Every tape the
 // engine records on — the shard tapes and the serial tape — draws from one
 // engine-wide autodiff.Pool, whose buffers are size-classed so that shards
@@ -96,8 +88,8 @@ type shard struct {
 	// order), so Eq. 31's gather-scale-sum runs as one CSR aggregation over
 	// len(verts) segments.
 	pool *tensor.CSR
-	// work is the shard's node count — its compute weight, used both to
-	// balance the partition and to rank stragglers for async scheduling.
+	// work is the shard's node count — its compute weight, used to balance
+	// the partition.
 	work int
 }
 
@@ -122,7 +114,6 @@ type engine struct {
 	pool    *autodiff.Pool
 	serial  *autodiff.Tape // tape of the serial combine-and-loss phase
 	workers int
-	delays  []int // per-shard staleness delay in epochs (all zero when sync)
 	queue   []delayedGrads
 	epoch   int
 	// Parameter lists are cached once: Params() allocates, and the epoch
@@ -225,11 +216,6 @@ func newEngine(s *System) *engine {
 	e.buildHolders()
 	e.encParams = s.Encoder.Params()
 	e.allParams = s.Params()
-	staleness := 0
-	if s.Cfg.Sched == SchedAsync {
-		staleness = s.Cfg.Staleness
-	}
-	e.delays = shardDelays(e.shards, staleness)
 	return e
 }
 
@@ -371,38 +357,6 @@ func buildShards(f *Forest, trees []*tree.Tree, target int) []*shard {
 	return shards
 }
 
-// shardDelays assigns each shard its gradient-application delay: the
-// heaviest shard lags the full staleness bound, the next heaviest one epoch
-// less, and so on down to zero. Ties break by shard index, keeping the
-// schedule deterministic.
-func shardDelays(shards []*shard, staleness int) []int {
-	delays := make([]int, len(shards))
-	if staleness <= 0 {
-		return delays
-	}
-	order := make([]int, len(shards))
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort by descending work, ascending index — shard counts are
-	// small (≤ DefaultShards) and this avoids pulling in sort for one call.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if shards[a].work > shards[b].work || (shards[a].work == shards[b].work && a < b) {
-				break
-			}
-			order[j-1], order[j] = b, a
-		}
-	}
-	for rank, s := range order {
-		if d := staleness - rank; d > 0 {
-			delays[s] = d
-		}
-	}
-	return delays
-}
-
 // parallel runs fn(i) for every shard index in shards on the engine's
 // worker pool, with no more workers than shards: a phase with one shard to
 // run (a gossip device's step) runs on the caller. Shard order of side
@@ -502,10 +456,9 @@ func (e *engine) forward() *autodiff.Value {
 	return autodiff.ScatterAddN(e.sys.G.N, e.cuts, nil, e.allVerts)
 }
 
-// step runs one full-participation training epoch under the engine's
-// built-in (workload-ranked) staleness schedule, combining the pooled rows
-// of the vertices in rows (nil = all N; see stepRound). Returns the epoch
-// loss.
+// step runs one full-participation training epoch, every gradient applied
+// at once, combining the pooled rows of the vertices in rows (nil = all N;
+// see stepRound). Returns the epoch loss.
 func (e *engine) step(rows []int, lossFn func(pooled *autodiff.Value) *autodiff.Value) float64 {
 	loss, _ := e.stepRound(nil, nil, 0, rows, lossFn)
 	return loss
@@ -534,8 +487,8 @@ type roundReport struct {
 // sent back, a +0 gradient.
 //
 // delays, when non-nil, gives each shard's gradient-application delay in
-// rounds (e.g. derived from simulated message arrivals); nil selects the
-// engine's own workload-ranked schedule. An inactive shard contributes the
+// rounds (e.g. derived from simulated message arrivals); nil applies every
+// gradient this round. An inactive shard contributes the
 // pooled partial cached from its last active round — the embeddings its
 // leaves pushed before the devices went offline — until the cache is more
 // than partTTL rounds old, after which the contribution is dropped.
@@ -694,9 +647,9 @@ func (e *engine) foldInOrder(i int, delays []int) {
 // fold detaches fresh shard i's view gradients: an immediate (delay-0) one
 // folds straight into the real parameters and its buffer goes back to the
 // pool, a delayed one goes into the queue until applyDue applies it and
-// pools it. delays is stepRound's (nil: the engine's own schedule).
+// pools it. delays is stepRound's (nil: every gradient applies now).
 func (e *engine) fold(i int, delays []int) {
-	d := e.delays[i]
+	d := 0
 	if delays != nil {
 		d = delays[i]
 	}

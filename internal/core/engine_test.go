@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -171,68 +173,96 @@ func TestConcurrentSystemsTrainIndependently(t *testing.T) {
 	}
 }
 
-// TestAsyncSchedulingDeterminism checks that staleness-bounded async runs
+// asyncRoundLosses steps a fresh supervised system built from cfg through
+// plans with StepRound, as the simulator drives an async system, and
+// returns the round losses and the number of delayed gradients applied.
+// fresh drops the engine's tapes before every round.
+func asyncRoundLosses(t *testing.T, g *graph.Graph, cfg Config, plans []RoundPlan, fresh bool) ([]float64, int) {
+	t.Helper()
+	sys, split := supervisedSystem(t, g, cfg)
+	sess, err := sys.NewSession(NewSupervisedObjective(split))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var losses []float64
+	stale := 0
+	for r, plan := range plans {
+		if fresh {
+			dropTapes(sys)
+		}
+		out, err := sess.StepRound(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Skipped {
+			t.Fatalf("round %d skipped", r)
+		}
+		losses = append(losses, out.Loss)
+		stale += out.StaleApplied
+	}
+	sess.FinishRounds()
+	return losses, stale
+}
+
+// TestAsyncSchedulingDeterminism checks that rounds with delayed gradients
 // are exactly as reproducible as sync ones, across worker counts.
 func TestAsyncSchedulingDeterminism(t *testing.T) {
 	g := engineGraph(t, 11)
-	base := Config{Epochs: 6, MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Seed: 11}
+	base := Config{MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Seed: 11}
 	w1 := base
 	w1.Workers = 1
 	w8 := base
 	w8.Workers = 8
-	a := supervisedLosses(t, g, w1)
-	b := supervisedLosses(t, g, w8)
+	a, _ := asyncRoundLosses(t, g, w1, sparseRoundPlans(g.N), false)
+	b, _ := asyncRoundLosses(t, g, w8, sparseRoundPlans(g.N), false)
 	requireIdentical(t, "async workers 1 vs 8", a, b)
-	requireIdentical(t, "async repeat run", a, supervisedLosses(t, g, w1))
+	c, _ := asyncRoundLosses(t, g, w1, sparseRoundPlans(g.N), false)
+	requireIdentical(t, "async repeat run", a, c)
 }
 
-// TestAsyncDiffersFromSync guards against the async path silently being a
-// no-op: delaying straggler gradients must actually change the trajectory.
+// TestAsyncDiffersFromSync guards against the delayed-gradient queue
+// silently being a no-op: the same rounds with their delays must change the
+// trajectory.
 func TestAsyncDiffersFromSync(t *testing.T) {
 	g := engineGraph(t, 12)
-	sync := Config{Epochs: 6, MCMCIterations: 20, Seed: 12}
-	async := Config{Epochs: 6, MCMCIterations: 20, Sched: SchedAsync, Staleness: 3, Seed: 12}
-	a, b := supervisedLosses(t, g, sync), supervisedLosses(t, g, async)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
-		}
+	cfg := Config{MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Seed: 12}
+	async := sparseRoundPlans(g.N)
+	sync := sparseRoundPlans(g.N)
+	for r := range sync {
+		sync[r].Delays = nil
 	}
-	if same {
-		t.Fatal("async scheduling produced an identical trajectory to sync")
+	a, stale := asyncRoundLosses(t, g, cfg, async, false)
+	b, _ := asyncRoundLosses(t, g, cfg, sync, false)
+	if stale == 0 {
+		t.Fatal("no delayed gradient was applied")
+	}
+	if slices.Equal(a, b) {
+		t.Fatal("delayed gradients produced an identical trajectory to immediate ones")
 	}
 }
 
-// TestAsyncReducesSimEpochTime checks the cost-model side of the scheduler
-// knob: on a straggler-heavy graph, bounded staleness must lower the
-// simulated epoch time.
-func TestAsyncReducesSimEpochTime(t *testing.T) {
+// TestNilDelaysApplyNow: a round whose plan has no delays applies every
+// gradient at once, whatever the system's Sched, so StepRound(RoundPlan{})
+// on an async system traces Step on the same system under SchedSync. Step
+// itself trains sync epochs only: an async or gossip system's epoch trainer
+// refuses, naming internal/sim, instead of silently training in lockstep.
+func TestNilDelaysApplyNow(t *testing.T) {
 	g := engineGraph(t, 13)
-	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(13)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(cfg Config) *TrainStats {
-		cfg.Task = Supervised
-		// Skip trimming so the workload distribution keeps its raw power-law
-		// straggler, which async scheduling then amortizes.
-		cfg.DisableTreeTrimming = true
-		sys, err := NewSystem(g, g, cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := Config{Epochs: 6, MCMCIterations: 20, Seed: 13}
+	want := supervisedLosses(t, g, cfg)
+	async := cfg
+	async.Sched, async.Staleness = SchedAsync, 2
+	got, _ := asyncRoundLosses(t, g, async, make([]RoundPlan, cfg.Epochs), false)
+	requireIdentical(t, "async StepRound(RoundPlan{}) vs sync Step", want, got)
+
+	for _, sched := range []Sched{SchedAsync, SchedGossip} {
+		c := cfg
+		c.Sched = sched
+		sys, split := supervisedSystem(t, g, c)
+		_, err := sys.TrainSupervised(split)
+		if err == nil || !strings.Contains(err.Error(), "internal/sim") {
+			t.Errorf("%v: TrainSupervised returned %v, want a refusal naming internal/sim", sched, err)
 		}
-		stats, err := sys.TrainSupervised(split)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	syncStats := run(Config{Epochs: 2, Seed: 13})
-	asyncStats := run(Config{Epochs: 2, Sched: SchedAsync, Staleness: 4, Seed: 13})
-	if asyncStats.SimEpochTime >= syncStats.SimEpochTime {
-		t.Fatalf("async epoch time %v not below sync %v", asyncStats.SimEpochTime, syncStats.SimEpochTime)
 	}
 }
 
@@ -321,25 +351,6 @@ func TestShardPartitionInvariants(t *testing.T) {
 		}
 		if nodes != sys.Forest.NumNodes {
 			t.Fatalf("shards hold %d nodes, forest has %d", nodes, sys.Forest.NumNodes)
-		}
-	}
-}
-
-// TestShardDelaysRanking checks the deterministic straggler schedule: the
-// heaviest shard carries the full staleness bound, descending to zero.
-func TestShardDelaysRanking(t *testing.T) {
-	shards := []*shard{{work: 5}, {work: 40}, {work: 12}, {work: 40}}
-	delays := shardDelays(shards, 2)
-	// Ranking by (work desc, index asc): 1, 3, 2, 0.
-	want := []int{0, 2, 0, 1}
-	for i := range want {
-		if delays[i] != want[i] {
-			t.Fatalf("delays = %v, want %v", delays, want)
-		}
-	}
-	for _, d := range shardDelays(shards, 0) {
-		if d != 0 {
-			t.Fatal("sync delays must all be zero")
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // discrete-event simulator, and any future runner. A session can be driven
 // two ways, freely per step:
 //
-//   - Step() runs one full-participation epoch with validation-based model
-//     selection, accumulating the TrainStats record;
+//   - Step() runs one full-participation synchronous epoch with
+//     validation-based model selection, accumulating the TrainStats record;
 //   - StepRound(plan) runs one partial-participation round under the
 //     caller's participation mask, gradient delays, and cache TTL — the
 //     simulator's per-round entry point.
@@ -64,14 +64,19 @@ func (s *System) NewSession(obj Objective) (*Session, error) {
 	}, nil
 }
 
-// Step runs one full-participation training epoch: the objective draws its
-// per-epoch samples, the engine executes the sharded forward/backward under
-// the configured schedule, traffic is accounted, and — every
-// Config.EvalEvery epochs and on the final configured epoch — the
+// Step runs one full-participation synchronous training epoch: the
+// objective draws its per-epoch samples, the engine executes the sharded
+// forward/backward and applies every gradient, traffic is accounted, and —
+// every Config.EvalEvery epochs and on the final configured epoch — the
 // objective's validation metric drives model selection. Returns the epoch
-// loss, or the validation metric's error.
+// loss, or the validation metric's error. Only a SchedSync system steps by
+// epochs: an async or gossip system trains round by round in internal/sim,
+// which prices each round and derives its delays, so Step refuses it.
 func (se *Session) Step() (float64, error) {
 	s := se.sys
+	if s.Cfg.Sched != SchedSync {
+		return 0, fmt.Errorf("core: Step trains synchronous epochs only; under Sched=%v training runs round by round in internal/sim (lumos-sim -sched %v)", s.Cfg.Sched, s.Cfg.Sched)
+	}
 	t0 := se.tel.begin()
 	before := s.Net.Snapshot()
 	if !se.obj.begin(nil) {

@@ -183,14 +183,7 @@ func (s *System) finishStats(stats *TrainStats) {
 	if s.Cfg.Task == Unsupervised {
 		rounds += 2
 	}
-	model := fed.DefaultCostModel()
-	if s.Cfg.Sched == SchedAsync {
-		// Bounded-staleness scheduling frees fast devices from the per-epoch
-		// straggler barrier; the cost model amortizes the straggler instead.
-		stats.SimEpochTime = model.EpochTimeAsync(s.Balanced.Workloads, rounds, peakMeanDeviceBytes, s.Cfg.Staleness)
-	} else {
-		stats.SimEpochTime = model.EpochTime(s.Balanced.Workloads, rounds, peakMeanDeviceBytes)
-	}
+	stats.SimEpochTime = fed.DefaultCostModel().EpochTime(s.Balanced.Workloads, rounds, peakMeanDeviceBytes)
 }
 
 // Embeddings returns the pooled per-vertex embeddings in evaluation mode.

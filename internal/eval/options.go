@@ -40,12 +40,7 @@ type Options struct {
 	// Workers sizes every trainer's worker pool (0 = one per CPU). Results
 	// are bit-identical for any value; this only changes wall-clock time.
 	Workers int
-	// Sched selects the round scheduling mode for the Lumos systems
-	// (default core.SchedSync, the paper's lockstep protocol).
-	Sched core.Sched
-	// Staleness is the async gradient-staleness bound (SchedAsync only).
-	Staleness int
-	Seed      int64
+	Seed    int64
 }
 
 // Dataset names used throughout the harness.
@@ -166,8 +161,7 @@ func (o *Options) config(task core.Task, bb nn.Backbone) core.Config {
 		Task: task, Backbone: bb,
 		Epsilon: o.Epsilon, Epochs: o.Epochs,
 		MCMCIterations: o.MCMCIterations, SecureCompare: o.SecureCompare,
-		Workers: o.Workers, Sched: o.Sched, Staleness: o.Staleness,
-		Seed: o.Seed,
+		Workers: o.Workers, Seed: o.Seed,
 	}
 }
 

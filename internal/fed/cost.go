@@ -111,49 +111,8 @@ func (c CostModel) EpochTime(workloads []int, rounds int, deviceBytes int64) tim
 			maxWl = w
 		}
 	}
-	return c.assemble(float64(maxWl), rounds, deviceBytes)
-}
-
-// assemble turns an effective per-epoch workload into a wall-time estimate;
-// shared by the sync and async models so their comm/transfer terms can
-// never drift apart.
-func (c CostModel) assemble(effWorkload float64, rounds int, deviceBytes int64) time.Duration {
-	compute := c.BaseCompute + time.Duration(effWorkload*float64(c.PerLeafPair))
+	compute := c.BaseCompute + time.Duration(float64(maxWl)*float64(c.PerLeafPair))
 	comm := time.Duration(rounds) * c.MsgLatency
 	transfer := time.Duration(float64(deviceBytes) / c.BytesPerSecond * float64(time.Second))
 	return compute + comm + transfer
-}
-
-// EpochTimeAsync estimates one epoch's wall time under staleness-bounded
-// asynchronous scheduling: the aggregator no longer waits for the straggler
-// every epoch, so a device that is up to `staleness` epochs behind has its
-// compute amortized over staleness+1 epochs. The effective per-epoch compute
-// is therefore
-//
-//	max(mean workload, max workload / (staleness+1))
-//
-// — the fleet cannot go faster than its average device, and the straggler
-// still bounds throughput once its lag budget is exhausted. deviceBytes is
-// EpochTime's (callers pass the mean device's bytes); staleness = 0
-// degenerates to the synchronous EpochTime.
-func (c CostModel) EpochTimeAsync(workloads []int, rounds int, deviceBytes int64, staleness int) time.Duration {
-	if staleness <= 0 {
-		return c.EpochTime(workloads, rounds, deviceBytes)
-	}
-	maxWl, sum := 0, 0
-	for _, w := range workloads {
-		if w > maxWl {
-			maxWl = w
-		}
-		sum += w
-	}
-	mean := 0.0
-	if len(workloads) > 0 {
-		mean = float64(sum) / float64(len(workloads))
-	}
-	eff := float64(maxWl) / float64(staleness+1)
-	if mean > eff {
-		eff = mean
-	}
-	return c.assemble(eff, rounds, deviceBytes)
 }

@@ -66,34 +66,20 @@ type Traffic struct {
 	PerDeviceSent []int // messages initiated by each device (server excluded)
 }
 
-// TotalMessages sums messages over the given kinds (all kinds if none given).
-func (t Traffic) TotalMessages(kinds ...MessageKind) int {
-	if len(kinds) == 0 {
-		s := 0
-		for _, c := range t.Messages {
-			s += c
-		}
-		return s
-	}
+// TotalMessages sums messages over every kind.
+func (t Traffic) TotalMessages() int {
 	s := 0
-	for _, k := range kinds {
-		s += t.Messages[k]
+	for _, c := range t.Messages {
+		s += c
 	}
 	return s
 }
 
-// TotalBytes sums bytes over the given kinds (all kinds if none given).
-func (t Traffic) TotalBytes(kinds ...MessageKind) int64 {
-	if len(kinds) == 0 {
-		var s int64
-		for _, c := range t.Bytes {
-			s += c
-		}
-		return s
-	}
+// TotalBytes sums bytes over every kind.
+func (t Traffic) TotalBytes() int64 {
 	var s int64
-	for _, k := range kinds {
-		s += t.Bytes[k]
+	for _, c := range t.Bytes {
+		s += c
 	}
 	return s
 }

@@ -29,11 +29,10 @@
 // SchedAsync commits once half the participants have delivered, and a
 // straggler may run up to Config.Staleness rounds behind before it blocks a
 // commit — its update applies stale through the engine's delayed-gradient
-// queue, amortizing its compute exactly as fed.CostModel.EpochTimeAsync
-// models analytically. A device away longer than the bound re-downloads the
-// model first. With a finite CostModel.AggBytesPerSecond, uploads,
-// re-downloads and broadcasts serialize through a deterministic M/G/1-style
-// FIFO server at the aggregator (fleet.Server); zero capacity reproduces the
+// queue. A device away longer than the bound re-downloads the model first.
+// With a finite CostModel.AggBytesPerSecond, uploads, re-downloads and
+// broadcasts serialize through a deterministic M/G/1-style FIFO server at
+// the aggregator (fleet.Server); zero capacity reproduces the
 // independent-link timeline bit for bit. SchedGossip has no aggregator:
 // device replicas step locally and mix with their Scenario.Topology
 // neighbours after exchanging deltas over per-link servers (gossip.go).

@@ -83,11 +83,11 @@
 //
 // Config.Sched selects the round schedule. SchedSync (default) is the
 // paper's lockstep protocol: every epoch aggregates all gradients and waits
-// for the straggler. SchedAsync simulates staleness-bounded asynchronous
-// aggregation: the heaviest (straggler) shards apply their gradients up to
-// Config.Staleness epochs late, and the system-cost model amortizes their
-// compute accordingly. SchedGossip is decentralized and runs only in the
-// simulator (below).
+// for the straggler; it is the only schedule the epoch trainers (Step,
+// TrainSupervised, TrainUnsupervised) run. SchedAsync (staleness-bounded
+// asynchronous aggregation, a straggler's gradient applying up to
+// Config.Staleness rounds late) and SchedGossip (decentralized) run only in
+// the simulator (below), which prices each round and derives its delays.
 //
 // # Scenario simulation (internal/sim)
 //

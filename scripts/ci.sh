@@ -296,6 +296,12 @@ gate plain ./internal/core TestRoundKeepsWhatBackwardReads
 GATE_COUNT=10 gate race ./internal/sim TestSimDeterminismAcrossWorkers TestGossipDeterminismAcrossWorkers
 GATE_COUNT=10 gate race ./internal/core TestTapeReuseMatchesFreshTapesAsync
 
+# Async training has one implementation, the simulator's: a round's delays
+# come only from its RoundPlan (nil = every gradient applies now, so an
+# empty plan on an async system traces a sync Step), and Step refuses an
+# async or gossip system instead of training it in lockstep.
+gate plain ./internal/core TestNilDelaysApplyNow
+
 # A shard holds buffers only while it computes: two tapes on one shared
 # pool reuse each other's buffers and match private tapes bit for bit,
 # recording in turn and on two goroutines at once (the pool is the only
@@ -488,12 +494,12 @@ gate plain ./internal/serve TestServeHTTPGolden TestCloseRefusesQueries
 # One flag set: every smoke row's transcript golden (checked inside
 # TestEntryPointsBuildAndRun) and every CLI's flag-set golden, both recorded
 # before the shared flag groups moved into internal/cli; the epoch trainers
-# refusing -sched gossip; and the internal/cli group tests.
-gate plain . TestEntryPointsBuildAndRun TestCLIFlagSets TestEpochTrainersRejectGossip
+# refusing -sched (they train sync epochs; only lumos-sim schedules rounds);
+# and the internal/cli group tests.
+gate plain . TestEntryPointsBuildAndRun TestCLIFlagSets TestEpochTrainersRefuseSched
 gate plain ./internal/cli \
 	TestGroupsBindDefaultsAndParse TestRegisterOnly TestModelConfig \
-	TestEpochSchedRejectsGossip TestManifest TestRecordStartWithoutFlags \
-	TestRecordPerModePaths
+	TestManifest TestRecordStartWithoutFlags TestRecordPerModePaths
 
 # Report gates: the analyzer/diff/record unit suites (critical-path
 # attribution under the race detector, the e2e straggler-blame acceptance

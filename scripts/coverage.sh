@@ -9,7 +9,7 @@
 #   - the benchmark (bench/) on each of its four workloads, in both trace
 #     modes, at --seconds 3 (4–9 s a run on a 2-vCPU host);
 #   - the CLI smoke rows, the train → publish → serve e2e round trip and the
-#     epoch trainers' -sched gossip refusal, whose binaries the root test
+#     epoch trainers' -sched refusal, whose binaries the root test
 #     binary builds with -cover (GOFLAGS). The test binary itself is not
 #     instrumented: what a test calls directly does not count.
 #
@@ -44,7 +44,7 @@ for workload in epoch-gcn-secure epoch-gat-linkpred sim-async-churn gossip-ba-sw
 done
 
 if ! out=$(GOFLAGS='-cover -coverpkg=lumos/...' GOCOVERDIR="$work/cov" "$work/root.test" -test.v \
-	-test.run '^(TestEntryPointsBuildAndRun|TestServePublishServeQueryE2E|TestEpochTrainersRejectGossip)$' 2>&1); then
+	-test.run '^(TestEntryPointsBuildAndRun|TestServePublishServeQueryE2E|TestEpochTrainersRefuseSched)$' 2>&1); then
 	echo "coverage: the production rows failed:" >&2
 	echo "$out" >&2
 	exit 1

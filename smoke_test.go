@@ -257,11 +257,11 @@ func normalizeTranscript(out, tmp string) string {
 	return b.String()
 }
 
-// TestEpochTrainersRejectGossip: lumos-train and lumos-bench train by
-// epochs, so -sched gossip (which needs a contact graph and per-device
-// replicas) must fail and point at lumos-sim instead of silently training
-// synchronously.
-func TestEpochTrainersRejectGossip(t *testing.T) {
+// TestEpochTrainersRefuseSched: lumos-train and lumos-bench train sync
+// epochs, and only lumos-sim schedules rounds, so the epoch trainers have no
+// -sched flag: -sched gossip and -sched async must exit non-zero before any
+// epoch trains, instead of silently training synchronously.
+func TestEpochTrainersRefuseSched(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skipf("go binary not available: %v", err)
@@ -271,16 +271,20 @@ func TestEpochTrainersRejectGossip(t *testing.T) {
 		pkg  string
 		args []string
 	}{
-		{"./cmd/lumos-train", []string{"-scale", "0.005", "-epochs", "2", "-mcmc", "5", "-sched", "gossip"}},
-		{"./cmd/lumos-bench", []string{"-exp", "fig7", "-datasets", "facebook", "-fbscale", "0.004", "-mcmc", "5", "-sched", "gossip"}},
+		{"./cmd/lumos-train", []string{"-scale", "0.005", "-epochs", "2", "-mcmc", "5"}},
+		{"./cmd/lumos-bench", []string{"-exp", "fig7", "-datasets", "facebook", "-fbscale", "0.004", "-mcmc", "5"}},
 	} {
 		bin := filepath.Join(binDir, filepath.Base(c.pkg))
 		if out, err := exec.Command(goBin, "build", "-o", bin, c.pkg).CombinedOutput(); err != nil {
 			t.Fatalf("go build %s: %v\n%s", c.pkg, err, out)
 		}
-		out, err := exec.Command(bin, c.args...).CombinedOutput()
-		if err == nil || !strings.Contains(string(out), "lumos-sim -sched gossip -topology") {
-			t.Errorf("%s -sched gossip: err %v, output:\n%s", c.pkg, err, out)
+		for _, sched := range []string{"gossip", "async"} {
+			out, err := exec.Command(bin, append(c.args, "-sched", sched)...).CombinedOutput()
+			// The flag package refuses an undefined flag while parsing, so
+			// the process exits before it loads a dataset or trains.
+			if err == nil || !strings.Contains(string(out), "flag provided but not defined: -sched") {
+				t.Errorf("%s -sched %s: err %v, output:\n%s", c.pkg, sched, err, out)
+			}
 		}
 	}
 }
