@@ -488,10 +488,10 @@ type roundReport struct {
 //
 // delays, when non-nil, gives each shard's gradient-application delay in
 // rounds (e.g. derived from simulated message arrivals); nil applies every
-// gradient this round. An inactive shard contributes the
-// pooled partial cached from its last active round — the embeddings its
-// leaves pushed before the devices went offline — until the cache is more
-// than partTTL rounds old, after which the contribution is dropped.
+// gradient this round. An inactive shard contributes the pooled partial
+// cached from its last active round — the embeddings its leaves pushed
+// before the devices went offline — until the cache is more than partTTL
+// rounds old, after which the contribution is dropped.
 func (e *engine) stepRound(active []bool, delays []int, partTTL int, rows []int, lossFn func(pooled *autodiff.Value) *autodiff.Value) (float64, roundReport) {
 	s := e.sys
 	e.zeroGrads()
