@@ -27,7 +27,7 @@ func main() {
 	var engine cli.Engine
 	data.Register(flag.CommandLine, "seed")
 	model.Register(flag.CommandLine, "eps", "mcmc", "secure")
-	engine.Register(flag.CommandLine, "workers")
+	engine.Register(flag.CommandLine)
 	var (
 		exp     = flag.String("exp", "all", "experiment: fig3|fig4|fig5|fig6|fig7|fig8|headline|all")
 		fbScale = flag.Float64("fbscale", 0.02, "Facebook preset scale (0,1]")

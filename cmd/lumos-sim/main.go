@@ -47,13 +47,15 @@ import (
 func main() {
 	data := cli.Data{Dataset: "facebook", Scale: 0.02, Seed: 7}
 	model := cli.Model{Task: "supervised", Backbone: "gcn", Epsilon: 2, MCMC: 150}
-	engine := cli.Engine{Sched: "sync", Staleness: 2}
+	var engine cli.Engine
 	var rec cli.Record
 	data.Register(flag.CommandLine)
 	model.Register(flag.CommandLine, "task", "backbone", "eps", "mcmc")
 	engine.Register(flag.CommandLine)
 	rec.Register(flag.CommandLine)
 	var (
+		sched     = flag.String("sched", "sync", "round scheduling: sync|async (staleness-bounded)|gossip (with -topology)|both (sync and async)")
+		staleness = flag.Int("staleness", 2, "async gradient staleness bound in rounds (0 = default)")
 		fleetSpec = flag.String("fleet", "zipf", "device fleet: uniform|zipf|periodic|trace:<path> (CSV trace, see lumos-datagen -traces)")
 		zipfSkew  = flag.Float64("zipf", 1.2, "zipf fleet skew (slowest device ~2^skew x median)")
 		tracePer  = flag.Int("trace-period", 8, "periodic fleet availability period, rounds")
@@ -85,11 +87,11 @@ func main() {
 		check(err)
 	}
 	var scheds []core.Sched
-	switch strings.ToLower(engine.Sched) {
+	switch strings.ToLower(*sched) {
 	case "both":
 		scheds = []core.Sched{core.SchedSync, core.SchedAsync}
 	default:
-		m, err := core.ParseSched(engine.Sched)
+		m, err := core.ParseSched(*sched)
 		check(err)
 		scheds = []core.Sched{m}
 	}
@@ -168,7 +170,7 @@ func main() {
 		cfg.Shards = g.N // one device per shard: exact per-device participation
 		cfg.Sched = mode
 		if mode == core.SchedAsync {
-			cfg.Staleness = engine.Staleness
+			cfg.Staleness = *staleness
 		}
 		// Telemetry is per discipline run: a fresh virtual-clock tracer and
 		// metrics registry each time, so -sched both writes one trace file

@@ -33,7 +33,7 @@ func main() {
 	var rec cli.Record
 	data.Register(flag.CommandLine)
 	model.Register(flag.CommandLine)
-	engine.Register(flag.CommandLine, "workers")
+	engine.Register(flag.CommandLine)
 	rec.Register(flag.CommandLine)
 	var (
 		epochs  = flag.Int("epochs", 60, "training epochs")

@@ -39,6 +39,15 @@ import (
 //     and then aL[h]'s gradient receive Σ_i wh[h][i]·ds[i] in ascending i,
 //     skipping wh[h][i] == 0.
 //
+// Two loops run as vector code at head width 16 on AVX2 (the tensor
+// package's segment kernels, in the orders above): each destination's
+// aggregation (CSR.SegmentInto, one call per segment) and wh[h]'s
+// aggregation gradient (CSR.AddBySource, one call per source row through
+// the CSR's by-source index). The scores, the LeakyReLU, the softmax and its
+// math.Exp, the per-edge dot dL/dα (sequential in the column), the softmax
+// backward and the score products' backward stay scalar Go. Every product
+// that is added is written float64(x*y), so no GOARCH fuses it.
+//
 // TestGATAttentionMatchesPerHeadOracle keeps the chain as the oracle. What
 // the backward needs besides the projections lives in two tape buffers:
 // every head's α by edge, and a byte per edge per head saying which side
@@ -96,16 +105,15 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 				if w == 0 {
 					continue
 				}
-				l += w * al[k]
-				r += w * ar[k]
+				l += float64(w * al[k])
+				r += float64(w * ar[k])
 			}
 			sl[i], sr[i] = l, r
 		}
 		alpha, hp := ws.Row(h), pos[h*ne:h*ne+ne:h*ne+ne]
 		for si, s := range csr.Segs {
-			lo, hi := csr.Starts[si], csr.Starts[si+1]
-			srcs, edges := csr.Srcs[lo:hi], csr.Edges[lo:hi:hi]
-			edges = edges[:len(srcs)]
+			edges, srcs := csr.Slots(si)
+			srcs = srcs[:len(edges)]
 			mx := math.Inf(-1)
 			for p, e := range edges {
 				x := sl[srcs[p]] + sr[s]
@@ -133,18 +141,7 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 			if concat {
 				row = out[s*cols+h*d : s*cols+h*d+d : s*cols+h*d+d]
 			}
-			w, src := alpha[edges[0]], whd[srcs[0]*d:srcs[0]*d+d]
-			src = src[:len(row)]
-			for j := range row {
-				row[j] = w*src[j] + 0
-			}
-			for p, e := range edges[1:] {
-				w, src := alpha[e], whd[srcs[p+1]*d:srcs[p+1]*d+d]
-				src = src[:len(row)]
-				for j := range row {
-					row[j] += w * src[j]
-				}
-			}
+			csr.SegmentInto(row, si, whd, alpha)
 			if !concat {
 				orow := out[s*d : s*d+d : s*d+d]
 				if h == 0 {
@@ -166,7 +163,7 @@ func GATAttention(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bo
 	v := t.nodeOf(data, opGATAttention, wh, aL, aR)
 	v.s = slope
 	v.mat, v.codes = ws, pos
-	v.ints, v.ints2 = csr.Src, csr.Dst
+	v.csr = csr
 	if concat {
 		v.n = 1
 	}
@@ -183,7 +180,8 @@ var opGATAttention = &op{back: backGATAttention, readsIn: true}
 func backGATAttention(v *Value) {
 	heads := len(v.parents) / 3
 	wh, aL, aR := v.parents[:heads], v.parents[heads:2*heads], v.parents[2*heads:]
-	src, dst := v.ints, v.ints2
+	csr := v.csr
+	src, dst := csr.Src, csr.Dst
 	rows, d := wh[0].Data.Dims()
 	t := v.tape
 
@@ -195,7 +193,7 @@ func backGATAttention(v *Value) {
 		mean := t.scratch(rows, d).Data()
 		s := 1 / float64(heads)
 		for i, x := range g {
-			mean[i] = s*x + 0
+			mean[i] = float64(s*x) + 0
 		}
 		g, gcols, goff = mean, d, 0
 	}
@@ -216,34 +214,34 @@ func backGATAttention(v *Value) {
 		clear(dot)
 		clear(dsl)
 		clear(dsr)
-		// Aggregation backward (CSRAggregateBackward's order), with the
-		// softmax's per-destination dot folded into the same edge walk.
-		for e, se := range src {
-			grow := g[dst[e]*gcols+off : dst[e]*gcols+off+d : dst[e]*gcols+off+d]
-			arow := whd[se*d : se*d+d]
-			arow = arow[:len(grow)]
-			w := alpha[e]
-			dd := 0.0
-			if whg != nil {
-				garow := whg[se*d : se*d+d]
-				garow = garow[:len(grow)]
+		// Aggregation backward (CSRAggregateBackward's order): one
+		// gather-accumulate per source row of wh's gradient.
+		if whg != nil {
+			csr.AddBySource(whg, d, g[off:], gcols, alpha)
+		}
+		// The softmax's dL/dα per edge, a dot sequential in j, and its
+		// per-destination Σ α·dL/dα, edges in ascending order per
+		// destination.
+		for si, s := range csr.Segs {
+			edges, srcs := csr.Slots(si)
+			srcs = srcs[:len(edges)]
+			grow := g[s*gcols+off : s*gcols+off+d : s*gcols+off+d]
+			for p, e := range edges {
+				arow := whd[int(srcs[p])*d : int(srcs[p])*d+d]
+				arow = arow[:len(grow)]
+				dd := 0.0
 				for j, gv := range grow {
-					garow[j] += w * gv
-					dd += arow[j] * gv
+					dd += float64(arow[j] * gv)
 				}
-			} else {
-				for j, gv := range grow {
-					dd += arow[j] * gv
-				}
+				eg[e] = 0 + dd
+				dot[s] += float64(alpha[e] * eg[e])
 			}
-			eg[e] = 0 + dd
-			dot[dst[e]] += w * eg[e]
 		}
 		// Softmax, LeakyReLU and the two score gathers' backward.
 		for e, se := range src {
-			x := 0 + alpha[e]*(eg[e]-dot[dst[e]])
+			x := 0 + float64(alpha[e]*(eg[e]-dot[dst[e]]))
 			if hp[e] == 0 {
-				x = 0 + slope*x
+				x = 0 + float64(slope*x)
 			}
 			dsr[dst[e]] += x
 			dsl[se] += x
@@ -266,8 +264,8 @@ func backScores(whg, whd []float64, d int, dsr, dsl []float64, aR, aL *Value) {
 			grow := whg[i*d : i*d+d : i*d+d]
 			ar, al := ar[:len(grow)], al[:len(grow)]
 			for k := range grow {
-				grow[k] += 0 + xr*ar[k]
-				grow[k] += 0 + xl*al[k]
+				grow[k] += 0 + float64(xr*ar[k])
+				grow[k] += 0 + float64(xl*al[k])
 			}
 		}
 	}
@@ -284,7 +282,7 @@ func backScores(whg, whd []float64, d int, dsr, dsl []float64, aR, aL *Value) {
 			g := g[:len(row)]
 			for k, w := range row {
 				if w != 0 {
-					g[k] += w * x
+					g[k] += float64(w * x)
 				}
 			}
 		}

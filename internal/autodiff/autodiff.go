@@ -52,6 +52,9 @@ type Value struct {
 	// keep marks the node, during Tape.Release, as one whose Data a
 	// backward reads.
 	keep bool
+	// n is an op's small integer payload (GATAttention: 1 when the heads
+	// were concatenated). It sits in the padding before buf.
+	n uint8
 	// buf is the index of Data's buffer in the owning tape's held list;
 	// −1 for a leaf (caller-owned Data) and once released.
 	buf int32
@@ -66,8 +69,10 @@ type Value struct {
 	// inline (instead of closed over) is what makes recording allocation-free
 	// once the tape's slab is warm, and sharing them between roles keeps a
 	// Value at 256 bytes.
-	s      float64
-	n      int
+	s float64
+	// csr is a graph op's edge grouping; its backward walks the by-source
+	// index the CSR holds.
+	csr    *tensor.CSR
 	ints   []int
 	ints2  []int
 	rowSrc [][]int

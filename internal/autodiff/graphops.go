@@ -87,8 +87,7 @@ func CSRAggregate(a *Value, csr *tensor.CSR, coef []float64) *Value {
 	data := t.scratch(csr.NSeg, a.Data.Cols())
 	tensor.CSRAggregateInto(data, a.Data, csr, coef)
 	out := t.node(data, opCSRAggregate, a)
-	out.ints = csr.Src
-	out.ints2 = csr.Dst
+	out.csr = csr
 	out.fs = coef
 	return out
 }
@@ -96,7 +95,7 @@ func CSRAggregate(a *Value, csr *tensor.CSR, coef []float64) *Value {
 var opCSRAggregate = &op{back: backCSRAggregate}
 
 func backCSRAggregate(v *Value) {
-	tensor.CSRAggregateBackward(v.parents[0].EnsureGrad(), v.Grad, v.ints, v.ints2, v.fs)
+	tensor.CSRAggregateBackward(v.parents[0].EnsureGrad(), v.Grad, v.csr, v.fs)
 }
 
 // PairDot returns the m×1 column whose k-th entry is the dot product of rows

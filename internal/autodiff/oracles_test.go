@@ -218,26 +218,26 @@ func CSRAggregateMul(a, w *Value, csr *tensor.CSR) *Value {
 	data := t.scratch(csr.NSeg, a.Data.Cols())
 	tensor.CSRAggregateInto(data, a.Data, csr, w.Data.Data())
 	out := t.node(data, opCSRAggregateMul, a, w)
-	out.ints = csr.Src
-	out.ints2 = csr.Dst
+	out.csr = csr
 	return out
 }
 
 var opCSRAggregateMul = &op{back: backCSRAggregateMul, readsIn: true}
 
-// backCSRAggregateMul walks the edges in ascending original order for both
-// gradients, the order the unfused chain's scatter and per-edge dot products
-// run in: dL/da through the op's own backward kernel, and dL/dw[e] as the dot
-// product of a.Row(src[e]) and the output gradient's row dst[e].
+// backCSRAggregateMul sums both gradients in ascending original edge order,
+// the order the unfused chain's scatter and per-edge dot products run in:
+// dL/da through the op's own backward kernel (each row of a's gradient
+// receives its edges' terms in that order), and dL/dw[e] as the dot product
+// of a.Row(src[e]) and the output gradient's row dst[e].
 func backCSRAggregateMul(v *Value) {
 	a, w := v.parents[0], v.parents[1]
 	if a.requiresGrad {
-		tensor.CSRAggregateBackward(a.EnsureGrad(), v.Grad, v.ints, v.ints2, w.Data.Data())
+		tensor.CSRAggregateBackward(a.EnsureGrad(), v.Grad, v.csr, w.Data.Data())
 	}
 	if w.requiresGrad {
 		wGrad := w.EnsureGrad().Data()
-		for e, se := range v.ints {
-			wGrad[e] += tensor.RowDot(a.Data, se, v.Grad, v.ints2[e])
+		for e, se := range v.csr.Src {
+			wGrad[e] += tensor.RowDot(a.Data, se, v.Grad, v.csr.Dst[e])
 		}
 	}
 }
@@ -275,7 +275,7 @@ func SegmentSoftmax(e *Value, seg []int, nseg int) *Value {
 	}
 	out := t.node(data, opSegmentSoftmax, e)
 	out.ints = seg
-	out.n = nseg
+	out.s = float64(nseg)
 	return out
 }
 
@@ -284,7 +284,7 @@ var opSegmentSoftmax = &op{back: backSegmentSoftmax, readsOut: true}
 func backSegmentSoftmax(v *Value) {
 	// dL/de_i = α_i (g_i − Σ_{j∈seg(i)} α_j g_j)
 	e, seg, n := v.parents[0], v.ints, v.Data.Rows()
-	dot := v.tape.Matrix(v.n, 1).Data()
+	dot := v.tape.Matrix(int(v.s), 1).Data()
 	for i := 0; i < n; i++ {
 		dot[seg[i]] += v.Data.At(i, 0) * v.Grad.At(i, 0)
 	}

@@ -108,29 +108,14 @@ func (m *Model) Config() (core.Config, error) {
 	}, nil
 }
 
-// Engine sizes and schedules the training engine: -workers, -sched,
-// -staleness. Every trainer binds -workers; only lumos-sim schedules
-// rounds, so only it binds -sched and -staleness.
+// Engine sizes the training engine: -workers, which every trainer binds.
 type Engine struct {
-	Workers   int
-	Sched     string
-	Staleness int
+	Workers int
 }
 
-// Register binds -workers, -sched and -staleness to e on fs, or only the
-// named ones (the epoch trainers take just -workers).
-func (e *Engine) Register(fs *flag.FlagSet, only ...string) {
-	register(map[string]func(){
-		"workers": func() {
-			fs.IntVar(&e.Workers, "workers", e.Workers, "training worker pool size (0 = one per CPU; results identical)")
-		},
-		"sched": func() {
-			fs.StringVar(&e.Sched, "sched", e.Sched, "round scheduling: sync|async (staleness-bounded)|gossip (with -topology)|both (sync and async)")
-		},
-		"staleness": func() {
-			fs.IntVar(&e.Staleness, "staleness", e.Staleness, "async gradient staleness bound in rounds (0 = default)")
-		},
-	}, only)
+// Register binds -workers to e on fs.
+func (e *Engine) Register(fs *flag.FlagSet) {
+	fs.IntVar(&e.Workers, "workers", e.Workers, "training worker pool size (0 = one per CPU; results identical)")
 }
 
 // Record asks for a run's telemetry and run record: -trace, -metrics,

@@ -30,7 +30,7 @@ func flagNames(fs *flag.FlagSet) []string {
 func TestGroupsBindDefaultsAndParse(t *testing.T) {
 	data := Data{Dataset: "facebook", Scale: 0.02, Seed: 7}
 	model := Model{Task: "supervised", Backbone: "gcn", Epsilon: 2, MCMC: 150}
-	engine := Engine{Sched: "sync", Staleness: 2}
+	engine := Engine{Workers: 3}
 	var rec Record
 	fs := newFlagSet()
 	data.Register(fs)
@@ -38,14 +38,14 @@ func TestGroupsBindDefaultsAndParse(t *testing.T) {
 	engine.Register(fs)
 	rec.Register(fs)
 
-	want := "backbone dataset eps mcmc metrics metrics-out run-out scale sched secure seed staleness task trace workers"
+	want := "backbone dataset eps mcmc metrics metrics-out run-out scale secure seed task trace workers"
 	if got := strings.Join(flagNames(fs), " "); got != want {
 		t.Fatalf("flags %q, want %q", got, want)
 	}
 	for name, def := range map[string]string{
 		"dataset": "facebook", "scale": "0.02", "seed": "7", "task": "supervised",
 		"backbone": "gcn", "eps": "2", "mcmc": "150", "secure": "false",
-		"sched": "sync", "staleness": "2", "workers": "0", "trace": "", "metrics": "false",
+		"workers": "3", "trace": "", "metrics": "false",
 	} {
 		if got := fs.Lookup(name).DefValue; got != def {
 			t.Errorf("-%s default %q, want %q", name, got, def)
@@ -54,14 +54,14 @@ func TestGroupsBindDefaultsAndParse(t *testing.T) {
 
 	err := fs.Parse([]string{"-dataset", "lastfm", "-scale", "0.5", "-seed", "3",
 		"-task", "unsupervised", "-backbone", "gat", "-eps", "4", "-mcmc", "9", "-secure",
-		"-sched", "async", "-staleness", "1", "-workers", "2",
+		"-workers", "2",
 		"-trace", "t.json", "-metrics", "-metrics-out", "m.prom", "-run-out", "rec"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if data != (Data{"lastfm", 0.5, 3}) ||
 		model != (Model{"unsupervised", "gat", 4, 9, true}) ||
-		engine != (Engine{2, "async", 1}) ||
+		engine != (Engine{2}) ||
 		rec != (Record{"t.json", true, "m.prom", "rec"}) {
 		t.Fatalf("parsed %+v %+v %+v %+v", data, model, engine, rec)
 	}
@@ -73,11 +73,9 @@ func TestRegisterOnly(t *testing.T) {
 	fs := newFlagSet()
 	var data Data
 	var model Model
-	var engine Engine
 	data.Register(fs, "seed")
 	model.Register(fs, "eps", "mcmc", "secure")
-	engine.Register(fs, "workers")
-	if got := strings.Join(flagNames(fs), " "); got != "eps mcmc secure seed workers" {
+	if got := strings.Join(flagNames(fs), " "); got != "eps mcmc secure seed" {
 		t.Fatalf("flags %q", got)
 	}
 	defer func() {

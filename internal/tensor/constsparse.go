@@ -25,7 +25,10 @@ import (
 //
 // Both are the dense products up to summation order — not bit-identical to
 // MatMulInto/MatMulTNAddInto, which sum the reduction index in ascending
-// order over every entry.
+// order over every entry. Both skip an entry whose val − c_i is ±0. At
+// output width 16 each runs one vector call per row (see the package doc's
+// segment kernels): the forward holds out_i in registers across the row's
+// entries, the gradient holds G_i and scatters it.
 type ConstSparse struct {
 	rows, cols int
 	c          []float64
@@ -117,7 +120,9 @@ func (m *ConstSparse) Dense() *Matrix {
 // of length n (overwritten with w's column sums, read by the rows whose
 // constant is nonzero). Row i is c_i·colsum(w) plus, per residual entry,
 // (val − c_i)·w[col] — the rows of w the dense kernel would read for a
-// nonzero constant, folded into one sum computed once.
+// nonzero constant, folded into one sum computed once. An entry whose
+// val − c_i is ±0 is skipped. At n = 16 on AVX2 each row is one vector call
+// that holds the row in registers across its entries.
 func ConstSparseMatMulInto(dst *Matrix, a *ConstSparse, w *Matrix, colSum []float64) {
 	if a.cols != w.rows {
 		panic(fmt.Sprintf("tensor: ConstSparseMatMulInto inner dims %dx%d · %dx%d", a.rows, a.cols, w.rows, w.cols))
@@ -127,27 +132,37 @@ func ConstSparseMatMulInto(dst *Matrix, a *ConstSparse, w *Matrix, colSum []floa
 		panic(fmt.Sprintf("tensor: ConstSparseMatMulInto dst %dx%d (workspace %d) for %dx%d product",
 			dst.rows, dst.cols, len(colSum), a.rows, n))
 	}
+	vec := useAVX2 && n == segWidth
 	summed := false
 	for i, c := range a.c {
 		orow := dst.data[i*n : i*n+n : i*n+n]
+		cols, vals := a.span(i)
+		if c != 0 && !summed {
+			columnSums(colSum, w)
+			summed = true
+		}
+		if vec {
+			constSparseRow(orow, c, colSum, vals, cols, w.data, w.rows)
+			continue
+		}
 		if c == 0 {
 			clear(orow)
 		} else {
-			if !summed {
-				columnSums(colSum, w)
-				summed = true
-			}
 			for x, s := range colSum {
 				orow[x] = c * s
 			}
 		}
-		for e := a.lo[i]; e < a.hi[i]; e++ {
-			v := a.val[e] - c
+		for p, val := range vals {
+			v := val - c
 			if v == 0 {
 				continue
 			}
-			k := int(a.col[e])
-			axpy(orow, v, w.data[k*n:k*n+n:k*n+n])
+			k := int(cols[p])
+			wrow := w.data[k*n : k*n+n : k*n+n]
+			wrow = wrow[:len(orow)]
+			for x, wv := range wrow {
+				orow[x] += float64(v * wv)
+			}
 		}
 	}
 }
@@ -155,7 +170,10 @@ func ConstSparseMatMulInto(dst *Matrix, a *ConstSparse, w *Matrix, colSum []floa
 // ConstSparseMatMulTNAddInto accumulates aᵀ·g into dst (dst k×n for a
 // rows×k, g rows×n) — a first layer's weight gradient. rowSum is caller-owned
 // workspace of length n (overwritten with Σ_i c_i·g_i, which every row of
-// dst receives); each residual entry then adds (val − c_i)·g_i to row col.
+// dst receives); each residual entry then adds (val − c_i)·g_i to row col,
+// rows in ascending order, skipping ±0 values of val − c_i. At n = 16 on
+// AVX2 each row's entries are one vector call that holds g_i in registers
+// and scatters it to the rows its entries name.
 func ConstSparseMatMulTNAddInto(dst *Matrix, a *ConstSparse, g *Matrix, rowSum []float64) {
 	if a.rows != g.rows {
 		panic(fmt.Sprintf("tensor: ConstSparseMatMulTNAddInto inner dims (%dx%d)ᵀ · %dx%d", a.rows, a.cols, g.rows, g.cols))
@@ -181,17 +199,33 @@ func ConstSparseMatMulTNAddInto(dst *Matrix, a *ConstSparse, g *Matrix, rowSum [
 			}
 		}
 	}
+	vec := useAVX2 && n == segWidth
 	for i, c := range a.c {
 		grow := g.data[i*n : i*n+n : i*n+n]
-		for e := a.lo[i]; e < a.hi[i]; e++ {
-			v := a.val[e] - c
+		cols, vals := a.span(i)
+		if vec {
+			constSparseScatter(dst.data, grow, c, vals, cols, dst.rows)
+			continue
+		}
+		for p, val := range vals {
+			v := val - c
 			if v == 0 {
 				continue
 			}
-			k := int(a.col[e])
-			axpy(dst.data[k*n:k*n+n:k*n+n], v, grow)
+			k := int(cols[p])
+			drow := dst.data[k*n : k*n+n : k*n+n]
+			drow = drow[:len(grow)]
+			for x, gv := range grow {
+				drow[x] += float64(v * gv)
+			}
 		}
 	}
+}
+
+// span returns row i's residual columns and values.
+func (m *ConstSparse) span(i int) (cols []int32, vals []float64) {
+	lo, hi := m.lo[i], m.hi[i]
+	return m.col[lo:hi:hi], m.val[lo:hi:hi]
 }
 
 // columnSums overwrites sum with the column sums of w, rows in ascending
@@ -214,6 +248,6 @@ func axpy(y []float64, s float64, x []float64) {
 		y, x = y[nv:], x[nv:]
 	}
 	for j, v := range x {
-		y[j] += s * v
+		y[j] += float64(s * v)
 	}
 }

@@ -275,7 +275,7 @@ func TestCSRKernelsRequireCoef(t *testing.T) {
 		}()
 		func() {
 			defer expectPanic(t, fmt.Sprintf("CSRAggregateBackward with %d coefficients", len(coef)))
-			CSRAggregateBackward(New(2, 3), a, src, dst, coef)
+			CSRAggregateBackward(New(2, 3), a, csr, coef)
 		}()
 	}
 }
@@ -293,8 +293,8 @@ func TestCSRGroupingStable(t *testing.T) {
 	}
 	wantSegs := []int{0, 2}
 	wantStarts := []int{0, 2, 5}
-	wantSrcs := []int{1, 5, 3, 4, 1}  // seg 0: e1,e4; seg 2: e0,e2,e3
-	wantEdges := []int{1, 4, 0, 2, 3} // ascending within each segment
+	wantSrcs := []int32{1, 5, 3, 4, 1}  // seg 0: e1,e4; seg 2: e0,e2,e3
+	wantEdges := []int32{1, 4, 0, 2, 3} // ascending within each segment
 	for i, v := range wantSegs {
 		if csr.Segs[i] != v {
 			t.Fatalf("Segs=%v want %v", csr.Segs, wantSegs)
@@ -306,8 +306,8 @@ func TestCSRGroupingStable(t *testing.T) {
 		}
 	}
 	for i := range wantSrcs {
-		if csr.Srcs[i] != wantSrcs[i] || csr.Edges[i] != wantEdges[i] {
-			t.Fatalf("Srcs=%v Edges=%v want %v %v", csr.Srcs, csr.Edges, wantSrcs, wantEdges)
+		if csr.srcs[i] != wantSrcs[i] || csr.edges[i] != wantEdges[i] {
+			t.Fatalf("srcs=%v edges=%v want %v %v", csr.srcs, csr.edges, wantSrcs, wantEdges)
 		}
 	}
 }

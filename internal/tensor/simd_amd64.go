@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // hasAVX2 reports whether this CPU runs the AVX2 kernels of simd_amd64.s:
 // CPUID says OSXSAVE, AVX and AVX2, and XCR0 says the OS saves the XMM and
 // YMM state.
@@ -41,6 +43,15 @@ func axpyAVX2(y *float64, s float64, x *float64, n int)
 //go:noescape
 func mixAVX2(d *float64, n int, srcs **float64, ws *float64, cnt int, z float64, head bool)
 
+//go:noescape
+func gatherRowsAVX2(out *float64, a *float64, ld int, edges *int32, rows *int32, cnt int, coef *float64, head bool)
+
+//go:noescape
+func constSparseRowAVX2(out *float64, c float64, colSum *float64, vals *float64, cols *int32, cnt int, w *float64, k int, scaled bool) (done int)
+
+//go:noescape
+func constSparseScatterAVX2(dst *float64, grow *float64, c float64, vals *float64, cols *int32, cnt int, k int) (done int)
+
 // The wrappers below index the last element each kernel touches before
 // calling it, so an extent error panics in Go instead of reading or writing
 // past a slice.
@@ -78,5 +89,49 @@ func mixVec(d []float64, n int, srcs []*Matrix, ws []float64, z float64) {
 			p[j] = &s[0]
 		}
 		mixAVX2(&d[0], n, &p[0], &ws[g], cnt, z, g == 0)
+	}
+}
+
+// gatherRows runs one CSR segment (head: out starts at +0) or source row
+// (out starts at its values) at width segWidth: out += coef[edges[p]] ·
+// a[rows[p]·ld : +segWidth] for p ascending, edges non-empty. The kernel
+// reads rows and coefficients by index: its callers pass only the CSR's own
+// index arrays, whose entries NewCSR bounded, after checking coef and a
+// against those bounds.
+func gatherRows(out []float64, head bool, a []float64, ld int, edges, rows []int32, coef []float64) {
+	_ = out[segWidth-1]
+	_ = rows[len(edges)-1]
+	gatherRowsAVX2(&out[0], &a[0], ld, &edges[0], &rows[0], len(edges), &coef[0], head)
+}
+
+// constSparseRow runs one ConstSparse forward row at width segWidth over w
+// (k×segWidth): out = c·colSum (c ≠ 0) or +0, then (val − c)·w[col] added
+// per entry whose val − c is not ±0. It panics at the first such entry
+// whose column is outside [0, k), which the kernel does not read.
+func constSparseRow(out []float64, c float64, colSum, vals []float64, cols []int32, w []float64, k int) {
+	_, _ = out[segWidth-1], colSum[segWidth-1]
+	var vp *float64
+	var cp *int32
+	var wp *float64
+	if len(vals) > 0 {
+		_, _ = cols[len(vals)-1], w[k*segWidth-1]
+		vp, cp, wp = &vals[0], &cols[0], &w[0]
+	}
+	if done := constSparseRowAVX2(&out[0], c, &colSum[0], vp, cp, len(vals), wp, k, c != 0); done < len(vals) {
+		panic(fmt.Sprintf("tensor: ConstSparse column %d out of range [0,%d)", cols[done], k))
+	}
+}
+
+// constSparseScatter runs one ConstSparse backward row at width segWidth
+// into dst (k×segWidth): dst's row col += (val − c)·g per entry whose
+// val − c is not ±0. It panics at the first such entry whose column is
+// outside [0, k), having written the entries before it, as the Go loop does.
+func constSparseScatter(dst, g []float64, c float64, vals []float64, cols []int32, k int) {
+	if len(vals) == 0 {
+		return
+	}
+	_, _, _ = g[segWidth-1], cols[len(vals)-1], dst[k*segWidth-1]
+	if done := constSparseScatterAVX2(&dst[0], &g[0], c, &vals[0], &cols[0], len(vals), k); done < len(vals) {
+		panic(fmt.Sprintf("tensor: ConstSparse column %d out of range [0,%d)", cols[done], k))
 	}
 }

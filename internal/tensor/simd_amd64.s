@@ -322,3 +322,207 @@ mx4src:
 mxdone:
 	VZEROUPPER
 	RET
+
+// The segment kernels below run one 16-wide row: the row's four YMM
+// accumulators (Y0–Y3) stay in registers across all of its entries, edges
+// or sources, each of which adds w·x onto them in order (VMULPD, then
+// VADDPD into the running value), as the Go loops do. The scalar work per
+// entry uses VEX encodings only.
+
+// func gatherRowsAVX2(out *float64, a *float64, ld int, edges *int32, rows *int32, cnt int, coef *float64, head bool)
+//
+// acc = +0 (head) or out[0:16]; for p in [0, cnt): acc += coef[edges[p]] ·
+// a[rows[p]·ld : +16]; out[0:16] = acc. The CSR's segment (head) and
+// by-source (not head) kernels.
+TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-57
+	MOVQ    out+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    ld+16(FP), R8
+	SHLQ    $3, R8
+	MOVQ    edges+24(FP), R9
+	MOVQ    rows+32(FP), R10
+	MOVQ    cnt+40(FP), CX
+	MOVQ    coef+48(FP), R11
+	MOVBLZX head+56(FP), AX
+	TESTQ   AX, AX
+	JZ      grload
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	JMP     grinit
+
+grload:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+
+grinit:
+	XORQ  BX, BX
+	TESTQ CX, CX
+	JZ    grstore
+
+grloop:
+	MOVLQSX      (R9)(BX*4), AX
+	MOVLQSX      (R10)(BX*4), DX
+	VBROADCASTSD (R11)(AX*8), Y4
+	IMULQ        R8, DX
+	ADDQ         SI, DX
+	VMULPD       (DX), Y4, Y5
+	VMULPD       32(DX), Y4, Y6
+	VMULPD       64(DX), Y4, Y7
+	VMULPD       96(DX), Y4, Y8
+	VADDPD       Y0, Y5, Y0
+	VADDPD       Y1, Y6, Y1
+	VADDPD       Y2, Y7, Y2
+	VADDPD       Y3, Y8, Y3
+	INCQ         BX
+	CMPQ         BX, CX
+	JLT          grloop
+
+grstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func constSparseRowAVX2(out *float64, c float64, colSum *float64, vals *float64, cols *int32, cnt int, w *float64, k int, scaled bool) (done int)
+//
+// One ConstSparse forward row: acc = c·colSum[0:16] (scaled) or +0; for p in
+// [0, cnt), v = vals[p] − c and, unless v is ±0, acc += v · w[cols[p]·16 :
+// +16]; out[0:16] = acc. A column outside [0, k) stops the row before it is
+// read: done is its position, or cnt.
+TEXT ·constSparseRowAVX2(SB), NOSPLIT, $0-80
+	MOVQ    out+0(FP), DI
+	VMOVSD  c+8(FP), X9
+	MOVQ    colSum+16(FP), SI
+	MOVQ    vals+24(FP), R9
+	MOVQ    cols+32(FP), R10
+	MOVQ    cnt+40(FP), CX
+	MOVQ    w+48(FP), R11
+	MOVQ    k+56(FP), R12
+	MOVBLZX scaled+64(FP), AX
+	VXORPD  X10, X10, X10
+	TESTQ   AX, AX
+	JNZ     csscale
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	JMP     csinit
+
+csscale:
+	VBROADCASTSD X9, Y4
+	VMULPD       (SI), Y4, Y0
+	VMULPD       32(SI), Y4, Y1
+	VMULPD       64(SI), Y4, Y2
+	VMULPD       96(SI), Y4, Y3
+
+csinit:
+	XORQ  BX, BX
+	TESTQ CX, CX
+	JZ    csstore
+
+csloop:
+	VMOVSD   (R9)(BX*8), X4
+	VSUBSD   X9, X4, X4
+	VUCOMISD X10, X4
+	JPS      cstake
+	JEQ      csnext
+
+cstake:
+	MOVLQSX      (R10)(BX*4), AX
+	CMPQ         AX, R12
+	JAE          csstore
+	SHLQ         $7, AX
+	ADDQ         R11, AX
+	VBROADCASTSD X4, Y4
+	VMULPD       (AX), Y4, Y5
+	VMULPD       32(AX), Y4, Y6
+	VMULPD       64(AX), Y4, Y7
+	VMULPD       96(AX), Y4, Y8
+	VADDPD       Y0, Y5, Y0
+	VADDPD       Y1, Y6, Y1
+	VADDPD       Y2, Y7, Y2
+	VADDPD       Y3, Y8, Y3
+
+csnext:
+	INCQ BX
+	CMPQ BX, CX
+	JLT  csloop
+
+csstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	MOVQ    BX, done+72(FP)
+	VZEROUPPER
+	RET
+
+// func constSparseScatterAVX2(dst *float64, grow *float64, c float64, vals *float64, cols *int32, cnt int, k int) (done int)
+//
+// One ConstSparse backward row: with grow[0:16] held in registers, for p in
+// [0, cnt), v = vals[p] − c and, unless v is ±0, dst[cols[p]·16 : +16] +=
+// v·grow. A column outside [0, k) stops the row before it is written: done
+// is its position, or cnt.
+TEXT ·constSparseScatterAVX2(SB), NOSPLIT, $0-64
+	MOVQ    dst+0(FP), DI
+	MOVQ    grow+8(FP), SI
+	VMOVSD  c+16(FP), X9
+	MOVQ    vals+24(FP), R9
+	MOVQ    cols+32(FP), R10
+	MOVQ    cnt+40(FP), CX
+	MOVQ    k+48(FP), R12
+	VXORPD  X10, X10, X10
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	XORQ    BX, BX
+	TESTQ   CX, CX
+	JZ      scdone
+
+scloop:
+	VMOVSD   (R9)(BX*8), X4
+	VSUBSD   X9, X4, X4
+	VUCOMISD X10, X4
+	JPS      sctake
+	JEQ      scnext
+
+sctake:
+	MOVLQSX      (R10)(BX*4), AX
+	CMPQ         AX, R12
+	JAE          scdone
+	SHLQ         $7, AX
+	ADDQ         DI, AX
+	VBROADCASTSD X4, Y4
+	VMULPD       Y0, Y4, Y5
+	VMULPD       Y1, Y4, Y6
+	VMULPD       Y2, Y4, Y7
+	VMULPD       Y3, Y4, Y8
+	VMOVUPD      (AX), Y11
+	VMOVUPD      32(AX), Y12
+	VMOVUPD      64(AX), Y13
+	VMOVUPD      96(AX), Y14
+	VADDPD       Y11, Y5, Y11
+	VADDPD       Y12, Y6, Y12
+	VADDPD       Y13, Y7, Y13
+	VADDPD       Y14, Y8, Y14
+	VMOVUPD      Y11, (AX)
+	VMOVUPD      Y12, 32(AX)
+	VMOVUPD      Y13, 64(AX)
+	VMOVUPD      Y14, 96(AX)
+
+scnext:
+	INCQ BX
+	CMPQ BX, CX
+	JLT  scloop
+
+scdone:
+	MOVQ BX, done+56(FP)
+	VZEROUPPER
+	RET

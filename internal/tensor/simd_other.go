@@ -20,3 +20,15 @@ func axpyVec(y []float64, s float64, x []float64, n int) {
 func mixVec(d []float64, n int, srcs []*Matrix, ws []float64, z float64) {
 	panic("tensor: no vector kernels on this GOARCH")
 }
+
+func gatherRows(out []float64, head bool, a []float64, ld int, edges, rows []int32, coef []float64) {
+	panic("tensor: no vector kernels on this GOARCH")
+}
+
+func constSparseRow(out []float64, c float64, colSum, vals []float64, cols []int32, w []float64, k int) {
+	panic("tensor: no vector kernels on this GOARCH")
+}
+
+func constSparseScatter(dst, g []float64, c float64, vals []float64, cols []int32, k int) {
+	panic("tensor: no vector kernels on this GOARCH")
+}

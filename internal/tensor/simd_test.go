@@ -109,7 +109,7 @@ func TestKernelsMatchOracleEdgeShapes(t *testing.T) {
 	})
 }
 
-// axpy, the ConstSparse kernels' row update, at every edge length.
+// axpy, the ConstSparse gradient's Σ c_i·g_i, at every edge length.
 func TestAxpyMatchesScalar(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(67))
@@ -172,7 +172,8 @@ func (s *fuzzSource) matrix(rows, cols int) *Matrix {
 
 // FuzzKernelsMatchPortable runs every kernel with a vector path on both
 // paths over the same finite inputs and requires the same bits: the
-// forward, NT, TN, axpy and the weighted sum.
+// forward, NT, TN, axpy, the weighted sum, and the segment kernels (CSR
+// aggregation and its backward, both ConstSparse products) at width 16.
 func FuzzKernelsMatchPortable(f *testing.F) {
 	f.Add(uint8(7), uint8(64), uint8(16), uint8(5), []byte{4, 9, 0, 1, 1, 3, 5, 200, 2, 7})
 	f.Add(uint8(5), uint8(65), uint8(17), uint8(10), []byte{0, 0, 1, 0, 6, 33})
@@ -212,10 +213,38 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 			}
 			mix := New(m, n)
 			WeightedSumInto(mix, srcs, ws, src.byte()%2 == 0)
-			return []*Matrix{fwd, nt, tn, ax, mix}
+
+			// The segment kernels at their vector width: a CSR over
+			// m+1 rows with up to 3m edges, and a ConstSparse whose
+			// entries and constants come from the same stream.
+			rows, ne := m+1, int(src.byte())%(3*m+1)
+			es, ed := make([]int, ne), make([]int, ne)
+			for e := range es {
+				es[e], ed[e] = int(src.byte())%rows, int(src.byte())%rows
+			}
+			csr := NewCSR(rows, es, ed)
+			feat, coef := src.matrix(rows, segWidth), src.matrix(1, ne).data
+			agg := New(rows, segWidth)
+			CSRAggregateInto(agg, feat, csr, coef)
+			back := src.matrix(rows, segWidth)
+			CSRAggregateBackward(back, src.matrix(rows, segWidth), csr, coef)
+			cs := NewConstSparse(rows, rows, ne)
+			col, val := cs.Residual()
+			for e := range col {
+				col[e], val[e] = int32(src.byte())%int32(rows), src.value()
+			}
+			for i := range rows {
+				lo := int(src.byte()) % (ne + 1)
+				cs.SetRow(i, src.value(), lo, lo+int(src.byte())%(ne-lo+1))
+			}
+			csFwd, csTN := New(rows, segWidth), src.matrix(rows, segWidth)
+			ConstSparseMatMulInto(csFwd, cs, src.matrix(rows, segWidth), make([]float64, segWidth))
+			ConstSparseMatMulTNAddInto(csTN, cs, src.matrix(rows, segWidth), make([]float64, segWidth))
+			return []*Matrix{fwd, nt, tn, ax, mix, agg, back, csFwd, csTN}
 		}
 		want, got := run(false), run(true)
-		for i, name := range []string{"forward", "NT", "TN", "axpy", "weighted sum"} {
+		for i, name := range []string{"forward", "NT", "TN", "axpy", "weighted sum",
+			"CSR aggregate", "CSR backward", "ConstSparse forward", "ConstSparse TN"} {
 			requireBitIdentical(t, name, want[i], got[i])
 		}
 	})

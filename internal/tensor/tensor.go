@@ -12,7 +12,11 @@
 // multiply into an add: each product is rounded, then added. The assembly
 // never uses a fused multiply-add instruction, and the amd64 Go compiler
 // never fuses x*y + z (compilers for arm64, ppc64le, s390x and riscv64 may,
-// so the goldens pin amd64's bits). Each output entry sums its terms in one
+// so the goldens pin amd64's bits). csr.go and constsparse.go, like
+// internal/autodiff/attention.go, write each such product as float64(x*y),
+// which the spec forbids fusing: their arithmetic is the same on every
+// GOARCH, and ci.sh fails on a fused instruction an arm64 build emits for
+// them. Each output entry sums its terms in one
 // fixed order — the reduction index ascending, or the sources left to
 // right — because training determinism is a repo-wide contract: golden loss
 // traces are stored as exact hex floats, and Workers=1 vs Workers=N must be
@@ -57,13 +61,40 @@
 // On amd64 the inner loops of the dense kernels also exist in AVX2
 // assembly (simd_amd64.s): the forward 8-column block (which also serves NT,
 // over a transposed copy of B packed on the stack, and TN, with A read down
-// its columns), axpy (the ConstSparse kernels' row update) and
+// its columns), axpy (the ConstSparse gradient's Σ c_i·g_i) and
 // WeightedSumInto's passes. Each vector lane runs the scalar kernel's own
 // VMULPD and VADDPD in the scalar order, so the results are the Go loops'
 // bit for bit; the vector loops add the ±0 terms the Go loops skip, which
 // the contract above makes equivalent on finite inputs (TN, which adds onto
 // dst's values, leaves a dst range holding a −0 to the Go loops). Column
 // tails narrower than a vector stay in Go.
+//
+// The sparse kernels' unit of vector work is a segment: one 16-wide output
+// row whose four YMM accumulators stay in registers across all of its
+// terms, one assembly call per row. A call per 16-wide term costs about
+// what its 16 multiply-adds save; a call per row amortizes it over the
+// row's edges or entries. The segments are:
+//
+//   - a CSR destination row (CSRAggregateInto, CSR.SegmentInto, and with
+//     them GATAttention's aggregation): its edges' coef·source rows, gathered
+//     by index, in slot order, from a +0 start;
+//   - a CSR source row (CSRAggregateBackward, CSR.AddBySource, and
+//     GATAttention's projection gradient): the output-gradient rows of the
+//     edges out of it, gathered through the CSR's by-source index and added
+//     onto the row's values. The index is an int32 permutation of edge ids,
+//     ascending within each source and built once by NewCSR, so every
+//     gradient row still receives its terms in ascending edge order;
+//   - a ConstSparse row: its forward (c·colsum or +0, then each residual
+//     entry's (val − c)·w[col]) and its gradient, which holds g_i in
+//     registers and scatters (val − c)·g_i to the rows its entries name.
+//
+// Every element keeps its sum order, a segment's first term is w·x + 0,
+// an entry whose val − c is ±0 is skipped, and nothing fuses. Width 16,
+// every model layer's width, is the only vector width: any other width
+// runs the Go loops, which are also the only path off amd64. The kernels
+// read rows by index: the CSR kernels only through the CSR's own index
+// arrays, checked when NewCSR built them, and the ConstSparse kernels stop
+// at a residual column outside the matrix and panic from Go.
 //
 // The vector path is chosen once, at package init, when CPUID reports
 // OSXSAVE, AVX and AVX2 and XCR0 has the XMM and YMM state bits on. Nothing
@@ -76,7 +107,8 @@
 // aggregation — gather source rows, scale each by its edge coefficient, sum
 // per destination — in one pass with no per-edge message materialization,
 // bit-identical by construction to the three-op gather→scale→ScatterAddRows
-// chain (the oracle in kernels_test.go and internal/autodiff/csr_test.go).
+// chain (the oracle in kernels_test.go and internal/autodiff/csr_test.go);
+// its by-source index does the same for the backward.
 // It overwrites its output (empty segments zeroed, each segment's first term
 // stored through one +0 add so a −0 first product canonicalizes exactly like
 // the chain's +0-starting accumulator), so callers can hand it recycled

@@ -66,6 +66,21 @@ gate() {
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor
 
+# Go code the compiler may not fuse: these files write every product that
+# is added as float64(x*y), which the spec forbids fusing, so an arm64 build
+# must emit no fused multiply-add for them. (The rest of the tree still has
+# implicit fusions on arm64; the list grows as files are converted.)
+fma_files='internal/tensor/csr\.go|internal/tensor/constsparse\.go|internal/autodiff/attention\.go'
+arm64_asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor ./internal/autodiff 2>&1)
+if ! grep -qE "internal/tensor/csr\.go:[0-9]+\)" <<<"$arm64_asm"; then
+	echo "the arm64 -S listing of internal/tensor is missing" >&2
+	exit 1
+fi
+if grep -E "($fma_files):[0-9]+\)[[:space:]]+F(N)?M(ADD|SUB)[SD]\b" <<<"$arm64_asm"; then
+	echo "fused multiply-add emitted for a file that must not fuse (write float64(x*y))" >&2
+	exit 1
+fi
+
 # The float contract holds for hand-written code too: no assembly file
 # under internal/ may fuse a multiply into an add.
 if grep -rEn --include='*.s' 'VF(N)?M(ADD|SUB)' internal; then
@@ -177,6 +192,17 @@ gate plain ./internal/core TestMixReplicas TestSwapReplica TestSwapReplicaTrains
 # counters n sends leave.
 gate race ./internal/tensor \
 	TestKernelsMatchOracleEdgeShapes TestAxpyMatchesScalar FuzzKernelsMatchPortable
+# The segment kernels (one vector call per CSR destination row, per CSR
+# source row through the by-source index, and per ConstSparse row) against
+# scalar loops in their promised order, bit for bit on both paths: NaN, ±Inf
+# and ±0 first terms, empty and one-edge segments, duplicate edges, a source
+# with no edge, skipped val == c entries, spans shared under different
+# constants, and widths 8 and 17 falling back to the Go loops; the
+# by-source index's layout and the kernels' refusal of short inputs and
+# out-of-range residual columns.
+gate race ./internal/tensor \
+	TestCSRSegmentKernelsMatchLoops TestCSRBySourceIndex \
+	TestConstSparseKernelsMatchLoops TestConstSparseRefusesOutOfRangeColumn
 go test -run '^$' -fuzz '^FuzzKernelsMatchPortable$' -fuzztime 10s ./internal/tensor
 gate plain ./internal/fed TestSendNMatchesSends
 
