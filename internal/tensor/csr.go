@@ -161,18 +161,12 @@ func CSRAggregateInto(dst, a *Matrix, csr *CSR, coef []float64) {
 		panic(fmt.Sprintf("tensor: CSRAggregateInto coef %d for %d edges", len(coef), len(csr.edges)))
 	}
 	c := a.cols
-	vec := useAVX2 && c == segWidth
 	prev := 0
 	for si, s := range csr.Segs {
 		zeroRows(dst, prev, s, c)
 		prev = s + 1
-		row := dst.data[s*c : s*c+c : s*c+c]
-		if vec {
-			edges, srcs := csr.Slots(si)
-			gatherRows(row, true, a.data, c, edges, srcs, coef)
-		} else {
-			csr.SegmentInto(row, si, a.data, coef)
-		}
+		edges, srcs := csr.Slots(si)
+		segmentInto(dst.data[s*c:s*c+c:s*c+c], a.data, edges, srcs, coef)
 	}
 	zeroRows(dst, prev, csr.NSeg, c)
 }
@@ -183,11 +177,17 @@ func CSRAggregateInto(dst, a *Matrix, csr *CSR, coef []float64) {
 // order). At width 16 on AVX2 it is one vector call with the running row in
 // registers; every other width runs the Go loops.
 func (c *CSR) SegmentInto(row []float64, si int, a []float64, coef []float64) {
-	edges, srcs := c.Slots(si)
 	if len(coef) != len(c.edges) || len(a) < c.nsrc*len(row) {
 		panic(fmt.Sprintf("tensor: CSR SegmentInto coef %d for %d edges, %d entries of width-%d rows for %d sources",
 			len(coef), len(c.edges), len(a), len(row), c.nsrc))
 	}
+	edges, srcs := c.Slots(si)
+	segmentInto(row, a, edges, srcs, coef)
+}
+
+// segmentInto is SegmentInto over one segment's non-empty slots, once its
+// caller has checked coef and a against the CSR's bounds.
+func segmentInto(row, a []float64, edges, srcs []int32, coef []float64) {
 	d := len(row)
 	if useAVX2 && d == segWidth {
 		gatherRows(row, true, a, d, edges, srcs, coef)
