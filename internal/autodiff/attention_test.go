@@ -132,6 +132,51 @@ func TestGATAttentionMatchesPerHeadOracle(t *testing.T) {
 	}
 }
 
+// TestGATAttentionAtVectorWidthMatchesOracle is the oracle comparison at
+// head width 16, where the aggregation and its projection gradient run the
+// tensor package's vector segment kernels (on AVX2), the gradient read from
+// each head's column block of the output gradient when concatenated.
+func TestGATAttentionAtVectorWidthMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	const d = 16
+	csr := randSquareCSR(20, 60, rng)
+	for _, heads := range []int{1, 4} {
+		for _, concat := range []bool{true, false} {
+			name := fmt.Sprintf("%d heads, concat %v", heads, concat)
+			var whData, aLData, aRData []*tensor.Matrix
+			for range heads {
+				whData = append(whData, randProjection(csr.NSeg, d, rng))
+				aLData = append(aLData, randMatrix(d, 1, rng))
+				aRData = append(aRData, randMatrix(d, 1, rng))
+			}
+			cols := d
+			if concat {
+				cols = heads * d
+			}
+			seed := randMatrix(csr.NSeg, cols, rng)
+			record := func(op func(wh, aL, aR []*Value, csr *tensor.CSR, slope float64, concat bool) *Value) (out *Value, wh, aL, aR []*Value) {
+				tp := NewTape()
+				for h := range heads {
+					wh = append(wh, tp.Var(whData[h].Clone()))
+					aL = append(aL, Var(aLData[h].Clone()))
+					aR = append(aR, Var(aRData[h].Clone()))
+				}
+				out = op(wh, aL, aR, csr, 0.2, concat)
+				out.BackwardWithGradient(seed.Clone())
+				return out, wh, aL, aR
+			}
+			ref, whRef, aLRef, aRRef := record(gatAttentionChain)
+			fus, whFus, aLFus, aRFus := record(GATAttention)
+			requireBits(t, name+": forward", ref.Data, fus.Data)
+			for h := range heads {
+				requireBits(t, fmt.Sprintf("%s: dL/dwh[%d]", name, h), whRef[h].Grad, whFus[h].Grad)
+				requireBits(t, fmt.Sprintf("%s: dL/daL[%d]", name, h), aLRef[h].Grad, aLFus[h].Grad)
+				requireBits(t, fmt.Sprintf("%s: dL/daR[%d]", name, h), aRRef[h].Grad, aRFus[h].Grad)
+			}
+		}
+	}
+}
+
 // TestGATAttentionTapedSteadyState records the op on a warm tape, the way
 // every epoch after the first does, and requires it to allocate nothing.
 func TestGATAttentionTapedSteadyState(t *testing.T) {

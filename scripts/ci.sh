@@ -271,11 +271,13 @@ done
 # chain of library ops it replaced (kept as the oracle in the test files) —
 # forward and every gradient bit for bit over one and four heads,
 # concatenated and averaged, zeros of both signs, empty segments, repeated
-# sources and duplicate edges — its finite-difference rows and a warm tape
-# recording it without allocating, under the race detector; then the epoch
-# allocation budgets on the GAT backbone.
+# sources and duplicate edges, and again at the vector width 16 — its
+# finite-difference rows and a warm tape recording it without allocating,
+# under the race detector; then the epoch allocation budgets on the GAT
+# backbone.
 gate race ./internal/autodiff \
-	TestGATAttentionMatchesPerHeadOracle TestGradGATAttention TestGATAttentionTapedSteadyState
+	TestGATAttentionMatchesPerHeadOracle TestGATAttentionAtVectorWidthMatchesOracle \
+	TestGradGATAttention TestGATAttentionTapedSteadyState
 gate plain ./internal/core \
 	TestSupervisedEpochAllocBudget/GAT TestUnsupervisedEpochAllocBudget/GAT
 
