@@ -261,8 +261,9 @@ func constSparseLoops(a *ConstSparse, w, g, dst *Matrix) (fwd *Matrix) {
 // branch on: entries equal to their row's constant (skipped), val = ±0
 // under c = ±0 (skipped), a NaN and an Inf residual, a −0 constant, an
 // empty zero row, and two spans each shared by rows with different
-// constants. Skipped entries name column 8, where w's row and g's rows 0,
-// 3 and 5 hold Inf: a kernel that drops the skip turns them into NaN.
+// constants. The skipped entries name column 8 in rows 0, 1, 5 and 6; the
+// test puts +Inf in w's row 8 and −Inf in g's rows 0, 3 and 5, so a kernel
+// that drops the skip multiplies an infinity by zero and writes NaN.
 func specialConstSparse() *ConstSparse {
 	third := 1.0 / 3
 	type entry struct {
